@@ -1,11 +1,11 @@
-"""Benchmark: LocalPush engine executors (serial/thread/process) vs the dict oracle.
+"""Benchmark: the LocalPush engine core under every executor (serial/thread/process).
 
-Times the dict reference engine and the unified core under every executor
-on a synthetic pokec-style graph, checks the core agrees with the oracle
-within ``ε`` (the equivalence criterion of the test suite) *and* that all
-executors are bit-identical to each other, then appends the result to
-``BENCH_localpush.json`` at the repo root so future PRs can track the
-precompute-speed trajectory.
+Times the engine core under every executor on a synthetic pokec-style
+graph, checks the serial core's error against the dense
+``linearized_simrank`` series (the fixed point of Lemma III.5) is below
+``ε`` *and* that all executors are bit-identical to each other, then
+appends the result to ``BENCH_localpush.json`` at the repo root so
+future PRs can track the precompute-speed trajectory.
 
 The JSON file is an append-only list of run records.  Each new record is
 validated against :data:`RECORD_SCHEMA` before being appended and carries
@@ -19,22 +19,17 @@ Usage
 ``... --nodes 2000 --epsilon 0.05 --workers 8 --output /tmp/b.json``  custom
 ``... --profile``                                       print the phase table too
 
-Both modes exercise the dict oracle and every executor.  The full run
-reproduces the acceptance bar of the unified-core PR: per-executor
+Both modes exercise the series reference and every executor.  The full
+run reproduces the acceptance bar of the unified-core PR: per-executor
 speedups over the serial executor on a ≥ 5k-node graph at ε = 0.1
 (``speedup_vs_serial`` — > 1 for the process executor requires actual
-multi-core hardware; see ``cpu_count`` in the record).
+multi-core hardware; see ``cpu_count`` in the record).  The dense series
+costs ``O(n²)`` memory and dominates the full run's wall time (it is
+computed at tolerance ``ε/100`` so its own truncation error stays far
+below ``ε``); ``backends.core.seconds`` times only the serial core.
 
-Every record additionally carries three sections introduced with the
-kernel layer:
+Every record additionally carries two sections:
 
-* ``kernels`` — the scipy-vs-fused comparison at the same node count but
-  a *kernel-stress* ε (default ``ε/10``, recorded in the section): at
-  the headline ε = 0.1 the rounds are single-shard and matmul-bound, so
-  the merge-path restructuring the fused kernel exists for barely
-  registers; the stress ε drives multi-shard rounds where it does.  The
-  section records ``speedup_vs_scipy`` and per-executor
-  ``bit_identical_to_scipy``.
 * ``float32`` — the reduced-precision sweep: fused float32 runs on small
   graphs against the dense ``linearized_simrank`` oracle, with the
   measured max error checked against the adjusted bound
@@ -51,8 +46,8 @@ record with the same ``cpu_count``/``num_nodes`` shape and fails on a
 from __future__ import annotations
 
 # repro-lint: disable-file=R8 — this micro-benchmark measures the engine
-# internals themselves (executor pool, dict oracle, synthetic generator),
-# so importing them is its purpose, not an API leak.
+# internals themselves (executor pool, series reference, synthetic
+# generator), so importing them is its purpose, not an API leak.
 import argparse
 import json
 import os
@@ -90,17 +85,9 @@ RECORD_SCHEMA = {
     "config": dict,
     "backends": dict,
     "executors": dict,
-    "kernels": dict,
     "float32": dict,
     "profile": dict,
     "within_epsilon": bool,
-}
-
-#: Schema of the ``kernels`` comparison section.
-KERNELS_SCHEMA = {
-    "epsilon": float,
-    "scipy": dict,
-    "fused": dict,
 }
 
 #: Schema of the ``float32`` sweep section.
@@ -113,7 +100,6 @@ FLOAT32_SCHEMA = {
 
 #: Schema of the ``profile`` phase-breakdown section.
 PROFILE_SCHEMA = {
-    "kernel": str,
     "executor": str,
     "total_seconds": float,
     "phase_seconds": dict,
@@ -173,19 +159,8 @@ def validate_record(record: dict) -> dict:
                 _check_fields(entry, POOLED_EXECUTOR_SCHEMA,
                               f"record.executors.{name}", problems)
     backends = record.get("backends")
-    if isinstance(backends, dict) and "dict" not in backends:
-        problems.append("record.backends: missing the dict oracle entry")
-    kernels = record.get("kernels")
-    if isinstance(kernels, dict):
-        _check_fields(kernels, KERNELS_SCHEMA, "record.kernels", problems)
-        fused = kernels.get("fused")
-        if isinstance(fused, dict):
-            identical = fused.get("bit_identical_to_scipy")
-            if not isinstance(identical, dict) or \
-                    set(identical) != set(EXECUTORS):
-                problems.append(
-                    "record.kernels.fused.bit_identical_to_scipy: expected "
-                    f"one bool per executor {tuple(EXECUTORS)}")
+    if isinstance(backends, dict) and "core" not in backends:
+        problems.append("record.backends: missing the core entry")
     f32 = record.get("float32")
     if isinstance(f32, dict):
         _check_fields(f32, FLOAT32_SCHEMA, "record.float32", problems)
@@ -214,14 +189,12 @@ def build_graph(num_nodes: int, *, average_degree: float, seed: int):
     return generate_synthetic_graph(config, seed=seed)
 
 
-def time_plan(graph, *, backend: str = "auto", executor: str | None = None,
-              epsilon: float, decay: float, num_workers: int,
-              stream_top_k: int | None = None) -> dict:
+def time_plan(graph, *, executor: str, epsilon: float, decay: float,
+              num_workers: int, stream_top_k: int | None = None) -> dict:
     timer = Timer()
     with timer:
         result = localpush_simrank(graph, epsilon=epsilon, decay=decay,
-                                   prune=False, backend=backend,
-                                   executor=executor,
+                                   prune=False, executor=executor,
                                    num_workers=num_workers,
                                    stream_top_k=stream_top_k)
     record = {
@@ -237,84 +210,22 @@ def time_plan(graph, *, backend: str = "auto", executor: str | None = None,
     return record
 
 
-def _bit_identical(a, b) -> bool:
-    return (a.dtype == b.dtype
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
-
-
-def time_kernel(graph, *, kernel: str, executor: str, epsilon: float,
-                decay: float, num_workers: int, dtype: str = "float64",
-                profile: PhaseProfile | None = None) -> dict:
-    """One timed unified-core run with an explicit kernel choice."""
+def time_core(graph, *, epsilon: float, decay: float,
+              profile: PhaseProfile | None = None) -> dict:
+    """One timed serial engine-core run (the profiled measurement)."""
     timer = Timer()
     with timer:
         result = localpush_engine(graph, epsilon=epsilon, decay=decay,
-                                  prune=False, executor=executor,
-                                  num_workers=num_workers, kernel=kernel,
-                                  dtype=dtype, profile=profile)
-    return {
-        "seconds": timer.elapsed,
-        "num_pushes": result.num_pushes,
-        "nnz": int(result.matrix.nnz),
-        "matrix": result.matrix,
-        "kernel": result.kernel,
-    }
-
-
-def kernel_comparison(graph, *, epsilon: float, decay: float,
-                      num_workers: int) -> dict:
-    """The ``kernels`` record section: scipy vs fused at a stress ε.
-
-    Times both kernels on the serial executor and runs the fused kernel
-    under every executor to record per-executor bitwise identity with
-    the scipy baseline (the guarantee that keeps ``kernel`` out of the
-    operator-cache key).
-    """
-    print(f"  kernel comparison at stress epsilon={epsilon}:")
-    scipy_run = time_kernel(graph, kernel="scipy", executor="serial",
-                            epsilon=epsilon, decay=decay,
-                            num_workers=num_workers)
-    print(f"  {'scipy':>10}: {scipy_run['seconds']:8.3f}s "
-          f"({scipy_run['num_pushes']} pushes, nnz={scipy_run['nnz']})")
-    fused_runs = {}
-    identical = {}
-    for executor in EXECUTORS:
-        fused_runs[executor] = time_kernel(
-            graph, kernel="fused", executor=executor, epsilon=epsilon,
-            decay=decay, num_workers=num_workers)
-        identical[executor] = _bit_identical(scipy_run["matrix"],
-                                             fused_runs[executor]["matrix"])
-    fused = fused_runs["serial"]
-    speedup = (round(scipy_run["seconds"] / fused["seconds"], 2)
-               if fused["seconds"] > 0 else float("inf"))
-    print(f"  {'fused':>10}: {fused['seconds']:8.3f}s — {speedup}x over "
-          f"scipy, bit-identical per executor: {identical}")
-    return {
-        "epsilon": epsilon,
-        "scipy": {
-            "seconds": round(scipy_run["seconds"], 4),
-            "num_pushes": scipy_run["num_pushes"],
-            "nnz": scipy_run["nnz"],
-        },
-        "fused": {
-            "seconds": round(fused["seconds"], 4),
-            "num_pushes": fused["num_pushes"],
-            "nnz": fused["nnz"],
-            "speedup_vs_scipy": speedup,
-            "bit_identical_to_scipy": {executor: bool(flag)
-                                       for executor, flag in
-                                       identical.items()},
-        },
-    }
+                                  prune=False, executor="serial",
+                                  profile=profile)
+    return {"seconds": timer.elapsed, "num_pushes": result.num_pushes}
 
 
 def float32_sweep(*, epsilon: float, decay: float, average_degree: float,
                   seed: int, sizes: tuple = (300, 600)) -> dict:
     """The ``float32`` record section: measured error vs the adjusted bound.
 
-    Runs the fused float32 core on small graphs against the dense
+    Runs the float32 core on small graphs against the dense
     ``linearized_simrank`` oracle (iterated to near machine precision)
     and checks the measured max error against
     :func:`repro.simrank.kernels.float32_error_bound` — the documented
@@ -331,7 +242,7 @@ def float32_sweep(*, epsilon: float, decay: float, average_degree: float,
         for dtype in ("float32", "float64"):
             result = localpush_engine(graph, epsilon=epsilon, decay=decay,
                                       prune=False, absorb_residual=True,
-                                      kernel="fused", dtype=dtype)
+                                      dtype=dtype)
             dense = result.matrix.toarray().astype(np.float64)
             errors[dtype] = float(np.abs(dense - exact).max())
         sweeps.append({
@@ -348,7 +259,7 @@ def float32_sweep(*, epsilon: float, decay: float, average_degree: float,
 
 
 def profile_breakdown(graph, *, epsilon: float, decay: float,
-                      num_workers: int, show: bool) -> dict:
+                      show: bool) -> dict:
     """The ``profile`` record section: per-phase seconds of one core run.
 
     Measured through the telemetry span path: the engine runs under a
@@ -362,21 +273,17 @@ def profile_breakdown(graph, *, epsilon: float, decay: float,
     """
     recorder = SpanRecorder()
     profile = TracingPhaseProfile(Tracer([recorder]))
-    run = time_kernel(graph, kernel="auto", executor="serial",
-                      epsilon=epsilon, decay=decay, num_workers=num_workers,
-                      profile=profile)
+    run = time_core(graph, epsilon=epsilon, decay=decay, profile=profile)
     totals = {phase: 0.0 for phase in PHASES}
     totals.update(phase_seconds(recorder.spans()))
     phases = {phase: round(seconds, 4)
               for phase, seconds in totals.items()}
     if show:
-        print(f"  phase breakdown (kernel={run['kernel']}, serial, "
-              f"epsilon={epsilon}):")
+        print(f"  phase breakdown (serial, epsilon={epsilon}):")
         for phase, seconds in phases.items():
             share = seconds / run["seconds"] if run["seconds"] > 0 else 0.0
             print(f"  {phase:>10}: {seconds:8.4f}s ({share:5.1%})")
     return {
-        "kernel": run["kernel"],
         "executor": "serial",
         "total_seconds": round(run["seconds"], 4),
         "phase_seconds": phases,
@@ -393,7 +300,6 @@ def load_history(path: Path) -> list:
 
 def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
         seed: int, smoke: bool, num_workers: int, stream_top_k: int = 32,
-        kernel_epsilon: float | None = None,
         show_profile: bool = False) -> dict:
     graph = build_graph(num_nodes, average_degree=average_degree, seed=seed)
     cpu_count = os.cpu_count() or 1
@@ -401,11 +307,14 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
           f"epsilon={epsilon}, decay={decay}, workers={num_workers}, "
           f"cpus={cpu_count}")
 
-    # Dict oracle first: the within-ε equivalence reference.
-    oracle = time_plan(graph, backend="dict", epsilon=epsilon, decay=decay,
-                       num_workers=num_workers)
-    print(f"  {'dict':>10}: {oracle['seconds']:8.3f}s "
-          f"({oracle['num_pushes']} pushes, nnz={oracle['nnz']})")
+    # The dense series first: the within-ε reference (Lemma III.5's fixed
+    # point), at a tolerance far below ε so its own truncation error
+    # cannot mask or fake a violation.
+    timer = Timer()
+    with timer:
+        series = linearized_simrank(graph, decay=decay,
+                                    tolerance=epsilon / 100.0)
+    print(f"  {'series':>10}: {timer.elapsed:8.3f}s (dense reference)")
 
     # The unified core under every executor, same worker count.
     runs = {}
@@ -429,10 +338,9 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
 
     serial = runs["serial"]
     serial_matrix = serial["matrix"]
-    diff = oracle["matrix"] - serial_matrix
-    max_abs_diff = float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    max_abs_diff = float(np.abs(serial_matrix.toarray() - series).max())
     within_epsilon = max_abs_diff < epsilon
-    print(f"  core vs dict: max|Ŝ_dict − Ŝ| = {max_abs_diff:.5f} "
+    print(f"  core vs series: max|Ŝ − S| = {max_abs_diff:.5f} "
           f"(bound ε = {epsilon})")
 
     executors_out = {}
@@ -463,36 +371,18 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
         "stream_top_k": streamed["stream_top_k"],
     }
 
-    dict_seconds = oracle["seconds"]
     backends_out = {
-        "dict": {
-            "seconds": round(dict_seconds, 4),
-            "num_pushes": oracle["num_pushes"],
-            "nnz": oracle["nnz"],
-        },
         "core": {
             "seconds": round(serial["seconds"], 4),
             "num_pushes": serial["num_pushes"],
             "nnz": serial["nnz"],
-            "max_abs_diff_vs_dict": round(max_abs_diff, 6),
-            "speedup_vs_dict": (round(dict_seconds / serial["seconds"], 2)
-                                if serial["seconds"] > 0 else float("inf")),
+            "max_abs_diff_vs_series": round(max_abs_diff, 6),
         },
     }
-    print(f"  {'core':>10}: speedup {backends_out['core']['speedup_vs_dict']}x "
-          "over the dict oracle")
 
-    # Kernel ladder: scipy vs fused at a multi-shard stress ε (at the
-    # headline ε the rounds are matmul-bound and single-shard, so the
-    # merge-path differences the fused kernel targets barely register).
-    stress_epsilon = (kernel_epsilon if kernel_epsilon is not None
-                      else epsilon / 10.0)
-    kernels_out = kernel_comparison(graph, epsilon=stress_epsilon,
-                                    decay=decay, num_workers=num_workers)
     float32_out = float32_sweep(epsilon=epsilon, decay=decay,
                                 average_degree=average_degree, seed=seed)
     profile_out = profile_breakdown(graph, epsilon=epsilon, decay=decay,
-                                    num_workers=num_workers,
                                     show=show_profile)
 
     # The resolved configuration of the headline executor-sweep runs
@@ -515,7 +405,6 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
         "config": config.to_dict(),
         "backends": backends_out,
         "executors": executors_out,
-        "kernels": kernels_out,
         "float32": float32_out,
         "profile": profile_out,
         "within_epsilon": bool(within_epsilon),
@@ -537,10 +426,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="thread/process executor pool size "
                              "(default: min(4, cpu count))")
-    parser.add_argument("--kernel-epsilon", type=float, default=None,
-                        help="stress ε of the scipy-vs-fused kernel "
-                             "comparison (default: ε/10 — small enough to "
-                             "drive multi-shard rounds)")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase (frontier/push/merge/"
                              "prune) breakdown of the serial core run; the "
@@ -555,7 +440,6 @@ def main(argv=None) -> int:
     record = run(num_nodes=num_nodes, average_degree=args.degree,
                  epsilon=args.epsilon, decay=args.decay, seed=args.seed,
                  smoke=args.smoke, num_workers=num_workers,
-                 kernel_epsilon=args.kernel_epsilon,
                  show_profile=args.profile)
     validate_record(record)
     history = load_history(args.output)

@@ -11,15 +11,13 @@ reproducing the trend of the paper's Fig. 5 at laptop scale.
 
 Configuring the precompute
 --------------------------
-SIGMA's precompute column is dominated by LocalPush (Algorithm 1).  The
-whole pipeline is configured by one object —
+SIGMA's precompute column is dominated by LocalPush (Algorithm 1), run
+by the frontier-batched engine core (:mod:`repro.simrank.engine`; see
+``BENCH_localpush.json``, produced by ``benchmarks/bench_localpush.py``).
+The whole pipeline is configured by one object —
 :class:`repro.config.SimRankConfig` — whose execution-plan fields map to
 the flags of this script:
 
-* ``backend`` — engine family: ``"dict"`` (per-pair reference loop, the
-  correctness oracle) or the unified frontier-batched core
-  (:mod:`repro.simrank.engine`), 10–25× faster at these sizes (see
-  ``BENCH_localpush.json``, produced by ``benchmarks/bench_localpush.py``);
 * ``executor`` — how the core's per-round shard pushes run:
   ``"serial"`` (in the calling thread), ``"thread"`` (a thread pool;
   scipy's matmul holds the GIL, so gains are modest on CPython) or
@@ -33,8 +31,8 @@ the flags of this script:
 Every executor and worker count produces a **bit-identical** operator,
 and all plans share the ``(1 − c)·ε`` stopping rule and the
 ``‖Ŝ − S‖_max < ε`` guarantee, so accuracy is unaffected by the choice;
-``backend="auto"`` (default) picks dict below 256 nodes and the unified
-core above.
+``executor="auto"`` (default) picks serial below 4096 nodes and the
+thread pool above.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from repro.simrank import (
     exact_simrank,
     linearized_simrank,
     localpush_simrank,
-    localpush_simrank_vectorized,
     simrank_class_statistics,
     simrank_operator,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "exact_simrank",
     "linearized_simrank",
     "localpush_simrank",
-    "localpush_simrank_vectorized",
     "simrank_class_statistics",
     "simrank_operator",
     "SIGMA",

@@ -153,7 +153,7 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     """
     from repro.graphs.sparse import sparse_row_normalize
     from repro.simrank.engine import single_source_localpush
-    from repro.simrank.localpush import resolve_execution
+    from repro.simrank.localpush import resolve_executor
 
     cfg = config if config is not None else SimRankConfig()
     if cfg.method == "exact":
@@ -171,13 +171,11 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
             dtype=None if cfg.dtype == "float64" else cfg.dtype)
         if served is not None:
             return served[0]
-    _, executor = resolve_execution(cfg.backend, cfg.executor,
-                                    graph.num_nodes, dtype=cfg.dtype)
     result = single_source_localpush(
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
-        absorb_residual=True, executor=executor or "serial",
-        num_workers=cfg.workers, top_k=k, kernel=cfg.kernel,
-        dtype=cfg.dtype)
+        absorb_residual=True,
+        executor=resolve_executor(cfg.executor, graph.num_nodes),
+        num_workers=cfg.workers, top_k=k, dtype=cfg.dtype)
     row = result.row
     if cfg.row_normalize:
         row = sparse_row_normalize(row)

@@ -37,17 +37,15 @@ from typing import Optional
 from repro.api import run
 from repro.config import (
     SIGMA_DEFAULT_SIMRANK,
-    SIMRANK_BACKENDS,
     SIMRANK_DTYPES,
     SIMRANK_EXECUTORS,
-    SIMRANK_KERNELS,
     SIMRANK_METHODS,
     SIMRANK_MODELS,
     RunSpec,
     SimRankConfig,
 )
 from repro.datasets.registry import list_datasets
-from repro.models.registry import list_models
+from repro.models.registry import list_models, model_parameters
 from repro.training.config import TrainConfig
 
 #: Single source of the training-loop defaults shown in ``--help``.
@@ -90,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SimRank computation method for SIGMA's "
                              "precompute (default: auto — exactness on "
                              "small graphs, LocalPush above)")
-    parser.add_argument("--simrank-backend", default=None,
-                        choices=SIMRANK_BACKENDS,
-                        help="LocalPush engine family for SIGMA's precompute "
-                             "(SIGMA models only; default: auto — the "
-                             "unified core on large graphs)")
     parser.add_argument("--simrank-executor", default=None,
                         choices=SIMRANK_EXECUTORS,
                         help="unified-core executor for the LocalPush shard "
@@ -102,14 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "bit-identical — 'process' shares the walk "
                              "matrix across a process pool for multi-core "
                              "scaling)")
-    parser.add_argument("--simrank-kernel", default=None,
-                        choices=SIMRANK_KERNELS,
-                        help="push-round kernel for the LocalPush core "
-                             "(SIGMA models only; every kernel is "
-                             "bit-identical per dtype — 'fused' merges "
-                             "shard partials in one pass, 'numba' JITs the "
-                             "frontier extraction when numba is installed, "
-                             "'auto' picks fused)")
     parser.add_argument("--simrank-dtype", default=None,
                         choices=SIMRANK_DTYPES,
                         help="working precision of the SimRank operator "
@@ -137,9 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simrank_flags_used(args: argparse.Namespace) -> list[str]:
     """The SIGMA-only flags present on this command line."""
-    sigma_only = ("decay", "simrank_method", "simrank_backend",
-                  "simrank_executor", "simrank_kernel", "simrank_dtype",
-                  "simrank_workers", "simrank_cache_dir",
+    sigma_only = ("decay", "simrank_method", "simrank_executor",
+                  "simrank_dtype", "simrank_workers", "simrank_cache_dir",
                   "simrank_cache_max_bytes")
     return [name for name in sigma_only if getattr(args, name) is not None]
 
@@ -150,8 +134,9 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
     For the SIGMA models every SimRank flag folds into one
     :class:`SimRankConfig` (flags left unset inherit the model default,
     :data:`SIGMA_DEFAULT_SIMRANK`); for the baselines ``--top-k`` /
-    ``--epsilon`` stay plain model overrides and the SIGMA-only flags are
-    rejected by :func:`main` before this point.
+    ``--epsilon`` stay plain model overrides.  :func:`main` rejects the
+    SIGMA-only flags, and any override the model's constructor does not
+    take, before this point.
     """
     train = TrainConfig(learning_rate=args.lr, weight_decay=args.weight_decay,
                         max_epochs=args.epochs, patience=args.patience,
@@ -197,8 +182,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             flags = ", ".join("--" + name.replace("_", "-") for name in rejected)
             parser.error(f"{flags}: only supported by SIGMA models, "
                          f"not {args.model!r}")
+    spec = build_runspec(args)
+    accepted = model_parameters(args.model)
+    unsupported = [name for name in spec.overrides if name not in accepted]
+    if unsupported:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unsupported)
+        parser.error(f"{flags}: not a parameter of model {args.model!r}")
 
-    result = run(build_runspec(args))
+    result = run(spec)
     row = result.as_row()
     if args.json:
         print(json.dumps(row, indent=2))

@@ -27,7 +27,7 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
 from repro.simrank.cache import OperatorCache, get_operator_cache
 from repro.simrank.engine import resume_localpush
-from repro.simrank.localpush import finalize_estimate, resolve_execution
+from repro.simrank.localpush import finalize_estimate, resolve_executor
 from repro.simrank.topk import SimRankOperator, topk_simrank
 from repro.utils.timer import Timer
 
@@ -88,7 +88,7 @@ class DynamicOperator:
     ``Ŝ + G(R) = S`` of the *current* graph, with
     ``|R| ≤ (1−c)·ε``.
 
-    ``simrank`` supplies the LocalPush plan (ε, decay, kernel, executor,
+    ``simrank`` supplies the LocalPush plan (ε, decay, executor,
     workers) and the serving contract (top_k, row_normalize, dtype);
     ``dynamic`` the maintenance knobs (see
     :class:`repro.config.DynamicConfig`); ``cache`` an operator cache
@@ -132,8 +132,7 @@ class DynamicOperator:
                 graph,
                 sp.identity(graph.num_nodes, dtype=np.float64, format="csr"),
                 decay=self.simrank.decay, epsilon=self.simrank.epsilon,
-                executor=self._executor, num_workers=self.simrank.workers,
-                kernel=self.simrank.kernel)
+                executor=self._executor, num_workers=self.simrank.workers)
             self._estimate = run.estimate_delta
             self._residual = run.residual
             self.build_pushes = run.num_pushes
@@ -164,13 +163,7 @@ class DynamicOperator:
             dtype="float64")
         self._maintenance_fields: Dict[str, object] = \
             maintenance.cache_key_fields(num_nodes)
-        backend, executor = resolve_execution(
-            simrank.backend, simrank.executor, num_nodes)
-        if executor is None:
-            # The dict reference engine has no resumable round loop; the
-            # unified core's serial executor is its bit-compatible stand-in.
-            executor = "serial"
-        self._executor = executor
+        self._executor = resolve_executor(simrank.executor, num_nodes)
         self.updates_applied = 0
         self.repair_pushes = 0
         self.repair_seconds = 0.0
@@ -254,7 +247,7 @@ class DynamicOperator:
                 epsilon=self.simrank.epsilon,
                 max_pushes=self.dynamic.repair_max_pushes,
                 executor=self._executor, num_workers=self.simrank.workers,
-                kernel=self.simrank.kernel, copy_residual=False)
+                copy_residual=False)
             span.set("num_pushes", run.num_pushes)
             span.set("num_rounds", run.num_rounds)
             span.set("warm_start", warm_start)
@@ -372,7 +365,6 @@ class DynamicOperator:
             epsilon=epsilon,
             top_k=None if top_k is None else int(top_k),
             precompute_seconds=0.0,
-            backend=str(self._maintenance_fields["backend"]),
             row_normalize=row_normalize,
         )
 

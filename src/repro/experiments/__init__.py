@@ -29,12 +29,8 @@ Entry points: :func:`run_experiment` / :func:`execute` in Python,
 ``repro-experiment <id>`` (or ``python -m repro.cli experiment <id>``)
 on the command line — ``--list``, ``--describe``, ``--scale-factor``,
 ``--quick``, ``--executor``, ``--store``/``--resume``/``--force``.
-
-The pre-registry ``module.run(**legacy)`` functions remain as deprecated
-shims: one ``DeprecationWarning`` per call, identical results (they
-delegate to the registry), covered by the repo-wide
-``error::DeprecationWarning:repro`` filter that keeps in-repo callers
-off the deprecated paths.
+Experiment modules expose no module-level ``run()``: every artefact runs
+through the registry.
 """
 
 from repro.config import ExperimentCell, ExperimentSpec, grid_product

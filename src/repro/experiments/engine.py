@@ -1,8 +1,8 @@
 """Sweep engine: execute an :class:`~repro.config.ExperimentSpec` grid.
 
 The engine is the single execution path behind every experiment — the
-``repro-experiment`` CLI, the ``module.run()`` deprecation shims and the
-benchmarks all funnel into :func:`execute`:
+``repro-experiment`` CLI, :func:`run_experiment` and the benchmarks all
+funnel into :func:`execute`:
 
 1. expand the spec into cells (:meth:`ExperimentSpec.cells`);
 2. serve finished cells from the :class:`repro.experiments.store.
@@ -363,34 +363,5 @@ def run_experiment(name: str, *args: object, scale_factor: Optional[float] = Non
     return run.result
 
 
-def legacy_run(name: str) -> Callable[..., object]:
-    """A deprecated ``module.run(**legacy)`` shim delegating to the registry.
-
-    The returned function accepts the historical ``run()`` arguments
-    (they are the spec builder's signature), emits exactly one
-    :class:`DeprecationWarning`, and returns the same result object the
-    declarative path produces — pinned bit/row-identical by the
-    equivalence tests.
-    """
-
-    from repro.experiments.registry import EXPERIMENT_MODULES
-
-    module = EXPERIMENT_MODULES.get(name, name).rsplit(".", 1)[-1]
-
-    def run(*args: object, **kwargs: object) -> object:
-        import warnings
-
-        warnings.warn(
-            f"{module}.run() is deprecated; use "
-            f"repro.experiments.run_experiment({name!r}, ...) or the "
-            f"'repro-experiment {name}' CLI instead",
-            DeprecationWarning, stacklevel=2)
-        return run_experiment(name, *args, print_result=False, **kwargs)
-
-    run.__doc__ = (f"Deprecated: run experiment {name!r} through the "
-                   f"registry (one DeprecationWarning per call).")
-    return run
-
-
 __all__ = ["CellOutcome", "ExperimentRun", "evaluation_cell",
-           "summary_record", "execute", "run_experiment", "legacy_run"]
+           "summary_record", "execute", "run_experiment"]

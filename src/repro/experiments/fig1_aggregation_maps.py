@@ -21,7 +21,7 @@ import numpy as np
 from repro.config import ExperimentCell, ExperimentSpec, RunSpec
 from repro.datasets.registry import load_dataset
 from repro.experiments.common import format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.ppr.power import ppr_matrix_power
 from repro.simrank.exact import exact_simrank
@@ -141,10 +141,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig1Result:
             top_same_label_fraction=float(entry["top_same_label_fraction"]),
         ))
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("fig1")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -19,12 +19,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import (
     SIGMA_DEFAULT_SIMRANK,
-    UNSET,
     ExperimentSpec,
     RunSpec,
     SimRankConfig,
     grid_product,
-    merge_experiment_simrank_kwargs,
 )
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
 from repro.experiments.engine import run_experiment
@@ -69,7 +67,7 @@ def spec(dataset_name: str = "pokec", *,
     """The declarative (ε × k) sweep for SIGMA on ``dataset_name``.
 
     ``simrank`` is the *base* operator configuration shared by every
-    cell — the LocalPush ``(backend, executor, workers)`` plan and the
+    cell — the LocalPush ``(executor, workers)`` plan and the
     persistent cache directory; each grid cell overrides only its
     ``(epsilon, top_k)``.
     """
@@ -98,26 +96,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig6Result:
             "learn": round(outcome.record["mean_learning_time"], 3),
         })
     return result
-
-
-def run(*args, simrank: Optional[SimRankConfig] = None,
-        simrank_backend: object = UNSET, simrank_executor: object = UNSET,
-        simrank_workers: object = UNSET, simrank_cache_dir: object = UNSET,
-        **kwargs) -> Fig6Result:
-    """Deprecated shim: run the registered ``fig6`` experiment."""
-    import warnings
-
-    warnings.warn(
-        "fig6_epsilon_topk.run() is deprecated; use "
-        "repro.experiments.run_experiment('fig6', ...) or the "
-        "'repro-experiment fig6' CLI instead",
-        DeprecationWarning, stacklevel=2)
-    simrank = merge_experiment_simrank_kwargs(
-        simrank, simrank_backend=simrank_backend,
-        simrank_executor=simrank_executor, simrank_workers=simrank_workers,
-        simrank_cache_dir=simrank_cache_dir)
-    return run_experiment("fig6", *args, print_result=False, simrank=simrank,
-                          **kwargs)
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import ExperimentCell, ExperimentSpec, RunSpec
 from repro.datasets.registry import SMALL_DATASETS, load_dataset
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 from repro.utils.rng import ensure_rng
@@ -128,10 +128,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig8Result:
             label_order=np.asarray(outcome.record["label_order"], dtype=np.int64),
         ))
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("fig8")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -19,7 +19,7 @@ import numpy as np
 from repro.config import ExperimentCell, ExperimentSpec, RunSpec
 from repro.datasets.registry import LARGE_DATASETS, load_dataset
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -83,10 +83,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table10Result:
         result.alphas[outcome.spec.dataset] = float(outcome.record["alpha"])
         result.homophily[outcome.spec.dataset] = float(outcome.record["homophily"])
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table10")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -19,7 +19,7 @@ import numpy as np
 from repro.config import ExperimentCell, ExperimentSpec, RunSpec
 from repro.datasets.registry import load_dataset
 from repro.experiments.common import format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.simrank.analysis import SimRankClassStats, simrank_class_statistics
 from repro.simrank.exact import exact_simrank
@@ -114,10 +114,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table2Result:
     for outcome in cells:
         result.stats[outcome.spec.dataset] = stats_from_record(outcome.record)
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table2")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -21,7 +21,7 @@ import numpy as np
 from repro.config import ExperimentSpec, RunSpec, grid_product
 from repro.datasets.registry import LARGE_DATASETS
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -92,10 +92,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table7Result:
             "accuracy": round(100 * outcome.record["mean_accuracy"], 2),
         })
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table7")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import ExperimentSpec, RunSpec, grid_product
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -71,10 +71,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table9Result:
         result.accuracies[delta][outcome.spec.dataset] = (
             outcome.record["mean_accuracy"])
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table9")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

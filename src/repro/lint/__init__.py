@@ -2,13 +2,12 @@
 
 PRs 1–5 built the system's correctness story on *conventions*: one
 cache-key derivation, bit-identical executors, frozen configs,
-call-compatible deprecation shims, declarative experiment specs.  This
-package checks those conventions mechanically so the ROADMAP's
-"refactor freely" policy stays safe — a refactor that would silently
-break a cache key, reintroduce nondeterminism or resurrect a deprecated
-path fails ``repro-lint`` (and therefore tier-1, via
-``tests/test_lint_clean.py``, and CI's ``static-analysis`` job) before
-it can land.
+declarative experiment specs.  This package checks those conventions
+mechanically so the ROADMAP's "refactor freely" policy stays safe — a
+refactor that would silently break a cache key, reintroduce
+nondeterminism or reach past the public surface fails ``repro-lint``
+(and therefore tier-1, via ``tests/test_lint_clean.py``, and CI's
+``static-analysis`` job) before it can land.
 
 Running it
 ----------
@@ -24,6 +23,9 @@ AST-derived, so it runs on broken or partially-refactored trees.
 
 Rule catalogue
 --------------
+(``R4`` is retired: it contained the pre-config compatibility shims,
+which are gone.  The other IDs keep their numbers.)
+
 ``R1`` cache-key-completeness
     Every ``SimRankConfig`` field appears in ``cache_key_fields()`` or
     in the justified ``CACHE_KEY_EXEMPT`` set (``repro/config.py``).
@@ -42,11 +44,6 @@ Rule catalogue
     runner.  Protects: the bit-identical executor guarantee (every
     executor × worker count, same bytes) and the serving layer's
     batched-equals-solo answer guarantee.
-``R4`` deprecation-containment
-    The deprecated shims (``localpush_vec``, ``sharded``, the
-    ``simrank_*=`` keyword relay, experiment-module ``run()``) are
-    referenced only from shim code, and every shim emits a
-    ``DeprecationWarning``.  Protects: deprecated paths stay deletable.
 ``R5`` registry-consistency
     ``@experiment`` registrations ↔ the ``EXPERIMENT_MODULES``
     lazy-import table stay bijective, every registration has a

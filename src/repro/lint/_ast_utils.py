@@ -186,21 +186,6 @@ def resolve_call_name(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     return f"{origin}.{rest}" if rest else origin
 
 
-def warns_deprecation(function: ast.AST) -> bool:
-    """Whether the function body contains a DeprecationWarning ``warn``."""
-    for node in ast.walk(function):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = dotted_name(node.func) or ""
-        if not callee.endswith("warn"):
-            continue
-        mentions = [ast.unparse(arg) for arg in node.args]
-        mentions += [ast.unparse(kw.value) for kw in node.keywords]
-        if any("DeprecationWarning" in text for text in mentions):
-            return True
-    return False
-
-
 def functions(tree: ast.AST) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, FunctionNode):
@@ -212,5 +197,5 @@ __all__ = [
     "decorator_name", "is_dataclass", "is_frozen_dataclass", "class_def",
     "dataclass_fields", "string_elements", "module_assignment",
     "str_dict_literal", "imported_modules", "import_aliases", "dotted_name",
-    "resolve_call_name", "warns_deprecation", "functions",
+    "resolve_call_name", "functions",
 ]

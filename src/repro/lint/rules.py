@@ -29,23 +29,6 @@ from repro.lint.core import Finding, Project, Rule, SourceFile, register
 EXPERIMENT_INFRA = ("__init__.py", "common.py", "engine.py", "registry.py",
                     "runner.py", "store.py")
 
-#: Modules that exist only as deprecated shims (PR 3); importing them
-#: anywhere else reintroduces a dependency on a dead code path.
-DEPRECATED_SHIM_MODULES = ("repro.simrank.localpush_vec",
-                           "repro.simrank.sharded")
-
-#: Files allowed to reference the shim modules: the shims themselves and
-#: the package ``__init__`` that re-exports them for call compatibility.
-SHIM_HOST_FILES = ("repro/simrank/localpush_vec.py",
-                   "repro/simrank/sharded.py",
-                   "repro/simrank/__init__.py")
-
-#: The pre-config keyword-relay arguments (PR 4).  Passing one at a call
-#: site is deprecated everywhere except inside the forwarding shims,
-#: which declare a same-named parameter.
-DEPRECATED_CALL_KWARGS = ("simrank_backend", "simrank_executor",
-                          "simrank_workers", "simrank_cache_dir")
-
 #: ``numpy.random`` module-level (global-state) functions.  The
 #: ``default_rng`` / ``Generator`` / ``SeedSequence`` object API is the
 #: sanctioned source of randomness.
@@ -422,80 +405,6 @@ class Determinism(Rule):
 
 
 # --------------------------------------------------------------------- #
-# R4 — deprecation containment
-# --------------------------------------------------------------------- #
-@register
-class DeprecationContainment(Rule):
-    """Deprecated shims are referenced only from shims (and must warn).
-
-    The PR 3/4/5 shims (``localpush_vec``, ``sharded``, the
-    ``simrank_*=`` keyword relay, the experiment ``run()`` functions)
-    exist solely for call compatibility; a new in-repo reference would
-    resurrect a deprecated path that the next PR is entitled to delete.
-    """
-
-    id = "R4"
-    name = "deprecation-containment"
-    description = ("deprecated shim modules/kwargs referenced only from "
-                   "shim code, and every shim emits a DeprecationWarning")
-
-    def check_file(self, source: SourceFile, project: Project
-                   ) -> Iterator[Finding]:
-        if source.tree is None:
-            return
-        A.attach_parents(source.tree)
-        if not source.matches(*SHIM_HOST_FILES):
-            for module, lineno in A.imported_modules(source.tree):
-                if module in DEPRECATED_SHIM_MODULES:
-                    yield self.finding(
-                        source, lineno,
-                        f"import of deprecated shim module '{module}'; "
-                        f"use repro.simrank.engine / SimRankConfig instead")
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call_kwargs(source, node)
-        if _is_experiment_module(source):
-            run_shim = _module_function(source.tree, "run")
-            if run_shim is not None and not self._shim_warns(run_shim):
-                yield self.finding(
-                    source, run_shim,
-                    "experiment-module run() is a deprecated shim and must "
-                    "emit a DeprecationWarning pointing at run_experiment()")
-
-    def _check_call_kwargs(self, source: SourceFile, node: ast.Call
-                           ) -> Iterator[Finding]:
-        passed = [kw.arg for kw in node.keywords
-                  if kw.arg in DEPRECATED_CALL_KWARGS]
-        if not passed:
-            return
-        enclosing = A.enclosing(node, *A.FunctionNode)
-        declared: Set[str] = set()
-        if enclosing is not None:
-            arguments = enclosing.args  # type: ignore[attr-defined]
-            for arg in (arguments.args + arguments.kwonlyargs
-                        + arguments.posonlyargs):
-                declared.add(arg.arg)
-        for name in passed:
-            if name in declared:
-                continue  # forwarding inside the shim that declares it
-            yield self.finding(
-                source, node,
-                f"deprecated keyword '{name}=' at a call site outside its "
-                f"forwarding shim; pass a SimRankConfig instead")
-
-    @staticmethod
-    def _shim_warns(function: ast.AST) -> bool:
-        if A.warns_deprecation(function):
-            return True
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                callee = (A.dotted_name(node.func) or "").split(".")[-1]
-                if callee.startswith("merge_") and callee.endswith("_kwargs"):
-                    return True
-        return False
-
-
-# --------------------------------------------------------------------- #
 # R5 — registry consistency
 # --------------------------------------------------------------------- #
 @register
@@ -852,9 +761,8 @@ class ApiSurfaceImports(Rule):
 
 __all__ = [
     "CacheKeyCompleteness", "FrozenConfigDiscipline", "Determinism",
-    "DeprecationContainment", "RegistryConsistency", "ConfigAddressability",
+    "RegistryConsistency", "ConfigAddressability",
     "MutableDefaultsBareExcept", "ApiSurfaceImports",
-    "EXPERIMENT_INFRA", "DEPRECATED_SHIM_MODULES", "DEPRECATED_CALL_KWARGS",
-    "NUMPY_GLOBAL_RANDOM", "PUBLIC_SURFACE", "BUILDER_SURFACE_PREFIXES",
+    "EXPERIMENT_INFRA", "NUMPY_GLOBAL_RANDOM", "PUBLIC_SURFACE", "BUILDER_SURFACE_PREFIXES",
     "DETERMINISM_SCOPED_FILES", "FROZEN_CONFIG_CLASSES",
 ]

@@ -6,7 +6,8 @@ The registry centralises per-model default hyper-parameters so experiments
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import inspect
+from typing import Callable, Dict, FrozenSet, List
 
 from repro.errors import ModelError
 from repro.graphs.graph import Graph
@@ -71,7 +72,7 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
     "linkx": {},
     "glognn": {},
     "pprgo": {},
-    # The SIGMA operator defaults (ε = 0.1, k = 32, backend auto) live in
+    # The SIGMA operator defaults (ε = 0.1, k = 32) live in
     # repro.config.SIGMA_DEFAULT_SIMRANK, consumed by the model __init__.
     "sigma": {},
     "sigma_iterative": {},
@@ -90,6 +91,15 @@ def default_hyperparameters(name: str) -> Dict[str, object]:
     return dict(_DEFAULTS[name])
 
 
+def model_parameters(name: str) -> FrozenSet[str]:
+    """The hyper-parameter names model ``name``'s constructor accepts."""
+    key = name.lower()
+    if key not in _REGISTRY:
+        raise ModelError(f"unknown model {name!r}; available: {', '.join(_REGISTRY)}")
+    parameters = inspect.signature(_REGISTRY[key]).parameters
+    return frozenset(parameters) - {"graph", "rng"}
+
+
 def create_model(name: str, graph: Graph, *, rng: RngLike = None,
                  **overrides: object) -> NodeClassifier:
     """Instantiate model ``name`` on ``graph`` with defaults plus ``overrides``."""
@@ -101,4 +111,5 @@ def create_model(name: str, graph: Graph, *, rng: RngLike = None,
     return _REGISTRY[key](graph, rng=rng, **hyperparameters)
 
 
-__all__ = ["create_model", "list_models", "default_hyperparameters"]
+__all__ = ["create_model", "list_models", "default_hyperparameters",
+           "model_parameters"]

@@ -119,7 +119,10 @@ class ServiceCounters:
 
     ``queries`` is the total answered; each one is also counted in
     exactly one of ``exact_served``/``cached_served``/``degraded_served``
-    or ``failed``.  ``exact_failures`` counts queries whose exact rung
+    or ``failed`` — a source repeated within one coalesced batch shares
+    its computed row but is counted once per query, so ``queries ==
+    exact_served + cached_served + degraded_served`` holds for every
+    batch composition.  ``exact_failures`` counts queries whose exact rung
     faulted (admission cap or injected error) and ``budget_overruns``
     those whose completed exact answer was discarded for exceeding the
     time budget — both then fell through the ladder.  ``batches`` counts
@@ -329,18 +332,15 @@ class SimRankService:
         """Single-source engine rows for ``sources`` in one shared round."""
         from repro.graphs.sparse import sparse_row_normalize
         from repro.simrank.engine import multi_source_localpush
-        from repro.simrank.localpush import resolve_execution
+        from repro.simrank.localpush import resolve_executor
 
         cfg = self.simrank
-        _, executor = resolve_execution(cfg.backend, cfg.executor,
-                                        self.graph.num_nodes,
-                                        dtype=cfg.dtype)
         results = multi_source_localpush(
             self.graph, list(sources), decay=cfg.decay, epsilon=epsilon,
             prune=True, absorb_residual=True,
             max_pushes=self.serve.max_pushes_per_query,
-            executor=executor or "serial", num_workers=cfg.workers,
-            top_k=top_k, kernel=cfg.kernel, dtype=cfg.dtype)
+            executor=resolve_executor(cfg.executor, self.graph.num_nodes),
+            num_workers=cfg.workers, top_k=top_k, dtype=cfg.dtype)
         rows: Dict[int, sp.csr_matrix] = {}
         for result in results:
             row = result.row
@@ -373,13 +373,18 @@ class SimRankService:
         """Walk the ladder for the deduplicated ``sources``.
 
         Returns ``{source: (row, path, epsilon)}`` where ``epsilon`` is
-        the error bound the served row actually satisfies.  Must be
-        called under ``self._lock``.
+        the error bound the served row actually satisfies.  Each row is
+        computed once per distinct source, but the path counters count
+        every query in ``sources``, repeats included.  Must be called
+        under ``self._lock``.
         """
         counters = self.counters
         cfg = self.simrank
-        unique = sorted(dict.fromkeys(sources))
-        count = len(unique)
+        repeats: Dict[int, int] = {}
+        for source in sources:
+            repeats[source] = repeats.get(source, 0) + 1
+        unique = sorted(repeats)
+        count = len(sources)
 
         # Rung 1: exact, all sources in one shared frontier round.
         if self.serve.exact_enabled:
@@ -389,7 +394,7 @@ class SimRankService:
             timer.start()
             try:
                 with self._tracer.span("serve.exact_batch",
-                                       batch_size=count):
+                                       batch_size=len(unique)):
                     rows = self._compute_exact(unique, top_k, cfg.epsilon)
             except SimRankError:
                 counters.inc("exact_failures", count)
@@ -415,20 +420,20 @@ class SimRankService:
                     dtype=None if cfg.dtype == "float64" else cfg.dtype)
                 if hit is not None:
                     row, entry_epsilon = hit
-                    counters.inc("cached_served")
+                    counters.inc("cached_served", repeats[source])
                     served[source] = (row, "cached", entry_epsilon)
                     continue
             try:
                 rows = self._compute_degraded([source], top_k,
                                               degraded_epsilon)
             except SimRankError as error:
-                counters.inc("failed")
+                counters.inc("failed", repeats[source])
                 raise ServeError(
                     f"every serving rung failed for source {source} "
                     f"(exact {'disabled' if not self.serve.exact_enabled else 'failed'}, "
                     f"no cached row, degraded ε={degraded_epsilon} failed): "
                     f"{error}") from error
-            counters.inc("degraded_served")
+            counters.inc("degraded_served", repeats[source])
             served[source] = (rows[source], "degraded", degraded_epsilon)
         return served
 
@@ -620,7 +625,6 @@ class SimRankService:
             "config": {
                 "epsilon": self.simrank.epsilon,
                 "decay": self.simrank.decay,
-                "kernel": self.simrank.kernel,
                 "dtype": self.simrank.dtype,
                 "default_top_k": self.serve.default_top_k,
                 "exact_enabled": self.serve.exact_enabled,

@@ -2,7 +2,7 @@
 
 LocalPush precompute dominates end-to-end cost of the scalability
 experiments (Fig. 5, Table III), yet the operator is a pure function of
-``(graph, method, c, ε, k, backend, row_normalize)``.  This module stores
+``(graph, method, c, ε, k, row_normalize, dtype)``.  This module stores
 each computed :class:`repro.simrank.topk.SimRankOperator` on disk under a
 content-addressed key so repeated experiment runs skip precompute
 entirely.
@@ -25,12 +25,10 @@ SHA-256 over the adjacency CSR arrays — content-addressed, so renames and
 re-generations of the same graph hit) and the resolved operator
 parameters.  The parameter fields are derived in exactly one place —
 :meth:`repro.config.SimRankConfig.cache_key_fields` — and hashed here by
-:meth:`OperatorCache.key_for_fields`; both the config path and the
-deprecated-kwarg shims flow through that derivation, so they produce
-identical keys.  The worker count **and the unified-core executor** are
-deliberately excluded from the key: the engine core is bit-deterministic
-across executors and pool sizes, so operators computed with any of them
-are interchangeable.
+:meth:`OperatorCache.key_for_fields`.  The worker count **and the
+executor** are deliberately excluded from the key: the engine core is
+bit-deterministic across executors and pool sizes, so operators computed
+with any of them are interchangeable.
 
 Eviction policy (LRU under a byte cap)
 --------------------------------------
@@ -109,7 +107,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: on-disk layout or the operator semantics change).  Version 2: metadata
 #: gained the graph fingerprint (needed by the reuse index) and the
 #: unified engine core fixed the shard partition across all executors.
-CACHE_FORMAT_VERSION = 2
+#: Version 3: the engine-family ``backend`` label left the key and the
+#: metadata (every LocalPush operator now comes from the one engine
+#: core), so a version-2 entry no longer describes its key and is
+#: evicted as stale.
+CACHE_FORMAT_VERSION = 3
 
 _FILE_PREFIX = "simrank-"
 _INDEX_NAME = "simrank-cache-index.json"
@@ -236,11 +238,9 @@ class OperatorCache:
                 f"got {sorted(fields)}")
         hashed = dict(fields)
         if hashed.get("dtype") is None:
-            # float64 is encoded as ``dtype: None`` by
-            # ``cache_key_fields`` and *omitted* from the hashed payload,
-            # so float64 keys are byte-identical to the pre-dtype key
-            # format: every operator cached before the dtype field
-            # existed stays warm.
+            # float64 (the reference precision) is encoded as
+            # ``dtype: None`` by ``cache_key_fields`` and *omitted* from
+            # the hashed payload.
             del hashed["dtype"]
         return payload_digest({
             "version": CACHE_FORMAT_VERSION,
@@ -250,8 +250,7 @@ class OperatorCache:
 
     def key_for(self, graph: Graph, *, method: str, decay: float,
                 epsilon: Optional[float], top_k: Optional[int],
-                row_normalize: bool, backend: Optional[str],
-                dtype: Optional[str] = None) -> str:
+                row_normalize: bool, dtype: Optional[str] = None) -> str:
         """Keyword-argument form of :meth:`key_for_fields` (same key).
 
         ``dtype`` uses the key-field encoding: ``None`` for float64 (the
@@ -264,7 +263,6 @@ class OperatorCache:
             "epsilon": epsilon,
             "top_k": top_k,
             "row_normalize": row_normalize,
-            "backend": backend,
             "dtype": dtype,
         })
 
@@ -399,7 +397,6 @@ class OperatorCache:
                 "epsilon": meta.get("epsilon"),
                 "top_k": meta.get("top_k"),
                 "row_normalize": bool(meta.get("row_normalize", False)),
-                "backend": meta.get("backend"),
                 "dtype": meta.get("dtype"),
                 "bytes": path.stat().st_size,
                 "last_used": 0,
@@ -482,7 +479,6 @@ class OperatorCache:
             epsilon=None if meta["epsilon"] is None else float(meta["epsilon"]),
             top_k=None if meta["top_k"] is None else int(meta["top_k"]),
             precompute_seconds=0.0,
-            backend=meta.get("backend"),
             cache_hit=True,
             row_normalize=bool(meta.get("row_normalize", False)),
         )
@@ -537,9 +533,7 @@ class OperatorCache:
         if bool(entry.get("row_normalize", False)) != row_normalize:
             return False
         # Precision is part of the contract: a float32 entry never
-        # serves a float64 request or vice versa.  Entries written
-        # before the dtype field existed carry no marker and are float64
-        # by construction (``entry.get`` → ``None`` ≡ float64).
+        # serves a float64 request or vice versa (``None`` ≡ float64).
         if entry.get("dtype") != dtype:
             return False
         candidate_epsilon = entry.get("epsilon")
@@ -574,8 +568,7 @@ class OperatorCache:
 
     def lookup(self, graph: Graph, *, method: str, decay: float,
                epsilon: Optional[float], top_k: Optional[int],
-               row_normalize: bool, backend: Optional[str],
-               dtype: Optional[str] = None,
+               row_normalize: bool, dtype: Optional[str] = None,
                fingerprint: Optional[str] = None
                ) -> Optional["SimRankOperator"]:
         """Serve a request from the cache, by exact key or by reuse.
@@ -589,14 +582,13 @@ class OperatorCache:
         """
         key = self.key_for(graph, method=method, decay=decay, epsilon=epsilon,
                            top_k=top_k, row_normalize=row_normalize,
-                           backend=backend, dtype=dtype)
+                           dtype=dtype)
         expect: Dict[str, object] = {
             "method": method, "decay": decay, "epsilon": epsilon,
-            "top_k": top_k, "backend": backend,
-            "row_normalize": row_normalize}
+            "top_k": top_k, "row_normalize": row_normalize}
         if dtype is not None:
-            # float64 requests skip the check so pre-dtype entries (no
-            # marker in their metadata) keep serving them.
+            # float64 entries carry no dtype marker in their metadata,
+            # so float64 requests skip the check.
             expect["dtype"] = dtype
         exact = self._load(key, expect=expect)
         if exact is not None:
@@ -648,7 +640,6 @@ class OperatorCache:
                     epsilon=epsilon,
                     top_k=top_k,
                     precompute_seconds=0.0,
-                    backend=candidate.backend,
                     cache_hit=True,
                     row_normalize=row_normalize,
                     reuse_source_epsilon=candidate.epsilon,
@@ -739,8 +730,7 @@ class OperatorCache:
         """
         matrix = sp.csr_matrix(operator.matrix)
         # Key-field encoding: float64 (the reference precision) is
-        # recorded as None, so pre-dtype entries and float64 entries are
-        # indistinguishable — which is correct, they are the same thing.
+        # recorded as None.
         dtype = "float32" if matrix.dtype == np.float32 else None
         meta = json.dumps({
             "version": CACHE_FORMAT_VERSION,
@@ -749,7 +739,6 @@ class OperatorCache:
             "decay": operator.decay,
             "epsilon": operator.epsilon,
             "top_k": operator.top_k,
-            "backend": operator.backend,
             "row_normalize": operator.row_normalize,
             "dtype": dtype,
             "precompute_seconds": operator.precompute_seconds,
@@ -780,7 +769,6 @@ class OperatorCache:
             "epsilon": operator.epsilon,
             "top_k": operator.top_k,
             "row_normalize": operator.row_normalize,
-            "backend": operator.backend,
             "dtype": dtype,
             "bytes": path.stat().st_size,
             "last_used": 0,

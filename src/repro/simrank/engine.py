@@ -1,22 +1,18 @@
 """Unified LocalPush engine core with pluggable shard executors.
 
 This module owns the *single* implementation of the batched LocalPush
-loop (Algorithm 1 of the paper, frontier-batched form).  The three
-engines that previous revisions kept side by side — the vectorized
-frontier engine, the thread-sharded engine and its streaming top-k
-variant — were the same round loop differing only in **how the per-round
-shard pushes are executed**.  That difference is now a pluggable
-*executor* strategy:
+loop (Algorithm 1 of the paper, frontier-batched form).  What varies
+between runs is only **how the per-round shard pushes are executed** —
+a pluggable *executor* strategy:
 
 ``executor="serial"``
-    Shards are pushed one after another in the calling thread.  This
-    absorbs the old vectorized engine (``backend="vectorized"``): a
+    Shards are pushed one after another in the calling thread; a
     frontier small enough for one shard is pushed with a single sparse
-    matmul, exactly as before.
+    matmul.
 ``executor="thread"``
-    Shards are pushed by a :class:`concurrent.futures.ThreadPoolExecutor`
-    (the old ``backend="sharded"`` pool).  scipy's sparse matmul holds
-    the GIL, so this mainly overlaps allocation and bookkeeping.
+    Shards are pushed by a :class:`concurrent.futures.ThreadPoolExecutor`.
+    scipy's sparse matmul holds the GIL, so this mainly overlaps
+    allocation and bookkeeping.
 ``executor="process"``
     Shards are pushed by a process pool.  The CSR arrays of the walk
     matrix ``W`` (and ``Wᵀ``) are placed in
@@ -42,10 +38,10 @@ merge order are executor-independent, the returned matrix is
 **bit-identical for every executor and every worker count** — the
 property the operator cache relies on (its key excludes both knobs) and
 the equivalence suite pins.  The residual invariant, the streaming
-top-k prune with its ``‖R‖_max/(1−c)`` correction bound, and the shared
-:func:`repro.simrank.localpush.finalize_estimate` semantics are all
-unchanged from the engines this core replaces; see the module docstring
-of :mod:`repro.simrank` for the error-bound arguments.
+top-k prune with its ``‖R‖_max/(1−c)`` correction bound and the shared
+:func:`repro.simrank.localpush.finalize_estimate` semantics hold for
+every executor; see the module docstring of :mod:`repro.simrank` for
+the error-bound arguments.
 """
 
 from __future__ import annotations
@@ -65,10 +61,8 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import (DTYPES, KERNELS, PhaseProfile, Shard,
-                                   make_round_state, resolve_kernel,
-                                   shard_bounds, streaming_prune,
-                                   working_dtype)
+from repro.simrank.kernels import (DTYPES, FusedRoundState, PhaseProfile,
+                                   Shard, shard_bounds, working_dtype)
 from repro.utils.timer import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -319,11 +313,6 @@ def _make_executor(name: str, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
                        f"expected one of {EXECUTORS}")
 
 
-# The streaming top-k prune now lives in repro.simrank.kernels (shared
-# by every kernel); re-exported here under its historical private name.
-_streaming_prune = streaming_prune
-
-
 # --------------------------------------------------------------------- #
 # The engine core
 # --------------------------------------------------------------------- #
@@ -338,7 +327,6 @@ class _EngineRun:
     elapsed_seconds: float
     workers_used: Optional[int]
     max_shards_used: int
-    kernel_used: str
     #: Final residual, attached only when the caller asked to keep it
     #: (``keep_residual=True`` — the dynamic-maintenance path).
     residual: Optional[sp.csr_matrix] = None
@@ -348,7 +336,6 @@ def _validate_engine_args(decay: float, epsilon: float, executor: str,
                           num_workers: Optional[int],
                           num_shards: Optional[int],
                           stream_top_k: Optional[int],
-                          kernel: str = "auto",
                           dtype: str = "float64") -> None:
     if not 0.0 < decay < 1.0:
         raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
@@ -357,9 +344,6 @@ def _validate_engine_args(decay: float, epsilon: float, executor: str,
     if executor not in EXECUTORS:
         raise SimRankError(f"unknown LocalPush executor {executor!r}; "
                            f"expected one of {EXECUTORS}")
-    if kernel not in KERNELS:
-        raise SimRankError(f"unknown LocalPush kernel {kernel!r}; "
-                           f"expected one of {KERNELS}")
     if dtype not in DTYPES:
         raise SimRankError(f"unknown LocalPush dtype {dtype!r}; "
                            f"expected one of {DTYPES}")
@@ -392,6 +376,32 @@ def _seed_residual(n: int, seed_nodes: Optional[np.ndarray],
                           indptr), shape=(n, n))
 
 
+def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
+                   data: Sequence[np.ndarray], n: int) -> sp.csr_matrix:
+    """Sum the per-round absorbed frontiers into one canonical CSR estimate.
+
+    Every entry's absorptions are added left to right in round order —
+    the association of the streaming estimate's per-round fold — so a
+    streamed top-k and a post-hoc top-k of this estimate select the same
+    entries with bitwise the same values, ties included.  (A COO→CSR
+    build would sum duplicates in the order of scipy's unstable index
+    sort, which differs from round order by ulps on longer rows.)
+    """
+    row = np.concatenate(rows)
+    col = np.concatenate(cols)
+    order = np.argsort(row * n + col, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    estimate = sp.csr_matrix((np.concatenate(data)[order], col[order], indptr),
+                             shape=(n, n))
+    # The stable sort already ordered every row; skipping scipy's own
+    # (unstable) sort leaves csr_sum_duplicates its sequential,
+    # round-order accumulation.
+    estimate.has_sorted_indices = True
+    estimate.sum_duplicates()
+    return estimate
+
+
 def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 absorb_residual: bool, max_pushes: Optional[int],
                 executor: str, num_workers: Optional[int],
@@ -399,7 +409,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 coalesce_every: int,
                 seed_nodes: Optional[np.ndarray] = None,
                 absorb_rows: Optional[np.ndarray] = None,
-                kernel: str = "auto", dtype: str = "float64",
+                dtype: str = "float64",
                 profile: Optional[PhaseProfile] = None,
                 initial_residual: Optional[sp.csr_matrix] = None,
                 copy_residual: bool = True,
@@ -407,10 +417,10 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 keep_residual: bool = False) -> _EngineRun:
     """The shared frontier-batched round loop.
 
-    The per-round CSR arithmetic is delegated to a *round state* from
-    :mod:`repro.simrank.kernels` (``kernel`` selects which; every kernel
-    is bit-identical per ``dtype``); this loop owns the round plan —
-    extract, absorb, shard, push, coalesce, prune — and the accounting.
+    The per-round CSR arithmetic is delegated to a
+    :class:`repro.simrank.kernels.FusedRoundState`; this loop owns the
+    round plan — extract, absorb, shard, push, coalesce, prune — and the
+    accounting.
 
     ``seed_nodes``/``absorb_rows`` are the single-source restriction
     hooks: the residual starts as the identity restricted to
@@ -473,10 +483,9 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         residual.eliminate_zeros()
     else:
         residual = _seed_residual(n, seed_nodes, np_dtype)
-    state = make_round_state(resolve_kernel(kernel), residual, n=n,
-                             dtype=np_dtype,
-                             index_dtype=walk.indices.dtype,
-                             profile=profile, signed=signed)
+    state = FusedRoundState(residual, n=n, dtype=np_dtype,
+                            index_dtype=walk.indices.dtype,
+                            profile=profile, signed=signed)
     state.set_flush_cadence(coalesce_every)
     streaming = stream_top_k is not None and absorb_rows is None
     absorb_mask: Optional[np.ndarray] = None
@@ -485,7 +494,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         absorb_mask[absorb_rows] = True
     # The materialised running estimate is only needed when the streaming
     # prune inspects it in-loop; otherwise absorbed frontiers are
-    # accumulated as COO triplets and coalesced once at the end.
+    # accumulated as triplets and folded once at the end.
     est_rows: list[np.ndarray] = []
     est_cols: list[np.ndarray] = []
     est_data: list[np.ndarray] = []
@@ -530,8 +539,8 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 )
 
             # Shard the frontier by stored-entry ranges.  The partition is
-            # a function of the frontier only, never of the kernel,
-            # executor or worker count.
+            # a function of the frontier only, never of the executor or
+            # worker count.
             shards = num_shards if num_shards is not None else max(
                 1, -(-count // DEFAULT_SHARD_NNZ))
             shards = min(shards, count)
@@ -558,11 +567,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     else:
         estimate = sp.csr_matrix((n, n), dtype=np_dtype)
     if not streaming and est_data:
-        estimate = sp.coo_matrix(
-            (np.concatenate(est_data),
-             (np.concatenate(est_rows), np.concatenate(est_cols))),
-            shape=(n, n),
-        ).tocsr()  # COO→CSR sums duplicate frontier absorptions
+        estimate = _fold_absorbed(est_rows, est_cols, est_data, n)
 
     if absorb_residual and residual.nnz:
         rows = _csr_rows(residual)
@@ -601,7 +606,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         elapsed_seconds=elapsed,
         workers_used=runner.workers_used,
         max_shards_used=max_shards_used,
-        kernel_used=state.kernel,
         residual=residual if keep_residual else None,
     )
 
@@ -615,25 +619,19 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      num_shards: Optional[int] = None,
                      stream_top_k: Optional[int] = None,
                      coalesce_every: int = 4,
-                     backend_label: Optional[str] = None,
-                     kernel: str = "auto", dtype: str = "float64",
+                     dtype: str = "float64",
                      profile: Optional[PhaseProfile] = None
                      ) -> "LocalPushResult":
     """Run the batched LocalPush round loop with a pluggable executor.
 
     Parameters mirror :func:`repro.simrank.localpush.localpush_simrank`
-    (which dispatches here for every non-dict plan), plus:
+    (which resolves the executor and dispatches here), plus:
 
     executor:
         ``"serial"``, ``"thread"`` or ``"process"`` — how the per-round
         shard pushes are executed.  The result is bit-identical for
         every executor and worker count (see the module docstring), so
         this is purely a throughput knob.
-    kernel:
-        ``"auto"``, ``"scipy"``, ``"fused"`` or ``"numba"`` — how the
-        per-round CSR arithmetic is carried out (see
-        :mod:`repro.simrank.kernels`).  Bit-identical per ``dtype`` for
-        every kernel, so — like ``executor`` — purely a throughput knob.
     dtype:
         ``"float64"`` (default) or ``"float32"``.  float32 halves the
         working-set memory at the cost of a slightly enlarged error
@@ -657,21 +655,17 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         :func:`repro.graphs.sparse.top_k_per_row` semantics
         (``keep_diagonal=True``); matches pruning the fully materialised
         estimate exactly.
-    backend_label:
-        Legacy backend name recorded on the result for callers that
-        still reason in ``backend=`` terms (``"vectorized"`` ≡
-        ``(core, serial)``, ``"sharded"`` ≡ ``(core, thread|process)``).
     """
     from repro.simrank.localpush import LocalPushResult
 
     _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
-                          stream_top_k, kernel, dtype)
+                          stream_top_k, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
                       executor=executor, num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=stream_top_k,
-                      coalesce_every=coalesce_every, kernel=kernel,
-                      dtype=dtype, profile=profile)
+                      coalesce_every=coalesce_every, dtype=dtype,
+                      profile=profile)
     return LocalPushResult(
         matrix=run.estimate,
         num_pushes=run.num_pushes,
@@ -679,13 +673,10 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         elapsed_seconds=run.elapsed_seconds,
         epsilon=epsilon,
         decay=decay,
-        backend=backend_label or
-        ("vectorized" if executor == "serial" else "sharded"),
         executor=executor,
         num_rounds=run.num_rounds,
         num_workers=run.workers_used,
         num_shards=run.max_shards_used,
-        kernel=run.kernel_used,
         dtype=dtype,
     )
 
@@ -711,7 +702,6 @@ class ResumeRun:
     elapsed_seconds: float
     workers_used: Optional[int]
     max_shards_used: int
-    kernel_used: str
 
 
 def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
@@ -720,7 +710,7 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                      executor: str = "serial",
                      num_workers: Optional[int] = None,
                      num_shards: Optional[int] = None,
-                     coalesce_every: int = 4, kernel: str = "auto",
+                     coalesce_every: int = 4,
                      dtype: str = "float64",
                      copy_residual: bool = True,
                      profile: Optional[PhaseProfile] = None) -> ResumeRun:
@@ -730,8 +720,8 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     (:mod:`repro.dynamic`): given a residual ``R₀`` that restores the
     LocalPush invariant ``Ŝ + G(R₀) = S`` for some maintained estimate
     ``Ŝ`` on ``graph``, it runs the standard frontier rounds — any
-    ``kernel`` × ``executor`` × worker count, same shard plan, same
-    bit-determinism argument — in *signed* mode (``|R| > (1−c)·ε``
+    executor × worker count, same shard plan, same bit-determinism
+    argument — in *signed* mode (``|R| > (1−c)·ε``
     frontier threshold, since repair residuals carry negative mass for
     deleted edges) until convergence.  ``Ŝ + estimate_delta`` then
     satisfies the same ``(1−c)·ε`` residual bound, and hence the same
@@ -746,13 +736,13 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     repair runs.
     """
     _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
-                          None, kernel, dtype)
+                          None, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=False,
                       absorb_residual=False, max_pushes=max_pushes,
                       executor=executor, num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=None,
-                      coalesce_every=coalesce_every, kernel=kernel,
-                      dtype=dtype, profile=profile,
+                      coalesce_every=coalesce_every, dtype=dtype,
+                      profile=profile,
                       initial_residual=initial_residual,
                       copy_residual=copy_residual, signed=True,
                       finalize=False, keep_residual=True)
@@ -766,7 +756,6 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
         elapsed_seconds=run.elapsed_seconds,
         workers_used=run.workers_used,
         max_shards_used=run.max_shards_used,
-        kernel_used=run.kernel_used,
     )
 
 
@@ -842,7 +831,6 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                            num_shards: Optional[int] = None,
                            top_k: Optional[int] = None,
                            coalesce_every: int = 4,
-                           kernel: str = "auto",
                            dtype: str = "float64"
                            ) -> List[SingleSourceResult]:
     """Batched single-source LocalPush: one shared round loop, many rows.
@@ -873,7 +861,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
     same computed row.
     """
     _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
-                          top_k, kernel, dtype)
+                          top_k, dtype)
     source_array = _validate_sources(graph, sources)
     unique_sources = np.unique(source_array)
 
@@ -889,7 +877,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                       num_shards=num_shards, stream_top_k=top_k,
                       coalesce_every=coalesce_every,
                       seed_nodes=seed_nodes, absorb_rows=unique_sources,
-                      kernel=kernel, dtype=dtype)
+                      dtype=dtype)
 
     component_sizes = {int(s): int(np.count_nonzero(labels == labels[s]))
                        for s in unique_sources}
@@ -921,7 +909,6 @@ def single_source_localpush(graph: Graph, source: int, *,
                             num_shards: Optional[int] = None,
                             top_k: Optional[int] = None,
                             coalesce_every: int = 4,
-                            kernel: str = "auto",
                             dtype: str = "float64") -> SingleSourceResult:
     """Single-source LocalPush: row ``source`` of the SimRank matrix.
 
@@ -932,8 +919,7 @@ def single_source_localpush(graph: Graph, source: int, *,
         graph, [source], decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
         executor=executor, num_workers=num_workers, num_shards=num_shards,
-        top_k=top_k, coalesce_every=coalesce_every, kernel=kernel,
-        dtype=dtype)[0]
+        top_k=top_k, coalesce_every=coalesce_every, dtype=dtype)[0]
 
 
 def single_pair_localpush(graph: Graph, source: int, target: int, *,
@@ -945,7 +931,6 @@ def single_pair_localpush(graph: Graph, source: int, target: int, *,
                           num_workers: Optional[int] = None,
                           num_shards: Optional[int] = None,
                           coalesce_every: int = 4,
-                          kernel: str = "auto",
                           dtype: str = "float64") -> float:
     """Single-pair LocalPush: ``Ŝ(source, target)`` with the same ε bound.
 
@@ -965,7 +950,7 @@ def single_pair_localpush(graph: Graph, source: int, target: int, *,
         graph, source, decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
         executor=executor, num_workers=num_workers, num_shards=num_shards,
-        coalesce_every=coalesce_every, kernel=kernel, dtype=dtype)
+        coalesce_every=coalesce_every, dtype=dtype)
     return float(result.row[0, target])
 
 

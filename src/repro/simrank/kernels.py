@@ -1,88 +1,73 @@
-"""Push-round kernels: how one LocalPush round's CSR arithmetic is executed.
+"""Push-round kernel: how one LocalPush round's CSR arithmetic is executed.
 
 :mod:`repro.simrank.engine` owns *what* a round computes (frontier →
 ``c·Wᵀ F W`` → residual/estimate update) and the executor strategies own
-*where* the shard matmuls run.  This module owns the remaining axis —
-*how* the surrounding CSR arithmetic is carried out — as a pluggable
-kernel ladder:
+*where* the shard matmuls run.  This module owns *how* the surrounding
+CSR arithmetic is carried out, in :class:`FusedRoundState`:
 
-``kernel="scipy"``
-    The historical implementation: the frontier round-trips through a
-    ``np.repeat`` row expansion and a COO→CSR construction per shard,
-    shard partials merge through chained ``csr_plus_csr`` additions
-    (an ``O(shards²)`` walk of the partial mass), and the streaming
-    estimate absorbs and prunes every round.
-``kernel="fused"``
-    Operates on the raw CSR arrays with preallocated, round-reused
-    workspaces.  The frontier is compressed out of the residual with one
-    boolean mask and a searchsorted row pointer (no ``np.repeat``, no
-    COO round-trip) and the shard matrices are zero-copy
-    clipped-row-pointer views of it; the shard partials merge in **one**
-    concatenate + single duplicate-summing pass (a selector-matrix
-    product — see below) instead of the chained additions; the
-    streaming-estimate absorb is batched and pruned at the
-    ``coalesce_every`` cadence instead of every round.
-``kernel="numba"``
-    The fused kernel with the frontier extraction loop JIT-compiled
-    (mask, compress and residual clearing fused into one pass over the
-    stored entries), when :mod:`numba` is importable; resolves to
-    ``"fused"`` otherwise (the dependency is optional, never required).
-``kernel="auto"``
-    Resolves to ``"fused"``.
+* the frontier is compressed out of the residual with one boolean mask
+  and a searchsorted row pointer (no ``np.repeat``, no COO round-trip),
+  and the shard matrices are zero-copy clipped-row-pointer views of it;
+* the shard partials merge in **one** concatenate + single
+  duplicate-summing pass (a selector-matrix product — see below)
+  instead of chained additions;
+* the streaming-estimate absorb is batched and pruned at the
+  ``coalesce_every`` cadence instead of every round;
+* the raw CSR arrays are worked on with preallocated, round-reused
+  workspaces.
+
+The test suite keeps the historical CSR-object arithmetic — per-shard
+COO constructions, chained ``csr_plus_csr`` partial merges and a
+per-round streaming absorb — as a reference oracle, and pins this
+kernel bitwise against it (``tests/test_simrank_kernels.py``).
 
 The one-pass partial merge
 --------------------------
 Chained ``((p₀ + p₁) + p₂) + …`` additions walk the accumulated pushed
 mass once per shard — ``O(shards²)`` stored entries touched per round,
-and the measured hot spot of multi-shard rounds.  The fused kernel
-instead stacks the partials (``vstack`` — the concatenate) and
-left-multiplies by a *selector* matrix ``J`` with a single ``1.0`` entry
-per ``(row, shard)`` pair, so ``J @ vstack(partials)`` sums, for every
-output entry, the matching entries of all shards in one C pass of
-scipy's sparse matmul.  This is bitwise the chained association: the
-matmul accumulates each output entry sequentially in shard order
-starting from ``+0.0``, and ``+0.0 + a == a`` and ``1.0 · a == a``
-exactly, so the per-entry float operations are identical to the chained
-adds (shard partials are products of non-negative walk weights and
-positive frontier mass, so no ``-0.0`` corner exists; a partial entry
-that underflows to ``+0.0`` is dropped by the subsequent
-``csr_plus_csr`` zero filter on either path, leaving identical stored
-patterns).
+and the measured hot spot of multi-shard rounds.  The kernel instead
+stacks the partials (``vstack`` — the concatenate) and left-multiplies
+by a *selector* matrix ``J`` with a single ``1.0`` entry per ``(row,
+shard)`` pair, so ``J @ vstack(partials)`` sums, for every output entry,
+the matching entries of all shards in one C pass of scipy's sparse
+matmul.  This is bitwise the chained association: the matmul
+accumulates each output entry sequentially in shard order starting from
+``+0.0``, and ``+0.0 + a == a`` and ``1.0 · a == a`` exactly, so the
+per-entry float operations are identical to the chained adds (shard
+partials are products of non-negative walk weights and positive
+frontier mass, so no ``-0.0`` corner exists; a partial entry that
+underflows to ``+0.0`` is dropped by the subsequent ``csr_plus_csr``
+zero filter on either path, leaving identical stored patterns).
 
 The residual update itself stays scipy's canonical ``csr_plus_csr`` (a
 single C merge): a prototype that held the residual as flat
 ``row·n + col`` key/value arrays and merged in numpy was measured
-1.5–2× *slower* than the C add at every size — the fused win comes from
+1.5–2× *slower* than the C add at every size — the win comes from
 removing redundant passes (the chained folds, the per-shard COO
 round-trips, the per-round absorbs), not from reimplementing the merge.
 
-Bit-identity
-------------
-For a fixed dtype every kernel returns *bit-identical* matrices — the
-same guarantee the executor axis already carries, and the reason
-``kernel`` stays out of the operator-cache key.  The pieces:
-
-* both kernels canonicalise the round update (``pushed.sort_indices()``)
-  before the residual add, so the residual's storage order is row-major
-  column-sorted every round and both kernels extract frontiers in the
-  identical entry order;
-* the fused zero-copy shard slices hold bitwise the same
-  ``(indptr, indices, data)`` arrays the scipy kernel builds through its
-  per-shard COO round-trip (the frontier inherits the residual's
-  canonical order; frontier keys are unique, so the COO build sorts and
-  folds nothing), and the executor matmuls are shared;
+Bit-identity with the reference arithmetic
+------------------------------------------
+* both canonicalise the round update (``pushed.sort_indices()``) before
+  the residual add, so the residual's storage order is row-major
+  column-sorted every round and both extract frontiers in the identical
+  entry order;
+* the zero-copy shard slices hold bitwise the same ``(indptr, indices,
+  data)`` arrays a per-shard COO round-trip builds (the frontier
+  inherits the residual's canonical order; frontier keys are unique, so
+  the COO build sorts and folds nothing), and the executor matmuls are
+  shared;
 * the one-pass partial merge reproduces the chained association exactly
   (previous section), and the residual/estimate additions are the same
   ``csr_plus_csr`` calls with the same operand order;
-* the only cadence difference — the fused kernel folds and prunes the
-  streaming estimate every ``coalesce_every`` rounds instead of every
-  round — cannot change the final matrix: the absorb fold keeps the
-  round-order left-to-right association, and every streamed drop is
-  *provably outside the final top-k* (its value plus the
-  ``‖R‖_max/(1−c)`` slack is strictly below the row's k-th largest,
-  which never decreases), so the post-loop
-  ``top_k_per_row(..., keep_diagonal=True)`` selects the same entries
-  with the same fully-accumulated values either way.
+* the only cadence difference — folding and pruning the streaming
+  estimate every ``coalesce_every`` rounds instead of every round —
+  cannot change the final matrix: the absorb fold keeps the round-order
+  left-to-right association, and every streamed drop is *provably
+  outside the final top-k* (its value plus the ``‖R‖_max/(1−c)`` slack
+  is strictly below the row's k-th largest, which never decreases), so
+  the post-loop ``top_k_per_row(..., keep_diagonal=True)`` selects the
+  same entries with the same fully-accumulated values either way.
 
 The kernel-equivalence suite pins all of this per executor × worker
 count, including single-source rows and streamed top-k runs.
@@ -114,20 +99,13 @@ in the operator cache (see ``SimRankConfig.cache_key_fields``).
 from __future__ import annotations
 
 import math
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import SimRankError
-from repro.graphs.sparse import csr_row_indices
 from repro.utils.timer import Timer
-
-#: Kernel names accepted by the engine (``"auto"`` resolves to the best
-#: available implementation; ``"numba"`` falls back to ``"fused"`` when
-#: numba is not importable).
-KERNELS = ("auto", "scipy", "fused", "numba")
 
 #: dtype names accepted by the engine.
 DTYPES = ("float64", "float32")
@@ -162,32 +140,6 @@ class RoundRunner(Protocol):
     def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
                             ) -> List[sp.csr_matrix]:
         ...
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
-    try:
-        import numba  # noqa: F401  (probe only)
-    except Exception:  # pragma: no cover - depends on environment
-        return False
-    return True
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a kernel request to a concrete implementation name.
-
-    ``"auto"`` picks ``"fused"`` (bit-identical to ``"scipy"`` and
-    faster); ``"numba"`` degrades gracefully to ``"fused"`` when numba
-    is not importable.  Unknown names raise :class:`SimRankError`.
-    """
-    if kernel not in KERNELS:
-        raise SimRankError(f"unknown LocalPush kernel {kernel!r}; "
-                           f"expected one of {KERNELS}")
-    if kernel == "auto":
-        return "fused"
-    if kernel == "numba" and not numba_available():
-        return "fused"
-    return kernel
 
 
 def working_dtype(dtype: str) -> np.dtype:
@@ -297,30 +249,25 @@ _Measure = Union[_PhaseTimer, _NullTimer]
 class Frontier:
     """One round's above-threshold entries, in residual storage order.
 
-    ``cols``/``data`` are always materialised.  ``rows`` is computed on
-    first access from the frontier row pointer (the fused kernel's
-    zero-copy matrix path never needs it; the triplet and absorb paths
-    do).  ``matrix`` is the frontier as one canonical CSR matrix sharing
-    the ``cols``/``data`` arrays — set by the fused kernels, ``None``
-    for the scipy kernel, which passes eager ``rows`` instead.
+    ``matrix`` is the frontier as one canonical CSR matrix sharing the
+    ``cols``/``data`` arrays.  ``rows`` is computed on first access from
+    the frontier row pointer (the zero-copy matrix path never needs it;
+    the triplet and absorb paths do).
     """
 
     __slots__ = ("cols", "data", "matrix", "_rows", "_indptr")
 
     def __init__(self, cols: np.ndarray, data: np.ndarray, *,
-                 rows: Optional[np.ndarray] = None,
-                 indptr: Optional[np.ndarray] = None,
-                 matrix: Optional[sp.csr_matrix] = None) -> None:
+                 indptr: np.ndarray, matrix: sp.csr_matrix) -> None:
         self.cols = cols
         self.data = data
         self.matrix = matrix
-        self._rows = rows
+        self._rows: Optional[np.ndarray] = None
         self._indptr = indptr
 
     @property
     def rows(self) -> np.ndarray:
         if self._rows is None:
-            assert self._indptr is not None
             counts = np.diff(self._indptr)
             self._rows = np.repeat(
                 np.arange(counts.size, dtype=np.int64), counts)
@@ -337,7 +284,7 @@ def shard_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
     Reproduces ``np.array_split(np.arange(count), shards)`` exactly (the
     first ``count % shards`` shards get one extra entry), so the
     partition — and with it the bit-identity guarantee — is a pure
-    function of the frontier size, never of the kernel or executor.
+    function of the frontier size, never of the executor.
     """
     base, extra = divmod(count, shards)
     bounds: List[Tuple[int, int]] = []
@@ -415,22 +362,26 @@ def streaming_prune(estimate: sp.csr_matrix, k: int,
 
 
 # --------------------------------------------------------------------- #
-# Round states: the per-run kernel objects driven by the engine loop
+# The round state: the per-run kernel object driven by the engine loop
 # --------------------------------------------------------------------- #
-class ScipyRoundState:
-    """The historical CSR-object round arithmetic, verbatim.
+class FusedRoundState:
+    """Raw-CSR round arithmetic with reused workspaces and one-pass merges.
+
+    Owns the run's residual and (streaming) estimate and restructures
+    the three measured hot spots of the reference CSR-object arithmetic:
+    repeat-free frontier compression with zero-copy shard slices, the
+    one-pass selector-product partial merge, and the batched streaming
+    absorb.  Bit-identical to that reference per dtype — see the module
+    docstring for the argument and ``tests/test_simrank_kernels.py``
+    for the pins.
 
     ``signed=True`` switches the frontier threshold to entry
     *magnitude* (``|R| > threshold``).  The fresh-run loop never needs
     it — seeding with the identity keeps the residual non-negative —
     but a dynamic repair warm-starts from a residual that carries
     negative mass for deleted edges (:mod:`repro.dynamic`), and its
-    convergence argument bounds ``‖R‖_max = max |R_uv|``.  The default
-    keeps the positive-only compare, bit-identical to every run before
-    the flag existed.
+    convergence argument bounds ``‖R‖_max = max |R_uv|``.
     """
-
-    kernel = "scipy"
 
     def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
                  index_dtype: np.dtype,
@@ -442,99 +393,6 @@ class ScipyRoundState:
         self._profile = profile
         self._signed = bool(signed)
         self._estimate = sp.csr_matrix((n, n), dtype=dtype)
-
-    def _measure(self, phase: str) -> _Measure:
-        if self._profile is None:
-            return _NULL_TIMER
-        return self._profile.measure(phase)
-
-    def set_flush_cadence(self, coalesce_every: int) -> None:
-        """No-op: the scipy kernel absorbs and prunes every round."""
-
-    def extract_frontier(self, threshold: float) -> Optional[Frontier]:
-        with self._measure("frontier"):
-            residual = self._residual
-            if self._signed:
-                above = np.abs(residual.data) > threshold
-            else:
-                above = residual.data > threshold
-            count = int(np.count_nonzero(above))
-            if count == 0:
-                return None
-            rows = csr_row_indices(residual)[above]
-            cols = residual.indices[above].astype(np.int64, copy=False)
-            data = residual.data[above].copy()
-            residual.data[above] = 0.0
-        return Frontier(cols, data, rows=rows)
-
-    def absorb_stream(self, frontier: Frontier) -> None:
-        with self._measure("prune"):
-            self._estimate = self._estimate + sp.csr_matrix(
-                (frontier.data, (frontier.rows, frontier.cols)),
-                shape=(self._n, self._n))
-
-    def push_round(self, runner: RoundRunner, frontier: Frontier,
-                   bounds: Sequence[Tuple[int, int]]) -> None:
-        with self._measure("frontier"):
-            chunks = [(frontier.rows[start:end], frontier.cols[start:end],
-                       frontier.data[start:end]) for start, end in bounds]
-        with self._measure("push"):
-            partials = runner.push_round(chunks)
-        with self._measure("merge"):
-            # Merge in shard order — deterministic regardless of which
-            # worker finished first.
-            pushed = partials[0]
-            for partial in partials[1:]:
-                pushed = pushed + partial
-            # Canonicalise the round update (a storage reorder; no value
-            # changes).  With both operands canonical the addition takes
-            # scipy's sorted fast path, so the residual's *storage order*
-            # is row-major column-sorted every round — the same order the
-            # fused kernel maintains.  Without this, downstream
-            # order-sensitive steps (shard partitioning, the estimate's
-            # COO duplicate fold) would diverge between kernels by a few
-            # ulps.
-            pushed.sort_indices()
-            self._residual = self._residual + pushed
-
-    def coalesce(self) -> None:
-        with self._measure("prune"):
-            self._residual.eliminate_zeros()
-
-    def residual_max(self) -> float:
-        return float(self._residual.data.max()) if self._residual.nnz else 0.0
-
-    def stream_prune(self, k: int, decay: float) -> None:
-        with self._measure("prune"):
-            slack = self.residual_max() / (1.0 - decay)
-            self._estimate = streaming_prune(self._estimate, k, slack)
-
-    def finish(self, streaming: bool, k: Optional[int], decay: float
-               ) -> Tuple[sp.csr_matrix, Optional[sp.csr_matrix]]:
-        return self._residual, (self._estimate if streaming else None)
-
-
-class FusedRoundState(ScipyRoundState):
-    """Raw-CSR round arithmetic with reused workspaces and one-pass merges.
-
-    Shares the scipy kernel's residual/estimate objects and C additions
-    but restructures the three measured hot spots: repeat-free frontier
-    compression with zero-copy shard slices, the one-pass
-    selector-product partial merge, and the batched streaming absorb.
-    Bit-identical to :class:`ScipyRoundState` per dtype — see the module
-    docstring for the argument and ``tests/test_simrank_kernels.py`` for
-    the pins.
-    """
-
-    kernel = "fused"
-
-    def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype,
-                 profile: Optional[PhaseProfile] = None,
-                 signed: bool = False) -> None:
-        super().__init__(residual, n=n, dtype=dtype,
-                         index_dtype=index_dtype, profile=profile,
-                         signed=signed)
         self._index_dtype = index_dtype
         self._workspace = _Workspace()
         #: Selector matrices of the one-pass partial merge, per shard
@@ -544,6 +402,11 @@ class FusedRoundState(ScipyRoundState):
         #: in round order).
         self._pending: List[sp.csr_matrix] = []
         self._flush_every = 1
+
+    def _measure(self, phase: str) -> _Measure:
+        if self._profile is None:
+            return _NULL_TIMER
+        return self._profile.measure(phase)
 
     def set_flush_cadence(self, coalesce_every: int) -> None:
         """Batch streaming absorbs for this many rounds between flushes."""
@@ -584,7 +447,6 @@ class FusedRoundState(ScipyRoundState):
     def absorb_stream(self, frontier: Frontier) -> None:
         # Queue the round's frontier matrix; the left-to-right fold (and
         # the prune) run at the coalesce cadence in stream_prune().
-        assert frontier.matrix is not None
         self._pending.append(frontier.matrix)
 
     def push_round(self, runner: RoundRunner, frontier: Frontier,
@@ -610,9 +472,12 @@ class FusedRoundState(ScipyRoundState):
                 pushed = partials[0]
             else:
                 pushed = self._fold_partials(partials)
-            # Same canonicalisation as the scipy kernel (storage reorder
-            # only) so the add below takes the sorted fast path and the
-            # residual order stays canonical.
+            # Canonicalise the round update (a storage reorder; no value
+            # changes).  With both operands canonical the addition takes
+            # scipy's sorted fast path, so the residual's storage order
+            # is row-major column-sorted every round — which the
+            # zero-copy shard slices and the estimate's COO duplicate
+            # fold rely on for bit-identity.
             pushed.sort_indices()
             self._residual = self._residual + pushed
 
@@ -623,12 +488,11 @@ class FusedRoundState(ScipyRoundState):
 
         The frontier inherits the residual's row-major, column-sorted
         entry order, so a contiguous entry range *is* a CSR matrix once
-        the row pointer is clipped to it — bitwise the same arrays the
-        scipy kernel builds through its per-shard COO round-trip, with
-        no sort and no duplicate folding.
+        the row pointer is clipped to it — bitwise the same arrays a
+        per-shard COO round-trip builds, with no sort and no duplicate
+        folding.
         """
         matrix = frontier.matrix
-        assert matrix is not None
         n = self._n
         indptr = matrix.indptr.astype(np.int64, copy=False)
         slices = []
@@ -674,6 +538,13 @@ class FusedRoundState(ScipyRoundState):
             self._selectors[shards] = selector
         return selector
 
+    def coalesce(self) -> None:
+        with self._measure("prune"):
+            self._residual.eliminate_zeros()
+
+    def residual_max(self) -> float:
+        return float(self._residual.data.max()) if self._residual.nnz else 0.0
+
     def stream_prune(self, k: int, decay: float) -> None:
         if len(self._pending) < self._flush_every:
             return
@@ -681,10 +552,9 @@ class FusedRoundState(ScipyRoundState):
             self._flush_stream(k, decay)
 
     def _flush_stream(self, k: int, decay: float) -> None:
-        # The left-to-right fold reproduces the scipy kernel's
-        # round-by-round ((e + f₁) + f₂) additions: the estimate stays
-        # the left operand and each round's frontier folds in round
-        # order.
+        # The left-to-right fold reproduces round-by-round
+        # ((e + f₁) + f₂) additions: the estimate stays the left operand
+        # and each round's frontier folds in round order.
         estimate = self._estimate
         for matrix in self._pending:
             estimate = estimate + matrix
@@ -704,123 +574,7 @@ class FusedRoundState(ScipyRoundState):
         return self._residual, estimate
 
 
-class NumbaRoundState(FusedRoundState):
-    """The fused kernel with a JIT-compiled frontier extraction loop.
-
-    Only constructed when :func:`numba_available` is true (the resolver
-    falls back to ``"fused"`` otherwise).  The jitted loop fuses the
-    threshold mask, the entry compression and the residual clearing into
-    one pass over the stored entries, visiting them in the identical
-    canonical order — so the produced arrays, and with them the whole
-    run, are bitwise those of the fused kernel by construction.
-    """
-
-    kernel = "numba"
-
-    def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype,
-                 profile: Optional[PhaseProfile] = None,
-                 signed: bool = False) -> None:
-        super().__init__(residual, n=n, dtype=dtype,
-                         index_dtype=index_dtype, profile=profile,
-                         signed=signed)
-        self._numba_extract = _load_numba_extract()
-
-    def extract_frontier(self, threshold: float) -> Optional[Frontier]:
-        if self._signed:
-            # The jitted loop compiles the positive-only compare; signed
-            # runs take the fused numpy extraction, which produces the
-            # identical arrays (same canonical entry order).
-            return FusedRoundState.extract_frontier(self, threshold)
-        with self._measure("frontier"):
-            residual = self._residual
-            workspace = self._workspace
-            size = residual.data.size
-            out_cols = workspace.scratch("extract_cols", size,
-                                         residual.indices.dtype)
-            out_data = workspace.scratch("extract_data", size, self._dtype)
-            indptr = np.empty(self._n + 1, dtype=np.int64)
-            count = self._numba_extract(residual.indptr, residual.indices,
-                                        residual.data, threshold,
-                                        indptr, out_cols, out_data)
-            if count == 0:
-                return None
-            cols = out_cols[:count].copy()
-            data = out_data[:count].copy()
-            matrix = sp.csr_matrix(
-                (data, cols, indptr.astype(self._index_dtype, copy=False)),
-                shape=(self._n, self._n), copy=False)
-        return Frontier(cols, data, indptr=indptr, matrix=matrix)
-
-
-_NUMBA_EXTRACT: Optional[Callable[..., int]] = None
-
-
-def _load_numba_extract() -> Callable[..., int]:
-    """Compile (once) the fused extraction loop used by ``"numba"``."""
-    global _NUMBA_EXTRACT
-    if _NUMBA_EXTRACT is not None:
-        return _NUMBA_EXTRACT
-    import numba  # gated by numba_available() at resolution time
-
-    @numba.njit(cache=False)  # type: ignore[misc]
-    def extract(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                threshold: float, out_indptr: np.ndarray,
-                out_cols: np.ndarray,
-                out_data: np.ndarray) -> int:  # pragma: no cover - needs numba
-        count = 0
-        for row in range(out_indptr.size - 1):
-            out_indptr[row] = count
-            for position in range(indptr[row], indptr[row + 1]):
-                value = data[position]
-                if value > threshold:
-                    out_cols[count] = indices[position]
-                    out_data[count] = value
-                    data[position] = 0.0
-                    count += 1
-        out_indptr[out_indptr.size - 1] = count
-        return count
-
-    _NUMBA_EXTRACT = extract
-    return extract
-
-
-RoundState = Union[ScipyRoundState, FusedRoundState]
-
-_ROUND_STATES: Dict[str, type] = {
-    "scipy": ScipyRoundState,
-    "fused": FusedRoundState,
-    "numba": NumbaRoundState,
-}
-
-
-def make_round_state(kernel: str, residual: sp.csr_matrix, *, n: int,
-                     dtype: np.dtype, index_dtype: np.dtype,
-                     profile: Optional[PhaseProfile] = None,
-                     signed: bool = False) -> RoundState:
-    """Construct the round state for a *resolved* kernel name.
-
-    ``signed=True`` selects magnitude-threshold frontier extraction for
-    repair runs whose residual carries negative mass (see
-    :class:`ScipyRoundState`); the default is the positive-only compare
-    used by every fresh run.
-    """
-    try:
-        state_cls = _ROUND_STATES[kernel]
-    except KeyError:
-        raise SimRankError(
-            f"unknown LocalPush kernel {kernel!r}; "
-            f"expected one of {tuple(_ROUND_STATES)}") from None
-    state: RoundState = state_cls(residual, n=n, dtype=dtype,
-                                  index_dtype=index_dtype, profile=profile,
-                                  signed=signed)
-    return state
-
-
-__all__ = ["KERNELS", "DTYPES", "PHASES", "F32_UNIT_ROUNDOFF",
-           "F32_BOUND_SAFETY", "Shard", "RoundRunner", "numba_available",
-           "resolve_kernel", "working_dtype", "localpush_max_rounds",
+__all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
+           "Shard", "RoundRunner", "working_dtype", "localpush_max_rounds",
            "float32_error_bound", "PhaseProfile", "Frontier",
-           "shard_bounds", "streaming_prune", "ScipyRoundState",
-           "FusedRoundState", "NumbaRoundState", "RoundState",
-           "make_round_state"]
+           "shard_bounds", "streaming_prune", "FusedRoundState"]

@@ -11,33 +11,18 @@ SimRank series ``Σ_ℓ c^ℓ (W^ℓ)ᵀ W^ℓ`` of Theorem III.2, and stopping 
 Entries of the estimate below ``ε / 10`` are pruned, as in the paper, so the
 result stays sparse with roughly ``O(n·d²/ε)`` entries rather than ``O(n²)``.
 
-(engine, executor) selection
-----------------------------
-Two engines implement the push loop, and the batched one is further
-parameterized by an *executor* strategy:
+One engine implements the push loop: the frontier-batched core of
+:func:`repro.simrank.engine.localpush_engine`, which pushes every
+above-threshold pair of a round at once (``R ← R + c·Wᵀ F W``) with
+deterministic frontier sharding, optional streaming top-k pruning and a
+pluggable *executor* — ``"serial"`` (in-thread), ``"thread"``
+(``ThreadPoolExecutor``) or ``"process"`` (process pool over
+shared-memory walk matrices).  All executors and worker counts produce
+bit-identical matrices.  :func:`localpush_simrank` is its entry point
+with executor auto-resolution (:func:`resolve_executor`): ``"serial"``
+below :data:`AUTO_SHARDED_MIN_NODES` nodes, ``"thread"`` from there up.
 
-* the **dict engine** (below) — a per-pair queue over Python dicts, a
-  direct transcription of Algorithm 1.  It is the correctness oracle for
-  the equivalence tests, but the Python-level loop costs ``O(d²)``
-  bytecode per push.
-* the **unified core** (:func:`repro.simrank.engine.localpush_engine`) —
-  frontier-batched rounds ``R ← R + c·Wᵀ F W`` with deterministic
-  frontier sharding, optional streaming top-k pruning, and a pluggable
-  executor: ``"serial"`` (in-thread), ``"thread"``
-  (``ThreadPoolExecutor``) or ``"process"`` (process pool over
-  shared-memory walk matrices).  All executors and worker counts
-  produce bit-identical matrices.
-
-The legacy ``backend=`` names are labels over this plan space and remain
-accepted everywhere: ``"vectorized"`` ≡ ``(core, serial)``,
-``"sharded"`` ≡ ``(core, thread)``, and ``backend="auto"`` resolves by
-node count via :func:`resolve_backend` (``"dict"`` below
-:data:`AUTO_BACKEND_MIN_NODES`, ``"sharded"`` from
-:data:`AUTO_SHARDED_MIN_NODES` upward, ``"vectorized"`` in between).
-Passing ``executor=`` explicitly forces the unified core with that
-executor; :func:`resolve_execution` implements the combined resolution.
-
-Both backends guarantee a strictly positive diagonal: SimRank defines
+The engine guarantees a strictly positive diagonal: SimRank defines
 ``S(u, u) = 1``, so even when ``ε`` is so large that the push threshold
 ``(1 - c)·ε ≥ 1`` suppresses every push, the initial diagonal residual is
 folded back into the estimate rather than silently dropped.
@@ -45,9 +30,8 @@ folded back into the estimate rather than silently dropped.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,101 +39,27 @@ import scipy.sparse as sp
 from repro.errors import SimRankError
 from repro.graphs.graph import Graph
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.utils.timer import Timer
 
-Backend = Literal["dict", "vectorized", "sharded", "auto"]
-
-ExecutorName = Literal["serial", "thread", "process", "auto"]
-
-#: Node count above which ``backend="auto"`` switches to the vectorized
-#: engine; below it the per-round sparse-matrix setup dominates and the
-#: dict loop is just as fast.
-AUTO_BACKEND_MIN_NODES = 256
-
-#: Node count above which ``backend="auto"`` switches from the vectorized
-#: to the sharded engine: push rounds become large enough that splitting
-#: them across a worker pool (and streaming top-k pruning to bound memory)
-#: pays for the shard setup.  Pinned by the backend-selection unit tests.
+#: Node count from which executor auto-resolution switches from the
+#: serial to the thread-pool executor: push rounds become large enough
+#: that splitting them across a worker pool pays for the shard setup.
+#: Pinned by the executor-selection unit tests.
 AUTO_SHARDED_MIN_NODES = 4096
 
 
-def resolve_backend(backend: Backend, num_nodes: int) -> str:
-    """Resolve ``"auto"`` to a concrete LocalPush engine for ``num_nodes``.
+def resolve_executor(executor: Optional[str], num_nodes: int) -> str:
+    """Resolve an executor request to a concrete executor name.
 
-    The policy is a two-threshold ladder: ``"dict"`` below
-    :data:`AUTO_BACKEND_MIN_NODES`, ``"vectorized"`` from there up to
-    :data:`AUTO_SHARDED_MIN_NODES`, and ``"sharded"`` above.  Explicit
-    backend names pass through unchanged.
+    ``None`` and ``"auto"`` resolve by node count: ``"serial"`` below
+    :data:`AUTO_SHARDED_MIN_NODES`, ``"thread"`` from there up.  Explicit
+    names pass through unchanged.  Every executor produces a
+    bit-identical matrix, so the choice never affects results.
     """
-    if backend not in ("dict", "vectorized", "sharded", "auto"):
-        raise SimRankError(f"unknown LocalPush backend {backend!r}")
-    if backend != "auto":
-        return backend
-    if num_nodes >= AUTO_SHARDED_MIN_NODES:
-        return "sharded"
-    if num_nodes >= AUTO_BACKEND_MIN_NODES:
-        return "vectorized"
-    return "dict"
-
-
-def resolve_execution(backend: Backend = "auto",
-                      executor: Optional[ExecutorName] = None,
-                      num_nodes: int = 0, *,
-                      dtype: str = "float64") -> Tuple[str, Optional[str]]:
-    """Resolve a ``(backend, executor)`` request to a concrete plan.
-
-    Returns ``(backend_name, executor_name)`` where ``backend_name`` is
-    the legacy engine-family label (``"dict"``, ``"vectorized"`` or
-    ``"sharded"`` — used for result metadata and operator-cache keys) and
-    ``executor_name`` is the unified-core executor (``"serial"``,
-    ``"thread"`` or ``"process"``), or ``None`` for the dict engine.
-
-    * With ``executor`` unset (or ``"auto"``), the legacy ladder applies:
-      ``"dict"`` ↦ the reference engine, ``"vectorized"`` ↦
-      ``(core, serial)``, ``"sharded"`` ↦ ``(core, thread)``, and
-      ``"auto"`` resolves by node count first.
-    * An explicit executor forces the unified core with that strategy.
-      The backend label never depends on the executor — it is the named
-      backend, or (under ``"auto"``) the node-count ladder's core family
-      — so the operator-cache key, which includes the label, stays
-      identical across executors (all core executors are bit-identical;
-      the label is provenance, not semantics).
-    * ``backend="dict"`` has no pluggable executor; combining it with an
-      explicit executor is an error.
-    * The dict reference engine is float64-only.  Under
-      ``dtype="float32"`` the ``"auto"`` ladder skips its dict rung and
-      resolves to ``(vectorized, serial)`` instead; naming
-      ``backend="dict"`` explicitly with a non-float64 dtype is an
-      error.
-    """
-    if backend not in ("dict", "vectorized", "sharded", "auto"):
-        raise SimRankError(f"unknown LocalPush backend {backend!r}")
-    if executor not in (None, "auto", "serial", "thread", "process"):
+    if executor is None or executor == "auto":
+        return "thread" if num_nodes >= AUTO_SHARDED_MIN_NODES else "serial"
+    if executor not in ("serial", "thread", "process"):
         raise SimRankError(f"unknown LocalPush executor {executor!r}")
-    requested = None if executor in (None, "auto") else executor
-    if backend == "dict":
-        if requested is not None:
-            raise SimRankError(
-                "backend='dict' is the per-pair reference engine and has no "
-                f"pluggable executor; got executor={requested!r}")
-        if dtype != "float64":
-            raise SimRankError(
-                "backend='dict' is the float64 reference engine; "
-                f"got dtype={dtype!r}")
-        return "dict", None
-    if requested is not None:
-        if backend == "auto":
-            ladder = resolve_backend("auto", num_nodes)
-            backend = "sharded" if ladder == "sharded" else "vectorized"
-        return backend, requested
-    resolved = resolve_backend(backend, num_nodes)
-    if resolved == "dict":
-        if dtype != "float64":
-            return "vectorized", "serial"
-        return "dict", None
-    if resolved == "vectorized":
-        return "vectorized", "serial"
-    return "sharded", "thread"
+    return executor
 
 
 @dataclass
@@ -171,24 +81,14 @@ class LocalPushResult:
         The error threshold the run was configured with.
     decay:
         The decay factor ``c``.
-    backend:
-        Engine-family label of the plan that produced the result
-        (``"dict"``, ``"vectorized"`` ≡ core/serial, or ``"sharded"`` ≡
-        core/pooled).
     executor:
-        Unified-core executor used (``"serial"``, ``"thread"`` or
-        ``"process"``); ``None`` for the dict reference engine.
+        Executor used (``"serial"``, ``"thread"`` or ``"process"``).
     num_rounds:
-        Number of frontier rounds (unified core only; ``None`` for the
-        per-pair reference engine).
+        Number of frontier rounds.
     num_workers:
         Worker-pool size used (thread/process executors only).
     num_shards:
-        Largest per-round shard count used (unified core only).
-    kernel:
-        Resolved round-arithmetic kernel of the unified core
-        (``"scipy"``, ``"fused"`` or ``"numba"`` — never ``"auto"``);
-        ``None`` for the dict reference engine.
+        Largest per-round shard count used.
     dtype:
         Working precision of the run (``"float64"`` or ``"float32"``).
     """
@@ -199,12 +99,10 @@ class LocalPushResult:
     elapsed_seconds: float
     epsilon: float
     decay: float
-    backend: str = "dict"
     executor: Optional[str] = None
     num_rounds: Optional[int] = None
     num_workers: Optional[int] = None
     num_shards: Optional[int] = None
-    kernel: Optional[str] = None
     dtype: str = "float64"
 
 
@@ -212,11 +110,9 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
                       epsilon: float = 0.1, prune: bool = True,
                       absorb_residual: bool = False,
                       max_pushes: int | None = None,
-                      backend: Backend = "auto",
-                      executor: Optional[ExecutorName] = None,
+                      executor: Optional[str] = None,
                       num_workers: int | None = None,
                       stream_top_k: int | None = None,
-                      kernel: str = "auto",
                       dtype: str = "float64") -> LocalPushResult:
     """Run Algorithm 1 (LocalPush) and return the sparse approximation.
 
@@ -240,161 +136,35 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
         that the plain algorithm would discard — the SIGMA aggregation
         operator uses this variant before its top-k pruning.
     max_pushes:
-        Optional safety cap on the number of pushes; exceeding it raises
-        :class:`SimRankError` (it indicates a mis-configured ε).  The
-        vectorized backend counts absorbed frontier entries, the batched
-        analogue of a per-pair push.
-    backend:
-        Legacy engine-family name: ``"dict"`` (per-pair reference loop),
-        ``"vectorized"`` ≡ unified core with the serial executor,
-        ``"sharded"`` ≡ unified core with a pooled executor, or
-        ``"auto"`` (resolved by :func:`resolve_backend` on the node
-        count).  All satisfy the same ``‖Ŝ − S‖_max < ε`` bound; see the
-        module docstring.
+        Optional safety cap on the number of pushes (absorbed frontier
+        entries); exceeding it raises :class:`SimRankError` (it
+        indicates a mis-configured ε).
     executor:
-        Unified-core executor: ``"serial"``, ``"thread"`` or
-        ``"process"`` (see :mod:`repro.simrank.engine`).  Passing one
-        explicitly forces the unified core; the default (``None`` /
-        ``"auto"``) follows the backend ladder.  Every executor and
+        ``"serial"``, ``"thread"`` or ``"process"`` (see
+        :mod:`repro.simrank.engine`); ``None``/``"auto"`` resolves by
+        node count via :func:`resolve_executor`.  Every executor and
         worker count produces a bit-identical matrix.
     num_workers:
         Worker-pool size for the thread/process executors; ignored by
-        the serial executor and the dict engine.  Results are
-        bit-identical across worker counts.
+        the serial executor.  Results are bit-identical across worker
+        counts.
     stream_top_k:
         Prune the returned matrix to the ``k`` largest entries per row
-        with ``top_k_per_row(..., keep_diagonal=True)`` semantics.  The
-        unified core streams the prune into its push loop (bounded
-        memory); the dict engine applies it post hoc — the result is the
-        same either way, so the semantics do not depend on which engine
-        the plan resolves to.
-    kernel:
-        Unified-core round arithmetic: ``"scipy"`` (historical CSR-object
-        path), ``"fused"`` (raw-array kernel with reused workspaces),
-        ``"numba"`` (JIT merge loop; silently falls back to ``"fused"``
-        when numba is not importable) or ``"auto"`` (≡ ``"fused"``).
-        Every kernel is bit-identical per dtype, so the choice is purely
-        a speed knob (cache-key exempt); the dict engine ignores it.
+        with ``top_k_per_row(..., keep_diagonal=True)`` semantics,
+        streamed into the push loop (bounded memory) — identical to
+        pruning the full estimate post hoc.
     dtype:
         ``"float64"`` (default, the reference precision) or
-        ``"float32"`` — an opt-in low-memory mode of the unified core
-        with an adjusted error bound (see
-        :func:`repro.simrank.kernels.float32_error_bound`).  The dict
-        reference engine is float64-only: ``backend="auto"`` skips its
-        dict rung under float32, and an explicit ``backend="dict"``
-        with float32 is an error.
+        ``"float32"`` — an opt-in low-memory mode with an adjusted error
+        bound (see :func:`repro.simrank.kernels.float32_error_bound`).
     """
-    if not 0.0 < decay < 1.0:
-        raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
-    if epsilon <= 0.0:
-        raise SimRankError(f"epsilon must be positive, got {epsilon}")
-    if stream_top_k is not None and stream_top_k < 1:
-        raise SimRankError(f"stream_top_k must be >= 1, got {stream_top_k}")
-    backend_name, executor_name = resolve_execution(backend, executor,
-                                                    graph.num_nodes,
-                                                    dtype=dtype)
-    if executor_name is not None:
-        from repro.simrank.engine import localpush_engine
+    from repro.simrank.engine import localpush_engine
 
-        return localpush_engine(
-            graph, decay=decay, epsilon=epsilon, prune=prune,
-            absorb_residual=absorb_residual, max_pushes=max_pushes,
-            executor=executor_name, num_workers=num_workers,
-            stream_top_k=stream_top_k, backend_label=backend_name,
-            kernel=kernel, dtype=dtype)
-
-    n = graph.num_nodes
-    adjacency = graph.adjacency
-    indptr, indices, weights = adjacency.indptr, adjacency.indices, adjacency.data
-    # Weighted degrees (column sums == row sums for a symmetric adjacency),
-    # matching the walk matrix W = A D⁻¹ of the dense references and the
-    # vectorized backend; on 0/1 graphs this is the plain neighbour count.
-    degrees = np.asarray(adjacency.sum(axis=0)).ravel()
-    threshold = (1.0 - decay) * epsilon
-
-    estimate: Dict[Tuple[int, int], float] = {}
-    residual: Dict[Tuple[int, int], float] = {}
-    queue: deque[Tuple[int, int]] = deque()
-    queued: set[Tuple[int, int]] = set()
-
-    for node in range(n):
-        pair = (node, node)
-        residual[pair] = 1.0
-        if 1.0 > threshold:
-            queue.append(pair)
-            queued.add(pair)
-
-    num_pushes = 0
-    timer = Timer()
-    timer.start()
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        value = residual.get(pair, 0.0)
-        if value <= threshold:
-            continue
-        u, v = pair
-        estimate[pair] = estimate.get(pair, 0.0) + value
-        residual[pair] = 0.0
-        num_pushes += 1
-        if max_pushes is not None and num_pushes > max_pushes:
-            raise SimRankError(
-                f"LocalPush exceeded max_pushes={max_pushes}; "
-                "epsilon is likely too small for this graph"
-            )
-        u_neighbors = indices[indptr[u]:indptr[u + 1]]
-        v_neighbors = indices[indptr[v]:indptr[v + 1]]
-        if u_neighbors.size == 0 or v_neighbors.size == 0:
-            continue
-        u_weights = weights[indptr[u]:indptr[u + 1]]
-        v_weights = weights[indptr[v]:indptr[v + 1]]
-        scaled = decay * value
-        for u_next, u_weight in zip(u_neighbors, u_weights):
-            walk_u = u_weight / degrees[u_next]      # W[u, u_next]
-            for v_next, v_weight in zip(v_neighbors, v_weights):
-                amount = scaled * walk_u * v_weight / degrees[v_next]
-                next_pair = (int(u_next), int(v_next))
-                new_value = residual.get(next_pair, 0.0) + amount
-                residual[next_pair] = new_value
-                if new_value > threshold and next_pair not in queued:
-                    queue.append(next_pair)
-                    queued.add(next_pair)
-    elapsed = timer.stop()
-
-    if absorb_residual:
-        for pair, value in residual.items():
-            if value > 0.0:
-                estimate[pair] = estimate.get(pair, 0.0) + value
-
-    # SimRank defines S(u, u) = 1, so every node must keep a positive
-    # diagonal even when the threshold (1-c)·ε ≥ 1 suppresses all pushes:
-    # fold the untouched diagonal residual back into the estimate.
-    for node in range(n):
-        pair = (node, node)
-        if estimate.get(pair, 0.0) <= 0.0:
-            value = residual.get(pair, 0.0)
-            if value > 0.0:
-                estimate[pair] = estimate.get(pair, 0.0) + value
-
-    if prune:
-        floor = epsilon / 10.0
-        estimate = {pair: value for pair, value in estimate.items()
-                    if value >= floor or pair[0] == pair[1]}
-
-    matrix = _pairs_to_csr(estimate, n)
-    if stream_top_k is not None:
-        from repro.graphs.sparse import top_k_per_row
-
-        matrix = top_k_per_row(matrix, stream_top_k, keep_diagonal=True)
-    leftover = sum(1 for value in residual.values() if value > 0.0)
-    return LocalPushResult(
-        matrix=matrix,
-        num_pushes=num_pushes,
-        num_residual_entries=leftover,
-        elapsed_seconds=elapsed,
-        epsilon=epsilon,
-        decay=decay,
-    )
+    return localpush_engine(
+        graph, decay=decay, epsilon=epsilon, prune=prune,
+        absorb_residual=absorb_residual, max_pushes=max_pushes,
+        executor=resolve_executor(executor, graph.num_nodes),
+        num_workers=num_workers, stream_top_k=stream_top_k, dtype=dtype)
 
 
 def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
@@ -405,8 +175,9 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
     (SimRank defines ``S(u, u) = 1``, so every node keeps a positive
     diagonal even when the threshold ``(1-c)·ε ≥ 1`` suppressed all
     pushes) and applies the paper's ``ε / 10`` floor prune, never dropping
-    the diagonal.  Kept in one place so the vectorized and sharded
-    backends cannot drift apart in these semantics.
+    the diagonal.  Shared by the fresh runs of the engine core and the
+    snapshots of :mod:`repro.dynamic`, so the two cannot drift apart in
+    these semantics.
     """
     from repro.graphs.sparse import csr_row_indices
 
@@ -430,18 +201,5 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
     return estimate
 
 
-def _pairs_to_csr(entries: Dict[Tuple[int, int], float], n: int) -> sp.csr_matrix:
-    if not entries:
-        return sp.csr_matrix((n, n))
-    rows = np.fromiter((pair[0] for pair in entries), dtype=np.int64, count=len(entries))
-    cols = np.fromiter((pair[1] for pair in entries), dtype=np.int64, count=len(entries))
-    data = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    matrix.sort_indices()
-    return matrix
-
-
-__all__ = ["localpush_simrank", "LocalPushResult", "Backend",
-           "ExecutorName", "resolve_backend", "resolve_execution",
-           "finalize_estimate", "AUTO_BACKEND_MIN_NODES",
-           "AUTO_SHARDED_MIN_NODES"]
+__all__ = ["localpush_simrank", "LocalPushResult", "resolve_executor",
+           "finalize_estimate", "AUTO_SHARDED_MIN_NODES"]

@@ -10,28 +10,21 @@ bundles the full precomputation pipeline used by the SIGMA model:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.config import UNSET, SimRankConfig, merge_deprecated_kwargs
+from repro.config import SimRankConfig
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import sparse_row_normalize, top_k_per_row
-from repro.simrank.cache import (
-    OperatorCache,
-    get_operator_cache,
-    graph_fingerprint,
-)
+from repro.simrank.cache import get_operator_cache, graph_fingerprint
 from repro.simrank.exact import exact_simrank, linearized_simrank
 from repro.simrank.localpush import localpush_simrank
 from repro.utils.timer import Timer
 
 Method = Literal["exact", "series", "localpush", "auto"]
-
-CacheLike = Union[OperatorCache, str, os.PathLike, None]
 
 
 def topk_simrank(matrix: sp.spmatrix | np.ndarray, k: int,
@@ -60,7 +53,6 @@ class SimRankOperator:
     epsilon: Optional[float]
     top_k: Optional[int]
     precompute_seconds: float
-    backend: Optional[str] = None
     #: True when the operator was served from a persistent cache instead of
     #: being recomputed; ``precompute_seconds`` then measures the load.
     cache_hit: bool = False
@@ -81,18 +73,11 @@ class SimRankOperator:
         return self.nnz / n if n else 0.0
 
 
-def simrank_operator(graph: Graph, config: Optional[SimRankConfig] = None, *,
-                     method: object = UNSET, decay: object = UNSET,
-                     epsilon: object = UNSET, top_k: object = UNSET,
-                     row_normalize: object = UNSET,
-                     exact_size_limit: object = UNSET,
-                     backend: object = UNSET, executor: object = UNSET,
-                     num_workers: object = UNSET, cache: object = UNSET,
-                     cache_max_bytes: object = UNSET) -> SimRankOperator:
+def simrank_operator(graph: Graph,
+                     config: Optional[SimRankConfig] = None) -> SimRankOperator:
     """Precompute the SimRank aggregation operator for a graph.
 
-    The supported calling convention is a single
-    :class:`repro.config.SimRankConfig`::
+    ``config`` is a :class:`repro.config.SimRankConfig`::
 
         simrank_operator(graph, SimRankConfig(method="localpush",
                                               epsilon=0.1, top_k=32,
@@ -100,65 +85,16 @@ def simrank_operator(graph: Graph, config: Optional[SimRankConfig] = None, *,
 
     See :class:`repro.config.SimRankConfig` for the meaning of every
     field (method selection, ε, top-k pruning, the LocalPush
-    ``(backend, executor, workers)`` plan, and the persistent operator
-    cache with its LRU byte cap).  With ``config=None`` and no keywords
-    the library defaults apply.
-
-    Deprecated keywords
-    -------------------
-    The pre-config keyword arguments (``method=``, ``decay=``,
-    ``epsilon=``, ``top_k=``, ``row_normalize=``, ``exact_size_limit=``,
-    ``backend=``, ``executor=``, ``num_workers=``, ``cache=``,
-    ``cache_max_bytes=``) remain accepted: each one emits a
-    :class:`DeprecationWarning` and is folded into an equivalent config,
-    producing an identical operator *and* an identical on-disk cache key
-    (pinned by ``tests/test_config.py``), so caches written by older
-    code stay warm.  ``cache=`` additionally accepts a live
-    :class:`repro.simrank.cache.OperatorCache` instance.  Mixing
-    ``config=`` with any deprecated keyword is an error.
+    ``(executor, workers)`` plan, and the persistent operator cache with
+    its LRU byte cap).  With ``config=None`` the library defaults apply.
     """
-    cache_instance: Optional[OperatorCache] = None
-    if isinstance(cache, OperatorCache):
-        cache_instance = cache
-        cache = str(cache.directory)
-    # These knobs had None for their legacy default, so an explicit None
-    # means "default", not an override.  (top_k=None stays explicit: it
-    # is the documented "no pruning" request — same value as the config
-    # default here, but the warning should still fire.)
-    executor = UNSET if executor is None else executor
-    num_workers = UNSET if num_workers is None else num_workers
-    cache = UNSET if cache is None else cache
-    cache_max_bytes = UNSET if cache_max_bytes is None else cache_max_bytes
-    config = merge_deprecated_kwargs(config, {
-        "method": ("method", method),
-        "decay": ("decay", decay),
-        "epsilon": ("epsilon", epsilon),
-        "top_k": ("top_k", top_k),
-        "row_normalize": ("row_normalize", row_normalize),
-        "exact_size_limit": ("exact_size_limit", exact_size_limit),
-        "backend": ("backend", backend),
-        "executor": ("executor", executor),
-        "num_workers": ("workers", num_workers),
-        "cache": ("cache_dir", cache),
-        "cache_max_bytes": ("cache_max_bytes", cache_max_bytes),
-    }, api_hint="config=SimRankConfig(...)")
-    return _simrank_operator(graph, config, cache_instance)
-
-
-def _simrank_operator(graph: Graph, config: SimRankConfig,
-                      cache_instance: Optional[OperatorCache] = None
-                      ) -> SimRankOperator:
-    """Config-driven core of :func:`simrank_operator`."""
+    config = config if config is not None else SimRankConfig()
     resolved = config.resolved_method(graph.num_nodes)
     key_fields = config.cache_key_fields(graph.num_nodes)
 
-    cache_store = cache_instance
-    if cache_store is not None:
-        if config.cache_max_bytes is not None:
-            cache_store.max_bytes = config.cache_max_bytes
-    elif config.cache_dir is not None:
-        cache_store = get_operator_cache(config.cache_dir,
-                                         max_bytes=config.cache_max_bytes)
+    cache_store = (None if config.cache_dir is None else
+                   get_operator_cache(config.cache_dir,
+                                      max_bytes=config.cache_max_bytes))
 
     key: Optional[str] = None
     fingerprint: Optional[str] = None
@@ -173,7 +109,6 @@ def _simrank_operator(graph: Graph, config: SimRankConfig,
             cached.precompute_seconds = timer.stop()
             return cached
 
-    localpush_backend: Optional[str] = None
     if resolved == "exact":
         dense = exact_simrank(graph, decay=config.decay)
         matrix = sp.csr_matrix(dense)
@@ -185,20 +120,17 @@ def _simrank_operator(graph: Graph, config: SimRankConfig,
     else:
         # For the aggregation operator we keep sub-threshold residual mass
         # (a strict accuracy improvement) and let top-k do the pruning; the
-        # unified core additionally streams the top-k prune into the push
-        # loop (stream_top_k) so the full estimate never materialises.
+        # engine streams the top-k prune into the push loop (stream_top_k)
+        # so the full estimate never materialises.
         result = localpush_simrank(graph, decay=config.decay,
                                    epsilon=config.epsilon,
                                    prune=config.top_k is None,
                                    absorb_residual=True,
-                                   backend=config.backend,
                                    executor=config.executor,
                                    num_workers=config.workers,
                                    stream_top_k=config.top_k,
-                                   kernel=config.kernel,
                                    dtype=config.dtype)
         matrix = result.matrix
-        localpush_backend = result.backend
     if config.dtype == "float32" and matrix.dtype != np.float32:
         # The LocalPush core computes natively in float32; the dense
         # references have no reduced-precision path, so their operators
@@ -219,7 +151,6 @@ def _simrank_operator(graph: Graph, config: SimRankConfig,
         epsilon=key_fields["epsilon"],
         top_k=config.top_k,
         precompute_seconds=timer.stop(),
-        backend=localpush_backend,
         row_normalize=config.row_normalize,
     )
     if cache_store is not None and key is not None:

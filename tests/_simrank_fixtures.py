@@ -1,7 +1,7 @@
-"""Shared graph builders for the LocalPush backend equivalence suites.
+"""Shared graph builders for the LocalPush equivalence suites.
 
-Used by ``test_simrank_localpush_vec.py`` and ``test_simrank_sharded.py``
-so the oracle-equivalence fixtures cannot drift apart between suites.
+Used by the engine, kernel and oracle-equivalence suites
+(``test_simrank_*.py``) so their fixtures cannot drift apart.
 Kept out of ``conftest.py`` because these are plain builders parameterised
 at the call site, not pytest fixtures.
 """

@@ -39,29 +39,18 @@ def _valid_record() -> dict:
         "num_workers": 4,
         "config": SimRankConfig(method="localpush", epsilon=0.1, decay=0.6,
                                 workers=4).to_dict(),
-        "backends": {"dict": {"seconds": 5.0, "num_pushes": 90, "nnz": 900},
-                     "core": {"seconds": 0.5, "num_pushes": 100, "nnz": 1000,
-                              "speedup_vs_dict": 10.0,
-                              "max_abs_diff_vs_dict": 0.01}},
+        "backends": {"core": {"seconds": 0.5, "num_pushes": 100, "nnz": 1000,
+                              "max_abs_diff_vs_series": 0.01}},
         "executors": {"serial": dict(executor),
                       "thread": dict(pooled),
                       "process": dict(pooled)},
-        "kernels": {
-            "epsilon": 0.01,
-            "scipy": {"seconds": 1.0, "num_pushes": 500, "nnz": 5000},
-            "fused": {"seconds": 0.5, "num_pushes": 500, "nnz": 5000,
-                      "speedup_vs_scipy": 2.0,
-                      "bit_identical_to_scipy": {"serial": True,
-                                                 "thread": True,
-                                                 "process": True}},
-        },
         "float32": {
             "epsilon": 0.1, "decay": 0.6, "bound": 0.1001,
             "sweeps": [{"num_nodes": 300, "max_abs_err_float32": 0.02,
                         "max_abs_err_float64": 0.02, "within_bound": True}],
         },
         "profile": {
-            "kernel": "fused", "executor": "serial", "total_seconds": 0.5,
+            "executor": "serial", "total_seconds": 0.5,
             "phase_seconds": {"frontier": 0.1, "push": 0.2,
                               "merge": 0.15, "prune": 0.05},
         },
@@ -114,21 +103,11 @@ class TestRecordSchema:
         with pytest.raises(bench.RecordSchemaError, match="num_workers"):
             bench.validate_record(record)
 
-    def test_dict_oracle_entry_required(self):
+    def test_core_entry_required(self):
+        """The perf gate reads backends.core.seconds."""
         record = _valid_record()
-        del record["backends"]["dict"]
-        with pytest.raises(bench.RecordSchemaError, match="dict"):
-            bench.validate_record(record)
-
-    def test_kernels_section_needs_per_executor_identity(self):
-        record = _valid_record()
-        del record["kernels"]["fused"]["bit_identical_to_scipy"]["process"]
-        with pytest.raises(bench.RecordSchemaError,
-                           match="bit_identical_to_scipy"):
-            bench.validate_record(record)
-        record = _valid_record()
-        del record["kernels"]["scipy"]
-        with pytest.raises(bench.RecordSchemaError, match="kernels"):
+        del record["backends"]["core"]
+        with pytest.raises(bench.RecordSchemaError, match="core"):
             bench.validate_record(record)
 
     def test_float32_section_needs_its_bound(self):
@@ -176,10 +155,11 @@ class TestSmokeRecord:
                            decay=0.6, seed=0, smoke=True, num_workers=2)
         assert bench.validate_record(record)
         assert record["within_epsilon"] is True
+        core = record["backends"]["core"]
+        assert set(record["backends"]) == {"core"}
+        assert 0.0 <= core["max_abs_diff_vs_series"] < record["epsilon"]
         for executor in ("thread", "process"):
             assert record["executors"][executor]["bit_identical_to_serial"]
-        fused = record["kernels"]["fused"]
-        assert all(fused["bit_identical_to_scipy"].values())
         assert all(sweep["within_bound"]
                    for sweep in record["float32"]["sweeps"])
         assert set(record["profile"]["phase_seconds"]) \

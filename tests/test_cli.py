@@ -35,6 +35,16 @@ class TestParser:
         assert args.delta == 0.3
         assert args.top_k == 16
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--simrank-backend", "vectorized"), ("--simrank-kernel", "fused")])
+    def test_removed_execution_flags_are_rejected(self, capsys, flag, value):
+        """The backend and kernel axes are gone: a script still passing
+        their flags gets an argparse error, not a silently ignored value."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--model", "sigma", "--dataset", "texas", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestBuildRunSpec:
     def test_sigma_flags_fold_into_one_config(self, tmp_path):
@@ -94,6 +104,29 @@ class TestExperimentSubcommand:
         output = capsys.readouterr().out
         assert "== table3 ==" in output
         assert "SIGMA" in output
+
+
+class TestModelFlagValidation:
+    """A model flag the chosen model cannot take is an argparse error
+    (exit 2), never a constructor TypeError traceback."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta", "0.3"), ("--epsilon", "0.05"), ("--top-k", "8")])
+    def test_flag_rejected_for_a_model_without_the_parameter(
+            self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--model", "gcn", "--dataset", "texas", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "'gcn'" in err
+
+    def test_model_parameters_reflect_the_constructors(self):
+        """glognn takes delta, pprgo takes top_k but no epsilon."""
+        from repro.models.registry import model_parameters
+
+        assert "delta" in model_parameters("glognn")
+        assert "top_k" in model_parameters("pprgo")
+        assert "epsilon" not in model_parameters("pprgo")
 
 
 class TestMain:

@@ -6,16 +6,10 @@ Covers the acceptance criteria of the config-object API redesign:
   ``from_dict`` and reject unknown fields and invalid values.
 * ``SimRankConfig.from_cli_args`` is in parity with the CLI flags: every
   mapped flag exists on the parser and lands in the right field.
-* **Old-kwargs ↔ config equivalence**: the deprecated keyword paths on
-  ``simrank_operator`` and the SIGMA models build identical operators
-  *and identical on-disk cache keys* (warm caches from the pre-config
-  era keep hitting), with a ``DeprecationWarning`` raised exactly once
-  per deprecated keyword.
+* The config is the only path into the operator pipeline and the SIGMA
+  models: they take no per-field keywords.
 """
 
-import warnings
-
-import numpy as np
 import pytest
 
 from repro.config import (
@@ -28,11 +22,6 @@ from repro.errors import ConfigError, TrainingError
 from repro.simrank.cache import get_operator_cache
 from repro.simrank.topk import simrank_operator
 from repro.training.config import TrainConfig
-
-
-def _deprecation_messages(records):
-    return [str(record.message) for record in records
-            if issubclass(record.category, DeprecationWarning)]
 
 
 class TestSimRankConfigValidation:
@@ -52,7 +41,6 @@ class TestSimRankConfigValidation:
         {"top_k": -4},
         {"top_k": True},
         {"exact_size_limit": -1},
-        {"backend": "gpu"},
         {"executor": "fiber"},
         {"workers": 0},
         {"cache_max_bytes": 0},
@@ -65,6 +53,17 @@ class TestSimRankConfigValidation:
     def test_invalid_fields_raise(self, bad):
         with pytest.raises(ConfigError):
             SimRankConfig(**bad)
+
+    def test_removed_execution_axes_are_unknown_fields(self):
+        """The engine-family and kernel labels are gone: a serialised
+        config that still carries them is rejected, not silently
+        dropped."""
+        assert len(SimRankConfig().to_dict()) == 11
+        for name, value in (("backend", "auto"), ("kernel", "fused")):
+            with pytest.raises(ConfigError, match=name):
+                SimRankConfig.from_dict({name: value})
+            with pytest.raises(ConfigError, match=name):
+                SimRankConfig().with_overrides(**{name: value})
 
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ class TestSimRankConfigCopies:
 class TestSimRankConfigSerialisation:
     def test_round_trip(self, tmp_path):
         config = SimRankConfig(method="localpush", decay=0.7, epsilon=0.05,
-                               top_k=16, row_normalize=True, backend="sharded",
+                               top_k=16, row_normalize=True,
                                executor="process", workers=3,
                                cache_dir=str(tmp_path), cache_max_bytes=1 << 20)
         assert SimRankConfig.from_dict(config.to_dict()) == config
@@ -134,18 +133,27 @@ class TestCacheKeyFields:
     def test_exact_method_drops_epsilon(self):
         fields = SimRankConfig(method="exact").cache_key_fields(50)
         assert fields["epsilon"] is None
-        assert fields["backend"] is None
-
-    def test_backend_label_resolved_for_localpush(self):
-        config = SimRankConfig(method="localpush", backend="auto")
-        assert config.cache_key_fields(100)["backend"] == "dict"
-        assert config.cache_key_fields(1000)["backend"] == "vectorized"
-        assert config.cache_key_fields(5000)["backend"] == "sharded"
 
     def test_executor_and_workers_never_enter_the_key(self):
-        plain = SimRankConfig(method="localpush", backend="vectorized")
+        plain = SimRankConfig(method="localpush")
         pooled = plain.with_overrides(executor="process", workers=8)
-        assert plain.cache_key_fields(1000) == pooled.cache_key_fields(1000)
+        for num_nodes in (100, 1000, 5000):
+            assert plain.cache_key_fields(num_nodes) == \
+                pooled.cache_key_fields(num_nodes)
+
+    def test_key_for_matches_cache_key_fields(self, small_heterophilous_graph,
+                                              tmp_path):
+        """The cache's keyword key derivation and the config derivation
+        hash to the same on-disk key."""
+        cache = get_operator_cache(tmp_path / "keys")
+        n = small_heterophilous_graph.num_nodes
+        config = SimRankConfig(method="localpush", epsilon=0.1, top_k=8)
+        keyword_key = cache.key_for(
+            small_heterophilous_graph, method="localpush", decay=0.6,
+            epsilon=0.1, top_k=8, row_normalize=False)
+        config_key = cache.key_for_fields(
+            small_heterophilous_graph, config.cache_key_fields(n))
+        assert keyword_key == config_key
 
 
 class TestFromCliArgs:
@@ -162,14 +170,14 @@ class TestFromCliArgs:
         args = build_parser().parse_args([
             "--simrank-method", "localpush", "--decay", "0.7",
             "--epsilon", "0.05", "--top-k", "16",
-            "--simrank-backend", "sharded", "--simrank-executor", "thread",
+            "--simrank-executor", "thread",
             "--simrank-workers", "3", "--simrank-cache-dir", str(tmp_path),
             "--simrank-cache-max-bytes", "4096",
         ])
         config = SimRankConfig.from_cli_args(args)
         assert config == SimRankConfig(
             method="localpush", decay=0.7, epsilon=0.05, top_k=16,
-            backend="sharded", executor="thread", workers=3,
+            executor="thread", workers=3,
             cache_dir=str(tmp_path), cache_max_bytes=4096)
 
     def test_unset_flags_inherit_from_base(self):
@@ -255,118 +263,19 @@ class TestRunSpec:
 
 
 # ---------------------------------------------------------------------- #
-# Old-kwargs ↔ config equivalence (the redesign's acceptance criterion)
+# The config is the only way in
 # ---------------------------------------------------------------------- #
-class TestOperatorKwargEquivalence:
-    CONFIG = SimRankConfig(method="localpush", epsilon=0.1, top_k=8,
-                           backend="vectorized")
-    LEGACY = dict(method="localpush", epsilon=0.1, top_k=8,
-                  backend="vectorized")
+class TestConfigOnlyEntryPoints:
+    def test_simrank_operator_takes_no_field_keywords(self, tiny_graph):
+        with pytest.raises(TypeError):
+            simrank_operator(tiny_graph, epsilon=0.2)
 
-    def test_identical_operator(self, small_heterophilous_graph):
-        via_config = simrank_operator(small_heterophilous_graph, self.CONFIG)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = simrank_operator(small_heterophilous_graph,
-                                          **self.LEGACY)
-        assert via_config.method == via_kwargs.method
-        assert via_config.backend == via_kwargs.backend
-        assert np.array_equal(via_config.matrix.indptr, via_kwargs.matrix.indptr)
-        assert np.array_equal(via_config.matrix.indices, via_kwargs.matrix.indices)
-        assert np.array_equal(via_config.matrix.data, via_kwargs.matrix.data)
+    @pytest.mark.parametrize("model", ["sigma", "sigma_iterative"])
+    def test_sigma_models_take_no_field_keywords(self, tiny_graph, model):
+        from repro.models.registry import create_model
 
-    def test_warning_raised_exactly_once_per_kwarg(self, small_heterophilous_graph):
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            simrank_operator(small_heterophilous_graph, **self.LEGACY)
-        messages = _deprecation_messages(records)
-        assert len(messages) == len(self.LEGACY)
-        for name in self.LEGACY:
-            matching = [m for m in messages if f"'{name}='" in m]
-            assert len(matching) == 1, f"expected one warning for {name}"
-
-    def test_identical_cache_key_warm_hit(self, small_heterophilous_graph,
-                                          tmp_path):
-        """A cache written by the deprecated path is served to the config
-        path as an *exact* hit (same key on disk), and vice versa."""
-        cache = get_operator_cache(tmp_path / "operators")
-        with pytest.warns(DeprecationWarning):
-            cold = simrank_operator(small_heterophilous_graph,
-                                    cache=str(cache.directory), **self.LEGACY)
-        assert not cold.cache_hit and cache.stores == 1
-
-        warm = simrank_operator(
-            small_heterophilous_graph,
-            self.CONFIG.with_overrides(cache_dir=str(cache.directory)))
-        assert warm.cache_hit
-        assert cache.exact_hits == 1 and cache.reuse_hits == 0
-
-    def test_key_for_matches_cache_key_fields(self, small_heterophilous_graph,
-                                              tmp_path):
-        """The legacy keyword key derivation and the config derivation
-        hash to the same on-disk key."""
-        cache = get_operator_cache(tmp_path / "keys")
-        n = small_heterophilous_graph.num_nodes
-        legacy_key = cache.key_for(
-            small_heterophilous_graph, method="localpush", decay=0.6,
-            epsilon=0.1, top_k=8, row_normalize=False, backend="vectorized")
-        config_key = cache.key_for_fields(
-            small_heterophilous_graph, self.CONFIG.cache_key_fields(n))
-        assert legacy_key == config_key
-
-    def test_mixing_config_and_kwargs_is_an_error(self, small_heterophilous_graph):
-        """The mixing rejection surfaces as ConfigError — and *before* any
-        deprecation warning, so a warnings-as-errors filter cannot mask it."""
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            with pytest.raises(ConfigError, match="deprecated"):
-                simrank_operator(small_heterophilous_graph, self.CONFIG,
-                                 epsilon=0.2)
-        assert not _deprecation_messages(records)
-
-
-class TestModelKwargEquivalence:
-    def test_sigma_identical_operator_and_warning_counts(
-            self, small_heterophilous_graph):
-        from repro.models.sigma import SIGMA
-
-        config = SimRankConfig(method="localpush", epsilon=0.1, top_k=8)
-        via_config = SIGMA(small_heterophilous_graph, hidden=8,
-                           simrank=config, rng=0)
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            via_kwargs = SIGMA(small_heterophilous_graph, hidden=8,
-                               simrank_method="localpush", epsilon=0.1,
-                               top_k=8, rng=0)
-        messages = _deprecation_messages(records)
-        assert len(messages) == 3  # one per deprecated keyword
-        assert via_config.simrank_config == via_kwargs.simrank_config
-        assert np.array_equal(via_config.simrank.matrix.toarray(),
-                              via_kwargs.simrank.matrix.toarray())
-
-    def test_sigma_iterative_shim(self, small_heterophilous_graph):
-        from repro.models.sigma_iterative import SIGMAIterative
-
-        config = SimRankConfig(method="localpush", epsilon=0.1, top_k=8)
-        via_config = SIGMAIterative(small_heterophilous_graph, hidden=8,
-                                    num_layers=1, simrank=config, rng=0)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = SIGMAIterative(small_heterophilous_graph, hidden=8,
-                                        num_layers=1,
-                                        simrank_method="localpush",
-                                        epsilon=0.1, top_k=8, rng=0)
-        assert via_config.simrank_config == via_kwargs.simrank_config
-        assert np.array_equal(via_config.simrank.matrix.toarray(),
-                              via_kwargs.simrank.matrix.toarray())
-
-    def test_sigma_mixing_config_and_kwargs_is_an_error(
-            self, small_heterophilous_graph):
-        from repro.models.sigma import SIGMA
-
-        with pytest.raises(ConfigError, match="deprecated"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                SIGMA(small_heterophilous_graph, hidden=8,
-                      simrank=SimRankConfig(top_k=8), top_k=16, rng=0)
+        with pytest.raises(TypeError):
+            create_model(model, tiny_graph, hidden=8, rng=0, epsilon=0.1)
 
     def test_sigma_default_config_matches_paper_settings(
             self, small_heterophilous_graph):
@@ -377,44 +286,29 @@ class TestModelKwargEquivalence:
         assert model.simrank_config.top_k == 32
         assert model.simrank_config.epsilon == 0.1
 
-    def test_explicit_top_k_none_still_means_no_pruning(
-            self, small_heterophilous_graph):
-        """Legacy ``SIGMA(top_k=None)`` disabled pruning (default was 32);
-        the shim must preserve that, not swallow the None."""
+    def test_sigma_iterative_default_config(self, small_heterophilous_graph):
+        from repro.models.sigma_iterative import SIGMAIterative
+
+        model = SIGMAIterative(small_heterophilous_graph, hidden=8,
+                               num_layers=1, rng=0)
+        assert model.simrank_config == SIGMA_DEFAULT_SIMRANK
+
+    def test_top_k_none_means_no_pruning(self, small_heterophilous_graph):
         from repro.models.sigma import SIGMA
 
-        with pytest.warns(DeprecationWarning):
-            model = SIGMA(small_heterophilous_graph, hidden=8, top_k=None,
-                          rng=0)
+        model = SIGMA(small_heterophilous_graph, hidden=8, rng=0,
+                      simrank=SIGMA_DEFAULT_SIMRANK.with_overrides(top_k=None))
         assert model.simrank_config.top_k is None
         assert model.simrank.top_k is None
-
-    def test_explicit_none_pool_knobs_do_not_warn(
-            self, small_heterophilous_graph):
-        """The pool/cache knobs had None for their legacy default, so an
-        explicit None is 'default', not a deprecated override."""
-        from repro.models.sigma import SIGMA
-
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            model = SIGMA(small_heterophilous_graph, hidden=8,
-                          simrank_executor=None, simrank_workers=None,
-                          simrank_cache_dir=None, rng=0)
-        assert not _deprecation_messages(records)
-        assert model.simrank_config == SIGMA_DEFAULT_SIMRANK
 
 
 class TestErrorCompatibility:
     def test_config_error_is_a_simrank_error(self, tiny_graph):
-        """Pre-config callers wrapped simrank_operator in
-        ``except SimRankError``; config validation must stay catchable."""
+        """Callers that wrap the precompute in ``except SimRankError``
+        still catch config validation failures."""
         from repro.errors import SimRankError
 
         with pytest.raises(SimRankError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                simrank_operator(tiny_graph, method="magic")
+            simrank_operator(tiny_graph, SimRankConfig(method="magic"))
         with pytest.raises(SimRankError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                simrank_operator(tiny_graph, top_k=0)
+            simrank_operator(tiny_graph, SimRankConfig(top_k=0))

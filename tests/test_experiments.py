@@ -1,13 +1,11 @@
 """Tests for the declarative experiment harness.
 
-Covers the registry + sweep engine end to end at reduced scale, the
-legacy ``module.run()`` deprecation shims (row-identical results, one
-warning per call), the resumable store wiring, the runner CLI, and the
-``common.py`` training-config derivation.
+Covers the registry + sweep engine end to end at reduced scale (every
+registered experiment runs), the resumable store wiring, the runner CLI,
+and the ``common.py`` training-config derivation.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -46,7 +44,7 @@ from repro.training.config import TrainConfig
 SMOKE_CONFIG = TrainConfig(max_epochs=15, patience=10, min_epochs=2,
                            track_test_history=False)
 
-#: Even smaller protocol for the 15-way legacy-equivalence sweep.
+#: Even smaller protocol for the 15-way every-experiment sweep.
 TINY_CONFIG = TrainConfig(max_epochs=8, patience=5, min_epochs=2,
                           track_test_history=False)
 
@@ -55,7 +53,7 @@ TINY_CONFIG = TrainConfig(max_epochs=8, patience=5, min_epochs=2,
 TIMING_KEYS = {"precompute", "learn", "runtime", "aggregation", "pre", "agg",
                "time_to_95pct", "total_time"}
 
-LEGACY_MODULES = {
+MODULES = {
     "fig1": fig1_aggregation_maps,
     "table2": table2_simrank_stats,
     "fig2": fig2_score_densities,
@@ -73,8 +71,8 @@ LEGACY_MODULES = {
     "table11": table11_iterative,
 }
 
-#: Reduced-scale arguments used for the per-experiment equivalence pins.
-EQUIVALENCE_KWARGS = {
+#: Reduced-scale arguments of the per-experiment runs.
+REDUCED_KWARGS = {
     "fig1": dict(dataset_name="texas", num_centers=4),
     "table2": dict(datasets=("texas",), num_pairs=1000),
     "fig2": dict(datasets=("texas",), bins=10),
@@ -229,28 +227,26 @@ class TestTrainingExperiments:
         assert len(result.stats) == 1
 
 
-class TestLegacyShimEquivalence:
-    """Every experiment's ``run()`` shim: one warning, identical rows."""
+class TestEveryExperimentRuns:
+    """Every registered experiment runs through the registry alone."""
 
-    @pytest.mark.parametrize("name", sorted(LEGACY_MODULES))
-    def test_shim_matches_registry(self, name):
-        kwargs = EQUIVALENCE_KWARGS[name]
-        declarative = run_experiment(name, print_result=False, **kwargs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = LEGACY_MODULES[name].run(**kwargs)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "deprecated" in str(deprecations[0].message)
-        assert deterministic_rows(legacy) == deterministic_rows(declarative)
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_runs_at_reduced_scale(self, name):
+        result = run_experiment(name, print_result=False,
+                                **REDUCED_KWARGS[name])
+        assert isinstance(result.rows(), list)
 
-    def test_fig6_shim_accepts_pre_config_keywords(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            result = fig6_epsilon_topk.run(
-                "texas", epsilons=(0.1,), top_ks=(8,), num_repeats=1,
-                config=TINY_CONFIG, simrank_backend="vectorized",
-                simrank_cache_dir=str(tmp_path))
+    def test_modules_expose_no_run_function(self):
+        """The registry is the only entry point; no module-level run()."""
+        assert sorted(MODULES) == sorted(EXPERIMENT_MODULES)
+        for module in MODULES.values():
+            assert not hasattr(module, "run"), module.__name__
+
+    def test_fig6_threads_the_cache_dir_through(self, tmp_path):
+        result = run_experiment(
+            "fig6", "texas", epsilons=(0.1,), top_ks=(8,), num_repeats=1,
+            config=TINY_CONFIG, print_result=False,
+            simrank=SimRankConfig(top_k=32, cache_dir=str(tmp_path)))
         assert len(result.cells) == 1
         # The cache directory was threaded through to the operator cache.
         assert any(tmp_path.glob("simrank-*.npz"))

@@ -5,13 +5,18 @@ tree, zero findings.  The mutation tests then prove the gate has teeth:
 they copy *live* sources into a scratch tree, re-introduce the exact
 regressions the rules were written against, and assert the rule fires.
 A refactor that accidentally lobotomises R1 or R3 fails here even though
-the clean tree still passes.
+the clean tree still passes.  Last, the ``src`` tree must not regain any
+name of the deleted compatibility layer or execution axes.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.lint import all_rules, lint_paths
 
@@ -39,8 +44,10 @@ def test_tree_is_lint_clean():
 
 
 def test_all_rules_are_loaded():
+    # R4 (deprecation containment) is retired with the shims it
+    # contained; the other rule IDs keep their numbers.
     assert {rule.id for rule in all_rules()} == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
+        "R1", "R2", "R3", "R5", "R6", "R7", "R8"}
 
 
 def test_r1_fires_when_live_config_gains_unkeyed_field(tmp_path):
@@ -75,3 +82,39 @@ def test_r3_fires_on_global_rng_in_live_engine(tmp_path):
 def test_r3_clean_on_unmodified_live_engine(tmp_path):
     copy_live(tmp_path, "repro/simrank/engine.py")
     assert lint_paths([tmp_path], rule_ids=["R3"], root=tmp_path) == []
+
+
+# The pre-config keyword relay, the ``backend`` labels and the ``kernel``
+# ladder were deleted with the modules that hosted them; one config path
+# reaches one LocalPush engine.  None of their names may come back.
+REMOVED_NAMES = {
+    "UNSET": r"\bUNSET\b",
+    "merge_kwargs": r"\bmerge_\w+_kwargs\b",
+    "legacy_run": r"\blegacy_run\b",
+    "localpush_vec": r"\blocalpush_vec\b",
+    "sharded_module": r"\brepro\.simrank\.sharded\b",
+    "SIMRANK_BACKENDS": r"\bSIMRANK_BACKENDS\b",
+    "SIMRANK_KERNELS": r"\bSIMRANK_KERNELS\b",
+    "numba": r"(?i)numba",
+    "resolve_backend": r"\bresolve_backend\b",
+    "backend_label": r"\bbackend_label\b",
+    "DeprecationWarning": r"\bDeprecationWarning\b",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def src_lines():
+    lines = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relpath = path.relative_to(REPO_ROOT)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            lines.append((f"{relpath}:{lineno}", line))
+    return tuple(lines)
+
+
+@pytest.mark.parametrize("pattern", list(REMOVED_NAMES.values()),
+                         ids=list(REMOVED_NAMES))
+def test_src_has_no_removed_compatibility_name(pattern):
+    regex = re.compile(pattern)
+    hits = [where for where, line in src_lines() if regex.search(line)]
+    assert hits == []

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,16 +11,15 @@ from repro.graphs.homophily import edge_homophily, node_homophily
 from repro.graphs.normalize import row_normalize, symmetric_normalize
 from repro.graphs.sparse import top_k_per_row
 from repro.nn.losses import softmax, softmax_cross_entropy
+from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
 from repro.simrank.pairwise_walk import homophily_probability
-from repro.simrank.sharded import localpush_simrank_sharded
 
-# The sharded properties deliberately pin the deprecated shim's behaviour.
-# Exempt exactly its own warning; any other DeprecationWarning is still an
-# error under the tier-1 blanket filter.
-pytestmark = pytest.mark.filterwarnings(
-    "default:localpush_simrank_sharded is deprecated:DeprecationWarning")
+
+def _sharded(graph, **kwargs):
+    """The engine core on the thread-pool executor (the sharded plan)."""
+    return localpush_engine(graph, executor="thread", **kwargs)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -110,11 +108,11 @@ class TestSimRankProperties:
 
     @SETTINGS
     @given(random_graphs(max_nodes=12), st.sampled_from([0.3, 0.1]))
-    def test_sharded_backend_error_bound_property(self, graph, epsilon):
-        """Lemma III.5 holds for the sharded engine on arbitrary graphs."""
+    def test_sharded_executor_error_bound_property(self, graph, epsilon):
+        """Lemma III.5 holds for the sharded thread plan on arbitrary graphs."""
         reference = linearized_simrank(graph, num_iterations=40)
-        approx = localpush_simrank_sharded(graph, epsilon=epsilon,
-                                           prune=False).matrix.toarray()
+        approx = _sharded(graph, epsilon=epsilon,
+                          prune=False).matrix.toarray()
         assert np.abs(approx - reference).max() < epsilon
 
     @SETTINGS
@@ -217,10 +215,10 @@ class TestTopKProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming top-k pruning invariants (sharded LocalPush engine)
+# Streaming top-k pruning invariants (sharded thread plan)
 # --------------------------------------------------------------------------- #
 class TestStreamingTopKProperties:
-    """Invariants of the in-loop top-k prune of the sharded engine.
+    """Invariants of the in-loop top-k prune of the sharded thread plan.
 
     The engine may drop an estimate entry mid-run only when its value plus
     the residual correction bound ``‖R‖_max / (1 − c)`` is strictly below
@@ -233,11 +231,10 @@ class TestStreamingTopKProperties:
     @given(random_graphs(max_nodes=16), st.integers(2, 6),
            st.sampled_from([0.3, 0.1]))
     def test_streaming_never_drops_a_final_topk_entry(self, graph, k, epsilon):
-        full = localpush_simrank_sharded(graph, epsilon=epsilon, prune=False,
-                                         absorb_residual=True)
-        streamed = localpush_simrank_sharded(graph, epsilon=epsilon,
-                                             prune=False, absorb_residual=True,
-                                             stream_top_k=k)
+        full = _sharded(graph, epsilon=epsilon, prune=False,
+                        absorb_residual=True)
+        streamed = _sharded(graph, epsilon=epsilon, prune=False,
+                            absorb_residual=True, stream_top_k=k)
         dense_full = full.matrix.toarray()
         dense_streamed = streamed.matrix.toarray()
         for row in range(graph.num_nodes):
@@ -255,11 +252,10 @@ class TestStreamingTopKProperties:
     @given(random_graphs(max_nodes=16), st.integers(2, 6),
            st.sampled_from([0.3, 0.1]))
     def test_streaming_equals_posthoc_topk(self, graph, k, epsilon):
-        full = localpush_simrank_sharded(graph, epsilon=epsilon, prune=False,
-                                         absorb_residual=True)
-        streamed = localpush_simrank_sharded(graph, epsilon=epsilon,
-                                             prune=False, absorb_residual=True,
-                                             stream_top_k=k)
+        full = _sharded(graph, epsilon=epsilon, prune=False,
+                        absorb_residual=True)
+        streamed = _sharded(graph, epsilon=epsilon, prune=False,
+                            absorb_residual=True, stream_top_k=k)
         expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
         np.testing.assert_allclose(streamed.matrix.toarray(),
                                    expected.toarray(), rtol=0, atol=1e-12)
@@ -267,9 +263,8 @@ class TestStreamingTopKProperties:
     @SETTINGS
     @given(random_graphs(max_nodes=16), st.integers(1, 5))
     def test_streaming_respects_row_budget_and_diagonal(self, graph, k):
-        streamed = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                             absorb_residual=True,
-                                             stream_top_k=k)
+        streamed = _sharded(graph, epsilon=0.1, prune=False,
+                            absorb_residual=True, stream_top_k=k)
         assert np.diff(streamed.matrix.indptr).max() <= k
         assert (streamed.matrix.diagonal() > 0).all()
 

@@ -80,7 +80,9 @@ class TestExactPath:
         assert [answer.source for answer in answers] == [2, 9, 2]
         assert answers[0].entries == answers[2].entries  # duplicates share
         assert all(answer.batch_size == 3 for answer in answers)
-        _counters(service, queries=3, batches=1, exact_served=2, coalesced=3)
+        # One shared round, but every query is counted under its path —
+        # the repeated source included — so the paths partition queries.
+        _counters(service, queries=3, batches=1, exact_served=3, coalesced=3)
 
     def test_score_uses_the_full_row(self, graph):
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
@@ -120,6 +122,33 @@ class TestDegradationLadder:
         _counters(service, queries=1, exact_failures=1, cached_served=1)
         assert cache.row_hits == 1
 
+    def test_repeated_sources_count_per_query_on_the_cached_rung(
+            self, graph, tmp_path):
+        cache_dir = str(tmp_path / "operators")
+        simrank_operator(graph, SimRankConfig(
+            method="localpush", epsilon=0.05, top_k=None,
+            cache_dir=cache_dir))
+        service = SimRankService(
+            graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
+            compute_exact=_failing_compute)
+        answers = service.topk_batch([3, 3, 7], k=5)
+        assert [answer.path for answer in answers] == ["cached"] * 3
+        assert answers[0].entries == answers[1].entries
+        _counters(service, queries=3, coalesced=3, exact_failures=3,
+                  cached_served=3)
+        # One row lookup per distinct source; the counters count queries.
+        assert get_operator_cache(cache_dir).row_hits == 2
+
+    def test_repeated_sources_count_per_query_on_the_degraded_rung(
+            self, graph):
+        service = SimRankService(
+            graph, simrank=SimRankConfig(epsilon=0.1),
+            compute_exact=_failing_compute)
+        answers = service.topk_batch([7, 3, 7, 7], k=5)
+        assert [answer.path for answer in answers] == ["degraded"] * 4
+        _counters(service, queries=4, coalesced=4, exact_failures=4,
+                  degraded_served=4)
+
     def test_admission_cap_trips_the_exact_rung(self, graph):
         # ε=0.01 needs ~8k pushes on this graph, the degraded ε=0.1 ~550:
         # a cap of 2000 admits only the degraded recompute.
@@ -147,6 +176,25 @@ class TestDegradationLadder:
         assert answer.path == "degraded"  # completed, but too late
         _counters(service, queries=1, budget_overruns=1, degraded_served=1)
 
+    def test_repeated_sources_count_per_query_on_a_budget_overrun(
+            self, graph):
+        inner = {}
+
+        def slow_exact(sources, top_k, epsilon):
+            rows = inner["service"]._engine_rows(sources, top_k, epsilon)
+            time.sleep(0.05)
+            return rows
+
+        service = SimRankService(
+            graph, simrank=SimRankConfig(epsilon=0.1),
+            serve=ServeConfig(time_budget_seconds=0.001),
+            compute_exact=slow_exact)
+        inner["service"] = service
+        answers = service.topk_batch([3, 7, 3], k=5)
+        assert [answer.path for answer in answers] == ["degraded"] * 3
+        _counters(service, queries=3, coalesced=3, budget_overruns=3,
+                  degraded_served=3)
+
     def test_exact_disabled_skips_straight_past_the_rung(self, graph):
         service = SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1),
@@ -169,6 +217,15 @@ class TestDegradationLadder:
         assert counters["queries"] == (counters["exact_served"]
                                        + counters["cached_served"]
                                        + counters["degraded_served"]) == 0
+
+    def test_repeated_source_counts_every_failed_query(self, graph):
+        service = SimRankService(
+            graph, simrank=SimRankConfig(epsilon=0.1),
+            compute_exact=_failing_compute,
+            compute_degraded=_failing_compute)
+        with pytest.raises(ServeError):
+            service.topk_batch([3, 3], k=5)
+        _counters(service, exact_failures=2, failed=2)
 
     def test_degraded_answer_equals_the_loosened_contract(self, graph):
         """The degraded rung is the real engine at the loosened ε."""
@@ -299,7 +356,7 @@ class TestDaemon:
         assert payload["counters"]["queries"] == 1
         assert payload["graph"]["num_nodes"] == 60
         assert payload["config"]["epsilon"] == 0.1
-        assert payload["config"]["kernel"] == "auto"
+        assert not {"kernel", "backend"} & set(payload["config"])
         assert payload["config"]["dtype"] == "float64"
         assert payload["cache"] is None  # no cache_dir configured
         latency = payload["latency"]

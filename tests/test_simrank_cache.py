@@ -80,10 +80,10 @@ class TestGraphFingerprint:
 class TestKeying:
     def test_key_varies_per_parameter(self, graph, cache):
         base = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                    row_normalize=False, backend="sharded")
+                    row_normalize=False)
         reference = cache.key_for(graph, **base)
         for variation in (dict(epsilon=0.05), dict(decay=0.7), dict(top_k=16),
-                          dict(top_k=None), dict(backend="vectorized"),
+                          dict(top_k=None), dict(dtype="float32"),
                           dict(method="series"), dict(row_normalize=True)):
             assert cache.key_for(graph, **{**base, **variation}) != reference
 
@@ -92,7 +92,7 @@ class TestKeying:
             num_nodes=120, num_classes=3, num_features=4, average_degree=6.0,
             homophily=0.3, name="cache-sbm"), seed=1)
         params = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                      row_normalize=False, backend="sharded")
+                      row_normalize=False)
         assert cache.key_for(graph, **params) != cache.key_for(other, **params)
 
     def test_registry_shares_instances_and_counters(self, tmp_path):
@@ -104,7 +104,7 @@ class TestKeying:
 class TestRoundTrip:
     def test_miss_store_hit(self, graph, cache):
         kwargs = dict(method="localpush", epsilon=0.1, top_k=8,
-                      backend="sharded", cache=cache)
+                      executor="thread", cache=cache)
         cold = _operator(graph, **kwargs)
         assert not cold.cache_hit
         assert (cache.misses, cache.stores, cache.hits) == (1, 1, 0)
@@ -114,7 +114,6 @@ class TestRoundTrip:
         assert warm.cache_hit
         assert cache.hits == 1
         assert warm.method == cold.method == "localpush"
-        assert warm.backend == cold.backend == "sharded"
         assert warm.epsilon == cold.epsilon and warm.top_k == cold.top_k
         assert np.array_equal(warm.matrix.indptr, cold.matrix.indptr)
         assert np.array_equal(warm.matrix.indices, cold.matrix.indices)
@@ -123,18 +122,18 @@ class TestRoundTrip:
     def test_cache_accepts_directory_path(self, graph, tmp_path):
         directory = tmp_path / "by-path"
         cold = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=4, cache=directory)
+                         top_k=4, cache=directory)
         warm = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=4, cache=str(directory))
+                         top_k=4, cache=str(directory))
         assert not cold.cache_hit and warm.cache_hit
         assert get_operator_cache(directory).hits == 1
 
     def test_worker_count_shares_one_entry(self, graph, cache):
-        """num_workers is excluded from the key: sharded is deterministic."""
+        """num_workers is excluded from the key: the pool is deterministic."""
         cold = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                                backend="sharded", num_workers=1, cache=cache)
+                         executor="thread", num_workers=1, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                                backend="sharded", num_workers=4, cache=cache)
+                         executor="thread", num_workers=4, cache=cache)
         assert not cold.cache_hit and warm.cache_hit
         assert len(cache) == 1
 
@@ -163,7 +162,7 @@ class TestRoundTrip:
         cold = _operator(graph, method="series", epsilon=0.1, cache=cache)
         warm = _operator(graph, method="series", epsilon=0.1, cache=cache)
         assert warm.cache_hit
-        assert warm.method == "series" and warm.backend is None
+        assert warm.method == "series"
         np.testing.assert_allclose(warm.matrix.toarray(), cold.matrix.toarray())
 
     def test_clear_empties_the_directory(self, graph, cache):
@@ -230,12 +229,21 @@ class TestRowLookup:
 
 
 class TestInvalidationAndCorruption:
-    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, backend="sharded")
+    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, executor="thread")
 
     def _entry_path(self, cache):
         paths = list(cache.directory.glob("simrank-*.npz"))
         assert len(paths) == 1
         return paths[0]
+
+    def test_format_3_metadata_carries_no_backend_label(self, graph, cache):
+        """Format 3 dropped the engine-family label from key and metadata."""
+        assert CACHE_FORMAT_VERSION == 3
+        _operator(graph, cache=cache, **self.KWARGS)
+        with np.load(self._entry_path(cache), allow_pickle=False) as payload:
+            meta = json.loads(str(payload["meta"]))
+        assert meta["version"] == 3
+        assert "backend" not in meta
 
     def test_version_mismatch_evicts_and_recomputes(self, graph, cache):
         _operator(graph, cache=cache, **self.KWARGS)
@@ -344,11 +352,11 @@ class TestExperimentIntegration:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "--simrank-backend", "sharded",
+            "--simrank-executor", "thread",
             "--simrank-workers", "4",
             "--simrank-cache-dir", "/tmp/simrank-cache",
         ])
-        assert args.simrank_backend == "sharded"
+        assert args.simrank_executor == "thread"
         assert args.simrank_workers == 4
         assert args.simrank_cache_dir == "/tmp/simrank-cache"
 
@@ -369,7 +377,7 @@ class TestCacheStress:
             homophily=0.3, name="cache-large"), seed=3)
         cache = get_operator_cache(tmp_path / "large")
         kwargs = dict(method="localpush", epsilon=0.1, top_k=16,
-                      backend="sharded", cache=cache)
+                      executor="thread", cache=cache)
         cold = _operator(graph, **kwargs)
         warm = _operator(graph, **kwargs)
         assert warm.cache_hit

@@ -1,14 +1,11 @@
 """Suite for the unified LocalPush engine core and its pluggable executors.
 
-Pins the tentpole properties of the ``(engine, executor)`` refactor:
+Pins the properties of the executor-pluggable core:
 
 * every executor (``serial``/``thread``/``process``) and worker count
   produces a **bit-identical** matrix, streamed top-k included,
-* :func:`repro.simrank.localpush.resolve_execution` maps the legacy
-  ``backend=`` ladder onto executor plans and rejects nonsense plans,
-* the deprecated shims ``localpush_simrank_vectorized`` /
-  ``localpush_simrank_sharded`` emit a :class:`DeprecationWarning` but
-  return results bit-identical to the unified core, and
+* :func:`repro.simrank.localpush.resolve_executor` maps ``None``/
+  ``"auto"`` onto the node-count ladder and rejects unknown names, and
 * the operator pipeline accepts ``executor=`` and serves the same
   operator regardless of it.
 """
@@ -24,13 +21,13 @@ from _simrank_fixtures import (
     star as _star,
     weighted as _weighted,
 )
+from _simrank_oracles import dict_localpush
 from repro.errors import SimRankError
 from repro.simrank.engine import EXECUTORS, localpush_engine
 from repro.simrank.localpush import (
-    AUTO_BACKEND_MIN_NODES,
     AUTO_SHARDED_MIN_NODES,
     localpush_simrank,
-    resolve_execution,
+    resolve_executor,
 )
 
 
@@ -104,8 +101,7 @@ class TestExecutorEquivalence:
 
     def test_matches_dict_oracle_within_epsilon(self):
         graph = _erdos_renyi(80, 0.07, seed=8)
-        oracle = localpush_simrank(graph, epsilon=0.05, prune=False,
-                                   backend="dict")
+        oracle = dict_localpush(graph, epsilon=0.05, prune=False)
         core = localpush_engine(graph, epsilon=0.05, prune=False,
                                 executor="process", num_workers=2,
                                 num_shards=3)
@@ -117,7 +113,6 @@ class TestExecutorEquivalence:
         result = localpush_engine(graph, epsilon=0.1, executor="process",
                                   num_workers=2, num_shards=3)
         assert result.executor == "process"
-        assert result.backend == "sharded"
         assert result.num_workers == 2
         assert result.num_shards == 3
         assert result.num_rounds is not None and result.num_rounds > 0
@@ -127,117 +122,52 @@ class TestExecutorEquivalence:
             localpush_engine(tiny_graph, epsilon=0.1, executor="gpu")
 
 
-class TestResolveExecution:
-    """The legacy backend ladder re-expressed as (engine, executor) plans."""
+class TestResolveExecutor:
+    """Executor auto-resolution: serial below the threshold, thread above."""
 
-    def test_ladder_with_default_executor(self):
-        assert resolve_execution("auto", None, AUTO_BACKEND_MIN_NODES - 1) == \
-            ("dict", None)
-        assert resolve_execution("auto", None, AUTO_BACKEND_MIN_NODES) == \
-            ("vectorized", "serial")
-        assert resolve_execution("auto", None, AUTO_SHARDED_MIN_NODES) == \
-            ("sharded", "thread")
+    def test_threshold_is_pinned(self):
+        assert AUTO_SHARDED_MIN_NODES == 4096
 
-    def test_legacy_backend_names_map_to_executors(self):
-        assert resolve_execution("vectorized", None, 10) == \
-            ("vectorized", "serial")
-        assert resolve_execution("sharded", None, 10) == ("sharded", "thread")
-        assert resolve_execution("dict", None, 10**6) == ("dict", None)
+    def test_auto_ladder(self):
+        for request in (None, "auto"):
+            assert resolve_executor(request, 10) == "serial"
+            assert resolve_executor(request, AUTO_SHARDED_MIN_NODES - 1) \
+                == "serial"
+            assert resolve_executor(request, AUTO_SHARDED_MIN_NODES) \
+                == "thread"
 
-    def test_explicit_executor_forces_the_core(self):
-        # Even below the dict threshold, naming an executor selects the core.
-        assert resolve_execution("auto", "process", 10) == \
-            ("vectorized", "process")
-        assert resolve_execution("auto", "serial", 10) == \
-            ("vectorized", "serial")
-        # An explicit backend keeps its label for cache keys / provenance.
-        assert resolve_execution("vectorized", "process", 10) == \
-            ("vectorized", "process")
-
-    def test_backend_label_is_executor_independent(self):
-        """The cache key includes the label, so it must not move with the
-        executor: same request + size → same label for every executor."""
-        for num_nodes in (10, 500, 5000):
-            labels = {resolve_execution("auto", executor, num_nodes)[0]
-                      for executor in ("serial", "thread", "process")}
-            assert len(labels) == 1
-        assert resolve_execution("auto", "serial", 5000) == \
-            ("sharded", "serial")
-
-    def test_auto_executor_is_the_default(self):
-        assert resolve_execution("sharded", "auto", 10) == \
-            resolve_execution("sharded", None, 10)
-
-    def test_dict_with_executor_is_an_error(self):
-        with pytest.raises(SimRankError):
-            resolve_execution("dict", "process", 100)
+    def test_explicit_executors_pass_through(self):
+        for name in ("serial", "thread", "process"):
+            assert resolve_executor(name, 10) == name
+            assert resolve_executor(name, 10**6) == name
 
     def test_unknown_names_rejected(self):
         with pytest.raises(SimRankError):
-            resolve_execution("gpu", None, 100)
-        with pytest.raises(SimRankError):
-            resolve_execution("auto", "fpga", 100)
+            resolve_executor("fpga", 100)
+
+    def test_auto_dispatch_uses_thread_above_threshold(self, monkeypatch):
+        import repro.simrank.localpush as localpush_module
+
+        monkeypatch.setattr(localpush_module, "AUTO_SHARDED_MIN_NODES", 100)
+        result = localpush_simrank(_sbm(150, seed=12), epsilon=0.1)
+        assert result.executor == "thread"
+
+    def test_small_graphs_run_the_core_serially(self):
+        """No graph size falls back to a per-pair loop any more."""
+        small = _erdos_renyi(50, 0.1, seed=13)
+        result = localpush_simrank(small, epsilon=0.1)
+        assert result.executor == "serial"
+        _assert_identical(result.matrix,
+                          localpush_engine(small, epsilon=0.1).matrix)
 
     def test_localpush_simrank_accepts_executor(self):
         graph = _sbm(150, seed=10)
         result = localpush_simrank(graph, epsilon=0.1, executor="process",
                                    num_workers=2)
         assert result.executor == "process"
-        serial = localpush_simrank(graph, epsilon=0.1, backend="vectorized")
+        serial = localpush_simrank(graph, epsilon=0.1, executor="serial")
         assert serial.executor == "serial"
         _assert_identical(result.matrix, serial.matrix)
-
-    def test_localpush_simrank_rejects_dict_with_executor(self, tiny_graph):
-        with pytest.raises(SimRankError):
-            localpush_simrank(tiny_graph, epsilon=0.1, backend="dict",
-                              executor="thread")
-
-
-class TestDeprecatedShims:
-    """Direct engine calls still work: warn, but return core-identical bits."""
-
-    def test_vectorized_shim_warns_and_matches_core(self):
-        from repro.simrank.localpush_vec import localpush_simrank_vectorized
-
-        graph = _sbm(150, seed=11)
-        with pytest.warns(DeprecationWarning):
-            shimmed = localpush_simrank_vectorized(graph, epsilon=0.1,
-                                                   prune=False)
-        core = localpush_engine(graph, epsilon=0.1, prune=False,
-                                executor="serial")
-        _assert_identical(shimmed.matrix, core.matrix)
-        assert shimmed.backend == "vectorized"
-        assert shimmed.executor == "serial"
-        assert shimmed.num_pushes == core.num_pushes
-
-    def test_sharded_shim_warns_and_matches_core(self):
-        from repro.simrank.sharded import localpush_simrank_sharded
-
-        graph = _sbm(150, seed=12)
-        with pytest.warns(DeprecationWarning):
-            shimmed = localpush_simrank_sharded(graph, epsilon=0.1,
-                                                prune=False, num_workers=2,
-                                                num_shards=4,
-                                                stream_top_k=5,
-                                                absorb_residual=True)
-        core = localpush_engine(graph, epsilon=0.1, prune=False,
-                                executor="thread", num_workers=2,
-                                num_shards=4, stream_top_k=5,
-                                absorb_residual=True)
-        _assert_identical(shimmed.matrix, core.matrix)
-        assert shimmed.backend == "sharded"
-        assert shimmed.executor == "thread"
-
-    def test_shims_match_the_dispatcher(self):
-        """backend= names route through the same core as the shims."""
-        from repro.simrank.localpush_vec import localpush_simrank_vectorized
-
-        graph = _sbm(150, seed=13)
-        with pytest.warns(DeprecationWarning):
-            shimmed = localpush_simrank_vectorized(graph, epsilon=0.1)
-        dispatched = localpush_simrank(graph, epsilon=0.1,
-                                       backend="vectorized")
-        _assert_identical(shimmed.matrix, dispatched.matrix)
 
 
 class TestOperatorPipelineExecutors:

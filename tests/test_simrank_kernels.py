@@ -1,12 +1,14 @@
-"""Kernel-equivalence and float32 suites for the push-round kernel layer.
+"""Kernel-equivalence and float32 suites for the push-round kernel.
 
 The contract under test (``repro/simrank/kernels.py``): for a fixed
-dtype, every kernel × executor × worker count returns *bit-identical*
-matrices — the same guarantee the executor axis carries, and the reason
-``kernel`` stays out of the operator-cache key while ``dtype`` is keyed.
-Plus the float32 mode's adjusted error bound
-(:func:`repro.simrank.kernels.float32_error_bound`), checked against the
-dense ``linearized_simrank`` oracle under hypothesis-driven graphs.
+dtype, the engine's fused round arithmetic returns matrices
+*bit-identical* to the historical CSR-object arithmetic
+(``_simrank_oracles.ScipyRoundState``, swapped into the engine by
+``scipy_rounds()``) for every executor × worker count — the same
+guarantee the executor axis carries.  Plus the float32 mode's adjusted
+error bound (:func:`repro.simrank.kernels.float32_error_bound`), checked
+against the dense ``linearized_simrank`` oracle under hypothesis-driven
+graphs.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _simrank_fixtures import disconnected, erdos_renyi, sbm, star, weighted
+from _simrank_oracles import scipy_rounds
 from repro.errors import SimRankError
 from repro.simrank.engine import localpush_engine, multi_source_localpush
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.kernels import (
     DTYPES,
     F32_UNIT_ROUNDOFF,
-    KERNELS,
     PHASES,
     PhaseProfile,
     float32_error_bound,
     localpush_max_rounds,
-    numba_available,
-    resolve_kernel,
     shard_bounds,
     working_dtype,
 )
@@ -48,32 +48,12 @@ def graphs():
             weighted(40, 9), disconnected()]
 
 
-class TestResolveKernel:
-    def test_auto_resolves_to_fused(self):
-        assert resolve_kernel("auto") == "fused"
+# Every executor × worker count the bit-identity contract covers.
+EXECUTORS = pytest.mark.parametrize("executor,workers", [
+    ("serial", None), ("thread", 2), ("thread", 3), ("process", 2)])
 
-    @pytest.mark.parametrize("name", ["scipy", "fused"])
-    def test_explicit_kernels_resolve_to_themselves(self, name):
-        assert resolve_kernel(name) == name
 
-    def test_numba_degrades_to_fused_without_numba(self, monkeypatch):
-        monkeypatch.setattr("repro.simrank.kernels.numba_available",
-                            lambda: False)
-        assert resolve_kernel("numba") == "fused"
-
-    def test_numba_resolves_when_available(self, monkeypatch):
-        monkeypatch.setattr("repro.simrank.kernels.numba_available",
-                            lambda: True)
-        assert resolve_kernel("numba") == "numba"
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(SimRankError, match="kernel"):
-            resolve_kernel("cython")
-
-    def test_every_listed_kernel_resolves(self):
-        for name in KERNELS:
-            assert resolve_kernel(name) in ("scipy", "fused", "numba")
-
+class TestWorkingDtype:
     def test_working_dtype(self):
         assert working_dtype("float64") == np.float64
         assert working_dtype("float32") == np.float32
@@ -114,76 +94,86 @@ class TestShardBounds:
 
 
 class TestKernelBitIdentity:
-    """fused/numba/auto == scipy, bitwise, per executor × worker count."""
+    """fused == the scipy oracle, bitwise, per executor × worker count."""
 
-    @pytest.mark.parametrize("kernel", ["fused", "auto", "numba"])
-    @pytest.mark.parametrize("executor,workers", [
-        ("serial", None), ("thread", 2), ("thread", 3), ("process", 2)])
-    def test_full_matrix_bitwise(self, kernel, executor, workers):
+    @EXECUTORS
+    def test_full_matrix_bitwise(self, executor, workers):
         for graph in graphs():
-            base = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                    kernel="scipy", executor="serial")
+            with scipy_rounds():
+                base = localpush_engine(graph, decay=0.6, epsilon=0.01,
+                                        executor="serial")
             other = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     kernel=kernel, executor=executor,
-                                     num_workers=workers)
+                                     executor=executor, num_workers=workers)
             assert_bitwise(base.matrix, other.matrix)
             assert other.num_pushes == base.num_pushes
             assert other.num_rounds == base.num_rounds
 
-    def test_multi_shard_rounds_bitwise(self):
+    @EXECUTORS
+    def test_multi_shard_rounds_bitwise(self, executor, workers):
         graph = sbm(90, 5)
-        base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                kernel="scipy", num_shards=3)
-        for executor, workers in [("serial", None), ("process", 2)]:
+        with scipy_rounds():
+            base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
+                                    num_shards=3)
+        fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
+                                 num_shards=3, executor=executor,
+                                 num_workers=workers)
+        assert_bitwise(base.matrix, fused.matrix)
+
+    @EXECUTORS
+    @pytest.mark.parametrize("coalesce_every", [1, 3])
+    def test_streamed_topk_bitwise(self, coalesce_every, executor, workers):
+        for graph in graphs():
+            with scipy_rounds():
+                base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
+                                        stream_top_k=8)
             fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                     kernel="fused", num_shards=3,
+                                     stream_top_k=8,
+                                     coalesce_every=coalesce_every,
                                      executor=executor, num_workers=workers)
             assert_bitwise(base.matrix, fused.matrix)
 
-    @pytest.mark.parametrize("coalesce_every", [1, 3])
-    def test_streamed_topk_bitwise(self, coalesce_every):
-        for graph in graphs():
-            base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                    kernel="scipy", stream_top_k=8)
-            fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                     kernel="fused", stream_top_k=8,
-                                     coalesce_every=coalesce_every)
-            assert_bitwise(base.matrix, fused.matrix)
-
-    def test_single_source_rows_bitwise(self):
+    @EXECUTORS
+    def test_single_source_rows_bitwise(self, executor, workers):
         graph = sbm(90, 5)
         sources = [0, 17, 55]
-        base = multi_source_localpush(graph, sources, decay=0.6,
-                                      epsilon=1e-3, kernel="scipy")
+        with scipy_rounds():
+            base = multi_source_localpush(graph, sources, decay=0.6,
+                                          epsilon=1e-3)
         fused = multi_source_localpush(graph, sources, decay=0.6,
-                                       epsilon=1e-3, kernel="fused",
-                                       executor="thread", num_workers=2)
+                                       epsilon=1e-3, executor=executor,
+                                       num_workers=workers)
         for b, f in zip(base, fused):
             assert b.source == f.source
             assert_bitwise(b.row, f.row)
 
-    def test_float32_kernels_bitwise(self):
+    @EXECUTORS
+    def test_float32_kernels_bitwise(self, executor, workers):
         for graph in graphs():
-            base = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                    kernel="scipy", dtype="float32")
+            with scipy_rounds():
+                base = localpush_engine(graph, decay=0.6, epsilon=0.01,
+                                        dtype="float32")
             fused = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     kernel="fused", dtype="float32")
+                                     dtype="float32", executor=executor,
+                                     num_workers=workers)
             assert base.matrix.dtype == np.float32
             assert_bitwise(base.matrix, fused.matrix)
 
-    def test_result_reports_the_resolved_kernel(self):
-        graph = star(6)
-        assert localpush_engine(graph, kernel="auto").kernel == "fused"
-        assert localpush_engine(graph, kernel="scipy").kernel == "scipy"
-        if not numba_available():
-            # Graceful degradation: requesting numba without the optional
-            # dependency silently runs the (bit-identical) fused kernel.
-            assert localpush_engine(graph, kernel="numba").kernel == "fused"
+    def test_oracle_swap_is_scoped(self):
+        """The oracle runs only inside the block; the engine's own
+        arithmetic is restored after it, even when the run raises."""
+        import repro.simrank.engine as engine_module
+        from repro.simrank.kernels import FusedRoundState
+
+        with pytest.raises(SimRankError):
+            with scipy_rounds():
+                assert engine_module.FusedRoundState is not FusedRoundState
+                localpush_engine(star(6), epsilon=0.01, max_pushes=1)
+        assert engine_module.FusedRoundState is FusedRoundState
 
     def test_profile_accumulates_the_four_phases(self):
         profile = PhaseProfile()
         localpush_engine(sbm(90, 5), decay=0.6, epsilon=0.01,
-                         kernel="fused", profile=profile)
+                         profile=profile)
         seconds = profile.as_dict()
         assert set(seconds) == set(PHASES)
         assert all(value >= 0.0 for value in seconds.values())
@@ -203,7 +193,7 @@ class TestFloat32Sweep:
         exact = linearized_simrank(graph, decay=decay, tolerance=1e-12)
         result = localpush_engine(graph, epsilon=epsilon, decay=decay,
                                   prune=False, absorb_residual=True,
-                                  kernel="fused", dtype="float32")
+                                  dtype="float32")
         dense = result.matrix.toarray().astype(np.float64)
         error = float(np.abs(dense - exact).max())
         assert error < float32_error_bound(epsilon, decay)
@@ -213,8 +203,9 @@ class TestFloat32Sweep:
            seed=st.integers(0, 10_000))
     def test_fused_float32_matches_scipy_float32(self, n, p, seed):
         graph = erdos_renyi(n, p, seed)
-        base = localpush_engine(graph, decay=0.6, epsilon=0.05,
-                                kernel="scipy", dtype="float32")
+        with scipy_rounds():
+            base = localpush_engine(graph, decay=0.6, epsilon=0.05,
+                                    dtype="float32")
         fused = localpush_engine(graph, decay=0.6, epsilon=0.05,
-                                 kernel="fused", dtype="float32")
+                                 dtype="float32")
         assert_bitwise(base.matrix, fused.matrix)

@@ -1,9 +1,10 @@
-"""Equivalence suite for the vectorized LocalPush backend + bugfix regressions.
+"""Equivalence suite for the serial engine core + bugfix regressions.
 
-The dict backend is the correctness oracle (a direct transcription of
-Algorithm 1); the vectorized frontier-batched engine must agree with it
-within the configured ``ε`` on every graph family, and both must satisfy
-the ``‖Ŝ − S‖_max < ε`` bound against the dense linearized series.
+The per-pair dict loop of ``_simrank_oracles`` is the correctness oracle
+(a direct transcription of Algorithm 1); the frontier-batched engine
+core on the serial executor must agree with it within the configured
+``ε`` on every graph family, and both must satisfy the
+``‖Ŝ − S‖_max < ε`` bound against the dense linearized series.
 
 Also contains regression tests for the three bugfixes shipped alongside
 the engine:
@@ -12,6 +13,8 @@ the engine:
 * ``localpush_simrank`` returning an empty diagonal when ``ε ≥ 1/(1−c)``,
 * ``SIGMA._sigmoid`` overflowing ``np.exp`` for large-magnitude logits.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -23,19 +26,25 @@ from _simrank_fixtures import (
     star as _star,
     with_isolated as _with_isolated,
 )
+from _simrank_oracles import dict_localpush
 from repro.errors import SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_per_row
 from repro.models.sigma import _sigmoid
+from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
-from repro.simrank.localpush_vec import localpush_simrank_vectorized
 
-# This suite *is* the deprecated vectorized shim's equivalence pin — calling
-# it is the point.  Exempt exactly its own warning; any other
-# DeprecationWarning is still an error under the tier-1 blanket filter.
-pytestmark = pytest.mark.filterwarnings(
-    "default:localpush_simrank_vectorized is deprecated:DeprecationWarning")
+
+def _serial_core(graph, **kwargs):
+    """The engine core on the serial executor."""
+    return localpush_engine(graph, executor="serial", **kwargs)
+
+
+# The oracle, the default entry point and the sharded thread executor.
+DIAGONAL_ENGINES = [dict_localpush, localpush_simrank,
+                    functools.partial(localpush_simrank, executor="thread",
+                                      num_workers=2)]
 
 
 EQUIVALENCE_GRAPHS = [
@@ -48,16 +57,14 @@ EQUIVALENCE_GRAPHS = [
 ]
 
 
-class TestBackendEquivalence:
+class TestOracleEquivalence:
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
     @pytest.mark.parametrize("epsilon", [0.2, 0.05])
     def test_matches_dict_oracle_within_epsilon(self, make_graph, epsilon):
         graph = make_graph()
-        oracle = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                   backend="dict")
-        vectorized = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                       backend="vectorized")
-        diff = np.abs((oracle.matrix - vectorized.matrix).toarray()).max()
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
+        core = _serial_core(graph, epsilon=epsilon, prune=False)
+        diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
@@ -65,52 +72,44 @@ class TestBackendEquivalence:
         graph = make_graph()
         epsilon = 0.1
         reference = linearized_simrank(graph, num_iterations=60)
-        result = localpush_simrank_vectorized(graph, epsilon=epsilon, prune=False)
+        result = _serial_core(graph, epsilon=epsilon, prune=False)
         assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
     def test_absorb_residual_equivalence(self, make_graph):
         graph = make_graph()
         epsilon = 0.1
-        oracle = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                   absorb_residual=True, backend="dict")
-        vectorized = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                       absorb_residual=True, backend="vectorized")
-        diff = np.abs((oracle.matrix - vectorized.matrix).toarray()).max()
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True)
+        core = _serial_core(graph, epsilon=epsilon, prune=False,
+                            absorb_residual=True)
+        diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.05])
     def test_weighted_graph_equivalence(self, epsilon):
-        """Both backends must walk W = A·D⁻¹ with *weighted* degrees."""
+        """Oracle and core must both walk W = A·D⁻¹ with *weighted* degrees."""
         rng = np.random.default_rng(12)
         n = 40
         upper = np.triu(rng.integers(0, 5, size=(n, n)) * (rng.random((n, n)) < 0.15), k=1)
         graph = Graph(sp.csr_matrix(upper + upper.T), name="weighted")
         reference = linearized_simrank(graph, num_iterations=60)
-        oracle = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                   backend="dict")
-        vectorized = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                       backend="vectorized")
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
+        core = _serial_core(graph, epsilon=epsilon, prune=False)
         assert np.abs(oracle.matrix.toarray() - reference).max() < epsilon
-        assert np.abs(vectorized.matrix.toarray() - reference).max() < epsilon
-        diff = np.abs((oracle.matrix - vectorized.matrix).toarray()).max()
+        assert np.abs(core.matrix.toarray() - reference).max() < epsilon
+        diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
-    def test_auto_backend_dispatch(self):
-        small = _erdos_renyi(50, 0.1, seed=4)       # below the auto threshold
-        large = _sbm(300, seed=5)                   # above it
-        assert localpush_simrank(small, epsilon=0.1).backend == "dict"
-        assert localpush_simrank(large, epsilon=0.1).backend == "vectorized"
-
-    def test_unknown_backend_rejected(self, tiny_graph):
+    def test_unknown_executor_rejected(self, tiny_graph):
         with pytest.raises(SimRankError):
-            localpush_simrank(tiny_graph, epsilon=0.1, backend="gpu")
+            localpush_simrank(tiny_graph, epsilon=0.1, executor="gpu")
 
 
-class TestVectorizedOutput:
+class TestSerialCoreOutput:
     def test_pruning_keeps_offdiagonal_above_floor(self):
         graph = _sbm(150, seed=6)
-        result = localpush_simrank_vectorized(graph, epsilon=0.1, prune=True)
+        result = _serial_core(graph, epsilon=0.1, prune=True)
         offdiag = result.matrix.copy().tolil()
         offdiag.setdiag(0)
         values = offdiag.tocsr()
@@ -120,24 +119,24 @@ class TestVectorizedOutput:
 
     def test_diagonal_always_positive(self):
         for make_graph in (_with_isolated, lambda: _star(8)):
-            result = localpush_simrank_vectorized(make_graph(), epsilon=0.1)
+            result = _serial_core(make_graph(), epsilon=0.1)
             assert (result.matrix.diagonal() > 0).all()
 
     def test_max_pushes_cap(self):
         graph = _sbm(150, seed=8)
         with pytest.raises(SimRankError):
-            localpush_simrank_vectorized(graph, epsilon=0.01, max_pushes=5)
+            _serial_core(graph, epsilon=0.01, max_pushes=5)
 
     def test_invalid_parameters(self, tiny_graph):
         with pytest.raises(SimRankError):
-            localpush_simrank_vectorized(tiny_graph, epsilon=0.0)
+            _serial_core(tiny_graph, epsilon=0.0)
         with pytest.raises(SimRankError):
-            localpush_simrank_vectorized(tiny_graph, decay=1.0)
+            _serial_core(tiny_graph, decay=1.0)
 
     def test_metadata(self):
         graph = _sbm(150, seed=9)
-        result = localpush_simrank_vectorized(graph, epsilon=0.1)
-        assert result.backend == "vectorized"
+        result = _serial_core(graph, epsilon=0.1)
+        assert result.executor == "serial"
         assert result.num_rounds is not None and result.num_rounds > 0
         assert result.num_pushes > 0
         assert result.elapsed_seconds >= 0.0
@@ -146,19 +145,20 @@ class TestVectorizedOutput:
 class TestLargeEpsilonDiagonal:
     """Regression: ε ≥ 1/(1−c) used to return a matrix with no entries."""
 
-    @pytest.mark.parametrize("backend", ["dict", "vectorized"])
-    def test_diagonal_survives_suppressed_pushes(self, backend):
+    @pytest.mark.parametrize("engine", DIAGONAL_ENGINES,
+                             ids=["dict", "core", "thread"])
+    def test_diagonal_survives_suppressed_pushes(self, engine):
         graph = _erdos_renyi(30, 0.15, seed=10)
         # decay 0.6 → threshold = 0.4·ε ≥ 1 once ε ≥ 2.5.
-        result = localpush_simrank(graph, epsilon=3.0, backend=backend)
+        result = engine(graph, epsilon=3.0)
         diagonal = result.matrix.diagonal()
         assert (diagonal > 0).all()
 
-    @pytest.mark.parametrize("backend", ["dict", "vectorized"])
-    def test_diagonal_survives_without_prune(self, backend):
+    @pytest.mark.parametrize("engine", DIAGONAL_ENGINES,
+                             ids=["dict", "core", "thread"])
+    def test_diagonal_survives_without_prune(self, engine):
         graph = _star(5)
-        result = localpush_simrank(graph, epsilon=10.0, prune=False,
-                                   backend=backend)
+        result = engine(graph, epsilon=10.0, prune=False)
         assert (result.matrix.diagonal() > 0).all()
 
 
@@ -197,7 +197,7 @@ class TestTopKDiagonalRegression:
         from repro.simrank.topk import simrank_operator
 
         operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, backend="vectorized"))
+            method="localpush", epsilon=0.1, top_k=4, executor="serial"))
         per_row = np.diff(operator.matrix.indptr)
         assert per_row.max() <= 4
         assert (operator.matrix.diagonal() > 0).all()

@@ -1,7 +1,9 @@
-"""Equivalence / determinism / property suite for the sharded LocalPush engine.
+"""Equivalence / determinism / property suite for the sharded thread-pool plan.
 
-The dict backend remains the correctness oracle (a direct transcription of
-Algorithm 1).  The sharded engine must:
+The engine core on the ``"thread"`` executor splits every round's
+frontier into shards pushed by a worker pool.  The per-pair dict loop of
+``_simrank_oracles`` remains the correctness oracle (a direct
+transcription of Algorithm 1).  The sharded plan must:
 
 * agree with the oracle within ``(1 − c)·ε`` max-norm in the operator
   configuration (``absorb_residual=True``) on every equivalence fixture,
@@ -24,24 +26,20 @@ from _simrank_fixtures import (
     star as _star,
     weighted as _weighted,
 )
+from _simrank_oracles import dict_localpush
 from repro.errors import SimRankError
+from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_per_row
+from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
-from repro.simrank.localpush import (
-    AUTO_BACKEND_MIN_NODES,
-    AUTO_SHARDED_MIN_NODES,
-    localpush_simrank,
-    resolve_backend,
-)
-from repro.simrank.sharded import localpush_simrank_sharded
-
-# This suite *is* the deprecated sharded shim's equivalence pin — calling it
-# is the point.  Exempt exactly its own warning; any other DeprecationWarning
-# is still an error under the tier-1 blanket filter.
-pytestmark = pytest.mark.filterwarnings(
-    "default:localpush_simrank_sharded is deprecated:DeprecationWarning")
+from repro.simrank.localpush import localpush_simrank
 
 DECAY = 0.6
+
+
+def _sharded(graph, **kwargs):
+    """The engine core on the thread-pool executor (the sharded plan)."""
+    return localpush_engine(graph, executor="thread", **kwargs)
 
 
 EQUIVALENCE_GRAPHS = [
@@ -56,16 +54,15 @@ EQUIVALENCE_GRAPHS = [
 
 
 class TestShardedEquivalence:
-    """The dict backend is the oracle; acceptance bound is (1 − c)·ε."""
+    """The dict loop is the oracle; acceptance bound is (1 − c)·ε."""
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
     @pytest.mark.parametrize("epsilon", [0.2, 0.05])
     def test_matches_dict_oracle_within_relaxed_epsilon(self, make_graph, epsilon):
         graph = make_graph()
-        oracle = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                   backend="dict")
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
         sharded = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                    backend="sharded")
+                                    executor="thread")
         diff = np.abs((oracle.matrix - sharded.matrix).toarray()).max()
         assert diff < epsilon
 
@@ -81,10 +78,10 @@ class TestShardedEquivalence:
         re-propagated tail, empirically well below ``(1 − c)·ε``.
         """
         graph = make_graph()
-        oracle = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                   absorb_residual=True, backend="dict")
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True)
         sharded = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                    absorb_residual=True, backend="sharded")
+                                    absorb_residual=True, executor="thread")
         diff = np.abs((oracle.matrix - sharded.matrix).toarray()).max()
         assert diff < (1.0 - DECAY) * epsilon
 
@@ -93,17 +90,17 @@ class TestShardedEquivalence:
         graph = make_graph()
         epsilon = 0.1
         reference = linearized_simrank(graph, num_iterations=60)
-        result = localpush_simrank_sharded(graph, epsilon=epsilon, prune=False)
+        result = _sharded(graph, epsilon=epsilon, prune=False)
         assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
     @pytest.mark.parametrize("num_shards", [1, 3, 7])
     def test_shard_counts_agree_within_float_grouping(self, num_shards):
         """Shard sums regroup float additions; results agree to ~1e-12."""
         graph = _sbm(150, seed=4)
-        base = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                         num_shards=1)
-        other = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                          num_shards=num_shards)
+        base = _sharded(graph, epsilon=0.1, prune=False,
+                        num_shards=1)
+        other = _sharded(graph, epsilon=0.1, prune=False,
+                         num_shards=num_shards)
         diff = np.abs((base.matrix - other.matrix).toarray()).max()
         assert diff < 1e-9
 
@@ -120,10 +117,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_do_not_change_the_matrix(self, workers):
         graph = _sbm(200, seed=5)
-        reference = localpush_simrank_sharded(graph, epsilon=0.05, prune=False,
-                                              num_workers=1, num_shards=6)
-        parallel = localpush_simrank_sharded(graph, epsilon=0.05, prune=False,
-                                             num_workers=workers, num_shards=6)
+        reference = _sharded(graph, epsilon=0.05, prune=False,
+                             num_workers=1, num_shards=6)
+        parallel = _sharded(graph, epsilon=0.05, prune=False,
+                            num_workers=workers, num_shards=6)
         self._assert_identical(reference.matrix, parallel.matrix)
         assert reference.num_pushes == parallel.num_pushes
         assert reference.num_rounds == parallel.num_rounds
@@ -131,20 +128,20 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_do_not_change_streamed_topk(self, workers):
         graph = _sbm(200, seed=6)
-        reference = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                              absorb_residual=True,
-                                              stream_top_k=6, num_workers=1,
-                                              num_shards=5)
-        parallel = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                             absorb_residual=True,
-                                             stream_top_k=6, num_workers=workers,
-                                             num_shards=5)
+        reference = _sharded(graph, epsilon=0.1, prune=False,
+                             absorb_residual=True,
+                             stream_top_k=6, num_workers=1,
+                             num_shards=5)
+        parallel = _sharded(graph, epsilon=0.1, prune=False,
+                            absorb_residual=True,
+                            stream_top_k=6, num_workers=workers,
+                            num_shards=5)
         self._assert_identical(reference.matrix, parallel.matrix)
 
     def test_repeated_runs_are_identical(self):
         graph = _erdos_renyi(80, 0.07, seed=8)
-        first = localpush_simrank_sharded(graph, epsilon=0.1, prune=False)
-        second = localpush_simrank_sharded(graph, epsilon=0.1, prune=False)
+        first = _sharded(graph, epsilon=0.1, prune=False)
+        second = _sharded(graph, epsilon=0.1, prune=False)
         self._assert_identical(first.matrix, second.matrix)
 
 
@@ -156,25 +153,25 @@ class TestErrorBoundProperties:
     def test_random_weighted_graphs(self, seed, epsilon):
         graph = _weighted(30, seed=seed, density=0.2)
         reference = linearized_simrank(graph, num_iterations=60)
-        result = localpush_simrank_sharded(graph, epsilon=epsilon, prune=False)
+        result = _sharded(graph, epsilon=epsilon, prune=False)
         assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_disconnected_graphs(self, seed):
         graph = _disconnected(seed=seed * 11 + 1)
         reference = linearized_simrank(graph, num_iterations=60)
-        result = localpush_simrank_sharded(graph, epsilon=0.1, prune=False)
+        result = _sharded(graph, epsilon=0.1, prune=False)
         assert np.abs(result.matrix.toarray() - reference).max() < 0.1
 
     def test_diagonal_always_positive(self):
         for make_graph in (_disconnected, lambda: _star(8)):
-            result = localpush_simrank_sharded(make_graph(), epsilon=0.1)
+            result = _sharded(make_graph(), epsilon=0.1)
             assert (result.matrix.diagonal() > 0).all()
 
     def test_large_epsilon_keeps_diagonal(self):
         # decay 0.6 → threshold = 0.4·ε ≥ 1 once ε ≥ 2.5: no push ever fires.
-        result = localpush_simrank_sharded(_erdos_renyi(30, 0.15, seed=10),
-                                           epsilon=3.0)
+        result = _sharded(_erdos_renyi(30, 0.15, seed=10),
+                          epsilon=3.0)
         assert (result.matrix.diagonal() > 0).all()
 
 
@@ -185,37 +182,58 @@ class TestStreamingTopK:
     @pytest.mark.parametrize("k", [2, 8])
     def test_equals_posthoc_topk(self, make_graph, k):
         graph = make_graph()
-        full = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                         absorb_residual=True)
-        streamed = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                             absorb_residual=True,
-                                             stream_top_k=k)
+        full = _sharded(graph, epsilon=0.1, prune=False,
+                        absorb_residual=True)
+        streamed = _sharded(graph, epsilon=0.1, prune=False,
+                            absorb_residual=True,
+                            stream_top_k=k)
         expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
         assert np.array_equal(streamed.matrix.indptr, expected.indptr)
         assert np.array_equal(streamed.matrix.indices, expected.indices)
         np.testing.assert_allclose(streamed.matrix.data, expected.data,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", ["dict", "vectorized", "sharded"])
-    def test_semantics_uniform_across_backends(self, backend):
-        """stream_top_k must not change meaning with the resolved engine."""
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_equals_posthoc_topk_bitwise_at_ulp_ties(self, executor):
+        """Row 0 holds two scores 1 ulp apart (cols 5 and 7): the full
+        estimate must sum each entry's absorptions in the streaming
+        fold's round order, or the post-hoc top-2 keeps the other one."""
+        adjacency = np.array([
+            [0, 1, 1, 0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 0, 1, 0, 0],
+            [1, 1, 0, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 1, 0, 1],
+            [1, 1, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 1, 0, 1],
+            [1, 0, 0, 0, 0, 1, 0, 1, 0]], dtype=float)
+        graph = Graph(sp.csr_matrix(adjacency))
+        kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
+                      executor=executor)
+        full = localpush_engine(graph, **kwargs)
+        streamed = localpush_engine(graph, stream_top_k=2, **kwargs)
+        expected = top_k_per_row(full.matrix, 2, keep_diagonal=True)
+        assert np.array_equal(streamed.matrix.indptr, expected.indptr)
+        assert np.array_equal(streamed.matrix.indices, expected.indices)
+        assert np.array_equal(streamed.matrix.data, expected.data)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_semantics_uniform_across_executors(self, executor):
+        """stream_top_k must not change meaning with the resolved executor."""
         graph = _sbm(150, seed=17)
         result = localpush_simrank(graph, epsilon=0.1, prune=False,
-                                   absorb_residual=True, backend=backend,
+                                   absorb_residual=True, executor=executor,
                                    stream_top_k=5)
         assert np.diff(result.matrix.indptr).max() <= 5
         assert (result.matrix.diagonal() > 0).all()
 
-    def test_invalid_stream_top_k_rejected_for_every_backend(self, tiny_graph):
-        for backend in ("dict", "vectorized", "sharded"):
+    def test_invalid_stream_top_k_rejected_for_every_executor(self, tiny_graph):
+        for executor in ("serial", "thread", "process"):
             with pytest.raises(SimRankError):
-                localpush_simrank(tiny_graph, epsilon=0.1, backend=backend,
+                localpush_simrank(tiny_graph, epsilon=0.1, executor=executor,
                                   stream_top_k=0)
 
     def test_row_budget_and_diagonal(self):
         graph = _sbm(150, seed=9)
-        result = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                           absorb_residual=True, stream_top_k=4)
+        result = _sharded(graph, epsilon=0.1, prune=False,
+                          absorb_residual=True, stream_top_k=4)
         assert np.diff(result.matrix.indptr).max() <= 4
         assert (result.matrix.diagonal() > 0).all()
 
@@ -223,11 +241,11 @@ class TestStreamingTopK:
         """Mid-loop the estimate must stay well below the unpruned size."""
         graph = _sbm(200, seed=10)
         k = 4
-        full = localpush_simrank_sharded(graph, epsilon=0.05, prune=False,
-                                         absorb_residual=True)
-        streamed = localpush_simrank_sharded(graph, epsilon=0.05, prune=False,
-                                             absorb_residual=True,
-                                             stream_top_k=k)
+        full = _sharded(graph, epsilon=0.05, prune=False,
+                        absorb_residual=True)
+        streamed = _sharded(graph, epsilon=0.05, prune=False,
+                            absorb_residual=True,
+                            stream_top_k=k)
         assert streamed.matrix.nnz <= k * graph.num_nodes
         assert streamed.matrix.nnz < full.matrix.nnz
 
@@ -238,73 +256,37 @@ class TestStreamingTopK:
 
         graph = _sbm(150, seed=11)
         operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, backend="sharded"))
+            method="localpush", epsilon=0.1, top_k=4, executor="thread"))
         baseline = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, backend="vectorized"))
-        assert operator.backend == "sharded"
+            method="localpush", epsilon=0.1, top_k=4, executor="serial"))
         assert np.diff(operator.matrix.indptr).max() <= 4
         diff = np.abs((operator.matrix - baseline.matrix).toarray()).max()
         assert diff < 0.1
 
 
-class TestBackendSelection:
-    """Pin the auto-selection ladder (satellite: threshold regression guard)."""
-
-    def test_thresholds_are_pinned(self):
-        assert AUTO_BACKEND_MIN_NODES == 256
-        assert AUTO_SHARDED_MIN_NODES == 4096
-
-    def test_resolution_ladder(self):
-        assert resolve_backend("auto", AUTO_BACKEND_MIN_NODES - 1) == "dict"
-        assert resolve_backend("auto", AUTO_BACKEND_MIN_NODES) == "vectorized"
-        assert resolve_backend("auto", AUTO_SHARDED_MIN_NODES - 1) == "vectorized"
-        assert resolve_backend("auto", AUTO_SHARDED_MIN_NODES) == "sharded"
-
-    def test_explicit_backends_pass_through(self):
-        for name in ("dict", "vectorized", "sharded"):
-            assert resolve_backend(name, 10) == name
-            assert resolve_backend(name, 10**6) == name
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimRankError):
-            resolve_backend("gpu", 100)
-
-    def test_auto_dispatch_uses_sharded_above_threshold(self, monkeypatch):
-        import repro.simrank.localpush as localpush_module
-
-        monkeypatch.setattr(localpush_module, "AUTO_SHARDED_MIN_NODES", 100)
-        graph = _sbm(150, seed=12)
-        result = localpush_simrank(graph, epsilon=0.1, backend="auto")
-        assert result.backend == "sharded"
-
-    def test_auto_dispatch_below_thresholds(self):
-        small = _erdos_renyi(50, 0.1, seed=13)
-        assert localpush_simrank(small, epsilon=0.1).backend == "dict"
-
-
 class TestShardedParameters:
     def test_invalid_parameters(self, tiny_graph):
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(tiny_graph, epsilon=0.0)
+            _sharded(tiny_graph, epsilon=0.0)
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(tiny_graph, decay=1.0)
+            _sharded(tiny_graph, decay=1.0)
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(tiny_graph, num_workers=0)
+            _sharded(tiny_graph, num_workers=0)
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(tiny_graph, num_shards=0)
+            _sharded(tiny_graph, num_shards=0)
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(tiny_graph, stream_top_k=0)
+            _sharded(tiny_graph, stream_top_k=0)
 
     def test_max_pushes_cap(self):
         graph = _sbm(150, seed=14)
         with pytest.raises(SimRankError):
-            localpush_simrank_sharded(graph, epsilon=0.01, max_pushes=5)
+            _sharded(graph, epsilon=0.01, max_pushes=5)
 
     def test_metadata(self):
         graph = _sbm(150, seed=15)
-        result = localpush_simrank_sharded(graph, epsilon=0.1, num_workers=3,
-                                           num_shards=2)
-        assert result.backend == "sharded"
+        result = _sharded(graph, epsilon=0.1, num_workers=3,
+                          num_shards=2)
+        assert result.executor == "thread"
         assert result.num_workers == 3
         assert result.num_shards == 2
         assert result.num_rounds is not None and result.num_rounds > 0
@@ -313,7 +295,7 @@ class TestShardedParameters:
 
     def test_prune_keeps_offdiagonal_above_floor(self):
         graph = _sbm(150, seed=16)
-        result = localpush_simrank_sharded(graph, epsilon=0.1, prune=True)
+        result = _sharded(graph, epsilon=0.1, prune=True)
         offdiag = result.matrix.copy().tolil()
         offdiag.setdiag(0)
         values = offdiag.tocsr()
@@ -329,11 +311,11 @@ class TestShardedStress:
     def test_large_graph_equivalence_and_worker_determinism(self):
         graph = _sbm(2000, seed=20)
         vectorized = localpush_simrank(graph, epsilon=0.1, prune=False,
-                                       backend="vectorized")
-        serial = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                           num_workers=1)
-        parallel = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                             num_workers=4)
+                                       executor="serial")
+        serial = _sharded(graph, epsilon=0.1, prune=False,
+                          num_workers=1)
+        parallel = _sharded(graph, epsilon=0.1, prune=False,
+                            num_workers=4)
         assert np.array_equal(serial.matrix.indices, parallel.matrix.indices)
         assert np.array_equal(serial.matrix.data, parallel.matrix.data)
         diff = np.abs((vectorized.matrix - serial.matrix).toarray()).max()
@@ -343,8 +325,8 @@ class TestShardedStress:
     def test_large_graph_streaming_topk_bounds_memory(self):
         graph = _sbm(2000, seed=21)
         k = 8
-        streamed = localpush_simrank_sharded(graph, epsilon=0.1, prune=False,
-                                             absorb_residual=True,
-                                             stream_top_k=k)
+        streamed = _sharded(graph, epsilon=0.1, prune=False,
+                            absorb_residual=True,
+                            stream_top_k=k)
         assert streamed.matrix.nnz <= k * graph.num_nodes
         assert (streamed.matrix.diagonal() > 0).all()

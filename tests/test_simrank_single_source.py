@@ -134,6 +134,47 @@ class TestRowEquivalence:
                                       absorb_residual=True)
         assert value == float(row[0, 23])  # bitwise
 
+    def test_public_api_rows_equal_all_pairs_rows_on_texas(self):
+        """``repro.api.topk`` ≡ ``repro.api.precompute`` row, for every
+        node of a graph below every auto-resolution threshold (183 nodes):
+        no graph size routes the all-pairs operator to a different
+        engine than the single-source query."""
+        from repro import api
+        from repro.config import SimRankConfig
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset("texas", seed=0).graph
+        config = SimRankConfig(method="localpush", epsilon=0.05)
+        operator = api.precompute(graph, config).matrix
+        n = graph.num_nodes
+        for u in range(n):
+            start, end = operator.indptr[u], operator.indptr[u + 1]
+            expected = dict(zip(operator.indices[start:end].tolist(),
+                                operator.data[start:end].tolist()))
+            assert dict(api.topk(graph, u, n, config)) == expected, u
+
+    @pytest.mark.parametrize("n,stride", [
+        pytest.param(255, 17, id="below-the-old-256-rung"),
+        pytest.param(256, 17, id="at-the-old-256-rung"),
+        pytest.param(4096, 1024, id="at-the-thread-rung"),
+    ])
+    def test_public_api_rows_equal_all_pairs_rows_across_the_ladder(
+            self, n, stride):
+        """The same identity on both sides of every node-count threshold
+        the auto-resolution has ever had, sampling every ``stride``-th
+        row; at 4096 nodes both entry points resolve to ``"thread"``."""
+        from repro import api
+        from repro.config import SimRankConfig
+
+        graph = _sbm(n, seed=n)
+        config = SimRankConfig(method="localpush", epsilon=0.05)
+        operator = api.precompute(graph, config).matrix
+        for u in range(0, n, stride):
+            start, end = operator.indptr[u], operator.indptr[u + 1]
+            expected = dict(zip(operator.indices[start:end].tolist(),
+                                operator.data[start:end].tolist()))
+            assert dict(api.topk(graph, u, n, config)) == expected, u
+
     def test_cross_component_pair_is_exactly_zero(self):
         graph = _disconnected()  # components [0,30), [30,50), isolated tail
         assert single_pair_localpush(graph, 3, 41, epsilon=0.1) == 0.0

@@ -304,7 +304,7 @@ class TestBenchProfile:
         spec.loader.exec_module(bench)
         graph = _erdos_renyi(40, 0.1, seed=1)
         section = bench.profile_breakdown(graph, epsilon=0.1, decay=0.6,
-                                          num_workers=1, show=False)
+                                          show=False)
         assert set(section["phase_seconds"]) == set(PHASES)
         assert all(isinstance(value, float) and value >= 0.0
                    for value in section["phase_seconds"].values())
