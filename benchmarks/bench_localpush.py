@@ -1,15 +1,16 @@
-"""Benchmark: the LocalPush engine core under every executor (serial/thread/process).
+"""Benchmark: the LocalPush engine core inline and on its thread pool.
 
-Times the engine core under every executor on a synthetic pokec-style
-graph, checks the serial core's error against the dense
-``linearized_simrank`` series (the fixed point of Lemma III.5) is below
-``ε`` *and* that all executors are bit-identical to each other, then
-appends the result to ``BENCH_localpush.json`` at the repo root so
-future PRs can track the precompute-speed trajectory.
+Times the engine core on a synthetic pokec-style graph twice — ``serial``
+(one worker: every shard pushed inline) and ``thread`` (the pool at the
+default or ``--workers`` size) — checks the serial core's error against
+the dense ``linearized_simrank`` series (the fixed point of Lemma III.5)
+is below ``ε`` *and* that the pooled run is bit-identical to the serial
+one, then appends the result to ``BENCH_localpush.json`` at the repo
+root so future PRs can track the precompute-speed trajectory.
 
 The JSON file is an append-only list of run records.  Each new record is
 validated against :data:`RECORD_SCHEMA` before being appended and carries
-``cpu_count`` alongside ``num_workers`` — process-pool speedups are only
+``cpu_count`` alongside ``num_workers`` — pool speedups are only
 interpretable relative to the cores the machine actually had.
 
 Usage
@@ -19,13 +20,12 @@ Usage
 ``... --nodes 2000 --epsilon 0.05 --workers 8 --output /tmp/b.json``  custom
 ``... --profile``                                       print the phase table too
 
-Both modes exercise the series reference and every executor.  The full
-run reproduces the acceptance bar of the unified-core PR: per-executor
-speedups over the serial executor on a ≥ 5k-node graph at ε = 0.1
-(``speedup_vs_serial`` — > 1 for the process executor requires actual
-multi-core hardware; see ``cpu_count`` in the record).  The dense series
-costs ``O(n²)`` memory and dominates the full run's wall time (it is
-computed at tolerance ``ε/100`` so its own truncation error stays far
+Both modes exercise the series reference, the serial core and the
+thread pool.  The full run measures the pool's speedup over the serial
+core on a ≥ 5k-node graph at ε = 0.1 (``speedup_vs_serial`` — > 1 needs
+actual multi-core hardware; see ``cpu_count`` in the record).  The dense
+series costs ``O(n²)`` memory and dominates the full run's wall time (it
+is computed at tolerance ``ε/100`` so its own truncation error stays far
 below ``ε``); ``backends.core.seconds`` times only the serial core.
 
 Every record additionally carries two sections:
@@ -46,7 +46,7 @@ record with the same ``cpu_count``/``num_nodes`` shape and fails on a
 from __future__ import annotations
 
 # repro-lint: disable-file=R8 — this micro-benchmark measures the engine
-# internals themselves (executor pool, series reference, synthetic
+# internals themselves (worker pool, series reference, synthetic
 # generator), so importing them is its purpose, not an API leak.
 import argparse
 import json
@@ -58,7 +58,7 @@ import numpy as np
 from repro.config import SimRankConfig
 from repro.datasets.synthetic import SyntheticGraphConfig, generate_synthetic_graph
 from repro.errors import ConfigError
-from repro.simrank.engine import EXECUTORS, default_num_workers, localpush_engine
+from repro.simrank.engine import default_num_workers, localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.kernels import PHASES, PhaseProfile, float32_error_bound
 from repro.simrank.localpush import localpush_simrank
@@ -105,14 +105,18 @@ PROFILE_SCHEMA = {
     "phase_seconds": dict,
 }
 
-#: Schema of each per-executor entry inside ``record["executors"]``.
+#: Entries every record's ``executors`` section must hold: the core on
+#: one worker (``serial``) and on the thread pool (``thread``).
+REQUIRED_EXECUTORS = ("serial", "thread")
+
+#: Schema of each entry inside ``record["executors"]``.
 EXECUTOR_SCHEMA = {
     "seconds": float,
     "num_pushes": int,
     "nnz": int,
 }
 
-#: Extra keys required of the non-serial executor entries.
+#: Extra keys required of the ``thread`` entry.
 POOLED_EXECUTOR_SCHEMA = {
     "num_workers": int,
     "speedup_vs_serial": float,
@@ -146,7 +150,7 @@ def validate_record(record: dict) -> dict:
     _check_fields(record, RECORD_SCHEMA, "record", problems)
     executors = record.get("executors")
     if isinstance(executors, dict):
-        for name in EXECUTORS:
+        for name in REQUIRED_EXECUTORS:
             if name not in executors:
                 problems.append(f"record.executors: missing executor {name!r}")
         for name, entry in executors.items():
@@ -155,7 +159,7 @@ def validate_record(record: dict) -> dict:
                 continue
             _check_fields(entry, EXECUTOR_SCHEMA,
                           f"record.executors.{name}", problems)
-            if name in ("thread", "process"):
+            if name == "thread":
                 _check_fields(entry, POOLED_EXECUTOR_SCHEMA,
                               f"record.executors.{name}", problems)
     backends = record.get("backends")
@@ -189,22 +193,20 @@ def build_graph(num_nodes: int, *, average_degree: float, seed: int):
     return generate_synthetic_graph(config, seed=seed)
 
 
-def time_plan(graph, *, executor: str, epsilon: float, decay: float,
-              num_workers: int, stream_top_k: int | None = None) -> dict:
+def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
+              stream_top_k: int | None = None) -> dict:
     timer = Timer()
     with timer:
         result = localpush_simrank(graph, epsilon=epsilon, decay=decay,
-                                   prune=False, executor=executor,
-                                   num_workers=num_workers,
+                                   prune=False, num_workers=num_workers,
                                    stream_top_k=stream_top_k)
     record = {
         "seconds": timer.elapsed,
         "num_pushes": result.num_pushes,
         "nnz": int(result.matrix.nnz),
         "matrix": result.matrix,
+        "num_workers": result.num_workers,
     }
-    if result.num_workers is not None:
-        record["num_workers"] = result.num_workers
     if stream_top_k is not None:
         record["stream_top_k"] = stream_top_k
     return record
@@ -216,8 +218,7 @@ def time_core(graph, *, epsilon: float, decay: float,
     timer = Timer()
     with timer:
         result = localpush_engine(graph, epsilon=epsilon, decay=decay,
-                                  prune=False, executor="serial",
-                                  profile=profile)
+                                  prune=False, profile=profile)
     return {"seconds": timer.elapsed, "num_pushes": result.num_pushes}
 
 
@@ -316,23 +317,21 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
                                     tolerance=epsilon / 100.0)
     print(f"  {'series':>10}: {timer.elapsed:8.3f}s (dense reference)")
 
-    # The unified core under every executor, same worker count.
+    # The core on one worker (every shard inline) and on the pool.
     runs = {}
-    for executor in EXECUTORS:
-        record = time_plan(graph, executor=executor, epsilon=epsilon,
-                           decay=decay, num_workers=num_workers)
-        runs[executor] = record
-        workers = record.get("num_workers")
-        extra = f", workers={workers}" if workers is not None else ""
-        print(f"  {executor:>10}: {record['seconds']:8.3f}s "
-              f"({record['num_pushes']} pushes, nnz={record['nnz']}{extra})")
+    for name, workers in (("serial", 1), ("thread", num_workers)):
+        record = time_plan(graph, epsilon=epsilon, decay=decay,
+                           num_workers=workers)
+        runs[name] = record
+        print(f"  {name:>10}: {record['seconds']:8.3f}s "
+              f"({record['num_pushes']} pushes, nnz={record['nnz']}, "
+              f"workers={record['num_workers']})")
 
     # The operator pipeline always streams top-k through the core
     # (simrank_operator passes stream_top_k=top_k), so the tracked record
     # must include what model precompute actually pays per round.
-    streamed = time_plan(graph, executor="serial", epsilon=epsilon,
-                         decay=decay, num_workers=num_workers,
-                         stream_top_k=stream_top_k)
+    streamed = time_plan(graph, epsilon=epsilon, decay=decay,
+                         num_workers=1, stream_top_k=stream_top_k)
     print(f"  {'serial+topk':>11}: {streamed['seconds']:8.3f}s "
           f"(stream_top_k={stream_top_k}, nnz={streamed['nnz']})")
 
@@ -344,26 +343,26 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
           f"(bound ε = {epsilon})")
 
     executors_out = {}
-    for executor, record in runs.items():
+    for name, record in runs.items():
         entry = {
             "seconds": round(record["seconds"], 4),
             "num_pushes": record["num_pushes"],
             "nnz": record["nnz"],
         }
-        if executor != "serial":
+        if name == "thread":
             matrix = record["matrix"]
             identical = (
                 np.array_equal(serial_matrix.indptr, matrix.indptr)
                 and np.array_equal(serial_matrix.indices, matrix.indices)
                 and np.array_equal(serial_matrix.data, matrix.data))
-            entry["num_workers"] = int(record.get("num_workers") or 1)
+            entry["num_workers"] = int(record["num_workers"])
             entry["speedup_vs_serial"] = (
                 round(serial["seconds"] / record["seconds"], 2)
                 if record["seconds"] > 0 else float("inf"))
             entry["bit_identical_to_serial"] = bool(identical)
-            print(f"  {executor:>10}: speedup vs serial "
+            print(f"  {name:>10}: speedup vs serial "
                   f"{entry['speedup_vs_serial']}x, bit-identical={identical}")
-        executors_out[executor] = entry
+        executors_out[name] = entry
     executors_out["serial_streamed"] = {
         "seconds": round(streamed["seconds"], 4),
         "num_pushes": streamed["num_pushes"],
@@ -385,7 +384,7 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
     profile_out = profile_breakdown(graph, epsilon=epsilon, decay=decay,
                                     show=show_profile)
 
-    # The resolved configuration of the headline executor-sweep runs
+    # The resolved configuration of the headline serial/thread runs
     # (LocalPush, full estimate, no pruning) — embedded so the history is
     # self-describing.  The extra `serial_streamed` measurement differs
     # only in its streaming prune and records its own `stream_top_k`.
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
     parser.add_argument("--decay", type=float, default=0.6, help="decay factor c")
     parser.add_argument("--seed", type=int, default=0, help="graph seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="thread/process executor pool size "
+                        help="thread-pool size of the pooled run "
                              "(default: min(4, cpu count))")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase (frontier/push/merge/"

@@ -18,21 +18,19 @@ The whole pipeline is configured by one object —
 :class:`repro.config.SimRankConfig` — whose execution-plan fields map to
 the flags of this script:
 
-* ``executor`` — how the core's per-round shard pushes run:
-  ``"serial"`` (in the calling thread), ``"thread"`` (a thread pool;
-  scipy's matmul holds the GIL, so gains are modest on CPython) or
-  ``"process"`` (a process pool sharing the walk matrix via
-  ``multiprocessing.shared_memory`` — true multi-core scaling);
-* ``workers`` — thread/process pool size;
+* ``workers`` — the thread-pool size of the core's per-round shard
+  pushes: ``1`` pushes every shard in the calling thread, ``k ≥ 2`` uses
+  a pool of ``k`` threads (scipy's sparse matmul releases the GIL, so
+  the shards of one round run in parallel on a multi-core host);
 * ``cache_dir`` / ``cache_max_bytes`` — the persistent operator cache: a
   warm cache skips the precompute column entirely, and a looser-ε run
   can even be served from a tighter-ε entry by the cache's cross-ε reuse.
 
-Every executor and worker count produces a **bit-identical** operator,
-and all plans share the ``(1 − c)·ε`` stopping rule and the
-``‖Ŝ − S‖_max < ε`` guarantee, so accuracy is unaffected by the choice;
-``executor="auto"`` (default) picks serial below 4096 nodes and the
-thread pool above.
+Every worker count produces a **bit-identical** operator, and all plans
+share the ``(1 − c)·ε`` stopping rule and the ``‖Ŝ − S‖_max < ε``
+guarantee, so accuracy is unaffected by the choice; leaving ``workers``
+unset (default) pushes inline below 4096 nodes and uses
+``min(4, cpu count)`` threads above.
 """
 
 from __future__ import annotations
@@ -45,19 +43,15 @@ from repro.experiments import format_table, run_experiment
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--executor", default=None,
-                        choices=("serial", "thread", "process", "auto"),
-                        help="unified-core executor for the LocalPush "
-                             "precompute (default: auto)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for the thread/process executors")
+                        help="thread-pool size of the LocalPush precompute "
+                             "(1 = inline; default: by graph size)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent operator cache directory")
     args = parser.parse_args()
 
     simrank = SIGMA_DEFAULT_SIMRANK.with_overrides(
-        executor=args.executor, workers=args.workers,
-        cache_dir=args.cache_dir)
+        workers=args.workers, cache_dir=args.cache_dir)
     result = run_experiment("fig5", base_dataset="pokec", num_sizes=4,
                             shrink=2.0, base_scale=0.5, seed=0,
                             simrank=simrank, print_result=False)

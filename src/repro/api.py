@@ -153,7 +153,7 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     """
     from repro.graphs.sparse import sparse_row_normalize
     from repro.simrank.engine import single_source_localpush
-    from repro.simrank.localpush import resolve_executor
+    from repro.simrank.localpush import resolve_workers
 
     cfg = config if config is not None else SimRankConfig()
     if cfg.method == "exact":
@@ -174,8 +174,8 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     result = single_source_localpush(
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
         absorb_residual=True,
-        executor=resolve_executor(cfg.executor, graph.num_nodes),
-        num_workers=cfg.workers, top_k=k, dtype=cfg.dtype)
+        num_workers=resolve_workers(cfg.workers, graph.num_nodes),
+        top_k=k, dtype=cfg.dtype)
     row = result.row
     if cfg.row_normalize:
         row = sparse_row_normalize(row)
@@ -190,8 +190,9 @@ def topk(graph: Graph, source: int, k: int,
     broken toward the smaller node id — the order induced by
     :func:`repro.graphs.sparse.top_k_per_row`.  ``S(u, u) = 1`` so
     ``source`` itself leads the list.  With ``config=None`` the library
-    defaults apply (``ε = 0.1``, serial executor); a ``cache_dir`` in the
-    config serves the row from any dominating cached all-pairs operator.
+    defaults apply (``ε = 0.1``, workers by graph size); a ``cache_dir``
+    in the config serves the row from any dominating cached all-pairs
+    operator.
     """
     import numpy as np
 

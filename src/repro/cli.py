@@ -38,7 +38,6 @@ from repro.api import run
 from repro.config import (
     SIGMA_DEFAULT_SIMRANK,
     SIMRANK_DTYPES,
-    SIMRANK_EXECUTORS,
     SIMRANK_METHODS,
     SIMRANK_MODELS,
     RunSpec,
@@ -88,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SimRank computation method for SIGMA's "
                              "precompute (default: auto — exactness on "
                              "small graphs, LocalPush above)")
-    parser.add_argument("--simrank-executor", default=None,
-                        choices=SIMRANK_EXECUTORS,
-                        help="unified-core executor for the LocalPush shard "
-                             "pushes (SIGMA models only; every executor is "
-                             "bit-identical — 'process' shares the walk "
-                             "matrix across a process pool for multi-core "
-                             "scaling)")
     parser.add_argument("--simrank-dtype", default=None,
                         choices=SIMRANK_DTYPES,
                         help="working precision of the SimRank operator "
@@ -103,9 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "documented on repro.simrank.kernels."
                              "float32_error_bound)")
     parser.add_argument("--simrank-workers", type=int, default=None,
-                        help="worker-pool size for the thread/process "
-                             "LocalPush executors (SIGMA models only; "
-                             "results are identical for every worker count)")
+                        help="thread-pool size for the LocalPush shard "
+                             "pushes; 1 pushes inline, the default picks "
+                             "inline below 4096 nodes and min(4, cpu "
+                             "count) threads from there up (SIGMA models "
+                             "only; results are identical for every "
+                             "worker count)")
     parser.add_argument("--simrank-cache-dir", default=None,
                         help="directory of a persistent SimRank operator "
                              "cache; repeated runs on the same graph and "
@@ -122,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simrank_flags_used(args: argparse.Namespace) -> list[str]:
     """The SIGMA-only flags present on this command line."""
-    sigma_only = ("decay", "simrank_method", "simrank_executor",
-                  "simrank_dtype", "simrank_workers", "simrank_cache_dir",
+    sigma_only = ("decay", "simrank_method", "simrank_dtype",
+                  "simrank_workers", "simrank_cache_dir",
                   "simrank_cache_max_bytes")
     return [name for name in sigma_only if getattr(args, name) is not None]
 

@@ -1,17 +1,16 @@
 """Typed, validated configuration objects — the public API of the system.
 
 Every knob of the system (the SimRank operator's contract, the LocalPush
-executor and worker count, the cache directory and byte cap, the
-training protocol, the serving and update knobs) lives on one of the
-frozen dataclasses below instead of travelling as loose keyword
-arguments through the layers that consume it:
+worker count, the cache directory and byte cap, the training protocol,
+the serving and update knobs) lives on one of the frozen dataclasses
+below instead of travelling as loose keyword arguments through the
+layers that consume it:
 
 * :class:`SimRankConfig` — everything that determines a SimRank
   aggregation operator (method, decay, ε, top-k, normalisation, dtype,
-  the LocalPush ``(executor, workers)`` plan and the persistent operator
-  cache).  :meth:`SimRankConfig.cache_key_fields` is the *single*
-  derivation of the operator-cache key fields; the cache merely hashes
-  them.
+  the LocalPush worker count and the persistent operator cache).
+  :meth:`SimRankConfig.cache_key_fields` is the *single* derivation of
+  the operator-cache key fields; the cache merely hashes them.
 * :class:`RunSpec` — one end-to-end evaluation run: model name plus
   overrides, dataset, a :class:`repro.training.config.TrainConfig`, an
   optional :class:`SimRankConfig`, the seed and the repeat count.
@@ -41,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_DECAY = 0.6
 
 SIMRANK_METHODS: Tuple[str, ...] = ("exact", "series", "localpush", "auto")
-SIMRANK_EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "auto")
 SIMRANK_DTYPES: Tuple[str, ...] = ("float64", "float32")
 
 #: Registry names of the models that consume a :class:`SimRankConfig`.
@@ -62,14 +60,13 @@ CACHE_KEY_FIELDS: Tuple[str, ...] = (
 #:
 #: * ``exact_size_limit`` — auto-resolution knob only; its effect is
 #:   keyed through the *resolved* method.
-#: * ``executor``, ``workers`` — execution plan; every executor × worker
-#:   count is bit-identical, so keying them would split the cache.
-#:   Numeric identity is keyed through ``dtype``.
+#: * ``workers`` — execution plan; every worker count is bit-identical,
+#:   so keying it would split the cache.  Numeric identity is keyed
+#:   through ``dtype``.
 #: * ``cache_dir``, ``cache_max_bytes`` — resource location/budget of
 #:   the cache itself, never part of the operator's identity.
 CACHE_KEY_EXEMPT: Tuple[str, ...] = (
-    "exact_size_limit", "executor", "workers", "cache_dir",
-    "cache_max_bytes")
+    "exact_size_limit", "workers", "cache_dir", "cache_max_bytes")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -108,10 +105,14 @@ class SimRankConfig:
         (``dtype="float64"`` is keyed as ``None``; ``"float32"`` gets
         its own key — its values and error bound differ, see
         :func:`repro.simrank.kernels.float32_error_bound`).
-    ``executor, workers``
-        The LocalPush execution plan (see :mod:`repro.simrank.engine`).
-        Never keyed — every executor and worker count is bit-identical
-        per dtype.
+    ``workers``
+        The LocalPush execution plan: the thread-pool size of the shard
+        pushes (see :mod:`repro.simrank.engine`).  ``None`` resolves by
+        graph size — every shard inline below 4096 nodes, ``min(4, cpu
+        count)`` threads from there up; an explicit ``k`` means ``k``
+        threads at any size, and ``1`` means inline
+        (:func:`repro.simrank.localpush.resolve_workers`).  Never keyed —
+        every worker count is bit-identical per dtype.
     ``cache_dir, cache_max_bytes``
         The persistent operator cache (:mod:`repro.simrank.cache`) and
         its LRU byte cap.  Pure resource location, never keyed.
@@ -123,7 +124,6 @@ class SimRankConfig:
     top_k: Optional[int] = None
     row_normalize: bool = False
     exact_size_limit: int = 3000
-    executor: Optional[str] = None
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
@@ -136,7 +136,6 @@ class SimRankConfig:
         "decay": "decay",
         "epsilon": "epsilon",
         "top_k": "top_k",
-        "simrank_executor": "executor",
         "simrank_workers": "workers",
         "simrank_cache_dir": "cache_dir",
         "simrank_cache_max_bytes": "cache_max_bytes",
@@ -167,9 +166,6 @@ class SimRankConfig:
         _require(self.exact_size_limit >= 0,
                  f"exact_size_limit must be non-negative, "
                  f"got {self.exact_size_limit!r}")
-        _require(self.executor is None or self.executor in SIMRANK_EXECUTORS,
-                 f"executor must be one of {SIMRANK_EXECUTORS} or None, "
-                 f"got {self.executor!r}")
         if self.workers is not None:
             coerce(self, "workers", _as_int("workers", self.workers))
             _require(self.workers >= 1,
@@ -933,7 +929,6 @@ class ExperimentSpec:
 __all__ = [
     "DEFAULT_DECAY",
     "SIMRANK_METHODS",
-    "SIMRANK_EXECUTORS",
     "SIMRANK_DTYPES",
     "SIMRANK_MODELS",
     "CACHE_KEY_FIELDS",

@@ -27,7 +27,7 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
 from repro.simrank.cache import OperatorCache, get_operator_cache
 from repro.simrank.engine import resume_localpush
-from repro.simrank.localpush import finalize_estimate, resolve_executor
+from repro.simrank.localpush import finalize_estimate, resolve_workers
 from repro.simrank.topk import SimRankOperator, topk_simrank
 from repro.utils.timer import Timer
 
@@ -88,8 +88,8 @@ class DynamicOperator:
     ``Ŝ + G(R) = S`` of the *current* graph, with
     ``|R| ≤ (1−c)·ε``.
 
-    ``simrank`` supplies the LocalPush plan (ε, decay, executor,
-    workers) and the serving contract (top_k, row_normalize, dtype);
+    ``simrank`` supplies the LocalPush plan (ε, decay, workers) and the
+    serving contract (top_k, row_normalize, dtype);
     ``dynamic`` the maintenance knobs (see
     :class:`repro.config.DynamicConfig`); ``cache`` an operator cache
     (instance or directory) overriding ``simrank.cache_dir``;
@@ -132,7 +132,7 @@ class DynamicOperator:
                 graph,
                 sp.identity(graph.num_nodes, dtype=np.float64, format="csr"),
                 decay=self.simrank.decay, epsilon=self.simrank.epsilon,
-                executor=self._executor, num_workers=self.simrank.workers)
+                num_workers=self._num_workers)
             self._estimate = run.estimate_delta
             self._residual = run.residual
             self.build_pushes = run.num_pushes
@@ -163,7 +163,7 @@ class DynamicOperator:
             dtype="float64")
         self._maintenance_fields: Dict[str, object] = \
             maintenance.cache_key_fields(num_nodes)
-        self._executor = resolve_executor(simrank.executor, num_nodes)
+        self._num_workers = resolve_workers(simrank.workers, num_nodes)
         self.updates_applied = 0
         self.repair_pushes = 0
         self.repair_seconds = 0.0
@@ -246,8 +246,7 @@ class DynamicOperator:
                 new_graph, residual0, decay=decay,
                 epsilon=self.simrank.epsilon,
                 max_pushes=self.dynamic.repair_max_pushes,
-                executor=self._executor, num_workers=self.simrank.workers,
-                copy_residual=False)
+                num_workers=self._num_workers, copy_residual=False)
             span.set("num_pushes", run.num_pushes)
             span.set("num_rounds", run.num_rounds)
             span.set("warm_start", warm_start)

@@ -9,11 +9,9 @@ funnel into :func:`execute`:
    ArtifactStore` when one is configured (``resume``; ``force``
    recomputes), so a killed sweep restarts where it died;
 3. run the remaining cells through the experiment's cell runner under
-   ``executor="serial" | "thread" | "process"`` — the executor names and
-   default pool size are shared with the LocalPush engine core
-   (:mod:`repro.simrank.engine`), and because every cell is a pure
-   function of its ``(RunSpec, params)``, results are identical for
-   every executor and worker count;
+   ``executor="serial" | "thread" | "process"`` (:data:`EXECUTORS`) —
+   because every cell is a pure function of its ``(RunSpec, params)``,
+   results are identical for every executor and worker count;
 4. persist each fresh record, fold all records through the experiment's
    reduction, and append a versioned run artefact embedding the resolved
    spec.
@@ -25,6 +23,7 @@ are plain training runs needs no runner of its own.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
                                 as_completed)
@@ -41,8 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 from repro.errors import ExperimentError
 from repro.experiments.registry import ExperimentDefinition, build_spec, get_experiment
 from repro.experiments.store import ArtifactStore, get_artifact_store
-# Shared executor vocabulary and pool sizing of the LocalPush engine core.
-from repro.simrank.engine import EXECUTORS, default_num_workers
+
+#: How the sweep runs its pending cells: in the calling thread, on a
+#: thread pool or on a process pool.
+EXECUTORS = ("serial", "thread", "process")
+
+#: Upper bound on the default cell-pool size.
+DEFAULT_MAX_WORKERS = 4
+
+
+def default_num_workers() -> int:
+    """Cell-pool size used when ``workers`` is not specified."""
+    return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
 
 
 def summary_record(summary: "EvaluationSummary") -> Dict[str, object]:

@@ -67,8 +67,8 @@ def spec(dataset_name: str = "pokec", *,
     """The declarative (ε × k) sweep for SIGMA on ``dataset_name``.
 
     ``simrank`` is the *base* operator configuration shared by every
-    cell — the LocalPush ``(executor, workers)`` plan and the
-    persistent cache directory; each grid cell overrides only its
+    cell — the LocalPush worker count and the persistent cache
+    directory; each grid cell overrides only its
     ``(epsilon, top_k)``.
     """
     base_simrank = (simrank if simrank is not None

@@ -35,7 +35,8 @@ Invalidation mirrors the operator cache: the version participates in the
 key and is re-checked on load, the stored spec/params must match the
 request exactly, and any unreadable or mismatched file is evicted
 (deleted, counted in ``evictions``) and recomputed rather than trusted.
-Writes are atomic (temp file + ``os.replace``).
+Writes are atomic (a per-write unique temp file + ``os.replace``,
+:func:`repro.utils.atomic.atomic_write`).
 
 Artefacts
 ---------
@@ -57,6 +58,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.config import ExperimentCell
 from repro.errors import ArtifactError
 from repro.graphs.fingerprint import payload_digest
+from repro.utils.atomic import atomic_write
 
 #: Bump to orphan every previously written cell record (e.g. when the
 #: record schema or a cell runner's semantics change).
@@ -196,13 +198,8 @@ class ArtifactStore:
         return index
 
     def _save_index(self, index: dict) -> None:
-        temp_path = self._index_path.with_name(
-            self._index_path.name + f".tmp{os.getpid()}")
-        try:
-            temp_path.write_text(json.dumps(index, sort_keys=True))
-            os.replace(temp_path, self._index_path)
-        finally:
-            temp_path.unlink(missing_ok=True)
+        with atomic_write(self._index_path) as handle:
+            handle.write(json.dumps(index, sort_keys=True))
 
     def _sync_index(self, index: dict) -> dict:
         """Reconcile the manifest with the directory contents.
@@ -297,13 +294,8 @@ class ArtifactStore:
         if trace is not None:
             payload["trace"] = trace
         path = self.cell_path(key)
-        temp_path = path.with_name(path.name + f".tmp{os.getpid()}")
-        try:
-            temp_path.write_text(json.dumps(payload, sort_keys=True,
-                                            default=str))
-            os.replace(temp_path, path)
-        finally:
-            temp_path.unlink(missing_ok=True)
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(payload, sort_keys=True, default=str))
         self.stores += 1
         index = self._sync_index(self._load_index())
         index["entries"][key] = {
@@ -337,13 +329,9 @@ class ArtifactStore:
                 except Exception:
                     path.replace(path.with_suffix(path.suffix + ".corrupt"))
             records.append({"artifact_version": STORE_FORMAT_VERSION, **record})
-            temp_path = path.with_name(path.name + f".tmp{os.getpid()}")
-            try:
-                temp_path.write_text(json.dumps(records, indent=2,
-                                                sort_keys=True, default=str))
-                os.replace(temp_path, path)
-            finally:
-                temp_path.unlink(missing_ok=True)
+            with atomic_write(path) as handle:
+                handle.write(json.dumps(records, indent=2, sort_keys=True,
+                                        default=str))
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

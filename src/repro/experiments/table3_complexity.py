@@ -51,7 +51,7 @@ class Table3Result:
     entries: List[ComplexityEntry] = field(default_factory=list)
     #: Measured SIGMA precompute (LocalPush + top-k) in seconds, when
     #: requested via ``measure_precompute``; keyed by the resolved
-    #: LocalPush executor.
+    #: LocalPush worker count (``"workers=<k>"``).
     measured_precompute: Dict[str, float] = field(default_factory=dict)
 
     def rows(self) -> List[Dict[str, object]]:
@@ -120,7 +120,7 @@ def complexity_table(graph: Graph, *, hidden: int = 64, num_layers: int = 2,
 def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
     """Instantiate the analytic table (plus an optional measured timing)."""
     from repro.api import precompute
-    from repro.simrank.localpush import resolve_executor
+    from repro.simrank.localpush import resolve_workers
 
     spec = cell.spec
     dataset = load_dataset(spec.dataset, seed=spec.seed,
@@ -142,9 +142,9 @@ def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
         operator = precompute(dataset.graph, base.with_overrides(
             method="localpush", epsilon=cell.params["epsilon"],
             top_k=cell.params["top_k"]))
-        executor = resolve_executor(base.executor, dataset.graph.num_nodes)
+        workers = resolve_workers(base.workers, dataset.graph.num_nodes)
         record["measured_precompute"] = {
-            executor: operator.precompute_seconds}
+            f"workers={workers}": operator.precompute_seconds}
     return record
 
 
@@ -156,7 +156,7 @@ def spec(dataset_name: str = "pokec", *, scale_factor: float = 1.0,
 
     With ``measure_precompute=True`` the analytic SIGMA row is
     complemented by a measured LocalPush timing under ``simrank``'s
-    ``(executor, workers)`` plan; with a ``cache_dir`` in the
+    worker count; with a ``cache_dir`` in the
     config a repeated run measures the cache load instead.
     """
     base = RunSpec(model="sigma", dataset=dataset_name, simrank=simrank,
@@ -181,8 +181,8 @@ def _reduce(spec: ExperimentSpec, cells) -> Table3Result:
             estimated_ops=float(entry["estimated_ops"]),
         ))
     result.measured_precompute = {
-        str(executor): float(seconds)
-        for executor, seconds in outcome.record["measured_precompute"].items()}
+        str(plan): float(seconds)
+        for plan, seconds in outcome.record["measured_precompute"].items()}
     return result
 
 

@@ -1,7 +1,7 @@
 """repro.lint — the project's AST-based invariant checker.
 
 PRs 1–5 built the system's correctness story on *conventions*: one
-cache-key derivation, bit-identical executors, frozen configs,
+cache-key derivation, bit-identical worker pools, frozen configs,
 declarative experiment specs.  This package checks those conventions
 mechanically so the ROADMAP's "refactor freely" policy stays safe — a
 refactor that would silently break a cache key, reintroduce
@@ -41,8 +41,9 @@ which are gone.  The other IDs keep their numbers.)
     functions, ``time.time()`` or bare set iteration in
     ``repro/simrank/engine.py``, ``repro/experiments/engine.py``,
     ``repro/serve/service.py`` or any registered experiment cell
-    runner.  Protects: the bit-identical executor guarantee (every
-    executor × worker count, same bytes) and the serving layer's
+    runner.  Protects: the bit-identical guarantee of the LocalPush
+    engine (every worker count, same bytes) and of the experiment sweep
+    (every cell executor × worker count), and the serving layer's
     batched-equals-solo answer guarantee.
 ``R5`` registry-consistency
     ``@experiment`` registrations ↔ the ``EXPERIMENT_MODULES``

@@ -299,8 +299,9 @@ class FrozenConfigDiscipline(Rule):
 # --------------------------------------------------------------------- #
 # R3 — determinism in the bit-identical blast radius
 # --------------------------------------------------------------------- #
-#: Files whose entire contents sit inside the bit-identical-executor
-#: guarantee (every executor × worker count must produce the same bytes).
+#: Files whose entire contents sit inside the bit-identical guarantee
+#: (every worker count, and every sweep executor, must produce the same
+#: bytes).
 DETERMINISM_SCOPED_FILES = ("repro/simrank/engine.py",
                             "repro/simrank/kernels.py",
                             "repro/experiments/engine.py",
@@ -323,9 +324,9 @@ class Determinism(Rule):
 
     ``repro/simrank/engine.py``, ``repro/experiments/engine.py`` and
     every registered cell runner promise identical output for every
-    executor and worker count; global RNG state, ``time.time()`` and the
-    hash-order iteration of a ``set`` all break that promise in ways a
-    unit test only catches by luck.
+    worker count (and every sweep executor); global RNG state,
+    ``time.time()`` and the hash-order iteration of a ``set`` all break
+    that promise in ways a unit test only catches by luck.
     """
 
     id = "R3"

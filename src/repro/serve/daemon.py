@@ -65,6 +65,23 @@ class ServeDaemon(ThreadingHTTPServer):
         self.batcher = batcher if batcher is not None else QueryBatcher(service)
 
 
+def _content_length(raw: Optional[str]) -> int:
+    """The request body size: a missing header is 0, anything but a
+    non-negative integer is a :class:`ConfigError` (a 400)."""
+    if not raw:
+        return 0
+    try:
+        length = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"Content-Length must be a non-negative integer, "
+            f"got {raw!r}") from None
+    if length < 0:
+        raise ConfigError(
+            f"Content-Length must be a non-negative integer, got {length}")
+    return length
+
+
 def _query_int(params: Dict[str, List[str]], name: str,
                required: bool = True) -> Optional[int]:
     values = params.get(name, [])
@@ -163,7 +180,7 @@ class _Handler(BaseHTTPRequestHandler):
             if parsed.path != "/update":
                 self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
                 return
-            length = int(self.headers.get("Content-Length") or 0)
+            length = _content_length(self.headers.get("Content-Length"))
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else {}
@@ -242,11 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operator error bound ε")
     parser.add_argument("--decay", type=float, default=None,
                         help="SimRank decay factor c")
-    parser.add_argument("--executor", default=None,
-                        choices=("serial", "thread", "process"),
-                        help="LocalPush executor for query rounds")
     parser.add_argument("--workers", type=int, default=None,
-                        help="executor worker count")
+                        help="LocalPush thread-pool size for query rounds "
+                             "(1 = inline; default: by graph size)")
     parser.add_argument("--cache-dir", default=None,
                         help="operator cache directory (the cached rung)")
     parser.add_argument("--max-batch-edges", type=int, default=None,
@@ -279,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve_config = ServeConfig.from_cli_args(args)
     simrank_overrides: Dict[str, object] = {}
     for attr, field_name in (("epsilon", "epsilon"), ("decay", "decay"),
-                             ("executor", "executor"), ("workers", "workers"),
+                             ("workers", "workers"),
                              ("cache_dir", "cache_dir")):
         value = getattr(args, attr)
         if value is not None:

@@ -253,7 +253,7 @@ class SimRankService:
         The graph every query runs against.
     simrank:
         The operator contract (ε, decay, top-k semantics, normalisation,
-        executor plan).  Its ``cache_dir`` provides the cached rung.
+        worker count).  Its ``cache_dir`` provides the cached rung.
     serve:
         The :class:`repro.config.ServeConfig` ladder/batching knobs.
     cache:
@@ -311,7 +311,7 @@ class SimRankService:
         if self.cache is not None:
             self.cache.attach_telemetry(self.telemetry)
         # One query batch at a time: the engine already parallelises via
-        # its executor, and serialising here keeps the counters and the
+        # its worker pool, and serialising here keeps the counters and the
         # coalescing story simple under the daemon's thread-per-request
         # server.  Concurrency comes from the batcher coalescing queries
         # into one shared round, not from racing rounds.
@@ -332,15 +332,15 @@ class SimRankService:
         """Single-source engine rows for ``sources`` in one shared round."""
         from repro.graphs.sparse import sparse_row_normalize
         from repro.simrank.engine import multi_source_localpush
-        from repro.simrank.localpush import resolve_executor
+        from repro.simrank.localpush import resolve_workers
 
         cfg = self.simrank
         results = multi_source_localpush(
             self.graph, list(sources), decay=cfg.decay, epsilon=epsilon,
             prune=True, absorb_residual=True,
             max_pushes=self.serve.max_pushes_per_query,
-            executor=resolve_executor(cfg.executor, self.graph.num_nodes),
-            num_workers=cfg.workers, top_k=top_k, dtype=cfg.dtype)
+            num_workers=resolve_workers(cfg.workers, self.graph.num_nodes),
+            top_k=top_k, dtype=cfg.dtype)
         rows: Dict[int, sp.csr_matrix] = {}
         for result in results:
             row = result.row
@@ -446,12 +446,16 @@ class SimRankService:
 
         Results align with ``sources`` (duplicates share the computed
         row) and are identical to issuing each query alone — the
-        single-source engine's batch guarantee.
+        single-source engine's batch guarantee.  A ``k`` below 1 is a
+        :class:`SimRankError` raised before the ladder runs, so it
+        touches no counter.
         """
         from repro.utils.timer import Timer
 
         cleaned = self._validate(sources)
         k = k if k is not None else self.serve.default_top_k
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise SimRankError(f"k must be a positive integer, got {k!r}")
         timer = Timer()
         timer.start()
         with self._lock:

@@ -19,8 +19,7 @@ typed config object::
 
     from repro.config import SimRankConfig
     operator = simrank_operator(graph, SimRankConfig(
-        method="localpush", epsilon=0.1, top_k=32,
-        executor="process", workers=8,
+        method="localpush", epsilon=0.1, top_k=32, workers=4,
         cache_dir="~/.cache/simrank"))
 
 Configuration: SimRankConfig
@@ -32,17 +31,17 @@ Configuration: SimRankConfig
   ``exact_size_limit`` nodes and LocalPush above), ``decay``,
   ``epsilon``, ``top_k``, ``row_normalize`` and ``dtype``; these
   determine the operator entries and therefore enter the cache key;
-* the **execution plan** — ``executor`` and ``workers``, resolved by
-  :func:`repro.simrank.localpush.resolve_executor`:
+* the **execution plan** — ``workers`` alone, resolved by
+  :func:`repro.simrank.localpush.resolve_workers`:
 
   =========== ============================================================
-  executor     shard pushes run …
+  workers      shard pushes run …
   =========== ============================================================
-  serial       in the calling thread (auto-selected below 4096 nodes)
-  thread       on a thread pool, merged in shard order (auto-selected
-               from 4096 nodes)
-  process      on a process pool over shared-memory walk matrices
-               (explicit only — multi-core past the GIL)
+  None         inline below 4096 nodes; from 4096 nodes on a thread pool
+               of ``min(4, cpu count)`` threads
+  1            inline in the calling thread, at any size
+  k ≥ 2        on a pool of ``k`` threads at any size (scipy's sparse
+               matmul releases the GIL), merged in shard order
   =========== ============================================================
 
   Every push round runs the one fused CSR kernel of
@@ -51,8 +50,8 @@ Configuration: SimRankConfig
 * the **cache location** — ``cache_dir`` and ``cache_max_bytes``.
 
 The shard partition is a function of the frontier alone and partial
-updates merge in shard order, so **every executor and worker count
-returns a bit-identical matrix** — pinned by
+updates merge in shard order, so **every worker count returns a
+bit-identical matrix** — pinned by
 ``tests/test_simrank_engine.py`` and ``tests/test_simrank_kernels.py``.
 Accordingly the execution plan stays out of the operator-cache key; the
 key fields are derived in exactly one place,
@@ -88,8 +87,8 @@ Operator cache: layout, eviction, reuse
 directory as ``simrank-<key>.npz`` files (CSR arrays plus a JSON metadata
 record) with a sidecar index for LRU accounting.  ``<key>`` hashes
 ``(format version, graph fingerprint, method, c, ε, k, row_normalize,
-dtype)``; the executor and worker count are excluded because results
-are bit-identical across both.  Stale format versions,
+dtype)``; the worker count is excluded because results are
+bit-identical across it.  Stale format versions,
 metadata mismatches and corrupted files are evicted and recomputed.  Two
 policies sit on top:
 
@@ -113,13 +112,13 @@ from repro.simrank.cache import (
     get_operator_cache,
     graph_fingerprint,
 )
-from repro.simrank.engine import EXECUTORS, localpush_engine
+from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import exact_simrank, linearized_simrank
 from repro.simrank.localpush import (
     AUTO_SHARDED_MIN_NODES,
     LocalPushResult,
     localpush_simrank,
-    resolve_executor,
+    resolve_workers,
 )
 from repro.simrank.topk import simrank_operator, topk_simrank
 from repro.simrank.pairwise_walk import (
@@ -135,8 +134,7 @@ __all__ = [
     "localpush_simrank",
     "localpush_engine",
     "LocalPushResult",
-    "resolve_executor",
-    "EXECUTORS",
+    "resolve_workers",
     "AUTO_SHARDED_MIN_NODES",
     "topk_simrank",
     "simrank_operator",

@@ -25,10 +25,10 @@ SHA-256 over the adjacency CSR arrays — content-addressed, so renames and
 re-generations of the same graph hit) and the resolved operator
 parameters.  The parameter fields are derived in exactly one place —
 :meth:`repro.config.SimRankConfig.cache_key_fields` — and hashed here by
-:meth:`OperatorCache.key_for_fields`.  The worker count **and the
-executor** are deliberately excluded from the key: the engine core is
-bit-deterministic across executors and pool sizes, so operators computed
-with any of them are interchangeable.
+:meth:`OperatorCache.key_for_fields`.  The worker count is
+deliberately excluded from the key: the engine core is bit-deterministic
+across pool sizes, so operators computed with any of them are
+interchangeable.
 
 Eviction policy (LRU under a byte cap)
 --------------------------------------
@@ -79,14 +79,20 @@ Invalidation and corruption
   malformed JSON) counts as a miss: the broken file is evicted and the
   operator is recomputed and re-stored.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed run never
-leaves a half-written entry behind.
+Writes are atomic (a per-write unique temp file + ``os.replace``,
+:func:`repro.utils.atomic.atomic_write`) so a crashed run never leaves a
+half-written entry behind and concurrent writers never collide.  One
+lock per cache instance serialises the sidecar index's read-modify-write
+and the counter updates, so threads sharing a cache (a threaded
+experiment sweep, the daemon's background repair beside its queries)
+lose neither index entries nor counts.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -97,6 +103,7 @@ from repro.config import CACHE_KEY_FIELDS
 from repro.errors import SimRankError
 from repro.graphs.fingerprint import graph_fingerprint, payload_digest
 from repro.graphs.graph import Graph
+from repro.utils.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simrank.topk import SimRankOperator
@@ -120,6 +127,7 @@ _INDEX_NAME = "simrank-cache-index.json"
 #: directory shares one instance — and therefore one set of hit/miss
 #: counters, which the experiment tests assert on.
 _CACHE_REGISTRY: Dict[Path, "OperatorCache"] = {}
+_CACHE_REGISTRY_LOCK = threading.Lock()
 
 
 def get_operator_cache(directory: str | os.PathLike,
@@ -131,12 +139,13 @@ def get_operator_cache(directory: str | os.PathLike,
     A non-``None`` ``max_bytes`` updates the shared instance's cap.
     """
     path = Path(directory).expanduser().resolve()
-    cache = _CACHE_REGISTRY.get(path)
-    if cache is None:
-        cache = OperatorCache(path, max_bytes=max_bytes)
-        _CACHE_REGISTRY[path] = cache
-    elif max_bytes is not None:
-        cache.max_bytes = max_bytes
+    with _CACHE_REGISTRY_LOCK:
+        cache = _CACHE_REGISTRY.get(path)
+        if cache is None:
+            cache = OperatorCache(path, max_bytes=max_bytes)
+            _CACHE_REGISTRY[path] = cache
+        elif max_bytes is not None:
+            cache.max_bytes = max_bytes
     return cache
 
 
@@ -181,6 +190,8 @@ class OperatorCache:
         self.row_hits = 0
         self.row_misses = 0
         self._events: Optional["Counter"] = None
+        #: Guards the sidecar index's read-modify-write and the counters.
+        self._lock = threading.Lock()
 
     def attach_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
         """Mirror counter events onto ``repro_cache_events_total``.
@@ -202,6 +213,13 @@ class OperatorCache:
     def _event(self, event: str) -> None:
         if self._events is not None:
             self._events.inc(1.0, event=event)
+
+    def _count(self, event: str, *counters: str) -> None:
+        """Bump the named integer counters together and mirror ``event``."""
+        with self._lock:
+            for counter in counters:
+                setattr(self, counter, getattr(self, counter) + 1)
+        self._event(event)
 
     @property
     def max_bytes(self) -> Optional[int]:
@@ -334,10 +352,11 @@ class OperatorCache:
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""
         removed = 0
-        for path in self.directory.glob(f"{_FILE_PREFIX}*.npz"):
-            path.unlink()
-            removed += 1
-        self._index_path.unlink(missing_ok=True)
+        with self._lock:
+            for path in self.directory.glob(f"{_FILE_PREFIX}*.npz"):
+                path.unlink()
+                removed += 1
+            self._index_path.unlink(missing_ok=True)
         return removed
 
     # ------------------------------------------------------------------ #
@@ -358,13 +377,8 @@ class OperatorCache:
         return index
 
     def _save_index(self, index: dict) -> None:
-        temp_path = self._index_path.with_name(
-            self._index_path.name + f".tmp{os.getpid()}")
-        try:
-            temp_path.write_text(json.dumps(index, sort_keys=True))
-            os.replace(temp_path, self._index_path)
-        finally:
-            temp_path.unlink(missing_ok=True)
+        with atomic_write(self._index_path) as handle:
+            handle.write(json.dumps(index, sort_keys=True))
 
     def _key_of_path(self, path: Path) -> str:
         return path.name[len(_FILE_PREFIX):-len(".npz")]
@@ -408,14 +422,31 @@ class OperatorCache:
         if key in index["entries"]:
             index["entries"][key]["last_used"] = index["clock"]
 
-    def _drop_entry(self, key: str) -> None:
-        index = self._load_index()
-        if key in index["entries"]:
-            del index["entries"][key]
+    def _touch_key(self, key: str, *, sync: bool = False) -> None:
+        """Advance the LRU clock to ``key`` in one locked index update.
+
+        ``sync`` first reconciles the index with the directory, so an
+        entry adopted by a reuse scan is recorded with its new clock.
+        """
+        with self._lock:
+            index = self._load_index()
+            if sync:
+                index = self._sync_index(index)
+            self._touch(index, key)
             self._save_index(index)
 
+    def _drop_entry(self, key: str) -> None:
+        with self._lock:
+            index = self._load_index()
+            if key in index["entries"]:
+                del index["entries"][key]
+                self._save_index(index)
+
     def _enforce_budget(self, index: dict, protect: str) -> None:
-        """Evict LRU entries until the byte cap is met (``protect`` stays)."""
+        """Evict LRU entries until the byte cap is met (``protect`` stays).
+
+        Runs inside :meth:`store`'s locked index update.
+        """
         if self.max_bytes is None:
             return
         entries = index["entries"]
@@ -467,8 +498,7 @@ class OperatorCache:
         except Exception:
             # Truncated, corrupted, stale-format or mismatched entry: evict
             # so the caller recomputes and overwrites with a fresh file.
-            self.evictions += 1
-            self._event("eviction")
+            self._count("eviction", "evictions")
             path.unlink(missing_ok=True)
             self._drop_entry(key)
             return None
@@ -494,15 +524,10 @@ class OperatorCache:
         """
         operator = self._load(key, expect=expect)
         if operator is None:
-            self.misses += 1
-            self._event("miss")
+            self._count("miss", "misses")
             return None
-        self.hits += 1
-        self.exact_hits += 1
-        self._event("exact_hit")
-        index = self._load_index()
-        self._touch(index, key)
-        self._save_index(index)
+        self._count("exact_hit", "hits", "exact_hits")
+        self._touch_key(key)
         return operator
 
     # ------------------------------------------------------------------ #
@@ -592,12 +617,8 @@ class OperatorCache:
             expect["dtype"] = dtype
         exact = self._load(key, expect=expect)
         if exact is not None:
-            self.hits += 1
-            self.exact_hits += 1
-            self._event("exact_hit")
-            index = self._load_index()
-            self._touch(index, key)
-            self._save_index(index)
+            self._count("exact_hit", "hits", "exact_hits")
+            self._touch_key(key)
             return exact
 
         if method == "localpush" and epsilon is not None:
@@ -626,11 +647,8 @@ class OperatorCache:
                 matrix = self._reprune(candidate, epsilon=epsilon,
                                        top_k=top_k,
                                        row_normalize=row_normalize)
-                self.hits += 1
-                self.reuse_hits += 1
-                self._event("reuse_hit")
-                self._touch(index, candidate_key)
-                self._save_index(index)
+                self._count("reuse_hit", "hits", "reuse_hits")
+                self._touch_key(candidate_key, sync=True)
                 from repro.simrank.topk import SimRankOperator
 
                 return SimRankOperator(
@@ -646,8 +664,7 @@ class OperatorCache:
                     reuse_source_top_k=candidate.top_k,
                 )
 
-        self.misses += 1
-        self._event("miss")
+        self._count("miss", "misses")
         return None
 
     def lookup_row(self, graph: Graph, source: int, *, decay: float,
@@ -709,13 +726,10 @@ class OperatorCache:
             matrix = self._reprune(
                 dataclasses.replace(candidate, matrix=embedded),
                 epsilon=epsilon, top_k=top_k, row_normalize=row_normalize)
-            self.row_hits += 1
-            self._event("row_hit")
-            self._touch(index, candidate_key)
-            self._save_index(index)
+            self._count("row_hit", "row_hits")
+            self._touch_key(candidate_key, sync=True)
             return matrix.getrow(int(source)), float(entry["epsilon"])
-        self.row_misses += 1
-        self._event("row_miss")
+        self._count("row_miss", "row_misses")
         return None
 
     # ------------------------------------------------------------------ #
@@ -744,38 +758,34 @@ class OperatorCache:
             "precompute_seconds": operator.precompute_seconds,
         })
         path = self.path_for(key)
-        temp_path = path.with_name(path.name + f".tmp{os.getpid()}")
-        try:
-            with open(temp_path, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    data=matrix.data,
-                    indices=matrix.indices,
-                    indptr=matrix.indptr,
-                    shape=np.asarray(matrix.shape, dtype=np.int64),
-                    meta=np.asarray(meta),
-                )
-            os.replace(temp_path, path)
-        finally:
-            temp_path.unlink(missing_ok=True)
-        self.stores += 1
-        self._event("store")
+        with atomic_write(path, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                data=matrix.data,
+                indices=matrix.indices,
+                indptr=matrix.indptr,
+                shape=np.asarray(matrix.shape, dtype=np.int64),
+                meta=np.asarray(meta),
+            )
+            size = handle.tell()
+        self._count("store", "stores")
 
-        index = self._sync_index(self._load_index())
-        index["entries"][key] = {
-            "fingerprint": fingerprint,
-            "method": operator.method,
-            "decay": operator.decay,
-            "epsilon": operator.epsilon,
-            "top_k": operator.top_k,
-            "row_normalize": operator.row_normalize,
-            "dtype": dtype,
-            "bytes": path.stat().st_size,
-            "last_used": 0,
-        }
-        self._touch(index, key)
-        self._enforce_budget(index, protect=key)
-        self._save_index(index)
+        with self._lock:
+            index = self._sync_index(self._load_index())
+            index["entries"][key] = {
+                "fingerprint": fingerprint,
+                "method": operator.method,
+                "decay": operator.decay,
+                "epsilon": operator.epsilon,
+                "top_k": operator.top_k,
+                "row_normalize": operator.row_normalize,
+                "dtype": dtype,
+                "bytes": size,
+                "last_used": 0,
+            }
+            self._touch(index, key)
+            self._enforce_budget(index, protect=key)
+            self._save_index(index)
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

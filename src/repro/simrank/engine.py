@@ -1,25 +1,22 @@
-"""Unified LocalPush engine core with pluggable shard executors.
+"""Unified LocalPush engine core: one round loop, one worker-count setting.
 
 This module owns the *single* implementation of the batched LocalPush
-loop (Algorithm 1 of the paper, frontier-batched form).  What varies
-between runs is only **how the per-round shard pushes are executed** —
-a pluggable *executor* strategy:
+loop (Algorithm 1 of the paper, frontier-batched form).  The only
+execution setting is ``num_workers``, the size of the thread pool that
+pushes each round's shards:
 
-``executor="serial"``
-    Shards are pushed one after another in the calling thread; a
-    frontier small enough for one shard is pushed with a single sparse
-    matmul.
-``executor="thread"``
-    Shards are pushed by a :class:`concurrent.futures.ThreadPoolExecutor`.
-    scipy's sparse matmul holds the GIL, so this mainly overlaps
-    allocation and bookkeeping.
-``executor="process"``
-    Shards are pushed by a process pool.  The CSR arrays of the walk
-    matrix ``W`` (and ``Wᵀ``) are placed in
-    :mod:`multiprocessing.shared_memory` segments once per run; each
-    worker process attaches zero-copy views, so only the (small) shard
-    frontiers and the partial results cross the process boundary.  This
-    is the executor that scales past the GIL on multi-core CPython.
+``num_workers=1``
+    Every shard is pushed inline in the calling thread.
+``num_workers=k`` (``k ≥ 2``)
+    Multi-shard rounds are pushed by a
+    :class:`concurrent.futures.ThreadPoolExecutor` of ``k`` threads,
+    started on the first multi-shard round; single-shard rounds still
+    run inline.  scipy's sparse matmul releases the GIL, so the shard
+    pushes of one round run in parallel on a multi-core host.
+
+Callers holding an unresolved request (``SimRankConfig.workers``, where
+``None`` means "pick by graph size") resolve it with
+:func:`repro.simrank.localpush.resolve_workers` first.
 
 Every round works on the same deterministic plan:
 
@@ -27,30 +24,27 @@ Every round works on the same deterministic plan:
 2. absorb it into the estimate,
 3. partition it into shards ``F = Σ_i F_i`` — the partition is a
    function of the frontier alone (``num_shards`` fixed by the caller or
-   derived from the frontier size), **never** of the executor or worker
-   count,
-4. hand the shards to the executor and merge the partial updates
-   ``c·Wᵀ F_i W`` *in shard order*, no matter which worker finished
-   first.
+   derived from the frontier size), **never** of the worker count,
+4. push the shards and merge the partial updates ``c·Wᵀ F_i W`` *in
+   shard order*, no matter which thread finished first.
 
 Because the push operator is linear in ``F`` and the shard partition and
-merge order are executor-independent, the returned matrix is
-**bit-identical for every executor and every worker count** — the
-property the operator cache relies on (its key excludes both knobs) and
-the equivalence suite pins.  The residual invariant, the streaming
-top-k prune with its ``‖R‖_max/(1−c)`` correction bound and the shared
+merge order are worker-independent, the returned matrix is
+**bit-identical for every worker count** — the property the operator
+cache relies on (its key excludes the knob) and the equivalence suite
+pins.  The residual invariant, the streaming top-k prune with its
+``‖R‖_max/(1−c)`` correction bound and the shared
 :func:`repro.simrank.localpush.finalize_estimate` semantics hold for
-every executor; see the module docstring of :mod:`repro.simrank` for
-the error-bound arguments.
+every worker count; see the module docstring of :mod:`repro.simrank`
+for the error-bound arguments.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,7 +56,7 @@ from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
 from repro.simrank.kernels import (DTYPES, FusedRoundState, PhaseProfile,
-                                   Shard, shard_bounds, working_dtype)
+                                   shard_bounds, working_dtype)
 from repro.utils.timer import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -76,12 +70,9 @@ DEFAULT_SHARD_NNZ = 8192
 #: Upper bound applied to the default worker count.
 DEFAULT_MAX_WORKERS = 4
 
-#: Executor names accepted by :func:`localpush_engine`.
-EXECUTORS = ("serial", "thread", "process")
-
 
 def default_num_workers() -> int:
-    """Worker count used when ``num_workers`` is not specified."""
+    """Pool size used when the worker count is left to the engine."""
     return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
 
 
@@ -93,224 +84,39 @@ def _push_matrix(walk_t: sp.csr_matrix, walk: sp.csr_matrix,
     return pushed
 
 
-def _push_shard(walk_t: sp.csr_matrix, walk: sp.csr_matrix,
-                rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                n: int, decay: float) -> sp.csr_matrix:
-    """One shard's partial update ``c·Wᵀ F_i W`` (pure, order-independent)."""
-    shard = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return _push_matrix(walk_t, walk, shard, decay)
+class _ThreadExecutor:
+    """Push a round's shard matrices, on a thread pool when it pays.
 
-
-# --------------------------------------------------------------------- #
-# Executor strategies
-# --------------------------------------------------------------------- #
-class _SerialExecutor:
-    """Push shards one by one in the calling thread."""
-
-    name = "serial"
-    wants_triplets = False
-    workers_used: Optional[int] = None
-
-    def __init__(self, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
-                 n: int, decay: float) -> None:
-        self._walk, self._walk_t = walk, walk_t
-        self._n, self._decay = n, decay
-
-    def push_round(self, shards: Sequence[Shard]) -> List[sp.csr_matrix]:
-        return [_push_shard(self._walk_t, self._walk, rows, cols, data,
-                            self._n, self._decay)
-                for rows, cols, data in shards]
-
-    def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
-                            ) -> List[sp.csr_matrix]:
-        return [_push_matrix(self._walk_t, self._walk, matrix, self._decay)
-                for matrix in matrices]
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadExecutor(_SerialExecutor):
-    """Push shards on a thread pool; single-shard rounds run inline."""
-
-    name = "thread"
-
-    def __init__(self, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
-                 n: int, decay: float, workers: int) -> None:
-        super().__init__(walk, walk_t, n, decay)
-        self.workers_used = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers_used)
-        return self._pool
-
-    def push_round(self, shards: Sequence[Shard]) -> List[sp.csr_matrix]:
-        if self.workers_used == 1 or len(shards) <= 1:
-            return super().push_round(shards)
-        pool = self._ensure_pool()
-        futures = [pool.submit(_push_shard, self._walk_t, self._walk,
-                               rows, cols, data, self._n, self._decay)
-                   for rows, cols, data in shards]
-        return [future.result() for future in futures]
-
-    def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
-                            ) -> List[sp.csr_matrix]:
-        if self.workers_used == 1 or len(matrices) <= 1:
-            return super().push_round_matrices(matrices)
-        pool = self._ensure_pool()
-        futures = [pool.submit(_push_matrix, self._walk_t, self._walk,
-                               matrix, self._decay) for matrix in matrices]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-# Per-worker-process state: the walk matrices rebuilt as zero-copy views
-# over the parent's shared-memory segments (set by _process_worker_init).
-_PROCESS_STATE: dict = {}
-
-
-def _process_worker_init(spec: dict) -> None:
-    """Attach a worker process to the parent's shared walk matrices."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    segments = []
-    arrays = {}
-    # The parent owns the segments and unlinks them at close; suppress the
-    # attach-side resource_tracker registration (a per-attach register with
-    # no matching unregister — removed upstream only in 3.13's track=False)
-    # so the shared tracker neither warns about "leaked" segments nor
-    # double-frees them.
-    original_register = resource_tracker.register
-
-    def _register(name: str, rtype: str) -> None:  # pragma: no cover - trivial shim
-        if rtype != "shared_memory":
-            original_register(name, rtype)
-
-    resource_tracker.register = _register
-    try:
-        for field, (name, dtype, length) in spec["arrays"].items():
-            segment = shared_memory.SharedMemory(name=name)
-            segments.append(segment)
-            arrays[field] = np.ndarray((length,), dtype=np.dtype(dtype),
-                                       buffer=segment.buf)
-    finally:
-        resource_tracker.register = original_register
-    n = spec["n"]
-    walk = sp.csr_matrix(
-        (arrays["walk_data"], arrays["walk_indices"], arrays["walk_indptr"]),
-        shape=(n, n))
-    walk_t = sp.csr_matrix(
-        (arrays["walk_t_data"], arrays["walk_t_indices"],
-         arrays["walk_t_indptr"]), shape=(n, n))
-    _PROCESS_STATE.update(walk=walk, walk_t=walk_t, n=n,
-                          decay=spec["decay"], segments=segments)
-
-
-def _process_push_shard(rows: np.ndarray, cols: np.ndarray,
-                        data: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                   np.ndarray]:
-    """Worker-side shard push against the shared walk matrices."""
-    n = _PROCESS_STATE["n"]
-    pushed = _push_shard(_PROCESS_STATE["walk_t"], _PROCESS_STATE["walk"],
-                         rows, cols, data, n, _PROCESS_STATE["decay"])
-    return pushed.data, pushed.indices, pushed.indptr
-
-
-class _ProcessExecutor(_SerialExecutor):
-    """Push shards on a process pool over shared-memory walk matrices.
-
-    The pool and the shared-memory segments are created lazily on the
-    first multi-shard round, so small runs (every round fits one shard)
-    never pay the fork/attach cost — and remain bit-identical, because
-    single-shard rounds are computed inline by every executor.
-
-    ``wants_triplets`` steers the fused kernel back to (rows, cols, data)
-    chunks for multi-shard rounds: zero-copy CSR views cannot cross the
-    process boundary, and the triplet rebuild is exactly what the
-    shared-memory workers already implement.
+    Rounds of a single shard, and every round when ``workers == 1``, run
+    inline in the calling thread.  The pool starts on the first
+    multi-shard round, so runs whose rounds all fit one shard never
+    create it.  Partials come back in shard order either way, which is
+    what keeps every worker count bit-identical.
     """
 
-    name = "process"
-    wants_triplets = True
-
     def __init__(self, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
-                 n: int, decay: float, workers: int) -> None:
-        super().__init__(walk, walk_t, n, decay)
-        self.workers_used = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._segments: list = []
+                 decay: float, workers: int) -> None:
+        self._walk, self._walk_t = walk, walk_t
+        self._decay = decay
+        self.workers = workers
+        self._pool: Optional[ThreadPoolExecutor] = None
 
-    def _start_pool(self) -> None:
-        from multiprocessing import shared_memory
-
-        spec_arrays = {}
-        for field, array in (
-                ("walk_data", self._walk.data),
-                ("walk_indices", self._walk.indices),
-                ("walk_indptr", self._walk.indptr),
-                ("walk_t_data", self._walk_t.data),
-                ("walk_t_indices", self._walk_t.indices),
-                ("walk_t_indptr", self._walk_t.indptr)):
-            array = np.ascontiguousarray(array)
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, array.nbytes))
-            view = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=segment.buf)
-            view[:] = array
-            self._segments.append(segment)
-            spec_arrays[field] = (segment.name, array.dtype.str, array.shape[0])
-        spec = {"arrays": spec_arrays, "n": self._n, "decay": self._decay}
-        methods = mp.get_all_start_methods()
-        context = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers_used, mp_context=context,
-            initializer=_process_worker_init, initargs=(spec,))
-
-    def push_round(self, shards: Sequence[Shard]) -> List[sp.csr_matrix]:
-        if len(shards) <= 1:
-            return _SerialExecutor.push_round(self, shards)
+    def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
+                            ) -> List[sp.csr_matrix]:
+        if self.workers == 1 or len(matrices) <= 1:
+            return [_push_matrix(self._walk_t, self._walk, matrix,
+                                 self._decay) for matrix in matrices]
         if self._pool is None:
-            self._start_pool()
-        futures = [self._pool.submit(_process_push_shard, rows, cols, data)
-                   for rows, cols, data in shards]
-        partials = []
-        for future in futures:
-            data, indices, indptr = future.result()
-            partials.append(sp.csr_matrix((data, indices, indptr),
-                                          shape=(self._n, self._n)))
-        return partials
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        futures = [self._pool.submit(_push_matrix, self._walk_t, self._walk,
+                                     matrix, self._decay)
+                   for matrix in matrices]
+        return [future.result() for future in futures]
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-
-
-def _make_executor(name: str, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
-                   n: int, decay: float,
-                   num_workers: Optional[int]) -> "_SerialExecutor":
-    if name == "serial":
-        return _SerialExecutor(walk, walk_t, n, decay)
-    workers = num_workers if num_workers is not None else default_num_workers()
-    if name == "thread":
-        return _ThreadExecutor(walk, walk_t, n, decay, workers)
-    if name == "process":
-        return _ProcessExecutor(walk, walk_t, n, decay, workers)
-    raise SimRankError(f"unknown LocalPush executor {name!r}; "
-                       f"expected one of {EXECUTORS}")
 
 
 # --------------------------------------------------------------------- #
@@ -325,15 +131,13 @@ class _EngineRun:
     num_rounds: int
     num_residual_entries: int
     elapsed_seconds: float
-    workers_used: Optional[int]
     max_shards_used: int
     #: Final residual, attached only when the caller asked to keep it
     #: (``keep_residual=True`` — the dynamic-maintenance path).
     residual: Optional[sp.csr_matrix] = None
 
 
-def _validate_engine_args(decay: float, epsilon: float, executor: str,
-                          num_workers: Optional[int],
+def _validate_engine_args(decay: float, epsilon: float, num_workers: int,
                           num_shards: Optional[int],
                           stream_top_k: Optional[int],
                           dtype: str = "float64") -> None:
@@ -341,14 +145,13 @@ def _validate_engine_args(decay: float, epsilon: float, executor: str,
         raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
     if epsilon <= 0.0:
         raise SimRankError(f"epsilon must be positive, got {epsilon}")
-    if executor not in EXECUTORS:
-        raise SimRankError(f"unknown LocalPush executor {executor!r}; "
-                           f"expected one of {EXECUTORS}")
     if dtype not in DTYPES:
         raise SimRankError(f"unknown LocalPush dtype {dtype!r}; "
                            f"expected one of {DTYPES}")
-    if num_workers is not None and num_workers < 1:
-        raise SimRankError(f"num_workers must be >= 1, got {num_workers}")
+    if isinstance(num_workers, bool) or not isinstance(num_workers, int) \
+            or num_workers < 1:
+        raise SimRankError(
+            f"num_workers must be a positive integer, got {num_workers!r}")
     if num_shards is not None and num_shards < 1:
         raise SimRankError(f"num_shards must be >= 1, got {num_shards}")
     if stream_top_k is not None and stream_top_k < 1:
@@ -404,7 +207,7 @@ def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
 
 def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 absorb_residual: bool, max_pushes: Optional[int],
-                executor: str, num_workers: Optional[int],
+                num_workers: int,
                 num_shards: Optional[int], stream_top_k: Optional[int],
                 coalesce_every: int,
                 seed_nodes: Optional[np.ndarray] = None,
@@ -470,7 +273,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     if walk.dtype != np_dtype:
         walk = walk.astype(np_dtype)
     walk_t = walk.T.tocsr()
-    runner = _make_executor(executor, walk, walk_t, n, decay, num_workers)
+    runner = _ThreadExecutor(walk, walk_t, decay, num_workers)
 
     if initial_residual is not None:
         residual = sp.csr_matrix(initial_residual, dtype=np_dtype,
@@ -539,8 +342,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 )
 
             # Shard the frontier by stored-entry ranges.  The partition is
-            # a function of the frontier only, never of the executor or
-            # worker count.
+            # a function of the frontier only, never of the worker count.
             shards = num_shards if num_shards is not None else max(
                 1, -(-count // DEFAULT_SHARD_NNZ))
             shards = min(shards, count)
@@ -604,7 +406,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         num_rounds=num_rounds,
         num_residual_entries=leftover,
         elapsed_seconds=elapsed,
-        workers_used=runner.workers_used,
         max_shards_used=max_shards_used,
         residual=residual if keep_residual else None,
     )
@@ -614,24 +415,23 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      epsilon: float = 0.1, prune: bool = True,
                      absorb_residual: bool = False,
                      max_pushes: int | None = None,
-                     executor: str = "serial",
-                     num_workers: Optional[int] = None,
+                     num_workers: int = 1,
                      num_shards: Optional[int] = None,
                      stream_top_k: Optional[int] = None,
                      coalesce_every: int = 4,
                      dtype: str = "float64",
                      profile: Optional[PhaseProfile] = None
                      ) -> "LocalPushResult":
-    """Run the batched LocalPush round loop with a pluggable executor.
+    """Run the batched LocalPush round loop.
 
     Parameters mirror :func:`repro.simrank.localpush.localpush_simrank`
-    (which resolves the executor and dispatches here), plus:
+    (which resolves the worker count and dispatches here), plus:
 
-    executor:
-        ``"serial"``, ``"thread"`` or ``"process"`` — how the per-round
-        shard pushes are executed.  The result is bit-identical for
-        every executor and worker count (see the module docstring), so
-        this is purely a throughput knob.
+    num_workers:
+        Resolved thread-pool size for the shard pushes; ``1`` (the
+        default) pushes every shard inline.  The result is bit-identical
+        for every worker count (see the module docstring), so this is
+        purely a throughput knob.
     dtype:
         ``"float64"`` (default) or ``"float32"``.  float32 halves the
         working-set memory at the cost of a slightly enlarged error
@@ -641,14 +441,11 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         Optional :class:`repro.simrank.kernels.PhaseProfile` that
         accumulates per-phase seconds (frontier/push/merge/prune) for
         benchmarking; ``None`` keeps the loop unmeasured.
-    num_workers:
-        Pool size for the thread/process executors (ignored by
-        ``"serial"``); defaults to :func:`default_num_workers`.
     num_shards:
         Fixed shard count per round.  Defaults to
         ``ceil(frontier_nnz / DEFAULT_SHARD_NNZ)``, recomputed per round
-        from the frontier alone so results stay independent of the
-        executor and pool size.
+        from the frontier alone so results stay independent of the pool
+        size.
     stream_top_k:
         When given, stream top-k pruning into the round loop (bounded
         ``O(k·n)`` memory) and return the matrix already pruned with
@@ -658,11 +455,11 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
     """
     from repro.simrank.localpush import LocalPushResult
 
-    _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
+    _validate_engine_args(decay, epsilon, num_workers, num_shards,
                           stream_top_k, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      executor=executor, num_workers=num_workers,
+                      num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=stream_top_k,
                       coalesce_every=coalesce_every, dtype=dtype,
                       profile=profile)
@@ -673,9 +470,8 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         elapsed_seconds=run.elapsed_seconds,
         epsilon=epsilon,
         decay=decay,
-        executor=executor,
         num_rounds=run.num_rounds,
-        num_workers=run.workers_used,
+        num_workers=num_workers,
         num_shards=run.max_shards_used,
         dtype=dtype,
     )
@@ -700,15 +496,13 @@ class ResumeRun:
     num_rounds: int
     num_residual_entries: int
     elapsed_seconds: float
-    workers_used: Optional[int]
     max_shards_used: int
 
 
 def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                      decay: float = DEFAULT_DECAY, epsilon: float = 0.1,
                      max_pushes: Optional[int] = None,
-                     executor: str = "serial",
-                     num_workers: Optional[int] = None,
+                     num_workers: int = 1,
                      num_shards: Optional[int] = None,
                      coalesce_every: int = 4,
                      dtype: str = "float64",
@@ -720,8 +514,8 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     (:mod:`repro.dynamic`): given a residual ``R₀`` that restores the
     LocalPush invariant ``Ŝ + G(R₀) = S`` for some maintained estimate
     ``Ŝ`` on ``graph``, it runs the standard frontier rounds — any
-    executor × worker count, same shard plan, same bit-determinism
-    argument — in *signed* mode (``|R| > (1−c)·ε``
+    worker count, same shard plan, same bit-determinism argument — in
+    *signed* mode (``|R| > (1−c)·ε``
     frontier threshold, since repair residuals carry negative mass for
     deleted edges) until convergence.  ``Ŝ + estimate_delta`` then
     satisfies the same ``(1−c)·ε`` residual bound, and hence the same
@@ -735,11 +529,11 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     Streaming top-k and the single-source restrictions do not apply to
     repair runs.
     """
-    _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
+    _validate_engine_args(decay, epsilon, num_workers, num_shards,
                           None, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=False,
                       absorb_residual=False, max_pushes=max_pushes,
-                      executor=executor, num_workers=num_workers,
+                      num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=None,
                       coalesce_every=coalesce_every, dtype=dtype,
                       profile=profile,
@@ -754,7 +548,6 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
         num_rounds=run.num_rounds,
         num_residual_entries=run.num_residual_entries,
         elapsed_seconds=run.elapsed_seconds,
-        workers_used=run.workers_used,
         max_shards_used=run.max_shards_used,
     )
 
@@ -781,8 +574,7 @@ class SingleSourceResult:
     elapsed_seconds: float
     epsilon: float
     decay: float
-    executor: str
-    num_workers: Optional[int]
+    num_workers: int
     num_shards: int
     component_size: int
     batch_size: int = 1
@@ -790,22 +582,6 @@ class SingleSourceResult:
     @property
     def nnz(self) -> int:
         return int(self.row.nnz)
-
-
-def component_nodes(graph: Graph, sources: Sequence[int]) -> np.ndarray:
-    """Sorted node ids of the connected components containing ``sources``.
-
-    Deterministic (``scipy.sparse.csgraph.connected_components`` labels
-    are a pure function of the CSR structure); used to restrict the
-    single-source residual seeding to the only seeds that can reach the
-    query rows.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(graph.adjacency, directed=False)
-    source_array = np.asarray(sources, dtype=np.int64)
-    wanted = labels[source_array]
-    return np.flatnonzero(np.isin(labels, wanted))
 
 
 def _validate_sources(graph: Graph, sources: Sequence[int]) -> np.ndarray:
@@ -826,8 +602,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                            epsilon: float = 0.1, prune: bool = True,
                            absorb_residual: bool = False,
                            max_pushes: int | None = None,
-                           executor: str = "serial",
-                           num_workers: Optional[int] = None,
+                           num_workers: int = 1,
                            num_shards: Optional[int] = None,
                            top_k: Optional[int] = None,
                            coalesce_every: int = 4,
@@ -844,8 +619,8 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     **Equivalence guarantee** (pinned by the single-source suite): each
     returned ``row`` is *bit-identical* to the corresponding row of
-    ``localpush_engine(...)`` run without streaming — for every executor
-    and worker count — whenever the per-round shard partitions of the two
+    ``localpush_engine(...)`` run without streaming — for every worker
+    count — whenever the per-round shard partitions of the two
     runs coincide: always on a connected graph (the frontiers, and hence
     the partition derived from them, are identical), and on any graph
     when every round fits one shard (the ``DEFAULT_SHARD_NNZ`` default
@@ -860,7 +635,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
     Results are returned in input order; duplicate sources share the
     same computed row.
     """
-    _validate_engine_args(decay, epsilon, executor, num_workers, num_shards,
+    _validate_engine_args(decay, epsilon, num_workers, num_shards,
                           top_k, dtype)
     source_array = _validate_sources(graph, sources)
     unique_sources = np.unique(source_array)
@@ -873,7 +648,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      executor=executor, num_workers=num_workers,
+                      num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=top_k,
                       coalesce_every=coalesce_every,
                       seed_nodes=seed_nodes, absorb_rows=unique_sources,
@@ -891,8 +666,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
         elapsed_seconds=run.elapsed_seconds,
         epsilon=epsilon,
         decay=decay,
-        executor=executor,
-        num_workers=run.workers_used,
+        num_workers=num_workers,
         num_shards=run.max_shards_used,
         component_size=component_sizes[int(source)],
         batch_size=int(unique_sources.size),
@@ -904,8 +678,7 @@ def single_source_localpush(graph: Graph, source: int, *,
                             epsilon: float = 0.1, prune: bool = True,
                             absorb_residual: bool = False,
                             max_pushes: int | None = None,
-                            executor: str = "serial",
-                            num_workers: Optional[int] = None,
+                            num_workers: int = 1,
                             num_shards: Optional[int] = None,
                             top_k: Optional[int] = None,
                             coalesce_every: int = 4,
@@ -918,7 +691,7 @@ def single_source_localpush(graph: Graph, source: int, *,
     return multi_source_localpush(
         graph, [source], decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
-        executor=executor, num_workers=num_workers, num_shards=num_shards,
+        num_workers=num_workers, num_shards=num_shards,
         top_k=top_k, coalesce_every=coalesce_every, dtype=dtype)[0]
 
 
@@ -927,8 +700,7 @@ def single_pair_localpush(graph: Graph, source: int, target: int, *,
                           epsilon: float = 0.1, prune: bool = True,
                           absorb_residual: bool = False,
                           max_pushes: int | None = None,
-                          executor: str = "serial",
-                          num_workers: Optional[int] = None,
+                          num_workers: int = 1,
                           num_shards: Optional[int] = None,
                           coalesce_every: int = 4,
                           dtype: str = "float64") -> float:
@@ -949,7 +721,7 @@ def single_pair_localpush(graph: Graph, source: int, target: int, *,
     result = single_source_localpush(
         graph, source, decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
-        executor=executor, num_workers=num_workers, num_shards=num_shards,
+        num_workers=num_workers, num_shards=num_shards,
         coalesce_every=coalesce_every, dtype=dtype)
     return float(result.row[0, target])
 
@@ -957,5 +729,5 @@ def single_pair_localpush(graph: Graph, source: int, target: int, *,
 __all__ = ["localpush_engine", "resume_localpush", "ResumeRun",
            "single_source_localpush",
            "multi_source_localpush", "single_pair_localpush",
-           "SingleSourceResult", "component_nodes", "default_num_workers",
-           "EXECUTORS", "DEFAULT_SHARD_NNZ", "DEFAULT_MAX_WORKERS"]
+           "SingleSourceResult", "default_num_workers",
+           "DEFAULT_SHARD_NNZ", "DEFAULT_MAX_WORKERS"]

@@ -1,9 +1,9 @@
 """Push-round kernel: how one LocalPush round's CSR arithmetic is executed.
 
 :mod:`repro.simrank.engine` owns *what* a round computes (frontier →
-``c·Wᵀ F W`` → residual/estimate update) and the executor strategies own
-*where* the shard matmuls run.  This module owns *how* the surrounding
-CSR arithmetic is carried out, in :class:`FusedRoundState`:
+``c·Wᵀ F W`` → residual/estimate update) and *where* the shard matmuls
+run (inline or on its worker pool).  This module owns *how* the
+surrounding CSR arithmetic is carried out, in :class:`FusedRoundState`:
 
 * the frontier is compressed out of the residual with one boolean mask
   and a searchsorted row pointer (no ``np.repeat``, no COO round-trip),
@@ -55,7 +55,7 @@ Bit-identity with the reference arithmetic
 * the zero-copy shard slices hold bitwise the same ``(indptr, indices,
   data)`` arrays a per-shard COO round-trip builds (the frontier
   inherits the residual's canonical order; frontier keys are unique, so
-  the COO build sorts and folds nothing), and the executor matmuls are
+  the COO build sorts and folds nothing), and the shard matmuls are
   shared;
 * the one-pass partial merge reproduces the chained association exactly
   (previous section), and the residual/estimate additions are the same
@@ -69,8 +69,8 @@ Bit-identity with the reference arithmetic
   the post-loop ``top_k_per_row(..., keep_diagonal=True)`` selects the
   same entries with the same fully-accumulated values either way.
 
-The kernel-equivalence suite pins all of this per executor × worker
-count, including single-source rows and streamed top-k runs.
+The kernel-equivalence suite pins all of this per worker count,
+including single-source rows and streamed top-k runs.
 
 float32 mode and its adjusted bound
 -----------------------------------
@@ -122,20 +122,12 @@ F32_BOUND_SAFETY = 64.0
 #: Per-round phase names recorded by :class:`PhaseProfile`.
 PHASES = ("frontier", "push", "merge", "prune")
 
-#: A shard of the frontier: (rows, cols, values) of its stored entries.
-Shard = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 class RoundRunner(Protocol):
-    """The executor surface the round states drive (see ``engine.py``)."""
+    """The shard-push surface the round states drive (see ``engine.py``).
 
-    name: str
-    #: Process pools want pickled (rows, cols, data) triplets for
-    #: multi-shard rounds; in-process executors take zero-copy matrices.
-    wants_triplets: bool
-
-    def push_round(self, shards: Sequence[Shard]) -> List[sp.csr_matrix]:
-        ...
+    Returns each shard's partial update ``c·Wᵀ F_i W`` in shard order.
+    """
 
     def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
                             ) -> List[sp.csr_matrix]:
@@ -188,7 +180,7 @@ class PhaseProfile:
     """Accumulated per-phase seconds of a push-round loop.
 
     Phases: ``frontier`` (above-threshold extraction, residual clearing
-    and shard assembly), ``push`` (the executor's shard matmuls),
+    and shard assembly), ``push`` (the shard matmuls),
     ``merge`` (partial merging + the residual update) and ``prune``
     (coalescing plus the streaming absorb/prune work).  Used by
     ``bench_localpush.py --profile``; ``None`` (the default everywhere)
@@ -251,8 +243,8 @@ class Frontier:
 
     ``matrix`` is the frontier as one canonical CSR matrix sharing the
     ``cols``/``data`` arrays.  ``rows`` is computed on first access from
-    the frontier row pointer (the zero-copy matrix path never needs it;
-    the triplet and absorb paths do).
+    the frontier row pointer (the zero-copy shard push never needs it;
+    the absorb paths do).
     """
 
     __slots__ = ("cols", "data", "matrix", "_rows", "_indptr")
@@ -284,7 +276,7 @@ def shard_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
     Reproduces ``np.array_split(np.arange(count), shards)`` exactly (the
     first ``count % shards`` shards get one extra entry), so the
     partition — and with it the bit-identity guarantee — is a pure
-    function of the frontier size, never of the executor.
+    function of the frontier size, never of the worker count.
     """
     base, extra = divmod(count, shards)
     bounds: List[Tuple[int, int]] = []
@@ -451,22 +443,10 @@ class FusedRoundState:
 
     def push_round(self, runner: RoundRunner, frontier: Frontier,
                    bounds: Sequence[Tuple[int, int]]) -> None:
-        use_triplets = runner.wants_triplets and len(bounds) > 1
         with self._measure("frontier"):
-            if use_triplets:
-                chunks = [(frontier.rows[start:end],
-                           frontier.cols[start:end],
-                           frontier.data[start:end])
-                          for start, end in bounds]
-                matrices: List[sp.csr_matrix] = []
-            else:
-                chunks = []
-                matrices = self._shard_slices(frontier, bounds)
+            matrices = self._shard_slices(frontier, bounds)
         with self._measure("push"):
-            if use_triplets:
-                partials = runner.push_round(chunks)
-            else:
-                partials = runner.push_round_matrices(matrices)
+            partials = runner.push_round_matrices(matrices)
         with self._measure("merge"):
             if len(partials) == 1:
                 pushed = partials[0]
@@ -575,6 +555,6 @@ class FusedRoundState:
 
 
 __all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
-           "Shard", "RoundRunner", "working_dtype", "localpush_max_rounds",
+           "RoundRunner", "working_dtype", "localpush_max_rounds",
            "float32_error_bound", "PhaseProfile", "Frontier",
            "shard_bounds", "streaming_prune", "FusedRoundState"]

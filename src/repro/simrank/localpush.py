@@ -14,13 +14,13 @@ result stays sparse with roughly ``O(n·d²/ε)`` entries rather than ``O(n²)``
 One engine implements the push loop: the frontier-batched core of
 :func:`repro.simrank.engine.localpush_engine`, which pushes every
 above-threshold pair of a round at once (``R ← R + c·Wᵀ F W``) with
-deterministic frontier sharding, optional streaming top-k pruning and a
-pluggable *executor* — ``"serial"`` (in-thread), ``"thread"``
-(``ThreadPoolExecutor``) or ``"process"`` (process pool over
-shared-memory walk matrices).  All executors and worker counts produce
-bit-identical matrices.  :func:`localpush_simrank` is its entry point
-with executor auto-resolution (:func:`resolve_executor`): ``"serial"``
-below :data:`AUTO_SHARDED_MIN_NODES` nodes, ``"thread"`` from there up.
+deterministic frontier sharding, optional streaming top-k pruning and
+one execution setting, the worker count of the thread pool that pushes
+the shards.  Every worker count produces a bit-identical matrix.
+:func:`localpush_simrank` is its entry point with worker-count
+auto-resolution (:func:`resolve_workers`): inline below
+:data:`AUTO_SHARDED_MIN_NODES` nodes, :func:`default_num_workers
+<repro.simrank.engine.default_num_workers>` threads from there up.
 
 The engine guarantees a strictly positive diagonal: SimRank defines
 ``S(u, u) = 1``, so even when ``ε`` is so large that the push threshold
@@ -36,30 +36,30 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import SimRankError
 from repro.graphs.graph import Graph
+from repro.simrank.engine import default_num_workers, localpush_engine
 from repro.simrank.exact import DEFAULT_DECAY
 
-#: Node count from which executor auto-resolution switches from the
-#: serial to the thread-pool executor: push rounds become large enough
+#: Node count from which worker-count auto-resolution switches from
+#: inline pushes to the thread pool: push rounds become large enough
 #: that splitting them across a worker pool pays for the shard setup.
-#: Pinned by the executor-selection unit tests.
+#: Pinned by the worker-resolution unit tests.
 AUTO_SHARDED_MIN_NODES = 4096
 
 
-def resolve_executor(executor: Optional[str], num_nodes: int) -> str:
-    """Resolve an executor request to a concrete executor name.
+def resolve_workers(workers: Optional[int], num_nodes: int) -> int:
+    """Resolve a worker-count request to the engine's pool size.
 
-    ``None`` and ``"auto"`` resolve by node count: ``"serial"`` below
-    :data:`AUTO_SHARDED_MIN_NODES`, ``"thread"`` from there up.  Explicit
-    names pass through unchanged.  Every executor produces a
-    bit-identical matrix, so the choice never affects results.
+    ``None`` resolves by node count: ``1`` (every shard pushed inline)
+    below :data:`AUTO_SHARDED_MIN_NODES`, :func:`default_num_workers`
+    threads from there up.  An explicit count passes through unchanged at
+    any graph size, and ``1`` means inline.  Every worker count produces
+    a bit-identical matrix, so the choice never affects results.
     """
-    if executor is None or executor == "auto":
-        return "thread" if num_nodes >= AUTO_SHARDED_MIN_NODES else "serial"
-    if executor not in ("serial", "thread", "process"):
-        raise SimRankError(f"unknown LocalPush executor {executor!r}")
-    return executor
+    if workers is None:
+        return (default_num_workers()
+                if num_nodes >= AUTO_SHARDED_MIN_NODES else 1)
+    return workers
 
 
 @dataclass
@@ -81,12 +81,11 @@ class LocalPushResult:
         The error threshold the run was configured with.
     decay:
         The decay factor ``c``.
-    executor:
-        Executor used (``"serial"``, ``"thread"`` or ``"process"``).
     num_rounds:
         Number of frontier rounds.
     num_workers:
-        Worker-pool size used (thread/process executors only).
+        Resolved worker count of the run (``1`` = every shard pushed
+        inline).
     num_shards:
         Largest per-round shard count used.
     dtype:
@@ -99,7 +98,6 @@ class LocalPushResult:
     elapsed_seconds: float
     epsilon: float
     decay: float
-    executor: Optional[str] = None
     num_rounds: Optional[int] = None
     num_workers: Optional[int] = None
     num_shards: Optional[int] = None
@@ -110,7 +108,6 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
                       epsilon: float = 0.1, prune: bool = True,
                       absorb_residual: bool = False,
                       max_pushes: int | None = None,
-                      executor: Optional[str] = None,
                       num_workers: int | None = None,
                       stream_top_k: int | None = None,
                       dtype: str = "float64") -> LocalPushResult:
@@ -139,15 +136,11 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
         Optional safety cap on the number of pushes (absorbed frontier
         entries); exceeding it raises :class:`SimRankError` (it
         indicates a mis-configured ε).
-    executor:
-        ``"serial"``, ``"thread"`` or ``"process"`` (see
-        :mod:`repro.simrank.engine`); ``None``/``"auto"`` resolves by
-        node count via :func:`resolve_executor`.  Every executor and
-        worker count produces a bit-identical matrix.
     num_workers:
-        Worker-pool size for the thread/process executors; ignored by
-        the serial executor.  Results are bit-identical across worker
-        counts.
+        Thread-pool size for the shard pushes (``1`` = inline; see
+        :mod:`repro.simrank.engine`); ``None`` resolves by node count via
+        :func:`resolve_workers`.  Every worker count produces a
+        bit-identical matrix.
     stream_top_k:
         Prune the returned matrix to the ``k`` largest entries per row
         with ``top_k_per_row(..., keep_diagonal=True)`` semantics,
@@ -158,13 +151,11 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
         ``"float32"`` — an opt-in low-memory mode with an adjusted error
         bound (see :func:`repro.simrank.kernels.float32_error_bound`).
     """
-    from repro.simrank.engine import localpush_engine
-
     return localpush_engine(
         graph, decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
-        executor=resolve_executor(executor, graph.num_nodes),
-        num_workers=num_workers, stream_top_k=stream_top_k, dtype=dtype)
+        num_workers=resolve_workers(num_workers, graph.num_nodes),
+        stream_top_k=stream_top_k, dtype=dtype)
 
 
 def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
@@ -201,5 +192,5 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
     return estimate
 
 
-__all__ = ["localpush_simrank", "LocalPushResult", "resolve_executor",
+__all__ = ["localpush_simrank", "LocalPushResult", "resolve_workers",
            "finalize_estimate", "AUTO_SHARDED_MIN_NODES"]

@@ -84,9 +84,9 @@ def simrank_operator(graph: Graph,
                                               cache_dir="~/.simrank-cache"))
 
     See :class:`repro.config.SimRankConfig` for the meaning of every
-    field (method selection, ε, top-k pruning, the LocalPush
-    ``(executor, workers)`` plan, and the persistent operator cache with
-    its LRU byte cap).  With ``config=None`` the library defaults apply.
+    field (method selection, ε, top-k pruning, the LocalPush worker
+    count, and the persistent operator cache with its LRU byte cap).
+    With ``config=None`` the library defaults apply.
     """
     config = config if config is not None else SimRankConfig()
     resolved = config.resolved_method(graph.num_nodes)
@@ -126,7 +126,6 @@ def simrank_operator(graph: Graph,
                                    epsilon=config.epsilon,
                                    prune=config.top_k is None,
                                    absorb_residual=True,
-                                   executor=config.executor,
                                    num_workers=config.workers,
                                    stream_top_k=config.top_k,
                                    dtype=config.dtype)

@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG handling, timers and validation."""
+"""Shared utilities: deterministic RNG handling, timers, validation and
+atomic file writes."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.timer import Timer, TimingBreakdown

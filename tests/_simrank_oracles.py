@@ -207,9 +207,13 @@ class ScipyRoundState:
 
     def push_round(self, runner: RoundRunner, frontier: Frontier,
                    bounds: Sequence[Tuple[int, int]]) -> None:
-        chunks = [(frontier.rows[start:end], frontier.cols[start:end],
-                   frontier.data[start:end]) for start, end in bounds]
-        partials = runner.push_round(chunks)
+        # One COO→CSR build per shard, then the engine's matrix push.
+        n = self._n
+        shards = [sp.csr_matrix((frontier.data[start:end],
+                                 (frontier.rows[start:end],
+                                  frontier.cols[start:end])), shape=(n, n))
+                  for start, end in bounds]
+        partials = runner.push_round_matrices(shards)
         # Merge in shard order, then canonicalise (a storage reorder) so
         # the residual add takes scipy's sorted fast path.
         pushed = partials[0]

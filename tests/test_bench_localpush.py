@@ -2,10 +2,10 @@
 
 ``benchmarks/bench_localpush.py`` appends run records to
 ``BENCH_localpush.json``; every appended record must satisfy
-``RECORD_SCHEMA`` (required keys, exact types, per-executor entries with
-``speedup_vs_serial`` and ``num_workers``) and carry ``cpu_count`` so
-process-pool speedups stay interpretable across machines.  The benchmark
-script is not a package, so it is loaded by file path.
+``RECORD_SCHEMA`` (required keys, exact types, a ``serial`` entry and a
+``thread`` entry with ``speedup_vs_serial`` and ``num_workers``) and
+carry ``cpu_count`` so pool speedups stay interpretable across machines.
+The benchmark script is not a package, so it is loaded by file path.
 """
 
 import copy
@@ -42,8 +42,7 @@ def _valid_record() -> dict:
         "backends": {"core": {"seconds": 0.5, "num_pushes": 100, "nnz": 1000,
                               "max_abs_diff_vs_series": 0.01}},
         "executors": {"serial": dict(executor),
-                      "thread": dict(pooled),
-                      "process": dict(pooled)},
+                      "thread": dict(pooled)},
         "float32": {
             "epsilon": 0.1, "decay": 0.6, "bound": 0.1001,
             "sweeps": [{"num_nodes": 300, "max_abs_err_float32": 0.02,
@@ -86,7 +85,7 @@ class TestRecordSchema:
         record["epsilon"] = 1  # JSON round-trips 1.0 as 1
         assert bench.validate_record(record)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_every_executor_entry_is_required(self, executor):
         record = _valid_record()
         del record["executors"][executor]
@@ -95,7 +94,7 @@ class TestRecordSchema:
 
     def test_pooled_executors_need_speedup_and_workers(self):
         record = _valid_record()
-        del record["executors"]["process"]["speedup_vs_serial"]
+        del record["executors"]["thread"]["speedup_vs_serial"]
         with pytest.raises(bench.RecordSchemaError, match="speedup_vs_serial"):
             bench.validate_record(record)
         record = _valid_record()
@@ -158,8 +157,10 @@ class TestSmokeRecord:
         core = record["backends"]["core"]
         assert set(record["backends"]) == {"core"}
         assert 0.0 <= core["max_abs_diff_vs_series"] < record["epsilon"]
-        for executor in ("thread", "process"):
-            assert record["executors"][executor]["bit_identical_to_serial"]
+        assert set(record["executors"]) == {"serial", "thread",
+                                            "serial_streamed"}
+        assert record["executors"]["thread"]["bit_identical_to_serial"]
+        assert record["executors"]["thread"]["num_workers"] == 2
         assert all(sweep["within_bound"]
                    for sweep in record["float32"]["sweeps"])
         assert set(record["profile"]["phase_seconds"]) \

@@ -36,14 +36,24 @@ class TestParser:
         assert args.top_k == 16
 
     @pytest.mark.parametrize("flag,value", [
-        ("--simrank-backend", "vectorized"), ("--simrank-kernel", "fused")])
+        ("--simrank-backend", "vectorized"), ("--simrank-kernel", "fused"),
+        ("--simrank-executor", "thread")])
     def test_removed_execution_flags_are_rejected(self, capsys, flag, value):
-        """The backend and kernel axes are gone: a script still passing
-        their flags gets an argparse error, not a silently ignored value."""
+        """The backend, kernel and executor axes are gone: a script still
+        passing their flags gets an argparse error, not a silently ignored
+        value."""
         with pytest.raises(SystemExit) as excinfo:
             main(["--model", "sigma", "--dataset", "texas", flag, value])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_serve_rejects_the_removed_executor_flag(self, capsys):
+        """``serve`` takes ``--workers`` only; ``--executor`` is an
+        argparse error before any dataset loads."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "texas", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
 
 class TestBuildRunSpec:
@@ -51,14 +61,14 @@ class TestBuildRunSpec:
         args = build_parser().parse_args([
             "--model", "sigma", "--dataset", "chameleon", "--repeats", "2",
             "--epsilon", "0.05", "--top-k", "16",
-            "--simrank-executor", "thread",
+            "--simrank-workers", "2",
             "--simrank-cache-dir", str(tmp_path)])
         spec = build_runspec(args)
         assert isinstance(spec, RunSpec)
         assert spec.model == "sigma" and spec.dataset == "chameleon"
         assert spec.repeats == 2
         assert spec.simrank == SimRankConfig(
-            epsilon=0.05, top_k=16, executor="thread",
+            epsilon=0.05, top_k=16, workers=2,
             cache_dir=str(tmp_path))
         assert "top_k" not in spec.overrides
 

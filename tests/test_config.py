@@ -41,7 +41,7 @@ class TestSimRankConfigValidation:
         {"top_k": -4},
         {"top_k": True},
         {"exact_size_limit": -1},
-        {"executor": "fiber"},
+        {"workers": True},
         {"workers": 0},
         {"cache_max_bytes": 0},
         {"cache_max_bytes": -5},
@@ -55,12 +55,15 @@ class TestSimRankConfigValidation:
             SimRankConfig(**bad)
 
     def test_removed_execution_axes_are_unknown_fields(self):
-        """The engine-family and kernel labels are gone: a serialised
-        config that still carries them is rejected, not silently
+        """The engine-family label, the kernel label and the executor are
+        gone (``workers`` is the only execution setting): a serialised
+        config that still carries one is rejected, not silently
         dropped."""
-        assert len(SimRankConfig().to_dict()) == 11
-        for name, value in (("backend", "auto"), ("kernel", "fused")):
-            with pytest.raises(ConfigError, match=name):
+        assert len(SimRankConfig().to_dict()) == 10
+        for name, value in (("backend", "auto"), ("kernel", "fused"),
+                            ("executor", "thread")):
+            with pytest.raises(ConfigError,
+                               match=rf"unknown SimRankConfig field\(s\): {name}"):
                 SimRankConfig.from_dict({name: value})
             with pytest.raises(ConfigError, match=name):
                 SimRankConfig().with_overrides(**{name: value})
@@ -101,8 +104,7 @@ class TestSimRankConfigCopies:
 class TestSimRankConfigSerialisation:
     def test_round_trip(self, tmp_path):
         config = SimRankConfig(method="localpush", decay=0.7, epsilon=0.05,
-                               top_k=16, row_normalize=True,
-                               executor="process", workers=3,
+                               top_k=16, row_normalize=True, workers=3,
                                cache_dir=str(tmp_path), cache_max_bytes=1 << 20)
         assert SimRankConfig.from_dict(config.to_dict()) == config
 
@@ -134,9 +136,9 @@ class TestCacheKeyFields:
         fields = SimRankConfig(method="exact").cache_key_fields(50)
         assert fields["epsilon"] is None
 
-    def test_executor_and_workers_never_enter_the_key(self):
+    def test_workers_never_enter_the_key(self):
         plain = SimRankConfig(method="localpush")
-        pooled = plain.with_overrides(executor="process", workers=8)
+        pooled = plain.with_overrides(workers=8)
         for num_nodes in (100, 1000, 5000):
             assert plain.cache_key_fields(num_nodes) == \
                 pooled.cache_key_fields(num_nodes)
@@ -170,14 +172,12 @@ class TestFromCliArgs:
         args = build_parser().parse_args([
             "--simrank-method", "localpush", "--decay", "0.7",
             "--epsilon", "0.05", "--top-k", "16",
-            "--simrank-executor", "thread",
             "--simrank-workers", "3", "--simrank-cache-dir", str(tmp_path),
             "--simrank-cache-max-bytes", "4096",
         ])
         config = SimRankConfig.from_cli_args(args)
         assert config == SimRankConfig(
-            method="localpush", decay=0.7, epsilon=0.05, top_k=16,
-            executor="thread", workers=3,
+            method="localpush", decay=0.7, epsilon=0.05, top_k=16, workers=3,
             cache_dir=str(tmp_path), cache_max_bytes=4096)
 
     def test_unset_flags_inherit_from_base(self):

@@ -4,7 +4,7 @@ The repaired operator must satisfy the same ``(1−c)·ε`` residual bound —
 and hence the same ``< ε`` estimate bound against the dense
 ``linearized_simrank`` oracle — as a fresh recompute, for every update
 kind (insert/delete/reweight), for component merges and splits, and
-under every executor.  The cache chapter pins the delta-chained entry
+under every worker count.  The cache chapter pins the delta-chained entry
 round-trip that lets a warm base entry + a small delta skip the full
 precompute.
 """
@@ -263,16 +263,16 @@ class TestRepairEquivalence:
         assert np.array_equal(operator.operator().matrix.toarray(), before)
 
 
-class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_repair_is_bit_identical_across_executors(self, executor):
+class TestWorkerEquivalence:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_repair_is_bit_identical_across_worker_counts(self, workers):
         graph = erdos_renyi(60, 0.08, seed=9)
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[2]),
                              GraphDelta("delete", *present_pairs(graph)[1])))
-        serial_config = CONFIG.with_overrides(executor="serial")
+        serial_config = CONFIG.with_overrides(workers=1)
         reference = DynamicOperator(graph, simrank=serial_config)
         reference.apply(batch)
-        config = CONFIG.with_overrides(executor=executor, workers=2)
+        config = CONFIG.with_overrides(workers=workers)
         operator = DynamicOperator(graph, simrank=config)
         operator.apply(batch)
         expected = reference.operator().matrix

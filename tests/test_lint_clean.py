@@ -71,7 +71,7 @@ def test_r1_clean_on_unmodified_live_config(tmp_path):
 
 def test_r3_fires_on_global_rng_in_live_engine(tmp_path):
     """Regression: a ``np.random`` call sneaking into the LocalPush engine
-    (the bit-identical executor guarantee's core) must trip R3."""
+    (the core of the bit-identical worker-count guarantee) must trip R3."""
     target = copy_live(tmp_path, "repro/simrank/engine.py")
     target.write_text(target.read_text() +
                       "\n\ndef _mutant():\n    return np.random.rand(3)\n")
@@ -84,9 +84,11 @@ def test_r3_clean_on_unmodified_live_engine(tmp_path):
     assert lint_paths([tmp_path], rule_ids=["R3"], root=tmp_path) == []
 
 
-# The pre-config keyword relay, the ``backend`` labels and the ``kernel``
-# ladder were deleted with the modules that hosted them; one config path
-# reaches one LocalPush engine.  None of their names may come back.
+# The pre-config keyword relay, the ``backend`` labels, the ``kernel``
+# ladder and the ``executor`` axis (with the process pool behind it) were
+# deleted with the code that hosted them; one config path reaches one
+# LocalPush engine whose only execution setting is its worker count.
+# None of their names may come back.
 REMOVED_NAMES = {
     "UNSET": r"\bUNSET\b",
     "merge_kwargs": r"\bmerge_\w+_kwargs\b",
@@ -99,6 +101,19 @@ REMOVED_NAMES = {
     "resolve_backend": r"\bresolve_backend\b",
     "backend_label": r"\bbackend_label\b",
     "DeprecationWarning": r"\bDeprecationWarning\b",
+    "SIMRANK_EXECUTORS": r"\bSIMRANK_EXECUTORS\b",
+    "component_nodes": r"\bcomponent_nodes\b",
+    "resolve_executor": r"\bresolve_executor\b",
+    "wants_triplets": r"\bwants_triplets\b",
+    "resource_tracker": r"\bresource_tracker\b",
+    "shared_memory": r"\bshared_memory\b",
+}
+
+# The experiment sweep keeps its own cell executors (a process pool among
+# them), so these names are banned from the LocalPush package only.
+REMOVED_SIMRANK_NAMES = {
+    "ProcessPoolExecutor": r"\bProcessPoolExecutor\b",
+    "EXECUTORS": r"\bEXECUTORS\b",
 }
 
 
@@ -117,4 +132,13 @@ def src_lines():
 def test_src_has_no_removed_compatibility_name(pattern):
     regex = re.compile(pattern)
     hits = [where for where, line in src_lines() if regex.search(line)]
+    assert hits == []
+
+
+@pytest.mark.parametrize("pattern", list(REMOVED_SIMRANK_NAMES.values()),
+                         ids=list(REMOVED_SIMRANK_NAMES))
+def test_simrank_has_no_removed_execution_name(pattern):
+    regex = re.compile(pattern)
+    hits = [where for where, line in src_lines()
+            if where.startswith("src/repro/simrank/") and regex.search(line)]
     assert hits == []

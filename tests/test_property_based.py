@@ -18,8 +18,8 @@ from repro.simrank.pairwise_walk import homophily_probability
 
 
 def _sharded(graph, **kwargs):
-    """The engine core on the thread-pool executor (the sharded plan)."""
-    return localpush_engine(graph, executor="thread", **kwargs)
+    """The engine core on a 2-thread pool (the sharded plan)."""
+    return localpush_engine(graph, num_workers=2, **kwargs)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 

@@ -375,6 +375,44 @@ class TestDaemon:
         assert self._get(daemon, "/topk?u=abc")[0] == 400
         assert self._get(daemon, "/score?u=1")[0] == 400  # missing v
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_out_of_range_k_is_400_and_counts_nothing(self, daemon, k):
+        status, payload = self._get(daemon, f"/topk?u=1&k={k}")
+        assert status == 400
+        assert "k must be a positive integer" in payload["error"]
+        counters = daemon.service.counters.to_dict()
+        assert counters["queries"] == 0
+        assert counters["exact_failures"] == 0 and counters["failed"] == 0
+
+    @staticmethod
+    def _post_with_length(daemon, content_length):
+        """POST /update with a hand-set Content-Length header."""
+        import http.client
+
+        host, port = daemon.server_address[0], daemon.server_address[1]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.putrequest("POST", "/update")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders(b"{}")
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_non_numeric_content_length_is_400(self, daemon):
+        status, payload = self._post_with_length(daemon, "abc")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert self._get(daemon, "/healthz")[0] == 200
+
+    def test_negative_content_length_is_400(self, daemon):
+        status, payload = self._post_with_length(daemon, "-1")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert self._get(daemon, "/healthz")[0] == 200
+
     def test_unknown_path_is_404(self, daemon):
         assert self._get(daemon, "/nope")[0] == 404
 

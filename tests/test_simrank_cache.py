@@ -13,6 +13,9 @@ historical keyword spellings of the assertions onto it.
 """
 
 import json
+import os
+import sys
+import threading
 import zipfile
 
 import numpy as np
@@ -104,7 +107,7 @@ class TestKeying:
 class TestRoundTrip:
     def test_miss_store_hit(self, graph, cache):
         kwargs = dict(method="localpush", epsilon=0.1, top_k=8,
-                      executor="thread", cache=cache)
+                      num_workers=2, cache=cache)
         cold = _operator(graph, **kwargs)
         assert not cold.cache_hit
         assert (cache.misses, cache.stores, cache.hits) == (1, 1, 0)
@@ -131,9 +134,9 @@ class TestRoundTrip:
     def test_worker_count_shares_one_entry(self, graph, cache):
         """num_workers is excluded from the key: the pool is deterministic."""
         cold = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                         executor="thread", num_workers=1, cache=cache)
+                         num_workers=1, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                         executor="thread", num_workers=4, cache=cache)
+                         num_workers=4, cache=cache)
         assert not cold.cache_hit and warm.cache_hit
         assert len(cache) == 1
 
@@ -229,7 +232,7 @@ class TestRowLookup:
 
 
 class TestInvalidationAndCorruption:
-    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, executor="thread")
+    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, num_workers=2)
 
     def _entry_path(self, cache):
         paths = list(cache.directory.glob("simrank-*.npz"))
@@ -315,6 +318,50 @@ class TestInvalidationAndCorruption:
                 "shape.npy", "meta.npy"} <= names
 
 
+class TestConcurrentWrites:
+    """Threads sharing one cache: every store lands, the index keeps up."""
+
+    THREADS = max(8, 2 * (os.cpu_count() or 1))  # more threads than cores
+    # About 200 stores in all: each store rescans the directory, so the
+    # run time stays bounded however many cores the host has.
+    STORES_PER_THREAD = max(2, 200 // THREADS)
+
+    def test_concurrent_stores_all_succeed_and_are_indexed(self, graph,
+                                                           cache):
+        operator = _operator(graph, method="localpush", epsilon=0.1, top_k=4)
+        errors = []
+
+        def writer(thread):
+            for index in range(self.STORES_PER_THREAD):
+                try:
+                    cache.store(f"t{thread}-{index}", operator,
+                                fingerprint="concurrent")
+                except Exception as error:  # collected, asserted below
+                    errors.append(error)
+
+        threads = [threading.Thread(target=writer, args=(thread,))
+                   for thread in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force frequent thread switches
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        expected = {f"t{thread}-{index}" for thread in range(self.THREADS)
+                    for index in range(self.STORES_PER_THREAD)}
+        assert cache.stores == len(expected)
+        assert len(cache) == len(expected)
+        index = json.loads(
+            (cache.directory / "simrank-cache-index.json").read_text())
+        assert set(index["entries"]) == expected
+        assert not list(cache.directory.glob("*.tmp*"))
+
+
 class TestExperimentIntegration:
     """Acceptance criterion: a warm cache skips Fig. 5 precompute."""
 
@@ -352,11 +399,9 @@ class TestExperimentIntegration:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "--simrank-executor", "thread",
             "--simrank-workers", "4",
             "--simrank-cache-dir", "/tmp/simrank-cache",
         ])
-        assert args.simrank_executor == "thread"
         assert args.simrank_workers == 4
         assert args.simrank_cache_dir == "/tmp/simrank-cache"
 
@@ -377,7 +422,7 @@ class TestCacheStress:
             homophily=0.3, name="cache-large"), seed=3)
         cache = get_operator_cache(tmp_path / "large")
         kwargs = dict(method="localpush", epsilon=0.1, top_k=16,
-                      executor="thread", cache=cache)
+                      num_workers=2, cache=cache)
         cold = _operator(graph, **kwargs)
         warm = _operator(graph, **kwargs)
         assert warm.cache_hit

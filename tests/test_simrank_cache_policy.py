@@ -239,14 +239,13 @@ class TestCrossEpsilonReuse:
                                   top_k=8, cache=cache)
         assert not second.cache_hit
 
-    def test_executor_choice_hits_the_same_key_exactly(self, graph, cache):
-        """The key excludes the executor: a run with a different executor
+    def test_worker_count_hits_the_same_key_exactly(self, graph, cache):
+        """The key excludes the worker count: a run on a different count
         (same request) is an exact hit, not a reuse hit."""
         cold = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=8, executor="serial", cache=cache)
+                                top_k=8, num_workers=1, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=8, executor="process", num_workers=2,
-                                cache=cache)
+                                top_k=8, num_workers=2, cache=cache)
         assert warm.cache_hit
         assert cache.exact_hits == 1 and cache.reuse_hits == 0
         np.testing.assert_array_equal(warm.matrix.toarray(),

@@ -1,12 +1,12 @@
-"""Suite for the unified LocalPush engine core and its pluggable executors.
+"""Suite for the unified LocalPush engine core and its worker count.
 
-Pins the properties of the executor-pluggable core:
+Pins the properties of the engine core:
 
-* every executor (``serial``/``thread``/``process``) and worker count
-  produces a **bit-identical** matrix, streamed top-k included,
-* :func:`repro.simrank.localpush.resolve_executor` maps ``None``/
-  ``"auto"`` onto the node-count ladder and rejects unknown names, and
-* the operator pipeline accepts ``executor=`` and serves the same
+* every worker count (``num_workers`` 1 = inline, 2, 3, …) produces a
+  **bit-identical** matrix, streamed top-k included,
+* :func:`repro.simrank.localpush.resolve_workers` maps ``None`` onto the
+  node-count ladder and passes explicit counts through, and
+* the operator pipeline accepts ``workers=`` and serves the same
   operator regardless of it.
 """
 
@@ -23,11 +23,11 @@ from _simrank_fixtures import (
 )
 from _simrank_oracles import dict_localpush
 from repro.errors import SimRankError
-from repro.simrank.engine import EXECUTORS, localpush_engine
+from repro.simrank.engine import default_num_workers, localpush_engine
 from repro.simrank.localpush import (
     AUTO_SHARDED_MIN_NODES,
     localpush_simrank,
-    resolve_executor,
+    resolve_workers,
 )
 
 
@@ -46,158 +46,134 @@ EQUIVALENCE_GRAPHS = [
 ]
 
 
-class TestExecutorEquivalence:
-    """Bit-identical output across executors — pinned, not approximate."""
+class TestWorkerEquivalence:
+    """Bit-identical output across worker counts — pinned, not approximate."""
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
-    def test_all_executors_identical_on_equivalence_suite(self, make_graph):
+    def test_every_worker_count_identical_on_equivalence_suite(self,
+                                                               make_graph):
         graph = make_graph()
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
                       num_shards=3)
-        results = {
-            executor: localpush_engine(graph, executor=executor,
-                                       num_workers=2 if executor != "serial"
-                                       else None, **kwargs)
-            for executor in EXECUTORS
-        }
-        for executor in ("thread", "process"):
-            _assert_identical(results["serial"].matrix,
-                              results[executor].matrix)
+        results = {workers: localpush_engine(graph, num_workers=workers,
+                                             **kwargs)
+                   for workers in (1, 2, 3)}
+        for workers in (2, 3):
+            _assert_identical(results[1].matrix, results[workers].matrix)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pooled_executors_match_serial(self, executor):
+    def test_pooled_workers_match_serial(self):
         graph = _sbm(200, seed=5)
-        # num_shards forces multi-shard rounds so the pools actually engage.
+        # num_shards forces multi-shard rounds so the pool actually engages.
         serial = localpush_engine(graph, epsilon=0.05, prune=False,
-                                  executor="serial", num_shards=6)
-        pooled = localpush_engine(graph, epsilon=0.05, prune=False,
-                                  executor=executor, num_workers=2,
                                   num_shards=6)
+        pooled = localpush_engine(graph, epsilon=0.05, prune=False,
+                                  num_workers=2, num_shards=6)
         _assert_identical(serial.matrix, pooled.matrix)
         assert serial.num_pushes == pooled.num_pushes
         assert serial.num_rounds == pooled.num_rounds
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_process_worker_count_does_not_change_the_matrix(self, workers):
-        graph = _sbm(150, seed=6)
-        reference = localpush_engine(graph, epsilon=0.1, prune=False,
-                                     executor="process", num_workers=2,
-                                     num_shards=4)
-        other = localpush_engine(graph, epsilon=0.1, prune=False,
-                                 executor="process", num_workers=workers,
-                                 num_shards=4)
-        _assert_identical(reference.matrix, other.matrix)
-
-    def test_streamed_topk_identical_across_executors(self):
+    def test_streamed_topk_identical_across_worker_counts(self):
         graph = _sbm(200, seed=7)
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
                       stream_top_k=6, num_shards=5)
-        serial = localpush_engine(graph, executor="serial", **kwargs)
-        process = localpush_engine(graph, executor="process", num_workers=2,
-                                   **kwargs)
-        _assert_identical(serial.matrix, process.matrix)
-        assert np.diff(process.matrix.indptr).max() <= 6
-        assert (process.matrix.diagonal() > 0).all()
+        serial = localpush_engine(graph, **kwargs)
+        pooled = localpush_engine(graph, num_workers=2, **kwargs)
+        _assert_identical(serial.matrix, pooled.matrix)
+        assert np.diff(pooled.matrix.indptr).max() <= 6
+        assert (pooled.matrix.diagonal() > 0).all()
 
     def test_matches_dict_oracle_within_epsilon(self):
         graph = _erdos_renyi(80, 0.07, seed=8)
         oracle = dict_localpush(graph, epsilon=0.05, prune=False)
         core = localpush_engine(graph, epsilon=0.05, prune=False,
-                                executor="process", num_workers=2,
-                                num_shards=3)
+                                num_workers=2, num_shards=3)
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < 0.05
 
     def test_result_metadata(self):
         graph = _sbm(150, seed=9)
-        result = localpush_engine(graph, epsilon=0.1, executor="process",
-                                  num_workers=2, num_shards=3)
-        assert result.executor == "process"
+        result = localpush_engine(graph, epsilon=0.1, num_workers=2,
+                                  num_shards=3)
         assert result.num_workers == 2
         assert result.num_shards == 3
         assert result.num_rounds is not None and result.num_rounds > 0
+        assert not hasattr(result, "executor")
+        assert localpush_engine(graph, epsilon=0.1).num_workers == 1
 
-    def test_invalid_executor_rejected(self, tiny_graph):
-        with pytest.raises(SimRankError):
-            localpush_engine(tiny_graph, epsilon=0.1, executor="gpu")
+    @pytest.mark.parametrize("workers", [0, -2, None, True, 2.0])
+    def test_invalid_worker_counts_rejected(self, tiny_graph, workers):
+        with pytest.raises(SimRankError, match="num_workers"):
+            localpush_engine(tiny_graph, epsilon=0.1, num_workers=workers)
 
 
-class TestResolveExecutor:
-    """Executor auto-resolution: serial below the threshold, thread above."""
+class TestResolveWorkers:
+    """Worker auto-resolution: inline below the threshold, a pool above."""
 
     def test_threshold_is_pinned(self):
         assert AUTO_SHARDED_MIN_NODES == 4096
 
     def test_auto_ladder(self):
-        for request in (None, "auto"):
-            assert resolve_executor(request, 10) == "serial"
-            assert resolve_executor(request, AUTO_SHARDED_MIN_NODES - 1) \
-                == "serial"
-            assert resolve_executor(request, AUTO_SHARDED_MIN_NODES) \
-                == "thread"
+        assert resolve_workers(None, 10) == 1
+        assert resolve_workers(None, AUTO_SHARDED_MIN_NODES - 1) == 1
+        assert resolve_workers(None, AUTO_SHARDED_MIN_NODES) \
+            == default_num_workers()
 
-    def test_explicit_executors_pass_through(self):
-        for name in ("serial", "thread", "process"):
-            assert resolve_executor(name, 10) == name
-            assert resolve_executor(name, 10**6) == name
+    def test_explicit_worker_counts_pass_through(self):
+        for workers in (1, 2, 3):
+            assert resolve_workers(workers, 10) == workers
+            assert resolve_workers(workers, 10**6) == workers
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(SimRankError):
-            resolve_executor("fpga", 100)
+    def test_explicit_invalid_count_is_rejected(self, tiny_graph):
+        with pytest.raises(SimRankError, match="num_workers"):
+            localpush_simrank(tiny_graph, epsilon=0.1, num_workers=0)
 
-    def test_auto_dispatch_uses_thread_above_threshold(self, monkeypatch):
+    def test_auto_dispatch_uses_the_pool_above_threshold(self, monkeypatch):
         import repro.simrank.localpush as localpush_module
 
         monkeypatch.setattr(localpush_module, "AUTO_SHARDED_MIN_NODES", 100)
         result = localpush_simrank(_sbm(150, seed=12), epsilon=0.1)
-        assert result.executor == "thread"
+        assert result.num_workers == default_num_workers()
 
-    def test_small_graphs_run_the_core_serially(self):
+    def test_small_graphs_run_the_core_inline(self):
         """No graph size falls back to a per-pair loop any more."""
         small = _erdos_renyi(50, 0.1, seed=13)
         result = localpush_simrank(small, epsilon=0.1)
-        assert result.executor == "serial"
+        assert result.num_workers == 1
         _assert_identical(result.matrix,
                           localpush_engine(small, epsilon=0.1).matrix)
 
-    def test_localpush_simrank_accepts_executor(self):
+    def test_localpush_simrank_accepts_num_workers(self):
         graph = _sbm(150, seed=10)
-        result = localpush_simrank(graph, epsilon=0.1, executor="process",
-                                   num_workers=2)
-        assert result.executor == "process"
-        serial = localpush_simrank(graph, epsilon=0.1, executor="serial")
-        assert serial.executor == "serial"
+        result = localpush_simrank(graph, epsilon=0.1, num_workers=2)
+        assert result.num_workers == 2
+        serial = localpush_simrank(graph, epsilon=0.1, num_workers=1)
+        assert serial.num_workers == 1
         _assert_identical(result.matrix, serial.matrix)
 
 
-class TestOperatorPipelineExecutors:
-    def test_operator_identical_across_executors(self):
+class TestOperatorPipelineWorkers:
+    def test_operator_identical_across_worker_counts(self):
         from repro.simrank.topk import simrank_operator
 
         from repro.config import SimRankConfig
 
         graph = _sbm(150, seed=14)
         serial = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, executor="serial"))
-        process = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, executor="process",
-            workers=2))
-        _assert_identical(serial.matrix, process.matrix)
-        assert np.diff(process.matrix.indptr).max() <= 4
+            method="localpush", epsilon=0.1, top_k=4, workers=1))
+        pooled = simrank_operator(graph, config=SimRankConfig(
+            method="localpush", epsilon=0.1, top_k=4, workers=2))
+        _assert_identical(serial.matrix, pooled.matrix)
+        assert np.diff(pooled.matrix.indptr).max() <= 4
 
 
 @pytest.mark.slow
 class TestEngineStress:
-    """Large-graph executor equivalence; excluded from the fast default."""
+    """Large-graph worker equivalence; excluded from the fast default."""
 
-    def test_large_graph_executors_bit_identical(self):
+    def test_large_graph_worker_counts_bit_identical(self):
         graph = _sbm(2000, seed=20)
-        serial = localpush_engine(graph, epsilon=0.1, prune=False,
-                                  executor="serial")
-        thread = localpush_engine(graph, epsilon=0.1, prune=False,
-                                  executor="thread", num_workers=4)
-        process = localpush_engine(graph, epsilon=0.1, prune=False,
-                                   executor="process", num_workers=4)
-        _assert_identical(serial.matrix, thread.matrix)
-        _assert_identical(serial.matrix, process.matrix)
+        serial = localpush_engine(graph, epsilon=0.1, prune=False)
+        pooled = localpush_engine(graph, epsilon=0.1, prune=False,
+                                  num_workers=4)
+        _assert_identical(serial.matrix, pooled.matrix)
         assert serial.num_shards >= 2  # the frontier actually sharded

@@ -4,8 +4,8 @@ The contract under test (``repro/simrank/kernels.py``): for a fixed
 dtype, the engine's fused round arithmetic returns matrices
 *bit-identical* to the historical CSR-object arithmetic
 (``_simrank_oracles.ScipyRoundState``, swapped into the engine by
-``scipy_rounds()``) for every executor × worker count — the same
-guarantee the executor axis carries.  Plus the float32 mode's adjusted
+``scipy_rounds()``) for every worker count — the same guarantee the
+worker count itself carries.  Plus the float32 mode's adjusted
 error bound (:func:`repro.simrank.kernels.float32_error_bound`), checked
 against the dense ``linearized_simrank`` oracle under hypothesis-driven
 graphs.
@@ -48,9 +48,8 @@ def graphs():
             weighted(40, 9), disconnected()]
 
 
-# Every executor × worker count the bit-identity contract covers.
-EXECUTORS = pytest.mark.parametrize("executor,workers", [
-    ("serial", None), ("thread", 2), ("thread", 3), ("process", 2)])
+# The worker counts the bit-identity contract covers: inline and pooled.
+WORKERS = pytest.mark.parametrize("workers", [1, 2, 3])
 
 
 class TestWorkingDtype:
@@ -94,34 +93,32 @@ class TestShardBounds:
 
 
 class TestKernelBitIdentity:
-    """fused == the scipy oracle, bitwise, per executor × worker count."""
+    """fused == the scipy oracle, bitwise, per worker count."""
 
-    @EXECUTORS
-    def test_full_matrix_bitwise(self, executor, workers):
+    @WORKERS
+    def test_full_matrix_bitwise(self, workers):
         for graph in graphs():
             with scipy_rounds():
-                base = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                        executor="serial")
+                base = localpush_engine(graph, decay=0.6, epsilon=0.01)
             other = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     executor=executor, num_workers=workers)
+                                     num_workers=workers)
             assert_bitwise(base.matrix, other.matrix)
             assert other.num_pushes == base.num_pushes
             assert other.num_rounds == base.num_rounds
 
-    @EXECUTORS
-    def test_multi_shard_rounds_bitwise(self, executor, workers):
+    @WORKERS
+    def test_multi_shard_rounds_bitwise(self, workers):
         graph = sbm(90, 5)
         with scipy_rounds():
             base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
                                     num_shards=3)
         fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                 num_shards=3, executor=executor,
-                                 num_workers=workers)
+                                 num_shards=3, num_workers=workers)
         assert_bitwise(base.matrix, fused.matrix)
 
-    @EXECUTORS
+    @WORKERS
     @pytest.mark.parametrize("coalesce_every", [1, 3])
-    def test_streamed_topk_bitwise(self, coalesce_every, executor, workers):
+    def test_streamed_topk_bitwise(self, coalesce_every, workers):
         for graph in graphs():
             with scipy_rounds():
                 base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
@@ -129,32 +126,30 @@ class TestKernelBitIdentity:
             fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
                                      stream_top_k=8,
                                      coalesce_every=coalesce_every,
-                                     executor=executor, num_workers=workers)
+                                     num_workers=workers)
             assert_bitwise(base.matrix, fused.matrix)
 
-    @EXECUTORS
-    def test_single_source_rows_bitwise(self, executor, workers):
+    @WORKERS
+    def test_single_source_rows_bitwise(self, workers):
         graph = sbm(90, 5)
         sources = [0, 17, 55]
         with scipy_rounds():
             base = multi_source_localpush(graph, sources, decay=0.6,
                                           epsilon=1e-3)
         fused = multi_source_localpush(graph, sources, decay=0.6,
-                                       epsilon=1e-3, executor=executor,
-                                       num_workers=workers)
+                                       epsilon=1e-3, num_workers=workers)
         for b, f in zip(base, fused):
             assert b.source == f.source
             assert_bitwise(b.row, f.row)
 
-    @EXECUTORS
-    def test_float32_kernels_bitwise(self, executor, workers):
+    @WORKERS
+    def test_float32_kernels_bitwise(self, workers):
         for graph in graphs():
             with scipy_rounds():
                 base = localpush_engine(graph, decay=0.6, epsilon=0.01,
                                         dtype="float32")
             fused = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     dtype="float32", executor=executor,
-                                     num_workers=workers)
+                                     dtype="float32", num_workers=workers)
             assert base.matrix.dtype == np.float32
             assert_bitwise(base.matrix, fused.matrix)
 

@@ -2,8 +2,8 @@
 
 The per-pair dict loop of ``_simrank_oracles`` is the correctness oracle
 (a direct transcription of Algorithm 1); the frontier-batched engine
-core on the serial executor must agree with it within the configured
-``ε`` on every graph family, and both must satisfy the
+core on one worker (every shard inline) must agree with it within the
+configured ``ε`` on every graph family, and both must satisfy the
 ``‖Ŝ − S‖_max < ε`` bound against the dense linearized series.
 
 Also contains regression tests for the three bugfixes shipped alongside
@@ -37,14 +37,13 @@ from repro.simrank.localpush import localpush_simrank
 
 
 def _serial_core(graph, **kwargs):
-    """The engine core on the serial executor."""
-    return localpush_engine(graph, executor="serial", **kwargs)
+    """The engine core on one worker (every shard pushed inline)."""
+    return localpush_engine(graph, num_workers=1, **kwargs)
 
 
-# The oracle, the default entry point and the sharded thread executor.
+# The oracle, the default entry point and the core on a 2-thread pool.
 DIAGONAL_ENGINES = [dict_localpush, localpush_simrank,
-                    functools.partial(localpush_simrank, executor="thread",
-                                      num_workers=2)]
+                    functools.partial(localpush_simrank, num_workers=2)]
 
 
 EQUIVALENCE_GRAPHS = [
@@ -101,9 +100,9 @@ class TestOracleEquivalence:
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
-    def test_unknown_executor_rejected(self, tiny_graph):
+    def test_invalid_worker_count_rejected(self, tiny_graph):
         with pytest.raises(SimRankError):
-            localpush_simrank(tiny_graph, epsilon=0.1, executor="gpu")
+            localpush_simrank(tiny_graph, epsilon=0.1, num_workers=0)
 
 
 class TestSerialCoreOutput:
@@ -136,7 +135,7 @@ class TestSerialCoreOutput:
     def test_metadata(self):
         graph = _sbm(150, seed=9)
         result = _serial_core(graph, epsilon=0.1)
-        assert result.executor == "serial"
+        assert result.num_workers == 1
         assert result.num_rounds is not None and result.num_rounds > 0
         assert result.num_pushes > 0
         assert result.elapsed_seconds >= 0.0
@@ -197,7 +196,7 @@ class TestTopKDiagonalRegression:
         from repro.simrank.topk import simrank_operator
 
         operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, executor="serial"))
+            method="localpush", epsilon=0.1, top_k=4, workers=1))
         per_row = np.diff(operator.matrix.indptr)
         assert per_row.max() <= 4
         assert (operator.matrix.diagonal() > 0).all()

@@ -1,7 +1,7 @@
 """Equivalence / determinism / property suite for the sharded thread-pool plan.
 
-The engine core on the ``"thread"`` executor splits every round's
-frontier into shards pushed by a worker pool.  The per-pair dict loop of
+The engine core with ``num_workers >= 2`` splits every round's frontier
+into shards pushed by a worker pool.  The per-pair dict loop of
 ``_simrank_oracles`` remains the correctness oracle (a direct
 transcription of Algorithm 1).  The sharded plan must:
 
@@ -37,9 +37,9 @@ from repro.simrank.localpush import localpush_simrank
 DECAY = 0.6
 
 
-def _sharded(graph, **kwargs):
-    """The engine core on the thread-pool executor (the sharded plan)."""
-    return localpush_engine(graph, executor="thread", **kwargs)
+def _sharded(graph, num_workers=2, **kwargs):
+    """The engine core on a thread pool (the sharded plan)."""
+    return localpush_engine(graph, num_workers=num_workers, **kwargs)
 
 
 EQUIVALENCE_GRAPHS = [
@@ -62,7 +62,7 @@ class TestShardedEquivalence:
         graph = make_graph()
         oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
         sharded = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                    executor="thread")
+                                    num_workers=2)
         diff = np.abs((oracle.matrix - sharded.matrix).toarray()).max()
         assert diff < epsilon
 
@@ -81,7 +81,7 @@ class TestShardedEquivalence:
         oracle = dict_localpush(graph, epsilon=epsilon, prune=False,
                                 absorb_residual=True)
         sharded = localpush_simrank(graph, epsilon=epsilon, prune=False,
-                                    absorb_residual=True, executor="thread")
+                                    absorb_residual=True, num_workers=2)
         diff = np.abs((oracle.matrix - sharded.matrix).toarray()).max()
         assert diff < (1.0 - DECAY) * epsilon
 
@@ -193,8 +193,8 @@ class TestStreamingTopK:
         np.testing.assert_allclose(streamed.matrix.data, expected.data,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_equals_posthoc_topk_bitwise_at_ulp_ties(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_posthoc_topk_bitwise_at_ulp_ties(self, workers):
         """Row 0 holds two scores 1 ulp apart (cols 5 and 7): the full
         estimate must sum each entry's absorptions in the streaming
         fold's round order, or the post-hoc top-2 keeps the other one."""
@@ -206,7 +206,7 @@ class TestStreamingTopK:
             [1, 0, 0, 0, 0, 1, 0, 1, 0]], dtype=float)
         graph = Graph(sp.csr_matrix(adjacency))
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      executor=executor)
+                      num_workers=workers)
         full = localpush_engine(graph, **kwargs)
         streamed = localpush_engine(graph, stream_top_k=2, **kwargs)
         expected = top_k_per_row(full.matrix, 2, keep_diagonal=True)
@@ -214,21 +214,22 @@ class TestStreamingTopK:
         assert np.array_equal(streamed.matrix.indices, expected.indices)
         assert np.array_equal(streamed.matrix.data, expected.data)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_semantics_uniform_across_executors(self, executor):
-        """stream_top_k must not change meaning with the resolved executor."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_semantics_uniform_across_worker_counts(self, workers):
+        """stream_top_k must not change meaning with the worker count."""
         graph = _sbm(150, seed=17)
         result = localpush_simrank(graph, epsilon=0.1, prune=False,
-                                   absorb_residual=True, executor=executor,
+                                   absorb_residual=True, num_workers=workers,
                                    stream_top_k=5)
         assert np.diff(result.matrix.indptr).max() <= 5
         assert (result.matrix.diagonal() > 0).all()
 
-    def test_invalid_stream_top_k_rejected_for_every_executor(self, tiny_graph):
-        for executor in ("serial", "thread", "process"):
+    def test_invalid_stream_top_k_rejected_for_every_worker_count(
+            self, tiny_graph):
+        for workers in (1, 2, 3):
             with pytest.raises(SimRankError):
-                localpush_simrank(tiny_graph, epsilon=0.1, executor=executor,
-                                  stream_top_k=0)
+                localpush_simrank(tiny_graph, epsilon=0.1,
+                                  num_workers=workers, stream_top_k=0)
 
     def test_row_budget_and_diagonal(self):
         graph = _sbm(150, seed=9)
@@ -256,9 +257,9 @@ class TestStreamingTopK:
 
         graph = _sbm(150, seed=11)
         operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, executor="thread"))
+            method="localpush", epsilon=0.1, top_k=4, workers=2))
         baseline = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, executor="serial"))
+            method="localpush", epsilon=0.1, top_k=4, workers=1))
         assert np.diff(operator.matrix.indptr).max() <= 4
         diff = np.abs((operator.matrix - baseline.matrix).toarray()).max()
         assert diff < 0.1
@@ -286,7 +287,6 @@ class TestShardedParameters:
         graph = _sbm(150, seed=15)
         result = _sharded(graph, epsilon=0.1, num_workers=3,
                           num_shards=2)
-        assert result.executor == "thread"
         assert result.num_workers == 3
         assert result.num_shards == 2
         assert result.num_rounds is not None and result.num_rounds > 0
@@ -311,7 +311,7 @@ class TestShardedStress:
     def test_large_graph_equivalence_and_worker_determinism(self):
         graph = _sbm(2000, seed=20)
         vectorized = localpush_simrank(graph, epsilon=0.1, prune=False,
-                                       executor="serial")
+                                       num_workers=1)
         serial = _sharded(graph, epsilon=0.1, prune=False,
                           num_workers=1)
         parallel = _sharded(graph, epsilon=0.1, prune=False,

@@ -3,7 +3,7 @@
 Pins the tentpole guarantee of ``multi_source_localpush``: the returned
 row is **bit-identical** to the same row of the all-pairs
 ``localpush_engine`` matrix under the same parameters — for every
-executor and worker count, streamed top-k included — while touching only
+worker count, streamed top-k included — while touching only
 the sources' connected components.  Also pins the Lemma III.5
 ``(1-c)·ε`` error bound on the query rows against the linearized-SimRank
 series reference, on weighted and disconnected graphs.
@@ -31,9 +31,7 @@ from _simrank_fixtures import (
 from repro.errors import SimRankError
 from repro.graphs.sparse import top_k_per_row
 from repro.simrank.engine import (
-    EXECUTORS,
     SingleSourceResult,
-    component_nodes,
     localpush_engine,
     multi_source_localpush,
     single_pair_localpush,
@@ -64,18 +62,16 @@ ROW_EQUIVALENCE_CASES = [
 
 
 class TestRowEquivalence:
-    """Single-source rows == all-pairs rows, bitwise, per executor."""
+    """Single-source rows == all-pairs rows, bitwise, per worker count."""
 
     @pytest.mark.parametrize("make_graph,sources,num_shards",
                              ROW_EQUIVALENCE_CASES)
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rows_bit_identical_to_all_pairs(self, make_graph, sources,
-                                             num_shards, executor):
+                                             num_shards, workers):
         graph = make_graph()
-        workers = 2 if executor != "serial" else None
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      executor=executor, num_workers=workers,
-                      num_shards=num_shards)
+                      num_workers=workers, num_shards=num_shards)
         full = localpush_engine(graph, **kwargs)
         results = multi_source_localpush(graph, sources, **kwargs)
         for source, result in zip(sources, results):
@@ -86,10 +82,9 @@ class TestRowEquivalence:
     def test_worker_count_does_not_change_the_row(self, workers):
         graph = _sbm(150, seed=6)
         reference = single_source_localpush(graph, 42, epsilon=0.1,
-                                            prune=False, executor="process",
-                                            num_workers=2, num_shards=4)
+                                            prune=False, num_workers=2,
+                                            num_shards=4)
         other = single_source_localpush(graph, 42, epsilon=0.1, prune=False,
-                                        executor="process",
                                         num_workers=workers, num_shards=4)
         _assert_row_identical(reference.row, other.row)
 
@@ -215,14 +210,16 @@ class TestErrorBound:
 class TestQueryLocality:
     """The query touches only the sources' components — O(query), not O(n²)."""
 
-    def test_component_nodes_restricts_to_the_sources(self):
+    def test_batched_sources_see_only_their_own_components(self):
         graph = _disconnected()
-        first = component_nodes(graph, [3])
-        assert np.array_equal(first, np.arange(30))
-        both = component_nodes(graph, [3, 31])
-        assert np.array_equal(both, np.arange(50))
-        isolated = component_nodes(graph, [52])
-        assert np.array_equal(isolated, np.array([52]))
+        results = multi_source_localpush(graph, [3, 31, 52], epsilon=0.1)
+        assert {result.source: result.component_size
+                for result in results} == {3: 30, 31: 20, 52: 1}
+        supports = {result.source: set(result.row.indices.tolist())
+                    for result in results}
+        assert supports[3] <= set(range(30))
+        assert supports[31] <= set(range(30, 50))
+        assert supports[52] == {52}
 
     def test_component_size_metadata(self):
         graph = _disconnected()
@@ -274,9 +271,9 @@ class TestValidation:
     def test_result_metadata(self):
         graph = _sbm(150, seed=2)
         result = single_source_localpush(graph, 10, epsilon=0.1,
-                                         executor="thread", num_workers=2)
+                                         num_workers=2)
         assert isinstance(result, SingleSourceResult)
-        assert result.executor == "thread"
+        assert not hasattr(result, "executor")
         assert result.num_workers == 2
         assert result.decay == 0.6
         assert result.num_rounds > 0
