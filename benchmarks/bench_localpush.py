@@ -35,7 +35,10 @@ Every record additionally carries two sections:
   measured max error checked against the adjusted bound
   (:func:`repro.simrank.kernels.float32_error_bound`).
 * ``profile`` — the per-phase (frontier/push/merge/prune) seconds of one
-  serial core run at the headline ε (``--profile`` prints the table).
+  serial core run at the headline ε (``--profile`` prints the table),
+  summed from the ``localpush.<phase>`` spans the engine opens on a
+  recording tracer — the same spans ``repro-trace`` reads, with no
+  separate timer.
 
 ``benchmarks/check_perf_gate.py`` consumes this history in CI: it
 compares the freshest record's core seconds against the last earlier
@@ -60,9 +63,9 @@ from repro.datasets.synthetic import SyntheticGraphConfig, generate_synthetic_gr
 from repro.errors import ConfigError
 from repro.simrank.engine import default_num_workers, localpush_engine
 from repro.simrank.exact import linearized_simrank
-from repro.simrank.kernels import PHASES, PhaseProfile, float32_error_bound
+from repro.simrank.kernels import PHASES, float32_error_bound
 from repro.simrank.localpush import localpush_simrank
-from repro.telemetry import SpanRecorder, Tracer, TracingPhaseProfile, phase_seconds
+from repro.telemetry import NULL_TRACER, SpanRecorder, Tracer, phase_seconds
 from repro.utils.timer import Timer
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_localpush.json"
@@ -213,12 +216,12 @@ def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
 
 
 def time_core(graph, *, epsilon: float, decay: float,
-              profile: PhaseProfile | None = None) -> dict:
+              tracer: Tracer = NULL_TRACER) -> dict:
     """One timed serial engine-core run (the profiled measurement)."""
     timer = Timer()
     with timer:
         result = localpush_engine(graph, epsilon=epsilon, decay=decay,
-                                  prune=False, profile=profile)
+                                  prune=False, tracer=tracer)
     return {"seconds": timer.elapsed, "num_pushes": result.num_pushes}
 
 
@@ -263,18 +266,16 @@ def profile_breakdown(graph, *, epsilon: float, decay: float,
                       show: bool) -> dict:
     """The ``profile`` record section: per-phase seconds of one core run.
 
-    Measured through the telemetry span path: the engine runs under a
-    :class:`TracingPhaseProfile` (one ``localpush.<phase>`` span per
-    phase measurement per round) and the table is
-    :func:`repro.telemetry.summary.phase_seconds` over the recorded
-    spans — the same aggregation ``repro-trace`` prints, so the
-    benchmark and the tracing CLI can never disagree.  The record shape
-    (:data:`PROFILE_SCHEMA`) is unchanged from the pre-telemetry
-    accumulator.
+    The engine runs on a ``Tracer([recorder])``, so its round kernel
+    opens one ``localpush.<phase>`` span per phase interval, and the
+    table is :func:`repro.telemetry.summary.phase_seconds` over the
+    recorded spans — the same aggregation ``repro-trace`` prints, so
+    the benchmark and the tracing CLI can never disagree.  The record
+    shape is :data:`PROFILE_SCHEMA`.
     """
     recorder = SpanRecorder()
-    profile = TracingPhaseProfile(Tracer([recorder]))
-    run = time_core(graph, epsilon=epsilon, decay=decay, profile=profile)
+    run = time_core(graph, epsilon=epsilon, decay=decay,
+                    tracer=Tracer([recorder]))
     totals = {phase: 0.0 for phase in PHASES}
     totals.update(phase_seconds(recorder.spans()))
     phases = {phase: round(seconds, 4)

@@ -31,6 +31,7 @@ from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from repro.errors import ConfigError
+from repro.utils.validation import is_integral
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.training.config import TrainConfig
@@ -84,11 +85,7 @@ def _as_float(name: str, value: object) -> float:
 
 def _as_int(name: str, value: object) -> int:
     """Coerce an integral value to int (bools and non-integers rejected)."""
-    try:
-        integral = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError):
-        integral = False
-    _require(integral, f"{name} must be an integer, got {value!r}")
+    _require(is_integral(value), f"{name} must be an integer, got {value!r}")
     return int(value)
 
 

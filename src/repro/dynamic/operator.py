@@ -47,6 +47,9 @@ class RepairResult:
     cache warm start).  ``num_pushes`` is the number of frontier
     absorptions the repair rounds performed — the quantity the
     incremental benchmark pits against a fresh precompute.
+    ``store_error`` describes a failed delta-chain cache write (``None``
+    when the write succeeded or was not attempted); the repair itself
+    landed either way.
     """
 
     batch: UpdateBatch
@@ -56,6 +59,7 @@ class RepairResult:
     num_residual_entries: int
     repair_seconds: float
     warm_start: str
+    store_error: Optional[str] = None
 
 
 def _resolve_cache(cache: CacheLike,
@@ -96,7 +100,8 @@ class DynamicOperator:
     ``telemetry`` an optional :class:`repro.telemetry.Telemetry` handle —
     when enabled, every :meth:`apply` repair is traced as a
     ``dynamic.repair`` span (attributes ``batch_size``/``num_pushes``/
-    ``num_rounds``/``warm_start``) and the cache mirrors its events.
+    ``num_rounds``/``warm_start``).  The cache counts its own events
+    whether or not telemetry is on.
     """
 
     def __init__(self, graph: Graph, *,
@@ -153,8 +158,6 @@ class DynamicOperator:
         self.telemetry = resolve_telemetry(telemetry)
         self._tracer = self.telemetry.tracer
         self._cache = _resolve_cache(cache, simrank)
-        if self._cache is not None:
-            self._cache.attach_telemetry(self.telemetry)
         # The maintained state is full fidelity at reference precision;
         # its cache contract (and the delta-chain key fields) say so.
         # One derivation path: SimRankConfig.cache_key_fields.
@@ -224,7 +227,11 @@ class DynamicOperator:
         operator then satisfies the same ``< ε`` bound as a fresh
         recompute.  State commits only on success: a failed repair
         (e.g. ``repair_max_pushes`` exceeded) leaves the operator on the
-        pre-update graph, still serving.
+        pre-update graph, still serving.  The delta-chain cache write
+        that follows a committed repair is best effort: an ``OSError``
+        there (a full disk, say) is reported in
+        :attr:`RepairResult.store_error` instead of raised, because the
+        repair has already landed.
         """
         batch = UpdateBatch.coerce(updates)
         if len(batch) > self.dynamic.max_batch_edges:
@@ -262,7 +269,6 @@ class DynamicOperator:
         self.updates_applied += 1
         self.repair_pushes += run.num_pushes
         self.repair_seconds += elapsed
-        self._store_chain_entry()
         return RepairResult(
             batch=batch,
             num_deltas=len(batch),
@@ -271,6 +277,7 @@ class DynamicOperator:
             num_residual_entries=run.num_residual_entries,
             repair_seconds=elapsed,
             warm_start=warm_start,
+            store_error=self._store_chain_entry(),
         )
 
     def _seed_repair(self, new_graph: Graph,
@@ -300,15 +307,20 @@ class DynamicOperator:
                                format="csr")
         return (identity - estimate + pushed).tocsr(), "reconstructed"
 
-    def _store_chain_entry(self) -> None:
+    def _store_chain_entry(self) -> Optional[str]:
+        """Write the delta-chained snapshot; the error text if it failed."""
         if (self._cache is None or not self.dynamic.store_repaired
                 or len(self.chain) == 0):
-            return
+            return None
         snapshot = self._snapshot(self._maintenance_fields)
-        self._cache.store_delta(self.base_fingerprint,
-                                self.chain.content_hash(),
-                                self._maintenance_fields, snapshot,
-                                fingerprint=graph_fingerprint(self.graph))
+        try:
+            self._cache.store_delta(self.base_fingerprint,
+                                    self.chain.content_hash(),
+                                    self._maintenance_fields, snapshot,
+                                    fingerprint=graph_fingerprint(self.graph))
+        except OSError as error:
+            return f"delta-chain cache write failed: {error}"
+        return None
 
     # ------------------------------------------------------------------ #
     # Snapshots

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
 from repro.graphs.fingerprint import payload_digest
+from repro.utils.validation import is_integral
 
 #: Update kinds accepted by :class:`GraphDelta`.
 DELTA_KINDS = ("insert", "delete", "reweight")
@@ -47,10 +48,11 @@ class GraphDelta:
 
     ``insert`` adds a new edge with ``weight`` (default ``1.0``),
     ``delete`` removes an existing edge (``weight`` must be omitted),
-    ``reweight`` changes an existing edge's weight.  Endpoints are
-    canonicalised to ``u < v`` on construction — the graphs are
-    undirected, so ``(3, 1)`` and ``(1, 3)`` name the same edge and must
-    hash the same way.
+    ``reweight`` changes an existing edge's weight.  Endpoints must be
+    integral numbers (``0.9``, ``True`` and ``"5"`` are rejected, never
+    truncated or parsed) and are canonicalised to ``u < v`` on
+    construction — the graphs are undirected, so ``(3, 1)`` and
+    ``(1, 3)`` name the same edge and must hash the same way.
     """
 
     kind: str
@@ -63,12 +65,11 @@ class GraphDelta:
         if self.kind not in DELTA_KINDS:
             raise GraphError(
                 f"delta kind must be one of {DELTA_KINDS}, got {self.kind!r}")
-        try:
-            u, v = int(self.u), int(self.v)
-        except (TypeError, ValueError):
+        if not (is_integral(self.u) and is_integral(self.v)):
             raise GraphError(
                 f"delta endpoints must be integers, got "
-                f"({self.u!r}, {self.v!r})") from None
+                f"({self.u!r}, {self.v!r})")
+        u, v = int(self.u), int(self.v)
         if u < 0 or v < 0:
             raise GraphError(f"delta endpoints must be >= 0, got ({u}, {v})")
         if u == v:

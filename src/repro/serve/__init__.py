@@ -48,19 +48,36 @@ batches, except where noted), exposed in every response and at
   that shared their round with at least one other query.  Coalescing
   never changes an answer (the engine's batch guarantee; pinned by
   ``tests/test_serve.py``).
-- The row-cache pair ``row_hits``/``row_misses`` lives on the
-  :class:`repro.simrank.cache.OperatorCache` and appears under
-  ``cache`` in ``/metrics``.
+- The ``cache`` section of ``/metrics`` (``hits``, ``exact_hits``,
+  ``reuse_hits``, ``misses``, ``row_hits``, ``row_misses``, ``stores``)
+  is :meth:`repro.simrank.cache.OperatorCache.stats`, read from the
+  cache's own ``repro_cache_events_total{event}`` counter.  The cache
+  counts whether telemetry is on or off, and every service sharing a
+  cache directory shares its one counter.
 
+Where each number lives
+-----------------------
 Every counter is backed by a :mod:`repro.telemetry` registry counter
 (``repro_serve_<name>_total``), making increments atomic under the
-daemon's thread-per-request server.  ``GET /metrics/prometheus`` serves
-the registry in the Prometheus text format (latency quantiles and QPS
-are refreshed as gauges at scrape time); the JSON ``/metrics`` shape is
-unchanged.  Start the daemon with ``--telemetry`` (and optionally
-``--trace-path``) to additionally record spans — ``serve.exact_batch``
-per shared frontier round, ``dynamic.repair`` per update batch — and to
-mirror operator-cache events into the scraped registry.
+daemon's thread-per-request server.  Each answered query's wall time is
+observed once on the ``repro_serve_latency_seconds{path}`` histogram of
+the same registry; the ``/metrics`` ``latency`` section reads it back —
+per path the ``count`` and the p50/p95/p99 seconds interpolated from the
+buckets (Prometheus ``histogram_quantile``) over every query since the
+service started (``window_size`` is ``null``: there is no rolling
+window), plus ``qps`` over the first-to-last query span.
+``GET /metrics/prometheus`` renders the service registry (with
+``repro_serve_qps`` and the graph-size gauges refreshed at scrape time)
+followed by the operator cache's registry, so the scrape and the JSON
+``/metrics`` report the same numbers.  Start the daemon with
+``--telemetry`` (and optionally ``--trace-path``) to additionally record
+spans — ``serve.exact_batch`` per shared frontier round,
+``dynamic.repair`` per update batch.
+
+A repair lands even if its best-effort delta-chain cache write fails
+(a full disk, say): the graph swaps, ``updates_applied`` and
+``repair_seconds`` count it, and the write error is kept in
+``SimRankService.last_update_error``.
 """
 
 from repro.serve.batching import QueryBatcher

@@ -13,7 +13,8 @@ Endpoints (all ``GET``, all JSON):
     :meth:`repro.serve.service.SimRankService.metrics` — per-path
     counters, operator/row cache statistics, graph and config echo.
 ``/metrics/prometheus``
-    The same registry in the Prometheus text exposition format
+    The same numbers in the Prometheus text exposition format — the
+    service registry, then the operator cache's
     (:meth:`repro.serve.service.SimRankService.prometheus_metrics`);
     the one non-JSON endpoint, served with the standard
     ``text/plain; version=0.0.4`` content type for scrapers.
@@ -217,8 +218,8 @@ def make_daemon(graph: Graph, *, simrank: Optional[SimRankConfig] = None,
     (``daemon.server_address`` reports the bound one).  The caller owns
     the lifecycle: ``serve_forever()`` to run, ``shutdown()`` +
     ``server_close()`` to stop.  ``telemetry`` threads an enabled
-    handle through the whole stack (service counters, cache events,
-    spans — see :class:`repro.serve.service.SimRankService`).
+    handle through the whole stack (service counters and spans — see
+    :class:`repro.serve.service.SimRankService`).
     """
     serve = serve if serve is not None else ServeConfig()
     service = SimRankService(graph, simrank=simrank, serve=serve,

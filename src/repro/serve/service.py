@@ -25,17 +25,16 @@ instance, equal queries return bit-identical answers regardless of
 batch composition (the engine guarantee) — no wall-clock reads, global
 RNG or unordered-set iteration may influence an answer.  The latency
 metrics below read the *monotonic* clock (R3-exempt) and feed only the
-``/metrics`` observability payload, never an answer.
+observability payloads, never an answer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from threading import Lock, Thread
 from time import monotonic
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.dynamic.operator import DynamicOperator, RepairResult
     from repro.graphs.delta import Updates
     from repro.simrank.cache import OperatorCache
-    from repro.telemetry.metrics import Counter, MetricsRegistry
+    from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
     from repro.telemetry.runtime import Telemetry
 
 #: The ladder rungs, in fall-through order; every answer names its rung.
@@ -58,11 +57,6 @@ SERVE_PATHS = ("exact", "cached", "degraded")
 #: where each row is a ``1×n`` CSR matrix.
 RowCompute = Callable[[Sequence[int], Optional[int], float],
                       Dict[int, sp.csr_matrix]]
-
-#: Rolling per-path sample window of the latency percentiles — big enough
-#: for stable p99 estimates, small enough that a long-lived service never
-#: grows unboundedly.
-LATENCY_WINDOW = 1024
 
 #: Registry help strings for the twelve service counters, in the
 #: ``ServiceCounters.to_dict`` key order.
@@ -80,6 +74,12 @@ _COUNTER_HELP = {
     "repair_seconds": "Cumulative wall seconds of landed repairs.",
     "stale_served": "Queries answered while a repair was in flight.",
 }
+
+
+#: The :meth:`repro.simrank.cache.OperatorCache.stats` names in the
+#: ``/metrics`` ``cache`` section.
+_CACHE_SECTION = ("hits", "exact_hits", "reuse_hits", "misses", "row_hits",
+                  "row_misses", "stores")
 
 
 def _serve_metric_name(name: str) -> str:
@@ -136,11 +136,19 @@ class ServiceCounters:
     repair was still in flight — the documented freshness trade of
     background repair, see :meth:`SimRankService.apply_update`).
 
-    The counters also accumulate per-path latency samples
-    (:meth:`record_latency`, a rolling :data:`LATENCY_WINDOW` per path)
-    summarised by :meth:`latency_summary` into the ``/metrics`` latency
-    section: per-path p50/p95/p99 seconds plus queries-per-second over
-    the observed query span.  Latency is observability only — it never
+    Latency
+    -------
+    :meth:`record_latency` observes each answered query's wall seconds
+    on the ``repro_serve_latency_seconds{path}``
+    :class:`repro.telemetry.metrics.Histogram` of the same registry
+    (:data:`repro.telemetry.metrics.DEFAULT_BUCKETS`).
+    :meth:`latency_summary` reads the ``/metrics`` latency section back
+    from it: per path the ``count`` and the p50/p95/p99 seconds
+    interpolated from the buckets (:meth:`Histogram.quantile`, the
+    Prometheus ``histogram_quantile`` rule) over every query since the
+    service started — ``window_size`` is ``None`` to say so — plus
+    queries-per-second over the span from the first to the last
+    answered query.  Latency is observability only — it never
     influences an answer (see the module docstring's R3 note).
 
     Thread safety
@@ -148,9 +156,10 @@ class ServiceCounters:
     Every count is backed by a
     :class:`repro.telemetry.metrics.MetricsRegistry` counter named
     ``repro_serve_<name>_total`` (``repro_serve_repair_seconds`` for the
-    one non-count sum), so increments are atomic under the registry's
-    lock and survive the daemon's thread-per-request server without lost
-    updates; the latency window has its own lock.  Mutate through
+    one non-count sum), so increments and latency observations are
+    atomic under the registry's lock and survive the daemon's
+    thread-per-request server without lost updates; only the qps span's
+    two instants have a small lock of their own.  Mutate through
     :meth:`inc` — the old bare integer attributes are gone precisely
     because ``+=`` on them was a read-modify-write race.
     """
@@ -168,11 +177,10 @@ class ServiceCounters:
             name: registry.counter(_serve_metric_name(name),
                                    _COUNTER_HELP[name])
             for name in self.NAMES}
-        self._latency_lock = Lock()
-        self._latency: Dict[str, Deque[float]] = {
-            path: deque(maxlen=LATENCY_WINDOW) for path in SERVE_PATHS}
-        self._latency_counts: Dict[str, int] = {
-            path: 0 for path in SERVE_PATHS}
+        self._latency: "Histogram" = registry.histogram(
+            "repro_serve_latency_seconds",
+            "Answered-query latency per serving path.")
+        self._span_lock = Lock()
         self._first_query_at: Optional[float] = None
         self._last_query_at: Optional[float] = None
 
@@ -186,49 +194,47 @@ class ServiceCounters:
 
     def record_latency(self, path: str, seconds: float) -> None:
         """Record one answered query's wall time under its serving path."""
-        with self._latency_lock:
-            self._latency[path].append(seconds)
-            self._latency_counts[path] += 1
-            now = monotonic()
+        self._latency.observe(seconds, path=path)
+        now = monotonic()
+        with self._span_lock:
             if self._first_query_at is None:
                 self._first_query_at = now
             self._last_query_at = now
 
+    def qps(self) -> Optional[float]:
+        """Answered queries per second across the first-to-last span.
+
+        ``None`` until two distinct instants exist.
+        """
+        with self._span_lock:
+            first, last = self._first_query_at, self._last_query_at
+        if first is None or last is None or last <= first:
+            return None
+        answered = sum(entry.count
+                       for entry in self._latency.series().values())
+        return answered / (last - first)
+
     def latency_summary(self) -> Dict[str, object]:
-        """The ``/metrics`` latency section.
+        """The ``/metrics`` latency section, read from the histogram.
 
         ``paths`` maps every serving path to ``None`` (no queries yet) or
-        to its cumulative ``count`` plus ``p50/p95/p99_seconds`` over the
-        rolling window; ``qps`` is queries-per-second across the span
-        from the first to the last recorded query (``None`` until two
-        distinct instants exist).
+        to its ``count`` plus ``p50/p95/p99_seconds`` interpolated from
+        the latency buckets over every query since start
+        (``window_size`` is ``None``: there is no rolling window);
+        ``qps`` is :meth:`qps`.
         """
+        series = self._latency.series()
         paths: Dict[str, Optional[Dict[str, object]]] = {}
-        with self._latency_lock:
-            windows = {path: list(self._latency[path])
-                       for path in SERVE_PATHS}
-            counts = dict(self._latency_counts)
-            first, last = self._first_query_at, self._last_query_at
         for path in SERVE_PATHS:
-            window = windows[path]
-            if not window:
+            entry = series.get((("path", path),))
+            if entry is None:
                 paths[path] = None
                 continue
-            p50, p95, p99 = np.percentile(np.asarray(window), (50, 95, 99))
-            paths[path] = {
-                "count": counts[path],
-                "p50_seconds": float(p50),
-                "p95_seconds": float(p95),
-                "p99_seconds": float(p99),
-            }
-        qps: Optional[float] = None
-        if first is not None:
-            assert last is not None
-            span = last - first
-            if span > 0.0:
-                qps = sum(counts.values()) / span
-        return {"paths": paths, "qps": qps,
-                "window_size": LATENCY_WINDOW}
+            paths[path] = {"count": entry.count, **{
+                f"p{percent}_seconds": self._latency.quantile(percent / 100,
+                                                              path=path)
+                for percent in (50, 95, 99)}}
+        return {"paths": paths, "qps": self.qps(), "window_size": None}
 
     def to_dict(self) -> Dict[str, float]:
         values: Dict[str, float] = {}
@@ -266,13 +272,13 @@ class SimRankService:
         respectively.  A rung fails by raising :class:`SimRankError`.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` handle.  When
-        enabled, the counters land in its registry (so
-        :meth:`prometheus_metrics` exposes them alongside every other
-        instrumented layer), the operator cache mirrors its events onto
-        ``repro_cache_events_total`` and each shared exact frontier
-        round is traced as a ``serve.exact_batch`` span.  The default is
-        the inert handle: counters still live on a private registry
-        (they are always-on service state), but no spans are recorded.
+        enabled, the counters and the latency histogram land in its
+        registry and each shared exact frontier round is traced as a
+        ``serve.exact_batch`` span.  The default is the inert handle:
+        counters and latency still live on a private registry (they are
+        always-on service state), but no spans are recorded.  The
+        operator cache counts its events on its own registry either way
+        (:meth:`prometheus_metrics` renders it after the service's).
     """
 
     def __init__(self, graph: Graph, *,
@@ -308,8 +314,6 @@ class SimRankService:
         # DISABLED's module-global registry, which is shared.
         self.counters = ServiceCounters(
             self.telemetry.registry if self.telemetry.enabled else None)
-        if self.cache is not None:
-            self.cache.attach_telemetry(self.telemetry)
         # One query batch at a time: the engine already parallelises via
         # its worker pool, and serialising here keeps the counters and the
         # coalescing story simple under the daemon's thread-per-request
@@ -466,9 +470,8 @@ class SimRankService:
             if self._repairs_pending:
                 self.counters.inc("stale_served", len(cleaned))
         elapsed = timer.stop()
-        with self._lock:
-            for source in cleaned:
-                self.counters.record_latency(served[source][1], elapsed)
+        for source in cleaned:
+            self.counters.record_latency(served[source][1], elapsed)
         return [QueryAnswer(
             source=source,
             k=k,
@@ -497,8 +500,7 @@ class SimRankService:
                 self.counters.inc("stale_served")
         elapsed = timer.stop()
         row, path, epsilon = served[cleaned[0]]
-        with self._lock:
-            self.counters.record_latency(path, elapsed)
+        self.counters.record_latency(path, elapsed)
         return ScoreAnswer(u=cleaned[0], v=cleaned[1],
                            value=float(row[0, cleaned[1]]), path=path,
                            epsilon=epsilon, elapsed_seconds=elapsed)
@@ -565,24 +567,31 @@ class SimRankService:
         repair (e.g. the batch conflicts with an earlier update that
         landed after its validation) leaves the service on the previous
         graph, still answering; background failures are recorded in
-        ``last_update_error`` instead of raised.
+        ``last_update_error`` instead of raised.  A landed repair whose
+        best-effort delta-chain write failed still swaps and counts;
+        the write error goes to ``last_update_error``.  The pending
+        count is released whatever happens, so no failure leaves every
+        later query counted as stale.
         """
         with self._update_lock:
+            result: Optional["RepairResult"] = None
             try:
                 operator = self._ensure_operator()
                 result = operator.apply(batch)
             except (GraphError, SimRankError) as error:
-                with self._lock:
-                    self._repairs_pending -= 1
                 self.last_update_error = str(error)
                 if reraise:
                     raise
-                return None
-            with self._lock:
-                self.graph = operator.graph
-                self._repairs_pending -= 1
-                self.counters.inc("updates_applied")
-                self.counters.inc("repair_seconds", result.repair_seconds)
+            finally:
+                with self._lock:
+                    self._repairs_pending -= 1
+                    if result is not None:
+                        self.graph = operator.graph
+                        self.counters.inc("updates_applied")
+                        self.counters.inc("repair_seconds",
+                                          result.repair_seconds)
+            if result is not None and result.store_error is not None:
+                self.last_update_error = result.store_error
         return result
 
     def _ensure_operator(self) -> "DynamicOperator":
@@ -609,15 +618,8 @@ class SimRankService:
         """The ``/metrics`` payload: counters, latency, cache, graph, config."""
         cache_stats: Optional[Dict[str, int]] = None
         if self.cache is not None:
-            cache_stats = {
-                "hits": self.cache.hits,
-                "exact_hits": self.cache.exact_hits,
-                "reuse_hits": self.cache.reuse_hits,
-                "misses": self.cache.misses,
-                "row_hits": self.cache.row_hits,
-                "row_misses": self.cache.row_misses,
-                "stores": self.cache.stores,
-            }
+            stats = self.cache.stats()
+            cache_stats = {name: stats[name] for name in _CACHE_SECTION}
         return {
             "counters": self.counters.to_dict(),
             "latency": self.counters.latency_summary(),
@@ -642,38 +644,22 @@ class SimRankService:
         }
 
     def prometheus_metrics(self) -> str:
-        """The Prometheus text exposition of the service's registry.
+        """The Prometheus text exposition of the service and its cache.
 
-        The counters are live in the registry already; this refreshes
-        the scrape-time gauges first —
-        ``repro_serve_latency_seconds{path,quantile}`` and
-        ``repro_serve_qps`` from the rolling latency window, plus the
-        served graph size — then renders the whole registry (including
-        ``repro_cache_events_total`` and any other instrumented layer
-        sharing it through an enabled telemetry handle).
+        The counters and the ``repro_serve_latency_seconds{path}``
+        histogram are live in the service registry already; this
+        refreshes the scrape-time gauges — ``repro_serve_qps`` and the
+        served graph size — then renders the service registry followed
+        by the operator cache's (``repro_cache_events_total``), the same
+        counter ``/metrics``' ``cache`` section reads.
         """
-        from typing import cast
-
         from repro.telemetry.exposition import prometheus_text
 
         registry = self.counters.registry
-        summary = self.counters.latency_summary()
-        latency_gauge = registry.gauge(
-            "repro_serve_latency_seconds",
-            "Rolling-window latency quantiles per serving path.")
-        paths = cast("Dict[str, Optional[Dict[str, object]]]",
-                     summary["paths"])
-        for path, percentiles in paths.items():
-            if percentiles is None:
-                continue
-            for quantile in ("p50", "p95", "p99"):
-                latency_gauge.set(
-                    float(cast(float, percentiles[f"{quantile}_seconds"])),
-                    path=path, quantile=quantile)
         qps_gauge = registry.gauge(
             "repro_serve_qps",
             "Queries per second over the observed query span.")
-        qps = cast(Optional[float], summary["qps"])
+        qps = self.counters.qps()
         if qps is not None:
             qps_gauge.set(qps)
         registry.gauge("repro_serve_graph_nodes",
@@ -682,7 +668,10 @@ class SimRankService:
         registry.gauge("repro_serve_graph_edges",
                        "Edges in the served graph.").set(
             float(self.graph.num_edges))
-        return prometheus_text(registry)
+        text = prometheus_text(registry)
+        if self.cache is not None:
+            text += prometheus_text(self.cache.registry)
+        return text
 
 
 __all__ = ["SimRankService", "QueryAnswer", "ScoreAnswer",

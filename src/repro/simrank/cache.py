@@ -37,8 +37,9 @@ Construct the cache with ``max_bytes`` (or pass
 pipeline) to cap the total size of stored entries.  Every store and every
 hit advances a logical LRU clock persisted in the sidecar index; when a
 store pushes the directory over the cap, least-recently-used entries are
-deleted (counted in ``lru_evictions``) until the cap is met again.  The
-just-stored entry is always retained, even if it alone exceeds the cap.
+deleted (counted as ``lru_eviction`` events) until the cap is met
+again.  The just-stored entry is always retained, even if it alone
+exceeds the cap.
 
 Cross-ε / cross-k reuse
 -----------------------
@@ -53,8 +54,9 @@ the requested contract (``top_k_per_row`` for a smaller ``k``, the
 rows were normalised — per-row scaling preserves score ranking, so
 re-pruning a normalised operator selects the same support).  The reverse
 direction never happens: a looser entry cannot serve a tighter request.
-Reuse hits are counted separately (``reuse_hits``) from exact key hits
-(``exact_hits``); ``hits`` remains their sum.
+Reuse hits are counted separately (``reuse_hit``) from exact key hits
+(``exact_hit``); :meth:`OperatorCache.stats` reports ``hits`` as their
+sum.
 
 Delta-chained entries
 ---------------------
@@ -82,10 +84,30 @@ Invalidation and corruption
 Writes are atomic (a per-write unique temp file + ``os.replace``,
 :func:`repro.utils.atomic.atomic_write`) so a crashed run never leaves a
 half-written entry behind and concurrent writers never collide.  One
-lock per cache instance serialises the sidecar index's read-modify-write
-and the counter updates, so threads sharing a cache (a threaded
-experiment sweep, the daemon's background repair beside its queries)
-lose neither index entries nor counts.
+lock per cache instance serialises the sidecar index's read-modify-write,
+so threads sharing a cache (a threaded experiment sweep, the daemon's
+background repair beside its queries) lose no index entries; the event
+counter is atomic under its registry's own lock, so they lose no counts
+either.
+
+Counters
+--------
+Every cache event is counted once, on the
+``repro_cache_events_total{event}`` counter of a
+:class:`repro.telemetry.metrics.MetricsRegistry` the cache creates for
+itself (:attr:`OperatorCache.registry`), so the count exists whether
+telemetry is on or off.  The events are ``exact_hit``, ``reuse_hit``,
+``miss``, ``store``, ``eviction`` (a corrupt, stale or mismatched file
+deleted on load), ``lru_eviction`` (the byte-cap policy), ``row_hit``
+and ``row_miss`` (single-source row serving by
+:meth:`OperatorCache.lookup_row`, kept apart from the operator-level
+events).  :meth:`OperatorCache.stats` is the one read: it returns the
+nine counts by name, with ``hits`` computed as
+``exact_hits + reuse_hits``.  The serving layer's ``/metrics`` ``cache``
+section reads :meth:`~OperatorCache.stats` and its Prometheus scrape
+renders :attr:`~OperatorCache.registry`, so the two always agree.
+Consumers of one directory share one instance
+(:func:`get_operator_cache`) and therefore one counter.
 """
 
 from __future__ import annotations
@@ -103,12 +125,11 @@ from repro.config import CACHE_KEY_FIELDS
 from repro.errors import SimRankError
 from repro.graphs.fingerprint import graph_fingerprint, payload_digest
 from repro.graphs.graph import Graph
+from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simrank.topk import SimRankOperator
-    from repro.telemetry.metrics import Counter
-    from repro.telemetry.runtime import Telemetry
 
 #: Bump to orphan every previously written cache entry (e.g. when the
 #: on-disk layout or the operator semantics change).  Version 2: metadata
@@ -123,9 +144,21 @@ CACHE_FORMAT_VERSION = 3
 _FILE_PREFIX = "simrank-"
 _INDEX_NAME = "simrank-cache-index.json"
 
+#: :meth:`OperatorCache.stats` name → ``repro_cache_events_total`` event
+#: label; ``hits`` is derived (``exact_hits + reuse_hits``).
+CACHE_EVENTS = {
+    "exact_hits": "exact_hit",
+    "reuse_hits": "reuse_hit",
+    "misses": "miss",
+    "stores": "store",
+    "evictions": "eviction",
+    "lru_evictions": "lru_eviction",
+    "row_hits": "row_hit",
+    "row_misses": "row_miss",
+}
+
 #: Per-directory singleton registry so every consumer of the same cache
-#: directory shares one instance — and therefore one set of hit/miss
-#: counters, which the experiment tests assert on.
+#: directory shares one instance — and therefore one event counter.
 _CACHE_REGISTRY: Dict[Path, "OperatorCache"] = {}
 _CACHE_REGISTRY_LOCK = threading.Lock()
 
@@ -163,16 +196,9 @@ def _floor_prune(matrix: sp.csr_matrix, floor: float) -> sp.csr_matrix:
 class OperatorCache:
     """On-disk operator cache with LRU eviction and cross-ε/k reuse.
 
-    Prefer :func:`get_operator_cache` over direct construction so counter
-    state is shared per directory.
-
-    Counters
-    --------
-    ``hits`` (= ``exact_hits`` + ``reuse_hits``), ``misses``, ``stores``,
-    ``evictions`` (corrupt/stale files), ``lru_evictions`` (byte-cap
-    policy).  Single-source row serving (:meth:`lookup_row`) keeps its
-    own ``row_hits``/``row_misses`` pair so the operator-level invariant
-    ``hits == exact_hits + reuse_hits`` is unaffected by row traffic.
+    Prefer :func:`get_operator_cache` over direct construction so the
+    event counter is shared per directory (see the module docstring's
+    *Counters*; read it with :meth:`stats`).
     """
 
     def __init__(self, directory: str | os.PathLike, *,
@@ -180,46 +206,33 @@ class OperatorCache:
         self.directory = Path(directory).expanduser()
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes  # validated by the property setter
-        self.hits = 0
-        self.exact_hits = 0
-        self.reuse_hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.lru_evictions = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self._events: Optional["Counter"] = None
-        #: Guards the sidecar index's read-modify-write and the counters.
-        self._lock = threading.Lock()
-
-    def attach_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
-        """Mirror counter events onto ``repro_cache_events_total``.
-
-        The plain integer counters above stay authoritative (their
-        values and the ``hits == exact_hits + reuse_hits`` invariant are
-        pinned by tests); attaching an enabled
-        :class:`repro.telemetry.Telemetry` handle additionally emits one
-        labelled registry increment per event so the cache shows up in
-        the Prometheus exposition.  A ``None`` or disabled handle is a
-        no-op — the unattached fast path is a single ``is None`` check.
-        """
-        if telemetry is None or not telemetry.enabled:
-            return
-        self._events = telemetry.registry.counter(
+        self.registry = MetricsRegistry()
+        self._event_counter = self.registry.counter(
             "repro_cache_events_total",
             "Operator cache events (hit/miss/store/eviction) by type.")
+        # Every event starts as a zero series, so a scrape lists all of
+        # them from the first request on.
+        for event in CACHE_EVENTS.values():
+            self._event_counter.inc(0.0, event=event)
+        #: Guards the sidecar index's read-modify-write.
+        self._lock = threading.Lock()
 
-    def _event(self, event: str) -> None:
-        if self._events is not None:
-            self._events.inc(1.0, event=event)
+    def _count(self, event: str) -> None:
+        self._event_counter.inc(1.0, event=event)
 
-    def _count(self, event: str, *counters: str) -> None:
-        """Bump the named integer counters together and mirror ``event``."""
-        with self._lock:
-            for counter in counters:
-                setattr(self, counter, getattr(self, counter) + 1)
-        self._event(event)
+    def stats(self) -> Dict[str, int]:
+        """The nine event counts, read from one snapshot of the counter.
+
+        ``hits`` (= ``exact_hits + reuse_hits``), ``exact_hits``,
+        ``reuse_hits``, ``misses``, ``stores``, ``evictions``,
+        ``lru_evictions``, ``row_hits``, ``row_misses``.
+        """
+        by_event = {dict(key)["event"]: value
+                    for key, value in self._event_counter.series().items()}
+        counts = {name: int(by_event[event])
+                  for name, event in CACHE_EVENTS.items()}
+        return {"hits": counts["exact_hits"] + counts["reuse_hits"],
+                **counts}
 
     @property
     def max_bytes(self) -> Optional[int]:
@@ -460,8 +473,7 @@ class OperatorCache:
             total -= int(entries[victim].get("bytes", 0))
             self.path_for(victim).unlink(missing_ok=True)
             del entries[victim]
-            self.lru_evictions += 1
-            self._event("lru_eviction")
+            self._count("lru_eviction")
 
     # ------------------------------------------------------------------ #
     # Load / store
@@ -471,7 +483,7 @@ class OperatorCache:
         """Deserialize the entry under ``key`` without touching counters.
 
         Corrupt, stale-format or mismatched files are evicted (deleted and
-        counted in ``evictions``); the caller decides hit/miss accounting.
+        counted as an ``eviction``); the caller decides hit/miss accounting.
         """
         from repro.simrank.topk import SimRankOperator
 
@@ -498,7 +510,7 @@ class OperatorCache:
         except Exception:
             # Truncated, corrupted, stale-format or mismatched entry: evict
             # so the caller recomputes and overwrites with a fresh file.
-            self._count("eviction", "evictions")
+            self._count("eviction")
             path.unlink(missing_ok=True)
             self._drop_entry(key)
             return None
@@ -524,9 +536,9 @@ class OperatorCache:
         """
         operator = self._load(key, expect=expect)
         if operator is None:
-            self._count("miss", "misses")
+            self._count("miss")
             return None
-        self._count("exact_hit", "hits", "exact_hits")
+        self._count("exact_hit")
         self._touch_key(key)
         return operator
 
@@ -617,7 +629,7 @@ class OperatorCache:
             expect["dtype"] = dtype
         exact = self._load(key, expect=expect)
         if exact is not None:
-            self._count("exact_hit", "hits", "exact_hits")
+            self._count("exact_hit")
             self._touch_key(key)
             return exact
 
@@ -647,7 +659,7 @@ class OperatorCache:
                 matrix = self._reprune(candidate, epsilon=epsilon,
                                        top_k=top_k,
                                        row_normalize=row_normalize)
-                self._count("reuse_hit", "hits", "reuse_hits")
+                self._count("reuse_hit")
                 self._touch_key(candidate_key, sync=True)
                 from repro.simrank.topk import SimRankOperator
 
@@ -664,7 +676,7 @@ class OperatorCache:
                     reuse_source_top_k=candidate.top_k,
                 )
 
-        self._count("miss", "misses")
+        self._count("miss")
         return None
 
     def lookup_row(self, graph: Graph, source: int, *, decay: float,
@@ -685,8 +697,8 @@ class OperatorCache:
 
         Returns ``(row, entry_epsilon)`` — the ``1×n`` CSR row and the
         ``ε′`` the stored entry was computed at (the error bound the
-        answer actually satisfies) — or ``None`` on a miss.  Counted in
-        ``row_hits``/``row_misses``, never in the operator counters.
+        answer actually satisfies) — or ``None`` on a miss.  Counted as a
+        ``row_hit``/``row_miss``, never as an operator-level event.
         """
         import dataclasses
 
@@ -726,10 +738,10 @@ class OperatorCache:
             matrix = self._reprune(
                 dataclasses.replace(candidate, matrix=embedded),
                 epsilon=epsilon, top_k=top_k, row_normalize=row_normalize)
-            self._count("row_hit", "row_hits")
+            self._count("row_hit")
             self._touch_key(candidate_key, sync=True)
             return matrix.getrow(int(source)), float(entry["epsilon"])
-        self._count("row_miss", "row_misses")
+        self._count("row_miss")
         return None
 
     # ------------------------------------------------------------------ #
@@ -768,7 +780,7 @@ class OperatorCache:
                 meta=np.asarray(meta),
             )
             size = handle.tell()
-        self._count("store", "stores")
+        self._count("store")
 
         with self._lock:
             index = self._sync_index(self._load_index())
@@ -789,12 +801,9 @@ class OperatorCache:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"OperatorCache({str(self.directory)!r}, hits={self.hits} "
-                f"(exact={self.exact_hits}, reuse={self.reuse_hits}), "
-                f"misses={self.misses}, stores={self.stores}, "
-                f"rows={self.row_hits}/{self.row_hits + self.row_misses}, "
-                f"evictions={self.evictions}, "
-                f"lru_evictions={self.lru_evictions}, "
+        counts = ", ".join(f"{name}={value}"
+                           for name, value in self.stats().items())
+        return (f"OperatorCache({str(self.directory)!r}, {counts}, "
                 f"max_bytes={self.max_bytes})")
 
 

@@ -55,8 +55,9 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import (DTYPES, FusedRoundState, PhaseProfile,
-                                   shard_bounds, working_dtype)
+from repro.simrank.kernels import (DTYPES, FusedRoundState, shard_bounds,
+                                   working_dtype)
+from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -213,7 +214,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 seed_nodes: Optional[np.ndarray] = None,
                 absorb_rows: Optional[np.ndarray] = None,
                 dtype: str = "float64",
-                profile: Optional[PhaseProfile] = None,
+                tracer: Tracer = NULL_TRACER,
                 initial_residual: Optional[sp.csr_matrix] = None,
                 copy_residual: bool = True,
                 signed: bool = False, finalize: bool = True,
@@ -288,7 +289,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         residual = _seed_residual(n, seed_nodes, np_dtype)
     state = FusedRoundState(residual, n=n, dtype=np_dtype,
                             index_dtype=walk.indices.dtype,
-                            profile=profile, signed=signed)
+                            tracer=tracer, signed=signed)
     state.set_flush_cadence(coalesce_every)
     streaming = stream_top_k is not None and absorb_rows is None
     absorb_mask: Optional[np.ndarray] = None
@@ -309,11 +310,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     timer.start()
     try:
         while True:
-            if profile is not None:
-                # Round marker for span-emitting profiles (telemetry):
-                # a plain accumulating PhaseProfile ignores it.  Metadata
-                # only — it cannot influence the arithmetic.
-                profile.begin_round(num_rounds)
             frontier = state.extract_frontier(threshold)
             if frontier is None:
                 break
@@ -420,7 +416,7 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      stream_top_k: Optional[int] = None,
                      coalesce_every: int = 4,
                      dtype: str = "float64",
-                     profile: Optional[PhaseProfile] = None
+                     tracer: Tracer = NULL_TRACER
                      ) -> "LocalPushResult":
     """Run the batched LocalPush round loop.
 
@@ -437,10 +433,12 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         working-set memory at the cost of a slightly enlarged error
         bound (:func:`repro.simrank.kernels.float32_error_bound`) and a
         separate operator-cache key.
-    profile:
-        Optional :class:`repro.simrank.kernels.PhaseProfile` that
-        accumulates per-phase seconds (frontier/push/merge/prune) for
-        benchmarking; ``None`` keeps the loop unmeasured.
+    tracer:
+        :class:`repro.telemetry.tracing.Tracer` on which the round
+        kernel opens one ``localpush.<phase>`` span (frontier/push/
+        merge/prune, attributes ``phase`` and ``round``) per phase
+        interval.  The default :data:`repro.telemetry.NULL_TRACER`
+        records nothing; traced and untraced runs are bit-identical.
     num_shards:
         Fixed shard count per round.  Defaults to
         ``ceil(frontier_nnz / DEFAULT_SHARD_NNZ)``, recomputed per round
@@ -462,7 +460,7 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                       num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=stream_top_k,
                       coalesce_every=coalesce_every, dtype=dtype,
-                      profile=profile)
+                      tracer=tracer)
     return LocalPushResult(
         matrix=run.estimate,
         num_pushes=run.num_pushes,
@@ -506,8 +504,7 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                      num_shards: Optional[int] = None,
                      coalesce_every: int = 4,
                      dtype: str = "float64",
-                     copy_residual: bool = True,
-                     profile: Optional[PhaseProfile] = None) -> ResumeRun:
+                     copy_residual: bool = True) -> ResumeRun:
     """Resume the round loop from an explicit (possibly signed) residual.
 
     This is the engine entry point of the dynamic subsystem
@@ -536,7 +533,6 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                       num_workers=num_workers,
                       num_shards=num_shards, stream_top_k=None,
                       coalesce_every=coalesce_every, dtype=dtype,
-                      profile=profile,
                       initial_residual=initial_residual,
                       copy_residual=copy_residual, signed=True,
                       finalize=False, keep_residual=True)

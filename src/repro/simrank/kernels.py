@@ -72,6 +72,19 @@ Bit-identity with the reference arithmetic
 The kernel-equivalence suite pins all of this per worker count,
 including single-source rows and streamed top-k runs.
 
+Phase spans
+-----------
+The round state times itself on the tracer it is handed
+(``localpush_engine(tracer=...)``): each phase interval is one
+``localpush.<phase>`` span with attributes ``phase`` and ``round``.
+``frontier`` is the above-threshold extraction, residual clearing and
+shard assembly, ``push`` the shard matmuls, ``merge`` the partial merge
+plus the residual update, and ``prune`` the coalescing and streaming
+absorb/prune.  Every round opens with one frontier extraction, which
+advances the state's own round count.  The default :data:`NULL_TRACER`
+records nothing, and spans never touch the arithmetic, so traced and
+untraced runs are bit-identical.
+
 float32 mode and its adjusted bound
 -----------------------------------
 ``dtype="float32"`` runs the whole round loop — walk matrix, residual,
@@ -99,13 +112,14 @@ in the operator cache (see ``SimRankConfig.cache_key_fields``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import SimRankError
-from repro.utils.timer import Timer
+from repro.telemetry.summary import PHASE_PREFIX
+from repro.telemetry.tracing import NULL_TRACER, Span, Tracer
 
 #: dtype names accepted by the engine.
 DTYPES = ("float64", "float32")
@@ -119,8 +133,11 @@ F32_UNIT_ROUNDOFF = 2.0 ** -24
 #: the recorded benchmark sweep.
 F32_BOUND_SAFETY = 64.0
 
-#: Per-round phase names recorded by :class:`PhaseProfile`.
+#: Per-round phase names (see *Phase spans* above).
 PHASES = ("frontier", "push", "merge", "prune")
+
+#: Span name of each phase.
+_PHASE_SPANS = {phase: f"{PHASE_PREFIX}.{phase}" for phase in PHASES}
 
 
 class RoundRunner(Protocol):
@@ -171,68 +188,6 @@ def float32_error_bound(epsilon: float, decay: float) -> float:
     """
     rounds = localpush_max_rounds(epsilon, decay)
     return epsilon + F32_BOUND_SAFETY * F32_UNIT_ROUNDOFF * rounds / (1.0 - decay)
-
-
-# --------------------------------------------------------------------- #
-# Per-round phase profiling
-# --------------------------------------------------------------------- #
-class PhaseProfile:
-    """Accumulated per-phase seconds of a push-round loop.
-
-    Phases: ``frontier`` (above-threshold extraction, residual clearing
-    and shard assembly), ``push`` (the shard matmuls),
-    ``merge`` (partial merging + the residual update) and ``prune``
-    (coalescing plus the streaming absorb/prune work).  Used by
-    ``bench_localpush.py --profile``; ``None`` (the default everywhere)
-    keeps the loop unmeasured.
-
-    This is also the engine's telemetry hook:
-    :class:`repro.telemetry.TracingPhaseProfile` subclasses it to
-    re-emit every measurement as a trace span, overriding :meth:`add`
-    and the per-round marker :meth:`begin_round` (a no-op here).
-    """
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-
-    def measure(self, phase: str) -> "_PhaseTimer":
-        return _PhaseTimer(self, phase)
-
-    def add(self, phase: str, seconds: float) -> None:
-        self.seconds[phase] += seconds
-
-    def begin_round(self, index: int) -> None:
-        """Round marker called by the engine loop; metadata only."""
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.seconds)
-
-
-class _PhaseTimer(Timer):
-    """A :class:`Timer` that reports its elapsed time into a profile."""
-
-    def __init__(self, profile: PhaseProfile, phase: str) -> None:
-        super().__init__()
-        self._profile = profile
-        self._phase = phase
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._profile.add(self._phase, self.stop())
-
-
-class _NullTimer:
-    """No-op context manager standing in for an absent profile."""
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-_Measure = Union[_PhaseTimer, _NullTimer]
 
 
 # --------------------------------------------------------------------- #
@@ -373,16 +328,18 @@ class FusedRoundState:
     but a dynamic repair warm-starts from a residual that carries
     negative mass for deleted edges (:mod:`repro.dynamic`), and its
     convergence argument bounds ``‖R‖_max = max |R_uv|``.
+
+    ``tracer`` receives the phase spans (module docstring).
     """
 
     def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype,
-                 profile: Optional[PhaseProfile] = None,
+                 index_dtype: np.dtype, tracer: Tracer = NULL_TRACER,
                  signed: bool = False) -> None:
         self._residual = residual
         self._n = n
         self._dtype = dtype
-        self._profile = profile
+        self._tracer = tracer
+        self._round = -1  # advanced by each round's frontier extraction
         self._signed = bool(signed)
         self._estimate = sp.csr_matrix((n, n), dtype=dtype)
         self._index_dtype = index_dtype
@@ -395,17 +352,17 @@ class FusedRoundState:
         self._pending: List[sp.csr_matrix] = []
         self._flush_every = 1
 
-    def _measure(self, phase: str) -> _Measure:
-        if self._profile is None:
-            return _NULL_TIMER
-        return self._profile.measure(phase)
+    def _span(self, phase: str) -> Span:
+        return self._tracer.span(_PHASE_SPANS[phase], phase=phase,
+                                 round=self._round)
 
     def set_flush_cadence(self, coalesce_every: int) -> None:
         """Batch streaming absorbs for this many rounds between flushes."""
         self._flush_every = max(1, int(coalesce_every))
 
     def extract_frontier(self, threshold: float) -> Optional[Frontier]:
-        with self._measure("frontier"):
+        self._round += 1
+        with self._span("frontier"):
             residual = self._residual
             data = residual.data
             workspace = self._workspace
@@ -443,11 +400,11 @@ class FusedRoundState:
 
     def push_round(self, runner: RoundRunner, frontier: Frontier,
                    bounds: Sequence[Tuple[int, int]]) -> None:
-        with self._measure("frontier"):
+        with self._span("frontier"):
             matrices = self._shard_slices(frontier, bounds)
-        with self._measure("push"):
+        with self._span("push"):
             partials = runner.push_round_matrices(matrices)
-        with self._measure("merge"):
+        with self._span("merge"):
             if len(partials) == 1:
                 pushed = partials[0]
             else:
@@ -519,7 +476,7 @@ class FusedRoundState:
         return selector
 
     def coalesce(self) -> None:
-        with self._measure("prune"):
+        with self._span("prune"):
             self._residual.eliminate_zeros()
 
     def residual_max(self) -> float:
@@ -528,7 +485,7 @@ class FusedRoundState:
     def stream_prune(self, k: int, decay: float) -> None:
         if len(self._pending) < self._flush_every:
             return
-        with self._measure("prune"):
+        with self._span("prune"):
             self._flush_stream(k, decay)
 
     def _flush_stream(self, k: int, decay: float) -> None:
@@ -556,5 +513,5 @@ class FusedRoundState:
 
 __all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
            "RoundRunner", "working_dtype", "localpush_max_rounds",
-           "float32_error_bound", "PhaseProfile", "Frontier",
+           "float32_error_bound", "Frontier",
            "shard_bounds", "streaming_prune", "FusedRoundState"]

@@ -1,11 +1,11 @@
 """Unified tracing + metrics: the observability subsystem.
 
-ROADMAP item 5 asked for one machine-readable observability layer
-instead of the four ad-hoc mechanisms that grew alongside the system
-(``ServiceCounters``, the ``OperatorCache`` hit/miss integers, per-cell
-``seconds`` in the ``ArtifactStore``, the benchmark's one-off phase
-table).  This package is that layer; everything below it is default-off
-and injectable.
+One machine-readable observability layer with one home per number:
+every count and every latency distribution is an instrument in a
+:class:`MetricsRegistry`, and every per-operation duration is a span
+opened on a :class:`Tracer`.  ``/metrics``, the Prometheus scrape,
+traces and the benchmark records all read those two mechanisms, so they
+report the same numbers.  Span recording is default-off and injectable.
 
 The span model
 --------------
@@ -22,8 +22,10 @@ artefacts.  :data:`TRACE_FORMAT_VERSION` stamps all three.
 Span names are dotted ``layer.operation``:
 
 ===========================  ====================================================
-``localpush.<phase>``        one engine phase measurement (frontier/push/
-                             merge/prune), attributes ``phase``/``round``
+``localpush.<phase>``        one engine phase interval (frontier/push/
+                             merge/prune), attributes ``phase``/``round``;
+                             opened when a tracer is passed to
+                             ``localpush_engine(tracer=...)``
 ``serve.exact_batch``        one shared exact frontier round, attr ``batch_size``
 ``dynamic.repair``           one update-batch repair, attrs ``batch_size``/
                              ``num_pushes``/``num_rounds``/``warm_start``
@@ -41,29 +43,34 @@ Prometheus convention ``repro_<layer>_<what>[_total|_seconds]``:
 * ``repro_serve_<counter>_total`` — the twelve ``ServiceCounters``
   names (``queries``, ``exact_served``, …) re-based on the registry
   (``repro_serve_repair_seconds`` is the one non-counter-suffixed sum);
-* ``repro_cache_events_total{event=...}`` — operator-cache hit/miss/
-  eviction/reuse/row events;
-* ``repro_serve_latency_seconds{path=...,quantile=...}`` plus
-  ``repro_serve_qps`` — gauges refreshed at scrape time from the
-  rolling latency window.
+* ``repro_serve_latency_seconds{path=...}`` — a :class:`Histogram` of
+  answered-query latency per serving path over :data:`DEFAULT_BUCKETS`;
+  ``/metrics`` reads its p50/p95/p99 back with
+  :meth:`Histogram.quantile`;
+* ``repro_serve_qps`` and ``repro_serve_graph_{nodes,edges}`` — gauges
+  refreshed at scrape time;
+* ``repro_cache_events_total{event=...}`` — operator-cache exact/reuse
+  hits, misses, stores, evictions and row hits/misses.  Always on: the
+  cache counts on a registry it owns, whether telemetry is enabled or
+  not, and ``/metrics``' ``cache`` section reads the same counter.
 
 Exposition is dual: :func:`prometheus_text` renders the registry in the
 Prometheus text format (deterministic ordering, spec label escaping —
 pinned byte-for-byte by the round-trip test) and :func:`json_snapshot`
-is its versioned JSON twin.  The daemon serves both
-(``GET /metrics/prometheus``; the legacy ``/metrics`` JSON shape is
-unchanged).
+is its versioned JSON twin.  The daemon's ``GET /metrics/prometheus``
+renders the service registry followed by the operator cache's; the
+``/metrics`` JSON keeps its shape.
 
 Overhead guarantees
 -------------------
 Telemetry is **default-off** everywhere: every instrumented layer takes
 an optional handle (:class:`Telemetry`) resolving to :data:`DISABLED`,
 whose tracer returns one preallocated inert span — entering it is two
-attribute lookups, no allocation, no clock read.  The engine is only
-traced through its pre-existing ``profile=`` hook
-(:class:`TracingPhaseProfile`), so the disabled path is *byte-identical*
-to the pre-telemetry code and the R3 bit-identical guarantee is
-untouched.  ``benchmarks/check_telemetry_overhead.py`` asserts the
+attribute lookups, no allocation, no clock read.  The engine's round
+kernel opens its phase spans on :data:`NULL_TRACER` unless handed
+another tracer, and spans never touch the arithmetic, so traced and
+untraced runs are bit-identical and the R3 guarantee is untouched.
+``benchmarks/check_telemetry_overhead.py`` asserts the
 no-op span cost in CI's perf-gate job, and tracers read only the
 monotonic clock (``time.perf_counter``) — this package sits inside the
 R3 determinism lint scope to keep it that way.
@@ -82,8 +89,7 @@ from repro.telemetry.exposition import (METRICS_FORMAT_VERSION,
                                         json_snapshot, prometheus_text)
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
                                      Histogram, MetricsRegistry)
-from repro.telemetry.runtime import (DISABLED, Telemetry,
-                                     TracingPhaseProfile, resolve_telemetry,
+from repro.telemetry.runtime import (DISABLED, Telemetry, resolve_telemetry,
                                      telemetry_from_config)
 from repro.telemetry.summary import (aggregate_by_name, format_summary,
                                      load_trace, phase_seconds, self_times,
@@ -99,7 +105,6 @@ __all__ = [
     "prometheus_text", "json_snapshot", "METRICS_FORMAT_VERSION",
     "PROMETHEUS_CONTENT_TYPE",
     "Telemetry", "DISABLED", "resolve_telemetry", "telemetry_from_config",
-    "TracingPhaseProfile",
     "load_trace", "format_summary", "aggregate_by_name", "phase_seconds",
     "self_times", "top_spans_by_self_time",
 ]

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.telemetry <trace.jsonl> [--limit N] [--phase-prefix P]
+    python -m repro.telemetry <trace.jsonl> [--limit N]
 
 Reads the append-only JSONL emitted by
 :class:`repro.telemetry.tracing.JsonlSpanSink` (one span per line) and
@@ -30,9 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--limit", type=int, default=10,
                         help="how many spans to list in the self-time "
                              "ranking (default 10)")
-    parser.add_argument("--phase-prefix", default="localpush",
-                        help="span-name prefix of the engine phase "
-                             "aggregates (default 'localpush')")
     return parser
 
 
@@ -47,8 +44,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TelemetryError, OSError) as error:
         print(f"error: {error}")
         return 2
-    print(format_summary(spans, limit=args.limit,
-                         phase_prefix=args.phase_prefix))
+    print(format_summary(spans, limit=args.limit))
     return 0
 
 

@@ -5,7 +5,8 @@ Three instrument kinds, mirroring the Prometheus data model:
 * :class:`Counter` — a monotonically increasing sum (``inc``);
 * :class:`Gauge` — a value that can be set to anything (``set``);
 * :class:`Histogram` — cumulative bucket counts plus sum/count
-  (``observe``) over a fixed upper-bound ladder.
+  (``observe``) over a fixed upper-bound ladder, read back as
+  bucket-interpolated quantiles (``quantile``).
 
 Every instrument supports label sets (``counter.inc(1, path="exact")``)
 by keeping one series per sorted ``(label, value)`` tuple, and every
@@ -38,10 +39,12 @@ LabelKey = Tuple[Tuple[str, str], ...]
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Default histogram upper bounds (seconds-flavoured, like Prometheus'
-#: client defaults); ``+Inf`` is implicit — ``count`` covers it.
+#: Default histogram upper bounds in seconds: the Prometheus client
+#: ladder, so a read taking tens of milliseconds lands in a bucket 25 ms
+#: wide.  ``+Inf`` is implicit — ``count`` covers it.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+    0.005, 0.01, 0.025, 0.05, 0.075, 0.1, 0.25, 0.5, 0.75, 1.0, 2.5, 5.0,
+    7.5, 10.0)
 
 
 def _validate_name(name: str) -> str:
@@ -185,6 +188,33 @@ class Histogram(Instrument):
                     series.bucket_counts[i] += 1
             series.sum += observed
             series.count += 1
+
+    def quantile(self, q: float, **labels: object) -> Optional[float]:
+        """The ``q``-quantile of the labelled series, from its buckets.
+
+        Prometheus ``histogram_quantile`` interpolation: the rank
+        ``q · count`` falls in the first bucket whose cumulative count
+        reaches it, and the estimate moves linearly from that bucket's
+        lower bound (the previous upper bound, ``0`` for the first) to
+        its upper bound.  ``None`` for an empty series; the top finite
+        bound when the rank falls in the implicit ``+Inf`` bucket.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise TelemetryError(f"quantile must be in [0, 1], got {q!r}")
+        key = _label_key(labels)
+        with self._lock:
+            series = self._series.get(key)
+            if series is None or series.count == 0:
+                return None
+            cumulative = list(series.bucket_counts)
+            rank = q * series.count
+        lower, below = 0.0, 0
+        for upper, count in zip(self.buckets, cumulative):
+            if count >= rank and count > below:
+                fraction = (rank - below) / (count - below)
+                return lower + (upper - lower) * fraction
+            lower, below = upper, count
+        return self.buckets[-1]
 
     def series(self) -> Dict[LabelKey, HistogramSeries]:
         with self._lock:

@@ -1,4 +1,4 @@
-"""The injectable telemetry handle and the engine phase-span adapter.
+"""The injectable telemetry handle.
 
 :class:`Telemetry` bundles the two halves of the subsystem — a
 :class:`repro.telemetry.metrics.MetricsRegistry` and a
@@ -11,18 +11,17 @@ instrumented layers accept.  The contract every layer follows:
   manager — the bit-identical R3 guarantee and the perf gate are
   untouched;
 * with an enabled handle, spans land in the handle's in-memory recorder
-  and (when configured) its JSONL sink, and counters land in its
-  registry.
+  and (when configured) its JSONL sink, and the service counters land
+  in its registry.
+
+Always-on counts do not depend on the handle: the service counters and
+latency histogram use the handle's registry when enabled and a private
+one otherwise, and the operator cache counts on a registry of its own.
+The LocalPush engine takes a bare :class:`repro.telemetry.tracing.Tracer`
+(``localpush_engine(tracer=)``) rather than a handle.
 
 :func:`telemetry_from_config` builds a handle from the frozen
 :class:`repro.config.TelemetryConfig` (the CLI bridge's output).
-
-:class:`TracingPhaseProfile` adapts the engine's existing
-:class:`repro.simrank.kernels.PhaseProfile` hook onto spans: every
-phase measurement (frontier/push/merge/prune) is re-emitted as a
-completed span carrying its phase and round index, so the engine's
-round loop needs no new parameters to trace — pass the adapter as its
-``profile=``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TelemetryConfig
-from repro.simrank.kernels import PhaseProfile
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import (NULL_TRACER, JsonlSpanSink, SpanRecorder,
                                      Tracer)
@@ -55,18 +53,6 @@ class Telemetry:
             else:
                 tracer = NULL_TRACER
         self.tracer = tracer
-
-    def phase_profile(self, prefix: str = "localpush"
-                      ) -> Optional[PhaseProfile]:
-        """A span-emitting engine profile, or ``None`` when disabled.
-
-        ``None`` is exactly what the engine's ``profile=`` parameter
-        expects for "unmeasured", so callers can pass the result through
-        unconditionally.
-        """
-        if not self.enabled:
-            return None
-        return TracingPhaseProfile(self.tracer, prefix=prefix)
 
     def close(self) -> None:
         """Flush and close the JSONL sink (no-op without one)."""
@@ -93,30 +79,5 @@ def telemetry_from_config(config: Optional[TelemetryConfig]) -> Telemetry:
     return Telemetry(recorder=recorder, sink=sink)
 
 
-class TracingPhaseProfile(PhaseProfile):
-    """A :class:`PhaseProfile` that re-emits measurements as spans.
-
-    Accumulates per-phase seconds exactly like the base class (so
-    ``as_dict()`` stays the one-number-per-phase view) *and* records one
-    completed ``<prefix>.<phase>`` span per measurement, tagged with the
-    phase name and the engine round it belongs to
-    (:meth:`begin_round` is the engine's round marker).
-    """
-
-    def __init__(self, tracer: Tracer, prefix: str = "localpush") -> None:
-        super().__init__()
-        self._tracer = tracer
-        self._prefix = prefix
-        self._round = 0
-
-    def begin_round(self, index: int) -> None:
-        self._round = index
-
-    def add(self, phase: str, seconds: float) -> None:
-        super().add(phase, seconds)
-        self._tracer.record_complete(f"{self._prefix}.{phase}", seconds,
-                                     phase=phase, round=self._round)
-
-
 __all__ = ["Telemetry", "DISABLED", "resolve_telemetry",
-           "telemetry_from_config", "TracingPhaseProfile"]
+           "telemetry_from_config"]

@@ -4,8 +4,10 @@ The analysis half of the tracer: pure functions over the flat span-dict
 lists produced by :class:`repro.telemetry.tracing.SpanRecorder` and the
 JSONL sink.  ``repro-trace`` (:mod:`repro.telemetry.__main__`) prints
 these summaries; ``benchmarks/bench_localpush.py`` derives its
-``profile`` record section from :func:`phase_seconds`, so the engine's
-phase spans are the single source of truth for the phase breakdown.
+``profile`` record section from :func:`phase_seconds`.  The LocalPush
+round kernel opens one ``localpush.<phase>`` span per phase interval
+(:data:`PHASE_PREFIX` is the fixed name prefix), so these spans are the
+only source of the phase breakdown.
 
 *Self time* is a span's duration minus the summed durations of its
 direct children — the time it spent in its own code, the quantity worth
@@ -22,6 +24,9 @@ from repro.errors import TelemetryError
 from repro.telemetry.tracing import TRACE_FORMAT_VERSION
 
 SpanDict = Dict[str, object]
+
+#: Name prefix of the engine phase spans: ``localpush.<phase>``.
+PHASE_PREFIX = "localpush"
 
 
 def load_trace(path: str | os.PathLike[str]) -> List[SpanDict]:
@@ -140,17 +145,14 @@ def top_spans_by_self_time(spans: List[SpanDict], limit: int = 10
     return out
 
 
-def phase_seconds(spans: List[SpanDict], prefix: str = "localpush"
-                  ) -> Dict[str, float]:
-    """Summed duration per engine phase (``<prefix>.<phase>`` spans).
+def phase_seconds(spans: List[SpanDict]) -> Dict[str, float]:
+    """Summed duration per engine phase (``localpush.<phase>`` spans).
 
-    The single source of truth behind the benchmark's ``profile``
-    record section: identical to what the accumulating
-    :class:`repro.simrank.kernels.PhaseProfile` reports, because the
-    spans carry the very same measured intervals.
+    The source of the benchmark's ``profile`` record section and of the
+    ``repro-trace`` phase table.
     """
     out: Dict[str, float] = {}
-    marker = prefix + "."
+    marker = PHASE_PREFIX + "."
     for span in spans:
         name = str(span.get("name"))
         if not name.startswith(marker):
@@ -160,8 +162,7 @@ def phase_seconds(spans: List[SpanDict], prefix: str = "localpush"
     return out
 
 
-def format_summary(spans: List[SpanDict], *, limit: int = 10,
-                   phase_prefix: str = "localpush") -> str:
+def format_summary(spans: List[SpanDict], *, limit: int = 10) -> str:
     """The human-readable report ``repro-trace`` prints."""
     lines: List[str] = []
     total = sum(_duration(span) for span in spans)
@@ -182,10 +183,10 @@ def format_summary(spans: List[SpanDict], *, limit: int = 10,
                          f"{entry['total_seconds']:>10.4f} "
                          f"{entry['self_seconds']:>10.4f}")
 
-    phases = phase_seconds(spans, prefix=phase_prefix)
+    phases = phase_seconds(spans)
     if phases:
         lines.append("")
-        lines.append(f"engine phases ({phase_prefix}.*):")
+        lines.append(f"engine phases ({PHASE_PREFIX}.*):")
         for phase, seconds in sorted(phases.items(),
                                      key=lambda item: (-item[1], item[0])):
             share = seconds / total if total > 0 else 0.0
@@ -205,4 +206,4 @@ def format_summary(spans: List[SpanDict], *, limit: int = 10,
 
 __all__ = ["load_trace", "build_tree", "self_times", "aggregate_by_name",
            "top_spans_by_self_time", "phase_seconds", "format_summary",
-           "SpanDict"]
+           "SpanDict", "PHASE_PREFIX"]

@@ -26,11 +26,18 @@ which is the overhead guarantee the perf gate's telemetry microbenchmark
 (``benchmarks/check_telemetry_overhead.py``) asserts.  Every
 instrumented layer defaults to it.
 
-**Outputs.** Finished spans go to the tracer's recorders: the
-thread-safe :class:`SpanRecorder` keeps them in memory (bounded) and
-reconstructs trees; :class:`JsonlSpanSink` appends one JSON object per
-line to a file, the ``repro-trace`` CLI's input format
+**Outputs.** Finished spans go to the tracer's recorders, fixed at
+construction: the thread-safe :class:`SpanRecorder` keeps them in memory
+(bounded) and reconstructs trees; :class:`JsonlSpanSink` appends one
+JSON object per line to a file, the ``repro-trace`` CLI's input format
 (:data:`TRACE_FORMAT_VERSION` is stamped on every line).
+
+**Spans are the only per-operation timer.** A duration is measured by
+entering and leaving a span at its call site — the LocalPush round
+kernel opens its ``localpush.<phase>`` spans on the tracer it is
+handed, as the service and the repair loop open theirs — so traces,
+``repro-trace`` and the benchmark's phase breakdown read the same
+intervals.
 """
 
 from __future__ import annotations
@@ -216,9 +223,6 @@ class Tracer:
         self._id_lock = threading.Lock()
         self._next_id = 1
 
-    def add_recorder(self, recorder: object) -> None:
-        self._recorders.append(recorder)
-
     def span(self, name: str, **attributes: object) -> Span:
         """A new span, parented to the thread's currently active span."""
         with self._id_lock:
@@ -227,22 +231,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         parent_id = stack[-1].span_id if stack else None
         return Span(name, span_id, parent_id, self, dict(attributes))
-
-    def record_complete(self, name: str, duration: float,
-                        **attributes: object) -> None:
-        """Record an already-measured operation as a completed span.
-
-        The adapter path for pre-existing measurement hooks (the
-        engine's :class:`repro.simrank.kernels.PhaseProfile` reports
-        ``(phase, seconds)`` pairs): the span is parented to the
-        thread's active span and its ``start`` back-dates by
-        ``duration`` on the same monotonic clock.
-        """
-        span = self.span(name, **attributes)
-        now = time.perf_counter()
-        span.start = now - duration
-        span.duration = duration
-        self._emit(span)
 
     # ------------------------------------------------------------------ #
     # Span lifecycle (called by Span.__enter__/__exit__)
@@ -260,9 +248,6 @@ class Tracer:
             stack.pop()
         elif stack and span in stack:  # pragma: no cover - defensive
             stack.remove(span)
-        self._emit(span)
-
-    def _emit(self, span: Span) -> None:
         for recorder in self._recorders:
             record = getattr(recorder, "record", None)
             if record is not None:
@@ -284,10 +269,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attributes: object) -> NullSpan:  # type: ignore[override]
         return NULL_SPAN
-
-    def record_complete(self, name: str, duration: float,
-                        **attributes: object) -> None:
-        return None
 
 
 #: The shared no-op tracer every instrumented layer defaults to.

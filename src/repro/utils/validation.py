@@ -6,6 +6,20 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def is_integral(value: object) -> bool:
+    """Whether ``value`` is an integral number, ``bool`` excluded.
+
+    ``3``, ``3.0`` and ``np.int64(3)`` qualify; ``0.9``, ``True`` and the
+    string ``"5"`` do not — nothing is truncated or parsed.
+    """
+    if isinstance(value, bool):
+        return False
+    try:
+        return int(value) == value  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Validate that ``value`` is positive (strictly by default)."""
     value = float(value)
@@ -47,6 +61,7 @@ def check_probability_matrix(name: str, matrix: np.ndarray, *, axis: int = 1,
 
 
 __all__ = [
+    "is_integral",
     "check_positive",
     "check_fraction",
     "check_square",

@@ -32,9 +32,9 @@ from repro.errors import SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import (Frontier, PhaseProfile, RoundRunner,
-                                   streaming_prune)
+from repro.simrank.kernels import Frontier, RoundRunner, streaming_prune
 from repro.simrank.localpush import LocalPushResult
+from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
 
 
@@ -174,8 +174,7 @@ class ScipyRoundState:
     """
 
     def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype,
-                 profile: Optional[PhaseProfile] = None,
+                 index_dtype: np.dtype, tracer: Tracer = NULL_TRACER,
                  signed: bool = False) -> None:
         self._residual = residual
         self._n = n

@@ -81,6 +81,21 @@ class TestGraphDelta:
         with pytest.raises(GraphError):
             GraphDelta(**bad)
 
+    @pytest.mark.parametrize("endpoint", [0.9, True, "5"],
+                             ids=["fraction", "bool", "string"])
+    def test_non_integral_endpoints_are_rejected(self, endpoint):
+        # Never truncated or parsed: 0.9 is not node 0, True not node 1,
+        # "5" not node 5.
+        with pytest.raises(GraphError, match="must be integers"):
+            GraphDelta("delete", endpoint, 5)
+        with pytest.raises(GraphError, match="must be integers"):
+            GraphDelta.from_dict({"kind": "insert", "u": 2, "v": endpoint})
+
+    def test_integral_numbers_are_node_ids(self):
+        delta = GraphDelta("insert", 5.0, np.int64(2))
+        assert (delta.u, delta.v) == (2, 5)
+        assert type(delta.u) is int and type(delta.v) is int
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(GraphError):
             GraphDelta.from_dict({"kind": "insert", "u": 0, "v": 1,
@@ -335,7 +350,7 @@ class TestDeltaChainedCache:
             dynamic=DynamicConfig(store_repaired=False))
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[0]),))
         operator.apply(batch)
-        assert cache.stores == 0
+        assert cache.stats()["stores"] == 0
         assert DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
                                           cache=cache) is None
 

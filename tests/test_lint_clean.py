@@ -6,7 +6,8 @@ they copy *live* sources into a scratch tree, re-introduce the exact
 regressions the rules were written against, and assert the rule fires.
 A refactor that accidentally lobotomises R1 or R3 fails here even though
 the clean tree still passes.  Last, the ``src`` tree must not regain any
-name of the deleted compatibility layer or execution axes.
+name of the deleted compatibility layer, execution axes or second
+counting mechanism.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ REMOVED_NAMES = {
     "wants_triplets": r"\bwants_triplets\b",
     "resource_tracker": r"\bresource_tracker\b",
     "shared_memory": r"\bshared_memory\b",
+    # One counting mechanism: engine phases are tracer spans, cache
+    # events and serve latency are registry instruments.
+    "PhaseProfile": r"\bPhaseProfile\b",
+    "TracingPhaseProfile": r"\bTracingPhaseProfile\b",
+    "phase_profile": r"\bphase_profile\b",
+    "record_complete": r"\brecord_complete\b",
+    "add_recorder": r"\badd_recorder\b",
+    "attach_telemetry": r"\battach_telemetry\b",
+    "LATENCY_WINDOW": r"\bLATENCY_WINDOW\b",
+    "phase_prefix": r"\bphase[_-]prefix\b",
 }
 
 # The experiment sweep keeps its own cell executors (a process pool among
@@ -141,4 +152,12 @@ def test_simrank_has_no_removed_execution_name(pattern):
     regex = re.compile(pattern)
     hits = [where for where, line in src_lines()
             if where.startswith("src/repro/simrank/") and regex.search(line)]
+    assert hits == []
+
+
+def test_telemetry_does_not_import_simrank():
+    """The instrumented layers import telemetry, never the reverse."""
+    regex = re.compile(r"^\s*(from|import)\s+repro\.simrank\b")
+    hits = [where for where, line in src_lines()
+            if where.startswith("src/repro/telemetry/") and regex.search(line)]
     assert hits == []

@@ -31,9 +31,10 @@ from _simrank_fixtures import erdos_renyi as _erdos_renyi
 from repro.api import topk as api_topk
 from repro.config import ServeConfig, SimRankConfig
 from repro.errors import ServeError, SimRankError
+from repro.graphs.delta import GraphDelta
 from repro.serve import QueryBatcher, SimRankService, make_daemon
 from repro.serve.daemon import ServeDaemon
-from repro.serve.service import LATENCY_WINDOW, SERVE_PATHS, ServiceCounters
+from repro.serve.service import SERVE_PATHS, ServiceCounters
 from repro.simrank.cache import get_operator_cache
 from repro.simrank.topk import simrank_operator
 
@@ -45,6 +46,26 @@ def graph():
 
 def _failing_compute(sources, top_k, epsilon):
     raise SimRankError("injected compute failure")
+
+
+def _post(daemon, path, payload):
+    """POST a JSON body; returns ``(status, decoded JSON)``."""
+    host, port = daemon.server_address[0], daemon.server_address[1]
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as error:
+        return error.code, json.load(error)
+
+
+def _absent_pair(graph):
+    dense = graph.adjacency.toarray()
+    n = graph.num_nodes
+    return next((u, v) for u in range(n) for v in range(u + 1, n)
+                if dense[u, v] == 0)
 
 
 def _counters(service, **expected):
@@ -120,7 +141,7 @@ class TestDegradationLadder:
         assert answer.path == "cached"
         assert answer.epsilon == 0.05  # the bound the row actually satisfies
         _counters(service, queries=1, exact_failures=1, cached_served=1)
-        assert cache.row_hits == 1
+        assert cache.stats()["row_hits"] == 1
 
     def test_repeated_sources_count_per_query_on_the_cached_rung(
             self, graph, tmp_path):
@@ -137,7 +158,7 @@ class TestDegradationLadder:
         _counters(service, queries=3, coalesced=3, exact_failures=3,
                   cached_served=3)
         # One row lookup per distinct source; the counters count queries.
-        assert get_operator_cache(cache_dir).row_hits == 2
+        assert get_operator_cache(cache_dir).stats()["row_hits"] == 2
 
     def test_repeated_sources_count_per_query_on_the_degraded_rung(
             self, graph):
@@ -361,6 +382,7 @@ class TestDaemon:
         assert payload["cache"] is None  # no cache_dir configured
         latency = payload["latency"]
         assert set(latency) == {"paths", "qps", "window_size"}
+        assert latency["window_size"] is None  # every query since start
         assert set(latency["paths"]) == set(SERVE_PATHS)
         exact = latency["paths"]["exact"]
         assert exact["count"] == 1
@@ -413,6 +435,18 @@ class TestDaemon:
         assert "Content-Length" in payload["error"]
         assert self._get(daemon, "/healthz")[0] == 200
 
+    def test_non_integral_update_endpoint_is_400(self, daemon, graph):
+        # A truncating int() would read 0.5 above an edge's endpoint as
+        # that endpoint and delete a real edge.
+        u, v = (int(node) for node in graph.edge_list()[0])
+        status, payload = _post(daemon, "/update", {
+            "deltas": [{"kind": "delete", "u": u + 0.5, "v": v}],
+            "wait": True})
+        assert status == 400
+        assert "must be integers" in payload["error"]
+        assert daemon.service.graph.num_edges == graph.num_edges
+        assert daemon.service.counters.to_dict()["updates_applied"] == 0
+
     def test_unknown_path_is_404(self, daemon):
         assert self._get(daemon, "/nope")[0] == 404
 
@@ -429,8 +463,9 @@ class TestDaemon:
         assert "version=0.0.4" in content_type
         assert "# TYPE repro_serve_queries_total counter" in text
         assert "repro_serve_queries_total 1" in text
-        assert 'repro_serve_latency_seconds{path="exact",quantile="p50"}' \
-            in text
+        assert "# TYPE repro_serve_latency_seconds histogram" in text
+        assert 'repro_serve_latency_seconds_count{path="exact"} 1' in text
+        assert "quantile=" not in text  # no scrape-time quantile gauge
         assert "repro_serve_graph_nodes 60" in text
 
     def test_exhausted_ladder_is_503_and_the_daemon_survives(self, graph):
@@ -450,38 +485,107 @@ class TestDaemon:
             thread.join(timeout=5)
 
 
+def _full_disk(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never reached"
+        time.sleep(0.01)
+
+
+class TestChainStoreFailure:
+    """A failed delta-chain cache write must not wedge the service."""
+
+    @pytest.mark.parametrize("wait", [False, True],
+                             ids=["background", "wait"])
+    def test_repair_lands_and_the_error_is_recorded(
+            self, graph, tmp_path, monkeypatch, wait):
+        service = SimRankService(graph, simrank=SimRankConfig(
+            epsilon=0.1, cache_dir=str(tmp_path / "operators")))
+        monkeypatch.setattr(service.cache, "store", _full_disk)
+        u, v = _absent_pair(graph)
+        ack = service.apply_update([GraphDelta("insert", u, v)], wait=wait)
+        assert ack["accepted"] is True
+        _wait_until(lambda: service.last_update_error is not None)
+        assert "No space left on device" in service.last_update_error
+        # The repair landed: the graph swapped and the counters count it.
+        assert service.graph.num_edges == graph.num_edges + 1
+        counters = service.counters.to_dict()
+        assert counters["updates_applied"] == 1
+        assert counters["repair_seconds"] > 0.0
+        # Nothing is left pending, so later queries are not stale.
+        assert service.topk(u, k=5).path == "exact"
+        assert service.counters.to_dict()["stale_served"] == 0
+        assert service.cache.stats()["stores"] == 0
+
+    def test_synchronous_http_update_answers_200(self, graph, tmp_path,
+                                                 monkeypatch):
+        daemon = make_daemon(
+            graph, simrank=SimRankConfig(
+                epsilon=0.1, cache_dir=str(tmp_path / "operators")),
+            serve=ServeConfig(port=0, batch_window_seconds=0.0))
+        monkeypatch.setattr(daemon.service.cache, "store", _full_disk)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            u, v = _absent_pair(graph)
+            status, payload = _post(daemon, "/update", {
+                "deltas": [{"kind": "insert", "u": u, "v": v}],
+                "wait": True})
+            assert status == 200
+            assert payload["background"] is False
+            assert payload["counters"]["updates_applied"] == 1
+            assert "No space left" in daemon.service.last_update_error
+        finally:
+            daemon.shutdown()
+            daemon.server_close()
+            thread.join(timeout=5)
+
+
 class TestLatencyWindow:
-    """Edge cases of the rolling per-path latency percentile window."""
+    """The ``/metrics`` latency section, read back from the histogram."""
 
     def test_no_queries_yet(self):
         counters = ServiceCounters()
         summary = counters.latency_summary()
         assert all(summary["paths"][path] is None for path in SERVE_PATHS)
         assert summary["qps"] is None
-        assert summary["window_size"] == LATENCY_WINDOW
+        assert summary["window_size"] is None
 
-    def test_single_sample_collapses_the_percentiles(self):
+    def test_single_sample_quantiles_lie_in_its_bucket(self):
         counters = ServiceCounters()
-        counters.record_latency("exact", 0.125)
+        counters.record_latency("exact", 0.125)  # bucket (0.1, 0.25]
         exact = counters.latency_summary()["paths"]["exact"]
         assert exact["count"] == 1
-        assert exact["p50_seconds"] == exact["p95_seconds"] \
-            == exact["p99_seconds"] == 0.125
+        assert 0.1 < exact["p50_seconds"] <= exact["p95_seconds"] \
+            <= exact["p99_seconds"] <= 0.25
+        # Linear interpolation across the bucket, Prometheus-style.
+        assert exact["p50_seconds"] == pytest.approx(0.175)
+        assert exact["p99_seconds"] == pytest.approx(0.2485)
         # The other paths stay untouched.
         assert counters.latency_summary()["paths"]["cached"] is None
 
-    def test_rollover_past_the_window(self):
+    def test_quantiles_cover_every_query_since_start(self):
         counters = ServiceCounters()
-        # Fill past the window with a huge constant, then roll it out
-        # with a full window of a small one: the percentiles must reflect
-        # only the surviving window while the count stays cumulative.
-        for _ in range(LATENCY_WINDOW):
-            counters.record_latency("exact", 100.0)
-        for _ in range(LATENCY_WINDOW):
+        for _ in range(3):
             counters.record_latency("exact", 0.001)
+        counters.record_latency("exact", 100.0)  # past the top bound
         exact = counters.latency_summary()["paths"]["exact"]
-        assert exact["count"] == 2 * LATENCY_WINDOW
-        assert exact["p99_seconds"] == 0.001  # the 100s samples rolled out
+        assert exact["count"] == 4
+        assert 0.0 < exact["p50_seconds"] <= 0.005
+        assert exact["p99_seconds"] == 10.0  # +Inf clamps to the top bound
+
+    def test_summary_reads_the_registry_histogram(self):
+        counters = ServiceCounters()
+        counters.record_latency("cached", 0.02)
+        counters.record_latency("cached", 0.06)
+        histogram = counters.registry.histogram("repro_serve_latency_seconds")
+        assert histogram.series()[(("path", "cached"),)].count == 2
+        cached = counters.latency_summary()["paths"]["cached"]
+        assert cached["p50_seconds"] == histogram.quantile(0.5, path="cached")
 
     def test_qps_needs_two_distinct_instants(self):
         counters = ServiceCounters()

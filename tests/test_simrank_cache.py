@@ -80,6 +80,39 @@ class TestGraphFingerprint:
         assert graph_fingerprint(Graph(reweighted)) != reference
 
 
+class TestCounters:
+    """Every cache event is counted once, on the cache's own registry."""
+
+    NAMES = ("hits", "exact_hits", "reuse_hits", "misses", "stores",
+             "evictions", "lru_evictions", "row_hits", "row_misses")
+
+    def test_stats_read_the_registry_counter(self, graph, cache):
+        _operator(graph, method="localpush", epsilon=0.05, top_k=None,
+                  cache=cache)
+        _operator(graph, method="localpush", epsilon=0.05, top_k=None,
+                  cache=cache)
+        cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1, top_k=5,
+                         row_normalize=False)
+        stats = cache.stats()
+        assert tuple(stats) == self.NAMES
+        events = cache.registry.counter("repro_cache_events_total")
+        for name, event in (("exact_hits", "exact_hit"),
+                            ("misses", "miss"), ("stores", "store"),
+                            ("row_hits", "row_hit")):
+            assert stats[name] == events.value(event=event) == 1
+        assert stats["hits"] == stats["exact_hits"] + stats["reuse_hits"]
+
+    def test_the_cache_sets_no_integer_counter_attribute(self, graph, cache):
+        _operator(graph, method="localpush", epsilon=0.1, top_k=4,
+                  cache=cache)
+        assert not set(self.NAMES) & set(vars(cache))
+        # Each instance owns its registry (get_operator_cache hands every
+        # consumer of a directory the same instance).
+        other = OperatorCache(cache.directory)
+        assert other.registry is not cache.registry
+        assert other.stats() == dict.fromkeys(self.NAMES, 0)
+
+
 class TestKeying:
     def test_key_varies_per_parameter(self, graph, cache):
         base = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
@@ -110,12 +143,13 @@ class TestRoundTrip:
                       num_workers=2, cache=cache)
         cold = _operator(graph, **kwargs)
         assert not cold.cache_hit
-        assert (cache.misses, cache.stores, cache.hits) == (1, 1, 0)
+        stats = cache.stats()
+        assert (stats["misses"], stats["stores"], stats["hits"]) == (1, 1, 0)
         assert len(cache) == 1
 
         warm = _operator(graph, **kwargs)
         assert warm.cache_hit
-        assert cache.hits == 1
+        assert cache.stats()["hits"] == 1
         assert warm.method == cold.method == "localpush"
         assert warm.epsilon == cold.epsilon and warm.top_k == cold.top_k
         assert np.array_equal(warm.matrix.indptr, cold.matrix.indptr)
@@ -129,7 +163,7 @@ class TestRoundTrip:
         warm = _operator(graph, method="localpush", epsilon=0.1,
                          top_k=4, cache=str(directory))
         assert not cold.cache_hit and warm.cache_hit
-        assert get_operator_cache(directory).hits == 1
+        assert get_operator_cache(directory).stats()["hits"] == 1
 
     def test_worker_count_shares_one_entry(self, graph, cache):
         """num_workers is excluded from the key: the pool is deterministic."""
@@ -146,7 +180,8 @@ class TestRoundTrip:
         second = _operator(graph, method="localpush", epsilon=0.05,
                                   top_k=8, cache=cache)
         assert not second.cache_hit
-        assert cache.hits == 0 and cache.stores == 2
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["stores"] == 2
 
     def test_row_normalize_is_keyed_and_verified(self, graph, cache):
         raw = _operator(graph, method="localpush", epsilon=0.1,
@@ -185,7 +220,8 @@ class TestRowLookup:
         # Prime with a tighter, un-truncated all-pairs entry …
         _operator(graph, method="localpush", epsilon=0.05, top_k=None,
                   cache=cache)
-        assert (cache.misses, cache.stores) == (1, 1)
+        stats = cache.stats()
+        assert (stats["misses"], stats["stores"]) == (1, 1)
         served = cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1,
                                   top_k=5, row_normalize=False)
         assert served is not None
@@ -194,9 +230,10 @@ class TestRowLookup:
         assert row.shape == (1, graph.num_nodes)
         # Counted only in the row pair; the operator counters (and their
         # hits == exact + reuse invariant) are untouched.
-        assert (cache.row_hits, cache.row_misses) == (1, 0)
-        assert cache.hits == cache.exact_hits + cache.reuse_hits == 0
-        assert cache.misses == 1
+        stats = cache.stats()
+        assert (stats["row_hits"], stats["row_misses"]) == (1, 0)
+        assert stats["hits"] == stats["exact_hits"] + stats["reuse_hits"] == 0
+        assert stats["misses"] == 1
 
         # The row equals slicing a full operator-level reuse of the same
         # contract — lookup_row is that reuse at O(row) cost.
@@ -218,7 +255,8 @@ class TestRowLookup:
                                 top_k=4, row_normalize=False) is None
         assert cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1,
                                 top_k=8, row_normalize=False) is None
-        assert (cache.row_hits, cache.row_misses) == (0, 3)
+        stats = cache.stats()
+        assert (stats["row_hits"], stats["row_misses"]) == (0, 3)
 
     def test_row_lookup_validates_the_source(self, graph, cache):
         from repro.errors import SimRankError
@@ -262,7 +300,7 @@ class TestInvalidationAndCorruption:
 
         refreshed = _operator(graph, cache=cache, **self.KWARGS)
         assert not refreshed.cache_hit
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         # The stale file was replaced by a fresh one that now hits.
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit
 
@@ -278,7 +316,7 @@ class TestInvalidationAndCorruption:
 
         refreshed = _operator(graph, cache=cache, **self.KWARGS)
         assert not refreshed.cache_hit
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_truncated_file_evicts_and_recomputes(self, graph, cache):
         cold = _operator(graph, cache=cache, **self.KWARGS)
@@ -287,7 +325,7 @@ class TestInvalidationAndCorruption:
 
         refreshed = _operator(graph, cache=cache, **self.KWARGS)
         assert not refreshed.cache_hit
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         np.testing.assert_allclose(refreshed.matrix.toarray(),
                                    cold.matrix.toarray())
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit
@@ -297,7 +335,7 @@ class TestInvalidationAndCorruption:
         path = self._entry_path(cache)
         path.write_bytes(b"this is not an npz archive")
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit is False
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_missing_array_evicts(self, graph, cache):
         _operator(graph, cache=cache, **self.KWARGS)
@@ -307,7 +345,7 @@ class TestInvalidationAndCorruption:
         del arrays["indices"]
         np.savez_compressed(path, **arrays)
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit is False
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_stored_file_is_a_plain_zip(self, graph, cache):
         """The on-disk entry stays inspectable with stock tooling."""
@@ -354,7 +392,7 @@ class TestConcurrentWrites:
         assert errors == []
         expected = {f"t{thread}-{index}" for thread in range(self.THREADS)
                     for index in range(self.STORES_PER_THREAD)}
-        assert cache.stores == len(expected)
+        assert cache.stats()["stores"] == len(expected)
         assert len(cache) == len(expected)
         index = json.loads(
             (cache.directory / "simrank-cache-index.json").read_text())
@@ -375,13 +413,15 @@ class TestExperimentIntegration:
 
         cold = run_experiment("fig5", simrank=simrank, print_result=False,
                               **self.FIG5_KWARGS)
-        assert cache.hits == 0 and cache.stores == 1
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["stores"] == 1
 
         warm = run_experiment("fig5", simrank=simrank, print_result=False,
                               **self.FIG5_KWARGS)
         # The repeated run was served entirely from the cache …
-        assert cache.hits == 1
-        assert cache.stores == 1  # … and did not recompute anything.
+        stats = cache.stats()
+        assert stats["hits"] == 1
+        assert stats["stores"] == 1  # … and did not recompute anything.
 
         cold_precompute = cold.points[0].precompute_seconds
         warm_precompute = warm.points[0].precompute_seconds
@@ -393,7 +433,7 @@ class TestExperimentIntegration:
                       simrank=SimRankConfig(cache_dir=str(directory)))
         run_experiment("table3", "pokec", print_result=False, **kwargs)
         run_experiment("table3", "pokec", print_result=False, **kwargs)
-        assert get_operator_cache(directory).hits == 1
+        assert get_operator_cache(directory).stats()["hits"] == 1
 
     def test_cli_exposes_cache_and_worker_flags(self):
         from repro.cli import build_parser

@@ -67,7 +67,7 @@ class TestLRUEviction:
         _operator(graph, method="localpush", epsilon=0.1, top_k=8,
                          cache=cache)
         assert len(cache) == 1
-        assert cache.lru_evictions == 1
+        assert cache.stats()["lru_evictions"] == 1
         assert _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=8, cache=cache).cache_hit
         # The evicted ε=0.2/k=8 file is gone: a k=16 request at ε=0.2
@@ -89,12 +89,12 @@ class TestLRUEviction:
         cache.max_bytes = size_two * 5 // 4  # room for two entries, not three
         _operator(graph, method="localpush", epsilon=0.05, top_k=8,
                          cache=cache)  # C — evicts B, not A
-        assert cache.lru_evictions == 1
+        assert cache.stats()["lru_evictions"] == 1
         assert len(cache) == 2
-        hits_before = cache.exact_hits
+        hits_before = cache.stats()["exact_hits"]
         assert _operator(graph, method="localpush", epsilon=0.2,
                                 top_k=8, cache=cache).cache_hit
-        assert cache.exact_hits == hits_before + 1
+        assert cache.stats()["exact_hits"] == hits_before + 1
 
     def test_single_oversized_entry_is_retained(self, graph, cache):
         cache.max_bytes = 1  # smaller than any entry
@@ -113,8 +113,8 @@ class TestLRUEviction:
         refreshed = _operator(graph, method="localpush", epsilon=0.1,
                                      top_k=8, cache=cache)
         assert not refreshed.cache_hit
-        assert cache.evictions == 1
-        assert cache.lru_evictions == 0
+        stats = cache.stats()
+        assert (stats["evictions"], stats["lru_evictions"]) == (1, 0)
 
     def test_invalid_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -146,8 +146,9 @@ class TestCrossEpsilonReuse:
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=8, cache=cache)
         assert warm.cache_hit
-        assert cache.reuse_hits == 1 and cache.exact_hits == 0
-        assert cache.stores == 1  # nothing recomputed
+        stats = cache.stats()
+        assert stats["reuse_hits"] == 1 and stats["exact_hits"] == 0
+        assert stats["stores"] == 1  # nothing recomputed
         # Same k: the tighter entry is served as-is, with the request's ε.
         assert warm.epsilon == 0.1
         assert warm.reuse_source_epsilon == 0.05
@@ -160,15 +161,15 @@ class TestCrossEpsilonReuse:
         second = _operator(graph, method="localpush", epsilon=0.05,
                                   top_k=8, cache=cache)
         assert not second.cache_hit
-        assert cache.reuse_hits == 0
-        assert cache.stores == 2
+        stats = cache.stats()
+        assert stats["reuse_hits"] == 0 and stats["stores"] == 2
 
     def test_larger_k_serves_smaller_k_after_reprune(self, graph, cache):
         cold = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=16, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=8, cache=cache)
-        assert warm.cache_hit and cache.reuse_hits == 1
+        assert warm.cache_hit and cache.stats()["reuse_hits"] == 1
         assert warm.top_k == 8 and warm.reuse_source_top_k == 16
         assert np.diff(warm.matrix.indptr).max() <= 8
         expected = top_k_per_row(cold.matrix, 8, keep_diagonal=True)
@@ -181,14 +182,14 @@ class TestCrossEpsilonReuse:
         second = _operator(graph, method="localpush", epsilon=0.1,
                                   top_k=16, cache=cache)
         assert not second.cache_hit
-        assert cache.reuse_hits == 0
+        assert cache.stats()["reuse_hits"] == 0
 
     def test_full_matrix_reuse_refloors_the_prune(self, graph, cache):
         _operator(graph, method="localpush", epsilon=0.05,
                          top_k=None, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=None, cache=cache)
-        assert warm.cache_hit and cache.reuse_hits == 1
+        assert warm.cache_hit and cache.stats()["reuse_hits"] == 1
         offdiag = warm.matrix.copy().tolil()
         offdiag.setdiag(0)
         values = offdiag.tocsr()
@@ -213,7 +214,7 @@ class TestCrossEpsilonReuse:
         assert not normalized.cache_hit  # raw entries never serve normalized
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=4, row_normalize=True, cache=cache)
-        assert warm.cache_hit and cache.reuse_hits == 1
+        assert warm.cache_hit and cache.stats()["reuse_hits"] == 1
         sums = np.asarray(warm.matrix.sum(axis=1)).ravel()
         np.testing.assert_allclose(sums[sums > 0], 1.0)
 
@@ -223,7 +224,7 @@ class TestCrossEpsilonReuse:
                          cache=cache)
         _operator(graph, method="localpush", epsilon=0.02, top_k=8,
                          cache=cache)
-        assert cache.stores == 2
+        assert cache.stats()["stores"] == 2
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=8, cache=cache)
         assert warm.cache_hit
@@ -247,7 +248,8 @@ class TestCrossEpsilonReuse:
         warm = _operator(graph, method="localpush", epsilon=0.1,
                                 top_k=8, num_workers=2, cache=cache)
         assert warm.cache_hit
-        assert cache.exact_hits == 1 and cache.reuse_hits == 0
+        stats = cache.stats()
+        assert stats["exact_hits"] == 1 and stats["reuse_hits"] == 0
         np.testing.assert_array_equal(warm.matrix.toarray(),
                                       cold.matrix.toarray())
 
@@ -260,8 +262,9 @@ class TestCrossEpsilonReuse:
                          cache=cache)  # reuse hit
         _operator(graph, method="localpush", epsilon=0.01, top_k=8,
                          cache=cache)  # miss + store
-        assert cache.exact_hits == 1
-        assert cache.reuse_hits == 1
-        assert cache.hits == cache.exact_hits + cache.reuse_hits == 2
-        assert cache.misses == 2
-        assert cache.stores == 2
+        stats = cache.stats()
+        assert stats["exact_hits"] == 1
+        assert stats["reuse_hits"] == 1
+        assert stats["hits"] == stats["exact_hits"] + stats["reuse_hits"] == 2
+        assert stats["misses"] == 2
+        assert stats["stores"] == 2

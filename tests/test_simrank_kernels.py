@@ -27,12 +27,12 @@ from repro.simrank.kernels import (
     DTYPES,
     F32_UNIT_ROUNDOFF,
     PHASES,
-    PhaseProfile,
     float32_error_bound,
     localpush_max_rounds,
     shard_bounds,
     working_dtype,
 )
+from repro.telemetry import SpanRecorder, Tracer, phase_seconds
 
 
 def assert_bitwise(a, b) -> None:
@@ -165,11 +165,11 @@ class TestKernelBitIdentity:
                 localpush_engine(star(6), epsilon=0.01, max_pushes=1)
         assert engine_module.FusedRoundState is FusedRoundState
 
-    def test_profile_accumulates_the_four_phases(self):
-        profile = PhaseProfile()
+    def test_phase_spans_cover_the_four_phases(self):
+        recorder = SpanRecorder(max_spans=100_000)
         localpush_engine(sbm(90, 5), decay=0.6, epsilon=0.01,
-                         profile=profile)
-        seconds = profile.as_dict()
+                         tracer=Tracer([recorder]))
+        seconds = phase_seconds(recorder.spans())
         assert set(seconds) == set(PHASES)
         assert all(value >= 0.0 for value in seconds.values())
         assert sum(seconds.values()) > 0.0

@@ -26,7 +26,8 @@ import pytest
 
 from repro.config import TelemetryConfig
 from repro.errors import ConfigError, TelemetryError
-from repro.telemetry import (DISABLED, METRICS_FORMAT_VERSION, NULL_TRACER,
+from repro.telemetry import (DEFAULT_BUCKETS, DISABLED,
+                             METRICS_FORMAT_VERSION, NULL_TRACER,
                              TRACE_FORMAT_VERSION, JsonlSpanSink,
                              MetricsRegistry, SpanRecorder, Telemetry, Tracer,
                              aggregate_by_name, format_summary, json_snapshot,
@@ -74,6 +75,41 @@ class TestMetricsRegistry:
         assert series.bucket_counts == [1, 2, 3]  # cumulative; +Inf = count
         assert series.count == 4
         assert series.sum == pytest.approx(55.55)
+
+    def test_histogram_quantile_interpolates_within_buckets(self):
+        hist = MetricsRegistry().histogram(
+            "repro_test_seconds", buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 1.5, 3.0):
+            hist.observe(value)  # cumulative counts [1, 3, 4]
+        # Rank q·4 inside its bucket, linear from the lower bound.
+        assert hist.quantile(0.25) == 1.0
+        assert hist.quantile(0.5) == 1.5
+        assert hist.quantile(0.875) == 3.0
+        assert hist.quantile(1.0) == 4.0
+        assert hist.quantile(0.0) == 0.0  # first non-empty bucket's floor
+
+    def test_histogram_quantile_of_the_inf_bucket_is_the_top_bound(self):
+        hist = MetricsRegistry().histogram(
+            "repro_test_seconds", buckets=(1.0, 2.0))
+        hist.observe(0.5, path="a")
+        hist.observe(30.0, path="a")
+        assert hist.quantile(0.25, path="a") == 0.5
+        assert hist.quantile(0.99, path="a") == 2.0
+
+    def test_histogram_quantile_of_an_empty_series_is_none(self):
+        hist = MetricsRegistry().histogram("repro_test_seconds")
+        assert hist.quantile(0.5) is None
+        hist.observe(0.01, path="exact")
+        assert hist.quantile(0.5, path="cached") is None
+        with pytest.raises(TelemetryError, match="quantile"):
+            hist.quantile(1.5, path="exact")
+
+    def test_default_buckets_are_the_prometheus_client_ladder(self):
+        assert DEFAULT_BUCKETS == (0.005, 0.01, 0.025, 0.05, 0.075, 0.1,
+                                   0.25, 0.5, 0.75, 1.0, 2.5, 5.0, 7.5,
+                                   10.0)
+        hist = MetricsRegistry().histogram("repro_test_seconds")
+        assert hist.buckets == DEFAULT_BUCKETS
 
     def test_histogram_buckets_must_increase(self):
         registry = MetricsRegistry()
@@ -177,14 +213,6 @@ class TestTracer:
         spans = {span["name"]: span for span in recorder.spans()}
         assert spans["threaded"]["parent_id"] is None  # honest for pools
 
-    def test_record_complete_backdates_start(self):
-        recorder = SpanRecorder()
-        tracer = Tracer([recorder])
-        tracer.record_complete("localpush.push", 0.25, phase="push", round=2)
-        (span,) = recorder.spans()
-        assert span["duration"] == 0.25
-        assert span["attributes"] == {"phase": "push", "round": 2}
-
     def test_recorder_bounds_and_drop_accounting(self):
         recorder = SpanRecorder(max_spans=2)
         tracer = Tracer([recorder])
@@ -248,7 +276,6 @@ class TestTracer:
         with span as entered:
             entered.set("k", "v")  # all no-ops
         assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.record_complete("x", 1.0) is None
 
     def test_concurrent_recording_loses_nothing(self):
         recorder = SpanRecorder(max_spans=10_000)
@@ -380,7 +407,6 @@ class TestSummary:
                  _span("localpush.merge", 3, duration=0.25),
                  _span("serve.exact_batch", 4, duration=9.0)]
         assert phase_seconds(spans) == {"push": 1.5, "merge": 0.25}
-        assert phase_seconds(spans, prefix="serve") == {"exact_batch": 9.0}
 
     def test_format_summary_sections(self):
         spans = [_span("localpush.push", 1, duration=1.0, round=0)]
@@ -400,6 +426,13 @@ class TestSummary:
         assert trace_main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "localpush.push" in out
+
+    def test_cli_has_no_phase_prefix_option(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            trace_main([str(path), "--phase-prefix", "serve"])
+        assert exit_info.value.code == 2
 
     def test_cli_error_exits(self, tmp_path, capsys):
         assert trace_main([str(tmp_path / "missing.jsonl")]) == 2
@@ -452,7 +485,6 @@ class TestTelemetryHandle:
         assert resolve_telemetry(None) is DISABLED
         assert DISABLED.enabled is False
         assert DISABLED.tracer is NULL_TRACER
-        assert DISABLED.phase_profile() is None
         DISABLED.close()  # no sink: a no-op
 
     def test_explicit_handle_passes_through(self):

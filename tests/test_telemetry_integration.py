@@ -5,14 +5,15 @@ its spans/counters asserted, *and* with the disabled default asserted
 bit-identical to the enabled run — tracing is observability only, it
 never changes an answer:
 
-* **engine** — ``localpush_engine(profile=TracingPhaseProfile(...))``
-  emits one ``localpush.<phase>`` span per measured phase interval,
-  tagged with the phase and its round, and the span aggregates equal the
-  accumulating profile exactly (same measured intervals);
-* **serve** — the service's counters land in the handle's registry
-  (``repro_serve_*``), every shared exact round is a
-  ``serve.exact_batch`` span, and the cached rung mirrors operator-cache
-  events onto ``repro_cache_events_total``;
+* **engine** — ``localpush_engine(tracer=Tracer([recorder]))`` records
+  one ``localpush.<phase>`` span per phase interval, tagged with the
+  phase and the round the round state counted;
+* **serve** — the service's counters and latency histogram land in the
+  handle's registry (``repro_serve_*``), every shared exact round is a
+  ``serve.exact_batch`` span, and the scrape renders the operator
+  cache's own ``repro_cache_events_total`` — the same numbers as the
+  ``/metrics`` ``cache`` section, with telemetry on or off and for every
+  service sharing the cache;
 * **dynamic** — each repair is a ``dynamic.repair`` span carrying the
   batch size and the repair's push/round/warm-start provenance;
 * **experiments** — traced cells embed their versioned span tree in the
@@ -43,8 +44,7 @@ from repro.simrank.cache import get_operator_cache
 from repro.simrank.engine import localpush_engine
 from repro.simrank.kernels import PHASES
 from repro.simrank.topk import simrank_operator
-from repro.telemetry import (SpanRecorder, Telemetry, Tracer,
-                             TracingPhaseProfile, load_trace, phase_seconds,
+from repro.telemetry import (SpanRecorder, Telemetry, Tracer, load_trace,
                              telemetry_from_config)
 
 
@@ -64,46 +64,66 @@ def _enabled(tmp_path, **overrides):
 class TestEnginePhaseSpans:
     def test_phase_spans_with_round_attributes(self, graph):
         recorder = SpanRecorder()
-        profile = TracingPhaseProfile(Tracer([recorder]))
-        localpush_engine(graph, epsilon=0.1, profile=profile)
+        localpush_engine(graph, epsilon=0.1, tracer=Tracer([recorder]))
         spans = recorder.spans()
         names = {span["name"] for span in spans}
         assert names == {f"localpush.{phase}" for phase in PHASES}
         for span in spans:
             attrs = span["attributes"]
-            assert attrs["phase"] in PHASES
+            assert span["name"] == f"localpush.{attrs['phase']}"
             assert isinstance(attrs["round"], int) and attrs["round"] >= 0
             assert span["duration"] >= 0.0
 
-    def test_span_aggregates_equal_the_accumulating_profile(self, graph):
+    def test_the_round_state_counts_its_rounds(self, graph):
         recorder = SpanRecorder()
-        profile = TracingPhaseProfile(Tracer([recorder]))
-        localpush_engine(graph, epsilon=0.1, profile=profile)
-        # Same measured intervals, two views: summing the spans recovers
-        # the accumulated per-phase seconds exactly.
-        totals = phase_seconds(recorder.spans())
-        for phase, seconds in profile.as_dict().items():
-            assert totals.get(phase, 0.0) == pytest.approx(seconds)
+        result = localpush_engine(graph, epsilon=0.1,
+                                  tracer=Tracer([recorder]))
+        spans = recorder.spans()
+        rounds = result.num_rounds
+        # One push and one merge per round, numbered 0 .. rounds-1.
+        for phase in ("push", "merge"):
+            assert sorted(span["attributes"]["round"] for span in spans
+                          if span["attributes"]["phase"] == phase) \
+                == list(range(rounds))
+        # Every round opens with a frontier extraction; the terminating
+        # one, which finds nothing to push, carries the final count.
+        frontier = [span["attributes"]["round"] for span in spans
+                    if span["attributes"]["phase"] == "frontier"]
+        assert max(frontier) == rounds
+        assert all(0 <= span["attributes"]["round"] <= rounds
+                   for span in spans)
 
     def test_profiled_run_is_bit_identical_to_unprofiled(self, graph):
         plain = localpush_engine(graph, epsilon=0.1)
-        profiled = localpush_engine(
-            graph, epsilon=0.1,
-            profile=TracingPhaseProfile(Tracer([SpanRecorder()])))
+        profiled = localpush_engine(graph, epsilon=0.1,
+                                    tracer=Tracer([SpanRecorder()]))
         assert (plain.matrix != profiled.matrix).nnz == 0
         assert plain.num_pushes == profiled.num_pushes
-
-    def test_telemetry_handle_builds_the_profile(self, tmp_path):
-        handle = _enabled(tmp_path)
-        profile = handle.phase_profile()
-        assert isinstance(profile, TracingPhaseProfile)
-        # The disabled default yields None — the engine's "unmeasured".
-        assert telemetry_from_config(None).phase_profile() is None
 
 
 # --------------------------------------------------------------------- #
 # Serving layer
 # --------------------------------------------------------------------- #
+def _failing_exact(sources, top_k, epsilon):
+    from repro.errors import SimRankError
+    raise SimRankError("injected")
+
+
+def _warm_cache(graph, tmp_path):
+    """A cache dir holding a tighter all-pairs entry (the cached rung)."""
+    cache_dir = str(tmp_path / "operators")
+    simrank_operator(graph, SimRankConfig(
+        method="localpush", epsilon=0.05, top_k=None, cache_dir=cache_dir))
+    return cache_dir
+
+
+def _cache_events(text):
+    """``{event: count}`` of the scrape's ``repro_cache_events_total``."""
+    prefix = 'repro_cache_events_total{event="'
+    return {line[len(prefix):].split('"')[0]: int(line.split()[-1])
+            for line in text.splitlines() if line.startswith(prefix)}
+
+
 class TestServeTelemetry:
     def test_counters_land_in_the_handle_registry(self, graph, tmp_path):
         handle = _enabled(tmp_path)
@@ -139,25 +159,44 @@ class TestServeTelemetry:
         # is available without --telemetry.
         assert "repro_serve_queries_total 1" in service.prometheus_metrics()
 
-    def test_cache_events_mirrored_onto_the_registry(self, graph, tmp_path):
-        cache_dir = str(tmp_path / "operators")
-        simrank_operator(graph, SimRankConfig(
-            method="localpush", epsilon=0.05, top_k=None,
-            cache_dir=cache_dir))
-        cache = get_operator_cache(cache_dir)
-        handle = _enabled(tmp_path)
-
-        def failing(sources, top_k, epsilon):
-            from repro.errors import SimRankError
-            raise SimRankError("injected")
-
+    @pytest.mark.parametrize("enabled", [False, True],
+                             ids=["telemetry-off", "telemetry-on"])
+    def test_scraped_cache_events_equal_the_metrics_section(
+            self, graph, tmp_path, enabled):
+        cache_dir = _warm_cache(graph, tmp_path)
         service = SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
-            compute_exact=failing, telemetry=handle)
-        answer = service.topk(3, k=5)
-        assert answer.path == "cached"
-        events = handle.registry.counter("repro_cache_events_total")
-        assert events.value(event="row_hit") == cache.row_hits == 1
+            compute_exact=_failing_exact,
+            telemetry=_enabled(tmp_path) if enabled else None)
+        assert service.topk(3, k=5).path == "cached"
+        text = service.prometheus_metrics()
+        assert 'repro_cache_events_total{event="row_hit"} 1\n' in text
+        section = service.metrics()["cache"]
+        assert section["row_hits"] == 1
+        scraped = _cache_events(text)
+        assert section == {
+            "hits": scraped["exact_hit"] + scraped["reuse_hit"],
+            "exact_hits": scraped["exact_hit"],
+            "reuse_hits": scraped["reuse_hit"],
+            "misses": scraped["miss"],
+            "row_hits": scraped["row_hit"],
+            "row_misses": scraped["row_miss"],
+            "stores": scraped["store"]}
+
+    def test_services_sharing_a_cache_scrape_every_row_hit(self, graph,
+                                                           tmp_path):
+        cache_dir = _warm_cache(graph, tmp_path)
+        services = [SimRankService(
+            graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
+            compute_exact=_failing_exact, telemetry=_enabled(tmp_path))
+            for _ in range(2)]
+        assert services[0].telemetry is not services[1].telemetry
+        for service in services:
+            assert service.topk(3, k=5).path == "cached"
+        for service in services:
+            assert _cache_events(service.prometheus_metrics())["row_hit"] \
+                == service.metrics()["cache"]["row_hits"] == 2
+        assert get_operator_cache(cache_dir).stats()["row_hits"] == 2
 
     def test_prometheus_scrape_includes_gauges(self, graph, tmp_path):
         handle = _enabled(tmp_path)
@@ -167,9 +206,10 @@ class TestServeTelemetry:
         text = service.prometheus_metrics()
         assert "# TYPE repro_serve_queries_total counter" in text
         assert "repro_serve_queries_total 1" in text
-        assert 'repro_serve_latency_seconds{path="exact",quantile="p50"}' \
-            in text
+        assert "# TYPE repro_serve_latency_seconds histogram" in text
+        assert 'repro_serve_latency_seconds_count{path="exact"} 1' in text
         assert f"repro_serve_graph_nodes {graph.num_nodes}" in text
+        assert "repro_cache_events_total" not in text  # no cache configured
 
 
 # --------------------------------------------------------------------- #
