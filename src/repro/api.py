@@ -238,6 +238,9 @@ def apply_updates(graph: Graph, updates: "Updates", *,
     work, and a warm base-graph entry turns the build into an
     estimate-only warm start — the repair then seeds from the
     reconstruction algebra (see the :mod:`repro.dynamic` docstring).
+    The chained entry for ``updates`` is on disk when this returns
+    (unless the write failed, which
+    :meth:`~repro.dynamic.operator.DynamicOperator.flush` reports).
     """
     from repro.dynamic.operator import DynamicOperator
 
@@ -249,6 +252,7 @@ def apply_updates(graph: Graph, updates: "Updates", *,
     operator = DynamicOperator(graph, simrank=cfg, dynamic=dynamic,
                                cache=cache)
     operator.apply(updates)
+    operator.flush()
     return operator
 
 

@@ -424,10 +424,14 @@ class DynamicConfig:
         uncapped) — the repair analogue of the engine's ``max_pushes``;
         exceeding it raises instead of spinning on a pathological delta.
     ``store_repaired``
-        Store each repaired snapshot as a delta-chained operator-cache
-        entry (when the operator has a cache), so a later process can
+        Store repaired snapshots as delta-chained operator-cache entries
+        (when the operator has a cache), so a later process can
         warm-start from ``base fingerprint + delta hash`` instead of
-        recomputing.
+        recomputing.  The write runs on a background writer after the
+        repair commits; latest wins, so a state superseded while it
+        waits is never written
+        (:meth:`repro.dynamic.operator.DynamicOperator.flush` drains
+        it).  ``False`` writes nothing.
     ``background_repair``
         Serving only: apply repairs on a background thread and keep
         answering from the pre-update operator until the repair lands.

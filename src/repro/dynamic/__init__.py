@@ -61,6 +61,13 @@ Entry points
 state and the repair loop; :func:`repro.api.apply_updates` is the
 one-call facade; the serving layer applies updates through
 ``SimRankService.apply_update`` and the daemon's ``/update`` endpoint.
+
+The delta-chained cache entry is written off the repair path: ``apply``
+returns once the repair commits, and a short-lived writer thread stores
+the newest committed state.  Latest wins — a state superseded while it
+waits is never written, the write in flight always completes — and
+``DynamicOperator.flush()`` blocks until the writer is idle, returning
+the last write error.  ``apply_updates`` flushes before it returns.
 """
 
 from repro.dynamic.operator import DynamicOperator, RepairResult

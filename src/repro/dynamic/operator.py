@@ -6,14 +6,20 @@ things: the maintained raw ``(estimate, residual)`` pair (full fidelity
 — never top-k pruned, never floor-pruned, float64), the repair loop
 built on :func:`repro.simrank.engine.resume_localpush`, and the
 delta-chained cache integration that lets a later process warm-start
-from ``base fingerprint + delta hash`` instead of recomputing.
+from ``base fingerprint + delta hash`` instead of recomputing.  The
+chain entry is written off the repair path, by a short-lived writer
+thread that stores the newest committed state (see
+:meth:`DynamicOperator.flush`).
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,9 +53,6 @@ class RepairResult:
     cache warm start).  ``num_pushes`` is the number of frontier
     absorptions the repair rounds performed — the quantity the
     incremental benchmark pits against a fresh precompute.
-    ``store_error`` describes a failed delta-chain cache write (``None``
-    when the write succeeded or was not attempted); the repair itself
-    landed either way.
     """
 
     batch: UpdateBatch
@@ -59,7 +62,20 @@ class RepairResult:
     num_residual_entries: int
     repair_seconds: float
     warm_start: str
-    store_error: Optional[str] = None
+
+
+class _Committed(NamedTuple):
+    """One committed repair, as handed to the chain writer.
+
+    No later repair mutates these objects: every :meth:`DynamicOperator.apply`
+    builds a new estimate, residual, graph and chain, so the writer reads
+    them without a lock.
+    """
+
+    estimate: sp.csr_matrix
+    residual: Optional[sp.csr_matrix]
+    graph: Graph
+    chain: UpdateBatch
 
 
 def _resolve_cache(cache: CacheLike,
@@ -100,19 +116,38 @@ class DynamicOperator:
     ``telemetry`` an optional :class:`repro.telemetry.Telemetry` handle —
     when enabled, every :meth:`apply` repair is traced as a
     ``dynamic.repair`` span (attributes ``batch_size``/``num_pushes``/
-    ``num_rounds``/``warm_start``).  The cache counts its own events
-    whether or not telemetry is on.
+    ``num_rounds``/``warm_start``) and every chain write as a
+    ``dynamic.chain_write`` span (attributes ``chain_length``,
+    ``superseded`` and, on failure, ``error``).  The cache counts its
+    own events whether or not telemetry is on.
+
+    The delta-chain write
+    ---------------------
+    With a cache and ``store_repaired``, :meth:`apply` hands the
+    committed state to a one-slot mailbox and returns; it neither
+    projects nor writes the snapshot.  A writer thread, started when
+    none is running, projects the newest waiting state and stores it
+    under its delta-chained key, then exits once the slot is empty.
+    Latest wins: a state still waiting when a newer repair commits is
+    superseded and never written, while the write in flight always
+    completes, so entries land in commit order and at most one state is
+    in flight and one waiting however fast updates arrive.
+    :meth:`flush` blocks until the writer is idle.  A failed write never
+    undoes its repair: the error text is kept for :meth:`flush` and
+    passed to ``on_write_error`` (called on the writer thread), if given.
     """
 
     def __init__(self, graph: Graph, *,
                  simrank: Optional[SimRankConfig] = None,
                  dynamic: Optional[DynamicConfig] = None,
                  cache: CacheLike = None,
-                 telemetry: Optional["Telemetry"] = None) -> None:
+                 telemetry: Optional["Telemetry"] = None,
+                 on_write_error: Optional[Callable[[str], None]] = None
+                 ) -> None:
         self._bootstrap(graph.num_nodes,
                         simrank if simrank is not None else SimRankConfig(),
                         dynamic if dynamic is not None else DynamicConfig(),
-                        cache, telemetry)
+                        cache, telemetry, on_write_error)
         self.graph = graph
         self.base_fingerprint = graph_fingerprint(graph)
         self.chain = UpdateBatch()
@@ -149,7 +184,9 @@ class DynamicOperator:
     # ------------------------------------------------------------------ #
     def _bootstrap(self, num_nodes: int, simrank: SimRankConfig,
                    dynamic: DynamicConfig, cache: CacheLike,
-                   telemetry: Optional["Telemetry"] = None) -> None:
+                   telemetry: Optional["Telemetry"] = None,
+                   on_write_error: Optional[Callable[[str], None]] = None
+                   ) -> None:
         """Shared attribute setup for both construction paths."""
         from repro.telemetry.runtime import resolve_telemetry
 
@@ -170,6 +207,17 @@ class DynamicOperator:
         self.updates_applied = 0
         self.repair_pushes = 0
         self.repair_seconds = 0.0
+        # The chain writer's mailbox, all guarded by _write_lock:
+        # _waiting is the one slot, _writing says a writer thread will
+        # still read it, and _writer is the last thread started (kept
+        # after it exits so flush() can join it).
+        self._on_write_error = on_write_error
+        self._write_lock = threading.Lock()
+        self._waiting: Optional[_Committed] = None
+        self._superseded = 0
+        self._writing = False
+        self._writer: Optional[threading.Thread] = None
+        self._write_error: Optional[str] = None
 
     @classmethod
     def from_chain(cls, base_graph: Graph, updates: Updates, *,
@@ -227,11 +275,9 @@ class DynamicOperator:
         operator then satisfies the same ``< ε`` bound as a fresh
         recompute.  State commits only on success: a failed repair
         (e.g. ``repair_max_pushes`` exceeded) leaves the operator on the
-        pre-update graph, still serving.  The delta-chain cache write
-        that follows a committed repair is best effort: an ``OSError``
-        there (a full disk, say) is reported in
-        :attr:`RepairResult.store_error` instead of raised, because the
-        repair has already landed.
+        pre-update graph, still serving.  A committed repair is handed
+        to the background chain writer (see the class docstring) and
+        this returns without waiting for the write; :meth:`flush` waits.
         """
         batch = UpdateBatch.coerce(updates)
         if len(batch) > self.dynamic.max_batch_edges:
@@ -269,6 +315,9 @@ class DynamicOperator:
         self.updates_applied += 1
         self.repair_pushes += run.num_pushes
         self.repair_seconds += elapsed
+        if self._cache is not None and self.dynamic.store_repaired:
+            self._publish(_Committed(estimate, run.residual, new_graph,
+                                     self.chain))
         return RepairResult(
             batch=batch,
             num_deltas=len(batch),
@@ -277,7 +326,6 @@ class DynamicOperator:
             num_residual_entries=run.num_residual_entries,
             repair_seconds=elapsed,
             warm_start=warm_start,
-            store_error=self._store_chain_entry(),
         )
 
     def _seed_repair(self, new_graph: Graph,
@@ -307,20 +355,94 @@ class DynamicOperator:
                                format="csr")
         return (identity - estimate + pushed).tocsr(), "reconstructed"
 
-    def _store_chain_entry(self) -> Optional[str]:
-        """Write the delta-chained snapshot; the error text if it failed."""
-        if (self._cache is None or not self.dynamic.store_repaired
-                or len(self.chain) == 0):
-            return None
-        snapshot = self._snapshot(self._maintenance_fields)
+    # ------------------------------------------------------------------ #
+    # The delta-chain writer
+    # ------------------------------------------------------------------ #
+    def _publish(self, state: _Committed) -> None:
+        """Put ``state`` in the writer's slot; start a writer if none runs."""
+        with self._write_lock:
+            if self._waiting is not None:
+                self._superseded += 1
+            self._waiting = state
+            if self._writing:
+                return
+            self._writing = True
+            # Started under the lock, so flush() never sees a thread it
+            # cannot join yet.  Not a daemon thread, whoever publishes:
+            # interpreter exit waits for the write instead of leaving a
+            # temporary file behind.
+            self._writer = threading.Thread(target=self._write_loop,
+                                            name="repro-chain-writer",
+                                            daemon=False)
+            self._writer.start()
+
+    def _write_loop(self) -> None:
+        """Writer thread body: write the newest state until none waits.
+
+        Taking the empty slot and clearing ``_writing`` happen under one
+        lock hold, so a state published after that starts a new thread
+        instead of waiting for this one.
+        """
         try:
-            self._cache.store_delta(self.base_fingerprint,
-                                    self.chain.content_hash(),
-                                    self._maintenance_fields, snapshot,
-                                    fingerprint=graph_fingerprint(self.graph))
-        except OSError as error:
-            return f"delta-chain cache write failed: {error}"
-        return None
+            while True:
+                with self._write_lock:
+                    state, self._waiting = self._waiting, None
+                    superseded, self._superseded = self._superseded, 0
+                    if state is None:
+                        self._writing = False
+                        return
+                self._write_entry(state, superseded)
+        finally:
+            # _writing is still set here only if _write_entry raised (the
+            # callback, say): clear it so a later publish starts a writer.
+            # After a normal exit a newer thread may own the flag.
+            with self._write_lock:
+                if self._writer is threading.current_thread():
+                    self._writing = False
+
+    def _write_entry(self, state: _Committed, superseded: int) -> None:
+        """Project ``state`` and store it under its delta-chained key."""
+        cache = self._cache
+        assert cache is not None  # only published with a cache
+        with self._tracer.span("dynamic.chain_write",
+                               chain_length=len(state.chain),
+                               superseded=superseded) as span:
+            try:
+                snapshot = self._snapshot(self._maintenance_fields,
+                                          state.estimate, state.residual)
+                cache.store_delta(self.base_fingerprint,
+                                  state.chain.content_hash(),
+                                  self._maintenance_fields, snapshot,
+                                  fingerprint=graph_fingerprint(state.graph))
+                return
+            except OSError as error:
+                message = f"delta-chain cache write failed: {error}"
+            except Exception:  # the writer thread's boundary: record it
+                message = ("delta-chain cache write failed:\n"
+                           + traceback.format_exc())
+            span.set("error", message)
+        self._write_error = message
+        if self._on_write_error is not None:
+            self._on_write_error(message)
+
+    def flush(self) -> Optional[str]:
+        """Block until no chain write is waiting or in flight.
+
+        Returns the text of the last failed write (``None`` if none has
+        failed).  On return the newest state committed before the call
+        is stored (or its failure recorded) and no writer thread is
+        alive.
+        """
+        while True:
+            with self._write_lock:
+                writer = self._writer
+            if writer is None:
+                break
+            writer.join()
+            with self._write_lock:
+                if self._writer is writer:
+                    break
+        return self._write_error
 
     # ------------------------------------------------------------------ #
     # Snapshots
@@ -340,15 +462,21 @@ class DynamicOperator:
         fields["row_normalize"] = self.simrank.row_normalize
         fields["dtype"] = None if self.simrank.dtype == "float64" \
             else self.simrank.dtype
-        return self._snapshot(fields)
+        return self._snapshot(fields, self._estimate, self._residual)
 
-    def _snapshot(self, fields: Dict[str, object]) -> SimRankOperator:
-        n = self.graph.num_nodes
+    def _snapshot(self, fields: Dict[str, object], estimate: sp.csr_matrix,
+                  residual: Optional[sp.csr_matrix]) -> SimRankOperator:
+        """Project a maintained ``(estimate, residual)`` pair under ``fields``.
+
+        Reads its arguments and never writes them, so the chain writer
+        can project a committed state while the next repair runs.
+        """
+        n = estimate.shape[0]
         top_k = fields["top_k"]
         row_normalize = bool(fields["row_normalize"])
-        residual = self._residual if self._residual is not None \
-            else sp.csr_matrix((n, n), dtype=np.float64)
-        estimate = self._estimate.copy()
+        if residual is None:
+            residual = sp.csr_matrix((n, n), dtype=np.float64)
+        estimate = estimate.copy()
         if residual.nnz:
             rows = csr_row_indices(residual)
             positive = residual.data > 0.0

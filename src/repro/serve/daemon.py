@@ -24,21 +24,29 @@ Endpoints (all ``GET``, all JSON):
     Apply an edge-update batch to the served graph.  The JSON body is
     the :meth:`repro.graphs.delta.UpdateBatch.to_dict` shape —
     ``{"deltas": [{"kind": "insert", "u": 0, "v": 1}, ...]}`` — plus an
-    optional ``"wait": true`` to block until the repair lands (and get
-    its telemetry back).  By default the repair runs in the background
-    and queries keep answering from the pre-update graph
-    (``stale_served`` counts them) until the repaired operator swaps in.
+    optional ``"wait": true`` to block until the repair lands and the
+    graph swaps (and get its telemetry back).  ``wait`` does not cover
+    the delta-chained cache entry: a background writer stores it after
+    the response (see :class:`repro.dynamic.operator.DynamicOperator`).
+    By default the repair runs in the background and queries keep
+    answering from the pre-update graph (``stale_served`` counts them)
+    until the repaired operator swaps in.
 
 Bad parameters (and invalid deltas) are a 400, an exhausted degradation
 ladder a 503 — the daemon never dies on a query.  ``main`` is the
 ``repro.cli serve`` subcommand: it loads a registry dataset, builds the
-service stack and blocks in ``serve_forever``.
+service stack and blocks in ``serve_forever`` until Ctrl-C or SIGTERM.
+Either way :meth:`ServeDaemon.server_close` then runs, which calls
+:meth:`repro.serve.service.SimRankService.close`: it waits for the
+repair in progress and drains its chain write, so the newest entry is on
+disk (and no temporary file is left) before the process exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -64,6 +72,15 @@ class ServeDaemon(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.batcher = batcher if batcher is not None else QueryBatcher(service)
+
+    def server_close(self) -> None:
+        """Close the socket, then drain the service's chain write.
+
+        :meth:`repro.serve.service.SimRankService.close` waits for the
+        repair in progress and its delta-chained cache entry.
+        """
+        super().server_close()
+        self.service.close()
 
 
 def _content_length(raw: Optional[str]) -> int:
@@ -217,8 +234,9 @@ def make_daemon(graph: Graph, *, simrank: Optional[SimRankConfig] = None,
     Binds immediately; ``serve.port=0`` picks a free port
     (``daemon.server_address`` reports the bound one).  The caller owns
     the lifecycle: ``serve_forever()`` to run, ``shutdown()`` +
-    ``server_close()`` to stop.  ``telemetry`` threads an enabled
-    handle through the whole stack (service counters and spans — see
+    ``server_close()`` to stop (the latter drains the chain write).
+    ``telemetry`` threads an enabled handle through the whole stack
+    (service counters and spans — see
     :class:`repro.serve.service.SimRankService`).
     """
     serve = serve if serve is not None else ServeConfig()
@@ -288,6 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    """SIGTERM handler: end ``serve_forever`` the way Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro.cli serve`` entry point: load, bind, serve forever."""
     args = build_parser().parse_args(
@@ -322,11 +345,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"serving {args.dataset} ({dataset.graph.num_nodes} nodes) "
           f"on http://{host}:{port} — endpoints: /topk /score /metrics "
           f"/metrics/prometheus /healthz /update")
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         daemon.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+    except KeyboardInterrupt:
         pass
     finally:
+        # A second SIGTERM while draining kills the process outright.
+        signal.signal(signal.SIGTERM, previous)
         daemon.server_close()
         telemetry.close()
     return 0

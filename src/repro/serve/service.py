@@ -519,14 +519,20 @@ class SimRankService:
         (``DynamicConfig.background_repair``), synchronously when
         ``wait=True``.  Until the repair lands, queries keep answering
         from the pre-update graph and count ``stale_served``; the landing
-        atomically swaps in the updated graph (and, with
-        ``store_repaired``, writes the repaired full-fidelity snapshot to
-        the operator cache so the *cached* rung serves post-update rows
-        without push work).
+        atomically swaps in the updated graph.  With ``store_repaired``
+        the operator's background writer then stores the repaired
+        full-fidelity snapshot in the operator cache, after which the
+        *cached* rung serves post-update rows without push work.  Before
+        it lands, a query that falls past the exact rung answers
+        ``degraded`` unless the cache already holds an entry for the
+        updated graph (the cached rung matches the served graph's
+        fingerprint, so it never serves a pre-update entry).
 
         Returns an acknowledgement payload; synchronous repairs include
         the repair telemetry (``num_pushes``, ``repair_seconds``,
-        ``warm_start``).  Concurrent updates serialise on an update lock
+        ``warm_start``) and mean the repair landed and the graph
+        swapped — not that the chain entry is on disk (:meth:`close`
+        waits for that).  Concurrent updates serialise on an update lock
         in submission order.
         """
         from repro.graphs.delta import UpdateBatch
@@ -567,11 +573,9 @@ class SimRankService:
         repair (e.g. the batch conflicts with an earlier update that
         landed after its validation) leaves the service on the previous
         graph, still answering; background failures are recorded in
-        ``last_update_error`` instead of raised.  A landed repair whose
-        best-effort delta-chain write failed still swaps and counts;
-        the write error goes to ``last_update_error``.  The pending
-        count is released whatever happens, so no failure leaves every
-        later query counted as stale.
+        ``last_update_error`` instead of raised.  The pending count is
+        released whatever happens, so no failure leaves every later
+        query counted as stale.
         """
         with self._update_lock:
             result: Optional["RepairResult"] = None
@@ -590,9 +594,26 @@ class SimRankService:
                         self.counters.inc("updates_applied")
                         self.counters.inc("repair_seconds",
                                           result.repair_seconds)
-            if result is not None and result.store_error is not None:
-                self.last_update_error = result.store_error
         return result
+
+    def _record_write_error(self, error: str) -> None:
+        """The operator's chain-write error callback (on its writer thread).
+
+        The repair had already landed; only the cache entry is missing.
+        """
+        self.last_update_error = error
+
+    def close(self) -> None:
+        """Wait for the repair in progress, then drain its chain write.
+
+        Afterwards the newest landed repair's delta-chained entry is on
+        disk, or its failure is in ``last_update_error``.  The service
+        stays usable; :meth:`repro.serve.daemon.ServeDaemon.server_close`
+        calls this so a stopping daemon drops no entry.
+        """
+        with self._update_lock:
+            if self._dynamic_op is not None:
+                self._dynamic_op.flush()
 
     def _ensure_operator(self) -> "DynamicOperator":
         """The maintained operator, built lazily on the first update.
@@ -608,7 +629,8 @@ class SimRankService:
 
             self._dynamic_op = DynamicOperator(
                 self.graph, simrank=self.simrank, dynamic=self.dynamic,
-                cache=self.cache, telemetry=self.telemetry)
+                cache=self.cache, telemetry=self.telemetry,
+                on_write_error=self._record_write_error)
         return self._dynamic_op
 
     # ------------------------------------------------------------------ #

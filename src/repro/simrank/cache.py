@@ -68,6 +68,12 @@ Chained entries carry the *updated* graph's fingerprint in their
 metadata and therefore also participate in the ordinary reuse scan and
 row serving for requests on the updated graph — a repaired operator
 satisfies the same ``(1−c)·ε`` contract as a freshly computed one.
+A :class:`repro.dynamic.operator.DynamicOperator` calls
+:meth:`OperatorCache.store_delta` from a background writer thread, after
+its repair has committed, and only for the newest committed state: an
+update stream faster than the writes stores the chain prefixes the
+writer reached, not every prefix.  ``flush()`` on the operator drains
+the writer.
 
 Invalidation and corruption
 ---------------------------
@@ -413,7 +419,8 @@ class OperatorCache:
             if key in entries:
                 continue
             try:
-                with np.load(path, allow_pickle=False) as payload:
+                with open(path, "rb") as handle, \
+                        np.load(handle, allow_pickle=False) as payload:
                     meta = json.loads(str(payload["meta"]))
             except Exception:
                 continue  # unreadable; the exact-load path will evict it
@@ -491,7 +498,10 @@ class OperatorCache:
         if not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as payload:
+            # Our own handle: np.load leaks the file it opens itself when
+            # the zip parse of a truncated entry fails.
+            with open(path, "rb") as handle, \
+                    np.load(handle, allow_pickle=False) as payload:
                 meta = json.loads(str(payload["meta"]))
                 if meta.get("version") != CACHE_FORMAT_VERSION:
                     raise ValueError(

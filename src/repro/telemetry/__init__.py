@@ -29,6 +29,11 @@ Span names are dotted ``layer.operation``:
 ``serve.exact_batch``        one shared exact frontier round, attr ``batch_size``
 ``dynamic.repair``           one update-batch repair, attrs ``batch_size``/
                              ``num_pushes``/``num_rounds``/``warm_start``
+``dynamic.chain_write``      one delta-chain snapshot projection + store,
+                             a root span on the operator's writer thread;
+                             attrs ``chain_length``/``superseded`` (states
+                             dropped since the last write), plus ``error``
+                             when the write failed
 ``experiment.cell``          one sweep cell, attrs ``index``/``experiment``;
                              child ``experiment.cell.run`` is the runner call
 ===========================  ====================================================

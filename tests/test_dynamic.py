@@ -9,6 +9,10 @@ round-trip that lets a warm base entry + a small delta skip the full
 precompute.
 """
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +28,7 @@ from repro.graphs.graph import Graph
 from repro.simrank.cache import get_operator_cache
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.topk import simrank_operator
+from repro.telemetry import SpanRecorder, Telemetry
 
 EPSILON = 0.05
 DECAY = 0.6
@@ -40,6 +45,10 @@ def absent_pairs(graph):
 
 def present_pairs(graph):
     return [tuple(map(int, pair)) for pair in graph.edge_list()]
+
+
+def _broken_store(*args, **kwargs):
+    raise RuntimeError("injected store failure")
 
 
 def oracle_error(operator: DynamicOperator) -> float:
@@ -323,6 +332,7 @@ class TestDeltaChainedCache:
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[1]),))
         operator = DynamicOperator(graph, simrank=CONFIG, cache=cache)
         operator.apply(batch)
+        assert operator.flush() is None
 
         chained = DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
                                              cache=cache)
@@ -350,9 +360,87 @@ class TestDeltaChainedCache:
             dynamic=DynamicConfig(store_repaired=False))
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[0]),))
         operator.apply(batch)
+        assert operator.flush() is None
         assert cache.stats()["stores"] == 0
         assert DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
                                           cache=cache) is None
+
+    def test_latest_state_wins_and_the_write_in_flight_completes(
+            self, tmp_path, monkeypatch):
+        graph = erdos_renyi(40, 0.1, seed=16)
+        cache = get_operator_cache(tmp_path)
+        entered, release = threading.Event(), threading.Event()
+        store = cache.store
+
+        def blocking_store(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30)
+            return store(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "store", blocking_store)
+        handle = Telemetry(recorder=SpanRecorder())
+        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache,
+                                   telemetry=handle)
+        pairs = absent_pairs(graph)
+        batches = [UpdateBatch((GraphDelta("insert", *pairs[i]),))
+                   for i in (0, 3, 6)]
+        operator.apply(batches[0])
+        assert entered.wait(timeout=30)  # the first write is in flight
+        operator.apply(batches[1])  # waits in the slot …
+        operator.apply(batches[2])  # … and is superseded here
+        release.set()
+        assert operator.flush() is None
+        assert cache.stats()["stores"] == 2
+        assert [(span["attributes"]["chain_length"],
+                 span["attributes"]["superseded"])
+                for span in handle.recorder.spans()
+                if span["name"] == "dynamic.chain_write"] == [(1, 0), (3, 1)]
+
+        assert DynamicOperator.from_chain(
+            graph, batches[0] + batches[1], simrank=CONFIG,
+            cache=cache) is None
+        chained = DynamicOperator.from_chain(graph, operator.chain,
+                                             simrank=CONFIG, cache=cache)
+        assert chained is not None
+        expected = operator.operator().matrix
+        actual = chained.operator().matrix
+        assert np.array_equal(expected.indptr, actual.indptr)
+        assert np.array_equal(expected.indices, actual.indices)
+        assert np.array_equal(expected.data, actual.data)
+
+    def test_no_writer_thread_outlives_its_work(self, tmp_path):
+        graph = erdos_renyi(30, 0.12, seed=17)
+        cache = get_operator_cache(tmp_path)
+        before = set(threading.enumerate())
+        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache)
+        operator.apply(GraphDelta("insert", *absent_pairs(graph)[0]))
+        assert operator.flush() is None
+        assert cache.stats()["stores"] == 1
+        assert [thread for thread in threading.enumerate()
+                if thread not in before] == []
+        alive = weakref.ref(operator)
+        del operator
+        gc.collect()
+        assert alive() is None
+
+    def test_failed_write_keeps_the_repair_and_reports_the_error(
+            self, tmp_path, monkeypatch):
+        graph = erdos_renyi(30, 0.12, seed=18)
+        cache = get_operator_cache(tmp_path)
+        monkeypatch.setattr(cache, "store", _broken_store)
+        reported = []
+        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache,
+                                   on_write_error=reported.append)
+        operator.apply(GraphDelta("insert", *absent_pairs(graph)[0]))
+        error = operator.flush()
+        # Not an OSError: recorded with its traceback, the thread survives
+        # to the end of its loop and the repair stands.
+        assert error is not None and "Traceback" in error
+        assert "RuntimeError: injected" in error
+        assert reported == [error]
+        assert operator.updates_applied == 1
+        assert oracle_error(operator) < EPSILON
 
     def test_delta_key_validates_fields(self, tmp_path):
         cache = get_operator_cache(tmp_path / "keys")

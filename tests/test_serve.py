@@ -20,16 +20,25 @@ to the same queries served alone.
 """
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _simrank_fixtures import erdos_renyi as _erdos_renyi
 from repro.api import topk as api_topk
 from repro.config import ServeConfig, SimRankConfig
+from repro.dynamic import DynamicOperator
 from repro.errors import ServeError, SimRankError
 from repro.graphs.delta import GraphDelta
 from repro.serve import QueryBatcher, SimRankService, make_daemon
@@ -61,11 +70,15 @@ def _post(daemon, path, payload):
         return error.code, json.load(error)
 
 
-def _absent_pair(graph):
+def _absent_pairs(graph):
     dense = graph.adjacency.toarray()
     n = graph.num_nodes
-    return next((u, v) for u in range(n) for v in range(u + 1, n)
-                if dense[u, v] == 0)
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if dense[u, v] == 0]
+
+
+def _absent_pair(graph):
+    return _absent_pairs(graph)[0]
 
 
 def _counters(service, **expected):
@@ -538,11 +551,149 @@ class TestChainStoreFailure:
             assert status == 200
             assert payload["background"] is False
             assert payload["counters"]["updates_applied"] == 1
+            daemon.service.close()  # "wait" covers the repair, not the write
             assert "No space left" in daemon.service.last_update_error
         finally:
             daemon.shutdown()
             daemon.server_close()
             thread.join(timeout=5)
+
+
+class TestChainWriteWindow:
+    """Between the swap and the chain write, the cached rung has no row."""
+
+    def test_query_answers_degraded_until_the_write_lands(
+            self, graph, tmp_path, monkeypatch):
+        config = SimRankConfig(epsilon=0.1,
+                               cache_dir=str(tmp_path / "operators"))
+        # A pre-update entry the cached rung can serve.
+        simrank_operator(graph, config.with_overrides(method="localpush"))
+        service = SimRankService(graph, simrank=config,
+                                 compute_exact=_failing_compute)
+        u, v = _absent_pair(graph)
+        assert service.topk(u, k=5).path == "cached"
+        entered, release = threading.Event(), threading.Event()
+        store = service.cache.store
+
+        def blocking_store(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30)
+            return store(*args, **kwargs)
+
+        monkeypatch.setattr(service.cache, "store", blocking_store)
+        service.apply_update([GraphDelta("insert", u, v)], wait=True)
+        assert entered.wait(timeout=30)
+        assert service.graph.num_edges == graph.num_edges + 1
+        # Never the pre-update entry: the served graph's fingerprint moved.
+        assert service.topk(u, k=5).path == "degraded"
+        release.set()
+        service.close()
+        answer = service.topk(u, k=5)
+        assert (answer.path, answer.epsilon) == ("cached", 0.1)
+        assert service.last_update_error is None
+
+
+class TestConcurrentUpdatesAndQueries:
+    def test_background_updates_beside_queries(self, tmp_path):
+        graph = _erdos_renyi(50, 0.08, seed=3)
+        config = SimRankConfig(epsilon=0.1,
+                               cache_dir=str(tmp_path / "operators"))
+        service = SimRankService(graph, simrank=config)
+        pairs = iter(_absent_pairs(graph))
+        # More sender threads than cores, beside two query threads.
+        senders, per_sender = (os.cpu_count() or 1) + 2, 2
+        chunks = [[[GraphDelta("insert", *next(pairs))]
+                   for _ in range(per_sender)] for _ in range(senders)]
+        errors = []
+
+        def send(chunk):
+            try:
+                for batch in chunk:
+                    service.apply_update(batch, wait=False)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        def query(offset):
+            try:
+                for i in range(15):
+                    service.topk((offset + 7 * i) % graph.num_nodes, k=5)
+            except Exception as error:
+                errors.append(error)
+
+        threads = ([threading.Thread(target=send, args=(chunk,))
+                    for chunk in chunks]
+                   + [threading.Thread(target=query, args=(offset,))
+                      for offset in (0, 3)])
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            sent = senders * per_sender
+            _wait_until(lambda: service.counters.to_dict()["updates_applied"]
+                        == sent, timeout=120)
+            service.close()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert service.counters.to_dict()["updates_applied"] == sent
+        assert service.last_update_error is None
+        operator = service._dynamic_op
+        assert len(operator.chain) == sent
+        chained = DynamicOperator.from_chain(graph, operator.chain,
+                                             simrank=config)
+        assert chained is not None
+        expected = operator.operator().matrix
+        actual = chained.operator().matrix
+        assert np.array_equal(expected.indptr, actual.indptr)
+        assert np.array_equal(expected.indices, actual.indices)
+        assert np.array_equal(expected.data, actual.data)
+        assert list((tmp_path / "operators").glob("*.tmp*")) == []
+
+
+class TestServeProcessStop:
+    def test_sigterm_drains_the_chain_write_and_exits_zero(self, tmp_path):
+        import repro
+        from repro.datasets.registry import load_dataset
+
+        cache_dir = tmp_path / "cache"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "texas",
+             "--port", "0", "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            text=True)
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 60)
+            assert ready, "the daemon printed nothing within 60 s"
+            banner = process.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            graph = load_dataset("texas").graph
+            u, v = _absent_pair(graph)
+            batch = [GraphDelta("insert", u, v)]
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/update", method="POST",
+                data=json.dumps({"deltas": [delta.to_dict()
+                                            for delta in batch],
+                                 "wait": True}).encode())
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert json.load(response)["counters"]["updates_applied"] == 1
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0, process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stdout.close()
+        assert DynamicOperator.from_chain(
+            graph, batch, simrank=SimRankConfig(cache_dir=str(cache_dir))
+        ) is not None
+        assert list(cache_dir.glob("*.tmp*")) == []
 
 
 class TestLatencyWindow:

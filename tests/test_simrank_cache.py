@@ -12,10 +12,12 @@ The suite drives the pipeline through the supported config API
 historical keyword spellings of the assertions onto it.
 """
 
+import gc
 import json
 import os
 import sys
 import threading
+import warnings
 import zipfile
 
 import numpy as np
@@ -329,6 +331,24 @@ class TestInvalidationAndCorruption:
         np.testing.assert_allclose(refreshed.matrix.toarray(),
                                    cold.matrix.toarray())
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit
+
+    def test_truncated_file_is_closed(self, graph, cache):
+        """Neither the index adoption scan nor the exact load leaks the
+        handle of an entry whose zip parse fails."""
+        _operator(graph, cache=cache, **self.KWARGS)
+        path = self._entry_path(cache)
+        path.write_bytes(path.read_bytes()[:20])
+        (cache.directory / "simrank-cache-index.json").unlink()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            # The lost index makes the row lookup's scan adopt the file.
+            assert cache.lookup_row(graph, 0, decay=0.6, epsilon=0.1,
+                                    top_k=8, row_normalize=False) is None
+            assert not _operator(graph, cache=cache, **self.KWARGS).cache_hit
+            gc.collect()
+        assert cache.stats()["evictions"] == 1
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_garbage_bytes_evict(self, graph, cache):
         _operator(graph, cache=cache, **self.KWARGS)

@@ -237,6 +237,30 @@ class TestDynamicTelemetry:
         assert attrs["num_rounds"] == result.num_rounds
         assert attrs["warm_start"] == result.warm_start
 
+    def test_chain_write_span_carries_provenance(self, graph, tmp_path,
+                                                 monkeypatch):
+        handle = _enabled(tmp_path)
+        cache = get_operator_cache(tmp_path / "operators")
+        operator = DynamicOperator(graph, simrank=SimRankConfig(epsilon=0.1),
+                                   cache=cache, telemetry=handle)
+        u, v = self._non_edge(graph)
+        operator.apply([GraphDelta("insert", u, v)])
+        assert operator.flush() is None
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache, "store", full_disk)
+        operator.apply([GraphDelta("delete", u, v)])
+        error = operator.flush()
+        spans = [span for span in handle.recorder.spans()
+                 if span["name"] == "dynamic.chain_write"]
+        assert [span["parent_id"] for span in spans] == [None, None]
+        assert [span["attributes"] for span in spans] == [
+            {"chain_length": 1, "superseded": 0},
+            {"chain_length": 2, "superseded": 0, "error": error}]
+        assert "No space left on device" in error
+
     def test_traced_repair_is_bit_identical(self, graph):
         u, v = self._non_edge(graph)
         batch = [GraphDelta("insert", u, v)]
