@@ -280,19 +280,18 @@ class ServeConfig:
         Where the daemon listens.
     ``default_top_k``
         ``k`` used by ``/topk`` requests that do not pass their own.
-    ``batch_window_seconds, max_batch_size``
-        Request coalescing: concurrent single-source queries arriving
-        within one window are answered by a single shared frontier-round
-        batch (capped at ``max_batch_size`` sources per round).
-        ``batch_window_seconds=0`` disables the wait (each leader takes
-        whatever is already queued).
     ``exact_enabled, time_budget_seconds, max_pushes_per_query``
-        Admission control for the exact rung of the degradation ladder:
-        the exact single-source compute runs only when enabled, is
-        capped at ``max_pushes_per_query`` frontier absorptions
-        (exceeding it raises and degrades the query) and its answer is
-        discarded as over-budget when it took longer than
-        ``time_budget_seconds`` (``None`` = no wall-clock budget).
+        Admission control for the exact rung of the degradation ladder,
+        which slices the rows of the served graph version, computed at
+        most once per connected component.  The rung runs only when
+        enabled.  ``max_pushes_per_query`` caps the frontier absorptions
+        of each row computation: past it the computation fails the rung
+        for every read waiting on it, and nothing is kept.  On a
+        connected graph that is the push count one single-source query
+        costs, because the seeds are the same.  ``time_budget_seconds``
+        bounds each read's wait for its rows: a read whose rows are not
+        ready in time falls through (``None`` = no wall-clock budget),
+        and rows that complete later stay on the version.
     ``degraded_epsilon_factor, serve_cached_rows``
         The fallback rungs: cached rows (any dominating all-pairs cache
         entry, when ``serve_cached_rows``) and the looser-ε recompute at
@@ -302,8 +301,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8571
     default_top_k: int = 10
-    batch_window_seconds: float = 0.005
-    max_batch_size: int = 32
     exact_enabled: bool = True
     time_budget_seconds: Optional[float] = None
     max_pushes_per_query: Optional[int] = None
@@ -317,8 +314,6 @@ class ServeConfig:
         "host": "host",
         "port": "port",
         "serve_top_k": "default_top_k",
-        "batch_window": "batch_window_seconds",
-        "max_batch_size": "max_batch_size",
         "time_budget": "time_budget_seconds",
         "max_pushes_per_query": "max_pushes_per_query",
         "degraded_epsilon_factor": "degraded_epsilon_factor",
@@ -336,16 +331,6 @@ class ServeConfig:
         _require(self.default_top_k >= 1,
                  f"default_top_k must be a positive integer, "
                  f"got {self.default_top_k!r}")
-        coerce(self, "batch_window_seconds",
-               _as_float("batch_window_seconds", self.batch_window_seconds))
-        _require(self.batch_window_seconds >= 0.0,
-                 f"batch_window_seconds must be non-negative, "
-                 f"got {self.batch_window_seconds!r}")
-        coerce(self, "max_batch_size",
-               _as_int("max_batch_size", self.max_batch_size))
-        _require(self.max_batch_size >= 1,
-                 f"max_batch_size must be a positive integer, "
-                 f"got {self.max_batch_size!r}")
         coerce(self, "exact_enabled", bool(self.exact_enabled))
         if self.time_budget_seconds is not None:
             coerce(self, "time_budget_seconds",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -12,7 +14,32 @@ def csr_row_indices(matrix: sp.csr_matrix) -> np.ndarray:
                      np.diff(matrix.indptr))
 
 
-def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False) -> sp.csr_matrix:
+def top_k_row_mask(data: np.ndarray, indices: np.ndarray, k: int,
+                   diagonal: Optional[int] = None) -> np.ndarray:
+    """Boolean mask of the entries of one sparse row that top-k keeps.
+
+    ``data``/``indices`` are the row's stored values and column indices.
+    Entries are ranked by value descending, ties toward the smaller
+    column index, and the first ``k`` are kept.  When ``diagonal`` names
+    the row's diagonal column and that column is stored but not among
+    the ``k`` largest, it *replaces* the lowest-ranked kept entry, so at
+    most ``k`` entries survive either way.  This is the one selection
+    rule behind :func:`top_k_per_row`; callers that hold a single row
+    apart from its matrix pass its diagonal column explicitly.
+    """
+    keep = np.lexsort((indices, -data))[:k]
+    if diagonal is not None:
+        diag_pos = np.flatnonzero(indices == diagonal)
+        if diag_pos.size and diag_pos[0] not in keep:
+            keep = keep.copy()
+            keep[-1] = diag_pos[0]
+    mask = np.zeros(data.size, dtype=bool)
+    mask[keep] = True
+    return mask
+
+
+def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False,
+                  rows: Optional[np.ndarray] = None) -> sp.csr_matrix:
     """Keep only the ``k`` largest entries of each row of ``matrix``.
 
     This implements the paper's top-k pruning of the approximate SimRank
@@ -32,50 +59,37 @@ def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False) -
         diagonal entry is not among the ``k`` largest, it *replaces* the
         smallest selected entry so the ``≤ k`` per-row bound — and with it
         the paper's ``O(k·n)`` storage guarantee — still holds.
+    rows:
+        Prune only these rows and copy every other row unchanged
+        (``None``, the default, prunes every row).
 
     Notes
     -----
-    Entries are ranked by value descending; ties are broken toward the
-    smaller column index (so the kept set is deterministic).  When the
-    diagonal evicts an entry, it evicts the lowest-ranked selected one,
-    i.e. the smallest kept value, among equal values the one with the
-    largest column index.
+    Each row's selection is :func:`top_k_row_mask`: entries are ranked
+    by value descending; ties are broken toward the smaller column index
+    (so the kept set is deterministic).  When the diagonal evicts an
+    entry, it evicts the lowest-ranked selected one, i.e. the smallest
+    kept value, among equal values the one with the largest column index.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    csr = sp.csr_matrix(matrix, copy=True)
-    n_rows = csr.shape[0]
+    csr = sp.csr_matrix(matrix)
     data, indices, indptr = csr.data, csr.indices, csr.indptr
-    new_data: list[np.ndarray] = []
-    new_indices: list[np.ndarray] = []
-    new_indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    for row in range(n_rows):
+    counts = np.diff(indptr)
+    candidates = (np.arange(csr.shape[0]) if rows is None
+                  else np.asarray(rows, dtype=np.int64))
+    long_rows = candidates[counts[candidates] > k]
+    keep = np.ones(data.size, dtype=bool)
+    for row in long_rows:
         start, end = indptr[row], indptr[row + 1]
-        row_data = data[start:end]
-        row_indices = indices[start:end]
-        if row_data.size > k:
-            # Rank by value descending, ties toward the smaller column.
-            order = np.lexsort((row_indices, -row_data))
-            keep = order[:k]
-            if keep_diagonal:
-                diag_pos = np.flatnonzero(row_indices == row)
-                if diag_pos.size and diag_pos[0] not in keep:
-                    # Evict the lowest-ranked kept (non-diagonal) entry.
-                    keep = keep.copy()
-                    keep[-1] = diag_pos[0]
-            keep_mask = np.zeros(row_data.size, dtype=bool)
-            keep_mask[keep] = True
-            row_data = row_data[keep_mask]
-            row_indices = row_indices[keep_mask]
-        new_data.append(row_data)
-        new_indices.append(row_indices)
-        new_indptr[row + 1] = new_indptr[row] + row_data.size
-    pruned = sp.csr_matrix(
-        (np.concatenate(new_data) if new_data else np.array([], dtype=np.float64),
-         np.concatenate(new_indices) if new_indices else np.array([], dtype=np.int64),
-         new_indptr),
-        shape=csr.shape,
-    )
+        keep[start:end] = top_k_row_mask(
+            data[start:end], indices[start:end], k,
+            int(row) if keep_diagonal else None)
+    counts[long_rows] = k  # every pruned row keeps exactly k entries
+    new_indptr = np.zeros(csr.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    pruned = sp.csr_matrix((data[keep], indices[keep], new_indptr),
+                           shape=csr.shape)
     pruned.sort_indices()
     return pruned
 
@@ -97,5 +111,5 @@ def dense_to_sparse_threshold(matrix: np.ndarray, threshold: float) -> sp.csr_ma
     return sp.csr_matrix(dense)
 
 
-__all__ = ["csr_row_indices", "top_k_per_row", "sparse_row_normalize",
-           "dense_to_sparse_threshold"]
+__all__ = ["csr_row_indices", "top_k_row_mask", "top_k_per_row",
+           "sparse_row_normalize", "dense_to_sparse_threshold"]

@@ -1,126 +1,31 @@
-"""Request coalescing: concurrent queries share one frontier round.
+"""The daemon's ``/topk`` entry point.
 
 :class:`QueryBatcher` sits between the daemon's thread-per-request
-handlers and the :class:`repro.serve.service.SimRankService`.  The first
-thread to submit while no batch is forming becomes the *leader*: it
-waits ``ServeConfig.batch_window_seconds`` for company (cut short when
-``max_batch_size`` queries have piled up), snapshots the queue, and
-answers the whole batch through one ``topk_batch`` call — a single
-shared frontier-round walk of the ladder.  Followers block on an event
-and receive their answer (or the batch's exception) from the leader.
-
-Coalescing never changes an answer: the single-source engine's batch
-guarantee makes a coalesced query bit-identical to the same query served
-alone (pinned by the concurrent-client test in ``tests/test_serve.py``).
-Queries with different ``k`` are grouped and served per ``k``, smallest
-batch-internal order first, so grouping is deterministic.
+handlers and the :class:`repro.serve.service.SimRankService`.  Each
+submission is answered at once by :meth:`SimRankService.topk` on the
+graph version current when it arrives.  There is no coalescing window:
+the work worth sharing is a version's row computation, which concurrent
+first readers of a component already share inside the service, after
+which a read is a row slice.  Waiting for company would only add
+latency.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.config import ServeConfig
 from repro.serve.service import QueryAnswer, SimRankService
 
 
-class _Pending:
-    """One submitted query waiting for its batch to be served."""
-
-    def __init__(self, source: int, k: Optional[int]) -> None:
-        self.source = source
-        self.k = k
-        self.done = threading.Event()
-        self.answer: Optional[QueryAnswer] = None
-        self.error: Optional[BaseException] = None
-
-
 class QueryBatcher:
-    """Coalesce concurrent ``topk`` submissions into shared batches."""
+    """Answer ``/topk`` submissions through one service."""
 
-    def __init__(self, service: SimRankService, *,
-                 window_seconds: Optional[float] = None,
-                 max_batch_size: Optional[int] = None) -> None:
-        serve: ServeConfig = service.serve
+    def __init__(self, service: SimRankService) -> None:
         self.service = service
-        self.window_seconds = (window_seconds if window_seconds is not None
-                               else serve.batch_window_seconds)
-        self.max_batch_size = (max_batch_size if max_batch_size is not None
-                               else serve.max_batch_size)
-        self._condition = threading.Condition()
-        self._pending: List[_Pending] = []
-        self._leader_active = False
 
     def submit(self, source: int, k: Optional[int] = None) -> QueryAnswer:
-        """Answer one query, possibly coalesced with concurrent ones.
-
-        Blocks until the query's batch has been served.  Re-raises the
-        batch's exception when its ladder walk failed.
-        """
-        entry = _Pending(source, k)
-        with self._condition:
-            self._pending.append(entry)
-            self._condition.notify_all()
-            lead = not self._leader_active
-            if lead:
-                self._leader_active = True
-        if lead:
-            self._drain()
-        entry.done.wait()
-        if entry.error is not None:
-            raise entry.error
-        assert entry.answer is not None
-        return entry.answer
-
-    # ------------------------------------------------------------------ #
-    def _drain(self) -> None:
-        """Leader loop: serve batches until the queue is empty."""
-        while True:
-            self._wait_for_window()
-            with self._condition:
-                batch = self._pending[:self.max_batch_size]
-                del self._pending[:self.max_batch_size]
-            if batch:
-                self._serve(batch)
-            with self._condition:
-                if not self._pending:
-                    self._leader_active = False
-                    return
-
-    def _wait_for_window(self) -> None:
-        """Give concurrent submitters the batch window to pile up."""
-        if self.window_seconds <= 0.0:
-            return
-        deadline = time.perf_counter() + self.window_seconds
-        with self._condition:
-            while len(self._pending) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0.0:
-                    return
-                self._condition.wait(remaining)
-
-    def _serve(self, batch: List[_Pending]) -> None:
-        """Answer one snapshot of the queue, grouped by requested ``k``."""
-        groups: Dict[Tuple[bool, int], List[_Pending]] = {}
-        for entry in batch:
-            key = (entry.k is None, entry.k if entry.k is not None else 0)
-            groups.setdefault(key, []).append(entry)
-        for key in sorted(groups):
-            group = groups[key]
-            try:
-                answers = self.service.topk_batch(
-                    [entry.source for entry in group], group[0].k)
-            except Exception as error:  # propagate to every submitter
-                for entry in group:
-                    entry.error = error
-            else:
-                for entry, answer in zip(group, answers):
-                    entry.answer = answer
-            finally:
-                for entry in group:
-                    entry.done.set()
+        """Answer one query; raises what :meth:`SimRankService.topk` raises."""
+        return self.service.topk(source, k)
 
 
 __all__ = ["QueryBatcher"]

@@ -3,10 +3,12 @@
 Endpoints (all ``GET``, all JSON):
 
 ``/topk?u=<node>[&k=<k>]``
-    Top-k most similar nodes to ``u``; coalesced with concurrent
-    requests through the :class:`repro.serve.batching.QueryBatcher`.
-    The response carries the serving ``path`` (exact/cached/degraded),
-    the ``epsilon`` the answer satisfies and the live counters.
+    Top-k most similar nodes to ``u``, answered at once through the
+    :class:`repro.serve.batching.QueryBatcher` (no coalescing window: a
+    read slices the served graph version's shared rows).  The response
+    carries the serving ``path`` (exact/cached/degraded), the
+    ``epsilon`` the answer satisfies, the ``version`` (fingerprint of
+    the graph that answered) and the live counters.
 ``/score?u=<node>&v=<node>``
     The single-pair score, same provenance fields.
 ``/metrics``
@@ -19,18 +21,20 @@ Endpoints (all ``GET``, all JSON):
     the one non-JSON endpoint, served with the standard
     ``text/plain; version=0.0.4`` content type for scrapers.
 ``/healthz``
-    Liveness probe.
+    Liveness probe; reports the node count and the current ``version``.
 ``/update`` (``POST``)
     Apply an edge-update batch to the served graph.  The JSON body is
     the :meth:`repro.graphs.delta.UpdateBatch.to_dict` shape —
     ``{"deltas": [{"kind": "insert", "u": 0, "v": 1}, ...]}`` — plus an
     optional ``"wait": true`` to block until the repair lands and the
-    graph swaps (and get its telemetry back).  ``wait`` does not cover
-    the delta-chained cache entry: a background writer stores it after
-    the response (see :class:`repro.dynamic.operator.DynamicOperator`).
+    graph version swaps (and get its telemetry and the new ``version``
+    back).  ``wait`` does not cover the delta-chained cache entry: a
+    background writer stores it after the response (see
+    :class:`repro.dynamic.operator.DynamicOperator`).
     By default the repair runs in the background and queries keep
-    answering from the pre-update graph (``stale_served`` counts them)
-    until the repaired operator swaps in.
+    answering from the pre-update version (``stale_served`` counts them)
+    until the repaired graph's version swaps in.  An update never waits
+    for a read.
 
 Bad parameters (and invalid deltas) are a 400, an exhausted degradation
 ladder a 503 — the daemon never dies on a query.  ``main`` is the
@@ -146,6 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {
                     "status": "ok",
                     "num_nodes": int(service.graph.num_nodes),
+                    "version": service.version,
                 })
             elif parsed.path == "/metrics":
                 self._send_json(200, service.metrics())
@@ -168,6 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "epsilon": answer.epsilon,
                     "elapsed_seconds": answer.elapsed_seconds,
                     "batch_size": answer.batch_size,
+                    "version": answer.version,
                     "counters": service.counters.to_dict(),
                 })
             elif parsed.path == "/score":
@@ -182,6 +188,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "path": answer.path,
                     "epsilon": answer.epsilon,
                     "elapsed_seconds": answer.elapsed_seconds,
+                    "version": answer.version,
                     "counters": service.counters.to_dict(),
                 })
             else:
@@ -260,14 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bind port (0 picks a free one)")
     parser.add_argument("--serve-top-k", type=int, default=None,
                         help="default k for /topk requests")
-    parser.add_argument("--batch-window", type=float, default=None,
-                        help="request-coalescing window in seconds")
-    parser.add_argument("--max-batch-size", type=int, default=None,
-                        help="max coalesced queries per frontier round")
     parser.add_argument("--time-budget", type=float, default=None,
-                        help="per-query exact-path wall budget in seconds")
+                        help="per-query wall budget in seconds for the "
+                             "exact rows to be ready")
     parser.add_argument("--max-pushes-per-query", type=int, default=None,
-                        help="admission cap on frontier absorptions")
+                        help="admission cap on the frontier absorptions "
+                             "of one row computation")
     parser.add_argument("--degraded-epsilon-factor", type=float, default=None,
                         help="looser-ε fallback multiplier")
     parser.add_argument("--no-exact", action="store_true",

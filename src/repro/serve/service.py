@@ -1,16 +1,22 @@
 """The serving core: single-source queries behind a degradation ladder.
 
 :class:`SimRankService` answers ``topk``/``score`` queries against one
-long-lived graph.  Every query walks the same three-rung ladder:
+long-lived graph.  It serves from an immutable :class:`GraphVersion`:
+the graph, its fingerprint and, computed at most once per connected
+component, that graph's exact rows.  Every query walks the same
+three-rung ladder on the version it started on:
 
-1. **exact** — the single-source LocalPush engine at the configured ε,
-   admission-controlled by ``ServeConfig.max_pushes_per_query`` (the
-   engine raises past the cap) and ``ServeConfig.time_budget_seconds``
-   (a completed answer that took longer is discarded as over-budget).
+1. **exact** — a slice of the version's rows at the configured ε.  The
+   first read of a component runs one row computation for the whole
+   component; concurrent first readers wait for it and every later read
+   shares it.  ``ServeConfig.max_pushes_per_query`` caps each row
+   computation (the engine raises past the cap, failing the rung for
+   every read waiting on it) and ``ServeConfig.time_budget_seconds``
+   bounds each read's wait for its rows.
 2. **cached** — any dominating all-pairs operator-cache entry serves the
    row via :meth:`repro.simrank.cache.OperatorCache.lookup_row`, with no
    push work at all.
-3. **degraded** — a looser-ε recompute at
+3. **degraded** — a looser-ε recompute of the one source row at
    ``ε × ServeConfig.degraded_epsilon_factor``; cheap because the push
    threshold ``(1−c)·ε`` grows with ε.
 
@@ -20,18 +26,20 @@ and is recorded in the per-path counters (see :class:`ServiceCounters`).
 The ``compute_exact``/``compute_degraded`` callables are injectable so
 the fault-injection suite can force any rung to fail.
 
-This module is in the R3 determinism lint scope: given one service
-instance, equal queries return bit-identical answers regardless of
-batch composition (the engine guarantee) — no wall-clock reads, global
-RNG or unordered-set iteration may influence an answer.  The latency
-metrics below read the *monotonic* clock (R3-exempt) and feed only the
-observability payloads, never an answer.
+This module is in the R3 determinism lint scope: given one graph
+version, equal queries return bit-identical answers regardless of which
+read ran the row computation (the engine guarantee) — no wall-clock
+reads, global RNG or unordered-set iteration may influence an answer.
+The latency metrics and the time budget read the *monotonic* clock
+(R3-exempt); the budget may move a query to a lower rung, never change
+the bits a rung returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock, Thread
+from functools import cached_property, partial
+from threading import Event, Lock, Thread
 from time import monotonic
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -53,23 +61,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #: The ladder rungs, in fall-through order; every answer names its rung.
 SERVE_PATHS = ("exact", "cached", "degraded")
 
-#: Injectable row computation: ``(sources, top_k, epsilon) -> {source: row}``
-#: where each row is a ``1×n`` CSR matrix.
-RowCompute = Callable[[Sequence[int], Optional[int], float],
-                      Dict[int, sp.csr_matrix]]
+#: Injectable row computation: ``(graph, nodes, epsilon) -> rows``, an
+#: ``n×n`` CSR matrix whose rows ``nodes`` hold the un-truncated,
+#: un-normalised estimate rows of ``graph`` at ``epsilon``.  No other row
+#: is read.  A computation fails the rung by raising :class:`SimRankError`;
+#: any other exception propagates to every read waiting on it.
+RowCompute = Callable[[Graph, np.ndarray, float], sp.csr_matrix]
 
-#: Registry help strings for the twelve service counters, in the
+#: Registry help strings for the eleven service counters, in the
 #: ``ServiceCounters.to_dict`` key order.
 _COUNTER_HELP = {
     "queries": "Total queries answered.",
-    "batches": "Shared exact frontier rounds executed.",
-    "coalesced": "Queries that shared their exact round with another.",
+    "batches": "Row computations run, one per graph version and component.",
     "exact_served": "Queries answered by the exact rung.",
     "cached_served": "Queries answered from a cached operator row.",
     "degraded_served": "Queries answered at the degraded epsilon.",
     "failed": "Queries for which every serving rung failed.",
     "exact_failures": "Queries whose exact rung faulted.",
-    "budget_overruns": "Exact answers discarded as over the time budget.",
+    "budget_overruns": "Queries whose exact rows were not ready in budget.",
     "updates_applied": "Update batches whose incremental repair landed.",
     "repair_seconds": "Cumulative wall seconds of landed repairs.",
     "stale_served": "Queries answered while a repair was in flight.",
@@ -91,7 +100,11 @@ def _serve_metric_name(name: str) -> str:
 
 @dataclass
 class QueryAnswer:
-    """One answered ``topk`` query: the entries plus serving provenance."""
+    """One answered ``topk`` query: the entries plus serving provenance.
+
+    ``version`` is the fingerprint of the graph that answered
+    (:func:`repro.graphs.fingerprint.graph_fingerprint`).
+    """
 
     source: int
     k: Optional[int]
@@ -99,12 +112,13 @@ class QueryAnswer:
     path: str
     epsilon: float
     elapsed_seconds: float
+    version: str
     batch_size: int = 1
 
 
 @dataclass
 class ScoreAnswer:
-    """One answered single-pair query."""
+    """One answered single-pair query, with the same provenance fields."""
 
     u: int
     v: int
@@ -112,29 +126,31 @@ class ScoreAnswer:
     path: str
     epsilon: float
     elapsed_seconds: float
+    version: str
 
 
 class ServiceCounters:
-    """Per-path query accounting (all counts are *queries*, not batches).
+    """Per-path query accounting (all counts are *queries*, but one).
 
     ``queries`` is the total answered; each one is also counted in
     exactly one of ``exact_served``/``cached_served``/``degraded_served``
-    or ``failed`` — a source repeated within one coalesced batch shares
-    its computed row but is counted once per query, so ``queries ==
+    or ``failed`` — a source repeated within one ``topk_batch`` call
+    shares its row but is counted once per query, so ``queries ==
     exact_served + cached_served + degraded_served`` holds for every
     batch composition.  ``exact_failures`` counts queries whose exact rung
     faulted (admission cap or injected error) and ``budget_overruns``
-    those whose completed exact answer was discarded for exceeding the
-    time budget — both then fell through the ladder.  ``batches`` counts
-    shared exact frontier rounds and ``coalesced`` the queries that
-    shared their round with at least one other query.
+    those whose rows were not ready within the time budget — both then
+    fell through the ladder.  ``batches`` is the one count that is not
+    of queries: the row computations run, at most one per graph version
+    and connected component, so ``exact_served / batches`` is how many
+    exact answers each computation served.
 
     The dynamic-update integration adds ``updates_applied`` (update
     batches whose repair landed), ``repair_seconds`` (cumulative wall
     time those repairs took — the only non-integer counter) and
-    ``stale_served`` (queries answered from the pre-update graph while a
-    repair was still in flight — the documented freshness trade of
-    background repair, see :meth:`SimRankService.apply_update`).
+    ``stale_served`` (queries answered from a graph version that had a
+    repair in flight when the query took it — the documented freshness
+    trade of background repair, see :meth:`SimRankService.apply_update`).
 
     Latency
     -------
@@ -164,7 +180,7 @@ class ServiceCounters:
     because ``+=`` on them was a read-modify-write race.
     """
 
-    #: The twelve counter names, in ``to_dict`` key order.
+    #: The eleven counter names, in ``to_dict`` key order.
     NAMES = tuple(_COUNTER_HELP)
 
     def __init__(self, registry: Optional["MetricsRegistry"] = None) -> None:
@@ -250,35 +266,144 @@ def _row_entries(row: sp.csr_matrix) -> List[Tuple[int, float]]:
     return [(int(row.indices[i]), float(row.data[i])) for i in order]
 
 
+def _answer_row(rows: sp.csr_matrix, source: int, top_k: Optional[int],
+                normalize: bool) -> sp.csr_matrix:
+    """Row ``source`` of a :data:`RowCompute` result, as served.
+
+    Top-k pruning (the diagonal kept) and then the optional row
+    normalisation: the steps :func:`repro.api.topk` applies to its row,
+    in the same order and through the same helpers, so the served row is
+    bit-identical to it.
+    """
+    from repro.graphs.sparse import sparse_row_normalize, top_k_row_mask
+
+    start, end = rows.indptr[source], rows.indptr[source + 1]
+    data, indices = rows.data[start:end], rows.indices[start:end]
+    if top_k is not None and data.size > top_k:
+        keep = top_k_row_mask(data, indices, top_k, diagonal=source)
+        data, indices = data[keep], indices[keep]
+    row = sp.csr_matrix((data, indices, np.array([0, data.size])),
+                        shape=(1, rows.shape[1]))
+    return sparse_row_normalize(row) if normalize else row
+
+
+class _RowsFlight:
+    """One component's row computation, which all its readers wait on."""
+
+    def __init__(self) -> None:
+        self.done = Event()
+        self.rows: Optional[sp.csr_matrix] = None
+        self.error: Optional[BaseException] = None
+
+
+class GraphVersion:
+    """One served graph and that graph's exact rows.
+
+    ``graph`` and its ``fingerprint`` (the ``version`` every answer
+    reports) are fixed at construction; a new graph is a new version.
+    Its connected-component ``labels`` are computed by the first read
+    that needs them, off the update path.  :meth:`rows` fills in the
+    rows lazily, at most once per component, and keeps them for the life
+    of the version.  The service holds only the current version, so an
+    old one is freed once the last read that started on it finishes.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        from repro.graphs.fingerprint import graph_fingerprint
+
+        self.graph = graph
+        self.fingerprint = graph_fingerprint(graph)
+        self._lock = Lock()
+        self._flights: Dict[int, _RowsFlight] = {}
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The connected-component label of every node."""
+        from scipy.sparse.csgraph import connected_components
+
+        return connected_components(self.graph.adjacency, directed=False)[1]
+
+    def rows(self, label: int,
+             compute: Callable[[np.ndarray], sp.csr_matrix],
+             deadline: Optional[float]) -> Optional[sp.csr_matrix]:
+        """Component ``label``'s rows, computed at most once; ``None`` if late.
+
+        The first reader of the component runs ``compute(nodes)`` inline;
+        the others wait for that one computation until ``deadline`` (a
+        :func:`time.monotonic` instant, ``None`` = no budget).  A failed
+        computation raises its own error in every reader waiting on it,
+        so one fault has one outcome, and is not kept: the next reader
+        runs it again.
+        """
+        with self._lock:
+            flight = self._flights.get(label)
+            run = flight is None
+            if flight is None:
+                flight = self._flights[label] = _RowsFlight()
+        if run:
+            try:
+                flight.rows = compute(np.flatnonzero(self.labels == label))
+            except BaseException as error:
+                with self._lock:
+                    del self._flights[label]
+                flight.error = error
+                raise
+            finally:
+                flight.done.set()
+        else:
+            timeout = (None if deadline is None
+                       else max(0.0, deadline - monotonic()))
+            if not flight.done.wait(timeout):
+                return None
+            if flight.error is not None:
+                raise flight.error
+        if deadline is not None and monotonic() > deadline:
+            return None
+        return flight.rows
+
+
 class SimRankService:
     """Long-lived query service over one graph and one warm cache.
 
     Parameters
     ----------
     graph:
-        The graph every query runs against.
+        The graph every query runs against until an update lands.
     simrank:
         The operator contract (ε, decay, top-k semantics, normalisation,
         worker count).  Its ``cache_dir`` provides the cached rung.
     serve:
-        The :class:`repro.config.ServeConfig` ladder/batching knobs.
+        The :class:`repro.config.ServeConfig` ladder knobs.
     cache:
         Explicit :class:`repro.simrank.cache.OperatorCache` for the
         cached rung; defaults to ``simrank.cache_dir``'s shared instance
         (no cached rung when both are absent).
     compute_exact / compute_degraded:
-        Injectable row computations (fault-injection hooks).  Defaults
-        run the single-source engine at ε and at the degraded ε
-        respectively.  A rung fails by raising :class:`SimRankError`.
+        Injectable :data:`RowCompute` hooks (fault injection).  Both
+        default to :func:`repro.simrank.engine.multi_source_localpush`
+        with ``top_k=None``, capped at ``max_pushes_per_query``: the
+        exact rung asks for every node of a component at ε, the degraded
+        rung for the one source at the degraded ε.  Either way the
+        service then slices row ``source``, prunes it to the top ``k``
+        and normalises it.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` handle.  When
         enabled, the counters and the latency histogram land in its
-        registry and each shared exact frontier round is traced as a
-        ``serve.exact_batch`` span.  The default is the inert handle:
+        registry, each exact-rung attempt is traced as a
+        ``serve.exact_batch`` span and each row computation as a
+        ``serve.version_rows`` span under the ``serve.exact_batch`` of
+        the read that ran it.  The default is the inert handle:
         counters and latency still live on a private registry (they are
         always-on service state), but no spans are recorded.  The
         operator cache counts its events on its own registry either way
         (:meth:`prometheus_metrics` renders it after the service's).
+
+    Concurrency
+    -----------
+    Reads take no service-wide lock: each reads the current
+    :class:`GraphVersion`, with the count of repairs pending against
+    it, once and finishes on it.  An update lands by assigning a new
+    version, so neither side waits for the other.
     """
 
     def __init__(self, graph: Graph, *,
@@ -289,7 +414,11 @@ class SimRankService:
                  compute_exact: Optional[RowCompute] = None,
                  compute_degraded: Optional[RowCompute] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
-        self.graph = graph
+        # The served version and the repairs submitted against it but not
+        # yet landed, published together: a read unpacks both at once, so
+        # it counts as stale exactly when its version had a repair pending.
+        self._served: Tuple[GraphVersion, int] = (GraphVersion(graph), 0)
+        self._served_lock = Lock()
         self.simrank = simrank if simrank is not None else SimRankConfig()
         self.serve = serve if serve is not None else ServeConfig()
         self.dynamic = dynamic if dynamic is not None else DynamicConfig()
@@ -314,50 +443,50 @@ class SimRankService:
         # DISABLED's module-global registry, which is shared.
         self.counters = ServiceCounters(
             self.telemetry.registry if self.telemetry.enabled else None)
-        # One query batch at a time: the engine already parallelises via
-        # its worker pool, and serialising here keeps the counters and the
-        # coalescing story simple under the daemon's thread-per-request
-        # server.  Concurrency comes from the batcher coalescing queries
-        # into one shared round, not from racing rounds.
-        self._lock = Lock()
-        # Updates repair on a separate lock so queries keep flowing (from
-        # the pre-update graph) while a repair is in flight; only the
-        # final graph/operator swap takes the query lock.
+        # Repairs run one at a time, on their own lock; reads never take it.
         self._update_lock = Lock()
         self._dynamic_op: Optional["DynamicOperator"] = None
-        self._repairs_pending = 0
         self.last_update_error: Optional[str] = None
 
+    @property
+    def graph(self) -> Graph:
+        """The graph of the version served now."""
+        return self._served[0].graph
+
+    @property
+    def version(self) -> str:
+        """The fingerprint of the graph served now."""
+        return self._served[0].fingerprint
+
     # ------------------------------------------------------------------ #
-    # Default (real) row computations
+    # Default (real) row computation
     # ------------------------------------------------------------------ #
-    def _engine_rows(self, sources: Sequence[int], top_k: Optional[int],
-                     epsilon: float) -> Dict[int, sp.csr_matrix]:
-        """Single-source engine rows for ``sources`` in one shared round."""
-        from repro.graphs.sparse import sparse_row_normalize
+    def _engine_rows(self, graph: Graph, nodes: np.ndarray,
+                     epsilon: float) -> sp.csr_matrix:
+        """Engine rows of ``nodes`` in one round loop (:data:`RowCompute`).
+
+        The push count lands on the span open around the call — the
+        ``serve.version_rows`` span of a row computation.
+        """
         from repro.simrank.engine import multi_source_localpush
         from repro.simrank.localpush import resolve_workers
 
         cfg = self.simrank
         results = multi_source_localpush(
-            self.graph, list(sources), decay=cfg.decay, epsilon=epsilon,
+            graph, nodes, decay=cfg.decay, epsilon=epsilon,
             prune=True, absorb_residual=True,
             max_pushes=self.serve.max_pushes_per_query,
-            num_workers=resolve_workers(cfg.workers, self.graph.num_nodes),
-            top_k=top_k, dtype=cfg.dtype)
-        rows: Dict[int, sp.csr_matrix] = {}
-        for result in results:
-            row = result.row
-            if cfg.row_normalize:
-                row = sparse_row_normalize(row)
-            rows[result.source] = row
-        return rows
+            num_workers=resolve_workers(cfg.workers, graph.num_nodes),
+            top_k=None, dtype=cfg.dtype)
+        self._tracer.current_span().set("pushes", results[0].num_pushes)
+        return results[0].estimate
 
     # ------------------------------------------------------------------ #
     # The degradation ladder
     # ------------------------------------------------------------------ #
-    def _validate(self, sources: Sequence[int]) -> List[int]:
-        n = self.graph.num_nodes
+    @staticmethod
+    def _validate(graph: Graph, sources: Sequence[int]) -> List[int]:
+        n = graph.num_nodes
         cleaned: List[int] = []
         for source in sources:
             if isinstance(source, bool) or not isinstance(source, int):
@@ -372,15 +501,26 @@ class SimRankService:
             raise SimRankError("a query batch needs at least one source")
         return cleaned
 
-    def _serve_rows(self, sources: Sequence[int], top_k: Optional[int]
+    def _version_rows(self, version: GraphVersion,
+                      nodes: np.ndarray) -> sp.csr_matrix:
+        """One row computation: the exact rows of one ``version`` component."""
+        with self._tracer.span("serve.version_rows",
+                               component_size=int(nodes.size),
+                               version=version.fingerprint):
+            rows = self._compute_exact(version.graph, nodes,
+                                       self.simrank.epsilon)
+        self.counters.inc("batches")
+        return rows
+
+    def _serve_rows(self, version: GraphVersion, sources: Sequence[int],
+                    top_k: Optional[int]
                     ) -> Dict[int, Tuple[sp.csr_matrix, str, float]]:
-        """Walk the ladder for the deduplicated ``sources``.
+        """Walk the ladder on ``version`` for the deduplicated ``sources``.
 
         Returns ``{source: (row, path, epsilon)}`` where ``epsilon`` is
         the error bound the served row actually satisfies.  Each row is
-        computed once per distinct source, but the path counters count
-        every query in ``sources``, repeats included.  Must be called
-        under ``self._lock``.
+        served once per distinct source, but the path counters count
+        every query in ``sources``, repeats included.
         """
         counters = self.counters
         cfg = self.simrank
@@ -390,27 +530,28 @@ class SimRankService:
         unique = sorted(repeats)
         count = len(sources)
 
-        # Rung 1: exact, all sources in one shared frontier round.
+        # Rung 1: exact, a slice of each source component's shared rows.
         if self.serve.exact_enabled:
-            from repro.utils.timer import Timer
-
-            timer = Timer()
-            timer.start()
+            budget = self.serve.time_budget_seconds
+            deadline = None if budget is None else monotonic() + budget
+            labels = version.labels
+            compute = partial(self._version_rows, version)
             try:
                 with self._tracer.span("serve.exact_batch",
                                        batch_size=len(unique)):
-                    rows = self._compute_exact(unique, top_k, cfg.epsilon)
+                    rows = {int(label): version.rows(int(label), compute,
+                                                     deadline)
+                            for label in np.unique(labels[unique])}
             except SimRankError:
                 counters.inc("exact_failures", count)
             else:
-                elapsed = timer.stop()
-                budget = self.serve.time_budget_seconds
-                if budget is not None and elapsed > budget:
+                if any(component is None for component in rows.values()):
                     counters.inc("budget_overruns", count)
                 else:
-                    counters.inc("batches")
                     counters.inc("exact_served", count)
-                    return {source: (rows[source], "exact", cfg.epsilon)
+                    return {source: (_answer_row(
+                                rows[int(labels[source])], source, top_k,
+                                cfg.row_normalize), "exact", cfg.epsilon)
                             for source in unique}
 
         # Rungs 2 and 3, per source.
@@ -419,8 +560,9 @@ class SimRankService:
         for source in unique:
             if self.serve.serve_cached_rows and self.cache is not None:
                 hit = self.cache.lookup_row(
-                    self.graph, source, decay=cfg.decay, epsilon=cfg.epsilon,
-                    top_k=top_k, row_normalize=cfg.row_normalize,
+                    version.graph, source, decay=cfg.decay,
+                    epsilon=cfg.epsilon, top_k=top_k,
+                    row_normalize=cfg.row_normalize,
                     dtype=None if cfg.dtype == "float64" else cfg.dtype)
                 if hit is not None:
                     row, entry_epsilon = hit
@@ -428,8 +570,8 @@ class SimRankService:
                     served[source] = (row, "cached", entry_epsilon)
                     continue
             try:
-                rows = self._compute_degraded([source], top_k,
-                                              degraded_epsilon)
+                rows_of_source = self._compute_degraded(
+                    version.graph, np.array([source]), degraded_epsilon)
             except SimRankError as error:
                 counters.inc("failed", repeats[source])
                 raise ServeError(
@@ -438,37 +580,48 @@ class SimRankService:
                     f"no cached row, degraded ε={degraded_epsilon} failed): "
                     f"{error}") from error
             counters.inc("degraded_served", repeats[source])
-            served[source] = (rows[source], "degraded", degraded_epsilon)
+            served[source] = (_answer_row(rows_of_source, source, top_k,
+                                          cfg.row_normalize),
+                              "degraded", degraded_epsilon)
         return served
+
+    def _count_answered(self, count: int, pending: int) -> None:
+        self.counters.inc("queries", count)
+        if pending:
+            self.counters.inc("stale_served", count)
+
+    def _track_pending(self, landed: Optional[GraphVersion],
+                       change: int) -> None:
+        """Move the pending count by ``change``; land ``landed`` with it."""
+        with self._served_lock:
+            version, pending = self._served
+            self._served = (landed if landed is not None else version,
+                            pending + change)
 
     # ------------------------------------------------------------------ #
     # Public queries
     # ------------------------------------------------------------------ #
     def topk_batch(self, sources: Sequence[int],
                    k: Optional[int] = None) -> List[QueryAnswer]:
-        """Answer a batch of ``topk`` queries from one shared ladder walk.
+        """Answer a batch of ``topk`` queries from one ladder walk.
 
-        Results align with ``sources`` (duplicates share the computed
-        row) and are identical to issuing each query alone — the
-        single-source engine's batch guarantee.  A ``k`` below 1 is a
-        :class:`SimRankError` raised before the ladder runs, so it
-        touches no counter.
+        Results align with ``sources`` (duplicates share the served row)
+        and are identical to issuing each query alone.  Every answer
+        comes from the graph version current when the call started, and
+        reports it.  A ``k`` below 1 is a :class:`SimRankError` raised
+        before the ladder runs, so it touches no counter.
         """
         from repro.utils.timer import Timer
 
-        cleaned = self._validate(sources)
+        version, pending = self._served
+        cleaned = self._validate(version.graph, sources)
         k = k if k is not None else self.serve.default_top_k
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise SimRankError(f"k must be a positive integer, got {k!r}")
         timer = Timer()
         timer.start()
-        with self._lock:
-            served = self._serve_rows(cleaned, k)
-            self.counters.inc("queries", len(cleaned))
-            if len(cleaned) > 1:
-                self.counters.inc("coalesced", len(cleaned))
-            if self._repairs_pending:
-                self.counters.inc("stale_served", len(cleaned))
+        served = self._serve_rows(version, cleaned, k)
+        self._count_answered(len(cleaned), pending)
         elapsed = timer.stop()
         for source in cleaned:
             self.counters.record_latency(served[source][1], elapsed)
@@ -479,6 +632,7 @@ class SimRankService:
             path=served[source][1],
             epsilon=served[source][2],
             elapsed_seconds=elapsed,
+            version=version.fingerprint,
             batch_size=len(cleaned),
         ) for source in cleaned]
 
@@ -490,20 +644,19 @@ class SimRankService:
         """Answer a single-pair query from the full (un-truncated) row."""
         from repro.utils.timer import Timer
 
-        cleaned = self._validate([u, v])
+        version, pending = self._served
+        cleaned = self._validate(version.graph, [u, v])
         timer = Timer()
         timer.start()
-        with self._lock:
-            served = self._serve_rows([cleaned[0]], None)
-            self.counters.inc("queries")
-            if self._repairs_pending:
-                self.counters.inc("stale_served")
+        served = self._serve_rows(version, [cleaned[0]], None)
+        self._count_answered(1, pending)
         elapsed = timer.stop()
         row, path, epsilon = served[cleaned[0]]
         self.counters.record_latency(path, elapsed)
         return ScoreAnswer(u=cleaned[0], v=cleaned[1],
                            value=float(row[0, cleaned[1]]), path=path,
-                           epsilon=epsilon, elapsed_seconds=elapsed)
+                           epsilon=epsilon, elapsed_seconds=elapsed,
+                           version=version.fingerprint)
 
     # ------------------------------------------------------------------ #
     # Dynamic updates
@@ -518,22 +671,24 @@ class SimRankService:
         repairs incrementally — in a background thread by default
         (``DynamicConfig.background_repair``), synchronously when
         ``wait=True``.  Until the repair lands, queries keep answering
-        from the pre-update graph and count ``stale_served``; the landing
-        atomically swaps in the updated graph.  With ``store_repaired``
-        the operator's background writer then stores the repaired
-        full-fidelity snapshot in the operator cache, after which the
-        *cached* rung serves post-update rows without push work.  Before
-        it lands, a query that falls past the exact rung answers
-        ``degraded`` unless the cache already holds an entry for the
-        updated graph (the cached rung matches the served graph's
+        from the pre-update version and count ``stale_served``; the
+        landing assigns the updated graph's version, whose rows are
+        computed by its first exact read.  Nothing here waits for a read:
+        a read in flight finishes on the version it started on.  With
+        ``store_repaired`` the operator's background writer then stores
+        the repaired full-fidelity snapshot in the operator cache, after
+        which the *cached* rung serves post-update rows without push
+        work.  Before it lands, a query that falls past the exact rung
+        answers ``degraded`` unless the cache already holds an entry for
+        the updated graph (the cached rung matches the served graph's
         fingerprint, so it never serves a pre-update entry).
 
         Returns an acknowledgement payload; synchronous repairs include
         the repair telemetry (``num_pushes``, ``repair_seconds``,
-        ``warm_start``) and mean the repair landed and the graph
-        swapped — not that the chain entry is on disk (:meth:`close`
-        waits for that).  Concurrent updates serialise on an update lock
-        in submission order.
+        ``warm_start``) and the landed ``version``, and mean the repair
+        landed and the version swapped — not that the chain entry is on
+        disk (:meth:`close` waits for that).  Concurrent updates
+        serialise on an update lock in submission order.
         """
         from repro.graphs.delta import UpdateBatch
 
@@ -549,52 +704,52 @@ class SimRankService:
         self.graph.apply_delta(batch)
         background = (self.dynamic.background_repair if wait is None
                       else not wait)
-        with self._lock:
-            self._repairs_pending += 1
+        self._track_pending(None, +1)
         if background:
             Thread(target=self._repair, args=(batch, False),
                    daemon=True).start()
             return {"accepted": True, "num_deltas": len(batch),
                     "background": True}
-        result = self._repair(batch, True)
-        assert result is not None
+        landed = self._repair(batch, True)
+        assert landed is not None
+        result, version = landed
         return {"accepted": True, "num_deltas": len(batch),
                 "background": False, "num_pushes": result.num_pushes,
                 "num_rounds": result.num_rounds,
                 "repair_seconds": result.repair_seconds,
-                "warm_start": result.warm_start}
+                "warm_start": result.warm_start,
+                "version": version.fingerprint}
 
     def _repair(self, batch: "Updates", reraise: bool
-                ) -> Optional["RepairResult"]:
-        """Run one repair to convergence and land its graph swap.
+                ) -> Optional[Tuple["RepairResult", GraphVersion]]:
+        """Run one repair to convergence and land its version.
 
         Serialised on ``self._update_lock`` so concurrent submissions
         repair one at a time against a consistent operator.  A failed
         repair (e.g. the batch conflicts with an earlier update that
         landed after its validation) leaves the service on the previous
-        graph, still answering; background failures are recorded in
+        version, still answering; background failures are recorded in
         ``last_update_error`` instead of raised.  The pending count is
-        released whatever happens, so no failure leaves every later
-        query counted as stale.
+        released whatever happens, in the same step that lands the
+        version, so no failure leaves every later query counted as stale
+        and no read sees the new version still counted pending.
         """
         with self._update_lock:
-            result: Optional["RepairResult"] = None
+            landed: Optional[GraphVersion] = None
             try:
                 operator = self._ensure_operator()
                 result = operator.apply(batch)
+                landed = GraphVersion(operator.graph)
             except (GraphError, SimRankError) as error:
                 self.last_update_error = str(error)
                 if reraise:
                     raise
+                return None
             finally:
-                with self._lock:
-                    self._repairs_pending -= 1
-                    if result is not None:
-                        self.graph = operator.graph
-                        self.counters.inc("updates_applied")
-                        self.counters.inc("repair_seconds",
-                                          result.repair_seconds)
-        return result
+                self._track_pending(landed, -1)
+            self.counters.inc("updates_applied")
+            self.counters.inc("repair_seconds", result.repair_seconds)
+            return result, landed
 
     def _record_write_error(self, error: str) -> None:
         """The operator's chain-write error callback (on its writer thread).
@@ -622,7 +777,7 @@ class SimRankService:
         initial full-fidelity precompute never blocks queries) and warm
         starts from any cached base-graph entry.  Once built, only
         :meth:`_repair` advances it, under the update lock, so its graph
-        tracks ``self.graph`` exactly.
+        tracks the served version's graph exactly.
         """
         if self._dynamic_op is None:
             from repro.dynamic.operator import DynamicOperator
@@ -642,13 +797,14 @@ class SimRankService:
         if self.cache is not None:
             stats = self.cache.stats()
             cache_stats = {name: stats[name] for name in _CACHE_SECTION}
+        graph = self.graph
         return {
             "counters": self.counters.to_dict(),
             "latency": self.counters.latency_summary(),
             "cache": cache_stats,
             "graph": {
-                "num_nodes": int(self.graph.num_nodes),
-                "num_edges": int(self.graph.num_edges),
+                "num_nodes": int(graph.num_nodes),
+                "num_edges": int(graph.num_edges),
             },
             "config": {
                 "epsilon": self.simrank.epsilon,
@@ -660,8 +816,6 @@ class SimRankService:
                 "max_pushes_per_query": self.serve.max_pushes_per_query,
                 "degraded_epsilon_factor": self.serve.degraded_epsilon_factor,
                 "serve_cached_rows": self.serve.serve_cached_rows,
-                "batch_window_seconds": self.serve.batch_window_seconds,
-                "max_batch_size": self.serve.max_batch_size,
             },
         }
 
@@ -684,17 +838,18 @@ class SimRankService:
         qps = self.counters.qps()
         if qps is not None:
             qps_gauge.set(qps)
+        graph = self.graph
         registry.gauge("repro_serve_graph_nodes",
                        "Nodes in the served graph.").set(
-            float(self.graph.num_nodes))
+            float(graph.num_nodes))
         registry.gauge("repro_serve_graph_edges",
                        "Edges in the served graph.").set(
-            float(self.graph.num_edges))
+            float(graph.num_edges))
         text = prometheus_text(registry)
         if self.cache is not None:
             text += prometheus_text(self.cache.registry)
         return text
 
 
-__all__ = ["SimRankService", "QueryAnswer", "ScoreAnswer",
+__all__ = ["SimRankService", "GraphVersion", "QueryAnswer", "ScoreAnswer",
            "ServiceCounters", "RowCompute", "SERVE_PATHS"]

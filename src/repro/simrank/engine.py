@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -239,7 +240,8 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
 
     Streaming top-k runs in-loop only for unrestricted runs; restricted
     runs accumulate triplets and apply the identical
-    ``top_k_per_row(..., keep_diagonal=True)`` semantics post hoc.
+    ``top_k_per_row(..., keep_diagonal=True)`` semantics post hoc, to the
+    absorbed rows only (every other row holds at most its diagonal).
 
     The dynamic-maintenance hooks (all defaulted off, leaving every
     fresh run bit-identical to the pre-hook loop):
@@ -368,16 +370,16 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         estimate = _fold_absorbed(est_rows, est_cols, est_data, n)
 
     if absorb_residual and residual.nnz:
-        rows = _csr_rows(residual)
         positive = residual.data > 0.0
         if absorb_mask is not None:
-            positive &= absorb_mask[rows]
+            positive &= absorb_mask[_csr_rows(residual)]
         if positive.any():
+            # The kept entries in the residual's own CSR layout: no COO
+            # sort, which dominated when every row is absorbed.
             leftover_mass = sp.csr_matrix(
-                (residual.data[positive].copy(),
-                 (rows[positive],
-                  residual.indices[positive].astype(np.int64, copy=False))),
-                shape=(n, n))
+                (residual.data * positive, residual.indices.copy(),
+                 residual.indptr.copy()), shape=(n, n))
+            leftover_mass.eliminate_zeros()
             estimate = estimate + leftover_mass
 
     if finalize:
@@ -389,8 +391,9 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         # to pruning the full estimate, because streamed drops were
         # provably outside the final top-k.  Restricted runs reach here
         # with the full (un-streamed) absorbed rows, so this is simply
-        # the post-hoc prune.
-        estimate = top_k_per_row(estimate, stream_top_k, keep_diagonal=True)
+        # the post-hoc prune of those rows.
+        estimate = top_k_per_row(estimate, stream_top_k, keep_diagonal=True,
+                                 rows=absorb_rows)
 
     if signed:
         leftover = int(residual.nnz)  # eliminate_zeros ran: all nonzero
@@ -555,15 +558,18 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
 class SingleSourceResult:
     """One source row of the SimRank matrix, with the run's telemetry.
 
-    ``row`` is a ``1×n`` CSR matrix holding row ``source`` of the
-    estimate ``Ŝ`` with ``‖Ŝ[source] − S[source]‖_max < ε`` (same Lemma
-    III.5 bound as the all-pairs engine).  Batch queries share one round
-    loop, so ``num_pushes``/``num_rounds``/``elapsed_seconds`` describe
-    the whole batch, not the one source.
+    ``estimate`` is the whole call's ``n×n`` CSR estimate, shared by every
+    result of the call: it holds the row of each source of the call, and
+    other rows hold at most a diagonal entry.  ``row`` is row ``source``
+    of it as a ``1×n`` CSR matrix, built on first read, with
+    ``‖Ŝ[source] − S[source]‖_max < ε`` (same Lemma III.5 bound as the
+    all-pairs engine).  Batch queries share one round loop, so
+    ``num_pushes``/``num_rounds``/``elapsed_seconds`` describe the whole
+    batch, not the one source.
     """
 
     source: int
-    row: sp.csr_matrix
+    estimate: sp.csr_matrix
     num_pushes: int
     num_rounds: int
     num_residual_entries: int
@@ -574,6 +580,10 @@ class SingleSourceResult:
     num_shards: int
     component_size: int
     batch_size: int = 1
+
+    @cached_property
+    def row(self) -> sp.csr_matrix:
+        return self.estimate.getrow(self.source)
 
     @property
     def nnz(self) -> int:
@@ -626,10 +636,14 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     ``top_k`` applies :func:`repro.graphs.sparse.top_k_per_row`
     semantics (``keep_diagonal=True``) to each returned row — identical
-    to pruning the all-pairs estimate post hoc.
+    to pruning the all-pairs estimate post hoc.  ``top_k=None`` keeps
+    every row un-truncated.
 
-    Results are returned in input order; duplicate sources share the
-    same computed row.
+    Results are returned in input order; duplicate sources share one
+    result object.  Every result carries the call's one ``estimate``
+    matrix; a result's ``1×n`` ``row`` is sliced from it only when read,
+    so a call over a whole component costs the round loop, not one row
+    copy per source.
     """
     _validate_engine_args(decay, epsilon, num_workers, num_shards,
                           top_k, dtype)
@@ -650,12 +664,12 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                       seed_nodes=seed_nodes, absorb_rows=unique_sources,
                       dtype=dtype)
 
-    component_sizes = {int(s): int(np.count_nonzero(labels == labels[s]))
-                       for s in unique_sources}
-    rows = {int(s): run.estimate.getrow(int(s)) for s in unique_sources}
-    return [SingleSourceResult(
-        source=int(source),
-        row=rows[int(source)],
+    # Plain ints, not numpy scalars: a whole component builds one result
+    # per node.
+    component_sizes = np.bincount(labels)[wanted].tolist()
+    results = {source: SingleSourceResult(
+        source=source,
+        estimate=run.estimate,
         num_pushes=run.num_pushes,
         num_rounds=run.num_rounds,
         num_residual_entries=run.num_residual_entries,
@@ -664,9 +678,10 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
         decay=decay,
         num_workers=num_workers,
         num_shards=run.max_shards_used,
-        component_size=component_sizes[int(source)],
+        component_size=size,
         batch_size=int(unique_sources.size),
-    ) for source in source_array]
+    ) for source, size in zip(unique_sources.tolist(), component_sizes)}
+    return [results[source] for source in source_array.tolist()]
 
 
 def single_source_localpush(graph: Graph, source: int, *,

@@ -26,7 +26,13 @@ Span names are dotted ``layer.operation``:
                              merge/prune), attributes ``phase``/``round``;
                              opened when a tracer is passed to
                              ``localpush_engine(tracer=...)``
-``serve.exact_batch``        one shared exact frontier round, attr ``batch_size``
+``serve.exact_batch``        one read's exact rung, attr ``batch_size``
+                             (distinct sources of the ``topk_batch`` call)
+``serve.version_rows``       one row computation of a served graph version,
+                             under the ``serve.exact_batch`` of the read
+                             that ran it; attrs ``component_size``,
+                             ``version`` (graph fingerprint) and, from the
+                             default engine hook, ``pushes``
 ``dynamic.repair``           one update-batch repair, attrs ``batch_size``/
                              ``num_pushes``/``num_rounds``/``warm_start``
 ``dynamic.chain_write``      one delta-chain snapshot projection + store,
@@ -45,7 +51,7 @@ Instruments live in a :class:`MetricsRegistry` (typed
 mutation atomic under the registry's single lock).  Names follow the
 Prometheus convention ``repro_<layer>_<what>[_total|_seconds]``:
 
-* ``repro_serve_<counter>_total`` — the twelve ``ServiceCounters``
+* ``repro_serve_<counter>_total`` — the eleven ``ServiceCounters``
   names (``queries``, ``exact_served``, …) re-based on the registry
   (``repro_serve_repair_seconds`` is the one non-counter-suffixed sum);
 * ``repro_serve_latency_seconds{path=...}`` — a :class:`Histogram` of

@@ -232,6 +232,14 @@ class Tracer:
         parent_id = stack[-1].span_id if stack else None
         return Span(name, span_id, parent_id, self, dict(attributes))
 
+    def current_span(self) -> "Span | NullSpan":
+        """The innermost span open on this thread, else :data:`NULL_SPAN`.
+
+        Lets a callee annotate the span its caller opened around it.
+        """
+        stack = getattr(self._local, "stack", None)
+        return stack[-1] if stack else NULL_SPAN
+
     # ------------------------------------------------------------------ #
     # Span lifecycle (called by Span.__enter__/__exit__)
     # ------------------------------------------------------------------ #

@@ -13,6 +13,9 @@ Neither is part of the package: they exist only as correctness oracles.
   *bitwise*; :func:`scipy_rounds` swaps it into the engine for the
   duration of a ``with`` block, so a suite can run the same engine call
   on both arithmetics without any package parameter.
+* :func:`top_k_per_row_loop` — the historical per-row loop of
+  :func:`repro.graphs.sparse.top_k_per_row`, which the masked package
+  version must reproduce *bitwise*.
 
 Kept out of ``conftest.py`` for the same reason as ``_simrank_fixtures``:
 these are plain helpers, not pytest fixtures.
@@ -245,3 +248,40 @@ def scipy_rounds() -> Iterator[None]:
         yield
     finally:
         engine_module.FusedRoundState = original  # type: ignore[misc]
+
+
+def top_k_per_row_loop(matrix: sp.spmatrix, k: int, *,
+                       keep_diagonal: bool = False) -> sp.csr_matrix:
+    """Top-k per row, one row at a time, rebuilt from per-row pieces."""
+    csr = sp.csr_matrix(matrix, copy=True)
+    n_rows = csr.shape[0]
+    data, indices, indptr = csr.data, csr.indices, csr.indptr
+    new_data = []
+    new_indices = []
+    new_indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    for row in range(n_rows):
+        start, end = indptr[row], indptr[row + 1]
+        row_data = data[start:end]
+        row_indices = indices[start:end]
+        if row_data.size > k:
+            # Rank by value descending, ties toward the smaller column.
+            order = np.lexsort((row_indices, -row_data))
+            keep = order[:k]
+            if keep_diagonal:
+                diag_pos = np.flatnonzero(row_indices == row)
+                if diag_pos.size and diag_pos[0] not in keep:
+                    # Evict the lowest-ranked kept (non-diagonal) entry.
+                    keep = keep.copy()
+                    keep[-1] = diag_pos[0]
+            keep_mask = np.zeros(row_data.size, dtype=bool)
+            keep_mask[keep] = True
+            row_data = row_data[keep_mask]
+            row_indices = row_indices[keep_mask]
+        new_data.append(row_data)
+        new_indices.append(row_indices)
+        new_indptr[row + 1] = new_indptr[row] + row_data.size
+    pruned = sp.csr_matrix(
+        (np.concatenate(new_data), np.concatenate(new_indices), new_indptr),
+        shape=csr.shape)
+    pruned.sort_indices()
+    return pruned

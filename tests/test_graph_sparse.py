@@ -8,6 +8,7 @@ from repro.graphs.sparse import (
     dense_to_sparse_threshold,
     sparse_row_normalize,
     top_k_per_row,
+    top_k_row_mask,
 )
 
 
@@ -38,6 +39,31 @@ class TestTopKPerRow:
         pruned = top_k_per_row(square.tocsr(), 2, keep_diagonal=True)
         for row in range(4):
             assert pruned[row, row] != 0.0
+
+    def test_rows_prunes_only_the_named_rows(self):
+        rng = np.random.default_rng(1)
+        matrix = sp.csr_matrix(rng.random((6, 6)))
+        full = top_k_per_row(matrix, 2, keep_diagonal=True)
+        partial = top_k_per_row(matrix, 2, keep_diagonal=True,
+                                rows=np.array([1, 4]))
+        for row in range(6):
+            expected = full if row in (1, 4) else matrix
+            assert np.array_equal(partial[row].toarray(),
+                                  expected[row].toarray())
+
+    def test_row_mask_takes_the_diagonal_column_explicitly(self):
+        """A row held apart from its matrix selects exactly as in place."""
+        rng = np.random.default_rng(2)
+        matrix = sp.csr_matrix(rng.random((5, 7)).round(1))  # ties
+        pruned = top_k_per_row(matrix, 3, keep_diagonal=True)
+        for row in range(5):
+            start, end = matrix.indptr[row], matrix.indptr[row + 1]
+            data = matrix.data[start:end]
+            indices = matrix.indices[start:end]
+            keep = top_k_row_mask(data, indices, 3, diagonal=row)
+            assert keep.sum() == 3
+            assert np.array_equal(indices[keep], pruned[row].indices)
+            assert np.array_equal(data[keep], pruned[row].data)
 
     def test_invalid_k_raises(self):
         with pytest.raises(ValueError):

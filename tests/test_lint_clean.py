@@ -118,6 +118,13 @@ REMOVED_NAMES = {
     "attach_telemetry": r"\battach_telemetry\b",
     "LATENCY_WINDOW": r"\bLATENCY_WINDOW\b",
     "phase_prefix": r"\bphase[_-]prefix\b",
+    # Reads slice a graph version's shared rows: the coalescing window,
+    # its batch cap and its counter went with the leader/follower queue.
+    "batch_window": r"\bbatch[_-]window",
+    "max_batch_size": r"\bmax[_-]batch[_-]size\b",
+    "coalesced": r"\bcoalesced\b",
+    "window_seconds": r"\bwindow_seconds\b",
+    "leader_active": r"\b_leader_active\b",
 }
 
 # The experiment sweep keeps its own cell executors (a process pool among

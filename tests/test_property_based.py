@@ -202,6 +202,25 @@ class TestTopKProperties:
 
     @SETTINGS
     @given(
+        hnp.arrays(st.sampled_from([np.float64, np.float32]), (7, 7),
+                   elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        st.integers(1, 7), st.booleans(),
+    )
+    def test_topk_equals_the_per_row_loop_bitwise(self, dense, k, diagonal):
+        """The masked prune reproduces the historical per-row loop, ties
+        and the kept diagonal included."""
+        from _simrank_oracles import top_k_per_row_loop
+
+        matrix = sp.csr_matrix(dense)
+        pruned = top_k_per_row(matrix, k, keep_diagonal=diagonal)
+        reference = top_k_per_row_loop(matrix, k, keep_diagonal=diagonal)
+        assert pruned.dtype == reference.dtype
+        assert np.array_equal(pruned.indptr, reference.indptr)
+        assert np.array_equal(pruned.indices, reference.indices)
+        assert np.array_equal(pruned.data, reference.data)
+
+    @SETTINGS
+    @given(
         hnp.arrays(np.float64, (6, 6), elements=st.floats(0.0, 1.0)),
         st.integers(1, 6),
     )

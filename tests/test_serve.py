@@ -1,4 +1,4 @@
-"""Fault-injection and coalescing suite for the serving layer.
+"""Fault-injection and graph-version suite for the serving layer.
 
 Proves the ``repro.serve`` degradation ladder by *injecting* rung
 failures (the ``compute_exact``/``compute_degraded`` hooks raise or
@@ -10,13 +10,15 @@ the per-path counters:
   stored entry's tighter ε′, ``exact_failures``/``cached_served``;
 * exact rung raising + no cache → ``degraded`` answers at the loosened
   ε, ``degraded_served``;
-* exact rung *slow* + a tiny time budget → the completed answer is
-  discarded (``budget_overruns``) and the ladder falls through;
+* exact rung *slow* + a tiny time budget → the read falls through
+  (``budget_overruns``) and the rows stay for the next read;
 * every rung failing → :class:`repro.errors.ServeError` + ``failed``.
 
-Plus the coalescing guarantee: concurrent clients batched through the
-:class:`repro.serve.batching.QueryBatcher` receive answers bit-identical
-to the same queries served alone.
+Plus the graph-version contract: each version's rows are computed at
+most once per connected component and shared by every read, every
+answer is bit-identical to :func:`repro.api.topk` on the graph whose
+fingerprint it reports, an update never waits for a read, and a read is
+stale exactly when the version it took had a repair in flight.
 """
 
 import json
@@ -35,12 +37,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _simrank_fixtures import disconnected as _disconnected
 from _simrank_fixtures import erdos_renyi as _erdos_renyi
+from repro.api import score as api_score
 from repro.api import topk as api_topk
 from repro.config import ServeConfig, SimRankConfig
 from repro.dynamic import DynamicOperator
 from repro.errors import ServeError, SimRankError
 from repro.graphs.delta import GraphDelta
+from repro.graphs.fingerprint import graph_fingerprint
 from repro.serve import QueryBatcher, SimRankService, make_daemon
 from repro.serve.daemon import ServeDaemon
 from repro.serve.service import SERVE_PATHS, ServiceCounters
@@ -53,7 +58,7 @@ def graph():
     return _erdos_renyi(60, 0.08, seed=0)
 
 
-def _failing_compute(sources, top_k, epsilon):
+def _failing_compute(graph, nodes, epsilon):
     raise SimRankError("injected compute failure")
 
 
@@ -116,7 +121,7 @@ class TestExactPath:
         assert all(answer.batch_size == 3 for answer in answers)
         # One shared round, but every query is counted under its path —
         # the repeated source included — so the paths partition queries.
-        _counters(service, queries=3, batches=1, exact_served=3, coalesced=3)
+        _counters(service, queries=3, batches=1, exact_served=3)
 
     def test_score_uses_the_full_row(self, graph):
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
@@ -168,8 +173,7 @@ class TestDegradationLadder:
         answers = service.topk_batch([3, 3, 7], k=5)
         assert [answer.path for answer in answers] == ["cached"] * 3
         assert answers[0].entries == answers[1].entries
-        _counters(service, queries=3, coalesced=3, exact_failures=3,
-                  cached_served=3)
+        _counters(service, queries=3, exact_failures=3, cached_served=3)
         # One row lookup per distinct source; the counters count queries.
         assert get_operator_cache(cache_dir).stats()["row_hits"] == 2
 
@@ -180,8 +184,7 @@ class TestDegradationLadder:
             compute_exact=_failing_compute)
         answers = service.topk_batch([7, 3, 7, 7], k=5)
         assert [answer.path for answer in answers] == ["degraded"] * 4
-        _counters(service, queries=4, coalesced=4, exact_failures=4,
-                  degraded_served=4)
+        _counters(service, queries=4, exact_failures=4, degraded_served=4)
 
     def test_admission_cap_trips_the_exact_rung(self, graph):
         # ε=0.01 needs ~8k pushes on this graph, the degraded ε=0.1 ~550:
@@ -196,8 +199,8 @@ class TestDegradationLadder:
     def test_slow_exact_is_discarded_as_over_budget(self, graph):
         inner = {}
 
-        def slow_exact(sources, top_k, epsilon):
-            rows = inner["service"]._engine_rows(sources, top_k, epsilon)
+        def slow_exact(graph, nodes, epsilon):
+            rows = inner["service"]._engine_rows(graph, nodes, epsilon)
             time.sleep(0.05)
             return rows
 
@@ -208,14 +211,15 @@ class TestDegradationLadder:
         inner["service"] = service
         answer = service.topk(3, k=5)
         assert answer.path == "degraded"  # completed, but too late
-        _counters(service, queries=1, budget_overruns=1, degraded_served=1)
+        _counters(service, queries=1, batches=1, budget_overruns=1,
+                  degraded_served=1)
 
     def test_repeated_sources_count_per_query_on_a_budget_overrun(
             self, graph):
         inner = {}
 
-        def slow_exact(sources, top_k, epsilon):
-            rows = inner["service"]._engine_rows(sources, top_k, epsilon)
+        def slow_exact(graph, nodes, epsilon):
+            rows = inner["service"]._engine_rows(graph, nodes, epsilon)
             time.sleep(0.05)
             return rows
 
@@ -226,7 +230,7 @@ class TestDegradationLadder:
         inner["service"] = service
         answers = service.topk_batch([3, 7, 3], k=5)
         assert [answer.path for answer in answers] == ["degraded"] * 3
-        _counters(service, queries=3, coalesced=3, budget_overruns=3,
+        _counters(service, queries=3, batches=1, budget_overruns=3,
                   degraded_served=3)
 
     def test_exact_disabled_skips_straight_past_the_rung(self, graph):
@@ -281,7 +285,8 @@ class TestDegradationLadder:
 
 
 class TestQueryBatcher:
-    def test_concurrent_clients_coalesce_and_match_solo(self, graph):
+    def test_concurrent_clients_share_one_computation_and_match_solo(
+            self, graph):
         sources = [1, 5, 9, 23]
         solo_service = SimRankService(graph,
                                       simrank=SimRankConfig(epsilon=0.1))
@@ -289,8 +294,7 @@ class TestQueryBatcher:
                 for source in sources}
 
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
-        batcher = QueryBatcher(service, window_seconds=0.25,
-                               max_batch_size=len(sources))
+        batcher = QueryBatcher(service)
         barrier = threading.Barrier(len(sources))
         answers = {}
 
@@ -303,42 +307,309 @@ class TestQueryBatcher:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
 
         for source in sources:
             assert answers[source].entries == solo[source]  # bitwise
             assert answers[source].path == "exact"
-        # All four shared one frontier round (max_batch_size cut the
-        # window short once everyone had piled up).
-        _counters(service, queries=4, batches=1, exact_served=4, coalesced=4)
-        assert all(answers[source].batch_size == 4 for source in sources)
+        # The four sources share one component, so one row computation.
+        _counters(service, queries=4, batches=1, exact_served=4)
 
-    def test_sequential_submits_are_plain_batches_of_one(self, graph):
+    def test_sequential_submits_share_the_version_rows(self, graph):
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
-        batcher = QueryBatcher(service, window_seconds=0.0)
+        batcher = QueryBatcher(service)
         first = batcher.submit(3, 5)
         second = batcher.submit(3, 5)
         assert first.entries == second.entries
         assert first.batch_size == 1
-        _counters(service, queries=2, batches=2, exact_served=2)
+        _counters(service, queries=2, batches=1, exact_served=2)
 
     def test_batch_errors_propagate_to_every_submitter(self, graph):
         service = SimRankService(graph, compute_exact=_failing_compute,
                                  compute_degraded=_failing_compute)
-        batcher = QueryBatcher(service, window_seconds=0.0)
+        batcher = QueryBatcher(service)
         with pytest.raises(ServeError):
             batcher.submit(3, 5)
-        # The batcher is reusable after a failed batch.
+        # The batcher is reusable after a failed query.
         with pytest.raises(ServeError):
             batcher.submit(4, 5)
+
+
+class TestGraphVersions:
+    """Each version's rows are computed once per component and shared."""
+
+    def test_concurrent_first_readers_share_one_computation(self, graph):
+        config = SimRankConfig(epsilon=0.1)
+        calls = []
+        inner = {}
+
+        def counting_exact(graph, nodes, epsilon):
+            calls.append(nodes.size)
+            time.sleep(0.05)  # keep the computation in flight
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        service = SimRankService(graph, simrank=config,
+                                 compute_exact=counting_exact)
+        inner["service"] = service
+        # More readers than cores, sources repeated; node 28 is isolated.
+        pool = [0, 3, 7, 11, 19, 23, 42]
+        sources = [pool[i % len(pool)]
+                   for i in range(max(8, (os.cpu_count() or 1) + 2))]
+        barrier = threading.Barrier(len(sources))
+        answers = [None] * len(sources)
+
+        def reader(index):
+            barrier.wait()
+            answers[index] = service.topk(sources[index], k=5)
+
+        threads = [threading.Thread(target=reader, args=(index,))
+                   for index in range(len(sources))]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [graph.num_nodes - 1]  # node 28 is isolated
+        for source, answer in zip(sources, answers):
+            assert answer.path == "exact"
+            assert answer.entries == api_topk(graph, source, 5, config)
+        _counters(service, queries=len(sources), batches=1,
+                  exact_served=len(sources))
+
+    def test_an_update_never_waits_for_a_read(self, graph):
+        config = SimRankConfig(epsilon=0.1)
+        entered, release = threading.Event(), threading.Event()
+        inner = {}
+
+        def blocking_exact(graph, nodes, epsilon):
+            entered.set()
+            assert release.wait(timeout=60)
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        service = SimRankService(graph, simrank=config,
+                                 compute_exact=blocking_exact)
+        inner["service"] = service
+        before = service.version
+        reads, acks = [], []
+        reader = threading.Thread(
+            target=lambda: reads.append(service.topk(3, k=5)))
+        reader.start()
+        try:
+            assert entered.wait(timeout=30)
+            u, v = _absent_pair(graph)
+            batch = [GraphDelta("insert", u, v)]
+            updater = threading.Thread(target=lambda: acks.append(
+                service.apply_update(batch, wait=True)))
+            updater.start()
+            updater.join(timeout=60)
+            assert not updater.is_alive()
+            assert reader.is_alive()  # the read is still in its computation
+            updated = graph.apply_delta(batch)
+            assert acks[0]["version"] == graph_fingerprint(updated) \
+                == service.version != before
+        finally:
+            release.set()
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        # The blocked read finished on the version it started on.
+        assert reads[0].version == before == graph_fingerprint(graph)
+        assert reads[0].path == "exact"
+        assert reads[0].entries == api_topk(graph, 3, 5, config)
+        after = service.topk(u, k=5)
+        assert after.version == acks[0]["version"]
+        assert after.entries == api_topk(updated, u, 5, config)
+
+    def test_stale_is_decided_by_the_version_a_read_took(self, graph,
+                                                          monkeypatch):
+        config = SimRankConfig(epsilon=0.1)
+        repair_entered, repair_release = threading.Event(), threading.Event()
+        read_entered, read_release = threading.Event(), threading.Event()
+        apply = DynamicOperator.apply
+
+        def blocking_apply(operator, batch):
+            repair_entered.set()
+            assert repair_release.wait(timeout=60)
+            return apply(operator, batch)
+
+        monkeypatch.setattr(DynamicOperator, "apply", blocking_apply)
+        inner = {}
+
+        def blocking_exact(graph, nodes, epsilon):
+            read_entered.set()
+            assert read_release.wait(timeout=60)
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        service = SimRankService(graph, simrank=config,
+                                 compute_exact=blocking_exact)
+        inner["service"] = service
+        before = service.version
+        u, v = _absent_pair(graph)
+        service.apply_update([GraphDelta("insert", u, v)], wait=False)
+        assert repair_entered.wait(timeout=60)
+        reads = []
+        reader = threading.Thread(
+            target=lambda: reads.append(service.topk(3, k=5)))
+        reader.start()
+        try:
+            assert read_entered.wait(timeout=30)
+            # The repair lands while the read is still computing its rows.
+            repair_release.set()
+            _wait_until(lambda: service.version != before)
+        finally:
+            repair_release.set()
+            read_release.set()
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        # It took the pre-update version with the repair pending: stale.
+        assert reads[0].version == before == graph_fingerprint(graph)
+        counters = service.counters.to_dict()
+        assert (counters["queries"], counters["stale_served"],
+                counters["updates_applied"]) == (1, 1, 1)
+        # A read of the landed version is not, with nothing pending.
+        assert service.topk(3, k=5).version == service.version
+        counters = service.counters.to_dict()
+        assert (counters["queries"], counters["stale_served"]) == (2, 1)
+
+    def test_a_failure_that_is_not_a_simrank_error_reaches_every_reader(
+            self, graph):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def broken_exact(graph, nodes, epsilon):
+            calls.append(nodes.size)
+            entered.set()
+            assert release.wait(timeout=60)
+            raise RuntimeError("injected bug")
+
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1),
+                                 compute_exact=broken_exact)
+        barrier = threading.Barrier(2)
+        errors = {}
+
+        def reader(source):
+            barrier.wait()
+            try:
+                service.topk(source, k=5)
+            except Exception as error:  # asserted below
+                errors[source] = error
+
+        threads = [threading.Thread(target=reader, args=(source,))
+                   for source in (3, 7)]
+        for thread in threads:
+            thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            # Release only once the other reader waits on the computation.
+            _wait_until(lambda: any(_waiting_in(thread, "rows")
+                                    for thread in threads))
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [graph.num_nodes - 1]  # one shared computation
+        assert sorted(errors) == [3, 7]
+        assert all(type(error) is RuntimeError for error in errors.values())
+        _counters(service)  # neither read fell through the ladder
+
+    def test_disconnected_graph_computes_each_component_once(self):
+        graph = _disconnected()  # components 0–29 and 30–49, 5 isolated
+        config = SimRankConfig(epsilon=0.1)
+        service = SimRankService(graph, simrank=config)
+        for source in range(50):
+            for k in (5, None):
+                if k is None:
+                    answer = service.score(source, (source + 3) % 50)
+                    assert answer.value == api_score(
+                        graph, source, (source + 3) % 50, config)
+                else:
+                    answer = service.topk(source, k=k)
+                    assert answer.entries == api_topk(graph, source, k,
+                                                      config)
+                assert answer.path == "exact"
+        _counters(service, queries=100, batches=2, exact_served=100)
+
+    def test_a_read_over_budget_falls_through_and_the_rows_stay(self, graph):
+        inner = {}
+
+        def slow_exact(graph, nodes, epsilon):
+            time.sleep(0.05)
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        config = SimRankConfig(epsilon=0.1)
+        service = SimRankService(
+            graph, simrank=config,
+            serve=ServeConfig(time_budget_seconds=0.01),
+            compute_exact=slow_exact)
+        inner["service"] = service
+        assert service.topk(3, k=5).path == "degraded"
+        answer = service.topk(7, k=5)
+        assert answer.path == "exact"
+        assert answer.entries == api_topk(graph, 7, 5, config)
+        _counters(service, queries=2, batches=1, budget_overruns=1,
+                  degraded_served=1, exact_served=1)
+
+    def test_a_failed_computation_is_not_kept(self, graph):
+        failures = []
+        inner = {}
+
+        def failing_once(graph, nodes, epsilon):
+            if not failures:
+                failures.append(nodes.size)
+                raise SimRankError("injected cap")
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1),
+                                 compute_exact=failing_once)
+        inner["service"] = service
+        assert service.topk(3, k=5).path == "degraded"
+        assert service.topk(3, k=5).path == "exact"
+        _counters(service, queries=2, batches=1, exact_failures=1,
+                  degraded_served=1, exact_served=1)
+
+    def test_answers_report_the_graph_that_reproduces_them(self, graph):
+        config = SimRankConfig(epsilon=0.1)
+        daemon = make_daemon(graph, simrank=config,
+                             serve=ServeConfig(port=0))
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            served = graph
+            for batch in (None, [GraphDelta("insert", *_absent_pair(graph))]):
+                if batch is not None:
+                    status, ack = _post(daemon, "/update", {
+                        "deltas": [delta.to_dict() for delta in batch],
+                        "wait": True})
+                    assert status == 200
+                    served = served.apply_delta(batch)
+                    assert ack["version"] == graph_fingerprint(served)
+                version = graph_fingerprint(served)
+                assert TestDaemon._get(daemon, "/healthz")[1]["version"] \
+                    == version
+                status, top = TestDaemon._get(daemon, "/topk?u=3&k=5")
+                assert status == 200 and top["version"] == version
+                assert [tuple(entry) for entry in top["entries"]] \
+                    == api_topk(served, 3, 5, config)
+                status, pair = TestDaemon._get(daemon, "/score?u=3&v=17")
+                assert status == 200 and pair["version"] == version
+                assert pair["score"] == api_score(served, 3, 17, config)
+        finally:
+            daemon.shutdown()
+            daemon.server_close()
+            thread.join(timeout=5)
 
 
 class TestDaemon:
     @pytest.fixture()
     def daemon(self, graph):
         daemon = make_daemon(graph, simrank=SimRankConfig(epsilon=0.1),
-                             serve=ServeConfig(port=0,
-                                               batch_window_seconds=0.0))
+                             serve=ServeConfig(port=0))
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
         yield daemon
@@ -359,7 +630,8 @@ class TestDaemon:
     def test_healthz(self, daemon, graph):
         status, payload = self._get(daemon, "/healthz")
         assert status == 200
-        assert payload == {"status": "ok", "num_nodes": graph.num_nodes}
+        assert payload == {"status": "ok", "num_nodes": graph.num_nodes,
+                           "version": graph_fingerprint(graph)}
 
     def test_topk_roundtrip(self, daemon, graph):
         status, payload = self._get(daemon, "/topk?u=3&k=5")
@@ -509,6 +781,17 @@ def _wait_until(predicate, timeout=30.0):
         time.sleep(0.01)
 
 
+def _waiting_in(thread, caller):
+    """Whether ``thread`` is blocked in a ``wait`` that ``caller`` called."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None and frame.f_back is not None:
+        if (frame.f_code.co_name, frame.f_back.f_code.co_name) \
+                == ("wait", caller):
+            return True
+        frame = frame.f_back
+    return False
+
+
 class TestChainStoreFailure:
     """A failed delta-chain cache write must not wedge the service."""
 
@@ -539,7 +822,7 @@ class TestChainStoreFailure:
         daemon = make_daemon(
             graph, simrank=SimRankConfig(
                 epsilon=0.1, cache_dir=str(tmp_path / "operators")),
-            serve=ServeConfig(port=0, batch_window_seconds=0.0))
+            serve=ServeConfig(port=0))
         monkeypatch.setattr(daemon.service.cache, "store", _full_disk)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()

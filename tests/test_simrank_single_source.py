@@ -121,6 +121,16 @@ class TestRowEquivalence:
         results = multi_source_localpush(graph, (4, 4), epsilon=0.1)
         assert results[0].row is results[1].row
 
+    def test_results_share_the_call_estimate(self):
+        graph = _disconnected()
+        results = multi_source_localpush(graph, (0, 35, 52), epsilon=0.1)
+        assert all(result.estimate is results[0].estimate
+                   for result in results)
+        assert [result.component_size for result in results] == [30, 20, 1]
+        for result in results:
+            _assert_row_identical(result.row,
+                                  result.estimate.getrow(result.source))
+
     def test_pair_matches_row_entry(self):
         graph = _erdos_renyi(60, 0.08, seed=0)
         row = single_source_localpush(graph, 9, epsilon=0.1, prune=False,

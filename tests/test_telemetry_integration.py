@@ -144,6 +144,26 @@ class TestServeTelemetry:
         assert len(spans) == 1
         assert spans[0]["attributes"] == {"batch_size": 2}  # deduplicated
 
+    def test_one_version_rows_span_per_computation(self, graph, tmp_path):
+        from repro.graphs.fingerprint import graph_fingerprint
+
+        handle = _enabled(tmp_path)
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1),
+                                 telemetry=handle)
+        for source in (3, 7, 3):
+            service.topk(source, k=5)
+        spans = handle.recorder.spans()
+        rows = [span for span in spans
+                if span["name"] == "serve.version_rows"]
+        assert len(rows) == 1
+        attrs = rows[0]["attributes"]
+        assert attrs["version"] == graph_fingerprint(graph)
+        assert attrs["component_size"] == graph.num_nodes  # connected
+        assert attrs["pushes"] > 0
+        parent = next(span for span in spans
+                      if span["span_id"] == rows[0]["parent_id"])
+        assert parent["name"] == "serve.exact_batch"
+
     def test_enabled_answers_match_disabled(self, graph, tmp_path):
         plain = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
         traced = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1),
