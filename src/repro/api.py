@@ -13,8 +13,9 @@ free to be refactored between releases.
   build, train over the splits) and return a :class:`RunResult`.
 * :func:`run_experiment` — run a registered declarative experiment (an
   :class:`repro.config.ExperimentSpec` grid of ``RunSpec`` cells plus a
-  reduction) through the sweep engine, with executor fan-out and a
-  resumable :class:`repro.experiments.store.ArtifactStore`.
+  reduction) through the sweep engine, which runs the cells in order
+  and resumes finished ones from a
+  :class:`repro.experiments.store.ArtifactStore`.
 * :func:`topk` / :func:`score` — single-source / single-pair SimRank
   queries (row ``u`` of the operator, O(query) LocalPush work instead of
   the all-pairs precompute).  The long-lived serving layer on top lives
@@ -262,9 +263,9 @@ def run_experiment(name: str, *args: object, **kwargs: object) -> object:
     Thin facade over :func:`repro.experiments.run_experiment` (imported
     lazily — the experiment modules build on this module).  ``*args`` and
     unknown keywords go to the experiment's spec builder; the engine
-    options (``scale_factor``, ``train``, ``executor``, ``workers``,
-    ``store``, ``resume``, ``force``, ``spec``, ``print_result``) apply
-    uniformly to every experiment.
+    options (``scale_factor``, ``train``, ``store``, ``resume``,
+    ``force``, ``spec``, ``print_result``, ``telemetry``) apply uniformly
+    to every experiment.
     """
     from repro.experiments import run_experiment as _run_experiment
 

@@ -69,8 +69,7 @@ class ExperimentError(ReproError):
 
     Covers the declarative experiment layer end to end: unknown experiment
     names, unsupported builder keywords (a knob that cannot apply is a hard
-    error, never silently dropped), malformed grids at execution time and
-    invalid sweep-engine options (executor, workers).
+    error, never silently dropped) and malformed grids at execution time.
     """
 
 

@@ -16,19 +16,18 @@ paper artefact.  The pieces:
   dispatch (an unsupported knob is a hard ``ExperimentError``, never
   silently dropped).
 * :mod:`repro.experiments.engine` — the sweep engine: expands the grid,
-  resumes finished cells from the store, runs the rest under
-  ``executor="serial" | "thread" | "process"`` (identical results for
-  every executor and worker count) and reduces.
+  walks the cells in order in the calling thread (resuming finished
+  ones from the store, running and persisting the rest) and reduces.
 * :mod:`repro.experiments.store` — the resumable
-  :class:`~repro.experiments.store.ArtifactStore`: per-cell records
-  keyed by the cell's config hash (sidecar-manifest design like the
-  operator cache) plus one versioned run-artefact file per experiment
-  with the resolved spec embedded.
+  :class:`~repro.experiments.store.ArtifactStore`: one
+  ``cell-<key>.json`` per finished cell, named by the cell's config
+  hash and with no side index, plus one versioned run-artefact file per
+  experiment with the resolved spec embedded.
 
 Entry points: :func:`run_experiment` / :func:`execute` in Python,
 ``repro-experiment <id>`` (or ``python -m repro.cli experiment <id>``)
 on the command line — ``--list``, ``--describe``, ``--scale-factor``,
-``--quick``, ``--executor``, ``--store``/``--resume``/``--force``.
+``--quick``, ``--store``/``--no-resume``/``--force``, ``--trace``.
 Experiment modules expose no module-level ``run()``: every artefact runs
 through the registry.
 """
@@ -54,7 +53,7 @@ from repro.experiments.registry import (
     get_experiment,
     list_experiments,
 )
-from repro.experiments.store import ArtifactStore, get_artifact_store
+from repro.experiments.store import ArtifactStore
 
 __all__ = [
     "DEFAULT_EXPERIMENT_CONFIG",
@@ -75,5 +74,4 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "ArtifactStore",
-    "get_artifact_store",
 ]

@@ -24,8 +24,9 @@ DEFAULT_EXPERIMENT_CONFIG = TrainConfig().with_overrides(
     track_test_history=False,
 )
 
-# Reduced configuration used by the pytest-benchmark harness and smoke
-# tests: the paper protocol with a shorter epoch budget.
+# Reduced configuration behind ``repro-experiment --quick``, the tuning
+# search and Fig. 5's default: the paper protocol with a shorter epoch
+# budget.
 QUICK_EXPERIMENT_CONFIG = DEFAULT_EXPERIMENT_CONFIG.with_overrides(
     max_epochs=60,
     patience=25,

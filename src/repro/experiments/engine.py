@@ -1,20 +1,17 @@
 """Sweep engine: execute an :class:`~repro.config.ExperimentSpec` grid.
 
 The engine is the single execution path behind every experiment — the
-``repro-experiment`` CLI, :func:`run_experiment` and the benchmarks all
-funnel into :func:`execute`:
+``repro-experiment`` CLI and :func:`run_experiment` both funnel into
+:func:`execute`:
 
 1. expand the spec into cells (:meth:`ExperimentSpec.cells`);
-2. serve finished cells from the :class:`repro.experiments.store.
-   ArtifactStore` when one is configured (``resume``; ``force``
-   recomputes), so a killed sweep restarts where it died;
-3. run the remaining cells through the experiment's cell runner under
-   ``executor="serial" | "thread" | "process"`` (:data:`EXECUTORS`) —
-   because every cell is a pure function of its ``(RunSpec, params)``,
-   results are identical for every executor and worker count;
-4. persist each fresh record, fold all records through the experiment's
-   reduction, and append a versioned run artefact embedding the resolved
-   spec.
+2. walk the cells in order in the calling thread: serve a finished cell
+   from the :class:`repro.experiments.store.ArtifactStore` when one is
+   configured (``resume``; ``force`` recomputes), otherwise run it
+   through the experiment's cell runner and persist its record before
+   the next cell starts, so a killed sweep restarts where it died;
+3. fold all records through the experiment's reduction and append a
+   versioned run artefact embedding the resolved spec.
 
 The default cell runner, :func:`evaluation_cell`, executes the cell's
 ``RunSpec`` through :func:`repro.api.run` — a grid experiment whose cells
@@ -23,10 +20,7 @@ are plain training runs needs no runner of its own.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                as_completed)
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,19 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.training.evaluation import EvaluationSummary
 from repro.errors import ExperimentError
 from repro.experiments.registry import ExperimentDefinition, build_spec, get_experiment
-from repro.experiments.store import ArtifactStore, get_artifact_store
-
-#: How the sweep runs its pending cells: in the calling thread, on a
-#: thread pool or on a process pool.
-EXECUTORS = ("serial", "thread", "process")
-
-#: Upper bound on the default cell-pool size.
-DEFAULT_MAX_WORKERS = 4
-
-
-def default_num_workers() -> int:
-    """Cell-pool size used when ``workers`` is not specified."""
-    return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
+from repro.experiments.store import ArtifactStore
 
 
 def summary_record(summary: "EvaluationSummary") -> Dict[str, object]:
@@ -84,15 +66,14 @@ def _execute_cell(cell_runner: Callable[[ExperimentCell], dict],
                   cell: ExperimentCell, trace: bool = False,
                   experiment: str = ""
                   ) -> Tuple[dict, float, Optional[Dict[str, object]]]:
-    """Run one cell under a timer (module-level: process-pool picklable).
+    """Run one cell under a timer.
 
-    With ``trace`` on, the cell runs under a *local* tracer (built here
-    so the whole call stays picklable and works inside process-pool
-    workers): an ``experiment.cell`` root span with an
-    ``experiment.cell.run`` child around the runner call, plus whatever
-    spans telemetry-aware layers underneath record.  The returned tree
-    is the versioned ``SpanRecorder.tree()`` payload embedded in the run
-    artefact's cell records.
+    With ``trace`` on, the cell runs under its own *local* tracer, so the
+    returned tree holds that cell's spans only: an ``experiment.cell``
+    root span with an ``experiment.cell.run`` child around the runner
+    call, plus whatever spans telemetry-aware layers underneath record.
+    The returned tree is the versioned ``SpanRecorder.tree()`` payload
+    embedded in the run artefact's cell records.
     """
     start = time.perf_counter()
     if not trace:
@@ -142,8 +123,6 @@ class ExperimentRun:
     spec: ExperimentSpec
     result: object
     outcomes: List[CellOutcome] = field(default_factory=list)
-    executor: str = "serial"
-    workers: Optional[int] = None
     seconds: float = 0.0
 
     @property
@@ -165,8 +144,6 @@ class ExperimentRun:
             # the bit-identical guarantee covers.
             "created_unix": time.time(),  # repro-lint: disable=R3
             "spec": self.spec.to_dict(),
-            "executor": self.executor,
-            "workers": self.workers,
             "seconds": self.seconds,
             "cells_executed": self.cells_executed,
             "cells_resumed": self.cells_resumed,
@@ -183,53 +160,8 @@ class ExperimentRun:
         }
 
 
-def _run_pending(pending: Sequence[ExperimentCell],
-                 cell_runner: Callable[[ExperimentCell], dict],
-                 executor: str, workers: Optional[int],
-                 on_complete: Callable[
-                     [ExperimentCell, dict, float,
-                      Optional[Dict[str, object]]], None],
-                 trace: bool = False, experiment: str = ""
-                 ) -> Dict[int, Tuple[dict, float, Optional[Dict[str, object]]]]:
-    """Execute ``pending`` cells: ``{cell index: (record, s, trace)}``.
-
-    ``on_complete`` fires (in the calling thread) as each cell finishes —
-    the store persists cells incrementally there, so a sweep killed or
-    raising mid-run keeps everything already completed and resumes from
-    the unfinished cells.
-    """
-    if executor not in EXECUTORS:
-        raise ExperimentError(
-            f"unknown experiment executor {executor!r}; "
-            f"expected one of {EXECUTORS}")
-    if workers is not None and workers < 1:
-        raise ExperimentError(f"workers must be a positive integer, "
-                              f"got {workers!r}")
-    results: Dict[int, Tuple[dict, float, Optional[Dict[str, object]]]] = {}
-    if executor == "serial" or len(pending) <= 1:
-        for cell in pending:
-            record, seconds, tree = _execute_cell(cell_runner, cell, trace,
-                                                  experiment)
-            results[cell.index] = (record, seconds, tree)
-            on_complete(cell, record, seconds, tree)
-        return results
-    pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    num_workers = min(workers or default_num_workers(), len(pending))
-    with pool_cls(max_workers=num_workers) as pool:
-        futures = {pool.submit(_execute_cell, cell_runner, cell, trace,
-                               experiment): cell
-                   for cell in pending}
-        for future in as_completed(futures):
-            cell = futures[future]
-            record, seconds, tree = future.result()
-            results[cell.index] = (record, seconds, tree)
-            on_complete(cell, record, seconds, tree)
-    return results
-
-
 def execute(spec: ExperimentSpec, *,
             definition: Optional[ExperimentDefinition] = None,
-            executor: str = "serial", workers: Optional[int] = None,
             store: Optional[ArtifactStore | str] = None,
             resume: bool = True, force: bool = False,
             telemetry: Optional["Telemetry"] = None) -> ExperimentRun:
@@ -238,7 +170,8 @@ def execute(spec: ExperimentSpec, *,
     ``definition`` defaults to the registry entry under ``spec.name``.
     With a ``store``, finished cells are served from disk when ``resume``
     is true (``force`` recomputes and overwrites them), every fresh cell
-    is persisted as it completes, and a run artefact is appended.
+    is persisted before the next one starts, and a run artefact is
+    appended.
 
     With an enabled ``telemetry`` handle, every freshly executed cell is
     traced (see :func:`_execute_cell`); the span trees land in the run
@@ -251,55 +184,35 @@ def execute(spec: ExperimentSpec, *,
     definition = definition or get_experiment(spec.name)
     cell_runner = definition.cell or evaluation_cell
     if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
-        store = get_artifact_store(store)
+        store = ArtifactStore(store)
     from repro.telemetry.runtime import resolve_telemetry
 
     telemetry = resolve_telemetry(telemetry)
     trace = telemetry.enabled
 
     started = time.perf_counter()
-    cells = spec.cells()
-    keys: Dict[int, Optional[str]] = {}
-    resumed: Dict[int, dict] = {}
-    pending: List[ExperimentCell] = []
-    for cell in cells:
+    outcomes: List[CellOutcome] = []
+    for cell in spec.cells():
         key = store.key_for(cell, cell_runner) if store is not None else None
-        keys[cell.index] = key
         if store is not None and resume and not force:
-            record = store.load_cell(key, cell, cell_runner)
-            if record is not None:
-                resumed[cell.index] = record
+            stored = store.load_cell(key, cell, cell_runner)
+            if stored is not None:
+                outcomes.append(CellOutcome(cell=cell, record=stored,
+                                            cached=True, key=key))
                 continue
-        pending.append(cell)
-
-    def persist(cell: ExperimentCell, record: dict, seconds: float,
-                tree: Optional[Dict[str, object]] = None) -> None:
-        # Incremental: each completed cell lands on disk immediately, so a
-        # sweep killed mid-run resumes from exactly the unfinished cells.
+        record, seconds, tree = _execute_cell(cell_runner, cell, trace,
+                                              spec.name)
         if store is not None:
-            store.store_cell(keys[cell.index], cell, cell_runner, record,
+            store.store_cell(key, cell, cell_runner, record,
                              experiment=spec.name, seconds=seconds,
                              trace=tree)
-
-    executed = _run_pending(pending, cell_runner, executor, workers, persist,
-                            trace, spec.name)
-
-    outcomes: List[CellOutcome] = []
-    for cell in cells:
-        if cell.index in resumed:
-            outcomes.append(CellOutcome(cell=cell, record=resumed[cell.index],
-                                        cached=True, key=keys[cell.index]))
-            continue
-        record, seconds, tree = executed[cell.index]
         outcomes.append(CellOutcome(cell=cell, record=record, seconds=seconds,
-                                    cached=False, key=keys[cell.index],
-                                    trace=tree))
+                                    key=key, trace=tree))
 
     if trace and telemetry.sink is not None:
         _emit_traces(telemetry, outcomes)
     result = definition.reduce(spec, outcomes)
     run = ExperimentRun(spec=spec, result=result, outcomes=outcomes,
-                        executor=executor, workers=workers,
                         seconds=time.perf_counter() - started)
     if store is not None:
         store.append_artifact(spec.name, run.to_record())
@@ -311,7 +224,7 @@ def _emit_traces(telemetry: "Telemetry",
     """Append every traced cell's spans to the handle's JSONL sink.
 
     Each cell was traced by its own local tracer (span ids start at 1 in
-    every worker), so ids are offset per cell to stay unique across the
+    every cell), so ids are offset per cell to stay unique across the
     whole run's trace file — ``repro-trace`` needs the parent links to
     resolve unambiguously.
     """
@@ -335,7 +248,6 @@ def _emit_traces(telemetry: "Telemetry",
 
 def run_experiment(name: str, *args: object, scale_factor: Optional[float] = None,
                    train: Optional["TrainConfig"] = None,
-                   executor: str = "serial", workers: Optional[int] = None,
                    store: Optional[ArtifactStore | str] = None,
                    resume: bool = True, force: bool = False,
                    spec: Optional[ExperimentSpec] = None,
@@ -360,9 +272,8 @@ def run_experiment(name: str, *args: object, scale_factor: Optional[float] = Non
         spec = spec.with_base(scale_factor=scale_factor)
     if train is not None:
         spec = spec.with_train(train)
-    run = execute(spec, definition=definition, executor=executor,
-                  workers=workers, store=store, resume=resume, force=force,
-                  telemetry=telemetry)
+    run = execute(spec, definition=definition, store=store, resume=resume,
+                  force=force, telemetry=telemetry)
     if print_result:
         from repro.experiments.common import format_table
 

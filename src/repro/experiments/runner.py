@@ -13,7 +13,7 @@ Examples
 ``repro-experiment --describe fig6``
 ``repro-experiment table5``
 ``repro-experiment fig6 --scale-factor 0.25 --quick``
-``repro-experiment fig6 --store artifacts/ --executor thread --workers 2``
+``repro-experiment fig6 --store artifacts/``
 
 The same interface is exposed as ``python -m repro.cli experiment …``.
 """
@@ -26,15 +26,7 @@ from typing import Optional
 
 from repro.errors import ExperimentError
 from repro.experiments.engine import run_experiment
-from repro.experiments.registry import (
-    EXPERIMENT_MODULES,
-    build_spec,
-    get_experiment,
-    list_experiments,
-)
-
-#: Backward-compatible alias of the name → module table.
-EXPERIMENTS = EXPERIMENT_MODULES
+from repro.experiments.registry import build_spec, get_experiment, list_experiments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true",
                         help="train under the reduced smoke protocol "
                              "(QUICK_EXPERIMENT_CONFIG)")
-    parser.add_argument("--executor", default="serial",
-                        choices=("serial", "thread", "process"),
-                        help="how the grid cells are executed (results are "
-                             "identical for every executor)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for the thread/process executors")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="ArtifactStore directory: completed cells and "
                              "the versioned run artefact persist there, and "
@@ -116,11 +102,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             telemetry = telemetry_from_config(
                 TelemetryConfig(enabled=True, trace_path=args.trace))
         try:
-            run_experiment(args.experiment, spec=spec,
-                           executor=args.executor, workers=args.workers,
-                           store=args.store, resume=args.resume,
-                           force=args.force, print_result=True,
-                           telemetry=telemetry)
+            run_experiment(args.experiment, spec=spec, store=args.store,
+                           resume=args.resume, force=args.force,
+                           print_result=True, telemetry=telemetry)
         finally:
             if telemetry is not None:
                 telemetry.close()

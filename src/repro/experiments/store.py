@@ -11,17 +11,15 @@ executes only the unfinished cells.
 
 Store layout
 ------------
-A store directory holds one JSON file per completed cell, a sidecar
-manifest, and one append-only artefact file per experiment::
+A store directory holds one JSON file per completed cell and one
+append-only artefact file per experiment, and no side index: a cell's
+file name is its key, so the directory itself is the index::
 
     <store-dir>/
-        cell-<key>.json               # {"version", "runner", "spec",
-                                      #  "params", "seconds", "record"}
-        experiment-store-index.json   # manifest: per-entry experiment,
-                                      #  runner, sizes (rebuildable from
-                                      #  the cell files at any time)
-        experiment-<name>.json        # append-only list of run records,
-                                      #  each embedding the resolved spec
+        cell-<key>.json          # {"version", "experiment", "runner",
+                                 #  "spec", "params", "seconds", "record"}
+        experiment-<name>.json   # append-only list of run records,
+                                 #  each embedding the resolved spec
 
 ``<key>`` is the SHA-256 (truncated to 32 hex chars) of a canonical JSON
 payload: the store format version, the cell runner's qualified name, the
@@ -34,7 +32,7 @@ the key for the same reason.
 Invalidation mirrors the operator cache: the version participates in the
 key and is re-checked on load, the stored spec/params must match the
 request exactly, and any unreadable or mismatched file is evicted
-(deleted, counted in ``evictions``) and recomputed rather than trusted.
+(deleted) and recomputed rather than trusted.
 Writes are atomic (a per-write unique temp file + ``os.replace``,
 :func:`repro.utils.atomic.atomic_write`).
 
@@ -43,8 +41,9 @@ Artefacts
 :meth:`ArtifactStore.append_artifact` generalises the
 ``benchmarks/bench_localpush.py`` record pattern: every executed sweep
 appends one versioned record — resolved spec embedded, per-cell rows,
-timings and cache accounting — to ``experiment-<name>.json``, so the
-paper artefacts accumulate with full provenance.
+timings and the ``cells_executed``/``cells_resumed`` counts — to
+``experiment-<name>.json``, so the paper artefacts accumulate with full
+provenance.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.config import ExperimentCell
 from repro.errors import ArtifactError
@@ -66,35 +65,14 @@ STORE_FORMAT_VERSION = 1
 
 _CELL_PREFIX = "cell-"
 _ARTIFACT_PREFIX = "experiment-"
-_INDEX_NAME = "experiment-store-index.json"
-
-#: Per-directory singleton registry so every consumer of the same store
-#: directory shares one instance — and therefore one set of hit/miss
-#: counters, which the resume tests assert on.
-_STORE_REGISTRY: Dict[Path, "ArtifactStore"] = {}
-
-
-def get_artifact_store(directory: str | os.PathLike) -> "ArtifactStore":
-    """Return the shared :class:`ArtifactStore` for ``directory``.
-
-    Memoised per resolved path (the :func:`repro.simrank.cache.
-    get_operator_cache` pattern): repeated sweeps against the same
-    directory reuse the instance and keep accumulating its counters.
-    """
-    path = Path(directory).expanduser().resolve()
-    store = _STORE_REGISTRY.get(path)
-    if store is None:
-        store = ArtifactStore(path)
-        _STORE_REGISTRY[path] = store
-    return store
 
 
 @contextlib.contextmanager
 def _file_lock(path: Path) -> Iterator[None]:
     """Advisory exclusive lock serialising read-modify-write of ``path``.
 
-    Two sweeps sharing a store directory (a pattern the cell manifest
-    explicitly supports) must not interleave artifact appends — the loser
+    Two sweeps sharing a store directory (content-addressed cell files
+    make that safe) must not interleave artifact appends — the loser
     of an unsynchronised read/replace race would silently drop the other
     run's record.  No-op where ``fcntl`` is unavailable.
     """
@@ -122,14 +100,9 @@ def runner_name(cell_runner: object) -> str:
 class ArtifactStore:
     """On-disk store of completed experiment cells plus run artefacts.
 
-    Prefer :func:`get_artifact_store` over direct construction so counter
-    state is shared per directory.
-
-    Counters
-    --------
-    ``hits`` (cells served from disk), ``misses`` (cells that had to be
-    computed), ``stores`` (cell records written), ``evictions``
-    (corrupt/stale/mismatched files deleted).
+    The store keeps no counts of its own: a sweep's resumed and executed
+    cells are :attr:`repro.experiments.engine.ExperimentRun.cells_resumed`
+    and ``cells_executed``, recorded in every run artefact.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -140,10 +113,6 @@ class ArtifactStore:
             raise ArtifactError(
                 f"cannot create artifact store directory "
                 f"{str(self.directory)!r}: {error}") from None
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------ #
     # Keys and paths
@@ -177,56 +146,7 @@ class ArtifactStore:
         for path in self.directory.glob(f"{_CELL_PREFIX}*.json"):
             path.unlink()
             removed += 1
-        self._index_path.unlink(missing_ok=True)
         return removed
-
-    # ------------------------------------------------------------------ #
-    # Sidecar manifest
-    # ------------------------------------------------------------------ #
-    @property
-    def _index_path(self) -> Path:
-        return self.directory / _INDEX_NAME
-
-    def _load_index(self) -> dict:
-        try:
-            index = json.loads(self._index_path.read_text())
-            if (not isinstance(index, dict)
-                    or not isinstance(index.get("entries"), dict)):
-                raise ValueError("malformed index")
-        except Exception:
-            index = {"version": STORE_FORMAT_VERSION, "entries": {}}
-        return index
-
-    def _save_index(self, index: dict) -> None:
-        with atomic_write(self._index_path) as handle:
-            handle.write(json.dumps(index, sort_keys=True))
-
-    def _sync_index(self, index: dict) -> dict:
-        """Reconcile the manifest with the directory contents.
-
-        Entries whose file disappeared are dropped; unknown files (from
-        an older revision or another process) are adopted from their
-        embedded metadata, so the manifest always lists the directory.
-        """
-        entries = index["entries"]
-        on_disk = {path.name[len(_CELL_PREFIX):-len(".json")]: path
-                   for path in self.directory.glob(f"{_CELL_PREFIX}*.json")}
-        for key in [key for key in entries if key not in on_disk]:
-            del entries[key]
-        for key, path in on_disk.items():
-            if key in entries:
-                continue
-            try:
-                payload = json.loads(path.read_text())
-                entries[key] = {
-                    "experiment": payload.get("experiment"),
-                    "runner": payload.get("runner"),
-                    "seconds": payload.get("seconds"),
-                    "bytes": path.stat().st_size,
-                }
-            except Exception:
-                continue  # unreadable; the load path will evict it
-        return index
 
     # ------------------------------------------------------------------ #
     # Cell records
@@ -238,11 +158,10 @@ class ArtifactStore:
         The stored version, runner identity, spec and params must match
         the request exactly (key-collision and hand-edit guard, like the
         operator cache's parameter verification); any mismatch or
-        deserialisation failure evicts the file and counts as a miss.
+        deserialisation failure evicts the file and reports a miss.
         """
         path = self.cell_path(key)
         if not path.exists():
-            self.misses += 1
             return None
         try:
             payload = json.loads(path.read_text())
@@ -260,15 +179,8 @@ class ArtifactStore:
             if not isinstance(record, dict):
                 raise ValueError("malformed record")
         except Exception:
-            self.evictions += 1
             path.unlink(missing_ok=True)
-            index = self._load_index()
-            if key in index["entries"]:
-                del index["entries"][key]
-                self._save_index(index)
-            self.misses += 1
             return None
-        self.hits += 1
         return record
 
     def store_cell(self, key: str, cell: ExperimentCell, cell_runner: object,
@@ -296,15 +208,6 @@ class ArtifactStore:
         path = self.cell_path(key)
         with atomic_write(path) as handle:
             handle.write(json.dumps(payload, sort_keys=True, default=str))
-        self.stores += 1
-        index = self._sync_index(self._load_index())
-        index["entries"][key] = {
-            "experiment": experiment,
-            "runner": runner_name(cell_runner),
-            "seconds": seconds,
-            "bytes": path.stat().st_size,
-        }
-        self._save_index(index)
         return path
 
     # ------------------------------------------------------------------ #
@@ -334,11 +237,5 @@ class ArtifactStore:
                                         default=str))
         return path
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ArtifactStore({str(self.directory)!r}, hits={self.hits}, "
-                f"misses={self.misses}, stores={self.stores}, "
-                f"evictions={self.evictions})")
 
-
-__all__ = ["ArtifactStore", "get_artifact_store", "runner_name",
-           "STORE_FORMAT_VERSION"]
+__all__ = ["ArtifactStore", "runner_name", "STORE_FORMAT_VERSION"]

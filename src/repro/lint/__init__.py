@@ -43,8 +43,9 @@ which are gone.  The other IDs keep their numbers.)
     ``repro/serve/service.py`` or any registered experiment cell
     runner.  Protects: the bit-identical guarantee of the LocalPush
     engine (every worker count, same bytes) and of the experiment sweep
-    (every cell executor × worker count), and the serving layer's
-    batched-equals-solo answer guarantee.
+    (a cell's record is the same on every run, so a stored one stands in
+    for a fresh one), and the serving layer's batched-equals-solo answer
+    guarantee.
 ``R5`` registry-consistency
     ``@experiment`` registrations ↔ the ``EXPERIMENT_MODULES``
     lazy-import table stay bijective, every registration has a

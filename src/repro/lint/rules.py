@@ -300,8 +300,8 @@ class FrozenConfigDiscipline(Rule):
 # R3 — determinism in the bit-identical blast radius
 # --------------------------------------------------------------------- #
 #: Files whose entire contents sit inside the bit-identical guarantee
-#: (every worker count, and every sweep executor, must produce the same
-#: bytes).
+#: (every worker count must produce the same bytes, and a sweep cell the
+#: same record on every run).
 DETERMINISM_SCOPED_FILES = ("repro/simrank/engine.py",
                             "repro/simrank/kernels.py",
                             "repro/experiments/engine.py",
@@ -324,7 +324,7 @@ class Determinism(Rule):
 
     ``repro/simrank/engine.py``, ``repro/experiments/engine.py`` and
     every registered cell runner promise identical output for every
-    worker count (and every sweep executor); global RNG state,
+    worker count and on every run of a sweep cell; global RNG state,
     ``time.time()`` and the hash-order iteration of a ``set`` all break
     that promise in ways a unit test only catches by luck.
     """

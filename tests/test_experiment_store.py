@@ -1,17 +1,20 @@
 """Unit tests for the resumable experiment ArtifactStore."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.config import ExperimentSpec, RunSpec
 from repro.errors import ArtifactError
+from repro.experiments.engine import execute
+from repro.experiments.registry import ExperimentDefinition
 from repro.experiments.store import (
     STORE_FORMAT_VERSION,
     ArtifactStore,
-    get_artifact_store,
     runner_name,
 )
+from repro.graphs.fingerprint import payload_digest
 
 
 def demo_runner(cell):  # pragma: no cover - identity, never executed
@@ -20,6 +23,10 @@ def demo_runner(cell):  # pragma: no cover - identity, never executed
 
 def other_runner(cell):  # pragma: no cover - identity, never executed
     return {}
+
+
+def index_runner(cell):
+    return {"index": cell.index}
 
 
 @pytest.fixture()
@@ -70,13 +77,11 @@ class TestCellRoundTrip:
                          experiment="demo", seconds=0.25)
         record = store.load_cell(key, cell, demo_runner)
         assert record == {"value": 1.5}
-        assert (store.hits, store.misses, store.stores) == (1, 0, 1)
         assert len(store) == 1
 
     def test_missing_key_is_miss(self, store, spec):
         cell = spec.cells()[0]
         assert store.load_cell("0" * 32, cell, demo_runner) is None
-        assert store.misses == 1
 
     def test_corrupt_record_evicted(self, store, spec):
         cell = spec.cells()[0]
@@ -84,7 +89,6 @@ class TestCellRoundTrip:
         store.store_cell(key, cell, demo_runner, {"value": 1}, experiment="demo")
         store.cell_path(key).write_text("{ not json")
         assert store.load_cell(key, cell, demo_runner) is None
-        assert store.evictions == 1
         assert not store.cell_path(key).exists()
 
     def test_version_mismatch_evicted(self, store, spec):
@@ -95,7 +99,7 @@ class TestCellRoundTrip:
         payload["version"] = STORE_FORMAT_VERSION + 1
         store.cell_path(key).write_text(json.dumps(payload))
         assert store.load_cell(key, cell, demo_runner) is None
-        assert store.evictions == 1
+        assert not store.cell_path(key).exists()
 
     def test_parameter_mismatch_evicted(self, store, spec):
         """A hand-edited or colliding file never serves a different cell."""
@@ -104,14 +108,14 @@ class TestCellRoundTrip:
         store.store_cell(key, first, demo_runner, {"value": 1}, experiment="demo")
         # Same file requested for a different cell under the same key.
         assert store.load_cell(key, second, demo_runner) is None
-        assert store.evictions == 1
+        assert not store.cell_path(key).exists()
 
     def test_runner_mismatch_evicted(self, store, spec):
         cell = spec.cells()[0]
         key = store.key_for(cell, demo_runner)
         store.store_cell(key, cell, demo_runner, {"value": 1}, experiment="demo")
         assert store.load_cell(key, cell, other_runner) is None
-        assert store.evictions == 1
+        assert not store.cell_path(key).exists()
 
     def test_clear_removes_everything(self, store, spec):
         for cell in spec.cells():
@@ -121,27 +125,68 @@ class TestCellRoundTrip:
         assert len(store) == 0
 
 
-class TestManifest:
-    def test_manifest_lists_entries(self, store, spec):
-        cell = spec.cells()[0]
-        key = store.key_for(cell, demo_runner)
-        store.store_cell(key, cell, demo_runner, {"v": 1}, experiment="demo")
-        index = json.loads((store.directory / "experiment-store-index.json")
-                           .read_text())
-        assert key in index["entries"]
-        assert index["entries"][key]["experiment"] == "demo"
+def write_format1_store(directory, cells, cell_runner):
+    """Cell files plus the ``experiment-store-index.json`` manifest, as
+    stores of format 1 were written before the manifest was dropped."""
+    directory.mkdir()
+    runner = runner_name(cell_runner)
+    entries = {}
+    for cell in cells:
+        key = payload_digest({"version": 1, "runner": runner,
+                              "spec": cell.spec.to_dict(),
+                              "params": cell.params})
+        path = directory / f"cell-{key}.json"
+        path.write_text(json.dumps({
+            "version": 1, "experiment": "demo", "runner": runner,
+            "spec": cell.spec.to_dict(), "params": cell.params,
+            "seconds": 0.5, "record": {"index": cell.index},
+        }, sort_keys=True, default=str))
+        entries[key] = {"experiment": "demo", "runner": runner,
+                        "seconds": 0.5, "bytes": path.stat().st_size}
+    manifest = directory / "experiment-store-index.json"
+    manifest.write_text(json.dumps({"version": 1, "entries": entries},
+                                   sort_keys=True))
+    return manifest
 
-    def test_manifest_adopts_foreign_files(self, store, spec, tmp_path):
-        """Records written by another process are reconciled on store."""
+
+class TestFormat1Store:
+    @pytest.mark.parametrize("stored", [2, 1], ids=["all", "one"])
+    def test_resumes_stored_cells_and_leaves_the_manifest_alone(
+            self, tmp_path, spec, monkeypatch, stored):
+        """Every stored cell resumes; a fresh cell adds its cell file and
+        nothing else; the manifest is neither read nor rewritten."""
+        directory = tmp_path / "store"
         cells = spec.cells()
-        key0 = store.key_for(cells[0], demo_runner)
-        store.store_cell(key0, cells[0], demo_runner, {}, experiment="demo")
-        (store.directory / "experiment-store-index.json").unlink()
-        key1 = store.key_for(cells[1], demo_runner)
-        store.store_cell(key1, cells[1], demo_runner, {}, experiment="demo")
-        index = json.loads((store.directory / "experiment-store-index.json")
-                           .read_text())
-        assert set(index["entries"]) == {key0, key1}
+        manifest = write_format1_store(directory, cells[:stored],
+                                       index_runner)
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+        listed = {path.name for path in directory.iterdir()}
+
+        read = []
+        read_text = Path.read_text
+
+        def recording_read_text(path, *args, **kwargs):
+            read.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recording_read_text)
+        definition = ExperimentDefinition(
+            name="demo", title="Demo", builder=lambda: spec,
+            reduce=lambda spec, outcomes: [o.record for o in outcomes],
+            cell=index_runner)
+        run = execute(spec, definition=definition, store=str(directory))
+        monkeypatch.undo()
+
+        assert (run.cells_resumed, run.cells_executed) == (stored, 2 - stored)
+        assert run.result == [{"index": 0}, {"index": 1}]
+        assert manifest.name not in read
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+        store = ArtifactStore(directory)
+        fresh = {store.cell_path(store.key_for(cell, index_runner)).name
+                 for cell in cells[stored:]}
+        added = {path.name for path in directory.iterdir()} - listed
+        assert added == fresh | {"experiment-demo.json",
+                                 "experiment-demo.json.lock"}
 
 
 class TestArtifacts:
@@ -162,13 +207,6 @@ class TestArtifacts:
 
 
 class TestRegistry:
-    def test_get_artifact_store_memoised_per_directory(self, tmp_path):
-        first = get_artifact_store(tmp_path / "a")
-        again = get_artifact_store(tmp_path / "a")
-        other = get_artifact_store(tmp_path / "b")
-        assert first is again
-        assert first is not other
-
     def test_unwritable_directory_raises(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

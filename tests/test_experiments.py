@@ -12,10 +12,10 @@ import pytest
 from repro.config import ExperimentSpec, SimRankConfig
 from repro.errors import ExperimentError
 from repro.experiments import (
+    ArtifactStore,
     build_spec,
     common,
     execute,
-    get_artifact_store,
     get_experiment,
     list_experiments,
     run_experiment,
@@ -38,7 +38,7 @@ from repro.experiments import (
     table11_iterative,
 )
 from repro.experiments.registry import EXPERIMENT_MODULES
-from repro.experiments.runner import EXPERIMENTS, main as runner_main
+from repro.experiments.runner import main as runner_main
 from repro.training.config import TrainConfig
 
 SMOKE_CONFIG = TrainConfig(max_epochs=15, patience=10, min_epochs=2,
@@ -47,6 +47,12 @@ SMOKE_CONFIG = TrainConfig(max_epochs=15, patience=10, min_epochs=2,
 #: Even smaller protocol for the 15-way every-experiment sweep.
 TINY_CONFIG = TrainConfig(max_epochs=8, patience=5, min_epochs=2,
                           track_test_history=False)
+
+#: Protocol of the paper-claim checks: short, but long enough for the
+#: relative ordering between models to emerge.
+CLAIM_CONFIG = TrainConfig(learning_rate=0.01, weight_decay=1e-3,
+                           max_epochs=40, patience=20,
+                           track_test_history=False)
 
 #: Wall-clock row fields — reproducible runs produce identical rows except
 #: for these.
@@ -103,6 +109,14 @@ def deterministic_rows(result):
     """``result.rows()`` with the wall-clock fields stripped."""
     return [{key: value for key, value in row.items()
              if key not in TIMING_KEYS} for row in result.rows()]
+
+
+def cell_counts(store_dir, name):
+    """``(cells_resumed, cells_executed)`` of every run record ``name``
+    appended to the store's artefact file, oldest first."""
+    records = json.loads((store_dir / f"experiment-{name}.json").read_text())
+    return [(record["cells_resumed"], record["cells_executed"])
+            for record in records]
 
 
 class TestCommonUtilities:
@@ -177,6 +191,7 @@ class TestAnalyticalExperiments:
                                 print_result=False)
         assert result.cheapest_model() == "SIGMA"
         assert len(result.entries) == 6
+        assert {"SIGMA", "GloGNN"} <= {entry.model for entry in result.entries}
 
 
 class TestTrainingExperiments:
@@ -253,47 +268,36 @@ class TestEveryExperimentRuns:
 
 
 class TestSweepEngine:
-    def test_executors_produce_identical_rows(self):
-        kwargs = dict(dataset_name="texas", epsilons=(0.1,), top_ks=(4, 8),
-                      num_repeats=1, config=TINY_CONFIG, print_result=False)
-        serial = run_experiment("fig6", **kwargs)
-        threaded = run_experiment("fig6", executor="thread", workers=2, **kwargs)
-        assert deterministic_rows(serial) == deterministic_rows(threaded)
-
-    def test_process_executor_matches_serial(self):
-        kwargs = dict(datasets=("texas", "chameleon"), num_pairs=500,
-                      scale_factor=0.5, print_result=False)
-        serial = run_experiment("table2", **kwargs)
-        processed = run_experiment("table2", executor="process", workers=2,
-                                   **kwargs)
-        assert deterministic_rows(serial) == deterministic_rows(processed)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ExperimentError):
+    @pytest.mark.parametrize("option", [{"executor": "thread"},
+                                        {"workers": 2}],
+                             ids=["executor", "workers"])
+    def test_executor_and_workers_rejected(self, option):
+        """The sweep has one path, in the calling thread: ``executor=``
+        and ``workers=`` are unknown knobs, so they raise."""
+        with pytest.raises(ExperimentError, match="invalid arguments"):
             run_experiment("table3", "pokec", scale_factor=0.25,
-                           executor="gpu", print_result=False)
+                           print_result=False, **option)
 
     def test_resume_skips_completed_cells(self, tmp_path):
         """A killed 2-cell sweep re-invoked with resume executes only the
-        unfinished cell (asserted via the store's hit counters)."""
-        store = get_artifact_store(tmp_path / "store")
+        unfinished cell (asserted via the run records' cell counts)."""
+        store = tmp_path / "store"
         kwargs = dict(dataset_name="texas", epsilons=(0.1,), top_ks=(4, 8),
                       num_repeats=1, config=TINY_CONFIG, print_result=False,
                       store=store)
         first = run_experiment("fig6", **kwargs)
-        assert (store.hits, store.misses, store.stores) == (0, 2, 2)
+        assert cell_counts(store, "fig6") == [(0, 2)]
 
         # Full resume: nothing recomputed, identical result rows.
         second = run_experiment("fig6", **kwargs)
-        assert (store.hits, store.misses, store.stores) == (2, 2, 2)
+        assert cell_counts(store, "fig6")[-1] == (2, 0)
         assert second.rows() == first.rows()
 
         # Kill one cell's record — only that cell re-executes.
-        victim = sorted((tmp_path / "store").glob("cell-*.json"))[0]
+        victim = sorted(store.glob("cell-*.json"))[0]
         victim.unlink()
         third = run_experiment("fig6", **kwargs)
-        assert store.hits == 3
-        assert store.stores == 3
+        assert cell_counts(store, "fig6")[-1] == (1, 1)
         assert deterministic_rows(third) == deterministic_rows(first)
 
     def test_killed_sweep_keeps_completed_cells(self, tmp_path):
@@ -313,11 +317,11 @@ class TestSweepEngine:
         definition = ExperimentDefinition(
             name="table2", title="t", builder=table2_spec,
             reduce=reduce_table2, cell=flaky_runner)
-        store = get_artifact_store(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         spec = build_spec("table2", datasets=("texas", "cora"), num_pairs=200)
         with pytest.raises(RuntimeError, match="killed"):
             execute(spec, definition=definition, store=store)
-        assert store.stores == 1  # the texas cell survived the crash
+        assert len(store) == 1  # the texas cell survived the crash
 
         state["fail"] = False
         run = execute(spec, definition=definition, store=store)
@@ -342,28 +346,27 @@ class TestSweepEngine:
         assert not math.isnan(curve.final_accuracy)
 
     def test_force_recomputes_stored_cells(self, tmp_path):
-        store = get_artifact_store(tmp_path / "store")
+        store = tmp_path / "store"
         kwargs = dict(datasets=("texas",), num_pairs=500, print_result=False,
                       store=store)
         run_experiment("table2", **kwargs)
         run_experiment("table2", force=True, **kwargs)
-        assert store.hits == 0
-        assert store.stores == 2
+        assert cell_counts(store, "table2") == [(0, 1), (0, 1)]
 
     def test_fig2_reuses_table2_cells(self, tmp_path):
         """Fig. 2 shares Table II's cell hashes: a store warmed by one
         serves the other without recomputation."""
-        store = get_artifact_store(tmp_path / "shared")
+        store = tmp_path / "shared"
         run_experiment("table2", datasets=("texas",), print_result=False,
                        store=store)
-        assert (store.hits, store.stores) == (0, 1)
+        assert cell_counts(store, "table2") == [(0, 1)]
         result = run_experiment("fig2", datasets=("texas",), bins=10,
                                 print_result=False, store=store)
-        assert (store.hits, store.stores) == (1, 1)
+        assert cell_counts(store, "fig2") == [(1, 0)]
         assert "texas" in result.histograms
 
     def test_artifact_record_embeds_resolved_spec(self, tmp_path):
-        store = get_artifact_store(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         run_experiment("table3", "pokec", scale_factor=0.25,
                        print_result=False, store=store)
         artifact = json.loads(store.artifact_path("table3").read_text())
@@ -385,7 +388,6 @@ class TestSweepEngine:
 class TestRegistry:
     def test_all_fifteen_experiments_registered(self):
         assert len(EXPERIMENT_MODULES) == 15
-        assert EXPERIMENTS is EXPERIMENT_MODULES
         assert len(list_experiments()) == 15
 
     def test_definitions_have_titles_and_builders(self):
@@ -442,6 +444,15 @@ class TestRunnerCLI:
         assert excinfo.value.code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--executor", "thread"],
+                                      ["--workers", "2"]], ids=" ".join)
+    def test_no_executor_or_workers_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["fig6", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+
     def test_describe_prints_resolved_spec(self, capsys):
         assert runner_main(["fig6", "--describe", "--scale-factor", "0.25"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -467,3 +478,136 @@ class TestRunnerCLI:
         assert result.cheapest_model() == "SIGMA"
         captured = capsys.readouterr()
         assert "table3" in captured.out
+
+
+class TestPaperClaims:
+    """The paper's qualitative findings at reduced scale, one check per
+    table or figure that the tests above do not already make (Table III's
+    cheapest-aggregation, Table IX's best-δ and Table X's α ∈ (0, 1)
+    checks are there)."""
+
+    def test_fig1_simrank_concentrates_on_same_label_nodes(self):
+        result = run_experiment("fig1", "texas", num_centers=10,
+                                print_result=False)
+        ppr_mass = result.mean_same_label_mass("ppr")
+        simrank_mass = result.mean_same_label_mass("simrank")
+        assert 0.0 <= ppr_mass <= 1.0
+        assert 0.0 <= simrank_mass <= 1.0
+        # Fig. 1(b) vs (c): SimRank puts more aggregation weight on
+        # same-label nodes than the local PPR operator does.
+        assert simrank_mass > ppr_mass
+
+    def test_fig2_densities_cover_every_bin(self):
+        result = run_experiment("fig2", datasets=("texas",), scale_factor=1.0,
+                                bins=20, print_result=False)
+        centres, density = result.histograms["texas"]["intra"]
+        assert len(centres) == 20
+        assert density.min() >= 0.0
+
+    def test_table2_intra_class_pairs_score_higher(self):
+        result = run_experiment("table2", datasets=("texas", "chameleon"),
+                                scale_factor=0.5, num_pairs=5000,
+                                print_result=False)
+        assert set(result.stats) == {"texas", "chameleon"}
+        assert result.all_separations_positive
+
+    @pytest.mark.slow
+    def test_fig4_convergence_curves_are_time_ordered(self):
+        result = run_experiment("fig4", datasets=("penn94",),
+                                models=("linkx", "glognn", "sigma"),
+                                scale_factor=0.5, config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        assert len(result.curves) == 3
+        for curve in result.curves:
+            assert curve.times.size == curve.accuracies.size > 0
+            assert (curve.times[1:] >= curve.times[:-1]).all()
+
+    @pytest.mark.slow
+    def test_fig5_learning_time_grows_with_graph_size(self):
+        result = run_experiment("fig5", base_dataset="pokec", num_sizes=3,
+                                shrink=2.0, base_scale=0.25,
+                                config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        sigma_series = result.series("sigma")
+        assert len(sigma_series) == len(result.series("glognn")) == 3
+        by_edges = sorted(sigma_series)
+        assert by_edges[0][1] <= by_edges[-1][1] * 1.5
+        assert len(result.speedup_trend()) == 3
+
+    @pytest.mark.slow
+    def test_fig6_tighter_epsilon_costs_more_precompute(self):
+        result = run_experiment("fig6", "pokec", epsilons=(0.05, 0.1),
+                                top_ks=(8, 32), num_repeats=1,
+                                scale_factor=0.25, config=CLAIM_CONFIG,
+                                seed=0, print_result=False)
+        assert len(result.cells) == 4
+        assert result.precompute(0.05, 32) >= result.precompute(0.1, 32) * 0.5
+        for cell in result.cells:
+            assert 0.0 <= cell["accuracy"] <= 100.0
+
+    @pytest.mark.slow
+    def test_fig7_accuracy_saturates_on_the_top_k_grid(self):
+        result = run_experiment("fig7", "pokec", top_ks=(4, 16, 64),
+                                num_repeats=1, scale_factor=0.25,
+                                config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        assert len(result.points) == 3
+        ks = [k for k, _ in result.accuracy_series()]
+        assert ks == [4, 16, 64]
+        assert result.saturation_k() in ks
+
+    def test_fig8_same_class_embeddings_are_more_similar(self):
+        result = run_experiment("fig8", datasets=("texas", "pubmed"),
+                                scale_factor=0.5, config=CLAIM_CONFIG,
+                                num_pairs=5000, seed=0, print_result=False)
+        assert len(result.stats) == 2
+        for stats in result.stats:
+            assert stats.intra_similarity > stats.inter_similarity
+
+    @pytest.mark.slow
+    def test_table5_sigma_ranks_in_the_upper_half(self):
+        result = run_experiment(
+            "table5", datasets=("chameleon", "arxiv-year"),
+            models=("mlp", "gcn", "linkx", "glognn", "sigma"),
+            num_repeats=2, scale_factor=0.5, config=CLAIM_CONFIG, tune=False,
+            seed=0, print_result=False)
+        ranks = result.ranks()
+        assert set(ranks) == {"mlp", "gcn", "linkx", "glognn", "sigma"}
+        assert ranks["sigma"] <= 3.0
+
+    @pytest.mark.slow
+    def test_table7_sigma_aggregates_faster_than_glognn(self):
+        result = run_experiment("table7", datasets=("arxiv-year", "pokec"),
+                                models=("linkx", "glognn", "sigma"),
+                                num_repeats=1, scale_factor=0.5,
+                                config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        assert len(result.rows()) == 6
+        for dataset in result.datasets:
+            sigma = next(row for row in result.rows_by_model["sigma"]
+                         if row["dataset"] == dataset)
+            glognn = next(row for row in result.rows_by_model["glognn"]
+                          if row["dataset"] == dataset)
+            assert sigma["agg"] < glognn["agg"]
+        assert result.average_speedup_over("glognn") > 1.0
+
+    @pytest.mark.slow
+    def test_table8_removing_a_component_does_not_help(self):
+        result = run_experiment("table8", datasets=("arxiv-year",),
+                                num_repeats=1, scale_factor=0.5,
+                                config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        assert "sigma" in result.accuracies
+        assert "sigma w/o S" in result.accuracies
+        assert result.average_drop("sigma w/o A", "sigma") >= -0.05
+        assert result.average_drop("sigma w/o S", "sigma") >= -0.05
+
+    @pytest.mark.slow
+    def test_table11_sigma_beats_gcn_at_depth_one(self):
+        result = run_experiment("table11", datasets=("arxiv-year",),
+                                layers=(1, 2), num_repeats=1,
+                                scale_factor=0.5, config=CLAIM_CONFIG, seed=0,
+                                print_result=False)
+        assert set(result.accuracies) == {"gcn-1", "sigma-1", "gcn-2",
+                                          "sigma-2"}
+        assert result.sigma_beats_gcn_everywhere(depth=1)

@@ -108,6 +108,12 @@ REMOVED_NAMES = {
     "wants_triplets": r"\bwants_triplets\b",
     "resource_tracker": r"\bresource_tracker\b",
     "shared_memory": r"\bshared_memory\b",
+    "ProcessPoolExecutor": r"\bProcessPoolExecutor\b",
+    "EXECUTORS": r"\bEXECUTORS\b",
+    # The experiment sweep runs its cells in the calling thread and keeps
+    # one cell-<key>.json per cell: no manifest, no per-directory memo.
+    "get_artifact_store": r"\bget_artifact_store\b",
+    "experiment-store-index": r"experiment-store-index",
     # One counting mechanism: engine phases are tracer spans, cache
     # events and serve latency are registry instruments.
     "PhaseProfile": r"\bPhaseProfile\b",
@@ -127,13 +133,6 @@ REMOVED_NAMES = {
     "leader_active": r"\b_leader_active\b",
 }
 
-# The experiment sweep keeps its own cell executors (a process pool among
-# them), so these names are banned from the LocalPush package only.
-REMOVED_SIMRANK_NAMES = {
-    "ProcessPoolExecutor": r"\bProcessPoolExecutor\b",
-    "EXECUTORS": r"\bEXECUTORS\b",
-}
-
 
 @functools.lru_cache(maxsize=None)
 def src_lines():
@@ -150,15 +149,6 @@ def src_lines():
 def test_src_has_no_removed_compatibility_name(pattern):
     regex = re.compile(pattern)
     hits = [where for where, line in src_lines() if regex.search(line)]
-    assert hits == []
-
-
-@pytest.mark.parametrize("pattern", list(REMOVED_SIMRANK_NAMES.values()),
-                         ids=list(REMOVED_SIMRANK_NAMES))
-def test_simrank_has_no_removed_execution_name(pattern):
-    regex = re.compile(pattern)
-    hits = [where for where, line in src_lines()
-            if where.startswith("src/repro/simrank/") and regex.search(line)]
     assert hits == []
 
 

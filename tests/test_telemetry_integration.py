@@ -368,12 +368,6 @@ class TestExperimentTraces:
         # Same keys: every cell resumes from the untraced run.
         assert rerun.cells_resumed == 2 and rerun.cells_executed == 0
 
-    def test_thread_executor_traces_every_cell(self, tmp_path):
-        handle = telemetry_from_config(TelemetryConfig(enabled=True))
-        run = execute(_toy_spec(), definition=_TOY, executor="thread",
-                      workers=2, telemetry=handle)
-        assert all(outcome.trace is not None for outcome in run.outcomes)
-
 
 # --------------------------------------------------------------------- #
 # Benchmark profile on spans
