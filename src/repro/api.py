@@ -145,14 +145,14 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
 
     Always computed with LocalPush (the only method with a single-source
     variant): ``absorb_residual=True`` and the paper's ``ε/10`` floor
-    prune, then ``top_k_per_row`` semantics when ``k`` is given — the
-    same pipeline as the all-pairs operator, so the row is bit-identical
-    to the corresponding all-pairs row under the guarantee documented on
+    prune, then :func:`repro.graphs.sparse.top_k_row` — the same
+    pipeline as the all-pairs operator, so the row is bit-identical to
+    the corresponding all-pairs row under the guarantee documented on
     :func:`repro.simrank.engine.multi_source_localpush`.  A ``cache_dir``
     in the config lets a dominating cached all-pairs entry answer the
     query without any push work (``OperatorCache.lookup_row``).
     """
-    from repro.graphs.sparse import sparse_row_normalize
+    from repro.graphs.sparse import top_k_row
     from repro.simrank.engine import single_source_localpush
     from repro.simrank.localpush import resolve_workers
 
@@ -176,11 +176,8 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
         absorb_residual=True,
         num_workers=resolve_workers(cfg.workers, graph.num_nodes),
-        top_k=k, dtype=cfg.dtype)
-    row = result.row
-    if cfg.row_normalize:
-        row = sparse_row_normalize(row)
-    return row
+        dtype=cfg.dtype)
+    return top_k_row(result.estimate, source, k, normalize=cfg.row_normalize)
 
 
 def topk(graph: Graph, source: int, k: int,

@@ -24,8 +24,8 @@ def top_k_row_mask(data: np.ndarray, indices: np.ndarray, k: int,
     the row's diagonal column and that column is stored but not among
     the ``k`` largest, it *replaces* the lowest-ranked kept entry, so at
     most ``k`` entries survive either way.  This is the one selection
-    rule behind :func:`top_k_per_row`; callers that hold a single row
-    apart from its matrix pass its diagonal column explicitly.
+    rule behind :func:`top_k_per_row` (every row of a matrix) and
+    :func:`top_k_row` (one row apart from its matrix).
     """
     keep = np.lexsort((indices, -data))[:k]
     if diagonal is not None:
@@ -38,8 +38,30 @@ def top_k_row_mask(data: np.ndarray, indices: np.ndarray, k: int,
     return mask
 
 
-def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False,
-                  rows: Optional[np.ndarray] = None) -> sp.csr_matrix:
+def top_k_row(matrix: sp.csr_matrix, row: int, k: Optional[int], *,
+              normalize: bool = False) -> sp.csr_matrix:
+    """Row ``row`` of ``matrix`` as a ``1×n`` CSR, pruned as served.
+
+    Keeps the ``k`` largest entries with the diagonal (``None`` keeps
+    every entry), then optionally rescales the row to sum to one — the
+    steps the operator applies to the whole matrix
+    (``top_k_per_row(..., keep_diagonal=True)``, then
+    :func:`sparse_row_normalize`), through the same selection rule and
+    in the same order, so the row is bit-identical to that operator's
+    row.
+    """
+    start, end = matrix.indptr[row], matrix.indptr[row + 1]
+    data, indices = matrix.data[start:end], matrix.indices[start:end]
+    if k is not None and data.size > k:
+        keep = top_k_row_mask(data, indices, k, diagonal=row)
+        data, indices = data[keep], indices[keep]
+    pruned = sp.csr_matrix((data, indices, np.array([0, data.size])),
+                           shape=(1, matrix.shape[1]))
+    return sparse_row_normalize(pruned) if normalize else pruned
+
+
+def top_k_per_row(matrix: sp.spmatrix, k: int, *,
+                  keep_diagonal: bool = False) -> sp.csr_matrix:
     """Keep only the ``k`` largest entries of each row of ``matrix``.
 
     This implements the paper's top-k pruning of the approximate SimRank
@@ -59,9 +81,6 @@ def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False,
         diagonal entry is not among the ``k`` largest, it *replaces* the
         smallest selected entry so the ``≤ k`` per-row bound — and with it
         the paper's ``O(k·n)`` storage guarantee — still holds.
-    rows:
-        Prune only these rows and copy every other row unchanged
-        (``None``, the default, prunes every row).
 
     Notes
     -----
@@ -76,9 +95,7 @@ def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False,
     csr = sp.csr_matrix(matrix)
     data, indices, indptr = csr.data, csr.indices, csr.indptr
     counts = np.diff(indptr)
-    candidates = (np.arange(csr.shape[0]) if rows is None
-                  else np.asarray(rows, dtype=np.int64))
-    long_rows = candidates[counts[candidates] > k]
+    long_rows = np.flatnonzero(counts > k)
     keep = np.ones(data.size, dtype=bool)
     for row in long_rows:
         start, end = indptr[row], indptr[row + 1]
@@ -95,8 +112,13 @@ def top_k_per_row(matrix: sp.spmatrix, k: int, *, keep_diagonal: bool = False,
 
 
 def sparse_row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Normalise every non-empty row of ``matrix`` to sum to one."""
-    csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+    """Normalise every non-empty row of ``matrix`` to sum to one.
+
+    A float32 matrix stays float32; every other input is computed in
+    float64.
+    """
+    dtype = np.float32 if matrix.dtype == np.float32 else np.float64
+    csr = sp.csr_matrix(matrix, dtype=dtype, copy=True)
     row_sums = np.asarray(csr.sum(axis=1)).ravel()
     scale = np.ones_like(row_sums)
     nonzero = row_sums != 0
@@ -111,5 +133,5 @@ def dense_to_sparse_threshold(matrix: np.ndarray, threshold: float) -> sp.csr_ma
     return sp.csr_matrix(dense)
 
 
-__all__ = ["csr_row_indices", "top_k_row_mask", "top_k_per_row",
+__all__ = ["csr_row_indices", "top_k_row_mask", "top_k_row", "top_k_per_row",
            "sparse_row_normalize", "dense_to_sparse_threshold"]

@@ -50,6 +50,7 @@ import scipy.sparse as sp
 from repro.config import DynamicConfig, ServeConfig, SimRankConfig
 from repro.errors import GraphError, ServeError, SimRankError
 from repro.graphs.graph import Graph
+from repro.graphs.sparse import top_k_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.dynamic.operator import DynamicOperator, RepairResult
@@ -266,27 +267,6 @@ def _row_entries(row: sp.csr_matrix) -> List[Tuple[int, float]]:
     return [(int(row.indices[i]), float(row.data[i])) for i in order]
 
 
-def _answer_row(rows: sp.csr_matrix, source: int, top_k: Optional[int],
-                normalize: bool) -> sp.csr_matrix:
-    """Row ``source`` of a :data:`RowCompute` result, as served.
-
-    Top-k pruning (the diagonal kept) and then the optional row
-    normalisation: the steps :func:`repro.api.topk` applies to its row,
-    in the same order and through the same helpers, so the served row is
-    bit-identical to it.
-    """
-    from repro.graphs.sparse import sparse_row_normalize, top_k_row_mask
-
-    start, end = rows.indptr[source], rows.indptr[source + 1]
-    data, indices = rows.data[start:end], rows.indices[start:end]
-    if top_k is not None and data.size > top_k:
-        keep = top_k_row_mask(data, indices, top_k, diagonal=source)
-        data, indices = data[keep], indices[keep]
-    row = sp.csr_matrix((data, indices, np.array([0, data.size])),
-                        shape=(1, rows.shape[1]))
-    return sparse_row_normalize(row) if normalize else row
-
-
 class _RowsFlight:
     """One component's row computation, which all its readers wait on."""
 
@@ -477,7 +457,7 @@ class SimRankService:
             prune=True, absorb_residual=True,
             max_pushes=self.serve.max_pushes_per_query,
             num_workers=resolve_workers(cfg.workers, graph.num_nodes),
-            top_k=None, dtype=cfg.dtype)
+            dtype=cfg.dtype)
         self._tracer.current_span().set("pushes", results[0].num_pushes)
         return results[0].estimate
 
@@ -549,9 +529,10 @@ class SimRankService:
                     counters.inc("budget_overruns", count)
                 else:
                     counters.inc("exact_served", count)
-                    return {source: (_answer_row(
+                    return {source: (top_k_row(
                                 rows[int(labels[source])], source, top_k,
-                                cfg.row_normalize), "exact", cfg.epsilon)
+                                normalize=cfg.row_normalize),
+                                "exact", cfg.epsilon)
                             for source in unique}
 
         # Rungs 2 and 3, per source.
@@ -580,8 +561,8 @@ class SimRankService:
                     f"no cached row, degraded ε={degraded_epsilon} failed): "
                     f"{error}") from error
             counters.inc("degraded_served", repeats[source])
-            served[source] = (_answer_row(rows_of_source, source, top_k,
-                                          cfg.row_normalize),
+            served[source] = (top_k_row(rows_of_source, source, top_k,
+                                        normalize=cfg.row_normalize),
                               "degraded", degraded_epsilon)
         return served
 

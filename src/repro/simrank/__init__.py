@@ -66,20 +66,15 @@ per-round rounding term ``O(u·rounds/(1−c))`` (``u = 2⁻²⁴``); because
 the entries differ from float64's, ``dtype`` *does* enter the cache
 key.
 
-Streaming top-k error-bound argument
-------------------------------------
-The core can prune the estimate to the top ``k`` scores per row *inside*
-the push loop (``stream_top_k``), keeping memory at ``O(k·n)`` instead
-of ``O(n·d²/ε)``.  Correctness rests on the residual invariant
-``S = Ŝ + Σ_{ℓ≥0} c^ℓ (Wᵀ)^ℓ R W^ℓ`` and on the columns of ``W = A D⁻¹``
-summing to at most one, which bounds the future growth of *any* estimate
-entry by ``slack = ‖R‖_max / (1 − c)``.  An entry is dropped only when its
-current value plus ``slack`` is strictly below the row's current k-th
-largest score — so it provably cannot enter the final top-k, and the
-streamed result is identical to pruning the fully materialised estimate
-(see :mod:`repro.simrank.engine` for the full argument).  Because the
-estimate never feeds back into the residual, the ε guarantee on retained
-entries is untouched.
+Top-k runs once, after the loop
+-------------------------------
+The engine returns the whole finished estimate.  ``simrank_operator``
+then keeps each row's ``k`` largest scores with
+:func:`repro.graphs.sparse.top_k_per_row` (diagonal kept), and a single
+served row — :func:`repro.api.topk`, the serving ladder — goes through
+:func:`repro.graphs.sparse.top_k_row`, the same selection on one row.
+Pruning inside the loop would not lower the run's peak memory: the
+residual, not the estimate, sets it.
 
 Operator cache: layout, eviction, reuse
 ---------------------------------------

@@ -32,11 +32,11 @@ Because the push operator is linear in ``F`` and the shard partition and
 merge order are worker-independent, the returned matrix is
 **bit-identical for every worker count** — the property the operator
 cache relies on (its key excludes the knob) and the equivalence suite
-pins.  The residual invariant, the streaming top-k prune with its
-``‖R‖_max/(1−c)`` correction bound and the shared
+pins.  The residual invariant and the shared
 :func:`repro.simrank.localpush.finalize_estimate` semantics hold for
-every worker count; see the module docstring of :mod:`repro.simrank`
-for the error-bound arguments.
+every worker count.  The engine returns the whole finished estimate;
+top-k pruning is the caller's, applied once after the loop (see the
+module docstring of :mod:`repro.simrank`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.errors import SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
-from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
 from repro.simrank.kernels import (DTYPES, FusedRoundState, shard_bounds,
                                    working_dtype)
@@ -141,7 +140,6 @@ class _EngineRun:
 
 def _validate_engine_args(decay: float, epsilon: float, num_workers: int,
                           num_shards: Optional[int],
-                          stream_top_k: Optional[int],
                           dtype: str = "float64") -> None:
     if not 0.0 < decay < 1.0:
         raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
@@ -156,8 +154,6 @@ def _validate_engine_args(decay: float, epsilon: float, num_workers: int,
             f"num_workers must be a positive integer, got {num_workers!r}")
     if num_shards is not None and num_shards < 1:
         raise SimRankError(f"num_shards must be >= 1, got {num_shards}")
-    if stream_top_k is not None and stream_top_k < 1:
-        raise SimRankError(f"stream_top_k must be >= 1, got {stream_top_k}")
 
 
 def _seed_residual(n: int, seed_nodes: Optional[np.ndarray],
@@ -185,12 +181,13 @@ def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
                    data: Sequence[np.ndarray], n: int) -> sp.csr_matrix:
     """Sum the per-round absorbed frontiers into one canonical CSR estimate.
 
-    Every entry's absorptions are added left to right in round order —
-    the association of the streaming estimate's per-round fold — so a
-    streamed top-k and a post-hoc top-k of this estimate select the same
-    entries with bitwise the same values, ties included.  (A COO→CSR
-    build would sum duplicates in the order of scipy's unstable index
-    sort, which differs from round order by ulps on longer rows.)
+    Every entry's absorptions are added left to right in round order,
+    whatever else the run absorbed, so a single-source run — which
+    keeps only its sources' rows — sums each of those entries exactly
+    as the all-pairs run does and returns bitwise the same rows, ties
+    included.  (A COO→CSR build would sum duplicates in the order of
+    scipy's unstable index sort, which depends on the whole array and
+    differs from round order by ulps on longer rows.)
     """
     row = np.concatenate(rows)
     col = np.concatenate(cols)
@@ -210,7 +207,7 @@ def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
 def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 absorb_residual: bool, max_pushes: Optional[int],
                 num_workers: int,
-                num_shards: Optional[int], stream_top_k: Optional[int],
+                num_shards: Optional[int],
                 coalesce_every: int,
                 seed_nodes: Optional[np.ndarray] = None,
                 absorb_rows: Optional[np.ndarray] = None,
@@ -224,7 +221,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
 
     The per-round CSR arithmetic is delegated to a
     :class:`repro.simrank.kernels.FusedRoundState`; this loop owns the
-    round plan — extract, absorb, shard, push, coalesce, prune — and the
+    round plan — extract, absorb, shard, push, coalesce — and the
     accounting.
 
     ``seed_nodes``/``absorb_rows`` are the single-source restriction
@@ -238,11 +235,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     to the all-pairs rows (see ``single_source_localpush`` for the
     precise guarantee).
 
-    Streaming top-k runs in-loop only for unrestricted runs; restricted
-    runs accumulate triplets and apply the identical
-    ``top_k_per_row(..., keep_diagonal=True)`` semantics post hoc, to the
-    absorbed rows only (every other row holds at most its diagonal).
-
     The dynamic-maintenance hooks (all defaulted off, leaving every
     fresh run bit-identical to the pre-hook loop):
 
@@ -252,8 +244,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         caller's matrix is never mutated.
     ``signed``
         Magnitude-threshold frontier extraction (``|R| > threshold``)
-        for residuals that carry negative mass; excludes streaming
-        top-k, whose prune slack assumes non-negative residuals.
+        for residuals that carry negative mass.
     ``finalize``
         ``False`` skips :func:`finalize_estimate` (diagonal restore and
         ε/10 floor) so the returned estimate is the raw absorbed
@@ -263,11 +254,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         Attach the final residual to the returned :class:`_EngineRun`.
     """
     from repro.simrank.localpush import finalize_estimate
-
-    if signed and stream_top_k is not None:
-        raise SimRankError(
-            "signed (repair) runs cannot stream top-k: the streaming "
-            "prune's slack bound assumes a non-negative residual")
 
     n = graph.num_nodes
     threshold = (1.0 - decay) * epsilon
@@ -292,15 +278,11 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     state = FusedRoundState(residual, n=n, dtype=np_dtype,
                             index_dtype=walk.indices.dtype,
                             tracer=tracer, signed=signed)
-    state.set_flush_cadence(coalesce_every)
-    streaming = stream_top_k is not None and absorb_rows is None
     absorb_mask: Optional[np.ndarray] = None
     if absorb_rows is not None:
         absorb_mask = np.zeros(n, dtype=bool)
         absorb_mask[absorb_rows] = True
-    # The materialised running estimate is only needed when the streaming
-    # prune inspects it in-loop; otherwise absorbed frontiers are
-    # accumulated as triplets and folded once at the end.
+    # Absorbed frontiers accumulate as triplets, folded once at the end.
     est_rows: list[np.ndarray] = []
     est_cols: list[np.ndarray] = []
     est_data: list[np.ndarray] = []
@@ -320,9 +302,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
             # Absorb the frontier into the estimate (line 4 of Algorithm 1,
             # batched); the round state has already cleared it from the
             # residual.
-            if streaming:
-                state.absorb_stream(frontier)
-            elif absorb_mask is not None:
+            if absorb_mask is not None:
                 keep = absorb_mask[frontier.rows]
                 if keep.any():
                     est_rows.append(frontier.rows[keep])
@@ -351,23 +331,14 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
             num_rounds += 1
             if num_rounds % coalesce_every == 0:
                 state.coalesce()
-
-            if streaming:
-                assert stream_top_k is not None
-                state.stream_prune(stream_top_k, decay)
     finally:
         runner.close()
-    residual, stream_estimate = state.finish(streaming, stream_top_k, decay)
+    residual = state.finish()
     residual.eliminate_zeros()
     elapsed = timer.stop()
 
-    if streaming:
-        assert stream_estimate is not None
-        estimate = stream_estimate
-    else:
-        estimate = sp.csr_matrix((n, n), dtype=np_dtype)
-    if not streaming and est_data:
-        estimate = _fold_absorbed(est_rows, est_cols, est_data, n)
+    estimate = (_fold_absorbed(est_rows, est_cols, est_data, n) if est_data
+                else sp.csr_matrix((n, n), dtype=np_dtype))
 
     if absorb_residual and residual.nnz:
         positive = residual.data > 0.0
@@ -385,15 +356,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     if finalize:
         estimate = finalize_estimate(estimate, residual, epsilon=epsilon,
                                      prune=prune)
-
-    if stream_top_k is not None:
-        # Exact top_k_per_row semantics over the surviving superset: equal
-        # to pruning the full estimate, because streamed drops were
-        # provably outside the final top-k.  Restricted runs reach here
-        # with the full (un-streamed) absorbed rows, so this is simply
-        # the post-hoc prune of those rows.
-        estimate = top_k_per_row(estimate, stream_top_k, keep_diagonal=True,
-                                 rows=absorb_rows)
 
     if signed:
         leftover = int(residual.nnz)  # eliminate_zeros ran: all nonzero
@@ -416,7 +378,6 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      max_pushes: int | None = None,
                      num_workers: int = 1,
                      num_shards: Optional[int] = None,
-                     stream_top_k: Optional[int] = None,
                      coalesce_every: int = 4,
                      dtype: str = "float64",
                      tracer: Tracer = NULL_TRACER
@@ -447,21 +408,13 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         ``ceil(frontier_nnz / DEFAULT_SHARD_NNZ)``, recomputed per round
         from the frontier alone so results stay independent of the pool
         size.
-    stream_top_k:
-        When given, stream top-k pruning into the round loop (bounded
-        ``O(k·n)`` memory) and return the matrix already pruned with
-        :func:`repro.graphs.sparse.top_k_per_row` semantics
-        (``keep_diagonal=True``); matches pruning the fully materialised
-        estimate exactly.
     """
     from repro.simrank.localpush import LocalPushResult
 
-    _validate_engine_args(decay, epsilon, num_workers, num_shards,
-                          stream_top_k, dtype)
+    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      num_workers=num_workers,
-                      num_shards=num_shards, stream_top_k=stream_top_k,
+                      num_workers=num_workers, num_shards=num_shards,
                       coalesce_every=coalesce_every, dtype=dtype,
                       tracer=tracer)
     return LocalPushResult(
@@ -526,15 +479,12 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     ``copy_residual=False``, which hands the matrix's buffers to the
     round loop (the dynamic operator passes a residual it just built and
     owns; the defensive copy is measurable at repair latencies).
-    Streaming top-k and the single-source restrictions do not apply to
-    repair runs.
+    The single-source restrictions do not apply to repair runs.
     """
-    _validate_engine_args(decay, epsilon, num_workers, num_shards,
-                          None, dtype)
+    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=False,
                       absorb_residual=False, max_pushes=max_pushes,
-                      num_workers=num_workers,
-                      num_shards=num_shards, stream_top_k=None,
+                      num_workers=num_workers, num_shards=num_shards,
                       coalesce_every=coalesce_every, dtype=dtype,
                       initial_residual=initial_residual,
                       copy_residual=copy_residual, signed=True,
@@ -552,7 +502,7 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
 
 
 # --------------------------------------------------------------------- #
-# Single-source / single-pair queries
+# Single-source queries
 # --------------------------------------------------------------------- #
 @dataclass
 class SingleSourceResult:
@@ -610,7 +560,6 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                            max_pushes: int | None = None,
                            num_workers: int = 1,
                            num_shards: Optional[int] = None,
-                           top_k: Optional[int] = None,
                            coalesce_every: int = 4,
                            dtype: str = "float64"
                            ) -> List[SingleSourceResult]:
@@ -625,19 +574,16 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     **Equivalence guarantee** (pinned by the single-source suite): each
     returned ``row`` is *bit-identical* to the corresponding row of
-    ``localpush_engine(...)`` run without streaming — for every worker
-    count — whenever the per-round shard partitions of the two
+    ``localpush_engine(...)`` — for every worker count — whenever the per-round shard partitions of the two
     runs coincide: always on a connected graph (the frontiers, and hence
     the partition derived from them, are identical), and on any graph
     when every round fits one shard (the ``DEFAULT_SHARD_NNZ`` default
     for all but huge frontiers).  With a forced multi-shard split on a
     *disconnected* graph the partial-sum order may differ and rows agree
     only to float round-off (still within the ``(1−c)·ε`` bound).
-
-    ``top_k`` applies :func:`repro.graphs.sparse.top_k_per_row`
-    semantics (``keep_diagonal=True``) to each returned row — identical
-    to pruning the all-pairs estimate post hoc.  ``top_k=None`` keeps
-    every row un-truncated.
+    Rows come back un-truncated; :func:`repro.graphs.sparse.top_k_row`
+    prunes one exactly as ``top_k_per_row`` prunes the all-pairs
+    operator.
 
     Results are returned in input order; duplicate sources share one
     result object.  Every result carries the call's one ``estimate``
@@ -645,8 +591,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
     so a call over a whole component costs the round loop, not one row
     copy per source.
     """
-    _validate_engine_args(decay, epsilon, num_workers, num_shards,
-                          top_k, dtype)
+    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
     source_array = _validate_sources(graph, sources)
     unique_sources = np.unique(source_array)
 
@@ -658,8 +603,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      num_workers=num_workers,
-                      num_shards=num_shards, stream_top_k=top_k,
+                      num_workers=num_workers, num_shards=num_shards,
                       coalesce_every=coalesce_every,
                       seed_nodes=seed_nodes, absorb_rows=unique_sources,
                       dtype=dtype)
@@ -691,7 +635,6 @@ def single_source_localpush(graph: Graph, source: int, *,
                             max_pushes: int | None = None,
                             num_workers: int = 1,
                             num_shards: Optional[int] = None,
-                            top_k: Optional[int] = None,
                             coalesce_every: int = 4,
                             dtype: str = "float64") -> SingleSourceResult:
     """Single-source LocalPush: row ``source`` of the SimRank matrix.
@@ -703,42 +646,10 @@ def single_source_localpush(graph: Graph, source: int, *,
         graph, [source], decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
         num_workers=num_workers, num_shards=num_shards,
-        top_k=top_k, coalesce_every=coalesce_every, dtype=dtype)[0]
-
-
-def single_pair_localpush(graph: Graph, source: int, target: int, *,
-                          decay: float = DEFAULT_DECAY,
-                          epsilon: float = 0.1, prune: bool = True,
-                          absorb_residual: bool = False,
-                          max_pushes: int | None = None,
-                          num_workers: int = 1,
-                          num_shards: Optional[int] = None,
-                          coalesce_every: int = 4,
-                          dtype: str = "float64") -> float:
-    """Single-pair LocalPush: ``Ŝ(source, target)`` with the same ε bound.
-
-    Computed as entry ``target`` of the single-source row so the value is
-    bit-identical to the all-pairs entry under the guarantee documented
-    on :func:`multi_source_localpush`.  When the two nodes live in
-    different connected components the true score is exactly ``0.0`` and
-    no push rounds run at all.
-    """
-    _validate_sources(graph, [source, target])
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(graph.adjacency, directed=False)
-    if source != target and labels[source] != labels[target]:
-        return 0.0
-    result = single_source_localpush(
-        graph, source, decay=decay, epsilon=epsilon, prune=prune,
-        absorb_residual=absorb_residual, max_pushes=max_pushes,
-        num_workers=num_workers, num_shards=num_shards,
-        coalesce_every=coalesce_every, dtype=dtype)
-    return float(result.row[0, target])
+        coalesce_every=coalesce_every, dtype=dtype)[0]
 
 
 __all__ = ["localpush_engine", "resume_localpush", "ResumeRun",
-           "single_source_localpush",
-           "multi_source_localpush", "single_pair_localpush",
+           "single_source_localpush", "multi_source_localpush",
            "SingleSourceResult", "default_num_workers",
            "DEFAULT_SHARD_NNZ", "DEFAULT_MAX_WORKERS"]

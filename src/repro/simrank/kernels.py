@@ -11,15 +11,13 @@ surrounding CSR arithmetic is carried out, in :class:`FusedRoundState`:
 * the shard partials merge in **one** concatenate + single
   duplicate-summing pass (a selector-matrix product — see below)
   instead of chained additions;
-* the streaming-estimate absorb is batched and pruned at the
-  ``coalesce_every`` cadence instead of every round;
 * the raw CSR arrays are worked on with preallocated, round-reused
   workspaces.
 
 The test suite keeps the historical CSR-object arithmetic — per-shard
-COO constructions, chained ``csr_plus_csr`` partial merges and a
-per-round streaming absorb — as a reference oracle, and pins this
-kernel bitwise against it (``tests/test_simrank_kernels.py``).
+COO constructions and chained ``csr_plus_csr`` partial merges — as a
+reference oracle, and pins this kernel bitwise against it
+(``tests/test_simrank_kernels.py``).
 
 The one-pass partial merge
 --------------------------
@@ -44,7 +42,7 @@ single C merge): a prototype that held the residual as flat
 ``row·n + col`` key/value arrays and merged in numpy was measured
 1.5–2× *slower* than the C add at every size — the win comes from
 removing redundant passes (the chained folds, the per-shard COO
-round-trips, the per-round absorbs), not from reimplementing the merge.
+round-trips), not from reimplementing the merge.
 
 Bit-identity with the reference arithmetic
 ------------------------------------------
@@ -58,19 +56,11 @@ Bit-identity with the reference arithmetic
   the COO build sorts and folds nothing), and the shard matmuls are
   shared;
 * the one-pass partial merge reproduces the chained association exactly
-  (previous section), and the residual/estimate additions are the same
-  ``csr_plus_csr`` calls with the same operand order;
-* the only cadence difference — folding and pruning the streaming
-  estimate every ``coalesce_every`` rounds instead of every round —
-  cannot change the final matrix: the absorb fold keeps the round-order
-  left-to-right association, and every streamed drop is *provably
-  outside the final top-k* (its value plus the ``‖R‖_max/(1−c)`` slack
-  is strictly below the row's k-th largest, which never decreases), so
-  the post-loop ``top_k_per_row(..., keep_diagonal=True)`` selects the
-  same entries with the same fully-accumulated values either way.
+  (previous section), and the residual additions are the same
+  ``csr_plus_csr`` calls with the same operand order.
 
 The kernel-equivalence suite pins all of this per worker count,
-including single-source rows and streamed top-k runs.
+including single-source rows.
 
 Phase spans
 -----------
@@ -79,11 +69,12 @@ The round state times itself on the tracer it is handed
 ``localpush.<phase>`` span with attributes ``phase`` and ``round``.
 ``frontier`` is the above-threshold extraction, residual clearing and
 shard assembly, ``push`` the shard matmuls, ``merge`` the partial merge
-plus the residual update, and ``prune`` the coalescing and streaming
-absorb/prune.  Every round opens with one frontier extraction, which
-advances the state's own round count.  The default :data:`NULL_TRACER`
-records nothing, and spans never touch the arithmetic, so traced and
-untraced runs are bit-identical.
+plus the residual update, and ``prune`` the residual coalescing (the
+zeroed frontier entries dropped every ``coalesce_every`` rounds).
+Every round opens with one frontier extraction, which advances the
+state's own round count.  The default :data:`NULL_TRACER` records
+nothing, and spans never touch the arithmetic, so traced and untraced
+runs are bit-identical.
 
 float32 mode and its adjusted bound
 -----------------------------------
@@ -264,63 +255,17 @@ class _Workspace:
 
 
 # --------------------------------------------------------------------- #
-# Streaming top-k prune (correction-bound guarded; see module docstring
-# of repro.simrank for the full argument)
-# --------------------------------------------------------------------- #
-def streaming_prune(estimate: sp.csr_matrix, k: int,
-                    slack: float) -> sp.csr_matrix:
-    """Drop estimate entries that provably cannot reach the final top-k.
-
-    An entry is removed only when ``value + slack`` is strictly below the
-    row's current k-th largest value; the diagonal is never dropped (it
-    is preserved by the final ``top_k_per_row(..., keep_diagonal=True)``
-    semantics and must survive streaming too).  Mutates ``estimate`` in
-    place (the caller holds the only reference to the freshly summed
-    matrix).
-    """
-    if estimate.nnz == 0:
-        return estimate
-    indptr, indices, data = estimate.indptr, estimate.indices, estimate.data
-    # Early rounds can never drop anything: value + slack >= slack, and no
-    # row's k-th largest can exceed the global maximum entry.
-    if slack >= float(data.max()):
-        return estimate
-    # Only rows holding more than k entries can possibly shed one.
-    candidates = np.flatnonzero(np.diff(indptr) > k)
-    if candidates.size == 0:
-        return estimate
-    changed = False
-    for row in candidates:
-        start, end = indptr[row], indptr[row + 1]
-        size = end - start
-        row_data = data[start:end]
-        kth = np.partition(row_data, size - k)[size - k]
-        drop = (row_data + slack) < kth
-        if not drop.any():
-            continue
-        drop &= indices[start:end] != row
-        if not drop.any():
-            continue
-        row_data[drop] = 0.0
-        changed = True
-    if changed:
-        estimate.eliminate_zeros()
-    return estimate
-
-
-# --------------------------------------------------------------------- #
 # The round state: the per-run kernel object driven by the engine loop
 # --------------------------------------------------------------------- #
 class FusedRoundState:
     """Raw-CSR round arithmetic with reused workspaces and one-pass merges.
 
-    Owns the run's residual and (streaming) estimate and restructures
-    the three measured hot spots of the reference CSR-object arithmetic:
-    repeat-free frontier compression with zero-copy shard slices, the
-    one-pass selector-product partial merge, and the batched streaming
-    absorb.  Bit-identical to that reference per dtype — see the module
-    docstring for the argument and ``tests/test_simrank_kernels.py``
-    for the pins.
+    Owns the run's residual and restructures the two measured hot spots
+    of the reference CSR-object arithmetic: repeat-free frontier
+    compression with zero-copy shard slices and the one-pass
+    selector-product partial merge.  Bit-identical to that reference
+    per dtype — see the module docstring for the argument and
+    ``tests/test_simrank_kernels.py`` for the pins.
 
     ``signed=True`` switches the frontier threshold to entry
     *magnitude* (``|R| > threshold``).  The fresh-run loop never needs
@@ -341,24 +286,15 @@ class FusedRoundState:
         self._tracer = tracer
         self._round = -1  # advanced by each round's frontier extraction
         self._signed = bool(signed)
-        self._estimate = sp.csr_matrix((n, n), dtype=dtype)
         self._index_dtype = index_dtype
         self._workspace = _Workspace()
         #: Selector matrices of the one-pass partial merge, per shard
         #: count (rounds repeat shard counts, so these are reused too).
         self._selectors: Dict[int, sp.csr_matrix] = {}
-        #: Streaming absorbs batched between flushes (frontier matrices
-        #: in round order).
-        self._pending: List[sp.csr_matrix] = []
-        self._flush_every = 1
 
     def _span(self, phase: str) -> Span:
         return self._tracer.span(_PHASE_SPANS[phase], phase=phase,
                                  round=self._round)
-
-    def set_flush_cadence(self, coalesce_every: int) -> None:
-        """Batch streaming absorbs for this many rounds between flushes."""
-        self._flush_every = max(1, int(coalesce_every))
 
     def extract_frontier(self, threshold: float) -> Optional[Frontier]:
         self._round += 1
@@ -393,11 +329,6 @@ class FusedRoundState:
                 shape=(self._n, self._n), copy=False)
         return Frontier(cols, frontier_data, indptr=indptr, matrix=matrix)
 
-    def absorb_stream(self, frontier: Frontier) -> None:
-        # Queue the round's frontier matrix; the left-to-right fold (and
-        # the prune) run at the coalesce cadence in stream_prune().
-        self._pending.append(frontier.matrix)
-
     def push_round(self, runner: RoundRunner, frontier: Frontier,
                    bounds: Sequence[Tuple[int, int]]) -> None:
         with self._span("frontier"):
@@ -413,8 +344,7 @@ class FusedRoundState:
             # changes).  With both operands canonical the addition takes
             # scipy's sorted fast path, so the residual's storage order
             # is row-major column-sorted every round — which the
-            # zero-copy shard slices and the estimate's COO duplicate
-            # fold rely on for bit-identity.
+            # zero-copy shard slices rely on for bit-identity.
             pushed.sort_indices()
             self._residual = self._residual + pushed
 
@@ -479,39 +409,12 @@ class FusedRoundState:
         with self._span("prune"):
             self._residual.eliminate_zeros()
 
-    def residual_max(self) -> float:
-        return float(self._residual.data.max()) if self._residual.nnz else 0.0
-
-    def stream_prune(self, k: int, decay: float) -> None:
-        if len(self._pending) < self._flush_every:
-            return
-        with self._span("prune"):
-            self._flush_stream(k, decay)
-
-    def _flush_stream(self, k: int, decay: float) -> None:
-        # The left-to-right fold reproduces round-by-round
-        # ((e + f₁) + f₂) additions: the estimate stays the left operand
-        # and each round's frontier folds in round order.
-        estimate = self._estimate
-        for matrix in self._pending:
-            estimate = estimate + matrix
-        self._pending.clear()
-        slack = self.residual_max() / (1.0 - decay)
-        self._estimate = streaming_prune(estimate, k, slack)
-
-    def finish(self, streaming: bool, k: Optional[int], decay: float
-               ) -> Tuple[sp.csr_matrix, Optional[sp.csr_matrix]]:
-        estimate: Optional[sp.csr_matrix] = None
-        if streaming:
-            assert k is not None
-            # Final flush: absorb any batched rounds and prune once more
-            # with the terminal slack (idempotent when already flushed).
-            self._flush_stream(k, decay)
-            estimate = self._estimate
-        return self._residual, estimate
+    def finish(self) -> sp.csr_matrix:
+        """The final residual, once the loop has run out of frontier."""
+        return self._residual
 
 
 __all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
            "RoundRunner", "working_dtype", "localpush_max_rounds",
            "float32_error_bound", "Frontier",
-           "shard_bounds", "streaming_prune", "FusedRoundState"]
+           "shard_bounds", "FusedRoundState"]

@@ -14,9 +14,11 @@ result stays sparse with roughly ``O(n·d²/ε)`` entries rather than ``O(n²)``
 One engine implements the push loop: the frontier-batched core of
 :func:`repro.simrank.engine.localpush_engine`, which pushes every
 above-threshold pair of a round at once (``R ← R + c·Wᵀ F W``) with
-deterministic frontier sharding, optional streaming top-k pruning and
-one execution setting, the worker count of the thread pool that pushes
-the shards.  Every worker count produces a bit-identical matrix.
+deterministic frontier sharding and one execution setting, the worker
+count of the thread pool that pushes the shards.  Every worker count
+produces a bit-identical matrix.  The engine returns the whole
+estimate; top-k pruning happens once, after it
+(:func:`repro.simrank.topk.simrank_operator`).
 :func:`localpush_simrank` is its entry point with worker-count
 auto-resolution (:func:`resolve_workers`): inline below
 :data:`AUTO_SHARDED_MIN_NODES` nodes, :func:`default_num_workers
@@ -109,7 +111,6 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
                       absorb_residual: bool = False,
                       max_pushes: int | None = None,
                       num_workers: int | None = None,
-                      stream_top_k: int | None = None,
                       dtype: str = "float64") -> LocalPushResult:
     """Run Algorithm 1 (LocalPush) and return the sparse approximation.
 
@@ -141,11 +142,6 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
         :mod:`repro.simrank.engine`); ``None`` resolves by node count via
         :func:`resolve_workers`.  Every worker count produces a
         bit-identical matrix.
-    stream_top_k:
-        Prune the returned matrix to the ``k`` largest entries per row
-        with ``top_k_per_row(..., keep_diagonal=True)`` semantics,
-        streamed into the push loop (bounded memory) — identical to
-        pruning the full estimate post hoc.
     dtype:
         ``"float64"`` (default, the reference precision) or
         ``"float32"`` — an opt-in low-memory mode with an adjusted error
@@ -155,7 +151,7 @@ def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
         graph, decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
         num_workers=resolve_workers(num_workers, graph.num_nodes),
-        stream_top_k=stream_top_k, dtype=dtype)
+        dtype=dtype)
 
 
 def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,

@@ -119,15 +119,13 @@ def simrank_operator(graph: Graph,
         matrix = sp.csr_matrix(dense)
     else:
         # For the aggregation operator we keep sub-threshold residual mass
-        # (a strict accuracy improvement) and let top-k do the pruning; the
-        # engine streams the top-k prune into the push loop (stream_top_k)
-        # so the full estimate never materialises.
+        # (a strict accuracy improvement) and let top-k do the pruning,
+        # once, on the finished estimate below.
         result = localpush_simrank(graph, decay=config.decay,
                                    epsilon=config.epsilon,
                                    prune=config.top_k is None,
                                    absorb_residual=True,
                                    num_workers=config.workers,
-                                   stream_top_k=config.top_k,
                                    dtype=config.dtype)
         matrix = result.matrix
     if config.dtype == "float32" and matrix.dtype != np.float32:

@@ -7,8 +7,8 @@ Neither is part of the package: they exist only as correctness oracles.
   within the ``ε`` contract (different push orders reach different
   points inside the bound, so agreement is approximate).
 * :class:`ScipyRoundState` — the historical CSR-object round arithmetic
-  (per-shard COO constructions, chained ``csr_plus_csr`` partial merges,
-  a per-round streaming absorb).  The engine's
+  (per-shard COO constructions, chained ``csr_plus_csr`` partial
+  merges).  The engine's
   :class:`repro.simrank.kernels.FusedRoundState` must reproduce it
   *bitwise*; :func:`scipy_rounds` swaps it into the engine for the
   duration of a ``with`` block, so a suite can run the same engine call
@@ -33,9 +33,8 @@ import scipy.sparse as sp
 import repro.simrank.engine as engine_module
 from repro.errors import SimRankError
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import Frontier, RoundRunner, streaming_prune
+from repro.simrank.kernels import Frontier, RoundRunner
 from repro.simrank.localpush import LocalPushResult
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
@@ -47,23 +46,19 @@ from repro.utils.timer import Timer
 def dict_localpush(graph: Graph, *, decay: float = DEFAULT_DECAY,
                    epsilon: float = 0.1, prune: bool = True,
                    absorb_residual: bool = False,
-                   max_pushes: Optional[int] = None,
-                   stream_top_k: Optional[int] = None) -> LocalPushResult:
+                   max_pushes: Optional[int] = None) -> LocalPushResult:
     """Algorithm 1 over a per-pair queue (float64 only).
 
     Same contract as :func:`repro.simrank.localpush.localpush_simrank`:
     ``absorb_residual`` folds the sub-threshold residual into the
     estimate, ``prune`` applies the ``ε / 10`` floor (never dropping the
-    diagonal), the untouched diagonal residual is restored when the
-    threshold suppresses every push, and ``stream_top_k`` applies
-    ``top_k_per_row(..., keep_diagonal=True)`` post hoc.
+    diagonal), and the untouched diagonal residual is restored when the
+    threshold suppresses every push.
     """
     if not 0.0 < decay < 1.0:
         raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
     if epsilon <= 0.0:
         raise SimRankError(f"epsilon must be positive, got {epsilon}")
-    if stream_top_k is not None and stream_top_k < 1:
-        raise SimRankError(f"stream_top_k must be >= 1, got {stream_top_k}")
     n = graph.num_nodes
     adjacency = graph.adjacency
     indptr, indices, weights = adjacency.indptr, adjacency.indices, adjacency.data
@@ -141,8 +136,6 @@ def dict_localpush(graph: Graph, *, decay: float = DEFAULT_DECAY,
                     if value >= floor or pair[0] == pair[1]}
 
     matrix = _pairs_to_csr(estimate, n)
-    if stream_top_k is not None:
-        matrix = top_k_per_row(matrix, stream_top_k, keep_diagonal=True)
     leftover = sum(1 for value in residual.values() if value > 0.0)
     return LocalPushResult(matrix=matrix, num_pushes=num_pushes,
                            num_residual_entries=leftover,
@@ -171,9 +164,8 @@ class ScipyRoundState:
     """The historical CSR-object round arithmetic, verbatim.
 
     Drop-in for :class:`repro.simrank.kernels.FusedRoundState` (same
-    constructor and round surface): a COO→CSR build per shard, chained
-    shard-order partial additions and a streaming absorb + prune every
-    round.
+    constructor and round surface): a COO→CSR build per shard and
+    chained shard-order partial additions.
     """
 
     def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
@@ -182,10 +174,6 @@ class ScipyRoundState:
         self._residual = residual
         self._n = n
         self._signed = bool(signed)
-        self._estimate = sp.csr_matrix((n, n), dtype=dtype)
-
-    def set_flush_cadence(self, coalesce_every: int) -> None:
-        """No-op: this arithmetic absorbs and prunes every round."""
 
     def extract_frontier(self, threshold: float) -> Optional[Frontier]:
         residual = self._residual
@@ -201,11 +189,6 @@ class ScipyRoundState:
         residual.data[above] = 0.0
         matrix = sp.csr_matrix((data, cols, indptr), shape=(self._n, self._n))
         return Frontier(cols, data, indptr=indptr, matrix=matrix)
-
-    def absorb_stream(self, frontier: Frontier) -> None:
-        self._estimate = self._estimate + sp.csr_matrix(
-            (frontier.data, (frontier.rows, frontier.cols)),
-            shape=(self._n, self._n))
 
     def push_round(self, runner: RoundRunner, frontier: Frontier,
                    bounds: Sequence[Tuple[int, int]]) -> None:
@@ -227,16 +210,8 @@ class ScipyRoundState:
     def coalesce(self) -> None:
         self._residual.eliminate_zeros()
 
-    def residual_max(self) -> float:
-        return float(self._residual.data.max()) if self._residual.nnz else 0.0
-
-    def stream_prune(self, k: int, decay: float) -> None:
-        slack = self.residual_max() / (1.0 - decay)
-        self._estimate = streaming_prune(self._estimate, k, slack)
-
-    def finish(self, streaming: bool, k: Optional[int], decay: float
-               ) -> Tuple[sp.csr_matrix, Optional[sp.csr_matrix]]:
-        return self._residual, (self._estimate if streaming else None)
+    def finish(self) -> sp.csr_matrix:
+        return self._residual
 
 
 @contextlib.contextmanager

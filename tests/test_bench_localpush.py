@@ -158,7 +158,10 @@ class TestSmokeRecord:
         assert set(record["backends"]) == {"core"}
         assert 0.0 <= core["max_abs_diff_vs_series"] < record["epsilon"]
         assert set(record["executors"]) == {"serial", "thread",
-                                            "serial_streamed"}
+                                            "serial_topk"}
+        topk = record["executors"]["serial_topk"]
+        assert topk["top_k"] == 32
+        assert topk["nnz"] <= 32 * record["num_nodes"]
         assert record["executors"]["thread"]["bit_identical_to_serial"]
         assert record["executors"]["thread"]["num_workers"] == 2
         assert all(sweep["within_bound"]

@@ -8,6 +8,7 @@ from repro.graphs.sparse import (
     dense_to_sparse_threshold,
     sparse_row_normalize,
     top_k_per_row,
+    top_k_row,
     top_k_row_mask,
 )
 
@@ -40,16 +41,21 @@ class TestTopKPerRow:
         for row in range(4):
             assert pruned[row, row] != 0.0
 
-    def test_rows_prunes_only_the_named_rows(self):
+    def test_top_k_row_equals_the_pruned_matrix_row(self):
+        """One row pruned apart from its matrix, ties included, equals
+        that row of the whole pruned (and normalised) matrix bitwise."""
         rng = np.random.default_rng(1)
-        matrix = sp.csr_matrix(rng.random((6, 6)))
-        full = top_k_per_row(matrix, 2, keep_diagonal=True)
-        partial = top_k_per_row(matrix, 2, keep_diagonal=True,
-                                rows=np.array([1, 4]))
+        matrix = sp.csr_matrix(rng.random((6, 6)).round(1))  # ties
+        pruned = top_k_per_row(matrix, 2, keep_diagonal=True)
+        normalized = sparse_row_normalize(pruned)
         for row in range(6):
-            expected = full if row in (1, 4) else matrix
-            assert np.array_equal(partial[row].toarray(),
-                                  expected[row].toarray())
+            for got, expected in ((top_k_row(matrix, row, 2), pruned),
+                                  (top_k_row(matrix, row, 2, normalize=True),
+                                   normalized),
+                                  (top_k_row(matrix, row, None), matrix)):
+                assert got.shape == (1, 6)
+                assert np.array_equal(got.indices, expected[row].indices)
+                assert np.array_equal(got.data, expected[row].data)
 
     def test_row_mask_takes_the_diagonal_column_explicitly(self):
         """A row held apart from its matrix selects exactly as in place."""

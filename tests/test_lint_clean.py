@@ -6,8 +6,8 @@ they copy *live* sources into a scratch tree, re-introduce the exact
 regressions the rules were written against, and assert the rule fires.
 A refactor that accidentally lobotomises R1 or R3 fails here even though
 the clean tree still passes.  Last, the ``src`` tree must not regain any
-name of the deleted compatibility layer, execution axes or second
-counting mechanism.
+name of the deleted compatibility layer, execution axes, second
+counting mechanism or second top-k path.
 """
 
 from __future__ import annotations
@@ -131,6 +131,11 @@ REMOVED_NAMES = {
     "coalesced": r"\bcoalesced\b",
     "window_seconds": r"\bwindow_seconds\b",
     "leader_active": r"\b_leader_active\b",
+    # Top-k runs once, after the LocalPush loop: no in-loop streaming
+    # prune, and the single pair is read through repro.api.score.
+    "stream_top_k": r"\bstream_top_k\b",
+    "streaming_prune": r"\bstreaming_prune\b",
+    "single_pair_localpush": r"\bsingle_pair_localpush\b",
 }
 
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.config import SimRankConfig
 from repro.datasets.splits import stratified_splits
 from repro.graphs.graph import Graph
 from repro.graphs.homophily import edge_homophily, node_homophily
@@ -15,6 +16,7 @@ from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
 from repro.simrank.pairwise_walk import homophily_probability
+from repro.simrank.topk import simrank_operator
 
 
 def _sharded(graph, **kwargs):
@@ -234,58 +236,55 @@ class TestTopKProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming top-k pruning invariants (sharded thread plan)
+# Operator top-k invariants (sharded thread plan)
 # --------------------------------------------------------------------------- #
-class TestStreamingTopKProperties:
-    """Invariants of the in-loop top-k prune of the sharded thread plan.
+def _operator(graph, k, epsilon=0.1):
+    return simrank_operator(graph, config=SimRankConfig(
+        method="localpush", epsilon=epsilon, top_k=k, workers=2)).matrix
 
-    The engine may drop an estimate entry mid-run only when its value plus
-    the residual correction bound ``‖R‖_max / (1 − c)`` is strictly below
-    the row's current k-th largest score — so no entry whose true final
-    score exceeds the retained k-th score (plus that bound) is ever lost,
-    and the streamed result must equal pruning the full estimate post hoc.
+
+class TestOperatorTopKProperties:
+    """The operator's one top-k prune keeps ``k`` entries and the diagonal.
+
+    The prune runs once, on the finished estimate, so the operator is
+    exactly ``top_k_per_row(..., keep_diagonal=True)`` of the full run and
+    never drops an off-diagonal score larger than one it keeps.
     """
 
     @SETTINGS
-    @given(random_graphs(max_nodes=16), st.integers(2, 6),
-           st.sampled_from([0.3, 0.1]))
-    def test_streaming_never_drops_a_final_topk_entry(self, graph, k, epsilon):
-        full = _sharded(graph, epsilon=epsilon, prune=False,
-                        absorb_residual=True)
-        streamed = _sharded(graph, epsilon=epsilon, prune=False,
-                            absorb_residual=True, stream_top_k=k)
-        dense_full = full.matrix.toarray()
-        dense_streamed = streamed.matrix.toarray()
-        for row in range(graph.num_nodes):
-            retained = dense_streamed[row][dense_streamed[row] > 0]
-            if retained.size == 0:
-                continue
-            kth_retained = np.sort(retained)[-min(k, retained.size)]
-            dropped = (dense_full[row] > 0) & (dense_streamed[row] == 0)
-            # A dropped entry's true score never exceeds the retained k-th
-            # score: the correction bound made the drop provably safe.
-            if dropped.any():
-                assert dense_full[row][dropped].max() <= kth_retained + 1e-9
-
-    @SETTINGS
-    @given(random_graphs(max_nodes=16), st.integers(2, 6),
-           st.sampled_from([0.3, 0.1]))
-    def test_streaming_equals_posthoc_topk(self, graph, k, epsilon):
-        full = _sharded(graph, epsilon=epsilon, prune=False,
-                        absorb_residual=True)
-        streamed = _sharded(graph, epsilon=epsilon, prune=False,
-                            absorb_residual=True, stream_top_k=k)
-        expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
-        np.testing.assert_allclose(streamed.matrix.toarray(),
-                                   expected.toarray(), rtol=0, atol=1e-12)
-
-    @SETTINGS
     @given(random_graphs(max_nodes=16), st.integers(1, 5))
-    def test_streaming_respects_row_budget_and_diagonal(self, graph, k):
-        streamed = _sharded(graph, epsilon=0.1, prune=False,
-                            absorb_residual=True, stream_top_k=k)
-        assert np.diff(streamed.matrix.indptr).max() <= k
-        assert (streamed.matrix.diagonal() > 0).all()
+    def test_operator_respects_row_budget_and_diagonal(self, graph, k):
+        matrix = _operator(graph, k)
+        assert np.diff(matrix.indptr).max() <= k
+        assert (matrix.diagonal() > 0).all()
+
+    @SETTINGS
+    @given(random_graphs(max_nodes=16), st.integers(2, 6),
+           st.sampled_from([0.3, 0.1]))
+    def test_operator_never_drops_a_larger_score(self, graph, k, epsilon):
+        full = _sharded(graph, epsilon=epsilon, prune=False,
+                        absorb_residual=True).matrix.toarray()
+        kept = _operator(graph, k, epsilon).toarray()
+        for row in range(graph.num_nodes):
+            held = kept[row] > 0
+            # Every kept score is the full estimate's score, unchanged.
+            assert np.array_equal(kept[row][held], full[row][held])
+            dropped = (full[row] > 0) & ~held
+            held[row] = False  # the diagonal is kept whatever its rank
+            if dropped.any() and held.any():
+                assert full[row][dropped].max() <= kept[row][held].min()
+
+    @SETTINGS
+    @given(random_graphs(max_nodes=16), st.integers(2, 6),
+           st.sampled_from([0.3, 0.1]))
+    def test_operator_equals_posthoc_topk(self, graph, k, epsilon):
+        full = _sharded(graph, epsilon=epsilon, prune=False,
+                        absorb_residual=True)
+        expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
+        matrix = _operator(graph, k, epsilon)
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)
 
 
 # --------------------------------------------------------------------------- #

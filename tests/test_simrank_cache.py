@@ -198,6 +198,23 @@ class TestRoundTrip:
         sums = np.asarray(warm.matrix.sum(axis=1)).ravel()
         np.testing.assert_allclose(sums[sums > 0], 1.0)
 
+    def test_float32_normalized_entry_keeps_its_precision(self, graph,
+                                                          cache):
+        """A row-normalised float32 operator is stored as float32, so its
+        repeat is an exact hit and it never serves a float64 request."""
+        kwargs = dict(method="localpush", epsilon=0.1, top_k=8,
+                      row_normalize=True, cache=cache)
+        cold = _operator(graph, dtype="float32", **kwargs)
+        assert cold.matrix.dtype == np.float32
+        warm = _operator(graph, dtype="float32", **kwargs)
+        assert warm.cache_hit and warm.matrix.dtype == np.float32
+        stats = cache.stats()
+        assert (stats["exact_hits"], stats["stores"],
+                stats["evictions"]) == (1, 1, 0)
+        wide = _operator(graph, **kwargs)
+        assert not wide.cache_hit and wide.matrix.dtype == np.float64
+        assert cache.stats()["reuse_hits"] == 0
+
     def test_series_method_round_trips(self, graph, cache):
         cold = _operator(graph, method="series", epsilon=0.1, cache=cache)
         warm = _operator(graph, method="series", epsilon=0.1, cache=cache)

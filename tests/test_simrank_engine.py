@@ -3,7 +3,7 @@
 Pins the properties of the engine core:
 
 * every worker count (``num_workers`` 1 = inline, 2, 3, …) produces a
-  **bit-identical** matrix, streamed top-k included,
+  **bit-identical** matrix, top-k pruned or not,
 * :func:`repro.simrank.localpush.resolve_workers` maps ``None`` onto the
   node-count ladder and passes explicit counts through, and
 * the operator pipeline accepts ``workers=`` and serves the same
@@ -23,6 +23,7 @@ from _simrank_fixtures import (
 )
 from _simrank_oracles import dict_localpush
 from repro.errors import SimRankError
+from repro.graphs.sparse import top_k_per_row
 from repro.simrank.engine import default_num_workers, localpush_engine
 from repro.simrank.localpush import (
     AUTO_SHARDED_MIN_NODES,
@@ -72,15 +73,18 @@ class TestWorkerEquivalence:
         assert serial.num_pushes == pooled.num_pushes
         assert serial.num_rounds == pooled.num_rounds
 
-    def test_streamed_topk_identical_across_worker_counts(self):
+    def test_topk_pruned_matrix_identical_across_worker_counts(self):
         graph = _sbm(200, seed=7)
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      stream_top_k=6, num_shards=5)
-        serial = localpush_engine(graph, **kwargs)
-        pooled = localpush_engine(graph, num_workers=2, **kwargs)
-        _assert_identical(serial.matrix, pooled.matrix)
-        assert np.diff(pooled.matrix.indptr).max() <= 6
-        assert (pooled.matrix.diagonal() > 0).all()
+                      num_shards=5)
+        serial = top_k_per_row(localpush_engine(graph, **kwargs).matrix, 6,
+                               keep_diagonal=True)
+        pooled = top_k_per_row(
+            localpush_engine(graph, num_workers=2, **kwargs).matrix, 6,
+            keep_diagonal=True)
+        _assert_identical(serial, pooled)
+        assert np.diff(pooled.indptr).max() <= 6
+        assert (pooled.diagonal() > 0).all()
 
     def test_matches_dict_oracle_within_epsilon(self):
         graph = _erdos_renyi(80, 0.07, seed=8)

@@ -118,13 +118,14 @@ class TestKernelBitIdentity:
 
     @WORKERS
     @pytest.mark.parametrize("coalesce_every", [1, 3])
-    def test_streamed_topk_bitwise(self, coalesce_every, workers):
+    def test_coalesce_cadence_bitwise(self, coalesce_every, workers):
+        """The residual coalescing cadence only changes storage."""
         for graph in graphs():
             with scipy_rounds():
                 base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                        stream_top_k=8)
+                                        absorb_residual=True)
             fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                     stream_top_k=8,
+                                     absorb_residual=True,
                                      coalesce_every=coalesce_every,
                                      num_workers=workers)
             assert_bitwise(base.matrix, fused.matrix)

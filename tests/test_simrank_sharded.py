@@ -11,8 +11,8 @@ transcription of Algorithm 1).  The sharded plan must:
 * return **bit-identical** matrices for every ``num_workers`` and for every
   shard count (shard partition and merge order are worker-independent),
 * preserve the error bound on random weighted and disconnected graphs, and
-* stream top-k pruning without changing the final
-  ``top_k_per_row(..., keep_diagonal=True)`` result.
+* feed the operator pipeline, which prunes the finished estimate to its
+  top-k once, after the loop, to the same bits for every worker count.
 """
 
 import numpy as np
@@ -27,12 +27,14 @@ from _simrank_fixtures import (
     weighted as _weighted,
 )
 from _simrank_oracles import dict_localpush
+from repro.config import SimRankConfig
 from repro.errors import SimRankError
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import top_k_per_row
-from repro.simrank.engine import localpush_engine
+from repro.graphs.sparse import top_k_per_row, top_k_row
+from repro.simrank.engine import localpush_engine, single_source_localpush
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
+from repro.simrank.topk import simrank_operator
 
 DECAY = 0.6
 
@@ -126,16 +128,10 @@ class TestDeterminism:
         assert reference.num_rounds == parallel.num_rounds
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_workers_do_not_change_streamed_topk(self, workers):
+    def test_workers_do_not_change_the_pruned_operator(self, workers):
         graph = _sbm(200, seed=6)
-        reference = _sharded(graph, epsilon=0.1, prune=False,
-                             absorb_residual=True,
-                             stream_top_k=6, num_workers=1,
-                             num_shards=5)
-        parallel = _sharded(graph, epsilon=0.1, prune=False,
-                            absorb_residual=True,
-                            stream_top_k=6, num_workers=workers,
-                            num_shards=5)
+        reference = _operator(graph, 6, workers=1)
+        parallel = _operator(graph, 6, workers=workers)
         self._assert_identical(reference.matrix, parallel.matrix)
 
     def test_repeated_runs_are_identical(self):
@@ -175,29 +171,49 @@ class TestErrorBoundProperties:
         assert (result.matrix.diagonal() > 0).all()
 
 
-class TestStreamingTopK:
-    """Streaming prune must equal pruning the fully materialised estimate."""
+def _operator(graph, k, workers=2):
+    """The SIGMA operator pipeline: LocalPush, then top-k once."""
+    return simrank_operator(graph, config=SimRankConfig(
+        method="localpush", epsilon=0.1, top_k=k, workers=workers))
+
+
+class TestOperatorTopK:
+    """The operator prunes the finished estimate to its top-k, once."""
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
     @pytest.mark.parametrize("k", [2, 8])
-    def test_equals_posthoc_topk(self, make_graph, k):
+    def test_equals_posthoc_topk_of_the_full_estimate(self, make_graph, k):
         graph = make_graph()
         full = _sharded(graph, epsilon=0.1, prune=False,
                         absorb_residual=True)
-        streamed = _sharded(graph, epsilon=0.1, prune=False,
-                            absorb_residual=True,
-                            stream_top_k=k)
         expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
-        assert np.array_equal(streamed.matrix.indptr, expected.indptr)
-        assert np.array_equal(streamed.matrix.indices, expected.indices)
-        np.testing.assert_allclose(streamed.matrix.data, expected.data,
-                                   rtol=0, atol=1e-12)
+        TestDeterminism._assert_identical(_operator(graph, k).matrix,
+                                          expected)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_posthoc_topk_bitwise_at_ulp_ties(self, workers):
-        """Row 0 holds two scores 1 ulp apart (cols 5 and 7): the full
-        estimate must sum each entry's absorptions in the streaming
-        fold's round order, or the post-hoc top-2 keeps the other one."""
+    def test_row_budget_and_diagonal(self, workers):
+        matrix = _operator(_sbm(150, seed=9), 4, workers=workers).matrix
+        assert np.diff(matrix.indptr).max() <= 4
+        assert (matrix.diagonal() > 0).all()
+
+    def test_pruned_operator_is_smaller_than_the_full_estimate(self):
+        graph = _sbm(200, seed=10)
+        k = 4
+        full = _sharded(graph, epsilon=0.05, prune=False,
+                        absorb_residual=True)
+        matrix = simrank_operator(graph, config=SimRankConfig(
+            method="localpush", epsilon=0.05, top_k=k, workers=2)).matrix
+        assert matrix.nnz <= k * graph.num_nodes
+        assert matrix.nnz < full.matrix.nnz
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_source_row_equals_all_pairs_row_at_ulp_ties(self,
+                                                                workers):
+        """Row 0's scores at cols 5 and 7 tie under the round-order fold
+        and land 1 ulp apart under another summation order: a
+        single-source run must sum each entry's absorptions in the
+        all-pairs run's order, or the two top-2 rows keep different
+        columns."""
         adjacency = np.array([
             [0, 1, 1, 0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 0, 1, 0, 0],
             [1, 1, 0, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0, 0, 0],
@@ -208,61 +224,18 @@ class TestStreamingTopK:
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
                       num_workers=workers)
         full = localpush_engine(graph, **kwargs)
-        streamed = localpush_engine(graph, stream_top_k=2, **kwargs)
-        expected = top_k_per_row(full.matrix, 2, keep_diagonal=True)
-        assert np.array_equal(streamed.matrix.indptr, expected.indptr)
-        assert np.array_equal(streamed.matrix.indices, expected.indices)
-        assert np.array_equal(streamed.matrix.data, expected.data)
+        single = single_source_localpush(graph, 0, **kwargs)
+        TestDeterminism._assert_identical(single.row, full.matrix.getrow(0))
+        TestDeterminism._assert_identical(
+            top_k_row(single.estimate, 0, 2),
+            top_k_per_row(full.matrix, 2, keep_diagonal=True).getrow(0))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_semantics_uniform_across_worker_counts(self, workers):
-        """stream_top_k must not change meaning with the worker count."""
-        graph = _sbm(150, seed=17)
-        result = localpush_simrank(graph, epsilon=0.1, prune=False,
-                                   absorb_residual=True, num_workers=workers,
-                                   stream_top_k=5)
-        assert np.diff(result.matrix.indptr).max() <= 5
-        assert (result.matrix.diagonal() > 0).all()
-
-    def test_invalid_stream_top_k_rejected_for_every_worker_count(
-            self, tiny_graph):
-        for workers in (1, 2, 3):
-            with pytest.raises(SimRankError):
-                localpush_simrank(tiny_graph, epsilon=0.1,
-                                  num_workers=workers, stream_top_k=0)
-
-    def test_row_budget_and_diagonal(self):
-        graph = _sbm(150, seed=9)
-        result = _sharded(graph, epsilon=0.1, prune=False,
-                          absorb_residual=True, stream_top_k=4)
-        assert np.diff(result.matrix.indptr).max() <= 4
-        assert (result.matrix.diagonal() > 0).all()
-
-    def test_streamed_memory_stays_bounded(self):
-        """Mid-loop the estimate must stay well below the unpruned size."""
-        graph = _sbm(200, seed=10)
-        k = 4
-        full = _sharded(graph, epsilon=0.05, prune=False,
-                        absorb_residual=True)
-        streamed = _sharded(graph, epsilon=0.05, prune=False,
-                            absorb_residual=True,
-                            stream_top_k=k)
-        assert streamed.matrix.nnz <= k * graph.num_nodes
-        assert streamed.matrix.nnz < full.matrix.nnz
-
-    def test_operator_pipeline_uses_streaming(self):
-        from repro.simrank.topk import simrank_operator
-
-        from repro.config import SimRankConfig
-
+    def test_operator_pipeline_identical_across_worker_counts(self):
         graph = _sbm(150, seed=11)
-        operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, workers=2))
-        baseline = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, workers=1))
-        assert np.diff(operator.matrix.indptr).max() <= 4
-        diff = np.abs((operator.matrix - baseline.matrix).toarray()).max()
-        assert diff < 0.1
+        pooled = _operator(graph, 4, workers=2).matrix
+        inline = _operator(graph, 4, workers=1).matrix
+        assert np.diff(pooled.indptr).max() <= 4
+        TestDeterminism._assert_identical(inline, pooled)
 
 
 class TestShardedParameters:
@@ -275,8 +248,6 @@ class TestShardedParameters:
             _sharded(tiny_graph, num_workers=0)
         with pytest.raises(SimRankError):
             _sharded(tiny_graph, num_shards=0)
-        with pytest.raises(SimRankError):
-            _sharded(tiny_graph, stream_top_k=0)
 
     def test_max_pushes_cap(self):
         graph = _sbm(150, seed=14)
@@ -322,11 +293,9 @@ class TestShardedStress:
         assert diff < 0.1
         assert serial.num_shards >= 2  # the frontier actually sharded
 
-    def test_large_graph_streaming_topk_bounds_memory(self):
+    def test_large_graph_operator_topk_bounds_memory(self):
         graph = _sbm(2000, seed=21)
         k = 8
-        streamed = _sharded(graph, epsilon=0.1, prune=False,
-                            absorb_residual=True,
-                            stream_top_k=k)
-        assert streamed.matrix.nnz <= k * graph.num_nodes
-        assert (streamed.matrix.diagonal() > 0).all()
+        matrix = _operator(graph, k).matrix
+        assert matrix.nnz <= k * graph.num_nodes
+        assert (matrix.diagonal() > 0).all()

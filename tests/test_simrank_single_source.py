@@ -1,10 +1,11 @@
-"""Suite for single-source / single-pair LocalPush (the query engine).
+"""Suite for single-source LocalPush (the query engine) and its queries.
 
 Pins the tentpole guarantee of ``multi_source_localpush``: the returned
 row is **bit-identical** to the same row of the all-pairs
 ``localpush_engine`` matrix under the same parameters — for every
-worker count, streamed top-k included — while touching only
-the sources' connected components.  Also pins the Lemma III.5
+worker count, and after the shared top-k row helper — while touching
+only the sources' connected components; ``repro.api.score`` reads its
+single pair from such a row.  Also pins the Lemma III.5
 ``(1-c)·ε`` error bound on the query rows against the linearized-SimRank
 series reference, on weighted and disconnected graphs.
 
@@ -28,16 +29,20 @@ from _simrank_fixtures import (
     weighted as _weighted,
     with_isolated as _with_isolated,
 )
+from repro import api
+from repro.config import SimRankConfig
 from repro.errors import SimRankError
-from repro.graphs.sparse import top_k_per_row
+from repro.graphs.sparse import top_k_per_row, top_k_row
 from repro.simrank.engine import (
     SingleSourceResult,
     localpush_engine,
     multi_source_localpush,
-    single_pair_localpush,
     single_source_localpush,
 )
 from repro.simrank.exact import linearized_simrank
+
+#: The library defaults ``repro.api.score`` runs with, LocalPush forced.
+QUERY_CONFIG = SimRankConfig(method="localpush", epsilon=0.1)
 
 
 def _assert_row_identical(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
@@ -96,14 +101,16 @@ class TestRowEquivalence:
         _assert_row_identical(result.row, full.matrix.getrow(7))
 
     def test_topk_row_matches_posthoc_topk(self):
-        """``top_k=`` equals pruning the full row after the fact."""
+        """The shared row helper prunes a single-source row exactly as
+        ``top_k_per_row`` prunes the all-pairs matrix."""
         graph = _sbm(150, seed=2)
         kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True)
         full = localpush_engine(graph, **kwargs)
-        capped = single_source_localpush(graph, 30, top_k=5, **kwargs)
+        result = single_source_localpush(graph, 30, **kwargs)
+        capped = top_k_row(result.estimate, 30, 5)
         expected = top_k_per_row(full.matrix, 5, keep_diagonal=True)
-        _assert_row_identical(capped.row, expected.getrow(30))
-        assert capped.row.nnz <= 6  # k entries + the kept diagonal
+        _assert_row_identical(capped, expected.getrow(30))
+        assert capped.nnz == 5 and capped[0, 30] > 0  # the diagonal kept
 
     def test_batch_equals_solo(self):
         graph = _weighted(40, seed=12)
@@ -133,19 +140,17 @@ class TestRowEquivalence:
 
     def test_pair_matches_row_entry(self):
         graph = _erdos_renyi(60, 0.08, seed=0)
-        row = single_source_localpush(graph, 9, epsilon=0.1, prune=False,
+        row = single_source_localpush(graph, 9, epsilon=0.1,
                                       absorb_residual=True).row
-        value = single_pair_localpush(graph, 9, 23, epsilon=0.1, prune=False,
-                                      absorb_residual=True)
-        assert value == float(row[0, 23])  # bitwise
+        value = api.score(graph, 9, 26, QUERY_CONFIG)
+        assert value > 0.0
+        assert value == float(row[0, 26])  # bitwise
 
     def test_public_api_rows_equal_all_pairs_rows_on_texas(self):
         """``repro.api.topk`` ≡ ``repro.api.precompute`` row, for every
         node of a graph below every auto-resolution threshold (183 nodes):
         no graph size routes the all-pairs operator to a different
         engine than the single-source query."""
-        from repro import api
-        from repro.config import SimRankConfig
         from repro.datasets.registry import load_dataset
 
         graph = load_dataset("texas", seed=0).graph
@@ -168,9 +173,6 @@ class TestRowEquivalence:
         """The same identity on both sides of every node-count threshold
         the auto-resolution has ever had, sampling every ``stride``-th
         row; at 4096 nodes both entry points resolve to ``"thread"``."""
-        from repro import api
-        from repro.config import SimRankConfig
-
         graph = _sbm(n, seed=n)
         config = SimRankConfig(method="localpush", epsilon=0.05)
         operator = api.precompute(graph, config).matrix
@@ -182,8 +184,8 @@ class TestRowEquivalence:
 
     def test_cross_component_pair_is_exactly_zero(self):
         graph = _disconnected()  # components [0,30), [30,50), isolated tail
-        assert single_pair_localpush(graph, 3, 41, epsilon=0.1) == 0.0
-        assert single_pair_localpush(graph, 52, 0, epsilon=0.1) == 0.0
+        assert api.score(graph, 3, 41, QUERY_CONFIG) == 0.0
+        assert api.score(graph, 52, 0, QUERY_CONFIG) == 0.0
 
 
 class TestErrorBound:
@@ -266,8 +268,7 @@ class TestValidation:
         with pytest.raises(SimRankError):
             single_source_localpush(tiny_graph, -1, epsilon=0.1)
         with pytest.raises(SimRankError):
-            single_pair_localpush(tiny_graph, 0, tiny_graph.num_nodes,
-                                  epsilon=0.1)
+            api.score(tiny_graph, 0, tiny_graph.num_nodes, QUERY_CONFIG)
 
     def test_empty_sources_rejected(self, tiny_graph):
         with pytest.raises(SimRankError):
