@@ -150,12 +150,15 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     the corresponding all-pairs row under the guarantee documented on
     :func:`repro.simrank.engine.multi_source_localpush`.  A ``cache_dir``
     in the config lets a dominating cached all-pairs entry answer the
-    query without any push work (``OperatorCache.lookup_row``).
+    query without any push work (``OperatorCache.lookup_row``), after
+    the engine's node-id check, so it never answers an id the engine
+    rejects.
     """
     from repro.graphs.sparse import top_k_row
-    from repro.simrank.engine import single_source_localpush
+    from repro.simrank.engine import _validate_sources, single_source_localpush
     from repro.simrank.localpush import resolve_workers
 
+    source = int(_validate_sources(graph, [source])[0])
     cfg = config if config is not None else SimRankConfig()
     if cfg.method == "exact":
         raise ConfigError(
@@ -231,25 +234,38 @@ def apply_updates(graph: Graph, updates: "Updates", *,
     ``config`` (library defaults when ``None``) and keeps accepting
     further updates through its :meth:`~repro.dynamic.operator.DynamicOperator.apply`.
 
-    With a cache (``cache=`` or ``config.cache_dir``), a delta-chained
-    entry written by an earlier identical call answers without any push
-    work, and a warm base-graph entry turns the build into an
-    estimate-only warm start — the repair then seeds from the
-    reconstruction algebra (see the :mod:`repro.dynamic` docstring).
-    The chained entry for ``updates`` is on disk when this returns
-    (unless the write failed, which
+    With a cache (``cache=`` or ``config.cache_dir``), every repaired
+    snapshot is stored under the key of the graph it describes.  If the
+    updated graph already has an entry under the maintained contract
+    (checked without loading it or counting a cache event), this
+    replays it with zero push work: it returns
+    ``DynamicOperator(graph.apply_delta(updates), …)`` warm-started from
+    that entry (``build_cache_hit``, ``repair_pushes == 0``,
+    ``updates_applied == 0``).  That serves an identical earlier call, a
+    reordering of its deltas that reaches the same graph, and any stream
+    ending at a graph a daemon repaired to.  Otherwise it builds on
+    ``graph`` (warm-starting from its cached entry, see the
+    :mod:`repro.dynamic` docstring), repairs, and returns with the
+    updated graph's entry on disk (unless the write failed, which
     :meth:`~repro.dynamic.operator.DynamicOperator.flush` reports).
     """
-    from repro.dynamic.operator import DynamicOperator
+    from repro.dynamic.operator import (DynamicOperator, _resolve_cache,
+                                        maintained_fields)
+    from repro.graphs.delta import UpdateBatch
 
     cfg = config if config is not None else SimRankConfig()
-    chained = DynamicOperator.from_chain(graph, updates, simrank=cfg,
-                                         dynamic=dynamic, cache=cache)
-    if chained is not None:
-        return chained
+    batch = UpdateBatch.coerce(updates)
+    cache_store = _resolve_cache(cache, cfg)
+    if cache_store is not None:
+        updated = graph.apply_delta(batch)
+        key = cache_store.key_for_fields(
+            updated, maintained_fields(cfg, updated.num_nodes))
+        if cache_store.path_for(key).exists():
+            return DynamicOperator(updated, simrank=cfg, dynamic=dynamic,
+                                   cache=cache_store)
     operator = DynamicOperator(graph, simrank=cfg, dynamic=dynamic,
-                               cache=cache)
-    operator.apply(updates)
+                               cache=cache_store)
+    operator.apply(batch)
     operator.flush()
     return operator
 

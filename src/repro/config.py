@@ -409,12 +409,13 @@ class DynamicConfig:
         uncapped) — the repair analogue of the engine's ``max_pushes``;
         exceeding it raises instead of spinning on a pathological delta.
     ``store_repaired``
-        Store repaired snapshots as delta-chained operator-cache entries
-        (when the operator has a cache), so a later process can
-        warm-start from ``base fingerprint + delta hash`` instead of
-        recomputing.  The write runs on a background writer after the
-        repair commits; latest wins, so a state superseded while it
-        waits is never written
+        Store each repaired snapshot in the operator cache (when the
+        operator has a cache) under the ordinary key of the graph it
+        describes, so a later build on that graph — a new process, or
+        :func:`repro.api.apply_updates` replaying a stream — warm-starts
+        from it instead of recomputing.  The write runs on a background
+        writer after the repair commits; latest wins, so a state
+        superseded while it waits is never written
         (:meth:`repro.dynamic.operator.DynamicOperator.flush` drains
         it).  ``False`` writes nothing.
     ``background_repair``

@@ -50,10 +50,9 @@ A maintained residual is not even required: for *any* estimate ``Ŝ``
     R₀ = I − Ŝ + c·W′ᵀ Ŝ W′
 
 restores the invariant on ``W′`` from scratch — this is how a warm
-cache entry for the base graph (or a delta-chained entry, see
-:meth:`repro.simrank.cache.OperatorCache.delta_key_for`) warm-starts a
-:class:`~repro.dynamic.operator.DynamicOperator` without a full
-recompute.
+cache entry for the graph (a fresh operator or a repaired snapshot
+alike) warm-starts a :class:`~repro.dynamic.operator.DynamicOperator`
+without a full recompute.
 
 Entry points
 ------------
@@ -62,10 +61,15 @@ state and the repair loop; :func:`repro.api.apply_updates` is the
 one-call facade; the serving layer applies updates through
 ``SimRankService.apply_update`` and the daemon's ``/update`` endpoint.
 
-The delta-chained cache entry is written off the repair path: ``apply``
-returns once the repair commits, and a short-lived writer thread stores
-the newest committed state.  Latest wins — a state superseded while it
-waits is never written, the write in flight always completes — and
+Each repaired snapshot is cached under the ordinary key of the graph it
+describes (``key_for_fields(updated graph, maintained fields)``), so any
+update stream that reaches a cached graph replays it through
+``apply_updates`` with zero push work, and a stream that revisits a
+graph rewrites that graph's entry instead of adding one.  The
+entry is written off the repair path: ``apply`` returns once the repair
+commits, and a short-lived writer thread stores the newest committed
+state.  Latest wins — a state superseded while it waits is never
+written, the write in flight always completes — and
 ``DynamicOperator.flush()`` blocks until the writer is idle, returning
 the last write error.  ``apply_updates`` flushes before it returns.
 """

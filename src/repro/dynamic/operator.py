@@ -4,12 +4,11 @@ See the :mod:`repro.dynamic` package docstring for the invariant and the
 repair algebra this module implements.  The class here owns three
 things: the maintained raw ``(estimate, residual)`` pair (full fidelity
 — never top-k pruned, never floor-pruned, float64), the repair loop
-built on :func:`repro.simrank.engine.resume_localpush`, and the
-delta-chained cache integration that lets a later process warm-start
-from ``base fingerprint + delta hash`` instead of recomputing.  The
-chain entry is written off the repair path, by a short-lived writer
-thread that stores the newest committed state (see
-:meth:`DynamicOperator.flush`).
+built on :func:`repro.simrank.engine.resume_localpush`, and the cache
+integration: a build warm-starts from its graph's cached entry, and
+every repaired snapshot is stored under the key of the graph it
+describes, off the repair path, by a short-lived writer thread that
+stores the newest committed state (see :meth:`DynamicOperator.flush`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import scipy.sparse as sp
 from repro.config import DynamicConfig, SimRankConfig
 from repro.errors import SimRankError
 from repro.graphs.delta import UpdateBatch, Updates
-from repro.graphs.fingerprint import graph_fingerprint
 from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
@@ -65,17 +63,30 @@ class RepairResult:
 
 
 class _Committed(NamedTuple):
-    """One committed repair, as handed to the chain writer.
+    """One committed repair, as handed to the snapshot writer.
 
     No later repair mutates these objects: every :meth:`DynamicOperator.apply`
-    builds a new estimate, residual, graph and chain, so the writer reads
-    them without a lock.
+    builds a new estimate, residual and graph, so the writer reads them
+    without a lock.
     """
 
     estimate: sp.csr_matrix
     residual: Optional[sp.csr_matrix]
     graph: Graph
-    chain: UpdateBatch
+
+
+def maintained_fields(simrank: SimRankConfig,
+                      num_nodes: int) -> Dict[str, object]:
+    """Cache-key fields of the maintained state on a ``num_nodes`` graph.
+
+    Full fidelity at reference precision (``top_k=None``,
+    ``row_normalize=False``, float64) whatever the serving contract,
+    through the one key-field derivation,
+    :meth:`repro.config.SimRankConfig.cache_key_fields`.
+    """
+    maintenance = simrank.with_overrides(
+        method="localpush", top_k=None, row_normalize=False, dtype="float64")
+    return maintenance.cache_key_fields(num_nodes)
 
 
 def _resolve_cache(cache: CacheLike,
@@ -116,22 +127,23 @@ class DynamicOperator:
     ``telemetry`` an optional :class:`repro.telemetry.Telemetry` handle —
     when enabled, every :meth:`apply` repair is traced as a
     ``dynamic.repair`` span (attributes ``batch_size``/``num_pushes``/
-    ``num_rounds``/``warm_start``) and every chain write as a
-    ``dynamic.chain_write`` span (attributes ``chain_length``,
-    ``superseded`` and, on failure, ``error``).  The cache counts its
-    own events whether or not telemetry is on.
+    ``num_rounds``/``warm_start``) and every snapshot write as a
+    ``dynamic.snapshot_write`` span (attribute ``superseded`` and, on
+    failure, ``error``).  The cache counts its own events whether or not
+    telemetry is on.
 
-    The delta-chain write
-    ---------------------
+    The snapshot write
+    ------------------
     With a cache and ``store_repaired``, :meth:`apply` hands the
     committed state to a one-slot mailbox and returns; it neither
     projects nor writes the snapshot.  A writer thread, started when
     none is running, projects the newest waiting state and stores it
-    under its delta-chained key, then exits once the slot is empty.
-    Latest wins: a state still waiting when a newer repair commits is
-    superseded and never written, while the write in flight always
-    completes, so entries land in commit order and at most one state is
-    in flight and one waiting however fast updates arrive.
+    under the key of the graph it describes, then exits once the slot is
+    empty.  Latest wins: a state still waiting when a newer repair
+    commits is superseded and never written, while the write in flight
+    always completes, so entries land in commit order (a graph the
+    stream revisits ends up holding its newest state) and at most one
+    state is in flight and one waiting however fast updates arrive.
     :meth:`flush` blocks until the writer is idle.  A failed write never
     undoes its repair: the error text is kept for :meth:`flush` and
     passed to ``on_write_error`` (called on the writer thread), if given.
@@ -144,21 +156,38 @@ class DynamicOperator:
                  telemetry: Optional["Telemetry"] = None,
                  on_write_error: Optional[Callable[[str], None]] = None
                  ) -> None:
-        self._bootstrap(graph.num_nodes,
-                        simrank if simrank is not None else SimRankConfig(),
-                        dynamic if dynamic is not None else DynamicConfig(),
-                        cache, telemetry, on_write_error)
+        from repro.telemetry.runtime import resolve_telemetry
+
+        self.simrank = simrank if simrank is not None else SimRankConfig()
+        self.dynamic = dynamic if dynamic is not None else DynamicConfig()
+        self.telemetry = resolve_telemetry(telemetry)
+        self._tracer = self.telemetry.tracer
+        self._cache = _resolve_cache(cache, self.simrank)
+        self._maintenance_fields = maintained_fields(self.simrank,
+                                                     graph.num_nodes)
+        self._num_workers = resolve_workers(self.simrank.workers,
+                                            graph.num_nodes)
         self.graph = graph
-        self.base_fingerprint = graph_fingerprint(graph)
-        self.chain = UpdateBatch()
+        self.updates_applied = 0
+        self.repair_pushes = 0
+        self.repair_seconds = 0.0
+        # The snapshot writer's mailbox, all guarded by _write_lock:
+        # _waiting is the one slot, _writing says a writer thread will
+        # still read it, and _writer is the last thread started (kept
+        # after it exits so flush() can join it).
+        self._on_write_error = on_write_error
+        self._write_lock = threading.Lock()
+        self._waiting: Optional[_Committed] = None
+        self._superseded = 0
+        self._writing = False
+        self._writer: Optional[threading.Thread] = None
+        self._write_error: Optional[str] = None
 
         timer = Timer()
         timer.start()
         warm: Optional[SimRankOperator] = None
         if self._cache is not None:
-            warm = self._cache.lookup(graph,
-                                      fingerprint=self.base_fingerprint,
-                                      **self._maintenance_fields)
+            warm = self._cache.lookup(graph, **self._maintenance_fields)
         if warm is not None:
             # Estimate-only state: the first apply() uses the
             # reconstruction seeding (see the package docstring), which
@@ -180,88 +209,6 @@ class DynamicOperator:
         self.build_seconds = timer.stop()
 
     # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    def _bootstrap(self, num_nodes: int, simrank: SimRankConfig,
-                   dynamic: DynamicConfig, cache: CacheLike,
-                   telemetry: Optional["Telemetry"] = None,
-                   on_write_error: Optional[Callable[[str], None]] = None
-                   ) -> None:
-        """Shared attribute setup for both construction paths."""
-        from repro.telemetry.runtime import resolve_telemetry
-
-        self.simrank = simrank
-        self.dynamic = dynamic
-        self.telemetry = resolve_telemetry(telemetry)
-        self._tracer = self.telemetry.tracer
-        self._cache = _resolve_cache(cache, simrank)
-        # The maintained state is full fidelity at reference precision;
-        # its cache contract (and the delta-chain key fields) say so.
-        # One derivation path: SimRankConfig.cache_key_fields.
-        maintenance = simrank.with_overrides(
-            method="localpush", top_k=None, row_normalize=False,
-            dtype="float64")
-        self._maintenance_fields: Dict[str, object] = \
-            maintenance.cache_key_fields(num_nodes)
-        self._num_workers = resolve_workers(simrank.workers, num_nodes)
-        self.updates_applied = 0
-        self.repair_pushes = 0
-        self.repair_seconds = 0.0
-        # The chain writer's mailbox, all guarded by _write_lock:
-        # _waiting is the one slot, _writing says a writer thread will
-        # still read it, and _writer is the last thread started (kept
-        # after it exits so flush() can join it).
-        self._on_write_error = on_write_error
-        self._write_lock = threading.Lock()
-        self._waiting: Optional[_Committed] = None
-        self._superseded = 0
-        self._writing = False
-        self._writer: Optional[threading.Thread] = None
-        self._write_error: Optional[str] = None
-
-    @classmethod
-    def from_chain(cls, base_graph: Graph, updates: Updates, *,
-                   simrank: Optional[SimRankConfig] = None,
-                   dynamic: Optional[DynamicConfig] = None,
-                   cache: CacheLike = None,
-                   telemetry: Optional["Telemetry"] = None
-                   ) -> Optional["DynamicOperator"]:
-        """Rebuild a repaired operator purely from a delta-chained entry.
-
-        Looks up the cache entry keyed by the *base* graph's fingerprint
-        plus the batch's content hash (stored by an earlier
-        :meth:`apply` with ``store_repaired`` on).  On a hit, returns an
-        operator whose graph is ``base_graph.apply_delta(updates)`` and
-        whose estimate is the cached repaired snapshot — no push rounds
-        at all.  Returns ``None`` on a miss (or without a cache); the
-        caller falls back to building and repairing.
-        """
-        batch = UpdateBatch.coerce(updates)
-        simrank = simrank if simrank is not None else SimRankConfig()
-        dynamic = dynamic if dynamic is not None else DynamicConfig()
-        cache_store = _resolve_cache(cache, simrank)
-        if cache_store is None or len(batch) == 0:
-            return None
-        operator = cls.__new__(cls)
-        operator._bootstrap(base_graph.num_nodes, simrank, dynamic, cache,
-                            telemetry)
-        entry = cache_store.lookup_delta(graph_fingerprint(base_graph),
-                                         batch.content_hash(),
-                                         operator._maintenance_fields)
-        if entry is None:
-            return None
-        operator.graph = base_graph.apply_delta(batch)
-        operator.base_fingerprint = graph_fingerprint(base_graph)
-        operator.chain = batch
-        operator._estimate = sp.csr_matrix(entry.matrix, dtype=np.float64)
-        operator._residual = None
-        operator.build_pushes = 0
-        operator.build_cache_hit = True
-        operator.build_seconds = 0.0
-        operator.updates_applied = len(batch)
-        return operator
-
-    # ------------------------------------------------------------------ #
     # The repair loop
     # ------------------------------------------------------------------ #
     def apply(self, updates: Updates) -> RepairResult:
@@ -276,7 +223,7 @@ class DynamicOperator:
         recompute.  State commits only on success: a failed repair
         (e.g. ``repair_max_pushes`` exceeded) leaves the operator on the
         pre-update graph, still serving.  A committed repair is handed
-        to the background chain writer (see the class docstring) and
+        to the background snapshot writer (see the class docstring) and
         this returns without waiting for the write; :meth:`flush` waits.
         """
         batch = UpdateBatch.coerce(updates)
@@ -310,14 +257,12 @@ class DynamicOperator:
         self.graph = new_graph
         self._estimate = estimate
         self._residual = run.residual
-        self.chain = self.chain + batch
         elapsed = timer.stop()
         self.updates_applied += 1
         self.repair_pushes += run.num_pushes
         self.repair_seconds += elapsed
         if self._cache is not None and self.dynamic.store_repaired:
-            self._publish(_Committed(estimate, run.residual, new_graph,
-                                     self.chain))
+            self._publish(_Committed(estimate, run.residual, new_graph))
         return RepairResult(
             batch=batch,
             num_deltas=len(batch),
@@ -356,7 +301,7 @@ class DynamicOperator:
         return (identity - estimate + pushed).tocsr(), "reconstructed"
 
     # ------------------------------------------------------------------ #
-    # The delta-chain writer
+    # The snapshot writer
     # ------------------------------------------------------------------ #
     def _publish(self, state: _Committed) -> None:
         """Put ``state`` in the writer's slot; start a writer if none runs."""
@@ -372,7 +317,7 @@ class DynamicOperator:
             # interpreter exit waits for the write instead of leaving a
             # temporary file behind.
             self._writer = threading.Thread(target=self._write_loop,
-                                            name="repro-chain-writer",
+                                            name="repro-snapshot-writer",
                                             daemon=False)
             self._writer.start()
 
@@ -401,24 +346,21 @@ class DynamicOperator:
                     self._writing = False
 
     def _write_entry(self, state: _Committed, superseded: int) -> None:
-        """Project ``state`` and store it under its delta-chained key."""
+        """Project ``state`` and store it under its graph's key."""
         cache = self._cache
         assert cache is not None  # only published with a cache
-        with self._tracer.span("dynamic.chain_write",
-                               chain_length=len(state.chain),
+        with self._tracer.span("dynamic.snapshot_write",
                                superseded=superseded) as span:
             try:
                 snapshot = self._snapshot(self._maintenance_fields,
                                           state.estimate, state.residual)
-                cache.store_delta(self.base_fingerprint,
-                                  state.chain.content_hash(),
-                                  self._maintenance_fields, snapshot,
-                                  fingerprint=graph_fingerprint(state.graph))
+                cache.store_delta(state.graph, self._maintenance_fields,
+                                  snapshot)
                 return
             except OSError as error:
-                message = f"delta-chain cache write failed: {error}"
+                message = f"repaired-snapshot cache write failed: {error}"
             except Exception:  # the writer thread's boundary: record it
-                message = ("delta-chain cache write failed:\n"
+                message = ("repaired-snapshot cache write failed:\n"
                            + traceback.format_exc())
             span.set("error", message)
         self._write_error = message
@@ -426,7 +368,7 @@ class DynamicOperator:
             self._on_write_error(message)
 
     def flush(self) -> Optional[str]:
-        """Block until no chain write is waiting or in flight.
+        """Block until no snapshot write is waiting or in flight.
 
         Returns the text of the last failed write (``None`` if none has
         failed).  On return the newest state committed before the call
@@ -468,7 +410,7 @@ class DynamicOperator:
                   residual: Optional[sp.csr_matrix]) -> SimRankOperator:
         """Project a maintained ``(estimate, residual)`` pair under ``fields``.
 
-        Reads its arguments and never writes them, so the chain writer
+        Reads its arguments and never writes them, so the snapshot writer
         can project a committed state while the next repair runs.
         """
         n = estimate.shape[0]
@@ -532,8 +474,8 @@ class DynamicOperator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DynamicOperator(nodes={self.num_nodes}, "
                 f"updates_applied={self.updates_applied}, "
-                f"chain={len(self.chain)}, "
                 f"repair_pushes={self.repair_pushes})")
 
 
-__all__ = ["DynamicOperator", "RepairResult", "CacheLike"]
+__all__ = ["DynamicOperator", "RepairResult", "CacheLike",
+           "maintained_fields"]

@@ -9,11 +9,10 @@ This module defines the update language that drives it:
     — validated at construction and canonicalised to ``u < v`` so two
     spellings of the same edge hash identically.
 :class:`UpdateBatch`
-    An ordered, composable sequence of deltas with a content hash
-    (:meth:`UpdateBatch.content_hash`, via the shared
-    :func:`repro.graphs.fingerprint.payload_digest` path) used by the
-    delta-chained operator-cache entries, plus the dict round-trip the
-    daemon's ``/update`` endpoint speaks.
+    An ordered sequence of deltas, plus the dict round-trip the daemon's
+    ``/update`` endpoint speaks.  A batch is never hashed: a repaired
+    operator is cached under the fingerprint of the graph the batch
+    produces (:meth:`repro.simrank.cache.OperatorCache.store_delta`).
 
 Deltas are *strict*: an insert of an existing edge, a delete or
 reweight of a missing one, a self-loop, or a non-positive weight is an
@@ -31,15 +30,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
-from repro.graphs.fingerprint import payload_digest
 from repro.utils.validation import is_integral
 
 #: Update kinds accepted by :class:`GraphDelta`.
 DELTA_KINDS = ("insert", "delete", "reweight")
-
-#: Participates in every :meth:`UpdateBatch.content_hash` payload; bump
-#: to orphan delta-chained cache entries when delta semantics change.
-DELTA_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -122,11 +116,8 @@ Updates = Union["UpdateBatch", GraphDelta, Iterable[GraphDelta]]
 class UpdateBatch:
     """An ordered sequence of :class:`GraphDelta`, applied left to right.
 
-    Batches compose with ``+`` (sequential concatenation — ``a + b``
-    means *apply a, then b*), so a chain of small updates collapses into
-    one batch whose :meth:`content_hash` addresses the chained cache
-    entry.  A batch may touch the same edge more than once (e.g. insert
-    then reweight); the sequential semantics make that well-defined.
+    A batch may touch the same edge more than once (e.g. insert then
+    reweight); the sequential semantics make that well-defined.
     """
 
     deltas: Tuple[GraphDelta, ...] = ()
@@ -159,27 +150,10 @@ class UpdateBatch:
     def __iter__(self) -> Iterator[GraphDelta]:
         return iter(self.deltas)
 
-    def __add__(self, other: "UpdateBatch") -> "UpdateBatch":
-        if not isinstance(other, UpdateBatch):
-            return NotImplemented
-        return UpdateBatch(self.deltas + other.deltas)
-
     def touched_nodes(self) -> Tuple[int, ...]:
         """Sorted, de-duplicated endpoints of every delta in the batch."""
         return tuple(sorted({node for delta in self.deltas
                              for node in (delta.u, delta.v)}))
-
-    def content_hash(self) -> str:
-        """Canonical digest of the batch (order-sensitive, version-tagged).
-
-        Shares the :func:`repro.graphs.fingerprint.payload_digest` path
-        with the operator cache and the experiment store so delta-chained
-        cache keys cannot drift onto a second hashing scheme.
-        """
-        return payload_digest({
-            "version": DELTA_FORMAT_VERSION,
-            "deltas": [delta.to_dict() for delta in self.deltas],
-        })
 
     def to_dict(self) -> dict:
         """JSON-serialisable form, the daemon's ``/update`` body shape."""
@@ -200,5 +174,4 @@ class UpdateBatch:
         return cls(tuple(GraphDelta.from_dict(entry) for entry in deltas))
 
 
-__all__ = ["GraphDelta", "UpdateBatch", "Updates", "DELTA_KINDS",
-           "DELTA_FORMAT_VERSION"]
+__all__ = ["GraphDelta", "UpdateBatch", "Updates", "DELTA_KINDS"]

@@ -1,9 +1,8 @@
 """Content hashing: the single digest path for graphs and key payloads.
 
-Every content-addressed key in the project — operator-cache entries,
-delta-chained dynamic entries, experiment-store cells and
-:class:`repro.graphs.delta.UpdateBatch` hashes — bottoms out in the two
-helpers here:
+Every content-addressed key in the project — operator-cache entries
+(repaired dynamic snapshots included) and experiment-store cells —
+bottoms out in the two helpers here:
 
 :func:`graph_fingerprint`
     SHA-256 over a graph's canonical CSR arrays.  Content-addressed:
@@ -14,11 +13,11 @@ helpers here:
     canonical-JSON encoding of a key payload (``sort_keys=True``,
     ``default=str``).
 
-Keeping both in one module is deliberate: the operator cache, the
-dynamic delta chain and the artifact store must not each grow their own
-canonicalisation rules (key drift between them is exactly the failure
-mode lint rule R1 guards the *field* derivation against — this module
-guards the *hash* derivation the same way).
+Keeping both in one module is deliberate: the operator cache and the
+artifact store must not each grow their own canonicalisation rules (key
+drift between them is exactly the failure mode lint rule R1 guards the
+*field* derivation against — this module guards the *hash* derivation
+the same way).
 """
 
 from __future__ import annotations

@@ -98,26 +98,27 @@ followed by the operator cache's registry, so the scrape and the JSON
 ``--telemetry`` (and optionally ``--trace-path``) to additionally record
 spans — ``serve.exact_batch`` per read's exact rung,
 ``serve.version_rows`` per row computation, ``dynamic.repair`` per
-update batch, ``dynamic.chain_write`` per delta-chain cache write.
+update batch, ``dynamic.snapshot_write`` per repaired-snapshot cache
+write.
 
-Updates and the delta-chain write
----------------------------------
+Updates and the snapshot write
+------------------------------
 ``POST /update`` (``SimRankService.apply_update``) repairs the served
 operator; with ``"wait": true`` the response means the repair landed and
 the new graph version is served, and it carries that ``version``.  It
-does not mean the delta-chained cache entry is on disk: the operator's
-background writer stores the newest repaired state after the swap,
-superseding any older state still waiting (see
-:class:`repro.dynamic.operator.DynamicOperator`).  Until that entry
-lands, a post-update query that falls past the exact rung answers
-``degraded``, unless the cache already holds an entry for the updated
-graph: the cached rung matches the served graph's fingerprint, so it
-never serves a pre-update entry.  ``SimRankService.close()`` waits
-for the repair in progress and drains the write;
+does not mean the repaired snapshot is in the cache: the operator's
+background writer stores the newest repaired state after the swap, under
+the key of the graph it describes, superseding any older state still
+waiting (see :class:`repro.dynamic.operator.DynamicOperator`).  Until
+that entry lands, a post-update query that falls past the exact rung
+answers ``degraded``, unless the cache already holds an entry for the
+updated graph: the cached rung matches the served graph's fingerprint,
+so it never serves a pre-update entry.  ``SimRankService.close()``
+waits for the repair in progress and drains the write;
 ``ServeDaemon.server_close()`` calls it, so a daemon stopped by Ctrl-C
 or SIGTERM exits 0 with the newest entry on disk.
 
-A repair lands even if its delta-chain cache write fails (a full disk,
+A repair lands even if its snapshot cache write fails (a full disk,
 say): the graph swaps, ``updates_applied`` and ``repair_seconds`` count
 it, and the writer hands the error to
 ``SimRankService.last_update_error``.

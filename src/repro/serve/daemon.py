@@ -28,8 +28,8 @@ Endpoints (all ``GET``, all JSON):
     ``{"deltas": [{"kind": "insert", "u": 0, "v": 1}, ...]}`` — plus an
     optional ``"wait": true`` to block until the repair lands and the
     graph version swaps (and get its telemetry and the new ``version``
-    back).  ``wait`` does not cover the delta-chained cache entry: a
-    background writer stores it after the response (see
+    back).  ``wait`` does not cover the repaired snapshot's cache
+    entry: a background writer stores it after the response (see
     :class:`repro.dynamic.operator.DynamicOperator`).
     By default the repair runs in the background and queries keep
     answering from the pre-update version (``stale_served`` counts them)
@@ -42,8 +42,8 @@ ladder a 503 — the daemon never dies on a query.  ``main`` is the
 service stack and blocks in ``serve_forever`` until Ctrl-C or SIGTERM.
 Either way :meth:`ServeDaemon.server_close` then runs, which calls
 :meth:`repro.serve.service.SimRankService.close`: it waits for the
-repair in progress and drains its chain write, so the newest entry is on
-disk (and no temporary file is left) before the process exits 0.
+repair in progress and drains its snapshot write, so the newest entry is
+on disk (and no temporary file is left) before the process exits 0.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class ServeDaemon(ThreadingHTTPServer):
         self.batcher = batcher if batcher is not None else QueryBatcher(service)
 
     def server_close(self) -> None:
-        """Close the socket, then drain the service's chain write.
+        """Close the socket, then drain the service's snapshot write.
 
         :meth:`repro.serve.service.SimRankService.close` waits for the
-        repair in progress and its delta-chained cache entry.
+        repair in progress and its repaired snapshot's cache entry.
         """
         super().server_close()
         self.service.close()
@@ -241,7 +241,7 @@ def make_daemon(graph: Graph, *, simrank: Optional[SimRankConfig] = None,
     Binds immediately; ``serve.port=0`` picks a free port
     (``daemon.server_address`` reports the bound one).  The caller owns
     the lifecycle: ``serve_forever()`` to run, ``shutdown()`` +
-    ``server_close()`` to stop (the latter drains the chain write).
+    ``server_close()`` to stop (the latter drains the snapshot write).
     ``telemetry`` threads an enabled handle through the whole stack
     (service counters and spans — see
     :class:`repro.serve.service.SimRankService`).

@@ -51,6 +51,7 @@ from repro.config import DynamicConfig, ServeConfig, SimRankConfig
 from repro.errors import GraphError, ServeError, SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_row
+from repro.simrank.engine import _validate_sources
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.dynamic.operator import DynamicOperator, RepairResult
@@ -466,20 +467,9 @@ class SimRankService:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _validate(graph: Graph, sources: Sequence[int]) -> List[int]:
-        n = graph.num_nodes
-        cleaned: List[int] = []
-        for source in sources:
-            if isinstance(source, bool) or not isinstance(source, int):
-                raise SimRankError(
-                    f"query node must be an integer, got {source!r}")
-            if not 0 <= source < n:
-                raise SimRankError(
-                    f"query node {source} out of range for a graph "
-                    f"with {n} nodes")
-            cleaned.append(int(source))
-        if not cleaned:
-            raise SimRankError("a query batch needs at least one source")
-        return cleaned
+        """The query's node ids as ints, checked by the engine's
+        :func:`~repro.simrank.engine._validate_sources`."""
+        return [int(source) for source in _validate_sources(graph, sources)]
 
     def _version_rows(self, version: GraphVersion,
                       nodes: np.ndarray) -> sp.csr_matrix:
@@ -657,18 +647,19 @@ class SimRankService:
         computed by its first exact read.  Nothing here waits for a read:
         a read in flight finishes on the version it started on.  With
         ``store_repaired`` the operator's background writer then stores
-        the repaired full-fidelity snapshot in the operator cache, after
-        which the *cached* rung serves post-update rows without push
-        work.  Before it lands, a query that falls past the exact rung
-        answers ``degraded`` unless the cache already holds an entry for
-        the updated graph (the cached rung matches the served graph's
-        fingerprint, so it never serves a pre-update entry).
+        the repaired full-fidelity snapshot in the operator cache, under
+        the key of the updated graph, after which the *cached* rung
+        serves post-update rows without push work.  Before it lands, a
+        query that falls past the exact rung answers ``degraded`` unless
+        the cache already holds an entry for the updated graph (the
+        cached rung matches the served graph's fingerprint, so it never
+        serves a pre-update entry).
 
         Returns an acknowledgement payload; synchronous repairs include
         the repair telemetry (``num_pushes``, ``repair_seconds``,
         ``warm_start``) and the landed ``version``, and mean the repair
-        landed and the version swapped — not that the chain entry is on
-        disk (:meth:`close` waits for that).  Concurrent updates
+        landed and the version swapped — not that the snapshot entry is
+        on disk (:meth:`close` waits for that).  Concurrent updates
         serialise on an update lock in submission order.
         """
         from repro.graphs.delta import UpdateBatch
@@ -733,19 +724,20 @@ class SimRankService:
             return result, landed
 
     def _record_write_error(self, error: str) -> None:
-        """The operator's chain-write error callback (on its writer thread).
+        """The operator's snapshot-write error callback (on its writer thread).
 
         The repair had already landed; only the cache entry is missing.
         """
         self.last_update_error = error
 
     def close(self) -> None:
-        """Wait for the repair in progress, then drain its chain write.
+        """Wait for the repair in progress, then drain its snapshot write.
 
-        Afterwards the newest landed repair's delta-chained entry is on
-        disk, or its failure is in ``last_update_error``.  The service
-        stays usable; :meth:`repro.serve.daemon.ServeDaemon.server_close`
-        calls this so a stopping daemon drops no entry.
+        Afterwards the newest landed repair's snapshot is on disk, under
+        the key of the served graph, or its failure is in
+        ``last_update_error``.  The service stays usable;
+        :meth:`repro.serve.daemon.ServeDaemon.server_close` calls this so
+        a stopping daemon drops no entry.
         """
         with self._update_lock:
             if self._dynamic_op is not None:

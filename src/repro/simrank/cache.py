@@ -58,22 +58,16 @@ Reuse hits are counted separately (``reuse_hit``) from exact key hits
 (``exact_hit``); :meth:`OperatorCache.stats` reports ``hits`` as their
 sum.
 
-Delta-chained entries
----------------------
-Dynamic repairs (:mod:`repro.dynamic`) store their repaired snapshots
-under a key derived from the *base* graph fingerprint plus the update
-batch's content hash (:meth:`OperatorCache.delta_key_for`), so a warm
-base entry plus a small delta is addressable without the updated CSR.
-Chained entries carry the *updated* graph's fingerprint in their
-metadata and therefore also participate in the ordinary reuse scan and
-row serving for requests on the updated graph — a repaired operator
-satisfies the same ``(1−c)·ε`` contract as a freshly computed one.
-A :class:`repro.dynamic.operator.DynamicOperator` calls
-:meth:`OperatorCache.store_delta` from a background writer thread, after
-its repair has committed, and only for the newest committed state: an
-update stream faster than the writes stores the chain prefixes the
-writer reached, not every prefix.  ``flush()`` on the operator drains
-the writer.
+Repaired snapshots
+------------------
+Dynamic repairs (:mod:`repro.dynamic`) store each repaired snapshot
+through :meth:`OperatorCache.store_delta` under the ordinary key of the
+graph it describes, so exact lookups, the reuse scan and row serving
+find it like a fresh entry, and a graph an update stream revisits keeps
+one entry.  Entries written before this keying sit under a key derived
+from the base graph and the update stream; their metadata records the
+updated graph's fingerprint, so the reuse scan still serves them on
+that graph.
 
 Invalidation and corruption
 ---------------------------
@@ -128,7 +122,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import CACHE_KEY_FIELDS
-from repro.errors import SimRankError
 from repro.graphs.fingerprint import graph_fingerprint, payload_digest
 from repro.graphs.graph import Graph
 from repro.telemetry.metrics import MetricsRegistry
@@ -259,7 +252,8 @@ class OperatorCache:
         self._max_bytes = value
 
     # ------------------------------------------------------------------ #
-    def key_for_fields(self, graph: Graph, fields: Dict[str, object]) -> str:
+    def key_for_fields(self, graph: Graph, fields: Dict[str, object], *,
+                       fingerprint: Optional[str] = None) -> str:
         """Content-addressed key for one operator configuration.
 
         ``fields`` is the mapping produced by
@@ -267,7 +261,8 @@ class OperatorCache:
         derivation of the key tuple.  The cache only *hashes*: it never
         decides what enters the key.  A field set that drifts from
         :data:`repro.config.CACHE_KEY_FIELDS` is rejected so the two
-        modules cannot silently disagree.
+        modules cannot silently disagree.  ``fingerprint``, when the
+        caller already holds ``graph``'s, saves hashing it again.
         """
         if set(fields) != set(CACHE_KEY_FIELDS):
             raise ValueError(
@@ -281,85 +276,23 @@ class OperatorCache:
             del hashed["dtype"]
         return payload_digest({
             "version": CACHE_FORMAT_VERSION,
-            "graph": graph_fingerprint(graph),
+            "graph": fingerprint or graph_fingerprint(graph),
             **hashed,
         })
 
-    def key_for(self, graph: Graph, *, method: str, decay: float,
-                epsilon: Optional[float], top_k: Optional[int],
-                row_normalize: bool, dtype: Optional[str] = None) -> str:
-        """Keyword-argument form of :meth:`key_for_fields` (same key).
+    def store_delta(self, graph: Graph, fields: Dict[str, object],
+                    operator: "SimRankOperator") -> Path:
+        """Persist a repaired operator under the key of ``graph``.
 
-        ``dtype`` uses the key-field encoding: ``None`` for float64 (the
-        reference precision, omitted from the hash), the dtype name
-        otherwise.
+        ``graph`` is the updated graph the repaired ``operator``
+        describes, and ``fields`` its cache-key fields.  The graph is
+        fingerprinted once, for the key and the entry metadata alike, so
+        the entry serves exact lookups, the reuse scan and row serving
+        on that graph: a repaired operator satisfies the same
+        ``(1−c)·ε`` contract as a fresh one.
         """
-        return self.key_for_fields(graph, {
-            "method": method,
-            "decay": decay,
-            "epsilon": epsilon,
-            "top_k": top_k,
-            "row_normalize": row_normalize,
-            "dtype": dtype,
-        })
-
-    def delta_key_for(self, base_fingerprint: str, delta_hash: str,
-                      fields: Dict[str, object]) -> str:
-        """Content-addressed key for a delta-chained (repaired) entry.
-
-        Dynamic repairs (:mod:`repro.dynamic`) key their snapshots off
-        the *base* graph fingerprint plus the update batch's content
-        hash (:meth:`repro.graphs.delta.UpdateBatch.content_hash`)
-        instead of the updated graph's fingerprint, so a process that
-        holds the base graph and the delta can address the repaired
-        operator without materialising the updated CSR first.  The
-        parameter fields are the same
-        :meth:`repro.config.SimRankConfig.cache_key_fields` mapping the
-        plain key uses — rejected on drift, hashed through the shared
-        :func:`repro.graphs.fingerprint.payload_digest` path.
-        """
-        if set(fields) != set(CACHE_KEY_FIELDS):
-            raise ValueError(
-                f"cache key fields must be exactly {sorted(CACHE_KEY_FIELDS)}, "
-                f"got {sorted(fields)}")
-        hashed = dict(fields)
-        if hashed.get("dtype") is None:
-            del hashed["dtype"]
-        return payload_digest({
-            "version": CACHE_FORMAT_VERSION,
-            "base": base_fingerprint,
-            "delta": delta_hash,
-            **hashed,
-        })
-
-    def lookup_delta(self, base_fingerprint: str, delta_hash: str,
-                     fields: Dict[str, object]
-                     ) -> Optional["SimRankOperator"]:
-        """Load the repaired operator chained off ``base + delta``.
-
-        Metadata is verified against ``fields`` exactly as for plain
-        exact-key hits; a hit counts as an ``exact_hit`` and bumps the
-        LRU clock, a miss (or a corrupt/stale file, evicted) counts as a
-        miss.
-        """
-        key = self.delta_key_for(base_fingerprint, delta_hash, fields)
-        expect = {name: value for name, value in fields.items()
-                  if name != "dtype" or value is not None}
-        return self.load(key, expect=expect)
-
-    def store_delta(self, base_fingerprint: str, delta_hash: str,
-                    fields: Dict[str, object],
-                    operator: "SimRankOperator", *,
-                    fingerprint: Optional[str] = None) -> Path:
-        """Persist a repaired operator under its delta-chained key.
-
-        ``fingerprint`` is the *updated* graph's fingerprint — recorded
-        in the entry metadata, so besides the chain addressing the entry
-        also joins the ordinary reuse scan (and row serving) for any
-        later request on the updated graph: a repaired operator
-        satisfies the same ``(1−c)·ε`` contract as a fresh one.
-        """
-        key = self.delta_key_for(base_fingerprint, delta_hash, fields)
+        fingerprint = graph_fingerprint(graph)
+        key = self.key_for_fields(graph, fields, fingerprint=fingerprint)
         return self.store(key, operator, fingerprint=fingerprint)
 
     def path_for(self, key: str) -> Path:
@@ -535,23 +468,6 @@ class OperatorCache:
             row_normalize=bool(meta.get("row_normalize", False)),
         )
 
-    def load(self, key: str, *, expect: Optional[dict] = None
-             ) -> Optional["SimRankOperator"]:
-        """Load the operator stored under ``key``, or ``None`` on a miss.
-
-        ``expect`` maps metadata field names to required values (the
-        resolved request parameters); a mismatch — as well as a version
-        mismatch or any deserialisation failure — evicts the file and
-        counts as a miss.  Exact-key hits bump the LRU clock.
-        """
-        operator = self._load(key, expect=expect)
-        if operator is None:
-            self._count("miss")
-            return None
-        self._count("exact_hit")
-        self._touch_key(key)
-        return operator
-
     # ------------------------------------------------------------------ #
     # Cross-ε / cross-k reuse
     # ------------------------------------------------------------------ #
@@ -613,6 +529,39 @@ class OperatorCache:
         matrix.sort_indices()
         return matrix
 
+    def _closest_dominating(self, fingerprint: str, *, method: str,
+                            decay: float, epsilon: float,
+                            top_k: Optional[int], row_normalize: bool,
+                            dtype: Optional[str]
+                            ) -> Optional[Tuple["SimRankOperator", float]]:
+        """Load the closest stored entry that dominates the request.
+
+        Filters the index with :meth:`_can_serve` and tries the entries
+        closest first: largest ``ε′`` (least over-computation), then
+        smallest sufficient ``k′`` (least to load and re-prune), then
+        most recently used.  An entry :meth:`_load` evicts (corrupt on
+        disk) is skipped for the next.  Returns the loaded entry and its
+        ``ε′`` after advancing its LRU clock, or ``None``; counting the
+        hit or miss is the caller's.
+        """
+        index = self._sync_index(self._load_index())
+        candidates = [
+            (key, entry) for key, entry in index["entries"].items()
+            if self._can_serve(entry, fingerprint=fingerprint, method=method,
+                               decay=decay, epsilon=epsilon, top_k=top_k,
+                               row_normalize=row_normalize, dtype=dtype)
+        ]
+        candidates.sort(key=lambda item: (
+            -float(item[1]["epsilon"]),
+            float("inf") if item[1]["top_k"] is None else item[1]["top_k"],
+            -int(item[1].get("last_used", 0))))
+        for key, entry in candidates:
+            candidate = self._load(key)
+            if candidate is not None:
+                self._touch_key(key, sync=True)
+                return candidate, float(entry["epsilon"])
+        return None
+
     def lookup(self, graph: Graph, *, method: str, decay: float,
                epsilon: Optional[float], top_k: Optional[int],
                row_normalize: bool, dtype: Optional[str] = None,
@@ -621,22 +570,22 @@ class OperatorCache:
         """Serve a request from the cache, by exact key or by reuse.
 
         The exact key is tried first (an ``exact_hit``).  On a miss, if
-        the request is a LocalPush operator, the index is scanned for an
-        entry computed at a tighter ``ε′ ≤ ε`` with ``k′ ≥ k`` on the
-        same graph/decay; the closest dominating entry (largest ``ε′``,
-        then smallest sufficient ``k′``) is re-pruned to the requested
+        the request is a LocalPush operator, the closest entry computed
+        at a tighter ``ε′ ≤ ε`` with ``k′ ≥ k`` on the same graph/decay
+        (:meth:`_closest_dominating`) is re-pruned to the requested
         contract and served as a ``reuse_hit``.  Anything else is a miss.
         """
-        key = self.key_for(graph, method=method, decay=decay, epsilon=epsilon,
-                           top_k=top_k, row_normalize=row_normalize,
-                           dtype=dtype)
-        expect: Dict[str, object] = {
+        from repro.simrank.topk import SimRankOperator
+
+        fields: Dict[str, object] = {
             "method": method, "decay": decay, "epsilon": epsilon,
-            "top_k": top_k, "row_normalize": row_normalize}
-        if dtype is not None:
-            # float64 entries carry no dtype marker in their metadata,
-            # so float64 requests skip the check.
-            expect["dtype"] = dtype
+            "top_k": top_k, "row_normalize": row_normalize, "dtype": dtype}
+        fingerprint = fingerprint or graph_fingerprint(graph)
+        key = self.key_for_fields(graph, fields, fingerprint=fingerprint)
+        # float64 entries carry no dtype marker in their metadata, so
+        # float64 requests skip the check.
+        expect = {name: value for name, value in fields.items()
+                  if name != "dtype" or value is not None}
         exact = self._load(key, expect=expect)
         if exact is not None:
             self._count("exact_hit")
@@ -644,35 +593,15 @@ class OperatorCache:
             return exact
 
         if method == "localpush" and epsilon is not None:
-            index = self._sync_index(self._load_index())
-            fingerprint = fingerprint or graph_fingerprint(graph)
-            candidates = [
-                (candidate_key, entry)
-                for candidate_key, entry in index["entries"].items()
-                if self._can_serve(entry, fingerprint=fingerprint,
-                                   method=method, decay=decay,
-                                   epsilon=epsilon, top_k=top_k,
-                                   row_normalize=row_normalize,
-                                   dtype=dtype)
-            ]
-            # Closest dominating entry first: largest ε′ (least
-            # over-computation), then smallest sufficient k′ (least to
-            # load and re-prune), then most recently used.
-            candidates.sort(key=lambda item: (
-                -float(item[1]["epsilon"]),
-                float("inf") if item[1]["top_k"] is None else item[1]["top_k"],
-                -int(item[1].get("last_used", 0))))
-            for candidate_key, entry in candidates:
-                candidate = self._load(candidate_key)
-                if candidate is None:
-                    continue  # corrupt on disk; evicted, try the next
+            served = self._closest_dominating(
+                fingerprint, method=method, decay=decay, epsilon=epsilon,
+                top_k=top_k, row_normalize=row_normalize, dtype=dtype)
+            if served is not None:
+                candidate = served[0]
                 matrix = self._reprune(candidate, epsilon=epsilon,
                                        top_k=top_k,
                                        row_normalize=row_normalize)
                 self._count("reuse_hit")
-                self._touch_key(candidate_key, sync=True)
-                from repro.simrank.topk import SimRankOperator
-
                 return SimRankOperator(
                     matrix=matrix,
                     method=method,
@@ -697,13 +626,14 @@ class OperatorCache:
         """Serve one row of a LocalPush operator from any dominating entry.
 
         A cached all-pairs entry answers any single-source request
-        without recompute: the index is scanned with the same dominance
-        relation as :meth:`lookup` (same graph fingerprint, decay and
-        normalisation flag; ``ε′ ≤ ε``; ``k′ ≥ k``), row ``source`` of
-        the closest dominating entry is sliced out and re-pruned to the
-        requested contract with the exact :meth:`_reprune` semantics
+        without recompute: the closest entry that dominates the request
+        (:meth:`_closest_dominating`, the relation :meth:`lookup` uses)
+        is loaded, and its row ``source`` is sliced out and re-pruned to
+        the requested contract with the exact :meth:`_reprune` semantics
         (``top_k_per_row(..., keep_diagonal=True)`` / ``ε/10`` floor /
-        re-normalisation), applied to the single row.
+        re-normalisation), applied to the single row.  ``source`` is
+        checked like every single-source query's node id
+        (:func:`repro.simrank.engine._validate_sources`).
 
         Returns ``(row, entry_epsilon)`` — the ``1×n`` CSR row and the
         ``ε′`` the stored entry was computed at (the error bound the
@@ -712,47 +642,33 @@ class OperatorCache:
         """
         import dataclasses
 
+        from repro.simrank.engine import _validate_sources
+
+        row = int(_validate_sources(graph, [source])[0])
         n = graph.num_nodes
-        if not 0 <= int(source) < n:
-            raise SimRankError(
-                f"source node {source} out of range for a graph "
-                f"with {n} nodes")
-        index = self._sync_index(self._load_index())
-        fingerprint = fingerprint or graph_fingerprint(graph)
-        candidates = [
-            (candidate_key, entry)
-            for candidate_key, entry in index["entries"].items()
-            if self._can_serve(entry, fingerprint=fingerprint,
-                               method="localpush", decay=decay,
-                               epsilon=epsilon, top_k=top_k,
-                               row_normalize=row_normalize, dtype=dtype)
-        ]
-        candidates.sort(key=lambda item: (
-            -float(item[1]["epsilon"]),
-            float("inf") if item[1]["top_k"] is None else item[1]["top_k"],
-            -int(item[1].get("last_used", 0))))
-        for candidate_key, entry in candidates:
-            candidate = self._load(candidate_key)
-            if candidate is None:
-                continue  # corrupt on disk; evicted, try the next
-            # Embed the sliced row back at its original index so the
-            # shared re-prune semantics (keep_diagonal targets column
-            # ``source``) apply unchanged; every re-prune step is
-            # row-independent, so this equals slicing a fully re-pruned
-            # operator at O(row) cost instead of O(nnz).
-            sliced = sp.csr_matrix(candidate.matrix).getrow(int(source))
-            indptr = np.zeros(n + 1, dtype=sliced.indptr.dtype)
-            indptr[int(source) + 1:] = sliced.nnz
-            embedded = sp.csr_matrix(
-                (sliced.data, sliced.indices, indptr), shape=(n, n))
-            matrix = self._reprune(
-                dataclasses.replace(candidate, matrix=embedded),
-                epsilon=epsilon, top_k=top_k, row_normalize=row_normalize)
-            self._count("row_hit")
-            self._touch_key(candidate_key, sync=True)
-            return matrix.getrow(int(source)), float(entry["epsilon"])
-        self._count("row_miss")
-        return None
+        served = self._closest_dominating(
+            fingerprint or graph_fingerprint(graph), method="localpush",
+            decay=decay, epsilon=epsilon, top_k=top_k,
+            row_normalize=row_normalize, dtype=dtype)
+        if served is None:
+            self._count("row_miss")
+            return None
+        candidate, entry_epsilon = served
+        # Embed the sliced row back at its original index so the shared
+        # re-prune semantics (keep_diagonal targets column ``row``) apply
+        # unchanged; every re-prune step is row-independent, so this
+        # equals slicing a fully re-pruned operator at O(row) cost
+        # instead of O(nnz).
+        sliced = sp.csr_matrix(candidate.matrix).getrow(row)
+        indptr = np.zeros(n + 1, dtype=sliced.indptr.dtype)
+        indptr[row + 1:] = sliced.nnz
+        embedded = sp.csr_matrix(
+            (sliced.data, sliced.indices, indptr), shape=(n, n))
+        matrix = self._reprune(
+            dataclasses.replace(candidate, matrix=embedded),
+            epsilon=epsilon, top_k=top_k, row_normalize=row_normalize)
+        self._count("row_hit")
+        return matrix.getrow(row), entry_epsilon
 
     # ------------------------------------------------------------------ #
     def store(self, key: str, operator: "SimRankOperator", *,

@@ -59,6 +59,7 @@ from repro.simrank.kernels import (DTYPES, FusedRoundState, shard_bounds,
                                    working_dtype)
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
+from repro.utils.validation import is_integral
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.simrank.localpush import LocalPushResult
@@ -541,7 +542,20 @@ class SingleSourceResult:
 
 
 def _validate_sources(graph: Graph, sources: Sequence[int]) -> np.ndarray:
-    source_array = np.asarray(list(sources), dtype=np.int64)
+    """The node ids ``sources`` as an int64 array, each checked first.
+
+    The one node-id check of every single-source query (the engine,
+    ``repro.api``, the cached-row lookup and the serving ladder).  Each
+    id must be integral (:func:`repro.utils.validation.is_integral`:
+    ``3.7``, ``True`` and ``"3"`` are rejected, never truncated or
+    parsed) and in ``[0, n)``; anything else, or no id at all, raises
+    :class:`SimRankError`.
+    """
+    ids = list(sources)
+    for source in ids:
+        if not is_integral(source):
+            raise SimRankError(f"node ids must be integers, got {source!r}")
+    source_array = np.asarray(ids, dtype=np.int64)
     if source_array.ndim != 1 or source_array.size == 0:
         raise SimRankError("sources must be a non-empty sequence of node ids")
     n = graph.num_nodes

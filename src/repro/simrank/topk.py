@@ -102,7 +102,8 @@ def simrank_operator(graph: Graph,
     timer.start()
     if cache_store is not None:
         fingerprint = graph_fingerprint(graph)
-        key = cache_store.key_for_fields(graph, key_fields)
+        key = cache_store.key_for_fields(graph, key_fields,
+                                         fingerprint=fingerprint)
         cached = cache_store.lookup(graph, fingerprint=fingerprint,
                                     **key_fields)
         if cached is not None:

@@ -35,11 +35,11 @@ Span names are dotted ``layer.operation``:
                              default engine hook, ``pushes``
 ``dynamic.repair``           one update-batch repair, attrs ``batch_size``/
                              ``num_pushes``/``num_rounds``/``warm_start``
-``dynamic.chain_write``      one delta-chain snapshot projection + store,
+``dynamic.snapshot_write``   one repaired-snapshot projection + store,
                              a root span on the operator's writer thread;
-                             attrs ``chain_length``/``superseded`` (states
-                             dropped since the last write), plus ``error``
-                             when the write failed
+                             attr ``superseded`` (states dropped since the
+                             last write), plus ``error`` when the write
+                             failed
 ``experiment.cell``          one sweep cell, attrs ``index``/``experiment``;
                              child ``experiment.cell.run`` is the runner call
 ===========================  ====================================================

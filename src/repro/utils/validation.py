@@ -7,12 +7,13 @@ import scipy.sparse as sp
 
 
 def is_integral(value: object) -> bool:
-    """Whether ``value`` is an integral number, ``bool`` excluded.
+    """Whether ``value`` is an integral number, booleans excluded.
 
-    ``3``, ``3.0`` and ``np.int64(3)`` qualify; ``0.9``, ``True`` and the
-    string ``"5"`` do not — nothing is truncated or parsed.
+    ``3``, ``3.0`` and ``np.int64(3)`` qualify; ``0.9``, ``True``,
+    ``np.True_`` and the string ``"5"`` do not — nothing is truncated or
+    parsed.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return False
     try:
         return int(value) == value  # type: ignore[call-overload]

@@ -143,19 +143,19 @@ class TestCacheKeyFields:
             assert plain.cache_key_fields(num_nodes) == \
                 pooled.cache_key_fields(num_nodes)
 
-    def test_key_for_matches_cache_key_fields(self, small_heterophilous_graph,
-                                              tmp_path):
-        """The cache's keyword key derivation and the config derivation
-        hash to the same on-disk key."""
+    def test_operator_is_stored_under_its_cache_key_fields(
+            self, small_heterophilous_graph, tmp_path):
+        """``simrank_operator`` writes its entry exactly where the one key
+        derivation, ``key_for_fields`` over ``cache_key_fields``, points."""
+        graph = small_heterophilous_graph
         cache = get_operator_cache(tmp_path / "keys")
-        n = small_heterophilous_graph.num_nodes
-        config = SimRankConfig(method="localpush", epsilon=0.1, top_k=8)
-        keyword_key = cache.key_for(
-            small_heterophilous_graph, method="localpush", decay=0.6,
-            epsilon=0.1, top_k=8, row_normalize=False)
-        config_key = cache.key_for_fields(
-            small_heterophilous_graph, config.cache_key_fields(n))
-        assert keyword_key == config_key
+        config = SimRankConfig(method="localpush", epsilon=0.1, top_k=8,
+                               cache_dir=str(cache.directory))
+        simrank_operator(graph, config=config)
+        key = cache.key_for_fields(
+            graph, config.cache_key_fields(graph.num_nodes))
+        assert [path.name for path in cache.directory.glob("simrank-*.npz")] \
+            == [cache.path_for(key).name]
 
 
 class TestFromCliArgs:

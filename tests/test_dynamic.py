@@ -4,9 +4,10 @@ The repaired operator must satisfy the same ``(1−c)·ε`` residual bound —
 and hence the same ``< ε`` estimate bound against the dense
 ``linearized_simrank`` oracle — as a fresh recompute, for every update
 kind (insert/delete/reweight), for component merges and splits, and
-under every worker count.  The cache chapter pins the delta-chained entry
-round-trip that lets a warm base entry + a small delta skip the full
-precompute.
+under every worker count.  The cache chapter pins that every repaired
+snapshot is stored under the ordinary key of the graph it describes, so
+any stream that reaches a cached graph replays it without push work and
+a stream that revisits a graph rewrites that graph's entry.
 """
 
 import gc
@@ -21,11 +22,12 @@ from _simrank_fixtures import disconnected, erdos_renyi, weighted
 from repro.api import apply_updates
 from repro.config import DynamicConfig, SimRankConfig
 from repro.dynamic import DynamicOperator, RepairResult
+from repro.dynamic.operator import maintained_fields
 from repro.errors import ConfigError, GraphError, SimRankError
 from repro.graphs.delta import DELTA_KINDS, GraphDelta, UpdateBatch
 from repro.graphs.fingerprint import graph_fingerprint, payload_digest
 from repro.graphs.graph import Graph
-from repro.simrank.cache import get_operator_cache
+from repro.simrank.cache import CACHE_FORMAT_VERSION, get_operator_cache
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.topk import simrank_operator
 from repro.telemetry import SpanRecorder, Telemetry
@@ -90,8 +92,8 @@ class TestGraphDelta:
         with pytest.raises(GraphError):
             GraphDelta(**bad)
 
-    @pytest.mark.parametrize("endpoint", [0.9, True, "5"],
-                             ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("endpoint", [0.9, True, np.True_, "5"],
+                             ids=["fraction", "bool", "numpy-bool", "string"])
     def test_non_integral_endpoints_are_rejected(self, endpoint):
         # Never truncated or parsed: 0.9 is not node 0, True not node 1,
         # "5" not node 5.
@@ -122,17 +124,9 @@ class TestUpdateBatch:
     def test_concatenation_and_touched_nodes(self):
         first = UpdateBatch((GraphDelta("insert", 0, 1),))
         second = UpdateBatch((GraphDelta("delete", 2, 3),))
-        combined = first + second
+        combined = UpdateBatch(first.deltas + second.deltas)
         assert len(combined) == 2
         assert tuple(combined.touched_nodes()) == (0, 1, 2, 3)
-
-    def test_content_hash_is_order_sensitive_and_stable(self):
-        a = GraphDelta("insert", 0, 1)
-        b = GraphDelta("insert", 2, 3)
-        assert (UpdateBatch((a, b)).content_hash()
-                == UpdateBatch((a, b)).content_hash())
-        assert (UpdateBatch((a, b)).content_hash()
-                != UpdateBatch((b, a)).content_hash())
 
     def test_round_trips_through_dict(self):
         batch = UpdateBatch((GraphDelta("insert", 0, 1),
@@ -236,7 +230,6 @@ class TestRepairEquivalence:
             operator.apply(batch)
             assert oracle_error(operator) < EPSILON
         assert operator.updates_applied == 3
-        assert len(operator.chain) == 6
 
     def test_component_merge(self):
         graph = disconnected()  # two ER components + isolated nodes
@@ -308,9 +301,21 @@ class TestWorkerEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Cache integration: warm start + delta chain
+# Cache integration: warm start + graph-keyed repaired snapshots
 # --------------------------------------------------------------------- #
-class TestDeltaChainedCache:
+def snapshot_path(cache, graph):
+    """Where the maintained-contract entry of ``graph`` lives."""
+    fields = maintained_fields(CONFIG, graph.num_nodes)
+    return cache.path_for(cache.key_for_fields(graph, fields))
+
+
+def assert_bitwise_equal(expected, actual):
+    assert np.array_equal(expected.indptr, actual.indptr)
+    assert np.array_equal(expected.indices, actual.indices)
+    assert np.array_equal(expected.data, actual.data)
+
+
+class TestRepairedSnapshotCache:
     def test_warm_base_entry_skips_the_full_build(self, tmp_path):
         graph = erdos_renyi(50, 0.1, seed=10)
         cache = get_operator_cache(tmp_path)
@@ -326,31 +331,35 @@ class TestDeltaChainedCache:
         assert result.warm_start == "reconstructed"
         assert oracle_error(operator) < EPSILON
 
-    def test_chain_round_trip_and_miss(self, tmp_path):
+    def test_snapshot_round_trip_and_miss(self, tmp_path):
         graph = erdos_renyi(40, 0.1, seed=11)
         cache = get_operator_cache(tmp_path)
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[1]),))
         operator = DynamicOperator(graph, simrank=CONFIG, cache=cache)
         operator.apply(batch)
         assert operator.flush() is None
+        # The one entry is the updated graph's, under its ordinary key.
+        assert len(cache) == 1
+        assert snapshot_path(cache, operator.graph).exists()
 
-        chained = DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
-                                             cache=cache)
-        assert chained is not None
-        assert chained.build_cache_hit and chained.build_pushes == 0
-        assert np.array_equal(chained.operator().matrix.toarray(),
+        replayed = DynamicOperator(operator.graph, simrank=CONFIG,
+                                   cache=cache)
+        assert replayed.build_cache_hit and replayed.build_pushes == 0
+        assert replayed.updates_applied == 0
+        assert np.array_equal(replayed.operator().matrix.toarray(),
                               operator.operator().matrix.toarray())
-        # a chained operator keeps accepting updates (reconstruction path)
-        follow_up = chained.apply(
-            GraphDelta("insert", *absent_pairs(chained.graph)[4]))
+        # a replayed operator keeps accepting updates (reconstruction path)
+        follow_up = replayed.apply(
+            GraphDelta("insert", *absent_pairs(replayed.graph)[4]))
         assert follow_up.warm_start == "reconstructed"
-        assert oracle_error(chained) < EPSILON
+        assert replayed.flush() is None
+        assert oracle_error(replayed) < EPSILON
 
         other = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[7]),))
-        assert DynamicOperator.from_chain(graph, other, simrank=CONFIG,
-                                          cache=cache) is None
-        assert DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
-                                          cache=None) is None
+        assert not snapshot_path(cache, graph.apply_delta(other)).exists()
+        uncached = apply_updates(graph, batch, config=CONFIG)
+        assert not uncached.build_cache_hit
+        assert uncached.updates_applied == 1
 
     def test_store_repaired_false_writes_nothing(self, tmp_path):
         graph = erdos_renyi(30, 0.12, seed=12)
@@ -362,8 +371,8 @@ class TestDeltaChainedCache:
         operator.apply(batch)
         assert operator.flush() is None
         assert cache.stats()["stores"] == 0
-        assert DynamicOperator.from_chain(graph, batch, simrank=CONFIG,
-                                          cache=cache) is None
+        assert len(cache) == 0
+        assert not snapshot_path(cache, operator.graph).exists()
 
     def test_latest_state_wins_and_the_write_in_flight_completes(
             self, tmp_path, monkeypatch):
@@ -383,31 +392,74 @@ class TestDeltaChainedCache:
         operator = DynamicOperator(graph, simrank=CONFIG, cache=cache,
                                    telemetry=handle)
         pairs = absent_pairs(graph)
-        batches = [UpdateBatch((GraphDelta("insert", *pairs[i]),))
-                   for i in (0, 3, 6)]
-        operator.apply(batches[0])
+        deltas = [GraphDelta("insert", *pairs[i]) for i in (0, 3, 6)]
+        operator.apply(deltas[0])
         assert entered.wait(timeout=30)  # the first write is in flight
-        operator.apply(batches[1])  # waits in the slot …
-        operator.apply(batches[2])  # … and is superseded here
+        operator.apply(deltas[1])  # waits in the slot …
+        operator.apply(deltas[2])  # … and is superseded here
         release.set()
         assert operator.flush() is None
         assert cache.stats()["stores"] == 2
-        assert [(span["attributes"]["chain_length"],
-                 span["attributes"]["superseded"])
+        assert [span["attributes"]["superseded"]
                 for span in handle.recorder.spans()
-                if span["name"] == "dynamic.chain_write"] == [(1, 0), (3, 1)]
+                if span["name"] == "dynamic.snapshot_write"] == [0, 1]
 
-        assert DynamicOperator.from_chain(
-            graph, batches[0] + batches[1], simrank=CONFIG,
-            cache=cache) is None
-        chained = DynamicOperator.from_chain(graph, operator.chain,
-                                             simrank=CONFIG, cache=cache)
-        assert chained is not None
-        expected = operator.operator().matrix
-        actual = chained.operator().matrix
-        assert np.array_equal(expected.indptr, actual.indptr)
-        assert np.array_equal(expected.indices, actual.indices)
-        assert np.array_equal(expected.data, actual.data)
+        assert snapshot_path(cache, graph.apply_delta(deltas[:1])).exists()
+        assert not snapshot_path(cache, graph.apply_delta(deltas[:2])).exists()
+        replayed = apply_updates(graph, deltas, config=CONFIG, cache=cache)
+        assert replayed.build_cache_hit and replayed.repair_pushes == 0
+        assert_bitwise_equal(operator.operator().matrix,
+                             replayed.operator().matrix)
+
+    def test_a_revisited_graph_rewrites_its_one_entry(self, tmp_path):
+        graph = erdos_renyi(30, 0.12, seed=19)
+        cache = get_operator_cache(tmp_path)
+        pair = absent_pairs(graph)[0]
+        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache)
+        for step in range(100):
+            kind = "delete" if step % 2 else "insert"
+            operator.apply(GraphDelta(kind, *pair))
+            assert operator.flush() is None
+        assert cache.stats()["stores"] == 100
+        assert len(list(tmp_path.glob("simrank-*.npz"))) == 2
+        assert snapshot_path(cache, graph).exists()
+
+    def test_an_entry_under_a_foreign_key_still_warm_starts(self, tmp_path):
+        """An entry keyed by the base graph plus the update stream — the
+        shape written before snapshots were keyed by their own graph —
+        still serves its graph through the reuse scan, because its
+        metadata records that graph's fingerprint."""
+        graph = erdos_renyi(40, 0.1, seed=20)
+        batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[2]),))
+        repaired = DynamicOperator(graph, simrank=CONFIG)
+        repaired.apply(batch)
+        updated = repaired.graph
+        fields = maintained_fields(CONFIG, graph.num_nodes)
+        foreign_key = payload_digest({
+            "version": CACHE_FORMAT_VERSION,
+            "base": graph_fingerprint(graph),
+            "delta": payload_digest({"version": 1, "deltas": [
+                delta.to_dict() for delta in batch]}),
+            **{name: value for name, value in fields.items()
+               if name != "dtype"}})
+        cache = get_operator_cache(tmp_path)
+        # CONFIG's serving contract is the maintained one.
+        cache.store(foreign_key, repaired.operator(),
+                    fingerprint=graph_fingerprint(updated))
+
+        warm = DynamicOperator(updated, simrank=CONFIG, cache=cache)
+        assert warm.build_cache_hit and warm.build_pushes == 0
+        assert cache.stats()["reuse_hits"] == 1
+        assert_bitwise_equal(repaired.operator().matrix,
+                             warm.operator().matrix)
+
+        # apply_updates derives no foreign key: it repairs once and
+        # writes the graph-keyed entry, which the next call replays.
+        first = apply_updates(graph, batch, config=CONFIG, cache=cache)
+        assert first.updates_applied == 1 and first.repair_pushes > 0
+        assert snapshot_path(cache, updated).exists()
+        second = apply_updates(graph, batch, config=CONFIG, cache=cache)
+        assert second.build_cache_hit and second.repair_pushes == 0
 
     def test_no_writer_thread_outlives_its_work(self, tmp_path):
         graph = erdos_renyi(30, 0.12, seed=17)
@@ -442,10 +494,14 @@ class TestDeltaChainedCache:
         assert operator.updates_applied == 1
         assert oracle_error(operator) < EPSILON
 
-    def test_delta_key_validates_fields(self, tmp_path):
+    def test_key_validates_fields(self, tmp_path):
         cache = get_operator_cache(tmp_path / "keys")
+        graph = erdos_renyi(10, 0.3, seed=1)
+        fields = maintained_fields(CONFIG, graph.num_nodes)
         with pytest.raises(ValueError):
-            cache.delta_key_for("base", "delta", {"method": "localpush"})
+            cache.key_for_fields(graph, {"method": "localpush"})
+        with pytest.raises(ValueError):
+            cache.key_for_fields(graph, {**fields, "workers": 2})
 
 
 # --------------------------------------------------------------------- #
@@ -488,6 +544,33 @@ class TestApplyUpdatesFacade:
         assert second.repair_pushes == 0
         assert np.array_equal(first.operator().matrix.toarray(),
                               second.operator().matrix.toarray())
+
+    def test_a_reordered_stream_replays(self, tmp_path):
+        graph = erdos_renyi(40, 0.1, seed=22)
+        config = CONFIG.with_overrides(cache_dir=str(tmp_path))
+        pairs = absent_pairs(graph)
+        a, b = GraphDelta("insert", *pairs[0]), GraphDelta("insert", *pairs[9])
+        first = apply_updates(graph, [a, b], config=config)
+        assert not first.build_cache_hit and first.repair_pushes > 0
+        second = apply_updates(graph, [b, a], config=config)
+        assert second.build_cache_hit
+        assert second.build_pushes == 0 and second.repair_pushes == 0
+        # Nothing was repaired in the replayed operator.
+        assert second.updates_applied == 0
+        assert_bitwise_equal(first.operator().matrix,
+                             second.operator().matrix)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache"])
+    def test_a_one_shot_iterable_of_deltas_is_applied(self, tmp_path,
+                                                      cached):
+        graph = erdos_renyi(40, 0.1, seed=14)
+        delta = GraphDelta("insert", *absent_pairs(graph)[0])
+        cache = get_operator_cache(tmp_path) if cached else None
+        operator = apply_updates(graph, iter([delta]), config=CONFIG,
+                                 cache=cache)
+        assert operator.updates_applied == 1
+        assert operator.graph.num_edges == graph.num_edges + 1
 
 
 class TestDynamicConfig:

@@ -136,6 +136,15 @@ REMOVED_NAMES = {
     "stream_top_k": r"\bstream_top_k\b",
     "streaming_prune": r"\bstreaming_prune\b",
     "single_pair_localpush": r"\bsingle_pair_localpush\b",
+    # A repaired snapshot is cached under the key of the graph it
+    # describes: no delta-chain key, no per-operator update chain.
+    "delta_key_for": r"\bdelta_key_for\b",
+    "lookup_delta": r"\blookup_delta\b",
+    "from_chain": r"\bfrom_chain\b",
+    "content_hash": r"\bcontent_hash\b",
+    "DELTA_FORMAT_VERSION": r"\bDELTA_FORMAT_VERSION\b",
+    "chain_length": r"\bchain_length\b",
+    "chain_write": r"\bchain_write\b",
 }
 
 

@@ -39,6 +39,7 @@ import pytest
 
 from _simrank_fixtures import disconnected as _disconnected
 from _simrank_fixtures import erdos_renyi as _erdos_renyi
+from repro.api import apply_updates as api_apply_updates
 from repro.api import score as api_score
 from repro.api import topk as api_topk
 from repro.config import ServeConfig, SimRankConfig
@@ -281,7 +282,22 @@ class TestDegradationLadder:
             service.topk(graph.num_nodes)
         with pytest.raises(SimRankError):
             service.topk_batch([])
+        # Never truncated or parsed: 3.7 is not node 3, True not node 1.
+        for source in (3.7, True, np.True_, "3"):
+            with pytest.raises(SimRankError):
+                service.topk(source)
+            with pytest.raises(SimRankError):
+                service.score(0, source)
         _counters(service)  # nothing counted
+
+    def test_a_numpy_integer_is_the_node_it_names(self, graph):
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
+        assert service.topk(np.int64(3), k=5).entries \
+            == service.topk(3, k=5).entries \
+            == api_topk(graph, 3, 5, SimRankConfig(epsilon=0.1))
+        answer = service.score(np.int64(3), np.int64(7))
+        assert (answer.u, answer.v) == (3, 7)
+        assert answer.value == service.score(3, 7).value
 
 
 class TestQueryBatcher:
@@ -793,7 +809,7 @@ def _waiting_in(thread, caller):
 
 
 class TestChainStoreFailure:
-    """A failed delta-chain cache write must not wedge the service."""
+    """A failed snapshot cache write must not wedge the service."""
 
     @pytest.mark.parametrize("wait", [False, True],
                              ids=["background", "wait"])
@@ -843,7 +859,7 @@ class TestChainStoreFailure:
 
 
 class TestChainWriteWindow:
-    """Between the swap and the chain write, the cached rung has no row."""
+    """Between the swap and the snapshot write, the cached rung has no row."""
 
     def test_query_answers_degraded_until_the_write_lands(
             self, graph, tmp_path, monkeypatch):
@@ -925,12 +941,12 @@ class TestConcurrentUpdatesAndQueries:
         assert service.counters.to_dict()["updates_applied"] == sent
         assert service.last_update_error is None
         operator = service._dynamic_op
-        assert len(operator.chain) == sent
-        chained = DynamicOperator.from_chain(graph, operator.chain,
-                                             simrank=config)
-        assert chained is not None
+        assert operator.updates_applied == sent
+        # The newest state was written last, under its graph's key.
+        replayed = DynamicOperator(operator.graph, simrank=config)
+        assert replayed.build_cache_hit and replayed.build_pushes == 0
         expected = operator.operator().matrix
-        actual = chained.operator().matrix
+        actual = replayed.operator().matrix
         assert np.array_equal(expected.indptr, actual.indptr)
         assert np.array_equal(expected.indices, actual.indices)
         assert np.array_equal(expected.data, actual.data)
@@ -938,7 +954,8 @@ class TestConcurrentUpdatesAndQueries:
 
 
 class TestServeProcessStop:
-    def test_sigterm_drains_the_chain_write_and_exits_zero(self, tmp_path):
+    def test_sigterm_drains_the_snapshot_write_and_exits_zero(self,
+                                                              tmp_path):
         import repro
         from repro.datasets.registry import load_dataset
 
@@ -973,9 +990,10 @@ class TestServeProcessStop:
                 process.kill()
                 process.wait(timeout=10)
             process.stdout.close()
-        assert DynamicOperator.from_chain(
-            graph, batch, simrank=SimRankConfig(cache_dir=str(cache_dir))
-        ) is not None
+        replayed = api_apply_updates(
+            graph, batch, config=SimRankConfig(cache_dir=str(cache_dir)))
+        assert replayed.build_cache_hit
+        assert replayed.build_pushes == 0 and replayed.repair_pushes == 0
         assert list(cache_dir.glob("*.tmp*")) == []
 
 

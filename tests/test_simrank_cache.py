@@ -116,22 +116,27 @@ class TestCounters:
 
 
 class TestKeying:
+    FIELDS = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
+                  row_normalize=False, dtype=None)
+
     def test_key_varies_per_parameter(self, graph, cache):
-        base = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                    row_normalize=False)
-        reference = cache.key_for(graph, **base)
+        reference = cache.key_for_fields(graph, self.FIELDS)
         for variation in (dict(epsilon=0.05), dict(decay=0.7), dict(top_k=16),
                           dict(top_k=None), dict(dtype="float32"),
                           dict(method="series"), dict(row_normalize=True)):
-            assert cache.key_for(graph, **{**base, **variation}) != reference
+            assert cache.key_for_fields(
+                graph, {**self.FIELDS, **variation}) != reference
 
     def test_key_varies_per_graph(self, graph, cache):
         other = generate_synthetic_graph(SyntheticGraphConfig(
             num_nodes=120, num_classes=3, num_features=4, average_degree=6.0,
             homophily=0.3, name="cache-sbm"), seed=1)
-        params = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                      row_normalize=False)
-        assert cache.key_for(graph, **params) != cache.key_for(other, **params)
+        assert (cache.key_for_fields(graph, self.FIELDS)
+                != cache.key_for_fields(other, self.FIELDS))
+        # A fingerprint the caller already holds names the same key.
+        assert cache.key_for_fields(other, self.FIELDS) == \
+            cache.key_for_fields(graph, self.FIELDS,
+                                 fingerprint=graph_fingerprint(other))
 
     def test_registry_shares_instances_and_counters(self, tmp_path):
         first = get_operator_cache(tmp_path / "shared")

@@ -261,7 +261,7 @@ class TestQueryLocality:
 
 
 class TestValidation:
-    def test_out_of_range_source_rejected(self, tiny_graph):
+    def test_out_of_range_source_rejected(self, tiny_graph, tmp_path):
         with pytest.raises(SimRankError):
             single_source_localpush(tiny_graph, tiny_graph.num_nodes,
                                     epsilon=0.1)
@@ -269,6 +269,34 @@ class TestValidation:
             single_source_localpush(tiny_graph, -1, epsilon=0.1)
         with pytest.raises(SimRankError):
             api.score(tiny_graph, 0, tiny_graph.num_nodes, QUERY_CONFIG)
+        # A non-integral id is rejected, never truncated or parsed — also
+        # when a cached all-pairs entry could answer the truncated id.
+        cached = QUERY_CONFIG.with_overrides(cache_dir=str(tmp_path))
+        api.precompute(tiny_graph, cached)
+        for config in (QUERY_CONFIG, cached):
+            for source in (3.7, True, np.True_, "3"):
+                with pytest.raises(SimRankError):
+                    single_source_localpush(tiny_graph, source, epsilon=0.1)
+                with pytest.raises(SimRankError):
+                    api.topk(tiny_graph, source, 3, config)
+                with pytest.raises(SimRankError):
+                    api.score(tiny_graph, source, 0, config)
+                with pytest.raises(SimRankError):
+                    api.score(tiny_graph, 0, source, config)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["engine", "cached-row"])
+    def test_a_numpy_integer_is_the_node_it_names(self, tiny_graph,
+                                                  tmp_path, cached):
+        config = QUERY_CONFIG
+        if cached:
+            config = config.with_overrides(cache_dir=str(tmp_path))
+            api.precompute(tiny_graph, config)
+        n = tiny_graph.num_nodes
+        assert api.topk(tiny_graph, np.int64(3), n, config) \
+            == api.topk(tiny_graph, 3, n, config)
+        assert api.score(tiny_graph, np.int64(3), np.int64(4), config) \
+            == api.score(tiny_graph, 3, 4, config)
 
     def test_empty_sources_rejected(self, tiny_graph):
         with pytest.raises(SimRankError):

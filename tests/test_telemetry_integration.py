@@ -257,8 +257,8 @@ class TestDynamicTelemetry:
         assert attrs["num_rounds"] == result.num_rounds
         assert attrs["warm_start"] == result.warm_start
 
-    def test_chain_write_span_carries_provenance(self, graph, tmp_path,
-                                                 monkeypatch):
+    def test_snapshot_write_span_carries_provenance(self, graph, tmp_path,
+                                                    monkeypatch):
         handle = _enabled(tmp_path)
         cache = get_operator_cache(tmp_path / "operators")
         operator = DynamicOperator(graph, simrank=SimRankConfig(epsilon=0.1),
@@ -274,11 +274,10 @@ class TestDynamicTelemetry:
         operator.apply([GraphDelta("delete", u, v)])
         error = operator.flush()
         spans = [span for span in handle.recorder.spans()
-                 if span["name"] == "dynamic.chain_write"]
+                 if span["name"] == "dynamic.snapshot_write"]
         assert [span["parent_id"] for span in spans] == [None, None]
         assert [span["attributes"] for span in spans] == [
-            {"chain_length": 1, "superseded": 0},
-            {"chain_length": 2, "superseded": 0, "error": error}]
+            {"superseded": 0}, {"superseded": 0, "error": error}]
         assert "No space left on device" in error
 
     def test_traced_repair_is_bit_identical(self, graph):
