@@ -44,6 +44,7 @@ from repro.config import (
     SimRankConfig,
 )
 from repro.datasets.registry import list_datasets
+from repro.errors import ConfigError, TrainingError
 from repro.models.registry import list_models, model_parameters
 from repro.training.config import TrainConfig
 
@@ -131,10 +132,12 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
     :data:`SIGMA_DEFAULT_SIMRANK`); for the baselines ``--top-k`` /
     ``--epsilon`` stay plain model overrides.  :func:`main` rejects the
     SIGMA-only flags, and any override the model's constructor does not
-    take, before this point.
+    take, before this point.  ``min_epochs`` is capped at ``--epochs``,
+    so a short run runs as asked.
     """
     train = TrainConfig(learning_rate=args.lr, weight_decay=args.weight_decay,
                         max_epochs=args.epochs, patience=args.patience,
+                        min_epochs=min(_TRAIN_DEFAULTS.min_epochs, args.epochs),
                         track_test_history=False)
     overrides = {}
     for name in ("hidden", "delta"):
@@ -177,7 +180,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             flags = ", ".join("--" + name.replace("_", "-") for name in rejected)
             parser.error(f"{flags}: only supported by SIGMA models, "
                          f"not {args.model!r}")
-    spec = build_runspec(args)
+    try:
+        spec = build_runspec(args)
+    except (ConfigError, TrainingError) as exc:
+        parser.error(str(exc))
     accepted = model_parameters(args.model)
     unsupported = [name for name in spec.overrides if name not in accepted]
     if unsupported:

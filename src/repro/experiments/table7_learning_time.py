@@ -7,6 +7,11 @@ operators during training).  The expected shape is the paper's: SIGMA's
 precompute is cheap, its aggregation is far cheaper than GloGNN's iterative
 whole-graph aggregation, and SIGMA has the lowest total learning time.
 
+Learn's ``training`` bucket holds each epoch's evaluation forward beside
+its training step, and AGG the aggregation of both: one evaluation forward
+per epoch scores every accuracy, where each accuracy once ran its own (two
+or three per epoch), so Learn and AGG no longer count that repeated work.
+
 Declaratively: a (model × dataset) grid of plain ``RunSpec`` cells — the
 sweep engine's default cell runner executes each through ``repro.api.run``.
 """

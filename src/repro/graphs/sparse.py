@@ -18,20 +18,28 @@ def top_k_row_mask(data: np.ndarray, indices: np.ndarray, k: int,
                    diagonal: Optional[int] = None) -> np.ndarray:
     """Boolean mask of the entries of one sparse row that top-k keeps.
 
-    ``data``/``indices`` are the row's stored values and column indices.
-    Entries are ranked by value descending, ties toward the smaller
-    column index, and the first ``k`` are kept.  When ``diagonal`` names
-    the row's diagonal column and that column is stored but not among
-    the ``k`` largest, it *replaces* the lowest-ranked kept entry, so at
-    most ``k`` entries survive either way.  This is the one selection
-    rule behind :func:`top_k_per_row` (every row of a matrix) and
-    :func:`top_k_row` (one row apart from its matrix).
+    ``data``/``indices`` are the row's stored values and column indices,
+    and the row holds more than ``k`` entries.  Entries are ranked by
+    value descending, ties toward the smaller column index, and the
+    first ``k`` are kept.  When ``diagonal`` names the row's diagonal
+    column and that column is stored but not among the ``k`` largest, it
+    *replaces* the lowest-ranked kept entry, so exactly ``k`` entries
+    survive either way.  This is the one selection rule behind
+    :func:`top_k_per_row` (every row of a matrix) and :func:`top_k_row`
+    (one row apart from its matrix).
+
+    Only candidates are ranked: ``np.partition`` finds the k-th largest
+    value, and the entries at or above it, ties at the cut included, are
+    sorted.  Each of them ranks before every entry below the cut, so the
+    full ranking's first ``k`` are all candidates, in the same order.
     """
-    keep = np.lexsort((indices, -data))[:k]
+    cut = np.partition(data, -k)[-k]  # the k-th largest value
+    candidates = np.flatnonzero(data >= cut)
+    keep = candidates[np.lexsort((indices[candidates],
+                                  -data[candidates]))[:k]]
     if diagonal is not None:
         diag_pos = np.flatnonzero(indices == diagonal)
         if diag_pos.size and diag_pos[0] not in keep:
-            keep = keep.copy()
             keep[-1] = diag_pos[0]
     mask = np.zeros(data.size, dtype=bool)
     mask[keep] = True

@@ -82,15 +82,5 @@ class NodeClassifier(Module):
             self.train(was_training)
         return softmax(logits, axis=1)
 
-    def accuracy(self, mask: Optional[np.ndarray] = None) -> float:
-        """Accuracy on ``mask`` nodes (all nodes when ``mask`` is None)."""
-        predictions = self.predict()
-        labels = self.graph.labels
-        if mask is None:
-            return float(np.mean(predictions == labels))
-        mask = np.asarray(mask)
-        indices = np.flatnonzero(mask) if mask.dtype == bool else mask
-        return float(np.mean(predictions[indices] == labels[indices]))
-
 
 __all__ = ["NodeClassifier"]

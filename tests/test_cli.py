@@ -89,6 +89,18 @@ class TestBuildRunSpec:
         assert spec.train.learning_rate == 0.1
         assert spec.train.patience == 7
 
+    @pytest.mark.parametrize("epochs,min_epochs", [
+        (1, 1), (5, 5), (10, 10), (20, 10), (300, 10)])
+    def test_min_epochs_is_capped_at_the_epoch_budget(self, epochs,
+                                                      min_epochs):
+        """A run shorter than the trainer's ``min_epochs`` runs as asked;
+        from ``--epochs 10`` up the spec keeps the default."""
+        args = build_parser().parse_args(["--epochs", str(epochs)])
+        train = build_runspec(args).train
+        assert train.max_epochs == epochs
+        assert train.min_epochs == min_epochs
+        assert min_epochs == min(TrainConfig().min_epochs, epochs)
+
 
 class TestExperimentSubcommand:
     def test_list(self, capsys):
@@ -146,6 +158,31 @@ class TestMain:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "accuracy" in output
+
+    def test_runs_fewer_epochs_than_the_default_minimum(self, capsys):
+        exit_code = main(["--model", "mlp", "--dataset", "texas",
+                          "--repeats", "1", "--epochs", "5", "--json"])
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"] == "mlp"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "mlp", "--epochs", "0"], "max_epochs must be >= 1"),
+        (["--model", "mlp", "--patience", "0"], "patience must be >= 1"),
+        (["--model", "mlp", "--scale-factor", "0"],
+         "scale_factor must be positive"),
+        (["--model", "sigma", "--epsilon", "0"], "epsilon must be positive"),
+    ])
+    def test_bad_flag_value_is_an_argparse_error(self, capsys, argv,
+                                                 message):
+        """A value the configs reject exits 2 with one error line, not a
+        traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--dataset", "texas", "--repeats", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {message}" in err.strip().splitlines()[-1]
 
     def test_json_output(self, capsys):
         exit_code = main(["--model", "sigma", "--dataset", "texas", "--repeats", "1",

@@ -58,11 +58,20 @@ class TestTopKPerRow:
                 assert np.array_equal(got.data, expected[row].data)
 
     def test_row_mask_takes_the_diagonal_column_explicitly(self):
-        """A row held apart from its matrix selects exactly as in place."""
+        """A row held apart from its matrix selects exactly as in place.
+
+        The last row is long and tied: 40 entries of four values, its
+        diagonal holding the smallest, so the diagonal is outside the
+        top 3 and the 3rd-largest value is shared past the cut.
+        """
         rng = np.random.default_rng(2)
-        matrix = sp.csr_matrix(rng.random((5, 7)).round(1))  # ties
+        dense = np.zeros((6, 40))
+        dense[:5, :7] = rng.random((5, 7)).round(1)  # ties
+        dense[5] = np.tile([0.5, 1.0, 0.75, 0.5], 10)
+        dense[5, 5] = 0.25  # the diagonal, below every other entry
+        matrix = sp.csr_matrix(dense)
         pruned = top_k_per_row(matrix, 3, keep_diagonal=True)
-        for row in range(5):
+        for row in range(6):
             start, end = matrix.indptr[row], matrix.indptr[row + 1]
             data = matrix.data[start:end]
             indices = matrix.indices[start:end]
@@ -70,6 +79,12 @@ class TestTopKPerRow:
             assert keep.sum() == 3
             assert np.array_equal(indices[keep], pruned[row].indices)
             assert np.array_equal(data[keep], pruned[row].data)
+        # Columns 1, 9 and 13 rank first of the nine 1.0s; the diagonal
+        # (column 5, at 0.25) evicts column 13.
+        keep = top_k_row_mask(matrix.data[matrix.indptr[5]:],
+                              matrix.indices[matrix.indptr[5]:], 3,
+                              diagonal=5)
+        assert matrix.indices[matrix.indptr[5]:][keep].tolist() == [1, 5, 9]
 
     def test_invalid_k_raises(self):
         with pytest.raises(ValueError):

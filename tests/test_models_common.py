@@ -6,6 +6,8 @@ import pytest
 from repro.config import SimRankConfig
 from repro.models.registry import create_model, default_hyperparameters, list_models
 from repro.nn.losses import softmax_cross_entropy
+from repro.training.config import TrainConfig
+from repro.training.trainer import Trainer
 
 ALL_MODELS = list_models()
 
@@ -79,9 +81,17 @@ class TestModelContract:
         proba = model.predict_proba()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_accuracy_bounds(self, model_name, small_heterophilous_graph):
-        model = _build(model_name, small_heterophilous_graph)
-        assert 0.0 <= model.accuracy() <= 1.0
+    def test_accuracy_bounds(self, model_name, small_dataset):
+        """Every accuracy the trainer scores for the model is in [0, 1]."""
+        model = _build(model_name, small_dataset.graph)
+        config = TrainConfig(max_epochs=2, min_epochs=1)
+        result = Trainer(model, config).fit(small_dataset.split(0))
+        scores = [result.best_val_accuracy, result.test_accuracy,
+                  result.train_accuracy]
+        for record in result.history:
+            scores += [record.train_accuracy, record.val_accuracy,
+                       record.test_accuracy]
+        assert all(0.0 <= score <= 1.0 for score in scores)
 
     def test_deterministic_given_seed(self, model_name, small_heterophilous_graph):
         graph = small_heterophilous_graph

@@ -188,6 +188,16 @@ class TestSingleSourceProperties:
 # --------------------------------------------------------------------------- #
 # Sparse helpers
 # --------------------------------------------------------------------------- #
+@st.composite
+def _tied_matrices_and_k(draw):
+    """A square 7×7 or a long-row 3×64 matrix of four tied values, and a
+    ``k`` from 1 to its row length."""
+    shape = draw(st.sampled_from([(7, 7), (3, 64)]))
+    dense = draw(hnp.arrays(st.sampled_from([np.float64, np.float32]), shape,
+                            elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    return dense, draw(st.integers(1, shape[1]))
+
+
 class TestTopKProperties:
     @SETTINGS
     @given(
@@ -203,16 +213,16 @@ class TestTopKProperties:
         assert difference.min() >= -1e-12  # pruning never adds or increases entries
 
     @SETTINGS
-    @given(
-        hnp.arrays(st.sampled_from([np.float64, np.float32]), (7, 7),
-                   elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
-        st.integers(1, 7), st.booleans(),
-    )
-    def test_topk_equals_the_per_row_loop_bitwise(self, dense, k, diagonal):
+    @given(_tied_matrices_and_k(), st.booleans())
+    def test_topk_equals_the_per_row_loop_bitwise(self, dense_and_k,
+                                                  diagonal):
         """The masked prune reproduces the historical per-row loop, ties
-        and the kept diagonal included."""
+        and the kept diagonal included.  The long rows put many ties on
+        both sides of the k-th value, where the prune's candidate filter
+        cuts."""
         from _simrank_oracles import top_k_per_row_loop
 
+        dense, k = dense_and_k
         matrix = sp.csr_matrix(dense)
         pruned = top_k_per_row(matrix, k, keep_diagonal=diagonal)
         reference = top_k_per_row_loop(matrix, k, keep_diagonal=diagonal)

@@ -6,11 +6,58 @@ import pytest
 from repro.config import SimRankConfig
 from repro.errors import TrainingError
 from repro.models.registry import create_model
+from repro.nn.optim import Adam
+from repro.propagation.sparse_ops import SparsePropagation
 from repro.training.config import FAST_CONFIG, TrainConfig
 from repro.training.early_stopping import EarlyStopping
 from repro.training.evaluation import evaluate_model, repeated_evaluation
 from repro.training.metrics import accuracy_score, confusion_matrix, macro_f1_score
 from repro.training.trainer import Trainer
+
+
+def _score(model, indices):
+    """Accuracy of one fresh evaluation forward on ``indices``."""
+    predictions = model.predict()
+    labels = model.graph.labels
+    return float(np.mean(predictions[indices] == labels[indices]))
+
+
+def _fit_one_forward_per_accuracy(model, config, split):
+    """The training loop with one ``predict()`` per accuracy.
+
+    A reference copy of the loop that scored every accuracy with its own
+    evaluation forward (two or three per epoch, two more at the end);
+    ``Trainer.fit`` scores them all from one forward and must match it.
+    Adam only, like every config the comparison uses.
+    """
+    optimizer = Adam(model.parameters(), lr=config.learning_rate,
+                     weight_decay=config.weight_decay)
+    stopper = EarlyStopping(config.patience)
+    best_state = None
+    history = []
+    for epoch in range(config.max_epochs):
+        model.train()
+        optimizer.zero_grad()
+        loss, grad = model.loss_and_grad(split.train)
+        model.backward(grad)
+        optimizer.step()
+        train_acc = _score(model, split.train)
+        val_acc = _score(model, split.val)
+        test_acc = (_score(model, split.test) if config.track_test_history
+                    else float("nan"))
+        history.append((epoch, loss, train_acc, val_acc, test_acc))
+        if stopper.update(val_acc, epoch):
+            best_state = [param.value.copy() for param in model.parameters()]
+        if epoch + 1 >= config.min_epochs and stopper.should_stop:
+            break
+    if best_state is not None:
+        for param, value in zip(model.parameters(), best_state):
+            param.value[...] = value
+    model.eval()
+    return {"history": history, "best_epoch": stopper.best_epoch,
+            "best_val_accuracy": stopper.best_score or 0.0,
+            "test_accuracy": _score(model, split.test),
+            "train_accuracy": _score(model, split.train)}
 
 
 class TestTrainConfig:
@@ -97,7 +144,9 @@ class TestTrainer:
         graph = small_dataset.graph
         split = small_dataset.split(0)
         untrained = create_model("mlp", graph, rng=0, hidden=16)
-        untrained_acc = untrained.accuracy(split.test)
+        predictions = untrained.predict()
+        untrained_acc = float(np.mean(
+            predictions[split.test] == graph.labels[split.test]))
         model = create_model("mlp", graph, rng=0, hidden=16)
         result = Trainer(model, FAST_CONFIG).fit(split)
         assert result.test_accuracy >= untrained_acc
@@ -131,6 +180,70 @@ class TestTrainer:
         model = create_model("mlp", small_dataset.graph, rng=0, hidden=16)
         result = Trainer(model, config).fit(small_dataset.split(0))
         assert 0.0 <= result.test_accuracy <= 1.0
+
+
+class TestOneEvaluationForwardPerEpoch:
+    """``Trainer.fit`` scores every accuracy of an epoch from one
+    evaluation forward, and answers bit for bit as one forward per
+    accuracy did: an evaluation forward draws no randomness."""
+
+    CONFIG = TrainConfig(max_epochs=40, patience=5, min_epochs=5)
+
+    MODELS = {
+        "sigma": {"hidden": 16,
+                  "simrank": SimRankConfig(method="localpush", top_k=8)},
+        "mlp": {"hidden": 16, "dropout": 0.5},
+    }
+
+    @pytest.mark.parametrize("track_test_history", [True, False])
+    @pytest.mark.parametrize("model_name", ["sigma", "mlp"])
+    def test_fit_matches_one_forward_per_accuracy(
+            self, small_dataset, model_name, track_test_history):
+        config = self.CONFIG.with_overrides(
+            track_test_history=track_test_history)
+        split = small_dataset.split(0)
+        kwargs = self.MODELS[model_name]
+        model = create_model(model_name, small_dataset.graph, rng=0, **kwargs)
+        reference = create_model(model_name, small_dataset.graph, rng=0,
+                                 **kwargs)
+        result = Trainer(model, config).fit(split)
+        expected = _fit_one_forward_per_accuracy(reference, config, split)
+
+        records = [(r.epoch, r.loss, r.train_accuracy, r.val_accuracy,
+                    r.test_accuracy) for r in result.history]
+        np.testing.assert_array_equal(np.array(records),
+                                      np.array(expected["history"]))
+        test_column = np.array(records)[:, 4]
+        assert np.isnan(test_column).all() == (not track_test_history)
+        for name in ("best_epoch", "best_val_accuracy", "test_accuracy",
+                     "train_accuracy"):
+            assert getattr(result, name) == expected[name], name
+        for param, ref in zip(model.parameters(), reference.parameters()):
+            np.testing.assert_array_equal(param.value, ref.value)
+        # The best epoch is not the last, so the restore is exercised.
+        assert result.best_epoch < result.num_epochs - 1
+
+    @pytest.mark.parametrize("track_test_history", [True, False])
+    def test_sigma_fit_runs_one_evaluation_forward_per_epoch(
+            self, small_dataset, monkeypatch, track_test_history):
+        """20 training forwards, 20 evaluation forwards and one final
+        forward; one forward per accuracy ran 62, or 82 tracking test."""
+        model = create_model("sigma", small_dataset.graph, rng=0,
+                             **self.MODELS["sigma"])
+        calls = []
+        original = SparsePropagation.forward
+
+        def counting(self, inputs):
+            calls.append(self.training)
+            return original(self, inputs)
+
+        monkeypatch.setattr(SparsePropagation, "forward", counting)
+        config = TrainConfig(max_epochs=20, min_epochs=20,
+                             track_test_history=track_test_history)
+        result = Trainer(model, config).fit(small_dataset.split(0))
+        assert result.num_epochs == 20
+        assert len(calls) == 41
+        assert calls.count(True) == 20
 
 
 class TestEvaluation:
