@@ -252,15 +252,18 @@ def apply_updates(graph: Graph, updates: "Updates", *,
     from repro.dynamic.operator import (DynamicOperator, _resolve_cache,
                                         maintained_fields)
     from repro.graphs.delta import UpdateBatch
+    from repro.graphs.fingerprint import graph_fingerprint
 
     cfg = config if config is not None else SimRankConfig()
     batch = UpdateBatch.coerce(updates)
     cache_store = _resolve_cache(cache, cfg)
     if cache_store is not None:
         updated = graph.apply_delta(batch)
+        fingerprint = graph_fingerprint(updated)
         key = cache_store.key_for_fields(
-            updated, maintained_fields(cfg, updated.num_nodes))
-        if cache_store.path_for(key).exists():
+            updated, maintained_fields(cfg, updated.num_nodes),
+            fingerprint=fingerprint)
+        if cache_store.path_for(key, fingerprint).exists():
             return DynamicOperator(updated, simrank=cfg, dynamic=dynamic,
                                    cache=cache_store)
     operator = DynamicOperator(graph, simrank=cfg, dynamic=dynamic,

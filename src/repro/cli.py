@@ -43,13 +43,21 @@ from repro.config import (
     RunSpec,
     SimRankConfig,
 )
-from repro.datasets.registry import list_datasets
-from repro.errors import ConfigError, TrainingError
+from repro.datasets.registry import get_spec, list_datasets
+from repro.errors import ConfigError, DatasetError, TrainingError
 from repro.models.registry import list_models, model_parameters
 from repro.training.config import TrainConfig
 
 #: Single source of the training-loop defaults shown in ``--help``.
 _TRAIN_DEFAULTS = TrainConfig()
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a count every model needs to be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="learning rate")
     parser.add_argument("--weight-decay", type=float,
                         default=_TRAIN_DEFAULTS.weight_decay, help="weight decay")
-    parser.add_argument("--hidden", type=int, default=None, help="hidden width override")
+    parser.add_argument("--hidden", type=positive_int, default=None,
+                        help="hidden width override")
     parser.add_argument("--delta", type=float, default=None,
                         help="feature factor δ (SIGMA / GloGNN)")
-    parser.add_argument("--top-k", type=int, default=None,
+    parser.add_argument("--top-k", type=positive_int, default=None,
                         help="top-k pruning of the SimRank/PPR operator")
     parser.add_argument("--epsilon", type=float, default=None,
                         help="LocalPush error threshold ε")
@@ -174,6 +183,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        get_spec(args.dataset)  # accepts aliases and any case
+    except DatasetError as exc:
+        parser.error(str(exc))
     if args.model not in SIMRANK_MODELS:
         rejected = _simrank_flags_used(args)
         if rejected:

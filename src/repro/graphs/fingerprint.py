@@ -32,8 +32,7 @@ from repro.graphs.graph import Graph
 
 #: Hex chars kept from the SHA-256 digest of a key payload.  128 bits —
 #: collision-safe for cache-sized populations while keeping file names
-#: readable.  Graph fingerprints keep the full digest (they are embedded
-#: in payloads, not used as file names).
+#: readable.  Graph fingerprints keep the full 64-char digest.
 DIGEST_LENGTH = 32
 
 

@@ -78,14 +78,15 @@ residual, not the estimate, sets it.
 
 Operator cache: layout, eviction, reuse
 ---------------------------------------
-:mod:`repro.simrank.cache` persists computed operators under a cache
-directory as ``simrank-<key>.npz`` files (CSR arrays plus a JSON metadata
-record) with a sidecar index for LRU accounting.  ``<key>`` hashes
-``(format version, graph fingerprint, method, c, ε, k, row_normalize,
-dtype)``; the worker count is excluded because results are
-bit-identical across it.  Stale format versions,
-metadata mismatches and corrupted files are evicted and recomputed.  Two
-policies sit on top:
+:mod:`repro.simrank.cache` persists computed operators in a flat cache
+directory, one ``simrank-<fingerprint>-<key>.npz`` file per operator (CSR
+arrays plus a JSON metadata record) and no other file: the metadata is
+the reuse record and the file's mtime its LRU stamp.  ``<fingerprint>``
+is the graph fingerprint and ``<key>`` hashes ``(format version, graph
+fingerprint, method, c, ε, k, row_normalize, dtype)``; the worker count
+is excluded because results are bit-identical across it.  Stale format
+versions, metadata mismatches and corrupted files are evicted and
+recomputed.  Two policies sit on top:
 
 * **LRU eviction** — give the cache a byte cap
   (``cache_max_bytes=``/``--simrank-cache-max-bytes``) and stores beyond

@@ -9,46 +9,50 @@ entirely.
 
 Cache layout
 ------------
-A cache directory holds one ``.npz`` file per operator plus a sidecar
-index::
+A cache directory is flat and holds one ``.npz`` file per operator and
+nothing else::
 
     <cache-dir>/
-        simrank-<key>.npz            # CSR arrays (data/indices/indptr/shape)
-                                     # + a JSON metadata record
-        simrank-cache-index.json     # per-entry parameters, sizes and
-                                     # LRU clock (rebuildable from the
-                                     # .npz metadata at any time)
+        simrank-<fingerprint>-<key>.npz   # CSR arrays (data/indices/indptr/
+                                          # shape) + a JSON metadata record
 
-``<key>`` is the SHA-256 (truncated to 32 hex chars) of a canonical JSON
-payload containing the cache format version, the *graph fingerprint* (a
-SHA-256 over the adjacency CSR arrays — content-addressed, so renames and
-re-generations of the same graph hit) and the resolved operator
-parameters.  The parameter fields are derived in exactly one place —
+``<fingerprint>`` is the *graph fingerprint* (a SHA-256 over the
+adjacency CSR arrays — content-addressed, so renames and re-generations
+of the same graph hit).  ``<key>`` is the SHA-256 (truncated to 32 hex
+chars) of a canonical JSON payload containing the cache format version,
+the fingerprint and the resolved operator parameters.  The parameter
+fields are derived in exactly one place —
 :meth:`repro.config.SimRankConfig.cache_key_fields` — and hashed here by
 :meth:`OperatorCache.key_for_fields`.  The worker count is
 deliberately excluded from the key: the engine core is bit-deterministic
 across pool sizes, so operators computed with any of them are
-interchangeable.
+interchangeable.  Each file is its entry's whole record: the embedded
+metadata is what the reuse scan matches, and the file's modification
+time is its LRU stamp.
 
 Eviction policy (LRU under a byte cap)
 --------------------------------------
+Every store and every exact or reuse hit stamps the entry's mtime with
+the current time in nanoseconds (``os.utime``): the kernel's own write
+stamps come from a coarse clock, on which two quick stores can tie.
 Construct the cache with ``max_bytes`` (or pass
 ``cache_max_bytes=``/``--simrank-cache-max-bytes`` through the operator
-pipeline) to cap the total size of stored entries.  Every store and every
-hit advances a logical LRU clock persisted in the sidecar index; when a
-store pushes the directory over the cap, least-recently-used entries are
-deleted (counted as ``lru_eviction`` events) until the cap is met
-again.  The just-stored entry is always retained, even if it alone
-exceeds the cap.
+pipeline) to cap the total size of stored entries.  Only then does a
+store walk the directory: it stats every ``simrank-*.npz`` file and
+deletes the oldest stamps first (ties by file name; counted as
+``lru_eviction`` events) until the cap is met again.  The just-stored
+entry is always retained, even if it alone exceeds the cap.  Without a
+cap a store touches no file but its own.
 
 Cross-ε / cross-k reuse
 -----------------------
 A LocalPush operator computed at a *tighter* threshold ``ε′ ≤ ε`` is a
 strictly better approximation than one computed at ``ε``, and a top-k
 pruned operator with ``k′ ≥ k`` is a superset of the ``k`` one.  On an
-exact-key miss, :meth:`OperatorCache.lookup` therefore scans the index
-for an entry with the same graph fingerprint, method and decay whose
-``(ε′, k′)`` dominates the request, loads it, and *re-prunes* it down to
+exact-key miss, :meth:`OperatorCache.lookup` therefore reads the
+metadata of the graph's entries (``simrank-<fingerprint>-*.npz``) for
+one with the same method and decay whose ``(ε′, k′)`` dominates the
+request, loads it, and *re-prunes* it down to
 the requested contract (``top_k_per_row`` for a smaller ``k``, the
 ``ε/10`` floor for a looser full-matrix request, re-normalisation when
 rows were normalised — per-row scaling preserves score ranking, so
@@ -64,17 +68,16 @@ Dynamic repairs (:mod:`repro.dynamic`) store each repaired snapshot
 through :meth:`OperatorCache.store_delta` under the ordinary key of the
 graph it describes, so exact lookups, the reuse scan and row serving
 find it like a fresh entry, and a graph an update stream revisits keeps
-one entry.  Entries written before this keying sit under a key derived
-from the base graph and the update stream; their metadata records the
-updated graph's fingerprint, so the reuse scan still serves them on
-that graph.
+one entry.
 
 Invalidation and corruption
 ---------------------------
 * **Versioned invalidation** — :data:`CACHE_FORMAT_VERSION` participates in
   the key *and* is checked against the stored metadata on load; bumping it
   orphans every existing entry, and a stale or mismatched file is evicted
-  (deleted) rather than trusted.
+  (deleted) rather than trusted.  An orphaned file is never read, but it
+  still counts toward a byte cap (its old stamp makes it the first LRU
+  victim) and :meth:`OperatorCache.clear` deletes it.
 * **Parameter verification** — the stored metadata must match the request
   exactly, guarding against key collisions and hand-edited files.
 * **Corruption** — any load failure (truncated zip, missing arrays,
@@ -84,11 +87,11 @@ Invalidation and corruption
 Writes are atomic (a per-write unique temp file + ``os.replace``,
 :func:`repro.utils.atomic.atomic_write`) so a crashed run never leaves a
 half-written entry behind and concurrent writers never collide.  One
-lock per cache instance serialises the sidecar index's read-modify-write,
-so threads sharing a cache (a threaded experiment sweep, the daemon's
-background repair beside its queries) lose no index entries; the event
-counter is atomic under its registry's own lock, so they lose no counts
-either.
+lock per cache instance serialises the capped store's directory walk
+and :meth:`OperatorCache.clear`, so threads sharing a cache (a threaded
+experiment sweep, the daemon's background repair beside its queries)
+never evict, or count, the same victim twice; the event counter is
+atomic under its registry's own lock, so they lose no counts either.
 
 Counters
 --------
@@ -115,8 +118,9 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,11 +141,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Version 3: the engine-family ``backend`` label left the key and the
 #: metadata (every LocalPush operator now comes from the one engine
 #: core), so a version-2 entry no longer describes its key and is
-#: evicted as stale.
-CACHE_FORMAT_VERSION = 3
+#: evicted as stale.  Version 4: an entry is named by its graph
+#: fingerprint and key (``simrank-<fingerprint>-<key>.npz``) and the
+#: sidecar index is gone; a version-3 file (``simrank-<key>.npz``) never
+#: matches a version-4 name, so it is never read.
+CACHE_FORMAT_VERSION = 4
 
 _FILE_PREFIX = "simrank-"
-_INDEX_NAME = "simrank-cache-index.json"
 
 #: :meth:`OperatorCache.stats` name → ``repro_cache_events_total`` event
 #: label; ``hits`` is derived (``exact_hits + reuse_hits``).
@@ -192,6 +198,20 @@ def _floor_prune(matrix: sp.csr_matrix, floor: float) -> sp.csr_matrix:
     return matrix
 
 
+def _stamp(path: Path) -> None:
+    """Mark the entry at ``path`` most recently used (its mtime).
+
+    An explicit nanosecond reading: the kernel's write and touch-now
+    stamps come from a coarse clock, on which two quick stores can tie.
+    An entry evicted in the meantime is left gone.
+    """
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except FileNotFoundError:
+        pass
+
+
 class OperatorCache:
     """On-disk operator cache with LRU eviction and cross-ε/k reuse.
 
@@ -213,7 +233,7 @@ class OperatorCache:
         # them from the first request on.
         for event in CACHE_EVENTS.values():
             self._event_counter.inc(0.0, event=event)
-        #: Guards the sidecar index's read-modify-write.
+        #: Serialises the capped store's directory walk and :meth:`clear`.
         self._lock = threading.Lock()
 
     def _count(self, event: str) -> None:
@@ -295,8 +315,9 @@ class OperatorCache:
         key = self.key_for_fields(graph, fields, fingerprint=fingerprint)
         return self.store(key, operator, fingerprint=fingerprint)
 
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{_FILE_PREFIX}{key}.npz"
+    def path_for(self, key: str, fingerprint: str) -> Path:
+        """Where the entry ``key`` of the graph ``fingerprint`` lives."""
+        return self.directory / f"{_FILE_PREFIX}{fingerprint}-{key}.npz"
 
     def __len__(self) -> int:
         return sum(1 for path in self.directory.glob(f"{_FILE_PREFIX}*.npz"))
@@ -308,126 +329,49 @@ class OperatorCache:
             for path in self.directory.glob(f"{_FILE_PREFIX}*.npz"):
                 path.unlink()
                 removed += 1
-            self._index_path.unlink(missing_ok=True)
         return removed
 
-    # ------------------------------------------------------------------ #
-    # Sidecar index (LRU clock + reuse parameters)
-    # ------------------------------------------------------------------ #
-    @property
-    def _index_path(self) -> Path:
-        return self.directory / _INDEX_NAME
+    def _enforce_budget(self, cap: int, protect: Path) -> None:
+        """Evict the oldest-stamped entries until ``cap`` bytes are met.
 
-    def _load_index(self) -> dict:
-        try:
-            index = json.loads(self._index_path.read_text())
-            if (not isinstance(index, dict)
-                    or not isinstance(index.get("entries"), dict)):
-                raise ValueError("malformed index")
-        except Exception:
-            index = {"version": CACHE_FORMAT_VERSION, "clock": 0, "entries": {}}
-        return index
-
-    def _save_index(self, index: dict) -> None:
-        with atomic_write(self._index_path) as handle:
-            handle.write(json.dumps(index, sort_keys=True))
-
-    def _key_of_path(self, path: Path) -> str:
-        return path.name[len(_FILE_PREFIX):-len(".npz")]
-
-    def _sync_index(self, index: dict) -> dict:
-        """Reconcile the index with the directory contents.
-
-        Entries whose file disappeared are dropped; files the index does
-        not know (written by an older revision or another process) are
-        adopted by reading their embedded metadata, so LRU accounting and
-        the reuse scan always see the whole directory.
+        One ``os.scandir`` walk, under the instance lock (see
+        :meth:`store`); ``protect``, the entry just stored, stays.
         """
-        entries = index["entries"]
-        on_disk = {self._key_of_path(path): path
-                   for path in self.directory.glob(f"{_FILE_PREFIX}*.npz")}
-        for key in [key for key in entries if key not in on_disk]:
-            del entries[key]
-        for key, path in on_disk.items():
-            if key in entries:
-                continue
-            try:
-                with open(path, "rb") as handle, \
-                        np.load(handle, allow_pickle=False) as payload:
-                    meta = json.loads(str(payload["meta"]))
-            except Exception:
-                continue  # unreadable; the exact-load path will evict it
-            entries[key] = {
-                "fingerprint": meta.get("fingerprint"),
-                "method": meta.get("method"),
-                "decay": meta.get("decay"),
-                "epsilon": meta.get("epsilon"),
-                "top_k": meta.get("top_k"),
-                "row_normalize": bool(meta.get("row_normalize", False)),
-                "dtype": meta.get("dtype"),
-                "bytes": path.stat().st_size,
-                "last_used": 0,
-            }
-        return index
-
-    def _touch(self, index: dict, key: str) -> None:
-        index["clock"] = int(index.get("clock", 0)) + 1
-        if key in index["entries"]:
-            index["entries"][key]["last_used"] = index["clock"]
-
-    def _touch_key(self, key: str, *, sync: bool = False) -> None:
-        """Advance the LRU clock to ``key`` in one locked index update.
-
-        ``sync`` first reconciles the index with the directory, so an
-        entry adopted by a reuse scan is recorded with its new clock.
-        """
-        with self._lock:
-            index = self._load_index()
-            if sync:
-                index = self._sync_index(index)
-            self._touch(index, key)
-            self._save_index(index)
-
-    def _drop_entry(self, key: str) -> None:
-        with self._lock:
-            index = self._load_index()
-            if key in index["entries"]:
-                del index["entries"][key]
-                self._save_index(index)
-
-    def _enforce_budget(self, index: dict, protect: str) -> None:
-        """Evict LRU entries until the byte cap is met (``protect`` stays).
-
-        Runs inside :meth:`store`'s locked index update.
-        """
-        if self.max_bytes is None:
-            return
-        entries = index["entries"]
-        total = sum(int(entry.get("bytes", 0)) for entry in entries.values())
-        while total > self.max_bytes:
-            victims = [key for key in entries if key != protect]
-            if not victims:
+        total = 0
+        victims: List[Tuple[int, str, int]] = []
+        with os.scandir(self.directory) as scan:
+            for item in scan:
+                if not (item.name.startswith(_FILE_PREFIX)
+                        and item.name.endswith(".npz")):
+                    continue
+                try:
+                    status = item.stat()
+                except FileNotFoundError:
+                    continue  # deleted since the listing
+                total += status.st_size
+                if item.name != protect.name:
+                    victims.append(
+                        (status.st_mtime_ns, item.name, status.st_size))
+        victims.sort()
+        for _, name, size in victims:
+            if total <= cap:
                 break
-            victim = min(victims,
-                         key=lambda key: int(entries[key].get("last_used", 0)))
-            total -= int(entries[victim].get("bytes", 0))
-            self.path_for(victim).unlink(missing_ok=True)
-            del entries[victim]
+            (self.directory / name).unlink(missing_ok=True)
+            total -= size
             self._count("lru_eviction")
 
     # ------------------------------------------------------------------ #
     # Load / store
     # ------------------------------------------------------------------ #
-    def _load(self, key: str, *, expect: Optional[dict] = None
+    def _load(self, path: Path, *, expect: Optional[dict] = None
               ) -> Optional["SimRankOperator"]:
-        """Deserialize the entry under ``key`` without touching counters.
+        """Deserialize the entry at ``path`` without touching counters.
 
         Corrupt, stale-format or mismatched files are evicted (deleted and
         counted as an ``eviction``); the caller decides hit/miss accounting.
         """
         from repro.simrank.topk import SimRankOperator
 
-        path = self.path_for(key)
         if not path.exists():
             return None
         try:
@@ -455,7 +399,6 @@ class OperatorCache:
             # so the caller recomputes and overwrites with a fresh file.
             self._count("eviction")
             path.unlink(missing_ok=True)
-            self._drop_entry(key)
             return None
         return SimRankOperator(
             matrix=matrix,
@@ -536,29 +479,39 @@ class OperatorCache:
                             ) -> Optional[Tuple["SimRankOperator", float]]:
         """Load the closest stored entry that dominates the request.
 
-        Filters the index with :meth:`_can_serve` and tries the entries
-        closest first: largest ``ε′`` (least over-computation), then
-        smallest sufficient ``k′`` (least to load and re-prune), then
-        most recently used.  An entry :meth:`_load` evicts (corrupt on
-        disk) is skipped for the next.  Returns the loaded entry and its
-        ``ε′`` after advancing its LRU clock, or ``None``; counting the
-        hit or miss is the caller's.
+        Reads the embedded metadata of the graph's entries
+        (``simrank-<fingerprint>-*.npz``), filters it with
+        :meth:`_can_serve` and tries the entries closest first: largest
+        ``ε′`` (least over-computation), then smallest sufficient ``k′``
+        (least to load and re-prune), then most recently used.  An
+        unreadable file is skipped (the exact-load path evicts it), as is
+        an entry :meth:`_load` evicts.  Returns the loaded entry and its
+        ``ε′``, or ``None``; counting the hit or miss is the caller's.
         """
-        index = self._sync_index(self._load_index())
-        candidates = [
-            (key, entry) for key, entry in index["entries"].items()
-            if self._can_serve(entry, fingerprint=fingerprint, method=method,
-                               decay=decay, epsilon=epsilon, top_k=top_k,
-                               row_normalize=row_normalize, dtype=dtype)
-        ]
+        candidates: List[Tuple[Path, dict, int]] = []
+        for path in self.directory.glob(f"{_FILE_PREFIX}{fingerprint}-*.npz"):
+            try:
+                # Our own handle, as in _load.
+                with open(path, "rb") as handle, \
+                        np.load(handle, allow_pickle=False) as payload:
+                    entry = json.loads(str(payload["meta"]))
+                    stamp = os.fstat(handle.fileno()).st_mtime_ns
+                serves = self._can_serve(
+                    entry, fingerprint=fingerprint, method=method,
+                    decay=decay, epsilon=epsilon, top_k=top_k,
+                    row_normalize=row_normalize, dtype=dtype)
+            except Exception:
+                continue  # unreadable; the exact-load path will evict it
+            if serves:
+                candidates.append((path, entry, stamp))
         candidates.sort(key=lambda item: (
             -float(item[1]["epsilon"]),
             float("inf") if item[1]["top_k"] is None else item[1]["top_k"],
-            -int(item[1].get("last_used", 0))))
-        for key, entry in candidates:
-            candidate = self._load(key)
+            -item[2], item[0].name))
+        for path, entry, _ in candidates:
+            candidate = self._load(path)
             if candidate is not None:
-                self._touch_key(key, sync=True)
+                _stamp(path)
                 return candidate, float(entry["epsilon"])
         return None
 
@@ -581,15 +534,17 @@ class OperatorCache:
             "method": method, "decay": decay, "epsilon": epsilon,
             "top_k": top_k, "row_normalize": row_normalize, "dtype": dtype}
         fingerprint = fingerprint or graph_fingerprint(graph)
-        key = self.key_for_fields(graph, fields, fingerprint=fingerprint)
+        path = self.path_for(
+            self.key_for_fields(graph, fields, fingerprint=fingerprint),
+            fingerprint)
         # float64 entries carry no dtype marker in their metadata, so
         # float64 requests skip the check.
         expect = {name: value for name, value in fields.items()
                   if name != "dtype" or value is not None}
-        exact = self._load(key, expect=expect)
+        exact = self._load(path, expect=expect)
         if exact is not None:
             self._count("exact_hit")
-            self._touch_key(key)
+            _stamp(path)
             return exact
 
         if method == "localpush" and epsilon is not None:
@@ -672,13 +627,13 @@ class OperatorCache:
 
     # ------------------------------------------------------------------ #
     def store(self, key: str, operator: "SimRankOperator", *,
-              fingerprint: Optional[str] = None) -> Path:
-        """Atomically persist ``operator`` under ``key``.
+              fingerprint: str) -> Path:
+        """Atomically persist ``operator`` as entry ``key`` of a graph.
 
-        ``fingerprint`` (the graph fingerprint) is recorded in the entry
-        metadata so the reuse scan can match it; without it the entry
-        still serves exact-key hits but never reuse.  Storing may trigger
-        LRU eviction of other entries when a byte cap is configured.
+        ``fingerprint`` (the graph fingerprint) names the file and is
+        recorded in its metadata, so the reuse scan finds and matches
+        it.  The entry is stamped most recently used; under a byte cap
+        the store then evicts least-recently-used other entries.
         """
         matrix = sp.csr_matrix(operator.matrix)
         # Key-field encoding: float64 (the reference precision) is
@@ -695,7 +650,7 @@ class OperatorCache:
             "dtype": dtype,
             "precompute_seconds": operator.precompute_seconds,
         })
-        path = self.path_for(key)
+        path = self.path_for(key, fingerprint)
         with atomic_write(path, "wb") as handle:
             np.savez_compressed(
                 handle,
@@ -705,25 +660,13 @@ class OperatorCache:
                 shape=np.asarray(matrix.shape, dtype=np.int64),
                 meta=np.asarray(meta),
             )
-            size = handle.tell()
+        _stamp(path)
         self._count("store")
-
-        with self._lock:
-            index = self._sync_index(self._load_index())
-            index["entries"][key] = {
-                "fingerprint": fingerprint,
-                "method": operator.method,
-                "decay": operator.decay,
-                "epsilon": operator.epsilon,
-                "top_k": operator.top_k,
-                "row_normalize": operator.row_normalize,
-                "dtype": dtype,
-                "bytes": size,
-                "last_used": 0,
-            }
-            self._touch(index, key)
-            self._enforce_budget(index, protect=key)
-            self._save_index(index)
+        cap = self.max_bytes
+        if cap is not None:
+            # Locked, so two threads never evict (and count) one victim.
+            with self._lock:
+                self._enforce_budget(cap, protect=path)
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

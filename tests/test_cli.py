@@ -172,13 +172,18 @@ class TestMain:
         (["--model", "mlp", "--scale-factor", "0"],
          "scale_factor must be positive"),
         (["--model", "sigma", "--epsilon", "0"], "epsilon must be positive"),
+        (["--model", "mlp", "--hidden", "0"],
+         "argument --hidden: must be >= 1, got 0"),
+        (["--model", "pprgo", "--top-k", "0"],
+         "argument --top-k: must be >= 1, got 0"),
+        (["--model", "mlp", "--dataset", "nope"], "unknown dataset 'nope'"),
     ])
     def test_bad_flag_value_is_an_argparse_error(self, capsys, argv,
                                                  message):
-        """A value the configs reject exits 2 with one error line, not a
-        traceback."""
+        """A value the configs, a model or the dataset registry reject
+        exits 2 with one error line, not a traceback."""
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--dataset", "texas", "--repeats", "1"])
+            main(["--dataset", "texas", "--repeats", "1"] + argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -19,7 +19,7 @@ from repro.config import (
     SimRankConfig,
 )
 from repro.errors import ConfigError, TrainingError
-from repro.simrank.cache import get_operator_cache
+from repro.simrank.cache import get_operator_cache, graph_fingerprint
 from repro.simrank.topk import simrank_operator
 from repro.training.config import TrainConfig
 
@@ -155,7 +155,7 @@ class TestCacheKeyFields:
         key = cache.key_for_fields(
             graph, config.cache_key_fields(graph.num_nodes))
         assert [path.name for path in cache.directory.glob("simrank-*.npz")] \
-            == [cache.path_for(key).name]
+            == [cache.path_for(key, graph_fingerprint(graph)).name]
 
 
 class TestFromCliArgs:

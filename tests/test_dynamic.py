@@ -306,7 +306,10 @@ class TestWorkerEquivalence:
 def snapshot_path(cache, graph):
     """Where the maintained-contract entry of ``graph`` lives."""
     fields = maintained_fields(CONFIG, graph.num_nodes)
-    return cache.path_for(cache.key_for_fields(graph, fields))
+    fingerprint = graph_fingerprint(graph)
+    return cache.path_for(
+        cache.key_for_fields(graph, fields, fingerprint=fingerprint),
+        fingerprint)
 
 
 def assert_bitwise_equal(expected, actual):
@@ -425,10 +428,10 @@ class TestRepairedSnapshotCache:
         assert snapshot_path(cache, graph).exists()
 
     def test_an_entry_under_a_foreign_key_still_warm_starts(self, tmp_path):
-        """An entry keyed by the base graph plus the update stream — the
-        shape written before snapshots were keyed by their own graph —
-        still serves its graph through the reuse scan, because its
-        metadata records that graph's fingerprint."""
+        """An entry named under the graph's fingerprint whose key is not
+        the graph's own (here the base graph plus the update stream)
+        serves that graph through the reuse scan, because its metadata
+        dominates the request."""
         graph = erdos_renyi(40, 0.1, seed=20)
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[2]),))
         repaired = DynamicOperator(graph, simrank=CONFIG)

@@ -12,21 +12,28 @@ The suite drives the pipeline through the supported config API
 historical keyword spellings of the assertions onto it.
 """
 
+import builtins
 import gc
+import io
 import json
 import os
+import re
 import sys
 import threading
+import time
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.config import SIGMA_DEFAULT_SIMRANK, SimRankConfig
 from repro.datasets.synthetic import SyntheticGraphConfig, generate_synthetic_graph
 from repro.experiments import run_experiment
 from repro.experiments.common import QUICK_EXPERIMENT_CONFIG
+from repro.graphs.fingerprint import payload_digest
 from repro.graphs.graph import Graph
 from repro.simrank.cache import (
     CACHE_FORMAT_VERSION,
@@ -34,7 +41,10 @@ from repro.simrank.cache import (
     get_operator_cache,
     graph_fingerprint,
 )
-from repro.simrank.topk import simrank_operator
+from repro.simrank.topk import SimRankOperator, simrank_operator
+
+#: What a format-4 entry is named: ``simrank-<fingerprint>-<key>.npz``.
+ENTRY_NAME = re.compile(r"simrank-[0-9a-f]{64}-[0-9a-f]{32}\.npz")
 
 
 def _operator(graph, *, cache=None, cache_max_bytes=None, num_workers=None,
@@ -63,6 +73,29 @@ def cache(tmp_path) -> OperatorCache:
     # Via the registry so the instance the pipeline resolves from
     # ``cache_dir`` is this one (shared counters).
     return get_operator_cache(tmp_path / "operators")
+
+
+@pytest.fixture()
+def opened(monkeypatch) -> list:
+    """Paths opened through ``open`` while the test runs, in order.
+
+    ``io.open`` is wrapped too: pathlib's reads and writes go through it.
+    """
+    paths = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            paths.append(Path(os.fspath(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    return paths
+
+
+def _names_in(directory, paths) -> list:
+    return [path.name for path in paths if path.parent == directory]
 
 
 class TestGraphFingerprint:
@@ -301,13 +334,14 @@ class TestInvalidationAndCorruption:
         assert len(paths) == 1
         return paths[0]
 
-    def test_format_3_metadata_carries_no_backend_label(self, graph, cache):
-        """Format 3 dropped the engine-family label from key and metadata."""
-        assert CACHE_FORMAT_VERSION == 3
+    def test_format_4_metadata_carries_no_backend_label(self, graph, cache):
+        """Format 3 dropped the engine-family label from key and metadata;
+        format 4 (entries named by graph fingerprint) keeps it out."""
+        assert CACHE_FORMAT_VERSION == 4
         _operator(graph, cache=cache, **self.KWARGS)
         with np.load(self._entry_path(cache), allow_pickle=False) as payload:
             meta = json.loads(str(payload["meta"]))
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert "backend" not in meta
 
     def test_version_mismatch_evicts_and_recomputes(self, graph, cache):
@@ -355,15 +389,14 @@ class TestInvalidationAndCorruption:
         assert _operator(graph, cache=cache, **self.KWARGS).cache_hit
 
     def test_truncated_file_is_closed(self, graph, cache):
-        """Neither the index adoption scan nor the exact load leaks the
-        handle of an entry whose zip parse fails."""
+        """Neither the reuse scan nor the exact load leaks the handle of
+        an entry whose zip parse fails."""
         _operator(graph, cache=cache, **self.KWARGS)
         path = self._entry_path(cache)
         path.write_bytes(path.read_bytes()[:20])
-        (cache.directory / "simrank-cache-index.json").unlink()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            # The lost index makes the row lookup's scan adopt the file.
+            # The row lookup's reuse scan reads the file's metadata.
             assert cache.lookup_row(graph, 0, decay=0.6, epsilon=0.1,
                                     top_k=8, row_normalize=False) is None
             assert not _operator(graph, cache=cache, **self.KWARGS).cache_hit
@@ -397,18 +430,77 @@ class TestInvalidationAndCorruption:
         assert {"data.npy", "indices.npy", "indptr.npy",
                 "shape.npy", "meta.npy"} <= names
 
+    def test_a_format_3_entry_is_never_read(self, graph, cache, opened):
+        """A file format 3 wrote on the same graph, with fields matching
+        the requests, serves neither by exact key nor by reuse.  It still
+        counts toward a byte cap, as the first LRU victim, and ``clear``
+        deletes it; format 3's index file is left in place."""
+        fingerprint = graph_fingerprint(graph)
+        operator = _operator(graph, **self.KWARGS)
+        fields = {"method": "localpush", "decay": operator.decay,
+                  "epsilon": 0.1, "top_k": 8, "row_normalize": False}
+        legacy_key = payload_digest(
+            {"version": 3, "graph": fingerprint, **fields})
+        legacy = cache.directory / f"simrank-{legacy_key}.npz"
+
+        def write_legacy():
+            matrix = operator.matrix
+            meta = {"version": 3, "fingerprint": fingerprint, **fields,
+                    "dtype": None, "precompute_seconds": 0.0}
+            np.savez_compressed(
+                legacy, data=matrix.data, indices=matrix.indices,
+                indptr=matrix.indptr,
+                shape=np.asarray(matrix.shape, dtype=np.int64),
+                meta=np.asarray(json.dumps(meta)))
+            an_hour_ago = time.time_ns() - 3600 * 10**9
+            os.utime(legacy, ns=(an_hour_ago, an_hour_ago))
+
+        write_legacy()
+        index = cache.directory / "simrank-cache-index.json"
+        index.write_text(json.dumps({"version": 3, "clock": 1, "entries": {
+            legacy_key: {**fields, "fingerprint": fingerprint}}}))
+        opened.clear()
+
+        # The legacy entry dominates the looser request and matches the
+        # exact one; both miss.
+        looser = _operator(graph, cache=cache, **{**self.KWARGS,
+                                                  "epsilon": 0.2})
+        exact = _operator(graph, cache=cache, **self.KWARGS)
+        assert not looser.cache_hit and not exact.cache_hit
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"],
+                stats["evictions"]) == (0, 2, 2, 0)
+        assert {legacy.name, index.name}.isdisjoint(
+            _names_in(cache.directory, opened))
+        assert len(cache) == 3
+
+        entries = list(cache.directory.glob(f"simrank-{fingerprint}-*.npz"))
+        cache.max_bytes = sum(path.stat().st_size for path in entries)
+        # Re-storing one entry walks the directory; the legacy file alone
+        # puts it over the cap, and its old stamp makes it the victim.
+        cache.store_delta(graph, {**fields, "dtype": None}, exact)
+        assert cache.stats()["lru_evictions"] == 1
+        assert not legacy.exists()
+        assert all(path.exists() for path in entries)
+
+        write_legacy()
+        assert cache.clear() == 3
+        assert index.exists()
+
 
 class TestConcurrentWrites:
-    """Threads sharing one cache: every store lands, the index keeps up."""
+    """Threads sharing one cache: every store lands, every eviction is
+    counted once."""
 
     THREADS = max(8, 2 * (os.cpu_count() or 1))  # more threads than cores
-    # About 200 stores in all: each store rescans the directory, so the
-    # run time stays bounded however many cores the host has.
+    # About 200 stores in all, so the run time stays bounded however many
+    # cores the host has.
     STORES_PER_THREAD = max(2, 200 // THREADS)
+    #: The capped test's byte cap, in entries.
+    CAPPED_ENTRIES = 3
 
-    def test_concurrent_stores_all_succeed_and_are_indexed(self, graph,
-                                                           cache):
-        operator = _operator(graph, method="localpush", epsilon=0.1, top_k=4)
+    def _store_concurrently(self, cache, operator):
+        """Every thread stores its own keys; returns the errors raised."""
         errors = []
 
         def writer(thread):
@@ -431,15 +523,82 @@ class TestConcurrentWrites:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        return errors
+
+    def test_concurrent_stores_all_succeed_and_land_on_disk(self, graph,
+                                                            cache):
+        operator = _operator(graph, method="localpush", epsilon=0.1, top_k=4)
+        assert self._store_concurrently(cache, operator) == []
         expected = {f"t{thread}-{index}" for thread in range(self.THREADS)
                     for index in range(self.STORES_PER_THREAD)}
         assert cache.stats()["stores"] == len(expected)
         assert len(cache) == len(expected)
-        index = json.loads(
-            (cache.directory / "simrank-cache-index.json").read_text())
-        assert set(index["entries"]) == expected
+        assert {path.name for path in cache.directory.iterdir()} == {
+            cache.path_for(key, "concurrent").name for key in expected}
+
+    def test_concurrent_capped_stores_count_each_eviction_once(self, graph,
+                                                               cache):
+        """The capped walk runs under the instance lock, so no two
+        threads evict, and count, the same victim."""
+        operator = _operator(graph, method="localpush", epsilon=0.1, top_k=4)
+        probe = cache.store("probe", operator, fingerprint="concurrent")
+        cache.max_bytes = self.CAPPED_ENTRIES * probe.stat().st_size
+        assert self._store_concurrently(cache, operator) == []
+        stats = cache.stats()
+        assert stats["stores"] == 1 + self.THREADS * self.STORES_PER_THREAD
+        assert stats["lru_evictions"] + len(cache) == stats["stores"]
+        assert len(cache) <= self.CAPPED_ENTRIES
         assert not list(cache.directory.glob("*.tmp*"))
+
+
+class TestTheDirectoryIsTheRecord:
+    """One file per entry and no other file; a lookup opens only its own
+    graph's entries."""
+
+    def test_the_cache_writes_only_entries(self, graph, cache):
+        kwargs = dict(method="localpush", top_k=8, cache=cache)
+        assert not _operator(graph, epsilon=0.1, **kwargs).cache_hit
+        assert _operator(graph, epsilon=0.1, **kwargs).cache_hit  # exact
+        assert _operator(graph, epsilon=0.2, **kwargs).cache_hit  # reuse
+        next(cache.directory.glob("simrank-*.npz")).write_bytes(b"garbage")
+        assert not _operator(graph, epsilon=0.1, **kwargs).cache_hit
+        cache.max_bytes = 1
+        assert not _operator(graph, epsilon=0.05, **kwargs).cache_hit
+        stats = cache.stats()
+        assert (stats["exact_hits"], stats["reuse_hits"], stats["evictions"],
+                stats["lru_evictions"]) == (1, 1, 1, 1)
+        names = [path.name for path in cache.directory.iterdir()]
+        assert [name for name in names if not ENTRY_NAME.fullmatch(name)] \
+            == []
+        assert len(names) == 1
+
+    def test_a_hit_or_a_scan_opens_only_its_graphs_entries(self, graph,
+                                                           cache, opened):
+        kwargs = dict(method="localpush", top_k=8, cache=cache)
+        operator = _operator(graph, epsilon=0.1, top_k=8)
+        for other in range(50):
+            cache.store(f"{other:032x}", operator,
+                        fingerprint=f"{other:064x}")
+        _operator(graph, epsilon=0.1, **kwargs)
+        _operator(graph, epsilon=0.05, **kwargs)
+        fingerprint = graph_fingerprint(graph)
+        own = sorted(path.name for path in cache.directory.glob(
+            f"simrank-{fingerprint}-*.npz"))
+        assert len(own) == 2 and cache.stats()["stores"] == 52
+
+        opened.clear()
+        assert _operator(graph, epsilon=0.1, **kwargs).cache_hit
+        key = cache.key_for_fields(graph, SimRankConfig(
+            method="localpush", epsilon=0.1,
+            top_k=8).cache_key_fields(graph.num_nodes))
+        assert _names_in(cache.directory, opened) == [
+            cache.path_for(key, fingerprint).name]
+
+        opened.clear()
+        assert cache.lookup(graph, method="localpush", decay=0.6,
+                            epsilon=0.02, top_k=8,
+                            row_normalize=False) is None
+        assert sorted(_names_in(cache.directory, opened)) == own
 
 
 class TestExperimentIntegration:
@@ -494,6 +653,51 @@ class TestExperimentIntegration:
             main(["--model", "glognn", "--dataset", "texas",
                   "--simrank-workers", "2"])
         assert "only supported by SIGMA models" in capsys.readouterr().err
+
+
+def _path_graph(weight: float) -> Graph:
+    """A 3-node path whose first edge weighs ``weight`` (one fingerprint
+    per weight)."""
+    return Graph(np.array([[0.0, weight, 0.0], [weight, 0.0, 1.0],
+                           [0.0, 1.0, 0.0]]))
+
+
+class TestCappedSoak:
+    """Store-and-lookup cycles under a cap of about 20 entries, judged by
+    counts: the directory stays inside its budget, every eviction is
+    counted once, and every exact hit opens one file however many
+    cycles ran."""
+
+    CAPPED_ENTRIES = 20
+    FIELDS = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=None,
+                  row_normalize=False, dtype=None)
+    OPERATOR = SimRankOperator(matrix=sp.identity(3, format="csr"),
+                               method="localpush", decay=0.6, epsilon=0.1,
+                               top_k=None, precompute_seconds=0.0)
+
+    def _soak(self, directory, cycles, opened):
+        probe = OperatorCache(directory / "probe").store_delta(
+            _path_graph(0.5), self.FIELDS, self.OPERATOR)
+        cache = OperatorCache(directory / "soak",
+                              max_bytes=self.CAPPED_ENTRIES
+                              * probe.stat().st_size)
+        for cycle in range(cycles):
+            graph = _path_graph(1.0 + cycle)
+            cache.store_delta(graph, self.FIELDS, self.OPERATOR)
+            assert len(cache) <= self.CAPPED_ENTRIES + 1
+            opened.clear()
+            assert cache.lookup(graph, **self.FIELDS) is not None
+            assert len(_names_in(cache.directory, opened)) == 1
+        stats = cache.stats()
+        assert stats["stores"] == stats["exact_hits"] == cycles
+        assert stats["lru_evictions"] == cycles - len(cache)
+
+    def test_short_soak(self, tmp_path, opened):
+        self._soak(tmp_path, 500, opened)
+
+    @pytest.mark.slow
+    def test_long_soak(self, tmp_path, opened):
+        self._soak(tmp_path, 10_000, opened)
 
 
 @pytest.mark.slow

@@ -3,8 +3,9 @@
 Covers the two policies added on top of the PR-2 round-trip cache:
 
 * **LRU eviction under a byte cap** — stores beyond ``max_bytes`` evict
-  the least-recently-used entries (exact hits refresh recency), counted
-  separately (``lru_evictions``) from corruption evictions.
+  the least-recently-used entries (exact and reuse hits refresh
+  recency), counted separately (``lru_evictions``) from corruption
+  evictions.
 * **Cross-ε / cross-k reuse** — an entry computed at tighter ``ε′ ≤ ε``
   with ``k′ ≥ k`` serves the looser request after re-pruning; the
   reverse direction never hits.  Reuse hits (``reuse_hits``) are
@@ -76,7 +77,12 @@ class TestLRUEviction:
                                    top_k=16, cache=cache)
         assert not refetch.cache_hit
 
-    def test_exact_hits_refresh_recency(self, graph, cache):
+    @pytest.mark.parametrize("touch,kind", [
+        (dict(epsilon=0.2, top_k=8), "exact_hits"),
+        # Both entries dominate ε = 0.3; the closest, A, serves it.
+        (dict(epsilon=0.3, top_k=8), "reuse_hits"),
+    ], ids=["exact", "reuse"])
+    def test_exact_hits_refresh_recency(self, graph, cache, touch, kind):
         # Stored tightest-last so every store is a genuine miss.
         _operator(graph, method="localpush", epsilon=0.2, top_k=8,
                          cache=cache)  # A
@@ -84,8 +90,9 @@ class TestLRUEviction:
                          cache=cache)  # B
         size_two = _entry_bytes(cache)
         # Touch A so B becomes least recently used.
-        assert _operator(graph, method="localpush", epsilon=0.2,
-                                top_k=8, cache=cache).cache_hit
+        assert _operator(graph, method="localpush", cache=cache,
+                         **touch).cache_hit
+        assert cache.stats()[kind] == 1
         cache.max_bytes = size_two * 5 // 4  # room for two entries, not three
         _operator(graph, method="localpush", epsilon=0.05, top_k=8,
                          cache=cache)  # C — evicts B, not A
