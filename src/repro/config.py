@@ -11,15 +11,26 @@ layers that consume it:
   the LocalPush worker count and the persistent operator cache).
   :meth:`SimRankConfig.cache_key_fields` is the *single* derivation of
   the operator-cache key fields; the cache merely hashes them.
+* :class:`ServeConfig`, :class:`DynamicConfig` and
+  :class:`TelemetryConfig` — the serving, update-stream and
+  observability knobs.
 * :class:`RunSpec` — one end-to-end evaluation run: model name plus
   overrides, dataset, a :class:`repro.training.config.TrainConfig`, an
   optional :class:`SimRankConfig`, the seed and the repeat count.
   ``repro.api.run(spec)`` executes it.
+* :class:`ExperimentSpec` — a grid of :class:`RunSpec` cells plus the
+  knobs of its reduction.
 
-All are immutable (``with_overrides`` returns modified copies),
-validated in ``__post_init__`` (raising :class:`repro.errors.ConfigError`)
-and serialisable via ``to_dict``/``from_dict`` so benchmark records and
-experiment manifests can embed the exact configuration they ran.
+Each is validated in its own ``__post_init__`` and inherits the rest
+from :class:`FrozenConfig`, which writes the shared methods once from
+``dataclasses.fields``: ``with_overrides`` (a validated copy),
+``to_dict``/``from_dict`` (the JSON form benchmark records and
+experiment manifests embed; ``RunSpec`` and ``ExperimentSpec`` nest
+theirs) and ``from_cli_args`` (the CLI bridge, driven by each class's
+``CLI_FLAG_FIELDS`` and ``CLI_SWITCHES`` tables).  An unknown field
+name or a non-mapping payload raises the class's ``ERROR``:
+:class:`repro.errors.ConfigError`, or
+:class:`repro.errors.TrainingError` for ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -27,10 +38,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, ClassVar, Dict, Iterable, List,
+                    Mapping, Optional, Sequence, Tuple, Type, TypeVar)
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.utils.validation import is_integral
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,22 +86,96 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_float(name: str, value: object) -> float:
-    """Coerce to float, turning TypeError/ValueError into ConfigError."""
+def _as_float(name: str, value: object,
+              error: Type[ReproError] = ConfigError) -> float:
+    """Coerce to float, turning TypeError/ValueError into ``error``."""
     try:
-        return float(value)
+        return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        raise error(f"{name} must be a number, got {value!r}") from None
 
 
-def _as_int(name: str, value: object) -> int:
+def _as_int(name: str, value: object,
+            error: Type[ReproError] = ConfigError) -> int:
     """Coerce an integral value to int (bools and non-integers rejected)."""
-    _require(is_integral(value), f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if not is_integral(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)  # type: ignore[call-overload]
+
+
+_C = TypeVar("_C", bound="FrozenConfig")
 
 
 @dataclass(frozen=True)
-class SimRankConfig:
+class FrozenConfig:
+    """The methods every frozen config shares, written once.
+
+    A subclass declares its fields and validates them in
+    ``__post_init__``; this base derives the rest from
+    ``dataclasses.fields``.  ``ERROR`` is the exception an unknown field
+    name or a non-mapping payload raises.  ``CLI_FLAG_FIELDS`` maps an
+    ``argparse`` attribute to the field it sets, and ``CLI_SWITCHES``
+    maps a ``store_true`` attribute to the ``(field, value)`` it sets
+    when given — a switch has no "unset" value to inherit from.
+    """
+
+    ERROR: ClassVar[Type[ReproError]] = ConfigError
+    CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {}
+    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {}
+
+    @classmethod
+    def _check_names(cls, names: Iterable[str]) -> None:
+        unknown = set(names) - {f.name for f in fields(cls)}
+        if unknown:
+            raise cls.ERROR(f"unknown {cls.__name__} field(s): "
+                            f"{', '.join(sorted(unknown))}")
+
+    @classmethod
+    def _checked_payload(cls, data: object) -> Dict[str, Any]:
+        """``data`` as a dict, once it is a mapping of known field names."""
+        if not isinstance(data, Mapping):
+            raise cls.ERROR(f"{cls.__name__}.from_dict expects a mapping, "
+                            f"got {type(data).__name__}")
+        cls._check_names(data)
+        return dict(data)
+
+    def with_overrides(self: _C, **changes: object) -> _C:
+        """A validated copy with the given fields replaced."""
+        self._check_names(changes)
+        return replace(self, **changes)
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls: Type[_C], data: Mapping[str, object]) -> _C:
+        """Reconstruct a validated config from :meth:`to_dict` output."""
+        return cls(**cls._checked_payload(data))
+
+    @classmethod
+    def from_cli_args(cls: Type[_C], args: Any,
+                      base: Optional[_C] = None) -> _C:
+        """Build a config from parsed CLI flags.
+
+        A flag left at its ``None`` default inherits from ``base`` (the
+        defaults when omitted), and a switch overrides only when set, so
+        an empty command line returns ``base`` itself.
+        """
+        base = base if base is not None else cls()
+        overrides = {
+            field_name: getattr(args, attr)
+            for attr, field_name in cls.CLI_FLAG_FIELDS.items()
+            if getattr(args, attr, None) is not None
+        }
+        for attr, (field_name, value) in cls.CLI_SWITCHES.items():
+            if getattr(args, attr, False):
+                overrides[field_name] = value
+        return base.with_overrides(**overrides) if overrides else base
+
+
+@dataclass(frozen=True)
+class SimRankConfig(FrozenConfig):
     """Full specification of a SimRank aggregation operator.
 
     Field groups
@@ -185,30 +270,6 @@ class SimRankConfig:
                  f"dtype must be one of {SIMRANK_DTYPES}, got {self.dtype!r}")
 
     # ------------------------------------------------------------------ #
-    # Copy / serialisation
-    # ------------------------------------------------------------------ #
-    def with_overrides(self, **changes: object) -> "SimRankConfig":
-        """A validated copy with the given fields replaced."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown SimRankConfig field(s): {', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SimRankConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output."""
-        _require(isinstance(data, Mapping),
-                 f"SimRankConfig.from_dict expects a mapping, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown SimRankConfig field(s): {', '.join(sorted(unknown))}")
-        return cls(**dict(data))
-
-    # ------------------------------------------------------------------ #
     # Resolution (single source of the operator-cache key)
     # ------------------------------------------------------------------ #
     def resolved_method(self, num_nodes: int) -> str:
@@ -241,28 +302,6 @@ class SimRankConfig:
             "dtype": None if self.dtype == "float64" else self.dtype,
         }
 
-    # ------------------------------------------------------------------ #
-    # CLI bridge
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_cli_args(cls, args: Any,
-                      base: Optional["SimRankConfig"] = None) -> "SimRankConfig":
-        """Build a config from parsed CLI flags.
-
-        Flags left at their ``None`` default inherit from ``base`` (the
-        model's default config when omitted), so an empty command line is
-        exactly the documented defaults.  :data:`CLI_FLAG_FIELDS` maps
-        ``argparse`` attribute names to config fields; the parser-parity
-        test asserts every mapped flag exists.
-        """
-        base = base if base is not None else cls()
-        overrides = {
-            field_name: getattr(args, attr)
-            for attr, field_name in cls.CLI_FLAG_FIELDS.items()
-            if getattr(args, attr, None) is not None
-        }
-        return base.with_overrides(**overrides) if overrides else base
-
 
 #: The paper's operator settings for the SIGMA models: top-k pruning at
 #: ``k = 32`` (Table III/X), everything else the library defaults.  This
@@ -271,7 +310,7 @@ SIGMA_DEFAULT_SIMRANK = SimRankConfig(top_k=32)
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(FrozenConfig):
     """Configuration of the :mod:`repro.serve` online query layer.
 
     Field groups
@@ -307,9 +346,7 @@ class ServeConfig:
     degraded_epsilon_factor: float = 10.0
     serve_cached_rows: bool = True
 
-    #: CLI-flag ↔ field mapping consumed by :meth:`from_cli_args` (the
-    #: boolean ``--no-exact``/``--no-cached-rows`` switches are bridged
-    #: explicitly there — argparse ``store_true`` flags have no "unset").
+    #: ``repro.cli serve`` flags consumed by :meth:`from_cli_args`.
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {
         "host": "host",
         "port": "port",
@@ -317,6 +354,10 @@ class ServeConfig:
         "time_budget": "time_budget_seconds",
         "max_pushes_per_query": "max_pushes_per_query",
         "degraded_epsilon_factor": "degraded_epsilon_factor",
+    }
+    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
+        "no_exact": ("exact_enabled", False),
+        "no_cached_rows": ("serve_cached_rows", False),
     }
 
     def __post_init__(self) -> None:
@@ -352,52 +393,9 @@ class ServeConfig:
                  f"must loosen ε), got {self.degraded_epsilon_factor!r}")
         coerce(self, "serve_cached_rows", bool(self.serve_cached_rows))
 
-    def with_overrides(self, **changes: object) -> "ServeConfig":
-        """A validated copy with the given fields replaced."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown ServeConfig field(s): {', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ServeConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output."""
-        _require(isinstance(data, Mapping),
-                 f"ServeConfig.from_dict expects a mapping, "
-                 f"got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown ServeConfig field(s): {', '.join(sorted(unknown))}")
-        return cls(**dict(data))
-
-    @classmethod
-    def from_cli_args(cls, args: Any,
-                      base: Optional["ServeConfig"] = None) -> "ServeConfig":
-        """Build a config from parsed ``repro.cli serve`` flags.
-
-        Flags left at their ``None`` default inherit from ``base``; the
-        ``store_true`` switches ``--no-exact`` and ``--no-cached-rows``
-        override only when set (their unset state is ``False``).
-        """
-        base = base if base is not None else cls()
-        overrides: Dict[str, object] = {
-            field_name: getattr(args, attr)
-            for attr, field_name in cls.CLI_FLAG_FIELDS.items()
-            if getattr(args, attr, None) is not None
-        }
-        if getattr(args, "no_exact", False):
-            overrides["exact_enabled"] = False
-        if getattr(args, "no_cached_rows", False):
-            overrides["serve_cached_rows"] = False
-        return base.with_overrides(**overrides) if overrides else base
-
 
 @dataclass(frozen=True)
-class DynamicConfig:
+class DynamicConfig(FrozenConfig):
     """Configuration of the :mod:`repro.dynamic` incremental-maintenance layer.
 
     ``max_batch_edges``
@@ -430,12 +428,14 @@ class DynamicConfig:
     store_repaired: bool = True
     background_repair: bool = True
 
-    #: CLI-flag ↔ field mapping consumed by :meth:`from_cli_args` (the
-    #: boolean ``--synchronous-repair``/``--no-store-repaired`` switches
-    #: are bridged explicitly there).
+    #: ``repro.cli serve`` flags consumed by :meth:`from_cli_args`.
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {
         "max_batch_edges": "max_batch_edges",
         "repair_max_pushes": "repair_max_pushes",
+    }
+    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
+        "synchronous_repair": ("background_repair", False),
+        "no_store_repaired": ("store_repaired", False),
     }
 
     def __post_init__(self) -> None:
@@ -454,55 +454,9 @@ class DynamicConfig:
         coerce(self, "store_repaired", bool(self.store_repaired))
         coerce(self, "background_repair", bool(self.background_repair))
 
-    def with_overrides(self, **changes: object) -> "DynamicConfig":
-        """A validated copy with the given fields replaced."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown DynamicConfig field(s): "
-                 f"{', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DynamicConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output."""
-        _require(isinstance(data, Mapping),
-                 f"DynamicConfig.from_dict expects a mapping, "
-                 f"got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown DynamicConfig field(s): "
-                 f"{', '.join(sorted(unknown))}")
-        return cls(**dict(data))
-
-    @classmethod
-    def from_cli_args(cls, args: Any,
-                      base: Optional["DynamicConfig"] = None
-                      ) -> "DynamicConfig":
-        """Build a config from parsed ``repro.cli serve`` flags.
-
-        Flags left at their ``None`` default inherit from ``base``; the
-        ``store_true`` switches ``--synchronous-repair`` and
-        ``--no-store-repaired`` override only when set.
-        """
-        base = base if base is not None else cls()
-        overrides: Dict[str, object] = {
-            field_name: getattr(args, attr)
-            for attr, field_name in cls.CLI_FLAG_FIELDS.items()
-            if getattr(args, attr, None) is not None
-        }
-        if getattr(args, "synchronous_repair", False):
-            overrides["background_repair"] = False
-        if getattr(args, "no_store_repaired", False):
-            overrides["store_repaired"] = False
-        return base.with_overrides(**overrides) if overrides else base
-
 
 @dataclass(frozen=True)
-class TelemetryConfig:
+class TelemetryConfig(FrozenConfig):
     """Configuration of the :mod:`repro.telemetry` observability layer.
 
     ``enabled``
@@ -524,11 +478,13 @@ class TelemetryConfig:
     trace_path: Optional[str] = None
     max_recorded_spans: int = 4096
 
-    #: CLI-flag ↔ field mapping consumed by :meth:`from_cli_args` (the
-    #: boolean ``--telemetry`` switch is bridged explicitly there).
+    #: CLI flags consumed by :meth:`from_cli_args`.
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {
         "trace_path": "trace_path",
         "max_recorded_spans": "max_recorded_spans",
+    }
+    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
+        "telemetry": ("enabled", True),
     }
 
     def __post_init__(self) -> None:
@@ -545,54 +501,21 @@ class TelemetryConfig:
                  f"max_recorded_spans must be a positive integer, "
                  f"got {self.max_recorded_spans!r}")
 
-    def with_overrides(self, **changes: object) -> "TelemetryConfig":
-        """A validated copy with the given fields replaced."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown TelemetryConfig field(s): "
-                 f"{', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TelemetryConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output."""
-        _require(isinstance(data, Mapping),
-                 f"TelemetryConfig.from_dict expects a mapping, "
-                 f"got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown TelemetryConfig field(s): "
-                 f"{', '.join(sorted(unknown))}")
-        return cls(**dict(data))
-
     @classmethod
     def from_cli_args(cls, args: Any,
                       base: Optional["TelemetryConfig"] = None
                       ) -> "TelemetryConfig":
-        """Build a config from parsed CLI flags.
-
-        Flags left at their ``None`` default inherit from ``base``;
-        ``--telemetry`` switches ``enabled`` on, and a ``--trace-path``
-        implies ``enabled`` too (a requested sink with a disabled
-        tracer would silently record nothing).
-        """
-        base = base if base is not None else cls()
-        overrides: Dict[str, object] = {
-            field_name: getattr(args, attr)
-            for attr, field_name in cls.CLI_FLAG_FIELDS.items()
-            if getattr(args, attr, None) is not None
-        }
-        if getattr(args, "telemetry", False) or "trace_path" in overrides:
-            overrides["enabled"] = True
-        return base.with_overrides(**overrides) if overrides else base
+        """The base bridge, plus: a ``--trace-path`` implies ``enabled``
+        (a requested sink with a disabled tracer would record nothing)."""
+        config = super().from_cli_args(args, base)
+        if getattr(args, "trace_path", None) is not None \
+                and not config.enabled:
+            return config.with_overrides(enabled=True)
+        return config
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(FrozenConfig):
     """One end-to-end evaluation run, declaratively.
 
     ``repro.api.run(spec)`` loads the dataset, constructs the model from
@@ -652,17 +575,6 @@ class RunSpec:
                  f"{', '.join(list_models())}")
 
     # ------------------------------------------------------------------ #
-    def with_overrides(self, **changes: object) -> "RunSpec":
-        """A validated copy with the given *spec fields* replaced.
-
-        (To change model hyper-parameter overrides, replace the
-        ``overrides`` field wholesale.)
-        """
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown RunSpec field(s): {', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
     def to_dict(self) -> Dict[str, object]:
         overrides = dict(self.overrides)
         if isinstance(overrides.get("simrank"), SimRankConfig):
@@ -684,12 +596,7 @@ class RunSpec:
     def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
         from repro.training.config import TrainConfig
 
-        _require(isinstance(data, Mapping),
-                 f"RunSpec.from_dict expects a mapping, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown RunSpec field(s): {', '.join(sorted(unknown))}")
-        payload = dict(data)
+        payload = cls._checked_payload(data)
         if payload.get("train") is not None and not hasattr(payload["train"], "max_epochs"):
             payload["train"] = TrainConfig.from_dict(payload["train"])
         if payload.get("simrank") is not None and not isinstance(
@@ -747,7 +654,7 @@ CELL_SPEC_FIELDS: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(FrozenConfig):
     """Declarative description of one experiment: a grid of runs + a reduction.
 
     An experiment is a *grid of cells over a base* :class:`RunSpec`: every
@@ -868,13 +775,6 @@ class ExperimentSpec:
     # ------------------------------------------------------------------ #
     # Transforms / serialisation
     # ------------------------------------------------------------------ #
-    def with_overrides(self, **changes: object) -> "ExperimentSpec":
-        """A validated copy with the given *spec fields* replaced."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        _require(not unknown,
-                 f"unknown ExperimentSpec field(s): {', '.join(sorted(unknown))}")
-        return replace(self, **changes)
-
     def with_base(self, **changes: object) -> "ExperimentSpec":
         """A copy whose base :class:`RunSpec` has ``changes`` applied.
 
@@ -899,13 +799,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentSpec":
-        _require(isinstance(data, Mapping),
-                 f"ExperimentSpec.from_dict expects a mapping, "
-                 f"got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        _require(not unknown,
-                 f"unknown ExperimentSpec field(s): {', '.join(sorted(unknown))}")
-        payload = dict(data)
+        payload = cls._checked_payload(data)
         if payload.get("base") is not None and not isinstance(payload["base"], RunSpec):
             payload["base"] = RunSpec.from_dict(payload["base"])
         if payload.get("grid") is not None:
@@ -920,6 +814,7 @@ __all__ = [
     "SIMRANK_MODELS",
     "CACHE_KEY_FIELDS",
     "CELL_SPEC_FIELDS",
+    "FrozenConfig",
     "SimRankConfig",
     "DynamicConfig",
     "TelemetryConfig",

@@ -38,8 +38,10 @@ Endpoints (all ``GET``, all JSON):
 
 Bad parameters (and invalid deltas) are a 400, an exhausted degradation
 ladder a 503 — the daemon never dies on a query.  ``main`` is the
-``repro.cli serve`` subcommand: it loads a registry dataset, builds the
-service stack and blocks in ``serve_forever`` until Ctrl-C or SIGTERM.
+``repro.cli serve`` subcommand: it builds the four configs from its
+flags (a value they reject exits 2 with one line, before anything
+loads), loads a registry dataset, builds the service stack and blocks
+in ``serve_forever`` until Ctrl-C or SIGTERM.
 Either way :meth:`ServeDaemon.server_close` then runs, which calls
 :meth:`repro.serve.service.SimRankService.close`: it waits for the
 repair in progress and drains its snapshot write, so the newest entry is
@@ -55,7 +57,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.config import DynamicConfig, ServeConfig, SimRankConfig
+from repro.config import (DynamicConfig, ServeConfig, SimRankConfig,
+                          TelemetryConfig)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.telemetry.runtime import Telemetry
@@ -284,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--decay", type=float, default=None,
                         help="SimRank decay factor c")
     parser.add_argument("--workers", type=int, default=None,
+                        dest="simrank_workers", metavar="WORKERS",
                         help="LocalPush thread-pool size for query rounds "
                              "(1 = inline; default: by graph size)")
     parser.add_argument("--cache-dir", default=None,
+                        dest="simrank_cache_dir", metavar="CACHE_DIR",
                         help="operator cache directory (the cached rung)")
     parser.add_argument("--max-batch-edges", type=int, default=None,
                         help="largest /update batch accepted")
@@ -318,17 +323,15 @@ def _interrupt(signum: int, frame: object) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro.cli serve`` entry point: load, bind, serve forever."""
-    args = build_parser().parse_args(
-        list(argv) if argv is not None else None)
-    serve_config = ServeConfig.from_cli_args(args)
-    simrank_overrides: Dict[str, object] = {}
-    for attr, field_name in (("epsilon", "epsilon"), ("decay", "decay"),
-                             ("workers", "workers"),
-                             ("cache_dir", "cache_dir")):
-        value = getattr(args, attr)
-        if value is not None:
-            simrank_overrides[field_name] = value
-    simrank_config = SimRankConfig(**simrank_overrides)  # type: ignore[arg-type]
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
+    try:
+        simrank_config = SimRankConfig.from_cli_args(args)
+        serve_config = ServeConfig.from_cli_args(args)
+        dynamic_config = DynamicConfig.from_cli_args(args)
+        telemetry_config = TelemetryConfig.from_cli_args(args)
+    except ConfigError as error:
+        parser.error(str(error))
 
     from repro.datasets.registry import load_dataset
 
@@ -338,13 +341,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}")
         return 2
-    from repro.config import TelemetryConfig
     from repro.telemetry import telemetry_from_config
 
-    telemetry = telemetry_from_config(TelemetryConfig.from_cli_args(args))
+    telemetry = telemetry_from_config(telemetry_config)
     daemon = make_daemon(dataset.graph, simrank=simrank_config,
-                         serve=serve_config,
-                         dynamic=DynamicConfig.from_cli_args(args),
+                         serve=serve_config, dynamic=dynamic_config,
                          telemetry=telemetry)
     host, port = daemon.server_address[0], daemon.server_address[1]
     print(f"serving {args.dataset} ({dataset.graph.num_nodes} nodes) "

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Mapping
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, Type
 
-from repro.errors import TrainingError
+from repro.config import FrozenConfig, _as_float, _as_int
+from repro.errors import ReproError, TrainingError
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(FrozenConfig):
     """Hyper-parameters of the full-batch training loop.
 
     Mirrors the paper's search space (Table VI): learning rate, weight decay,
     dropout (a model parameter), early-stopping patience and epoch budget.
+    The rates are coerced to ``float`` and the epoch counts to ``int``.
     """
+
+    ERROR: ClassVar[Type[ReproError]] = TrainingError
 
     learning_rate: float = 0.01
     weight_decay: float = 5e-4
@@ -27,6 +31,12 @@ class TrainConfig:
     model_overrides: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        coerce = object.__setattr__
+        for name in ("learning_rate", "weight_decay", "momentum"):
+            coerce(self, name,
+                   _as_float(name, getattr(self, name), TrainingError))
+        for name in ("max_epochs", "patience", "min_epochs"):
+            coerce(self, name, _as_int(name, getattr(self, name), TrainingError))
         if self.learning_rate <= 0:
             raise TrainingError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.weight_decay < 0:
@@ -39,26 +49,6 @@ class TrainConfig:
             raise TrainingError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.min_epochs < 0 or self.min_epochs > self.max_epochs:
             raise TrainingError("min_epochs must be in [0, max_epochs]")
-
-    def with_overrides(self, **changes: object) -> "TrainConfig":
-        """A copy of the config with the given fields replaced."""
-        return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TrainConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise TrainingError(
-                f"TrainConfig.from_dict expects a mapping, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise TrainingError(
-                f"unknown TrainConfig field(s): {', '.join(sorted(unknown))}")
-        return cls(**dict(data))
 
 
 # Reasonable defaults for quick experiments / tests on the synthetic graphs.

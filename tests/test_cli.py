@@ -189,6 +189,35 @@ class TestMain:
         assert "Traceback" not in err
         assert f"error: {message}" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--port", "70000"], "port must be in [0, 65535], got 70000"),
+        (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
+        (["--serve-top-k", "0"],
+         "default_top_k must be a positive integer, got 0"),
+        (["--max-batch-edges", "0"],
+         "max_batch_edges must be a positive integer, got 0"),
+        (["--degraded-epsilon-factor", "0.5"],
+         "degraded_epsilon_factor must exceed 1.0"),
+    ])
+    def test_bad_serve_flag_value_is_an_argparse_error(
+            self, capsys, monkeypatch, argv, message):
+        """``serve`` checks its configs before it loads a dataset or binds
+        a port: a rejected value exits 2 with one error line."""
+        import repro.datasets.registry
+        import repro.serve.daemon
+
+        def never(*args, **kwargs):
+            pytest.fail("a rejected flag value got past the config check")
+
+        monkeypatch.setattr(repro.datasets.registry, "load_dataset", never)
+        monkeypatch.setattr(repro.serve.daemon, "make_daemon", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "texas"] + argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {message}" in err.strip().splitlines()[-1]
+
     def test_json_output(self, capsys):
         exit_code = main(["--model", "sigma", "--dataset", "texas", "--repeats", "1",
                           "--epochs", "10", "--patience", "5", "--hidden", "16",

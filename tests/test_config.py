@@ -5,18 +5,28 @@ Covers the acceptance criteria of the config-object API redesign:
 * ``SimRankConfig`` / ``RunSpec`` round-trip through ``to_dict`` /
   ``from_dict`` and reject unknown fields and invalid values.
 * ``SimRankConfig.from_cli_args`` is in parity with the CLI flags: every
-  mapped flag exists on the parser and lands in the right field.
+  mapped flag exists on the parser and lands in the right field; the
+  serve configs are in parity with the ``serve`` parser.
+* All seven frozen configs share one contract (``FrozenConfig``): the
+  round trip, the unknown-field and non-mapping errors word for word,
+  and an empty command line bridging to the defaults.
 * The config is the only path into the operator pipeline and the SIGMA
   models: they take no per-field keywords.
 """
+
+import argparse
 
 import pytest
 
 from repro.config import (
     CACHE_KEY_FIELDS,
     SIGMA_DEFAULT_SIMRANK,
+    DynamicConfig,
+    ExperimentSpec,
     RunSpec,
+    ServeConfig,
     SimRankConfig,
+    TelemetryConfig,
 )
 from repro.errors import ConfigError, TrainingError
 from repro.simrank.cache import get_operator_cache, graph_fingerprint
@@ -188,6 +198,43 @@ class TestFromCliArgs:
         assert config.epsilon == 0.05
         assert config.top_k == SIGMA_DEFAULT_SIMRANK.top_k == 32
 
+    def test_every_mapped_serve_flag_exists_on_the_serve_parser(self):
+        from repro.serve.daemon import build_parser
+
+        args = build_parser().parse_args(["texas"])
+        for cls in (ServeConfig, DynamicConfig, TelemetryConfig):
+            for attr in (*cls.CLI_FLAG_FIELDS, *cls.CLI_SWITCHES):
+                assert hasattr(args, attr), \
+                    f"serve parser is missing {cls.__name__}'s --{attr}"
+
+    def test_serve_flag_parity(self, tmp_path):
+        """Every serve flag set away from its default lands in its field."""
+        from repro.serve.daemon import build_parser
+
+        trace = str(tmp_path / "trace.jsonl")
+        args = build_parser().parse_args([
+            "texas", "--host", "0.0.0.0", "--port", "0",
+            "--serve-top-k", "7", "--time-budget", "0.5",
+            "--max-pushes-per-query", "100",
+            "--degraded-epsilon-factor", "4", "--no-exact",
+            "--no-cached-rows", "--epsilon", "0.2", "--decay", "0.7",
+            "--workers", "2", "--cache-dir", str(tmp_path),
+            "--max-batch-edges", "16", "--repair-max-pushes", "1000",
+            "--synchronous-repair", "--no-store-repaired", "--telemetry",
+            "--trace-path", trace, "--max-recorded-spans", "64",
+        ])
+        assert SimRankConfig.from_cli_args(args) == SimRankConfig(
+            epsilon=0.2, decay=0.7, workers=2, cache_dir=str(tmp_path))
+        assert ServeConfig.from_cli_args(args) == ServeConfig(
+            host="0.0.0.0", port=0, default_top_k=7, exact_enabled=False,
+            time_budget_seconds=0.5, max_pushes_per_query=100,
+            degraded_epsilon_factor=4.0, serve_cached_rows=False)
+        assert DynamicConfig.from_cli_args(args) == DynamicConfig(
+            max_batch_edges=16, repair_max_pushes=1000,
+            store_repaired=False, background_repair=False)
+        assert TelemetryConfig.from_cli_args(args) == TelemetryConfig(
+            enabled=True, trace_path=trace, max_recorded_spans=64)
+
 
 class TestTrainConfigSerialisation:
     def test_round_trip(self):
@@ -260,6 +307,89 @@ class TestRunSpec:
         assert spec.dataset == "cornell" and spec.repeats == 3
         with pytest.raises(ConfigError):
             RunSpec().with_overrides(epochs=10)
+
+
+# ---------------------------------------------------------------------- #
+# One contract for every frozen config
+# ---------------------------------------------------------------------- #
+def _contract_instances():
+    """One non-default instance of each frozen config, with its error."""
+    train = TrainConfig(learning_rate=0.02, weight_decay=1e-3, max_epochs=50,
+                        patience=7, optimizer="sgd", momentum=0.5,
+                        min_epochs=3, track_test_history=False,
+                        model_overrides={"hidden": 16})
+    run = RunSpec(model="sigma", dataset="chameleon",
+                  overrides={"hidden": 16}, train=train,
+                  simrank=SimRankConfig(epsilon=0.05, top_k=8), seed=7,
+                  repeats=2, scale_factor=0.5)
+    return [
+        (SimRankConfig(method="localpush", decay=0.7, epsilon=0.05, top_k=16,
+                       row_normalize=True, exact_size_limit=100, workers=3,
+                       cache_dir="operator-cache", cache_max_bytes=1 << 20,
+                       dtype="float32"), ConfigError),
+        (ServeConfig(host="0.0.0.0", port=0, default_top_k=7,
+                     exact_enabled=False, time_budget_seconds=0.5,
+                     max_pushes_per_query=100, degraded_epsilon_factor=4.0,
+                     serve_cached_rows=False), ConfigError),
+        (DynamicConfig(max_batch_edges=16, repair_max_pushes=1000,
+                       store_repaired=False, background_repair=False),
+         ConfigError),
+        (TelemetryConfig(enabled=True, trace_path="trace.jsonl",
+                         max_recorded_spans=64), ConfigError),
+        (train, TrainingError),
+        (run, ConfigError),
+        (ExperimentSpec(name="contract", base=run, title="Contract",
+                        grid=({"seed": 1}, {"train.patience": 3}),
+                        params={"num_pairs": 10}, reduction={"bins": 5}),
+         ConfigError),
+    ]
+
+
+CONTRACT = _contract_instances()
+CONTRACT_IDS = [type(instance).__name__ for instance, _ in CONTRACT]
+CLI_CONFIGS = (SimRankConfig, ServeConfig, DynamicConfig, TelemetryConfig)
+
+
+@pytest.mark.parametrize("instance,error", CONTRACT, ids=CONTRACT_IDS)
+class TestFrozenConfigContract:
+    """Every frozen config round-trips and rejects a bad name or payload
+    with the same words."""
+
+    def test_round_trip(self, instance, error):
+        cls = type(instance)
+        assert cls.from_dict(instance.to_dict()) == instance
+
+    def test_with_overrides_rejects_an_unknown_field(self, instance, error):
+        with pytest.raises(error) as excinfo:
+            instance.with_overrides(bogus=1)
+        assert excinfo.type is error
+        assert str(excinfo.value) == \
+            f"unknown {type(instance).__name__} field(s): bogus"
+
+    def test_from_dict_rejects_an_unknown_field(self, instance, error):
+        with pytest.raises(error) as excinfo:
+            type(instance).from_dict({"bogus": 1})
+        assert excinfo.type is error
+        assert str(excinfo.value) == \
+            f"unknown {type(instance).__name__} field(s): bogus"
+
+    def test_from_dict_rejects_a_non_mapping(self, instance, error):
+        with pytest.raises(error) as excinfo:
+            type(instance).from_dict([1])
+        assert excinfo.type is error
+        assert str(excinfo.value) == \
+            f"{type(instance).__name__}.from_dict expects a mapping, got list"
+
+
+@pytest.mark.parametrize(
+    "instance", [instance for instance, _ in CONTRACT
+                 if type(instance) in CLI_CONFIGS],
+    ids=[cls.__name__ for cls in CLI_CONFIGS])
+def test_an_empty_command_line_is_the_base(instance):
+    """No flag set: the defaults, or the ``base`` object itself."""
+    cls = type(instance)
+    assert cls.from_cli_args(argparse.Namespace()) == cls()
+    assert cls.from_cli_args(argparse.Namespace(), base=instance) is instance
 
 
 # ---------------------------------------------------------------------- #

@@ -9,7 +9,7 @@ from repro.config import (
     SimRankConfig,
     grid_product,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TrainingError
 from repro.training.config import TrainConfig
 
 
@@ -83,6 +83,11 @@ class TestCellExpansion:
     def test_train_prefix_overrides_training(self):
         spec = make_spec(grid=({"train.max_epochs": 42},))
         assert spec.cells()[0].spec.train.max_epochs == 42
+
+    def test_unknown_train_key_names_the_field(self):
+        with pytest.raises(TrainingError,
+                           match=r"^unknown TrainConfig field\(s\): bogus$"):
+            make_spec(grid=({"train.bogus": 1},))
 
     def test_declared_param_overridable_per_cell(self):
         spec = make_spec(params={"label": ""},

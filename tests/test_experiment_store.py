@@ -8,7 +8,7 @@ import pytest
 from repro.config import ExperimentSpec, RunSpec
 from repro.errors import ArtifactError
 from repro.experiments.engine import execute
-from repro.experiments.registry import ExperimentDefinition
+from repro.experiments.registry import ExperimentDefinition, get_experiment
 from repro.experiments.store import (
     STORE_FORMAT_VERSION,
     ArtifactStore,
@@ -63,6 +63,14 @@ class TestKeys:
         relabelled = spec.with_overrides(name="other", reduction={"bins": 9})
         assert store.key_for(spec.cells()[0], demo_runner) == store.key_for(
             relabelled.cells()[0], demo_runner)
+
+    def test_a_paper_cell_keeps_its_key(self, store):
+        """A stored cell is found by this key: a change to how a spec
+        serialises would orphan every cell already on disk."""
+        fig6 = get_experiment("fig6")
+        cell = fig6.default_spec().cells()[0]
+        assert store.key_for(cell, fig6.cell) == \
+            "18705fbc8ef9c95cbd55a25871e4229f"
 
     def test_runner_name_is_qualified(self):
         assert runner_name(demo_runner).endswith(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import SimRankConfig
+from repro.config import RunSpec, SimRankConfig
 from repro.errors import TrainingError
 from repro.models.registry import create_model
 from repro.nn.optim import Adam
@@ -76,6 +76,40 @@ class TestTrainConfig:
     def test_invalid_min_epochs(self):
         with pytest.raises(TrainingError):
             TrainConfig(min_epochs=500, max_epochs=100)
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"max_epochs": 12.5, "min_epochs": 5},
+         "max_epochs must be an integer, got 12.5"),
+        ({"patience": True}, "patience must be an integer, got True"),
+        ({"min_epochs": "5"}, "min_epochs must be an integer, got '5'"),
+        ({"learning_rate": "fast"},
+         "learning_rate must be a number, got 'fast'"),
+        ({"weight_decay": None}, "weight_decay must be a number, got None"),
+        ({"momentum": "high"}, "momentum must be a number, got 'high'"),
+    ])
+    def test_invalid_types_raise_training_error(self, bad, message):
+        """A count that is not integral or a rate that is not a number
+        fails here, not later inside ``Trainer.fit``."""
+        with pytest.raises(TrainingError) as excinfo:
+            TrainConfig(**bad)
+        assert str(excinfo.value) == message
+
+    def test_counts_become_int_and_rates_float(self):
+        config = TrainConfig(max_epochs=12.0, patience=np.int64(4),
+                             min_epochs=5, learning_rate="0.01",
+                             weight_decay=0, momentum=1)
+        assert (config.max_epochs, config.patience) == (12, 4)
+        assert (config.learning_rate, config.weight_decay,
+                config.momentum) == (0.01, 0.0, 1.0)
+        for name in ("max_epochs", "patience", "min_epochs"):
+            assert type(getattr(config, name)) is int
+        for name in ("learning_rate", "weight_decay", "momentum"):
+            assert type(getattr(config, name)) is float
+
+    def test_a_serialised_rate_string_is_read_as_a_number(self):
+        spec = RunSpec.from_dict(
+            {"model": "mlp", "train": {"learning_rate": "0.01"}})
+        assert spec.train.learning_rate == 0.01
 
     def test_with_overrides(self):
         config = TrainConfig().with_overrides(max_epochs=10)
