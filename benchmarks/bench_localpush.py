@@ -1,32 +1,29 @@
-"""Benchmark: the LocalPush engine core inline and on its thread pool.
+"""Benchmark: the LocalPush engine core, one push per round.
 
-Times the engine core on a synthetic pokec-style graph twice — ``serial``
-(one worker: every shard pushed inline) and ``thread`` (the pool at the
-default or ``--workers`` size) — checks the serial core's error against
-the dense ``linearized_simrank`` series (the fixed point of Lemma III.5)
-is below ``ε`` *and* that the pooled run is bit-identical to the serial
-one, then appends the result to ``BENCH_localpush.json`` at the repo
-root so future PRs can track the precompute-speed trajectory.
+Times the engine core on a synthetic pokec-style graph (``serial``: each
+round's whole frontier pushed in the calling thread) and checks its
+error against the dense ``linearized_simrank`` series (the fixed point
+of Lemma III.5) is below ``ε``, then appends the result to
+``BENCH_localpush.json`` at the repo root so future PRs can track the
+precompute-speed trajectory.
 
 The JSON file is an append-only list of run records.  Each new record is
 validated against :data:`RECORD_SCHEMA` before being appended and carries
-``cpu_count`` alongside ``num_workers`` — pool speedups are only
-interpretable relative to the cores the machine actually had.
+``cpu_count``, so timings stay interpretable relative to the machine
+that took them.
 
 Usage
 -----
 ``PYTHONPATH=src python benchmarks/bench_localpush.py``            full run (5k nodes)
 ``PYTHONPATH=src python benchmarks/bench_localpush.py --smoke``    quick smoke (600 nodes)
-``... --nodes 2000 --epsilon 0.05 --workers 8 --output /tmp/b.json``  custom
+``... --nodes 2000 --epsilon 0.05 --output /tmp/b.json``  custom
 ``... --profile``                                       print the phase table too
 
-Both modes exercise the series reference, the serial core and the
-thread pool.  The full run measures the pool's speedup over the serial
-core on a ≥ 5k-node graph at ε = 0.1 (``speedup_vs_serial`` — > 1 needs
-actual multi-core hardware; see ``cpu_count`` in the record).  The dense
-series costs ``O(n²)`` memory and dominates the full run's wall time (it
-is computed at tolerance ``ε/100`` so its own truncation error stays far
-below ``ε``); ``backends.core.seconds`` times only the serial core.
+Both modes exercise the series reference, the core and the core plus
+the operator's top-k prune.  The dense series costs ``O(n²)`` memory
+and dominates the full run's wall time (it is computed at tolerance
+``ε/100`` so its own truncation error stays far below ``ε``);
+``backends.core.seconds`` times only the core.
 
 Every record additionally carries two sections:
 
@@ -34,11 +31,10 @@ Every record additionally carries two sections:
   graphs against the dense ``linearized_simrank`` oracle, with the
   measured max error checked against the adjusted bound
   (:func:`repro.simrank.kernels.float32_error_bound`).
-* ``profile`` — the per-phase (frontier/push/merge/prune) seconds of one
-  serial core run at the headline ε (``--profile`` prints the table),
-  summed from the ``localpush.<phase>`` spans the engine opens on a
-  recording tracer — the same spans ``repro-trace`` reads, with no
-  separate timer.
+* ``profile`` — the per-phase (frontier/push/merge) seconds of one
+  core run at the headline ε (``--profile`` prints the table), summed
+  from the ``localpush.<phase>`` spans the engine opens on a recording
+  tracer — the same spans ``repro-trace`` reads, with no separate timer.
 
 ``benchmarks/check_perf_gate.py`` consumes this history in CI: it
 compares the freshest record's core seconds against the last earlier
@@ -49,7 +45,7 @@ record with the same ``cpu_count``/``num_nodes`` shape and fails on a
 from __future__ import annotations
 
 # repro-lint: disable-file=R8 — this micro-benchmark measures the engine
-# internals themselves (worker pool, series reference, synthetic
+# internals themselves (round kernel, series reference, synthetic
 # generator), so importing them is its purpose, not an API leak.
 import argparse
 import json
@@ -62,10 +58,9 @@ from repro.config import SimRankConfig
 from repro.datasets.synthetic import SyntheticGraphConfig, generate_synthetic_graph
 from repro.errors import ConfigError
 from repro.graphs import top_k_per_row
-from repro.simrank.engine import default_num_workers, localpush_engine
+from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.kernels import PHASES, float32_error_bound
-from repro.simrank.localpush import localpush_simrank
 from repro.telemetry import NULL_TRACER, SpanRecorder, Tracer, phase_seconds
 from repro.utils.timer import Timer
 
@@ -85,7 +80,6 @@ RECORD_SCHEMA = {
     "decay": float,
     "seed": int,
     "cpu_count": int,
-    "num_workers": int,
     "config": dict,
     "backends": dict,
     "executors": dict,
@@ -109,22 +103,15 @@ PROFILE_SCHEMA = {
     "phase_seconds": dict,
 }
 
-#: Entries every record's ``executors`` section must hold: the core on
-#: one worker (``serial``) and on the thread pool (``thread``).
-REQUIRED_EXECUTORS = ("serial", "thread")
+#: Entries every record's ``executors`` section must hold: the core
+#: (``serial``).
+REQUIRED_EXECUTORS = ("serial",)
 
 #: Schema of each entry inside ``record["executors"]``.
 EXECUTOR_SCHEMA = {
     "seconds": float,
     "num_pushes": int,
     "nnz": int,
-}
-
-#: Extra keys required of the ``thread`` entry.
-POOLED_EXECUTOR_SCHEMA = {
-    "num_workers": int,
-    "speedup_vs_serial": float,
-    "bit_identical_to_serial": bool,
 }
 
 
@@ -163,9 +150,6 @@ def validate_record(record: dict) -> dict:
                 continue
             _check_fields(entry, EXECUTOR_SCHEMA,
                           f"record.executors.{name}", problems)
-            if name == "thread":
-                _check_fields(entry, POOLED_EXECUTOR_SCHEMA,
-                              f"record.executors.{name}", problems)
     backends = record.get("backends")
     if isinstance(backends, dict) and "core" not in backends:
         problems.append("record.backends: missing the core entry")
@@ -197,7 +181,7 @@ def build_graph(num_nodes: int, *, average_degree: float, seed: int):
     return generate_synthetic_graph(config, seed=seed)
 
 
-def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
+def time_plan(graph, *, epsilon: float, decay: float,
               top_k: int | None = None) -> dict:
     """One timed core run; with ``top_k``, the operator pipeline's cost.
 
@@ -208,9 +192,9 @@ def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
     """
     timer = Timer()
     with timer:
-        result = localpush_simrank(graph, epsilon=epsilon, decay=decay,
-                                   prune=False, num_workers=num_workers,
-                                   absorb_residual=top_k is not None)
+        result = localpush_engine(graph, epsilon=epsilon, decay=decay,
+                                  prune=False,
+                                  absorb_residual=top_k is not None)
         matrix = result.matrix
         if top_k is not None:
             matrix = top_k_per_row(matrix, top_k, keep_diagonal=True)
@@ -219,7 +203,6 @@ def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
         "num_pushes": result.num_pushes,
         "nnz": int(matrix.nnz),
         "matrix": matrix,
-        "num_workers": result.num_workers,
     }
     if top_k is not None:
         record["top_k"] = top_k
@@ -228,7 +211,7 @@ def time_plan(graph, *, epsilon: float, decay: float, num_workers: int,
 
 def time_core(graph, *, epsilon: float, decay: float,
               tracer: Tracer = NULL_TRACER) -> dict:
-    """One timed serial engine-core run (the profiled measurement)."""
+    """One timed engine-core run (the profiled measurement)."""
     timer = Timer()
     with timer:
         result = localpush_engine(graph, epsilon=epsilon, decay=decay,
@@ -312,13 +295,12 @@ def load_history(path: Path) -> list:
 
 
 def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
-        seed: int, smoke: bool, num_workers: int, top_k: int = 32,
+        seed: int, smoke: bool, top_k: int = 32,
         show_profile: bool = False) -> dict:
     graph = build_graph(num_nodes, average_degree=average_degree, seed=seed)
     cpu_count = os.cpu_count() or 1
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges, "
-          f"epsilon={epsilon}, decay={decay}, workers={num_workers}, "
-          f"cpus={cpu_count}")
+          f"epsilon={epsilon}, decay={decay}, cpus={cpu_count}")
 
     # The dense series first: the within-ε reference (Lemma III.5's fixed
     # point), at a tolerance far below ε so its own truncation error
@@ -329,57 +311,34 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
                                     tolerance=epsilon / 100.0)
     print(f"  {'series':>10}: {timer.elapsed:8.3f}s (dense reference)")
 
-    # The core on one worker (every shard inline) and on the pool.
-    runs = {}
-    for name, workers in (("serial", 1), ("thread", num_workers)):
-        record = time_plan(graph, epsilon=epsilon, decay=decay,
-                           num_workers=workers)
-        runs[name] = record
-        print(f"  {name:>10}: {record['seconds']:8.3f}s "
-              f"({record['num_pushes']} pushes, nnz={record['nnz']}, "
-              f"workers={record['num_workers']})")
+    serial = time_plan(graph, epsilon=epsilon, decay=decay)
+    print(f"  {'serial':>10}: {serial['seconds']:8.3f}s "
+          f"({serial['num_pushes']} pushes, nnz={serial['nnz']})")
 
     # The operator pipeline prunes the core's finished estimate to its
     # top-k (simrank_operator), so the tracked record must include what
     # model precompute actually pays.
-    pruned = time_plan(graph, epsilon=epsilon, decay=decay,
-                       num_workers=1, top_k=top_k)
+    pruned = time_plan(graph, epsilon=epsilon, decay=decay, top_k=top_k)
     print(f"  {'serial+topk':>11}: {pruned['seconds']:8.3f}s "
           f"(top_k={top_k}, nnz={pruned['nnz']})")
 
-    serial = runs["serial"]
-    serial_matrix = serial["matrix"]
-    max_abs_diff = float(np.abs(serial_matrix.toarray() - series).max())
+    max_abs_diff = float(np.abs(serial["matrix"].toarray() - series).max())
     within_epsilon = max_abs_diff < epsilon
     print(f"  core vs series: max|Ŝ − S| = {max_abs_diff:.5f} "
           f"(bound ε = {epsilon})")
 
-    executors_out = {}
-    for name, record in runs.items():
-        entry = {
-            "seconds": round(record["seconds"], 4),
-            "num_pushes": record["num_pushes"],
-            "nnz": record["nnz"],
-        }
-        if name == "thread":
-            matrix = record["matrix"]
-            identical = (
-                np.array_equal(serial_matrix.indptr, matrix.indptr)
-                and np.array_equal(serial_matrix.indices, matrix.indices)
-                and np.array_equal(serial_matrix.data, matrix.data))
-            entry["num_workers"] = int(record["num_workers"])
-            entry["speedup_vs_serial"] = (
-                round(serial["seconds"] / record["seconds"], 2)
-                if record["seconds"] > 0 else float("inf"))
-            entry["bit_identical_to_serial"] = bool(identical)
-            print(f"  {name:>10}: speedup vs serial "
-                  f"{entry['speedup_vs_serial']}x, bit-identical={identical}")
-        executors_out[name] = entry
-    executors_out["serial_topk"] = {
-        "seconds": round(pruned["seconds"], 4),
-        "num_pushes": pruned["num_pushes"],
-        "nnz": pruned["nnz"],
-        "top_k": pruned["top_k"],
+    executors_out = {
+        "serial": {
+            "seconds": round(serial["seconds"], 4),
+            "num_pushes": serial["num_pushes"],
+            "nnz": serial["nnz"],
+        },
+        "serial_topk": {
+            "seconds": round(pruned["seconds"], 4),
+            "num_pushes": pruned["num_pushes"],
+            "nnz": pruned["nnz"],
+            "top_k": pruned["top_k"],
+        },
     }
 
     backends_out = {
@@ -396,12 +355,11 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
     profile_out = profile_breakdown(graph, epsilon=epsilon, decay=decay,
                                     show=show_profile)
 
-    # The resolved configuration of the headline serial/thread runs
-    # (LocalPush, full estimate, no pruning) — embedded so the history is
+    # The resolved configuration of the headline serial run (LocalPush,
+    # full estimate, no pruning) — embedded so the history is
     # self-describing.  The extra `serial_topk` measurement differs in
     # its absorbed residual and top-k prune and records its own `top_k`.
-    config = SimRankConfig(method="localpush", epsilon=epsilon, decay=decay,
-                           workers=num_workers)
+    config = SimRankConfig(method="localpush", epsilon=epsilon, decay=decay)
 
     return {
         "benchmark": "localpush_executors",
@@ -412,7 +370,6 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
         "decay": decay,
         "seed": seed,
         "cpu_count": cpu_count,
-        "num_workers": num_workers,
         "config": config.to_dict(),
         "backends": backends_out,
         "executors": executors_out,
@@ -434,24 +391,19 @@ def main(argv=None) -> int:
                         help="LocalPush error threshold ε")
     parser.add_argument("--decay", type=float, default=0.6, help="decay factor c")
     parser.add_argument("--seed", type=int, default=0, help="graph seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread-pool size of the pooled run "
-                             "(default: min(4, cpu count))")
     parser.add_argument("--profile", action="store_true",
-                        help="print the per-phase (frontier/push/merge/"
-                             "prune) breakdown of the serial core run; the "
-                             "breakdown is recorded either way")
+                        help="print the per-phase (frontier/push/merge) "
+                             "breakdown of the core run; the breakdown is "
+                             "recorded either way")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="benchmark history JSON to append to "
                              "(default: BENCH_localpush.json at the repo root)")
     args = parser.parse_args(argv)
 
     num_nodes = args.nodes if args.nodes is not None else (600 if args.smoke else 5000)
-    num_workers = args.workers if args.workers is not None else default_num_workers()
     record = run(num_nodes=num_nodes, average_degree=args.degree,
                  epsilon=args.epsilon, decay=args.decay, seed=args.seed,
-                 smoke=args.smoke, num_workers=num_workers,
-                 show_profile=args.profile)
+                 smoke=args.smoke, show_profile=args.profile)
     validate_record(record)
     history = load_history(args.output)
     history.append(record)

@@ -7,8 +7,8 @@ record — same ``cpu_count``, same ``num_nodes`` (and the same
 when the core kernel got more than ``--threshold`` (default 30 %)
 slower.
 
-The gated metric is ``backends.core.seconds``: the serial unified-core
-run, i.e. the push-round kernel itself with no pool or oracle noise.
+The gated metric is ``backends.core.seconds``: the unified-core run,
+i.e. the push-round kernel itself with no oracle noise.
 Sub-``--min-delta-seconds`` absolute regressions never fail the gate —
 smoke-sized records measure milliseconds, where a 30 % swing is timer
 noise, not a regression.

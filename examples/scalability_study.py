@@ -14,23 +14,15 @@ Configuring the precompute
 SIGMA's precompute column is dominated by LocalPush (Algorithm 1), run
 by the frontier-batched engine core (:mod:`repro.simrank.engine`; see
 ``BENCH_localpush.json``, produced by ``benchmarks/bench_localpush.py``).
-The whole pipeline is configured by one object —
-:class:`repro.config.SimRankConfig` — whose execution-plan fields map to
-the flags of this script:
+Each round pushes its whole frontier as one sparse product in the
+calling thread.  The whole pipeline is configured by one object —
+:class:`repro.config.SimRankConfig` — whose ``cache_dir`` field is the
+one flag of this script: the persistent operator cache.  A warm cache
+skips the precompute column entirely, and a looser-ε run can even be
+served from a tighter-ε entry by the cache's cross-ε reuse.
 
-* ``workers`` — the thread-pool size of the core's per-round shard
-  pushes: ``1`` pushes every shard in the calling thread, ``k ≥ 2`` uses
-  a pool of ``k`` threads (scipy's sparse matmul releases the GIL, so
-  the shards of one round run in parallel on a multi-core host);
-* ``cache_dir`` / ``cache_max_bytes`` — the persistent operator cache: a
-  warm cache skips the precompute column entirely, and a looser-ε run
-  can even be served from a tighter-ε entry by the cache's cross-ε reuse.
-
-Every worker count produces a **bit-identical** operator, and all plans
-share the ``(1 − c)·ε`` stopping rule and the ``‖Ŝ − S‖_max < ε``
-guarantee, so accuracy is unaffected by the choice; leaving ``workers``
-unset (default) pushes inline below 4096 nodes and uses
-``min(4, cpu count)`` threads above.
+Every run shares the ``(1 − c)·ε`` stopping rule and the
+``‖Ŝ − S‖_max < ε`` guarantee.
 """
 
 from __future__ import annotations
@@ -43,15 +35,11 @@ from repro.experiments import format_table, run_experiment
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread-pool size of the LocalPush precompute "
-                             "(1 = inline; default: by graph size)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent operator cache directory")
     args = parser.parse_args()
 
-    simrank = SIGMA_DEFAULT_SIMRANK.with_overrides(
-        workers=args.workers, cache_dir=args.cache_dir)
+    simrank = SIGMA_DEFAULT_SIMRANK.with_overrides(cache_dir=args.cache_dir)
     result = run_experiment("fig5", base_dataset="pokec", num_sizes=4,
                             shrink=2.0, base_scale=0.5, seed=0,
                             simrank=simrank, print_result=False)

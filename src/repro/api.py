@@ -156,7 +156,6 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     """
     from repro.graphs.sparse import top_k_row
     from repro.simrank.engine import _validate_sources, single_source_localpush
-    from repro.simrank.localpush import resolve_workers
 
     source = int(_validate_sources(graph, [source])[0])
     cfg = config if config is not None else SimRankConfig()
@@ -177,9 +176,7 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
             return served[0]
     result = single_source_localpush(
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
-        absorb_residual=True,
-        num_workers=resolve_workers(cfg.workers, graph.num_nodes),
-        dtype=cfg.dtype)
+        absorb_residual=True, dtype=cfg.dtype)
     return top_k_row(result.estimate, source, k, normalize=cfg.row_normalize)
 
 
@@ -191,9 +188,8 @@ def topk(graph: Graph, source: int, k: int,
     broken toward the smaller node id — the order induced by
     :func:`repro.graphs.sparse.top_k_per_row`.  ``S(u, u) = 1`` so
     ``source`` itself leads the list.  With ``config=None`` the library
-    defaults apply (``ε = 0.1``, workers by graph size); a ``cache_dir``
-    in the config serves the row from any dominating cached all-pairs
-    operator.
+    defaults apply (``ε = 0.1``); a ``cache_dir`` in the config serves
+    the row from any dominating cached all-pairs operator.
     """
     import numpy as np
 

@@ -104,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "memory under the adjusted error bound "
                              "documented on repro.simrank.kernels."
                              "float32_error_bound)")
-    parser.add_argument("--simrank-workers", type=int, default=None,
-                        help="thread-pool size for the LocalPush shard "
-                             "pushes; 1 pushes inline, the default picks "
-                             "inline below 4096 nodes and min(4, cpu "
-                             "count) threads from there up (SIGMA models "
-                             "only; results are identical for every "
-                             "worker count)")
     parser.add_argument("--simrank-cache-dir", default=None,
                         help="directory of a persistent SimRank operator "
                              "cache; repeated runs on the same graph and "
@@ -128,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _simrank_flags_used(args: argparse.Namespace) -> list[str]:
     """The SIGMA-only flags present on this command line."""
     sigma_only = ("decay", "simrank_method", "simrank_dtype",
-                  "simrank_workers", "simrank_cache_dir",
-                  "simrank_cache_max_bytes")
+                  "simrank_cache_dir", "simrank_cache_max_bytes")
     return [name for name in sigma_only if getattr(args, name) is not None]
 
 

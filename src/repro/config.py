@@ -1,14 +1,14 @@
 """Typed, validated configuration objects — the public API of the system.
 
-Every knob of the system (the SimRank operator's contract, the LocalPush
-worker count, the cache directory and byte cap, the training protocol,
-the serving and update knobs) lives on one of the frozen dataclasses
-below instead of travelling as loose keyword arguments through the
-layers that consume it:
+Every knob of the system (the SimRank operator's contract, the cache
+directory and byte cap, the training protocol, the serving and update
+knobs) lives on one of the frozen dataclasses below instead of
+travelling as loose keyword arguments through the layers that consume
+it:
 
 * :class:`SimRankConfig` — everything that determines a SimRank
-  aggregation operator (method, decay, ε, top-k, normalisation, dtype,
-  the LocalPush worker count and the persistent operator cache).
+  aggregation operator (method, decay, ε, top-k, normalisation, dtype
+  and the persistent operator cache).
   :meth:`SimRankConfig.cache_key_fields` is the *single* derivation of
   the operator-cache key fields; the cache merely hashes them.
 * :class:`ServeConfig`, :class:`DynamicConfig` and
@@ -36,6 +36,7 @@ name or a non-mapping payload raises the class's ``ERROR``:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (TYPE_CHECKING, Any, ClassVar, Dict, Iterable, List,
@@ -72,13 +73,10 @@ CACHE_KEY_FIELDS: Tuple[str, ...] = (
 #:
 #: * ``exact_size_limit`` — auto-resolution knob only; its effect is
 #:   keyed through the *resolved* method.
-#: * ``workers`` — execution plan; every worker count is bit-identical,
-#:   so keying it would split the cache.  Numeric identity is keyed
-#:   through ``dtype``.
 #: * ``cache_dir``, ``cache_max_bytes`` — resource location/budget of
 #:   the cache itself, never part of the operator's identity.
 CACHE_KEY_EXEMPT: Tuple[str, ...] = (
-    "exact_size_limit", "workers", "cache_dir", "cache_max_bytes")
+    "exact_size_limit", "cache_dir", "cache_max_bytes")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -88,11 +86,19 @@ def _require(condition: bool, message: str) -> None:
 
 def _as_float(name: str, value: object,
               error: Type[ReproError] = ConfigError) -> float:
-    """Coerce to float, turning TypeError/ValueError into ``error``."""
+    """Coerce to a finite float, raising ``error`` for anything else.
+
+    NaN and ±inf are rejected here, because the range checks after a
+    coercion compare with ``<``/``>``, which NaN passes and which admit
+    an infinite bound.
+    """
     try:
-        return float(value)  # type: ignore[arg-type]
+        number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(name: str, value: object,
@@ -187,14 +193,6 @@ class SimRankConfig(FrozenConfig):
         (``dtype="float64"`` is keyed as ``None``; ``"float32"`` gets
         its own key — its values and error bound differ, see
         :func:`repro.simrank.kernels.float32_error_bound`).
-    ``workers``
-        The LocalPush execution plan: the thread-pool size of the shard
-        pushes (see :mod:`repro.simrank.engine`).  ``None`` resolves by
-        graph size — every shard inline below 4096 nodes, ``min(4, cpu
-        count)`` threads from there up; an explicit ``k`` means ``k``
-        threads at any size, and ``1`` means inline
-        (:func:`repro.simrank.localpush.resolve_workers`).  Never keyed —
-        every worker count is bit-identical per dtype.
     ``cache_dir, cache_max_bytes``
         The persistent operator cache (:mod:`repro.simrank.cache`) and
         its LRU byte cap.  Pure resource location, never keyed.
@@ -206,7 +204,6 @@ class SimRankConfig(FrozenConfig):
     top_k: Optional[int] = None
     row_normalize: bool = False
     exact_size_limit: int = 3000
-    workers: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
     dtype: str = "float64"
@@ -218,7 +215,6 @@ class SimRankConfig(FrozenConfig):
         "decay": "decay",
         "epsilon": "epsilon",
         "top_k": "top_k",
-        "simrank_workers": "workers",
         "simrank_cache_dir": "cache_dir",
         "simrank_cache_max_bytes": "cache_max_bytes",
         "simrank_dtype": "dtype",
@@ -248,11 +244,6 @@ class SimRankConfig(FrozenConfig):
         _require(self.exact_size_limit >= 0,
                  f"exact_size_limit must be non-negative, "
                  f"got {self.exact_size_limit!r}")
-        if self.workers is not None:
-            coerce(self, "workers", _as_int("workers", self.workers))
-            _require(self.workers >= 1,
-                     f"workers must be a positive integer or None, "
-                     f"got {self.workers!r}")
         if self.cache_dir is not None:
             try:
                 coerce(self, "cache_dir", os.fspath(self.cache_dir))

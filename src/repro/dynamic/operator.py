@@ -31,7 +31,7 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
 from repro.simrank.cache import OperatorCache, get_operator_cache
 from repro.simrank.engine import resume_localpush
-from repro.simrank.localpush import finalize_estimate, resolve_workers
+from repro.simrank.localpush import finalize_estimate
 from repro.simrank.topk import SimRankOperator, topk_simrank
 from repro.utils.timer import Timer
 
@@ -119,7 +119,7 @@ class DynamicOperator:
     ``Ŝ + G(R) = S`` of the *current* graph, with
     ``|R| ≤ (1−c)·ε``.
 
-    ``simrank`` supplies the LocalPush plan (ε, decay, workers) and the
+    ``simrank`` supplies the LocalPush plan (ε, decay) and the
     serving contract (top_k, row_normalize, dtype);
     ``dynamic`` the maintenance knobs (see
     :class:`repro.config.DynamicConfig`); ``cache`` an operator cache
@@ -165,8 +165,6 @@ class DynamicOperator:
         self._cache = _resolve_cache(cache, self.simrank)
         self._maintenance_fields = maintained_fields(self.simrank,
                                                      graph.num_nodes)
-        self._num_workers = resolve_workers(self.simrank.workers,
-                                            graph.num_nodes)
         self.graph = graph
         self.updates_applied = 0
         self.repair_pushes = 0
@@ -200,8 +198,7 @@ class DynamicOperator:
             run = resume_localpush(
                 graph,
                 sp.identity(graph.num_nodes, dtype=np.float64, format="csr"),
-                decay=self.simrank.decay, epsilon=self.simrank.epsilon,
-                num_workers=self._num_workers)
+                decay=self.simrank.decay, epsilon=self.simrank.epsilon)
             self._estimate = run.estimate_delta
             self._residual = run.residual
             self.build_pushes = run.num_pushes
@@ -245,8 +242,7 @@ class DynamicOperator:
             run = resume_localpush(
                 new_graph, residual0, decay=decay,
                 epsilon=self.simrank.epsilon,
-                max_pushes=self.dynamic.repair_max_pushes,
-                num_workers=self._num_workers, copy_residual=False)
+                max_pushes=self.dynamic.repair_max_pushes)
             span.set("num_pushes", run.num_pushes)
             span.set("num_rounds", run.num_rounds)
             span.set("warm_start", warm_start)

@@ -67,9 +67,8 @@ def spec(dataset_name: str = "pokec", *,
     """The declarative (ε × k) sweep for SIGMA on ``dataset_name``.
 
     ``simrank`` is the *base* operator configuration shared by every
-    cell — the LocalPush worker count and the persistent cache
-    directory; each grid cell overrides only its
-    ``(epsilon, top_k)``.
+    cell, such as the persistent cache directory; each grid cell
+    overrides only its ``(epsilon, top_k)``.
     """
     base_simrank = (simrank if simrank is not None
                     else SIGMA_DEFAULT_SIMRANK).with_overrides(method="localpush")

@@ -49,9 +49,9 @@ class ComplexityEntry:
 class Table3Result:
     dataset: str
     entries: List[ComplexityEntry] = field(default_factory=list)
-    #: Measured SIGMA precompute (LocalPush + top-k) in seconds, when
-    #: requested via ``measure_precompute``; keyed by the resolved
-    #: LocalPush worker count (``"workers=<k>"``).
+    #: Measured SIGMA precompute (LocalPush + top-k) in seconds, under
+    #: the one key ``"localpush"`` when requested via
+    #: ``measure_precompute``, and empty otherwise.
     measured_precompute: Dict[str, float] = field(default_factory=dict)
 
     def rows(self) -> List[Dict[str, object]]:
@@ -120,7 +120,6 @@ def complexity_table(graph: Graph, *, hidden: int = 64, num_layers: int = 2,
 def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
     """Instantiate the analytic table (plus an optional measured timing)."""
     from repro.api import precompute
-    from repro.simrank.localpush import resolve_workers
 
     spec = cell.spec
     dataset = load_dataset(spec.dataset, seed=spec.seed,
@@ -142,9 +141,8 @@ def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
         operator = precompute(dataset.graph, base.with_overrides(
             method="localpush", epsilon=cell.params["epsilon"],
             top_k=cell.params["top_k"]))
-        workers = resolve_workers(base.workers, dataset.graph.num_nodes)
         record["measured_precompute"] = {
-            f"workers={workers}": operator.precompute_seconds}
+            "localpush": operator.precompute_seconds}
     return record
 
 
@@ -155,9 +153,9 @@ def spec(dataset_name: str = "pokec", *, scale_factor: float = 1.0,
     """The complexity table for the requested benchmark graph.
 
     With ``measure_precompute=True`` the analytic SIGMA row is
-    complemented by a measured LocalPush timing under ``simrank``'s
-    worker count; with a ``cache_dir`` in the
-    config a repeated run measures the cache load instead.
+    complemented by a measured LocalPush timing under ``simrank``; with
+    a ``cache_dir`` in the config a repeated run measures the cache load
+    instead.
     """
     base = RunSpec(model="sigma", dataset=dataset_name, simrank=simrank,
                    seed=seed, scale_factor=scale_factor)

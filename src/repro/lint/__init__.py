@@ -1,7 +1,7 @@
 """repro.lint — the project's AST-based invariant checker.
 
 PRs 1–5 built the system's correctness story on *conventions*: one
-cache-key derivation, bit-identical worker pools, frozen configs,
+cache-key derivation, bit-identical engine runs, frozen configs,
 declarative experiment specs.  This package checks those conventions
 mechanically so the ROADMAP's "refactor freely" policy stays safe — a
 refactor that would silently break a cache key, reintroduce
@@ -42,7 +42,7 @@ which are gone.  The other IDs keep their numbers.)
     ``repro/simrank/engine.py``, ``repro/experiments/engine.py``,
     ``repro/serve/service.py`` or any registered experiment cell
     runner.  Protects: the bit-identical guarantee of the LocalPush
-    engine (every worker count, same bytes) and of the experiment sweep
+    engine (every run, same bytes) and of the experiment sweep
     (a cell's record is the same on every run, so a stored one stands in
     for a fresh one), and the serving layer's batched-equals-solo answer
     guarantee.

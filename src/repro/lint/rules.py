@@ -300,7 +300,7 @@ class FrozenConfigDiscipline(Rule):
 # R3 — determinism in the bit-identical blast radius
 # --------------------------------------------------------------------- #
 #: Files whose entire contents sit inside the bit-identical guarantee
-#: (every worker count must produce the same bytes, and a sweep cell the
+#: (every engine run must produce the same bytes, and a sweep cell the
 #: same record on every run).
 DETERMINISM_SCOPED_FILES = ("repro/simrank/engine.py",
                             "repro/simrank/kernels.py",
@@ -323,8 +323,8 @@ class Determinism(Rule):
     where results are guaranteed bit-identical.
 
     ``repro/simrank/engine.py``, ``repro/experiments/engine.py`` and
-    every registered cell runner promise identical output for every
-    worker count and on every run of a sweep cell; global RNG state,
+    every registered cell runner promise identical output on every
+    engine run and on every run of a sweep cell; global RNG state,
     ``time.time()`` and the hash-order iteration of a ``set`` all break
     that promise in ways a unit test only catches by luck.
     """

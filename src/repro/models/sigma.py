@@ -71,8 +71,8 @@ class SIGMA(NodeClassifier):
         ``learn_alpha=False``.
     simrank:
         A :class:`repro.config.SimRankConfig` describing the operator
-        precompute: method, decay, ε, top-k, the LocalPush worker count
-        and the persistent operator cache.  Defaults to
+        precompute: method, decay, ε, top-k, dtype and the persistent
+        operator cache.  Defaults to
         :data:`repro.config.SIGMA_DEFAULT_SIMRANK` (the paper's
         ``ε = 0.1``, ``k = 32``).
     final_layers:

@@ -17,8 +17,8 @@ exact rows.  The rows are computed at most once per connected
 component, by one :func:`repro.simrank.engine.multi_source_localpush`
 call over every node of the component, and every read of the version
 shares them.  Seeding exactly the source's component gives the same
-seeds, frontiers and shard plan as :func:`repro.api.topk`, so a served
-row is bit-identical to it on any graph.  An update lands by assigning a
+seeds and frontiers as :func:`repro.api.topk`, so a served row is
+bit-identical to it on any graph.  An update lands by assigning a
 new version: nothing on ``/update`` waits for a read, a read in flight
 finishes on the version it started on, and an old version is freed once
 no read holds it.  Every answer reports its ``version``.

@@ -286,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operator error bound ε")
     parser.add_argument("--decay", type=float, default=None,
                         help="SimRank decay factor c")
-    parser.add_argument("--workers", type=int, default=None,
-                        dest="simrank_workers", metavar="WORKERS",
-                        help="LocalPush thread-pool size for query rounds "
-                             "(1 = inline; default: by graph size)")
     parser.add_argument("--cache-dir", default=None,
                         dest="simrank_cache_dir", metavar="CACHE_DIR",
                         help="operator cache directory (the cached rung)")
@@ -339,8 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dataset = load_dataset(args.dataset, seed=args.seed,
                                scale_factor=args.scale_factor)
     except ReproError as error:
-        print(f"error: {error}")
-        return 2
+        parser.error(str(error))
     from repro.telemetry import telemetry_from_config
 
     telemetry = telemetry_from_config(telemetry_config)

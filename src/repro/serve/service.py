@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from threading import Event, Lock, Thread
+from threading import TIMEOUT_MAX, Event, Lock, Thread
 from time import monotonic
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -332,8 +332,11 @@ class GraphVersion:
             finally:
                 flight.done.set()
         else:
+            # ``Event.wait`` raises OverflowError above TIMEOUT_MAX
+            # (about 292 years); a longer budget waits as if unbounded.
             timeout = (None if deadline is None
-                       else max(0.0, deadline - monotonic()))
+                       else min(max(0.0, deadline - monotonic()),
+                                TIMEOUT_MAX))
             if not flight.done.wait(timeout):
                 return None
             if flight.error is not None:
@@ -352,7 +355,7 @@ class SimRankService:
         The graph every query runs against until an update lands.
     simrank:
         The operator contract (ε, decay, top-k semantics, normalisation,
-        worker count).  Its ``cache_dir`` provides the cached rung.
+        dtype).  Its ``cache_dir`` provides the cached rung.
     serve:
         The :class:`repro.config.ServeConfig` ladder knobs.
     cache:
@@ -450,15 +453,12 @@ class SimRankService:
         ``serve.version_rows`` span of a row computation.
         """
         from repro.simrank.engine import multi_source_localpush
-        from repro.simrank.localpush import resolve_workers
 
         cfg = self.simrank
         results = multi_source_localpush(
             graph, nodes, decay=cfg.decay, epsilon=epsilon,
             prune=True, absorb_residual=True,
-            max_pushes=self.serve.max_pushes_per_query,
-            num_workers=resolve_workers(cfg.workers, graph.num_nodes),
-            dtype=cfg.dtype)
+            max_pushes=self.serve.max_pushes_per_query, dtype=cfg.dtype)
         self._tracer.current_span().set("pushes", results[0].num_pushes)
         return results[0].estimate
 

@@ -19,50 +19,30 @@ typed config object::
 
     from repro.config import SimRankConfig
     operator = simrank_operator(graph, SimRankConfig(
-        method="localpush", epsilon=0.1, top_k=32, workers=4,
+        method="localpush", epsilon=0.1, top_k=32,
         cache_dir="~/.cache/simrank"))
 
 Configuration: SimRankConfig
 ----------------------------
-:class:`repro.config.SimRankConfig` carries three field groups:
+:class:`repro.config.SimRankConfig` carries two field groups:
 
 * the **mathematical contract** — ``method`` (``"exact"``, ``"series"``,
   ``"localpush"`` or ``"auto"``, which picks exactness up to
   ``exact_size_limit`` nodes and LocalPush above), ``decay``,
   ``epsilon``, ``top_k``, ``row_normalize`` and ``dtype``; these
   determine the operator entries and therefore enter the cache key;
-* the **execution plan** — ``workers`` alone, resolved by
-  :func:`repro.simrank.localpush.resolve_workers`:
-
-  =========== ============================================================
-  workers      shard pushes run …
-  =========== ============================================================
-  None         inline below 4096 nodes; from 4096 nodes on a thread pool
-               of ``min(4, cpu count)`` threads
-  1            inline in the calling thread, at any size
-  k ≥ 2        on a pool of ``k`` threads at any size (scipy's sparse
-               matmul releases the GIL), merged in shard order
-  =========== ============================================================
-
-  Every push round runs the one fused CSR kernel of
-  :mod:`repro.simrank.kernels`;
-
 * the **cache location** — ``cache_dir`` and ``cache_max_bytes``.
 
-The shard partition is a function of the frontier alone and partial
-updates merge in shard order, so **every worker count returns a
-bit-identical matrix** — pinned by
-``tests/test_simrank_engine.py`` and ``tests/test_simrank_kernels.py``.
-Accordingly the execution plan stays out of the operator-cache key; the
-key fields are derived in exactly one place,
-:meth:`repro.config.SimRankConfig.cache_key_fields`.  The auto threshold
-lives in :data:`repro.simrank.localpush.AUTO_SHARDED_MIN_NODES`; unit
-tests pin it.  All plans satisfy the same ``‖Ŝ − S‖_max < ε``
-guarantee (Lemma III.5) — in float64.  The opt-in ``dtype="float32"``
-mode trades that guarantee for half the memory: accumulated rounding can
-exceed ε itself, so the bound loosens to
-:func:`repro.simrank.kernels.float32_error_bound`, which adds a
-per-round rounding term ``O(u·rounds/(1−c))`` (``u = 2⁻²⁴``); because
+There is no execution setting: every LocalPush round pushes its whole
+frontier as one sparse product in the calling thread, through the one
+fused CSR kernel of :mod:`repro.simrank.kernels`.  The key fields are
+derived in exactly one place,
+:meth:`repro.config.SimRankConfig.cache_key_fields`.  Every operator
+satisfies the ``‖Ŝ − S‖_max < ε`` guarantee (Lemma III.5) — in
+float64.  The opt-in ``dtype="float32"`` mode trades that guarantee for
+half the memory: accumulated rounding can exceed ε itself, so the bound
+loosens to :func:`repro.simrank.kernels.float32_error_bound`, which adds
+a per-round rounding term ``O(u·rounds/(1−c))`` (``u = 2⁻²⁴``); because
 the entries differ from float64's, ``dtype`` *does* enter the cache
 key.
 
@@ -83,8 +63,7 @@ directory, one ``simrank-<fingerprint>-<key>.npz`` file per operator (CSR
 arrays plus a JSON metadata record) and no other file: the metadata is
 the reuse record and the file's mtime its LRU stamp.  ``<fingerprint>``
 is the graph fingerprint and ``<key>`` hashes ``(format version, graph
-fingerprint, method, c, ε, k, row_normalize, dtype)``; the worker count
-is excluded because results are bit-identical across it.  Stale format
+fingerprint, method, c, ε, k, row_normalize, dtype)``.  Stale format
 versions, metadata mismatches and corrupted files are evicted and
 recomputed.  Two policies sit on top:
 
@@ -110,12 +89,7 @@ from repro.simrank.cache import (
 )
 from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import exact_simrank, linearized_simrank
-from repro.simrank.localpush import (
-    AUTO_SHARDED_MIN_NODES,
-    LocalPushResult,
-    localpush_simrank,
-    resolve_workers,
-)
+from repro.simrank.localpush import LocalPushResult, localpush_simrank
 from repro.simrank.topk import simrank_operator, topk_simrank
 from repro.simrank.pairwise_walk import (
     homophily_probability,
@@ -130,8 +104,6 @@ __all__ = [
     "localpush_simrank",
     "localpush_engine",
     "LocalPushResult",
-    "resolve_workers",
-    "AUTO_SHARDED_MIN_NODES",
     "topk_simrank",
     "simrank_operator",
     "OperatorCache",

@@ -23,12 +23,9 @@ chars) of a canonical JSON payload containing the cache format version,
 the fingerprint and the resolved operator parameters.  The parameter
 fields are derived in exactly one place —
 :meth:`repro.config.SimRankConfig.cache_key_fields` — and hashed here by
-:meth:`OperatorCache.key_for_fields`.  The worker count is
-deliberately excluded from the key: the engine core is bit-deterministic
-across pool sizes, so operators computed with any of them are
-interchangeable.  Each file is its entry's whole record: the embedded
-metadata is what the reuse scan matches, and the file's modification
-time is its LRU stamp.
+:meth:`OperatorCache.key_for_fields`.  Each file is its entry's whole
+record: the embedded metadata is what the reuse scan matches, and the
+file's modification time is its LRU stamp.
 
 Eviction policy (LRU under a byte cap)
 --------------------------------------

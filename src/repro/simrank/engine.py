@@ -1,48 +1,26 @@
-"""Unified LocalPush engine core: one round loop, one worker-count setting.
+"""Unified LocalPush engine core: one round loop, one push per round.
 
 This module owns the *single* implementation of the batched LocalPush
-loop (Algorithm 1 of the paper, frontier-batched form).  The only
-execution setting is ``num_workers``, the size of the thread pool that
-pushes each round's shards:
+loop (Algorithm 1 of the paper, frontier-batched form).  Every round
+works on the same plan, in the calling thread:
 
-``num_workers=1``
-    Every shard is pushed inline in the calling thread.
-``num_workers=k`` (``k ≥ 2``)
-    Multi-shard rounds are pushed by a
-    :class:`concurrent.futures.ThreadPoolExecutor` of ``k`` threads,
-    started on the first multi-shard round; single-shard rounds still
-    run inline.  scipy's sparse matmul releases the GIL, so the shard
-    pushes of one round run in parallel on a multi-core host.
-
-Callers holding an unresolved request (``SimRankConfig.workers``, where
-``None`` means "pick by graph size") resolve it with
-:func:`repro.simrank.localpush.resolve_workers` first.
-
-Every round works on the same deterministic plan:
-
-1. gather the above-threshold frontier from the CSR residual,
+1. gather the above-threshold frontier ``F`` from the CSR residual,
 2. absorb it into the estimate,
-3. partition it into shards ``F = Σ_i F_i`` — the partition is a
-   function of the frontier alone (``num_shards`` fixed by the caller or
-   derived from the frontier size), **never** of the worker count,
-4. push the shards and merge the partial updates ``c·Wᵀ F_i W`` *in
-   shard order*, no matter which thread finished first.
+3. push it whole, ``R ← R + c·Wᵀ F W``, as one sparse product
+   (:class:`repro.simrank.kernels.FusedRoundState`).
 
-Because the push operator is linear in ``F`` and the shard partition and
-merge order are worker-independent, the returned matrix is
-**bit-identical for every worker count** — the property the operator
-cache relies on (its key excludes the knob) and the equivalence suite
-pins.  The residual invariant and the shared
+The loop has no execution setting: a run's result is a function of the
+graph and the mathematical contract (decay, ε, dtype) alone, which the
+operator cache relies on.  The residual invariant and the shared
 :func:`repro.simrank.localpush.finalize_estimate` semantics hold for
-every worker count.  The engine returns the whole finished estimate;
+every entry point.  The engine returns the whole finished estimate;
 top-k pruning is the caller's, applied once after the loop (see the
 module docstring of :mod:`repro.simrank`).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -55,70 +33,13 @@ from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import (DTYPES, FusedRoundState, shard_bounds,
-                                   working_dtype)
+from repro.simrank.kernels import DTYPES, FusedRoundState, working_dtype
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
 from repro.utils.validation import is_integral
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.simrank.localpush import LocalPushResult
-
-#: Target number of frontier entries per shard when ``num_shards`` is not
-#: given.  Chosen so a shard's ``Wᵀ F_i W`` stays comfortably inside cache
-#: while leaving enough shards to occupy a small worker pool.
-DEFAULT_SHARD_NNZ = 8192
-
-#: Upper bound applied to the default worker count.
-DEFAULT_MAX_WORKERS = 4
-
-
-def default_num_workers() -> int:
-    """Pool size used when the worker count is left to the engine."""
-    return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
-
-
-def _push_matrix(walk_t: sp.csr_matrix, walk: sp.csr_matrix,
-                 shard: sp.csr_matrix, decay: float) -> sp.csr_matrix:
-    """One shard matrix's partial update ``c·Wᵀ F_i W`` (pure)."""
-    pushed = ((walk_t @ shard) @ walk).tocsr()
-    pushed.data *= decay
-    return pushed
-
-
-class _ThreadExecutor:
-    """Push a round's shard matrices, on a thread pool when it pays.
-
-    Rounds of a single shard, and every round when ``workers == 1``, run
-    inline in the calling thread.  The pool starts on the first
-    multi-shard round, so runs whose rounds all fit one shard never
-    create it.  Partials come back in shard order either way, which is
-    what keeps every worker count bit-identical.
-    """
-
-    def __init__(self, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
-                 decay: float, workers: int) -> None:
-        self._walk, self._walk_t = walk, walk_t
-        self._decay = decay
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
-                            ) -> List[sp.csr_matrix]:
-        if self.workers == 1 or len(matrices) <= 1:
-            return [_push_matrix(self._walk_t, self._walk, matrix,
-                                 self._decay) for matrix in matrices]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        futures = [self._pool.submit(_push_matrix, self._walk_t, self._walk,
-                                     matrix, self._decay)
-                   for matrix in matrices]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 # --------------------------------------------------------------------- #
@@ -133,28 +54,25 @@ class _EngineRun:
     num_rounds: int
     num_residual_entries: int
     elapsed_seconds: float
-    max_shards_used: int
     #: Final residual, attached only when the caller asked to keep it
     #: (``keep_residual=True`` — the dynamic-maintenance path).
     residual: Optional[sp.csr_matrix] = None
 
 
-def _validate_engine_args(decay: float, epsilon: float, num_workers: int,
-                          num_shards: Optional[int],
+def _validate_engine_args(decay: float, epsilon: float,
                           dtype: str = "float64") -> None:
     if not 0.0 < decay < 1.0:
         raise SimRankError(f"decay factor c must be in (0, 1), got {decay}")
+    # NaN passes ``<=`` and an infinite ε makes the push threshold
+    # unreachable: either way the loop would run no round and return
+    # the identity as if it met the bound.
+    if not math.isfinite(epsilon):
+        raise SimRankError(f"epsilon must be a finite number, got {epsilon}")
     if epsilon <= 0.0:
         raise SimRankError(f"epsilon must be positive, got {epsilon}")
     if dtype not in DTYPES:
         raise SimRankError(f"unknown LocalPush dtype {dtype!r}; "
                            f"expected one of {DTYPES}")
-    if isinstance(num_workers, bool) or not isinstance(num_workers, int) \
-            or num_workers < 1:
-        raise SimRankError(
-            f"num_workers must be a positive integer, got {num_workers!r}")
-    if num_shards is not None and num_shards < 1:
-        raise SimRankError(f"num_shards must be >= 1, got {num_shards}")
 
 
 def _seed_residual(n: int, seed_nodes: Optional[np.ndarray],
@@ -207,42 +125,36 @@ def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
 
 def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 absorb_residual: bool, max_pushes: Optional[int],
-                num_workers: int,
-                num_shards: Optional[int],
-                coalesce_every: int,
                 seed_nodes: Optional[np.ndarray] = None,
                 absorb_rows: Optional[np.ndarray] = None,
                 dtype: str = "float64",
                 tracer: Tracer = NULL_TRACER,
                 initial_residual: Optional[sp.csr_matrix] = None,
-                copy_residual: bool = True,
                 signed: bool = False, finalize: bool = True,
                 keep_residual: bool = False) -> _EngineRun:
     """The shared frontier-batched round loop.
 
     The per-round CSR arithmetic is delegated to a
     :class:`repro.simrank.kernels.FusedRoundState`; this loop owns the
-    round plan — extract, absorb, shard, push, coalesce — and the
-    accounting.
+    round plan — extract, absorb, push — and the accounting.
 
     ``seed_nodes``/``absorb_rows`` are the single-source restriction
     hooks: the residual starts as the identity restricted to
     ``seed_nodes`` (``None`` = all nodes) and only estimate entries whose
     row is in ``absorb_rows`` are materialised (``None`` = all rows).
     Every arithmetic operation on an absorbed row is identical to the
-    unrestricted run whenever the shard partitions coincide — CSR
-    matmul, addition, thresholding and duplicate folding are all per-row
-    independent — which is what makes single-source rows bit-identical
-    to the all-pairs rows (see ``single_source_localpush`` for the
-    precise guarantee).
+    unrestricted run — CSR matmul, addition, thresholding and duplicate
+    folding are all per-row independent — which is what makes
+    single-source rows bit-identical to the all-pairs rows (see
+    ``multi_source_localpush``).
 
     The dynamic-maintenance hooks (all defaulted off, leaving every
     fresh run bit-identical to the pre-hook loop):
 
     ``initial_residual``
         Warm-start residual replacing the identity seeding — the repair
-        residual of :mod:`repro.dynamic`.  Copied before use; the
-        caller's matrix is never mutated.
+        residual of :mod:`repro.dynamic`.  The loop takes it over: its
+        buffers are updated in place (see :func:`resume_localpush`).
     ``signed``
         Magnitude-threshold frontier extraction (``|R| > threshold``)
         for residuals that carry negative mass.
@@ -262,12 +174,9 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     walk = column_normalize(graph.adjacency)     # W = A D⁻¹
     if walk.dtype != np_dtype:
         walk = walk.astype(np_dtype)
-    walk_t = walk.T.tocsr()
-    runner = _ThreadExecutor(walk, walk_t, decay, num_workers)
 
     if initial_residual is not None:
-        residual = sp.csr_matrix(initial_residual, dtype=np_dtype,
-                                 copy=copy_residual)
+        residual = sp.csr_matrix(initial_residual, dtype=np_dtype)
         if residual.shape != (n, n):
             raise SimRankError(
                 f"initial residual must have shape {(n, n)}, "
@@ -276,9 +185,8 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         residual.eliminate_zeros()
     else:
         residual = _seed_residual(n, seed_nodes, np_dtype)
-    state = FusedRoundState(residual, n=n, dtype=np_dtype,
-                            index_dtype=walk.indices.dtype,
-                            tracer=tracer, signed=signed)
+    state = FusedRoundState(residual, walk, decay=decay, tracer=tracer,
+                            signed=signed)
     absorb_mask: Optional[np.ndarray] = None
     if absorb_rows is not None:
         absorb_mask = np.zeros(n, dtype=bool)
@@ -290,52 +198,38 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
 
     num_pushes = 0
     num_rounds = 0
-    max_shards_used = 0
     timer = Timer()
     timer.start()
-    try:
-        while True:
-            frontier = state.extract_frontier(threshold)
-            if frontier is None:
-                break
-            count = frontier.count
+    while True:
+        frontier = state.extract_frontier(threshold)
+        if frontier is None:
+            break
 
-            # Absorb the frontier into the estimate (line 4 of Algorithm 1,
-            # batched); the round state has already cleared it from the
-            # residual.
-            if absorb_mask is not None:
-                keep = absorb_mask[frontier.rows]
-                if keep.any():
-                    est_rows.append(frontier.rows[keep])
-                    est_cols.append(frontier.cols[keep])
-                    est_data.append(frontier.data[keep])
-            else:
-                est_rows.append(frontier.rows)
-                est_cols.append(frontier.cols)
-                est_data.append(frontier.data)
-            num_pushes += count
-            if max_pushes is not None and num_pushes > max_pushes:
-                raise SimRankError(
-                    f"LocalPush exceeded max_pushes={max_pushes}; "
-                    "epsilon is likely too small for this graph"
-                )
+        # Absorb the frontier into the estimate (line 4 of Algorithm 1,
+        # batched); the round state has already cleared it from the
+        # residual.
+        if absorb_mask is not None:
+            keep = absorb_mask[frontier.rows]
+            if keep.any():
+                est_rows.append(frontier.rows[keep])
+                est_cols.append(frontier.cols[keep])
+                est_data.append(frontier.data[keep])
+        else:
+            est_rows.append(frontier.rows)
+            est_cols.append(frontier.cols)
+            est_data.append(frontier.data)
+        num_pushes += frontier.count
+        if max_pushes is not None and num_pushes > max_pushes:
+            raise SimRankError(
+                f"LocalPush exceeded max_pushes={max_pushes}; "
+                "epsilon is likely too small for this graph"
+            )
 
-            # Shard the frontier by stored-entry ranges.  The partition is
-            # a function of the frontier only, never of the worker count.
-            shards = num_shards if num_shards is not None else max(
-                1, -(-count // DEFAULT_SHARD_NNZ))
-            shards = min(shards, count)
-            max_shards_used = max(max_shards_used, shards)
-            bounds = shard_bounds(count, shards)
-
-            state.push_round(runner, frontier, bounds)
-            num_rounds += 1
-            if num_rounds % coalesce_every == 0:
-                state.coalesce()
-    finally:
-        runner.close()
+        state.push_round(frontier)
+        num_rounds += 1
+    # No stored zeros: the warm-start residual was cleaned above, and each
+    # round's residual add drops every zero it would store.
     residual = state.finish()
-    residual.eliminate_zeros()
     elapsed = timer.stop()
 
     estimate = (_fold_absorbed(est_rows, est_cols, est_data, n) if est_data
@@ -359,7 +253,7 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                                      prune=prune)
 
     if signed:
-        leftover = int(residual.nnz)  # eliminate_zeros ran: all nonzero
+        leftover = int(residual.nnz)
     else:
         leftover = int(np.count_nonzero(residual.data > 0.0))
     return _EngineRun(
@@ -368,7 +262,6 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         num_rounds=num_rounds,
         num_residual_entries=leftover,
         elapsed_seconds=elapsed,
-        max_shards_used=max_shards_used,
         residual=residual if keep_residual else None,
     )
 
@@ -377,47 +270,56 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      epsilon: float = 0.1, prune: bool = True,
                      absorb_residual: bool = False,
                      max_pushes: int | None = None,
-                     num_workers: int = 1,
-                     num_shards: Optional[int] = None,
-                     coalesce_every: int = 4,
                      dtype: str = "float64",
                      tracer: Tracer = NULL_TRACER
                      ) -> "LocalPushResult":
-    """Run the batched LocalPush round loop.
+    """Run Algorithm 1 (LocalPush) and return the sparse approximation.
 
-    Parameters mirror :func:`repro.simrank.localpush.localpush_simrank`
-    (which resolves the worker count and dispatches here), plus:
+    :func:`repro.simrank.localpush.localpush_simrank` is this function
+    under the paper's name.
 
-    num_workers:
-        Resolved thread-pool size for the shard pushes; ``1`` (the
-        default) pushes every shard inline.  The result is bit-identical
-        for every worker count (see the module docstring), so this is
-        purely a throughput knob.
+    Parameters
+    ----------
+    graph:
+        Input graph.  Isolated nodes receive only their self-similarity.
+    decay:
+        SimRank decay factor ``c`` (paper default 0.6).
+    epsilon:
+        Max-norm error threshold ``ε``, positive and finite; the push
+        loop stops once every residual is below ``(1 - c)·ε``.
+    prune:
+        Whether to drop estimate entries below ``ε / 10`` (line 6 of
+        Algorithm 1).  Disable to validate the error guarantee exactly.
+    absorb_residual:
+        When true, leftover residual mass below the push threshold is added
+        into the estimate before pruning.  This is a strict improvement of
+        the approximation (each residual is a lower bound on the remaining
+        contribution to its own entry) and keeps informative small scores
+        that the plain algorithm would discard — the SIGMA aggregation
+        operator uses this variant before its top-k pruning.
+    max_pushes:
+        Optional safety cap on the number of pushes (absorbed frontier
+        entries); exceeding it raises :class:`SimRankError` (it
+        indicates a mis-configured ε).
     dtype:
-        ``"float64"`` (default) or ``"float32"``.  float32 halves the
-        working-set memory at the cost of a slightly enlarged error
-        bound (:func:`repro.simrank.kernels.float32_error_bound`) and a
+        ``"float64"`` (default, the reference precision) or
+        ``"float32"``, an opt-in mode that halves the working-set memory
+        at the cost of a slightly enlarged error bound
+        (:func:`repro.simrank.kernels.float32_error_bound`) and a
         separate operator-cache key.
     tracer:
         :class:`repro.telemetry.tracing.Tracer` on which the round
         kernel opens one ``localpush.<phase>`` span (frontier/push/
-        merge/prune, attributes ``phase`` and ``round``) per phase
-        interval.  The default :data:`repro.telemetry.NULL_TRACER`
-        records nothing; traced and untraced runs are bit-identical.
-    num_shards:
-        Fixed shard count per round.  Defaults to
-        ``ceil(frontier_nnz / DEFAULT_SHARD_NNZ)``, recomputed per round
-        from the frontier alone so results stay independent of the pool
-        size.
+        merge, attributes ``phase`` and ``round``) per phase interval.
+        The default :data:`repro.telemetry.NULL_TRACER` records nothing;
+        traced and untraced runs are bit-identical.
     """
     from repro.simrank.localpush import LocalPushResult
 
-    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
+    _validate_engine_args(decay, epsilon, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      num_workers=num_workers, num_shards=num_shards,
-                      coalesce_every=coalesce_every, dtype=dtype,
-                      tracer=tracer)
+                      dtype=dtype, tracer=tracer)
     return LocalPushResult(
         matrix=run.estimate,
         num_pushes=run.num_pushes,
@@ -426,8 +328,6 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         epsilon=epsilon,
         decay=decay,
         num_rounds=run.num_rounds,
-        num_workers=num_workers,
-        num_shards=run.max_shards_used,
         dtype=dtype,
     )
 
@@ -451,45 +351,35 @@ class ResumeRun:
     num_rounds: int
     num_residual_entries: int
     elapsed_seconds: float
-    max_shards_used: int
 
 
 def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                      decay: float = DEFAULT_DECAY, epsilon: float = 0.1,
                      max_pushes: Optional[int] = None,
-                     num_workers: int = 1,
-                     num_shards: Optional[int] = None,
-                     coalesce_every: int = 4,
-                     dtype: str = "float64",
-                     copy_residual: bool = True) -> ResumeRun:
+                     dtype: str = "float64") -> ResumeRun:
     """Resume the round loop from an explicit (possibly signed) residual.
 
     This is the engine entry point of the dynamic subsystem
     (:mod:`repro.dynamic`): given a residual ``R₀`` that restores the
     LocalPush invariant ``Ŝ + G(R₀) = S`` for some maintained estimate
-    ``Ŝ`` on ``graph``, it runs the standard frontier rounds — any
-    worker count, same shard plan, same bit-determinism argument — in
-    *signed* mode (``|R| > (1−c)·ε``
-    frontier threshold, since repair residuals carry negative mass for
-    deleted edges) until convergence.  ``Ŝ + estimate_delta`` then
+    ``Ŝ`` on ``graph``, it runs the standard frontier rounds in *signed*
+    mode (``|R| > (1−c)·ε`` frontier threshold, since repair residuals
+    carry negative mass for deleted edges) until convergence.  ``Ŝ + estimate_delta`` then
     satisfies the same ``(1−c)·ε`` residual bound, and hence the same
     ``< ε`` error bound, as a fresh run (see the :mod:`repro.dynamic`
     package docstring for the algebra).
 
-    The caller's ``initial_residual`` is copied, never mutated — unless
-    ``copy_residual=False``, which hands the matrix's buffers to the
-    round loop (the dynamic operator passes a residual it just built and
-    owns; the defensive copy is measurable at repair latencies).
-    The single-source restrictions do not apply to repair runs.
+    The round loop takes ``initial_residual`` over and updates its
+    buffers in place, so pass a matrix the caller no longer needs (the
+    dynamic operator passes a residual it just built; a defensive copy
+    is measurable at repair latencies).  The single-source restrictions
+    do not apply to repair runs.
     """
-    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
+    _validate_engine_args(decay, epsilon, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=False,
                       absorb_residual=False, max_pushes=max_pushes,
-                      num_workers=num_workers, num_shards=num_shards,
-                      coalesce_every=coalesce_every, dtype=dtype,
-                      initial_residual=initial_residual,
-                      copy_residual=copy_residual, signed=True,
-                      finalize=False, keep_residual=True)
+                      dtype=dtype, initial_residual=initial_residual,
+                      signed=True, finalize=False, keep_residual=True)
     assert run.residual is not None
     return ResumeRun(
         estimate_delta=run.estimate,
@@ -498,7 +388,6 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
         num_rounds=run.num_rounds,
         num_residual_entries=run.num_residual_entries,
         elapsed_seconds=run.elapsed_seconds,
-        max_shards_used=run.max_shards_used,
     )
 
 
@@ -527,8 +416,6 @@ class SingleSourceResult:
     elapsed_seconds: float
     epsilon: float
     decay: float
-    num_workers: int
-    num_shards: int
     component_size: int
     batch_size: int = 1
 
@@ -572,9 +459,6 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
                            epsilon: float = 0.1, prune: bool = True,
                            absorb_residual: bool = False,
                            max_pushes: int | None = None,
-                           num_workers: int = 1,
-                           num_shards: Optional[int] = None,
-                           coalesce_every: int = 4,
                            dtype: str = "float64"
                            ) -> List[SingleSourceResult]:
     """Batched single-source LocalPush: one shared round loop, many rows.
@@ -588,14 +472,10 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     **Equivalence guarantee** (pinned by the single-source suite): each
     returned ``row`` is *bit-identical* to the corresponding row of
-    ``localpush_engine(...)`` — for every worker count — whenever the per-round shard partitions of the two
-    runs coincide: always on a connected graph (the frontiers, and hence
-    the partition derived from them, are identical), and on any graph
-    when every round fits one shard (the ``DEFAULT_SHARD_NNZ`` default
-    for all but huge frontiers).  With a forced multi-shard split on a
-    *disconnected* graph the partial-sum order may differ and rows agree
-    only to float round-off (still within the ``(1−c)·ε`` bound).
-    Rows come back un-truncated; :func:`repro.graphs.sparse.top_k_row`
+    ``localpush_engine(...)`` on every graph, connected or not: every
+    round pushes its whole frontier, and each operation of a round is
+    per-row independent, so a source's row sees exactly the arithmetic
+    of the all-pairs run.  Rows come back un-truncated; :func:`repro.graphs.sparse.top_k_row`
     prunes one exactly as ``top_k_per_row`` prunes the all-pairs
     operator.
 
@@ -605,7 +485,7 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
     so a call over a whole component costs the round loop, not one row
     copy per source.
     """
-    _validate_engine_args(decay, epsilon, num_workers, num_shards, dtype)
+    _validate_engine_args(decay, epsilon, dtype)
     source_array = _validate_sources(graph, sources)
     unique_sources = np.unique(source_array)
 
@@ -617,8 +497,6 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
 
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=prune,
                       absorb_residual=absorb_residual, max_pushes=max_pushes,
-                      num_workers=num_workers, num_shards=num_shards,
-                      coalesce_every=coalesce_every,
                       seed_nodes=seed_nodes, absorb_rows=unique_sources,
                       dtype=dtype)
 
@@ -634,8 +512,6 @@ def multi_source_localpush(graph: Graph, sources: Sequence[int], *,
         elapsed_seconds=run.elapsed_seconds,
         epsilon=epsilon,
         decay=decay,
-        num_workers=num_workers,
-        num_shards=run.max_shards_used,
         component_size=size,
         batch_size=int(unique_sources.size),
     ) for source, size in zip(unique_sources.tolist(), component_sizes)}
@@ -647,9 +523,6 @@ def single_source_localpush(graph: Graph, source: int, *,
                             epsilon: float = 0.1, prune: bool = True,
                             absorb_residual: bool = False,
                             max_pushes: int | None = None,
-                            num_workers: int = 1,
-                            num_shards: Optional[int] = None,
-                            coalesce_every: int = 4,
                             dtype: str = "float64") -> SingleSourceResult:
     """Single-source LocalPush: row ``source`` of the SimRank matrix.
 
@@ -659,11 +532,9 @@ def single_source_localpush(graph: Graph, source: int, *,
     return multi_source_localpush(
         graph, [source], decay=decay, epsilon=epsilon, prune=prune,
         absorb_residual=absorb_residual, max_pushes=max_pushes,
-        num_workers=num_workers, num_shards=num_shards,
-        coalesce_every=coalesce_every, dtype=dtype)[0]
+        dtype=dtype)[0]
 
 
 __all__ = ["localpush_engine", "resume_localpush", "ResumeRun",
            "single_source_localpush", "multi_source_localpush",
-           "SingleSourceResult", "default_num_workers",
-           "DEFAULT_SHARD_NNZ", "DEFAULT_MAX_WORKERS"]
+           "SingleSourceResult"]

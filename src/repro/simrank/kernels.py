@@ -1,76 +1,50 @@
 """Push-round kernel: how one LocalPush round's CSR arithmetic is executed.
 
 :mod:`repro.simrank.engine` owns *what* a round computes (frontier →
-``c·Wᵀ F W`` → residual/estimate update) and *where* the shard matmuls
-run (inline or on its worker pool).  This module owns *how* the
-surrounding CSR arithmetic is carried out, in :class:`FusedRoundState`:
+``c·Wᵀ F W`` → residual/estimate update) and the run's accounting.  This
+module owns *how* that CSR arithmetic is carried out, in
+:class:`FusedRoundState`:
 
 * the frontier is compressed out of the residual with one boolean mask
   and a searchsorted row pointer (no ``np.repeat``, no COO round-trip),
-  and the shard matrices are zero-copy clipped-row-pointer views of it;
-* the shard partials merge in **one** concatenate + single
-  duplicate-summing pass (a selector-matrix product — see below)
-  instead of chained additions;
+  and is itself the CSR matrix the round pushes;
+* the whole frontier is pushed in one ``(Wᵀ·F)·W`` product in the
+  calling thread, and the update merges into the residual with one
+  ``csr_plus_csr`` add;
 * the raw CSR arrays are worked on with preallocated, round-reused
   workspaces.
 
-The test suite keeps the historical CSR-object arithmetic — per-shard
-COO constructions and chained ``csr_plus_csr`` partial merges — as a
-reference oracle, and pins this kernel bitwise against it
-(``tests/test_simrank_kernels.py``).
-
-The one-pass partial merge
---------------------------
-Chained ``((p₀ + p₁) + p₂) + …`` additions walk the accumulated pushed
-mass once per shard — ``O(shards²)`` stored entries touched per round,
-and the measured hot spot of multi-shard rounds.  The kernel instead
-stacks the partials (``vstack`` — the concatenate) and left-multiplies
-by a *selector* matrix ``J`` with a single ``1.0`` entry per ``(row,
-shard)`` pair, so ``J @ vstack(partials)`` sums, for every output entry,
-the matching entries of all shards in one C pass of scipy's sparse
-matmul.  This is bitwise the chained association: the matmul
-accumulates each output entry sequentially in shard order starting from
-``+0.0``, and ``+0.0 + a == a`` and ``1.0 · a == a`` exactly, so the
-per-entry float operations are identical to the chained adds (shard
-partials are products of non-negative walk weights and positive
-frontier mass, so no ``-0.0`` corner exists; a partial entry that
-underflows to ``+0.0`` is dropped by the subsequent ``csr_plus_csr``
-zero filter on either path, leaving identical stored patterns).
-
-The residual update itself stays scipy's canonical ``csr_plus_csr`` (a
-single C merge): a prototype that held the residual as flat
-``row·n + col`` key/value arrays and merged in numpy was measured
-1.5–2× *slower* than the C add at every size — the win comes from
-removing redundant passes (the chained folds, the per-shard COO
-round-trips), not from reimplementing the merge.
+The residual update stays scipy's canonical ``csr_plus_csr`` (a single C
+merge): a prototype that held the residual as flat ``row·n + col``
+key/value arrays and merged in numpy was measured 1.5–2× *slower* than
+the C add at every size.  The add also drops every zero it would store,
+so the frontier entries zeroed in the residual leave it in the same
+round; no separate coalescing pass is needed.
 
 Bit-identity with the reference arithmetic
 ------------------------------------------
+The test suite keeps the historical CSR-object arithmetic — a COO build
+of each round's frontier — as a reference oracle
+(``tests/_simrank_oracles.py``) and pins this kernel bitwise against it
+(``tests/test_simrank_kernels.py``):
+
 * both canonicalise the round update (``pushed.sort_indices()``) before
   the residual add, so the residual's storage order is row-major
   column-sorted every round and both extract frontiers in the identical
   entry order;
-* the zero-copy shard slices hold bitwise the same ``(indptr, indices,
-  data)`` arrays a per-shard COO round-trip builds (the frontier
-  inherits the residual's canonical order; frontier keys are unique, so
-  the COO build sorts and folds nothing), and the shard matmuls are
-  shared;
-* the one-pass partial merge reproduces the chained association exactly
-  (previous section), and the residual additions are the same
-  ``csr_plus_csr`` calls with the same operand order.
-
-The kernel-equivalence suite pins all of this per worker count,
-including single-source rows.
+* the compressed frontier holds bitwise the same ``(indptr, indices,
+  data)`` arrays a COO build makes (the frontier inherits the residual's
+  canonical order and its keys are unique, so the build sorts and folds
+  nothing), the push products are the same, and so are the residual
+  additions and their operand order.
 
 Phase spans
 -----------
 The round state times itself on the tracer it is handed
 (``localpush_engine(tracer=...)``): each phase interval is one
 ``localpush.<phase>`` span with attributes ``phase`` and ``round``.
-``frontier`` is the above-threshold extraction, residual clearing and
-shard assembly, ``push`` the shard matmuls, ``merge`` the partial merge
-plus the residual update, and ``prune`` the residual coalescing (the
-zeroed frontier entries dropped every ``coalesce_every`` rounds).
+``frontier`` is the above-threshold extraction and residual clearing,
+``push`` the ``(Wᵀ·F)·W`` product and ``merge`` the residual update.
 Every round opens with one frontier extraction, which advances the
 state's own round count.  The default :data:`NULL_TRACER` records
 nothing, and spans never touch the arithmetic, so traced and untraced
@@ -103,7 +77,7 @@ in the operator cache (see ``SimRankConfig.cache_key_fields``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,21 +99,10 @@ F32_UNIT_ROUNDOFF = 2.0 ** -24
 F32_BOUND_SAFETY = 64.0
 
 #: Per-round phase names (see *Phase spans* above).
-PHASES = ("frontier", "push", "merge", "prune")
+PHASES = ("frontier", "push", "merge")
 
 #: Span name of each phase.
 _PHASE_SPANS = {phase: f"{PHASE_PREFIX}.{phase}" for phase in PHASES}
-
-
-class RoundRunner(Protocol):
-    """The shard-push surface the round states drive (see ``engine.py``).
-
-    Returns each shard's partial update ``c·Wᵀ F_i W`` in shard order.
-    """
-
-    def push_round_matrices(self, matrices: Sequence[sp.csr_matrix]
-                            ) -> List[sp.csr_matrix]:
-        ...
 
 
 def working_dtype(dtype: str) -> np.dtype:
@@ -182,15 +145,15 @@ def float32_error_bound(epsilon: float, decay: float) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Shared frontier container + deterministic shard bounds
+# Shared frontier container
 # --------------------------------------------------------------------- #
 class Frontier:
     """One round's above-threshold entries, in residual storage order.
 
     ``matrix`` is the frontier as one canonical CSR matrix sharing the
     ``cols``/``data`` arrays.  ``rows`` is computed on first access from
-    the frontier row pointer (the zero-copy shard push never needs it;
-    the absorb paths do).
+    the frontier row pointer (the push never needs it; the absorb paths
+    do).
     """
 
     __slots__ = ("cols", "data", "matrix", "_rows", "_indptr")
@@ -214,24 +177,6 @@ class Frontier:
     @property
     def count(self) -> int:
         return int(self.data.size)
-
-
-def shard_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, end)`` entry ranges of the shard partition.
-
-    Reproduces ``np.array_split(np.arange(count), shards)`` exactly (the
-    first ``count % shards`` shards get one extra entry), so the
-    partition — and with it the bit-identity guarantee — is a pure
-    function of the frontier size, never of the worker count.
-    """
-    base, extra = divmod(count, shards)
-    bounds: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        end = start + base + (1 if index < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
 
 
 # --------------------------------------------------------------------- #
@@ -258,13 +203,13 @@ class _Workspace:
 # The round state: the per-run kernel object driven by the engine loop
 # --------------------------------------------------------------------- #
 class FusedRoundState:
-    """Raw-CSR round arithmetic with reused workspaces and one-pass merges.
+    """Raw-CSR round arithmetic with reused workspaces.
 
-    Owns the run's residual and restructures the two measured hot spots
-    of the reference CSR-object arithmetic: repeat-free frontier
-    compression with zero-copy shard slices and the one-pass
-    selector-product partial merge.  Bit-identical to that reference
-    per dtype — see the module docstring for the argument and
+    Owns the run's residual and the walk matrices ``W`` and ``Wᵀ``.
+    Each round extracts the frontier with a repeat-free compression and
+    pushes it whole, ``c·(Wᵀ·F)·W``, in the calling thread.
+    Bit-identical to the reference COO arithmetic per dtype — see the
+    module docstring for the argument and
     ``tests/test_simrank_kernels.py`` for the pins.
 
     ``signed=True`` switches the frontier threshold to entry
@@ -277,20 +222,18 @@ class FusedRoundState:
     ``tracer`` receives the phase spans (module docstring).
     """
 
-    def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype, tracer: Tracer = NULL_TRACER,
+    def __init__(self, residual: sp.csr_matrix, walk: sp.csr_matrix, *,
+                 decay: float, tracer: Tracer = NULL_TRACER,
                  signed: bool = False) -> None:
         self._residual = residual
-        self._n = n
-        self._dtype = dtype
+        self._walk = walk
+        self._walk_t = walk.T.tocsr()
+        self._decay = decay
+        self._n = walk.shape[0]
         self._tracer = tracer
         self._round = -1  # advanced by each round's frontier extraction
         self._signed = bool(signed)
-        self._index_dtype = index_dtype
         self._workspace = _Workspace()
-        #: Selector matrices of the one-pass partial merge, per shard
-        #: count (rounds repeat shard counts, so these are reused too).
-        self._selectors: Dict[int, sp.csr_matrix] = {}
 
     def _span(self, phase: str) -> Span:
         return self._tracer.span(_PHASE_SPANS[phase], phase=phase,
@@ -305,7 +248,7 @@ class FusedRoundState:
             above = workspace.bool_buffer("above", data.size)
             if self._signed:
                 magnitude = workspace.scratch("magnitude", data.size,
-                                              self._dtype)
+                                              data.dtype)
                 np.abs(data, out=magnitude)
                 np.greater(magnitude, threshold, out=above)
             else:
@@ -325,89 +268,23 @@ class FusedRoundState:
             data[positions] = 0.0
             matrix = sp.csr_matrix(
                 (frontier_data, cols,
-                 indptr.astype(self._index_dtype, copy=False)),
+                 indptr.astype(self._walk.indices.dtype, copy=False)),
                 shape=(self._n, self._n), copy=False)
         return Frontier(cols, frontier_data, indptr=indptr, matrix=matrix)
 
-    def push_round(self, runner: RoundRunner, frontier: Frontier,
-                   bounds: Sequence[Tuple[int, int]]) -> None:
-        with self._span("frontier"):
-            matrices = self._shard_slices(frontier, bounds)
+    def push_round(self, frontier: Frontier) -> None:
+        """Push the whole frontier and merge the update into the residual."""
         with self._span("push"):
-            partials = runner.push_round_matrices(matrices)
+            pushed = ((self._walk_t @ frontier.matrix) @ self._walk).tocsr()
+            pushed.data *= self._decay
         with self._span("merge"):
-            if len(partials) == 1:
-                pushed = partials[0]
-            else:
-                pushed = self._fold_partials(partials)
             # Canonicalise the round update (a storage reorder; no value
             # changes).  With both operands canonical the addition takes
             # scipy's sorted fast path, so the residual's storage order
-            # is row-major column-sorted every round — which the
-            # zero-copy shard slices rely on for bit-identity.
+            # is row-major column-sorted every round, and each round's
+            # frontier inherits it.
             pushed.sort_indices()
             self._residual = self._residual + pushed
-
-    def _shard_slices(self, frontier: Frontier,
-                      bounds: Sequence[Tuple[int, int]]
-                      ) -> List[sp.csr_matrix]:
-        """Zero-copy CSR shard views of the frontier matrix.
-
-        The frontier inherits the residual's row-major, column-sorted
-        entry order, so a contiguous entry range *is* a CSR matrix once
-        the row pointer is clipped to it — bitwise the same arrays a
-        per-shard COO round-trip builds, with no sort and no duplicate
-        folding.
-        """
-        matrix = frontier.matrix
-        n = self._n
-        indptr = matrix.indptr.astype(np.int64, copy=False)
-        slices = []
-        for start, end in bounds:
-            shard_indptr = np.clip(indptr - start, 0, end - start)
-            slices.append(sp.csr_matrix(
-                (matrix.data[start:end], matrix.indices[start:end],
-                 shard_indptr.astype(self._index_dtype, copy=False)),
-                shape=(n, n), copy=False))
-        return slices
-
-    def _fold_partials(self, partials: Sequence[sp.csr_matrix]
-                       ) -> sp.csr_matrix:
-        """All shard partials summed in one duplicate-folding C pass.
-
-        ``selector @ vstack(partials)`` — the selector row ``r`` holds a
-        unit entry at column ``i·n + r`` for every shard ``i`` in
-        ascending order, so the sparse matmul accumulates each output
-        entry sequentially in shard order: bitwise the chained
-        ``((p₀ + p₁) + p₂)`` association (see the module docstring), at
-        a cost of one walk over the partial mass instead of one per
-        shard.
-        """
-        stacked = sp.vstack(partials, format="csr")
-        pushed = self._selector(len(partials),
-                                stacked.indices.dtype) @ stacked
-        return pushed.tocsr()
-
-    def _selector(self, shards: int,
-                  index_dtype: np.dtype) -> sp.csr_matrix:
-        selector = self._selectors.get(shards)
-        if selector is None or selector.indices.dtype != index_dtype \
-                or selector.data.dtype != self._dtype:
-            n = self._n
-            indices = (np.arange(shards, dtype=np.int64)[None, :] * n
-                       + np.arange(n, dtype=np.int64)[:, None]).ravel()
-            indptr = np.arange(0, shards * n + 1, shards, dtype=np.int64)
-            selector = sp.csr_matrix(
-                (np.ones(shards * n, dtype=self._dtype),
-                 indices.astype(index_dtype, copy=False),
-                 indptr.astype(index_dtype, copy=False)),
-                shape=(n, shards * n), copy=False)
-            self._selectors[shards] = selector
-        return selector
-
-    def coalesce(self) -> None:
-        with self._span("prune"):
-            self._residual.eliminate_zeros()
 
     def finish(self) -> sp.csr_matrix:
         """The final residual, once the loop has run out of frontier."""
@@ -415,6 +292,5 @@ class FusedRoundState:
 
 
 __all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
-           "RoundRunner", "working_dtype", "localpush_max_rounds",
-           "float32_error_bound", "Frontier",
-           "shard_bounds", "FusedRoundState"]
+           "working_dtype", "localpush_max_rounds", "float32_error_bound",
+           "Frontier", "FusedRoundState"]

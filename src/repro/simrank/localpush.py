@@ -13,16 +13,11 @@ result stays sparse with roughly ``O(n·d²/ε)`` entries rather than ``O(n²)``
 
 One engine implements the push loop: the frontier-batched core of
 :func:`repro.simrank.engine.localpush_engine`, which pushes every
-above-threshold pair of a round at once (``R ← R + c·Wᵀ F W``) with
-deterministic frontier sharding and one execution setting, the worker
-count of the thread pool that pushes the shards.  Every worker count
-produces a bit-identical matrix.  The engine returns the whole
+above-threshold pair of a round at once (``R ← R + c·Wᵀ F W``, one
+sparse product in the calling thread).  :func:`localpush_simrank` is
+that function under the paper's name.  The engine returns the whole
 estimate; top-k pruning happens once, after it
 (:func:`repro.simrank.topk.simrank_operator`).
-:func:`localpush_simrank` is its entry point with worker-count
-auto-resolution (:func:`resolve_workers`): inline below
-:data:`AUTO_SHARDED_MIN_NODES` nodes, :func:`default_num_workers
-<repro.simrank.engine.default_num_workers>` threads from there up.
 
 The engine guarantees a strictly positive diagonal: SimRank defines
 ``S(u, u) = 1``, so even when ``ε`` is so large that the push threshold
@@ -38,30 +33,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graphs.graph import Graph
-from repro.simrank.engine import default_num_workers, localpush_engine
-from repro.simrank.exact import DEFAULT_DECAY
-
-#: Node count from which worker-count auto-resolution switches from
-#: inline pushes to the thread pool: push rounds become large enough
-#: that splitting them across a worker pool pays for the shard setup.
-#: Pinned by the worker-resolution unit tests.
-AUTO_SHARDED_MIN_NODES = 4096
-
-
-def resolve_workers(workers: Optional[int], num_nodes: int) -> int:
-    """Resolve a worker-count request to the engine's pool size.
-
-    ``None`` resolves by node count: ``1`` (every shard pushed inline)
-    below :data:`AUTO_SHARDED_MIN_NODES`, :func:`default_num_workers`
-    threads from there up.  An explicit count passes through unchanged at
-    any graph size, and ``1`` means inline.  Every worker count produces
-    a bit-identical matrix, so the choice never affects results.
-    """
-    if workers is None:
-        return (default_num_workers()
-                if num_nodes >= AUTO_SHARDED_MIN_NODES else 1)
-    return workers
+from repro.simrank.engine import localpush_engine
 
 
 @dataclass
@@ -85,11 +57,6 @@ class LocalPushResult:
         The decay factor ``c``.
     num_rounds:
         Number of frontier rounds.
-    num_workers:
-        Resolved worker count of the run (``1`` = every shard pushed
-        inline).
-    num_shards:
-        Largest per-round shard count used.
     dtype:
         Working precision of the run (``"float64"`` or ``"float32"``).
     """
@@ -101,57 +68,12 @@ class LocalPushResult:
     epsilon: float
     decay: float
     num_rounds: Optional[int] = None
-    num_workers: Optional[int] = None
-    num_shards: Optional[int] = None
     dtype: str = "float64"
 
 
-def localpush_simrank(graph: Graph, *, decay: float = DEFAULT_DECAY,
-                      epsilon: float = 0.1, prune: bool = True,
-                      absorb_residual: bool = False,
-                      max_pushes: int | None = None,
-                      num_workers: int | None = None,
-                      dtype: str = "float64") -> LocalPushResult:
-    """Run Algorithm 1 (LocalPush) and return the sparse approximation.
-
-    Parameters
-    ----------
-    graph:
-        Input graph.  Isolated nodes receive only their self-similarity.
-    decay:
-        SimRank decay factor ``c`` (paper default 0.6).
-    epsilon:
-        Max-norm error threshold ``ε``; the push loop stops once every
-        residual is below ``(1 - c)·ε``.
-    prune:
-        Whether to drop estimate entries below ``ε / 10`` (line 6 of
-        Algorithm 1).  Disable to validate the error guarantee exactly.
-    absorb_residual:
-        When true, leftover residual mass below the push threshold is added
-        into the estimate before pruning.  This is a strict improvement of
-        the approximation (each residual is a lower bound on the remaining
-        contribution to its own entry) and keeps informative small scores
-        that the plain algorithm would discard — the SIGMA aggregation
-        operator uses this variant before its top-k pruning.
-    max_pushes:
-        Optional safety cap on the number of pushes (absorbed frontier
-        entries); exceeding it raises :class:`SimRankError` (it
-        indicates a mis-configured ε).
-    num_workers:
-        Thread-pool size for the shard pushes (``1`` = inline; see
-        :mod:`repro.simrank.engine`); ``None`` resolves by node count via
-        :func:`resolve_workers`.  Every worker count produces a
-        bit-identical matrix.
-    dtype:
-        ``"float64"`` (default, the reference precision) or
-        ``"float32"`` — an opt-in low-memory mode with an adjusted error
-        bound (see :func:`repro.simrank.kernels.float32_error_bound`).
-    """
-    return localpush_engine(
-        graph, decay=decay, epsilon=epsilon, prune=prune,
-        absorb_residual=absorb_residual, max_pushes=max_pushes,
-        num_workers=resolve_workers(num_workers, graph.num_nodes),
-        dtype=dtype)
+#: Algorithm 1 under the paper's name: the engine itself, with the same
+#: parameters and defaults.
+localpush_simrank = localpush_engine
 
 
 def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
@@ -188,5 +110,4 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
     return estimate
 
 
-__all__ = ["localpush_simrank", "LocalPushResult", "resolve_workers",
-           "finalize_estimate", "AUTO_SHARDED_MIN_NODES"]
+__all__ = ["localpush_simrank", "LocalPushResult", "finalize_estimate"]

@@ -84,8 +84,8 @@ def simrank_operator(graph: Graph,
                                               cache_dir="~/.simrank-cache"))
 
     See :class:`repro.config.SimRankConfig` for the meaning of every
-    field (method selection, ε, top-k pruning, the LocalPush worker
-    count, and the persistent operator cache with its LRU byte cap).
+    field (method selection, ε, top-k pruning, and the persistent
+    operator cache with its LRU byte cap).
     With ``config=None`` the library defaults apply.
     """
     config = config if config is not None else SimRankConfig()
@@ -126,7 +126,6 @@ def simrank_operator(graph: Graph,
                                    epsilon=config.epsilon,
                                    prune=config.top_k is None,
                                    absorb_residual=True,
-                                   num_workers=config.workers,
                                    dtype=config.dtype)
         matrix = result.matrix
     if config.dtype == "float32" and matrix.dtype != np.float32:

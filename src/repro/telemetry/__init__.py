@@ -23,7 +23,7 @@ Span names are dotted ``layer.operation``:
 
 ===========================  ====================================================
 ``localpush.<phase>``        one engine phase interval (frontier/push/
-                             merge/prune), attributes ``phase``/``round``;
+                             merge), attributes ``phase``/``round``;
                              opened when a tracer is passed to
                              ``localpush_engine(tracer=...)``
 ``serve.exact_batch``        one read's exact rung, attr ``batch_size``

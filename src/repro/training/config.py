@@ -15,7 +15,8 @@ class TrainConfig(FrozenConfig):
 
     Mirrors the paper's search space (Table VI): learning rate, weight decay,
     dropout (a model parameter), early-stopping patience and epoch budget.
-    The rates are coerced to ``float`` and the epoch counts to ``int``.
+    The rates are coerced to finite ``float`` values and the epoch counts
+    to ``int``.
     """
 
     ERROR: ClassVar[Type[ReproError]] = TrainingError

@@ -7,8 +7,8 @@ Neither is part of the package: they exist only as correctness oracles.
   within the ``ε`` contract (different push orders reach different
   points inside the bound, so agreement is approximate).
 * :class:`ScipyRoundState` — the historical CSR-object round arithmetic
-  (per-shard COO constructions, chained ``csr_plus_csr`` partial
-  merges).  The engine's
+  (a COO construction of each round's frontier, pushed and added as
+  scipy matrices).  The engine's
   :class:`repro.simrank.kernels.FusedRoundState` must reproduce it
   *bitwise*; :func:`scipy_rounds` swaps it into the engine for the
   duration of a ``with`` block, so a suite can run the same engine call
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import deque
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ import repro.simrank.engine as engine_module
 from repro.errors import SimRankError
 from repro.graphs.graph import Graph
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import Frontier, RoundRunner
+from repro.simrank.kernels import Frontier
 from repro.simrank.localpush import LocalPushResult
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
@@ -164,15 +164,17 @@ class ScipyRoundState:
     """The historical CSR-object round arithmetic, verbatim.
 
     Drop-in for :class:`repro.simrank.kernels.FusedRoundState` (same
-    constructor and round surface): a COO→CSR build per shard and
-    chained shard-order partial additions.
+    constructor and round surface): a COO→CSR build of the frontier,
+    pushed whole through the walk matrices.
     """
 
-    def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype, tracer: Tracer = NULL_TRACER,
+    def __init__(self, residual: sp.csr_matrix, walk: sp.csr_matrix, *,
+                 decay: float, tracer: Tracer = NULL_TRACER,
                  signed: bool = False) -> None:
         self._residual = residual
-        self._n = n
+        self._walk = walk
+        self._decay = decay
+        self._n = walk.shape[0]
         self._signed = bool(signed)
 
     def extract_frontier(self, threshold: float) -> Optional[Frontier]:
@@ -190,25 +192,17 @@ class ScipyRoundState:
         matrix = sp.csr_matrix((data, cols, indptr), shape=(self._n, self._n))
         return Frontier(cols, data, indptr=indptr, matrix=matrix)
 
-    def push_round(self, runner: RoundRunner, frontier: Frontier,
-                   bounds: Sequence[Tuple[int, int]]) -> None:
-        # One COO→CSR build per shard, then the engine's matrix push.
+    def push_round(self, frontier: Frontier) -> None:
+        # One COO→CSR build of the frontier, then c·(Wᵀ·F)·W.
         n = self._n
-        shards = [sp.csr_matrix((frontier.data[start:end],
-                                 (frontier.rows[start:end],
-                                  frontier.cols[start:end])), shape=(n, n))
-                  for start, end in bounds]
-        partials = runner.push_round_matrices(shards)
-        # Merge in shard order, then canonicalise (a storage reorder) so
-        # the residual add takes scipy's sorted fast path.
-        pushed = partials[0]
-        for partial in partials[1:]:
-            pushed = pushed + partial
+        built = sp.csr_matrix((frontier.data, (frontier.rows, frontier.cols)),
+                              shape=(n, n))
+        pushed = ((self._walk.T.tocsr() @ built) @ self._walk).tocsr()
+        pushed.data *= self._decay
+        # Canonicalise (a storage reorder) so the residual add takes
+        # scipy's sorted fast path.
         pushed.sort_indices()
         self._residual = self._residual + pushed
-
-    def coalesce(self) -> None:
-        self._residual.eliminate_zeros()
 
     def finish(self) -> sp.csr_matrix:
         return self._residual

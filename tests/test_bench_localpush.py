@@ -2,9 +2,8 @@
 
 ``benchmarks/bench_localpush.py`` appends run records to
 ``BENCH_localpush.json``; every appended record must satisfy
-``RECORD_SCHEMA`` (required keys, exact types, a ``serial`` entry and a
-``thread`` entry with ``speedup_vs_serial`` and ``num_workers``) and
-carry ``cpu_count`` so pool speedups stay interpretable across machines.
+``RECORD_SCHEMA`` (required keys, exact types, a ``serial`` entry) and
+carry ``cpu_count`` so timings stay interpretable across machines.
 The benchmark script is not a package, so it is loaded by file path.
 """
 
@@ -25,8 +24,6 @@ _spec.loader.exec_module(bench)
 
 def _valid_record() -> dict:
     executor = {"seconds": 0.5, "num_pushes": 100, "nnz": 1000}
-    pooled = {**executor, "num_workers": 4, "speedup_vs_serial": 1.6,
-              "bit_identical_to_serial": True}
     return {
         "benchmark": "localpush_executors",
         "mode": "smoke",
@@ -36,13 +33,12 @@ def _valid_record() -> dict:
         "decay": 0.6,
         "seed": 0,
         "cpu_count": 4,
-        "num_workers": 4,
-        "config": SimRankConfig(method="localpush", epsilon=0.1, decay=0.6,
-                                workers=4).to_dict(),
+        "config": SimRankConfig(method="localpush", epsilon=0.1,
+                                decay=0.6).to_dict(),
         "backends": {"core": {"seconds": 0.5, "num_pushes": 100, "nnz": 1000,
                               "max_abs_diff_vs_series": 0.01}},
         "executors": {"serial": dict(executor),
-                      "thread": dict(pooled)},
+                      "serial_topk": {**executor, "top_k": 32}},
         "float32": {
             "epsilon": 0.1, "decay": 0.6, "bound": 0.1001,
             "sweeps": [{"num_nodes": 300, "max_abs_err_float32": 0.02,
@@ -51,7 +47,7 @@ def _valid_record() -> dict:
         "profile": {
             "executor": "serial", "total_seconds": 0.5,
             "phase_seconds": {"frontier": 0.1, "push": 0.2,
-                              "merge": 0.15, "prune": 0.05},
+                              "merge": 0.2},
         },
         "within_epsilon": True,
     }
@@ -85,21 +81,17 @@ class TestRecordSchema:
         record["epsilon"] = 1  # JSON round-trips 1.0 as 1
         assert bench.validate_record(record)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", bench.REQUIRED_EXECUTORS)
     def test_every_executor_entry_is_required(self, executor):
         record = _valid_record()
         del record["executors"][executor]
         with pytest.raises(bench.RecordSchemaError, match=executor):
             bench.validate_record(record)
 
-    def test_pooled_executors_need_speedup_and_workers(self):
+    def test_every_executor_entry_needs_its_timing(self):
         record = _valid_record()
-        del record["executors"]["thread"]["speedup_vs_serial"]
-        with pytest.raises(bench.RecordSchemaError, match="speedup_vs_serial"):
-            bench.validate_record(record)
-        record = _valid_record()
-        del record["executors"]["thread"]["num_workers"]
-        with pytest.raises(bench.RecordSchemaError, match="num_workers"):
+        del record["executors"]["serial_topk"]["seconds"]
+        with pytest.raises(bench.RecordSchemaError, match="serial_topk"):
             bench.validate_record(record)
 
     def test_core_entry_required(self):
@@ -123,7 +115,7 @@ class TestRecordSchema:
 
     def test_config_must_round_trip_as_simrank_config(self):
         record = _valid_record()
-        record["config"]["num_workers"] = 4  # not a SimRankConfig field
+        record["config"]["workers"] = 4  # not a SimRankConfig field
         with pytest.raises(bench.RecordSchemaError, match="config"):
             bench.validate_record(record)
         record = _valid_record()
@@ -137,7 +129,6 @@ class TestRecordSchema:
         assert config.method == "localpush"
         assert config.epsilon == record["epsilon"]
         assert config.decay == record["decay"]
-        assert config.workers == record["num_workers"]
 
     def test_validation_does_not_mutate(self):
         record = _valid_record()
@@ -151,20 +142,18 @@ class TestSmokeRecord:
 
     def test_smoke_run_produces_valid_record(self):
         record = bench.run(num_nodes=120, average_degree=4.0, epsilon=0.3,
-                           decay=0.6, seed=0, smoke=True, num_workers=2)
+                           decay=0.6, seed=0, smoke=True)
         assert bench.validate_record(record)
         assert record["within_epsilon"] is True
         core = record["backends"]["core"]
         assert set(record["backends"]) == {"core"}
         assert 0.0 <= core["max_abs_diff_vs_series"] < record["epsilon"]
-        assert set(record["executors"]) == {"serial", "thread",
-                                            "serial_topk"}
+        assert set(record["executors"]) == {"serial", "serial_topk"}
         topk = record["executors"]["serial_topk"]
         assert topk["top_k"] == 32
         assert topk["nnz"] <= 32 * record["num_nodes"]
-        assert record["executors"]["thread"]["bit_identical_to_serial"]
-        assert record["executors"]["thread"]["num_workers"] == 2
+        assert "num_workers" not in record
         assert all(sweep["within_bound"]
                    for sweep in record["float32"]["sweeps"])
         assert set(record["profile"]["phase_seconds"]) \
-            == {"frontier", "push", "merge", "prune"}
+            == {"frontier", "push", "merge"}

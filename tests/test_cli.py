@@ -37,23 +37,26 @@ class TestParser:
 
     @pytest.mark.parametrize("flag,value", [
         ("--simrank-backend", "vectorized"), ("--simrank-kernel", "fused"),
-        ("--simrank-executor", "thread")])
+        ("--simrank-executor", "thread"), ("--simrank-workers", "2")])
     def test_removed_execution_flags_are_rejected(self, capsys, flag, value):
-        """The backend, kernel and executor axes are gone: a script still
-        passing their flags gets an argparse error, not a silently ignored
-        value."""
+        """The backend, kernel, executor and worker axes are gone: a
+        script still passing their flags gets an argparse error, not a
+        silently ignored value."""
         with pytest.raises(SystemExit) as excinfo:
             main(["--model", "sigma", "--dataset", "texas", flag, value])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_serve_rejects_the_removed_executor_flag(self, capsys):
-        """``serve`` takes ``--workers`` only; ``--executor`` is an
-        argparse error before any dataset loads."""
+    @pytest.mark.parametrize("flag,value", [
+        ("--executor", "thread"), ("--workers", "2")])
+    def test_serve_rejects_the_removed_execution_flags(self, capsys, flag,
+                                                       value):
+        """``serve`` has no execution setting; ``--executor`` and
+        ``--workers`` are argparse errors before any dataset loads."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "texas", "--executor", "thread"])
+            main(["serve", "texas", flag, value])
         assert excinfo.value.code == 2
-        assert "--executor" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestBuildRunSpec:
@@ -61,15 +64,13 @@ class TestBuildRunSpec:
         args = build_parser().parse_args([
             "--model", "sigma", "--dataset", "chameleon", "--repeats", "2",
             "--epsilon", "0.05", "--top-k", "16",
-            "--simrank-workers", "2",
             "--simrank-cache-dir", str(tmp_path)])
         spec = build_runspec(args)
         assert isinstance(spec, RunSpec)
         assert spec.model == "sigma" and spec.dataset == "chameleon"
         assert spec.repeats == 2
         assert spec.simrank == SimRankConfig(
-            epsilon=0.05, top_k=16, workers=2,
-            cache_dir=str(tmp_path))
+            epsilon=0.05, top_k=16, cache_dir=str(tmp_path))
         assert "top_k" not in spec.overrides
 
     def test_sigma_defaults_are_the_paper_settings(self):
@@ -169,6 +170,8 @@ class TestMain:
     @pytest.mark.parametrize("argv,message", [
         (["--model", "mlp", "--epochs", "0"], "max_epochs must be >= 1"),
         (["--model", "mlp", "--patience", "0"], "patience must be >= 1"),
+        (["--model", "mlp", "--lr", "nan"],
+         "learning_rate must be a finite number, got nan"),
         (["--model", "mlp", "--scale-factor", "0"],
          "scale_factor must be positive"),
         (["--model", "sigma", "--epsilon", "0"], "epsilon must be positive"),
@@ -198,6 +201,8 @@ class TestMain:
          "max_batch_edges must be a positive integer, got 0"),
         (["--degraded-epsilon-factor", "0.5"],
          "degraded_epsilon_factor must exceed 1.0"),
+        (["--time-budget", "inf"],
+         "time_budget_seconds must be a finite number, got inf"),
     ])
     def test_bad_serve_flag_value_is_an_argparse_error(
             self, capsys, monkeypatch, argv, message):
@@ -217,6 +222,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"error: {message}" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["nope"], "unknown dataset 'nope'"),
+        (["texas", "--scale-factor", "0"], "scale factor must be positive"),
+    ])
+    def test_serve_dataset_error_goes_to_stderr(self, capsys, monkeypatch,
+                                                argv, message):
+        """A dataset ``serve`` cannot load is an argparse error like the
+        run CLI's: exit 2, the message on stderr, nothing on stdout."""
+        import repro.serve.daemon
+
+        def never(*args, **kwargs):
+            pytest.fail("a dataset that failed to load reached the daemon")
+
+        monkeypatch.setattr(repro.serve.daemon, "make_daemon", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"] + argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert message in captured.err.strip().splitlines()[-1]
 
     def test_json_output(self, capsys):
         exit_code = main(["--model", "sigma", "--dataset", "texas", "--repeats", "1",

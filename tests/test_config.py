@@ -19,6 +19,7 @@ import argparse
 import pytest
 
 from repro.config import (
+    CACHE_KEY_EXEMPT,
     CACHE_KEY_FIELDS,
     SIGMA_DEFAULT_SIMRANK,
     DynamicConfig,
@@ -51,27 +52,30 @@ class TestSimRankConfigValidation:
         {"top_k": -4},
         {"top_k": True},
         {"exact_size_limit": -1},
-        {"workers": True},
-        {"workers": 0},
         {"cache_max_bytes": 0},
         {"cache_max_bytes": -5},
         {"epsilon": "abc"},
         {"decay": None},
         {"top_k": "many"},
         {"cache_dir": 42},
+        {"decay": float("nan")},
+        {"decay": float("inf")},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+        {"epsilon": "inf"},
     ])
     def test_invalid_fields_raise(self, bad):
         with pytest.raises(ConfigError):
             SimRankConfig(**bad)
 
     def test_removed_execution_axes_are_unknown_fields(self):
-        """The engine-family label, the kernel label and the executor are
-        gone (``workers`` is the only execution setting): a serialised
-        config that still carries one is rejected, not silently
-        dropped."""
-        assert len(SimRankConfig().to_dict()) == 10
+        """The engine-family label, the kernel label, the executor and the
+        worker count are gone (the engine has no execution setting): a
+        serialised config that still carries one is rejected, not
+        silently dropped."""
+        assert len(SimRankConfig().to_dict()) == 9
         for name, value in (("backend", "auto"), ("kernel", "fused"),
-                            ("executor", "thread")):
+                            ("executor", "thread"), ("workers", 2)):
             with pytest.raises(ConfigError,
                                match=rf"unknown SimRankConfig field\(s\): {name}"):
                 SimRankConfig.from_dict({name: value})
@@ -84,10 +88,9 @@ class TestSimRankConfigValidation:
 
     def test_coercion(self, tmp_path):
         config = SimRankConfig(decay="0.5", epsilon="0.2", top_k=8.0,
-                               workers=2.0, cache_dir=tmp_path)
+                               cache_dir=tmp_path)
         assert config.decay == 0.5 and isinstance(config.decay, float)
         assert config.top_k == 8 and isinstance(config.top_k, int)
-        assert config.workers == 2 and isinstance(config.workers, int)
         assert config.cache_dir == str(tmp_path)
 
     def test_frozen(self):
@@ -102,9 +105,10 @@ class TestSimRankConfigCopies:
         assert tight.epsilon == 0.01 and tight.top_k == 16
         assert base.epsilon == 0.1 and base.top_k is None
 
-    def test_with_overrides_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError, match="num_workers"):
-            SimRankConfig().with_overrides(num_workers=4)
+    @pytest.mark.parametrize("name", ["num_workers", "workers"])
+    def test_with_overrides_rejects_unknown_fields(self, name):
+        with pytest.raises(ConfigError, match=name):
+            SimRankConfig().with_overrides(**{name: 4})
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigError):
@@ -114,7 +118,7 @@ class TestSimRankConfigCopies:
 class TestSimRankConfigSerialisation:
     def test_round_trip(self, tmp_path):
         config = SimRankConfig(method="localpush", decay=0.7, epsilon=0.05,
-                               top_k=16, row_normalize=True, workers=3,
+                               top_k=16, row_normalize=True,
                                cache_dir=str(tmp_path), cache_max_bytes=1 << 20)
         assert SimRankConfig.from_dict(config.to_dict()) == config
 
@@ -123,9 +127,10 @@ class TestSimRankConfigSerialisation:
 
         json.dumps(SimRankConfig().to_dict())
 
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError, match="num_workers"):
-            SimRankConfig.from_dict({"num_workers": 4})
+    @pytest.mark.parametrize("name", ["num_workers", "workers"])
+    def test_from_dict_rejects_unknown_fields(self, name):
+        with pytest.raises(ConfigError, match=name):
+            SimRankConfig.from_dict({name: 4})
 
     def test_from_dict_validates(self):
         with pytest.raises(ConfigError):
@@ -146,12 +151,18 @@ class TestCacheKeyFields:
         fields = SimRankConfig(method="exact").cache_key_fields(50)
         assert fields["epsilon"] is None
 
-    def test_workers_never_enter_the_key(self):
+    @pytest.mark.parametrize("name", CACHE_KEY_EXEMPT)
+    def test_exempt_fields_never_enter_the_key(self, name, tmp_path):
+        """A field kept out of the key moves no operator to a new entry
+        (a new exempt field needs a changed value here)."""
+        changed = {"exact_size_limit": 10, "cache_dir": str(tmp_path),
+                   "cache_max_bytes": 1 << 20}[name]
         plain = SimRankConfig(method="localpush")
-        pooled = plain.with_overrides(workers=8)
+        other = plain.with_overrides(**{name: changed})
+        assert getattr(other, name) != getattr(plain, name)
         for num_nodes in (100, 1000, 5000):
             assert plain.cache_key_fields(num_nodes) == \
-                pooled.cache_key_fields(num_nodes)
+                other.cache_key_fields(num_nodes)
 
     def test_operator_is_stored_under_its_cache_key_fields(
             self, small_heterophilous_graph, tmp_path):
@@ -182,12 +193,12 @@ class TestFromCliArgs:
         args = build_parser().parse_args([
             "--simrank-method", "localpush", "--decay", "0.7",
             "--epsilon", "0.05", "--top-k", "16",
-            "--simrank-workers", "3", "--simrank-cache-dir", str(tmp_path),
+            "--simrank-cache-dir", str(tmp_path),
             "--simrank-cache-max-bytes", "4096",
         ])
         config = SimRankConfig.from_cli_args(args)
         assert config == SimRankConfig(
-            method="localpush", decay=0.7, epsilon=0.05, top_k=16, workers=3,
+            method="localpush", decay=0.7, epsilon=0.05, top_k=16,
             cache_dir=str(tmp_path), cache_max_bytes=4096)
 
     def test_unset_flags_inherit_from_base(self):
@@ -218,13 +229,13 @@ class TestFromCliArgs:
             "--max-pushes-per-query", "100",
             "--degraded-epsilon-factor", "4", "--no-exact",
             "--no-cached-rows", "--epsilon", "0.2", "--decay", "0.7",
-            "--workers", "2", "--cache-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path),
             "--max-batch-edges", "16", "--repair-max-pushes", "1000",
             "--synchronous-repair", "--no-store-repaired", "--telemetry",
             "--trace-path", trace, "--max-recorded-spans", "64",
         ])
         assert SimRankConfig.from_cli_args(args) == SimRankConfig(
-            epsilon=0.2, decay=0.7, workers=2, cache_dir=str(tmp_path))
+            epsilon=0.2, decay=0.7, cache_dir=str(tmp_path))
         assert ServeConfig.from_cli_args(args) == ServeConfig(
             host="0.0.0.0", port=0, default_top_k=7, exact_enabled=False,
             time_budget_seconds=0.5, max_pushes_per_query=100,
@@ -234,6 +245,31 @@ class TestFromCliArgs:
             store_repaired=False, background_repair=False)
         assert TelemetryConfig.from_cli_args(args) == TelemetryConfig(
             enabled=True, trace_path=trace, max_recorded_spans=64)
+
+
+class TestServeConfigValidation:
+    @pytest.mark.parametrize("bad,message", [
+        ({"port": 70000}, "port must be in [0, 65535], got 70000"),
+        ({"default_top_k": 0},
+         "default_top_k must be a positive integer, got 0"),
+        ({"time_budget_seconds": 0.0},
+         "time_budget_seconds must be positive or None, got 0.0"),
+        ({"time_budget_seconds": float("nan")},
+         "time_budget_seconds must be a finite number, got nan"),
+        ({"time_budget_seconds": float("inf")},
+         "time_budget_seconds must be a finite number, got inf"),
+        ({"degraded_epsilon_factor": 0.5},
+         "degraded_epsilon_factor must exceed 1.0 (the fallback must "
+         "loosen ε), got 0.5"),
+        ({"degraded_epsilon_factor": float("nan")},
+         "degraded_epsilon_factor must be a finite number, got nan"),
+        ({"degraded_epsilon_factor": float("inf")},
+         "degraded_epsilon_factor must be a finite number, got inf"),
+    ])
+    def test_invalid_fields_raise(self, bad, message):
+        with pytest.raises(ConfigError) as excinfo:
+            ServeConfig(**bad)
+        assert str(excinfo.value) == message
 
 
 class TestTrainConfigSerialisation:
@@ -268,6 +304,8 @@ class TestRunSpec:
     @pytest.mark.parametrize("bad", [
         {"repeats": 0},
         {"scale_factor": 0.0},
+        {"scale_factor": float("nan")},
+        {"scale_factor": float("inf")},
         {"overrides": "hidden=16"},
         {"simrank": "localpush"},
     ])
@@ -287,6 +325,15 @@ class TestRunSpec:
         import json
 
         json.dumps(RunSpec(simrank=SimRankConfig(top_k=8)).to_dict())
+
+    def test_a_stored_spec_naming_workers_is_rejected(self):
+        """A serialised spec from before the worker count was deleted
+        fails on the unknown field instead of dropping it."""
+        payload = RunSpec(simrank=SimRankConfig(top_k=8)).to_dict()
+        payload["simrank"]["workers"] = 2
+        with pytest.raises(ConfigError,
+                           match=r"unknown SimRankConfig field\(s\): workers"):
+            RunSpec.from_dict(payload)
 
     def test_simrank_inside_overrides_round_trips(self):
         """__post_init__ permits the config inside overrides; that shape
@@ -324,7 +371,7 @@ def _contract_instances():
                   repeats=2, scale_factor=0.5)
     return [
         (SimRankConfig(method="localpush", decay=0.7, epsilon=0.05, top_k=16,
-                       row_normalize=True, exact_size_limit=100, workers=3,
+                       row_normalize=True, exact_size_limit=100,
                        cache_dir="operator-cache", cache_max_bytes=1 << 20,
                        dtype="float32"), ConfigError),
         (ServeConfig(host="0.0.0.0", port=0, default_top_k=7,

@@ -3,11 +3,11 @@
 The repaired operator must satisfy the same ``(1−c)·ε`` residual bound —
 and hence the same ``< ε`` estimate bound against the dense
 ``linearized_simrank`` oracle — as a fresh recompute, for every update
-kind (insert/delete/reweight), for component merges and splits, and
-under every worker count.  The cache chapter pins that every repaired
-snapshot is stored under the ordinary key of the graph it describes, so
-any stream that reaches a cached graph replays it without push work and
-a stream that revisits a graph rewrites that graph's entry.
+kind (insert/delete/reweight) and for component merges and splits.
+The cache chapter pins that every repaired snapshot is stored under the
+ordinary key of the graph it describes, so any stream that reaches a
+cached graph replays it without push work and a stream that revisits a
+graph rewrites that graph's entry.
 """
 
 import gc
@@ -280,23 +280,28 @@ class TestRepairEquivalence:
         assert np.array_equal(operator.operator().matrix.toarray(), before)
 
 
-class TestWorkerEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_repair_is_bit_identical_across_worker_counts(self, workers):
-        graph = erdos_renyi(60, 0.08, seed=9)
-        batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[2]),
-                             GraphDelta("delete", *present_pairs(graph)[1])))
-        serial_config = CONFIG.with_overrides(workers=1)
-        reference = DynamicOperator(graph, simrank=serial_config)
-        reference.apply(batch)
-        config = CONFIG.with_overrides(workers=workers)
-        operator = DynamicOperator(graph, simrank=config)
-        operator.apply(batch)
-        expected = reference.operator().matrix
-        actual = operator.operator().matrix
-        assert np.array_equal(expected.indptr, actual.indptr)
-        assert np.array_equal(expected.indices, actual.indices)
-        assert np.array_equal(expected.data, actual.data)
+class TestRepairDeterminism:
+    """A repair is a function of the graph and the batch alone."""
+
+    @pytest.mark.parametrize("kind", ["insert", "delete", "reweight"])
+    def test_repair_is_bit_identical_across_operators(self, kind):
+        graph = weighted(40, seed=9)
+        pair = (absent_pairs(graph) if kind == "insert"
+                else present_pairs(graph))[2]
+        weight = (3.0 * float(graph.adjacency[pair[0], pair[1]])
+                  if kind == "reweight" else None)
+        delta = GraphDelta(kind, *pair, weight=weight)
+        reference = DynamicOperator(graph, simrank=CONFIG)
+        operator = DynamicOperator(graph, simrank=CONFIG)
+        expected = reference.apply(delta)
+        actual = operator.apply(delta)
+        assert actual.num_pushes == expected.num_pushes > 0
+        assert actual.num_rounds == expected.num_rounds
+        before = reference.operator().matrix
+        after = operator.operator().matrix
+        assert np.array_equal(before.indptr, after.indptr)
+        assert np.array_equal(before.indices, after.indices)
+        assert np.array_equal(before.data, after.data)
         assert oracle_error(operator) < EPSILON
 
 

@@ -89,6 +89,13 @@ class TestCellExpansion:
                            match=r"^unknown TrainConfig field\(s\): bogus$"):
             make_spec(grid=({"train.bogus": 1},))
 
+    def test_a_removed_simrank_field_names_itself(self):
+        """A grid still setting the deleted worker count fails on the
+        unknown field, not silently."""
+        with pytest.raises(ConfigError,
+                           match=r"^unknown SimRankConfig field\(s\): workers$"):
+            make_spec(grid=({"simrank.workers": 2},))
+
     def test_declared_param_overridable_per_cell(self):
         spec = make_spec(params={"label": ""},
                          grid=({"label": "a"}, {"label": "b"}))

@@ -70,7 +70,7 @@ class TestKeys:
         fig6 = get_experiment("fig6")
         cell = fig6.default_spec().cells()[0]
         assert store.key_for(cell, fig6.cell) == \
-            "18705fbc8ef9c95cbd55a25871e4229f"
+            "bd89975cdd62a012c85117e0465f3198"
 
     def test_runner_name_is_qualified(self):
         assert runner_name(demo_runner).endswith(

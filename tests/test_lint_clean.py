@@ -72,7 +72,7 @@ def test_r1_clean_on_unmodified_live_config(tmp_path):
 
 def test_r3_fires_on_global_rng_in_live_engine(tmp_path):
     """Regression: a ``np.random`` call sneaking into the LocalPush engine
-    (the core of the bit-identical worker-count guarantee) must trip R3."""
+    (the core of the bit-identical run guarantee) must trip R3."""
     target = copy_live(tmp_path, "repro/simrank/engine.py")
     target.write_text(target.read_text() +
                       "\n\ndef _mutant():\n    return np.random.rand(3)\n")
@@ -86,10 +86,11 @@ def test_r3_clean_on_unmodified_live_engine(tmp_path):
 
 
 # The pre-config keyword relay, the ``backend`` labels, the ``kernel``
-# ladder and the ``executor`` axis (with the process pool behind it) were
+# ladder, the ``executor`` axis (with the process pool behind it) and the
+# ``workers`` axis (with the frontier shards and the thread pool) were
 # deleted with the code that hosted them; one config path reaches one
-# LocalPush engine whose only execution setting is its worker count.
-# None of their names may come back.
+# LocalPush engine, which has no execution setting.  None of their names
+# may come back.
 REMOVED_NAMES = {
     "UNSET": r"\bUNSET\b",
     "merge_kwargs": r"\bmerge_\w+_kwargs\b",
@@ -145,6 +146,19 @@ REMOVED_NAMES = {
     "DELTA_FORMAT_VERSION": r"\bDELTA_FORMAT_VERSION\b",
     "chain_length": r"\bchain_length\b",
     "chain_write": r"\bchain_write\b",
+    # Each LocalPush round is one push of its whole frontier in the
+    # calling thread: no worker count, shard plan, thread pool or
+    # coalescing cadence.
+    "workers": r"\bworkers\b",
+    "num_workers": r"\bnum_workers\b",
+    "num_shards": r"\bnum_shards\b",
+    "coalesce_every": r"\bcoalesce_every\b",
+    "copy_residual": r"\bcopy_residual\b",
+    "ThreadPoolExecutor": r"\bThreadPoolExecutor\b",
+    "resolve_workers": r"\bresolve_workers\b",
+    "AUTO_SHARDED_MIN_NODES": r"\bAUTO_SHARDED_MIN_NODES\b",
+    "shard_bounds": r"\bshard_bounds\b",
+    "RoundRunner": r"\bRoundRunner\b",
 }
 
 

@@ -19,10 +19,6 @@ from repro.simrank.pairwise_walk import homophily_probability
 from repro.simrank.topk import simrank_operator
 
 
-def _sharded(graph, **kwargs):
-    """The engine core on a 2-thread pool (the sharded plan)."""
-    return localpush_engine(graph, num_workers=2, **kwargs)
-
 SETTINGS = settings(max_examples=25, deadline=None)
 
 
@@ -110,11 +106,11 @@ class TestSimRankProperties:
 
     @SETTINGS
     @given(random_graphs(max_nodes=12), st.sampled_from([0.3, 0.1]))
-    def test_sharded_executor_error_bound_property(self, graph, epsilon):
-        """Lemma III.5 holds for the sharded thread plan on arbitrary graphs."""
+    def test_engine_core_error_bound_property(self, graph, epsilon):
+        """Lemma III.5 holds for the engine core on arbitrary graphs."""
         reference = linearized_simrank(graph, num_iterations=40)
-        approx = _sharded(graph, epsilon=epsilon,
-                          prune=False).matrix.toarray()
+        approx = localpush_engine(graph, epsilon=epsilon,
+                                  prune=False).matrix.toarray()
         assert np.abs(approx - reference).max() < epsilon
 
     @SETTINGS
@@ -246,11 +242,11 @@ class TestTopKProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Operator top-k invariants (sharded thread plan)
+# Operator top-k invariants
 # --------------------------------------------------------------------------- #
 def _operator(graph, k, epsilon=0.1):
     return simrank_operator(graph, config=SimRankConfig(
-        method="localpush", epsilon=epsilon, top_k=k, workers=2)).matrix
+        method="localpush", epsilon=epsilon, top_k=k)).matrix
 
 
 class TestOperatorTopKProperties:
@@ -272,8 +268,8 @@ class TestOperatorTopKProperties:
     @given(random_graphs(max_nodes=16), st.integers(2, 6),
            st.sampled_from([0.3, 0.1]))
     def test_operator_never_drops_a_larger_score(self, graph, k, epsilon):
-        full = _sharded(graph, epsilon=epsilon, prune=False,
-                        absorb_residual=True).matrix.toarray()
+        full = localpush_engine(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True).matrix.toarray()
         kept = _operator(graph, k, epsilon).toarray()
         for row in range(graph.num_nodes):
             held = kept[row] > 0
@@ -288,8 +284,8 @@ class TestOperatorTopKProperties:
     @given(random_graphs(max_nodes=16), st.integers(2, 6),
            st.sampled_from([0.3, 0.1]))
     def test_operator_equals_posthoc_topk(self, graph, k, epsilon):
-        full = _sharded(graph, epsilon=epsilon, prune=False,
-                        absorb_residual=True)
+        full = localpush_engine(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True)
         expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
         matrix = _operator(graph, k, epsilon)
         assert np.array_equal(matrix.indptr, expected.indptr)

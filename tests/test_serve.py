@@ -534,6 +534,56 @@ class TestGraphVersions:
         assert all(type(error) is RuntimeError for error in errors.values())
         _counters(service)  # neither read fell through the ladder
 
+    @pytest.mark.parametrize("budget", [None, 1e10])
+    def test_a_budget_beyond_the_wait_limit_waits_like_no_budget(
+            self, graph, budget):
+        """``Event.wait`` overflows above ``threading.TIMEOUT_MAX``
+        (about 9.2e9 s); a larger budget must still let a second reader
+        wait for the rows the first one computes."""
+        assert budget is None or budget > threading.TIMEOUT_MAX
+        entered, release = threading.Event(), threading.Event()
+        inner = {}
+
+        def held_exact(graph, nodes, epsilon):
+            entered.set()
+            assert release.wait(timeout=60)
+            return inner["service"]._engine_rows(graph, nodes, epsilon)
+
+        config = SimRankConfig(epsilon=0.1)
+        service = SimRankService(
+            graph, simrank=config,
+            serve=ServeConfig(time_budget_seconds=budget),
+            compute_exact=held_exact)
+        inner["service"] = service
+        answers, errors = {}, {}
+
+        def reader(source):
+            try:
+                answers[source] = service.topk(source, k=5)
+            except Exception as error:  # asserted below
+                errors[source] = error
+
+        first = threading.Thread(target=reader, args=(3,))
+        second = threading.Thread(target=reader, args=(7,))
+        first.start()
+        try:
+            assert entered.wait(timeout=30)
+            second.start()
+            _wait_until(lambda: _waiting_in(second, "rows")
+                        or not second.is_alive())
+        finally:
+            release.set()
+            for thread in (first, second):
+                if thread.ident is not None:
+                    thread.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == {}
+        for source in (3, 7):
+            assert answers[source].path == "exact"
+            assert answers[source].entries == api_topk(graph, source, 5,
+                                                       config)
+        _counters(service, queries=2, batches=1, exact_served=2)
+
     def test_disconnected_graph_computes_each_component_once(self):
         graph = _disconnected()  # components 0–29 and 30–49, 5 isolated
         config = SimRankConfig(epsilon=0.1)

@@ -47,11 +47,8 @@ from repro.simrank.topk import SimRankOperator, simrank_operator
 ENTRY_NAME = re.compile(r"simrank-[0-9a-f]{64}-[0-9a-f]{32}\.npz")
 
 
-def _operator(graph, *, cache=None, cache_max_bytes=None, num_workers=None,
-              **fields):
+def _operator(graph, *, cache=None, cache_max_bytes=None, **fields):
     """``simrank_operator`` via the config API, with a cache handle."""
-    if num_workers is not None:
-        fields["workers"] = num_workers
     config = SimRankConfig(**fields)
     if cache is not None:
         directory = cache.directory if isinstance(cache, OperatorCache) else cache
@@ -179,8 +176,7 @@ class TestKeying:
 
 class TestRoundTrip:
     def test_miss_store_hit(self, graph, cache):
-        kwargs = dict(method="localpush", epsilon=0.1, top_k=8,
-                      num_workers=2, cache=cache)
+        kwargs = dict(method="localpush", epsilon=0.1, top_k=8, cache=cache)
         cold = _operator(graph, **kwargs)
         assert not cold.cache_hit
         stats = cache.stats()
@@ -204,15 +200,6 @@ class TestRoundTrip:
                          top_k=4, cache=str(directory))
         assert not cold.cache_hit and warm.cache_hit
         assert get_operator_cache(directory).stats()["hits"] == 1
-
-    def test_worker_count_shares_one_entry(self, graph, cache):
-        """num_workers is excluded from the key: the pool is deterministic."""
-        cold = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                         num_workers=1, cache=cache)
-        warm = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                         num_workers=4, cache=cache)
-        assert not cold.cache_hit and warm.cache_hit
-        assert len(cache) == 1
 
     def test_different_epsilon_is_a_miss(self, graph, cache):
         _operator(graph, method="localpush", epsilon=0.1, top_k=8,
@@ -327,7 +314,7 @@ class TestRowLookup:
 
 
 class TestInvalidationAndCorruption:
-    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, num_workers=2)
+    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8)
 
     def _entry_path(self, cache):
         paths = list(cache.directory.glob("simrank-*.npz"))
@@ -633,25 +620,27 @@ class TestExperimentIntegration:
         kwargs = dict(scale_factor=0.05, measure_precompute=True,
                       simrank=SimRankConfig(cache_dir=str(directory)))
         run_experiment("table3", "pokec", print_result=False, **kwargs)
-        run_experiment("table3", "pokec", print_result=False, **kwargs)
+        result = run_experiment("table3", "pokec", print_result=False,
+                                **kwargs)
         assert get_operator_cache(directory).stats()["hits"] == 1
+        assert set(result.measured_precompute) == {"localpush"}
 
-    def test_cli_exposes_cache_and_worker_flags(self):
+    def test_cli_exposes_cache_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "--simrank-workers", "4",
             "--simrank-cache-dir", "/tmp/simrank-cache",
+            "--simrank-cache-max-bytes", "4096",
         ])
-        assert args.simrank_workers == 4
         assert args.simrank_cache_dir == "/tmp/simrank-cache"
+        assert args.simrank_cache_max_bytes == 4096
 
     def test_cli_rejects_simrank_flags_for_non_sigma_models(self, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
             main(["--model", "glognn", "--dataset", "texas",
-                  "--simrank-workers", "2"])
+                  "--simrank-cache-dir", "/tmp/simrank-cache"])
         assert "only supported by SIGMA models" in capsys.readouterr().err
 
 
@@ -707,8 +696,7 @@ class TestCacheStress:
             num_nodes=2000, num_classes=3, num_features=4, average_degree=6.0,
             homophily=0.3, name="cache-large"), seed=3)
         cache = get_operator_cache(tmp_path / "large")
-        kwargs = dict(method="localpush", epsilon=0.1, top_k=16,
-                      num_workers=2, cache=cache)
+        kwargs = dict(method="localpush", epsilon=0.1, top_k=16, cache=cache)
         cold = _operator(graph, **kwargs)
         warm = _operator(graph, **kwargs)
         assert warm.cache_hit

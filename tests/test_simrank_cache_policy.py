@@ -24,11 +24,8 @@ from repro.simrank.cache import OperatorCache, get_operator_cache
 from repro.simrank.topk import simrank_operator
 
 
-def _operator(graph, *, cache=None, cache_max_bytes=None, num_workers=None,
-              **fields):
+def _operator(graph, *, cache=None, cache_max_bytes=None, **fields):
     """``simrank_operator`` via the config API, with a cache handle."""
-    if num_workers is not None:
-        fields["workers"] = num_workers
     config = SimRankConfig(**fields)
     if cache is not None:
         directory = cache.directory if isinstance(cache, OperatorCache) else cache
@@ -246,19 +243,6 @@ class TestCrossEpsilonReuse:
         second = _operator(other, method="localpush", epsilon=0.1,
                                   top_k=8, cache=cache)
         assert not second.cache_hit
-
-    def test_worker_count_hits_the_same_key_exactly(self, graph, cache):
-        """The key excludes the worker count: a run on a different count
-        (same request) is an exact hit, not a reuse hit."""
-        cold = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=8, num_workers=1, cache=cache)
-        warm = _operator(graph, method="localpush", epsilon=0.1,
-                                top_k=8, num_workers=2, cache=cache)
-        assert warm.cache_hit
-        stats = cache.stats()
-        assert stats["exact_hits"] == 1 and stats["reuse_hits"] == 0
-        np.testing.assert_array_equal(warm.matrix.toarray(),
-                                      cold.matrix.toarray())
 
     def test_counters_are_consistent(self, graph, cache):
         _operator(graph, method="localpush", epsilon=0.05, top_k=8,

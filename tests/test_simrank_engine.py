@@ -1,14 +1,21 @@
-"""Suite for the unified LocalPush engine core and its worker count.
+"""Suite for the LocalPush engine core: oracles, bounds and determinism.
 
-Pins the properties of the engine core:
+The per-pair dict loop of ``_simrank_oracles`` remains the correctness
+oracle (a direct transcription of Algorithm 1).  The engine, which
+pushes each round's whole frontier in one sparse product, must:
 
-* every worker count (``num_workers`` 1 = inline, 2, 3, …) produces a
-  **bit-identical** matrix, top-k pruned or not,
-* :func:`repro.simrank.localpush.resolve_workers` maps ``None`` onto the
-  node-count ladder and passes explicit counts through, and
-* the operator pipeline accepts ``workers=`` and serves the same
-  operator regardless of it.
+* agree with the oracle within ``(1 − c)·ε`` max-norm in the operator
+  configuration (``absorb_residual=True``) on every equivalence fixture,
+  and within ``ε`` against the dense linearized series,
+* return **bit-identical** matrices on repeated runs,
+* preserve the error bound on random weighted and disconnected graphs,
+* feed the operator pipeline, which prunes the finished estimate to its
+  top-k once, after the loop, and
+* take no execution setting: a run is a function of the graph and the
+  mathematical contract alone.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -22,14 +29,21 @@ from _simrank_fixtures import (
     weighted as _weighted,
 )
 from _simrank_oracles import dict_localpush
+from repro.config import SimRankConfig
 from repro.errors import SimRankError
-from repro.graphs.sparse import top_k_per_row
-from repro.simrank.engine import default_num_workers, localpush_engine
-from repro.simrank.localpush import (
-    AUTO_SHARDED_MIN_NODES,
-    localpush_simrank,
-    resolve_workers,
+from repro.graphs.graph import Graph
+from repro.graphs.sparse import top_k_per_row, top_k_row
+from repro.simrank.engine import (
+    localpush_engine,
+    multi_source_localpush,
+    resume_localpush,
+    single_source_localpush,
 )
+from repro.simrank.exact import linearized_simrank
+from repro.simrank.localpush import localpush_simrank
+from repro.simrank.topk import simrank_operator
+
+DECAY = 0.6
 
 
 def _assert_identical(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
@@ -40,144 +54,227 @@ def _assert_identical(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
 
 EQUIVALENCE_GRAPHS = [
     pytest.param(lambda: _erdos_renyi(60, 0.08, seed=0), id="erdos-renyi-60"),
+    pytest.param(lambda: _erdos_renyi(120, 0.05, seed=1), id="erdos-renyi-120"),
     pytest.param(lambda: _sbm(150, seed=2), id="sbm-150"),
+    pytest.param(lambda: _sbm(150, seed=3, homophily=0.7), id="sbm-150-homophilous"),
     pytest.param(lambda: _weighted(40, seed=12), id="weighted-40"),
     pytest.param(_disconnected, id="disconnected"),
     pytest.param(lambda: _star(12), id="star-12"),
 ]
 
 
-class TestWorkerEquivalence:
-    """Bit-identical output across worker counts — pinned, not approximate."""
+class TestOracleEquivalence:
+    """The dict loop is the oracle; acceptance bound is (1 − c)·ε."""
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
-    def test_every_worker_count_identical_on_equivalence_suite(self,
-                                                               make_graph):
+    @pytest.mark.parametrize("epsilon", [0.2, 0.05])
+    def test_matches_dict_oracle_within_relaxed_epsilon(self, make_graph, epsilon):
         graph = make_graph()
-        kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      num_shards=3)
-        results = {workers: localpush_engine(graph, num_workers=workers,
-                                             **kwargs)
-                   for workers in (1, 2, 3)}
-        for workers in (2, 3):
-            _assert_identical(results[1].matrix, results[workers].matrix)
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
+        result = localpush_simrank(graph, epsilon=epsilon, prune=False)
+        diff = np.abs((oracle.matrix - result.matrix).toarray()).max()
+        assert diff < epsilon
 
-    def test_pooled_workers_match_serial(self):
-        graph = _sbm(200, seed=5)
-        # num_shards forces multi-shard rounds so the pool actually engages.
-        serial = localpush_engine(graph, epsilon=0.05, prune=False,
-                                  num_shards=6)
-        pooled = localpush_engine(graph, epsilon=0.05, prune=False,
-                                  num_workers=2, num_shards=6)
-        _assert_identical(serial.matrix, pooled.matrix)
-        assert serial.num_pushes == pooled.num_pushes
-        assert serial.num_rounds == pooled.num_rounds
+    @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
+    @pytest.mark.parametrize("epsilon", [0.2, 0.05])
+    def test_operator_config_matches_oracle_within_tight_bound(self, make_graph,
+                                                               epsilon):
+        """Acceptance criterion: (1 − c)·ε max-norm vs the dict oracle.
 
-    def test_topk_pruned_matrix_identical_across_worker_counts(self):
-        graph = _sbm(200, seed=7)
-        kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      num_shards=5)
-        serial = top_k_per_row(localpush_engine(graph, **kwargs).matrix, 6,
-                               keep_diagonal=True)
-        pooled = top_k_per_row(
-            localpush_engine(graph, num_workers=2, **kwargs).matrix, 6,
-            keep_diagonal=True)
-        _assert_identical(serial, pooled)
-        assert np.diff(pooled.indptr).max() <= 6
-        assert (pooled.diagonal() > 0).all()
+        Both engines run the operator configuration
+        (``absorb_residual=True``), which folds all sub-threshold residual
+        mass into the estimate; the remaining disagreement is only the
+        re-propagated tail, empirically well below ``(1 − c)·ε``.
+        """
+        graph = make_graph()
+        oracle = dict_localpush(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True)
+        result = localpush_simrank(graph, epsilon=epsilon, prune=False,
+                                   absorb_residual=True)
+        diff = np.abs((oracle.matrix - result.matrix).toarray()).max()
+        assert diff < (1.0 - DECAY) * epsilon
+
+    @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
+    def test_error_bound_against_linearized_series(self, make_graph):
+        graph = make_graph()
+        epsilon = 0.1
+        reference = linearized_simrank(graph, num_iterations=60)
+        result = localpush_engine(graph, epsilon=epsilon, prune=False)
+        assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
     def test_matches_dict_oracle_within_epsilon(self):
         graph = _erdos_renyi(80, 0.07, seed=8)
         oracle = dict_localpush(graph, epsilon=0.05, prune=False)
-        core = localpush_engine(graph, epsilon=0.05, prune=False,
-                                num_workers=2, num_shards=3)
+        core = localpush_engine(graph, epsilon=0.05, prune=False)
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < 0.05
 
-    def test_result_metadata(self):
-        graph = _sbm(150, seed=9)
-        result = localpush_engine(graph, epsilon=0.1, num_workers=2,
-                                  num_shards=3)
-        assert result.num_workers == 2
-        assert result.num_shards == 3
-        assert result.num_rounds is not None and result.num_rounds > 0
-        assert not hasattr(result, "executor")
-        assert localpush_engine(graph, epsilon=0.1).num_workers == 1
 
-    @pytest.mark.parametrize("workers", [0, -2, None, True, 2.0])
-    def test_invalid_worker_counts_rejected(self, tiny_graph, workers):
-        with pytest.raises(SimRankError, match="num_workers"):
-            localpush_engine(tiny_graph, epsilon=0.1, num_workers=workers)
+class TestDeterminism:
+    def test_repeated_runs_are_identical(self):
+        graph = _erdos_renyi(80, 0.07, seed=8)
+        first = localpush_engine(graph, epsilon=0.1, prune=False)
+        second = localpush_engine(graph, epsilon=0.1, prune=False)
+        _assert_identical(first.matrix, second.matrix)
+
+    def test_localpush_simrank_is_the_engine(self):
+        """Algorithm 1's paper name and the engine are one function."""
+        assert localpush_simrank is localpush_engine
 
 
-class TestResolveWorkers:
-    """Worker auto-resolution: inline below the threshold, a pool above."""
+class TestErrorBoundProperties:
+    """Lemma III.5 on random weighted / disconnected graphs (seeded sweep)."""
 
-    def test_threshold_is_pinned(self):
-        assert AUTO_SHARDED_MIN_NODES == 4096
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("epsilon", [0.3, 0.1])
+    def test_random_weighted_graphs(self, seed, epsilon):
+        graph = _weighted(30, seed=seed, density=0.2)
+        reference = linearized_simrank(graph, num_iterations=60)
+        result = localpush_engine(graph, epsilon=epsilon, prune=False)
+        assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
-    def test_auto_ladder(self):
-        assert resolve_workers(None, 10) == 1
-        assert resolve_workers(None, AUTO_SHARDED_MIN_NODES - 1) == 1
-        assert resolve_workers(None, AUTO_SHARDED_MIN_NODES) \
-            == default_num_workers()
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_disconnected_graphs(self, seed):
+        graph = _disconnected(seed=seed * 11 + 1)
+        reference = linearized_simrank(graph, num_iterations=60)
+        result = localpush_engine(graph, epsilon=0.1, prune=False)
+        assert np.abs(result.matrix.toarray() - reference).max() < 0.1
 
-    def test_explicit_worker_counts_pass_through(self):
-        for workers in (1, 2, 3):
-            assert resolve_workers(workers, 10) == workers
-            assert resolve_workers(workers, 10**6) == workers
+    def test_diagonal_always_positive(self):
+        for make_graph in (_disconnected, lambda: _star(8)):
+            result = localpush_engine(make_graph(), epsilon=0.1)
+            assert (result.matrix.diagonal() > 0).all()
 
-    def test_explicit_invalid_count_is_rejected(self, tiny_graph):
-        with pytest.raises(SimRankError, match="num_workers"):
-            localpush_simrank(tiny_graph, epsilon=0.1, num_workers=0)
-
-    def test_auto_dispatch_uses_the_pool_above_threshold(self, monkeypatch):
-        import repro.simrank.localpush as localpush_module
-
-        monkeypatch.setattr(localpush_module, "AUTO_SHARDED_MIN_NODES", 100)
-        result = localpush_simrank(_sbm(150, seed=12), epsilon=0.1)
-        assert result.num_workers == default_num_workers()
-
-    def test_small_graphs_run_the_core_inline(self):
-        """No graph size falls back to a per-pair loop any more."""
-        small = _erdos_renyi(50, 0.1, seed=13)
-        result = localpush_simrank(small, epsilon=0.1)
-        assert result.num_workers == 1
-        _assert_identical(result.matrix,
-                          localpush_engine(small, epsilon=0.1).matrix)
-
-    def test_localpush_simrank_accepts_num_workers(self):
-        graph = _sbm(150, seed=10)
-        result = localpush_simrank(graph, epsilon=0.1, num_workers=2)
-        assert result.num_workers == 2
-        serial = localpush_simrank(graph, epsilon=0.1, num_workers=1)
-        assert serial.num_workers == 1
-        _assert_identical(result.matrix, serial.matrix)
+    def test_large_epsilon_keeps_diagonal(self):
+        # decay 0.6 → threshold = 0.4·ε ≥ 1 once ε ≥ 2.5: no push ever fires.
+        result = localpush_engine(_erdos_renyi(30, 0.15, seed=10),
+                                  epsilon=3.0)
+        assert (result.matrix.diagonal() > 0).all()
 
 
-class TestOperatorPipelineWorkers:
-    def test_operator_identical_across_worker_counts(self):
-        from repro.simrank.topk import simrank_operator
+def _operator(graph, k, epsilon=0.1):
+    """The SIGMA operator pipeline: LocalPush, then top-k once."""
+    return simrank_operator(graph, config=SimRankConfig(
+        method="localpush", epsilon=epsilon, top_k=k))
 
-        from repro.config import SimRankConfig
 
+class TestOperatorTopK:
+    """The operator prunes the finished estimate to its top-k, once."""
+
+    @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_equals_posthoc_topk_of_the_full_estimate(self, make_graph, k):
+        graph = make_graph()
+        full = localpush_engine(graph, epsilon=0.1, prune=False,
+                                absorb_residual=True)
+        expected = top_k_per_row(full.matrix, k, keep_diagonal=True)
+        _assert_identical(_operator(graph, k).matrix, expected)
+
+    def test_row_budget_and_diagonal(self):
+        matrix = _operator(_sbm(150, seed=9), 4).matrix
+        assert np.diff(matrix.indptr).max() <= 4
+        assert (matrix.diagonal() > 0).all()
+
+    def test_pruned_operator_is_smaller_than_the_full_estimate(self):
+        graph = _sbm(200, seed=10)
+        k = 4
+        full = localpush_engine(graph, epsilon=0.05, prune=False,
+                                absorb_residual=True)
+        matrix = _operator(graph, k, epsilon=0.05).matrix
+        assert matrix.nnz <= k * graph.num_nodes
+        assert matrix.nnz < full.matrix.nnz
+
+    def test_single_source_row_equals_all_pairs_row_at_ulp_ties(self):
+        """Row 0's scores at cols 5 and 7 tie under the round-order fold
+        and land 1 ulp apart under another summation order: a
+        single-source run must sum each entry's absorptions in the
+        all-pairs run's order, or the two top-2 rows keep different
+        columns."""
+        adjacency = np.array([
+            [0, 1, 1, 0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 0, 1, 0, 0],
+            [1, 1, 0, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 1, 0, 1],
+            [1, 1, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 1, 0, 1],
+            [1, 0, 0, 0, 0, 1, 0, 1, 0]], dtype=float)
+        graph = Graph(sp.csr_matrix(adjacency))
+        kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True)
+        full = localpush_engine(graph, **kwargs)
+        single = single_source_localpush(graph, 0, **kwargs)
+        _assert_identical(single.row, full.matrix.getrow(0))
+        _assert_identical(
+            top_k_row(single.estimate, 0, 2),
+            top_k_per_row(full.matrix, 2, keep_diagonal=True).getrow(0))
+
+
+class TestEngineParameters:
+    def test_invalid_parameters(self, tiny_graph):
+        with pytest.raises(SimRankError):
+            localpush_engine(tiny_graph, epsilon=0.0)
+        with pytest.raises(SimRankError):
+            localpush_engine(tiny_graph, decay=1.0)
+        with pytest.raises(SimRankError, match="dtype"):
+            localpush_engine(tiny_graph, dtype="float16")
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda graph, **kw: localpush_engine(graph, **kw),
+                     id="localpush_engine"),
+        pytest.param(lambda graph, **kw: resume_localpush(
+            graph, sp.identity(graph.num_nodes, format="csr"), **kw),
+                     id="resume_localpush"),
+        pytest.param(lambda graph, **kw: multi_source_localpush(
+            graph, [0, 1], **kw), id="multi_source_localpush"),
+        pytest.param(lambda graph, **kw: single_source_localpush(
+            graph, 0, **kw), id="single_source_localpush"),
+    ])
+    def test_non_finite_epsilon_is_rejected(self, run, epsilon, tiny_graph):
+        """NaN passes ``ε <= 0`` and an infinite ε puts the push
+        threshold out of reach: both would run no round and return the
+        identity as a converged estimate."""
+        with pytest.raises(SimRankError, match="epsilon must be a finite"):
+            run(tiny_graph, epsilon=epsilon)
+
+    @pytest.mark.parametrize("entry_point", [
+        localpush_engine, resume_localpush, multi_source_localpush,
+        single_source_localpush])
+    def test_no_execution_setting(self, entry_point):
+        """Every entry point takes only the contract, no execution plan."""
+        parameters = set(inspect.signature(entry_point).parameters)
+        assert not parameters & {"num_workers", "workers", "num_shards",
+                                 "coalesce_every", "copy_residual"}
+
+    def test_max_pushes_cap(self):
         graph = _sbm(150, seed=14)
-        serial = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, workers=1))
-        pooled = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, workers=2))
-        _assert_identical(serial.matrix, pooled.matrix)
-        assert np.diff(pooled.matrix.indptr).max() <= 4
+        with pytest.raises(SimRankError):
+            localpush_engine(graph, epsilon=0.01, max_pushes=5)
+
+    def test_metadata(self):
+        graph = _sbm(150, seed=15)
+        result = localpush_engine(graph, epsilon=0.1)
+        assert result.num_rounds is not None and result.num_rounds > 0
+        assert result.num_pushes > 0
+        assert result.elapsed_seconds >= 0.0
+        for gone in ("executor", "num_workers", "num_shards"):
+            assert not hasattr(result, gone)
+
+    def test_prune_keeps_offdiagonal_above_floor(self):
+        graph = _sbm(150, seed=16)
+        result = localpush_engine(graph, epsilon=0.1, prune=True)
+        offdiag = result.matrix.copy().tolil()
+        offdiag.setdiag(0)
+        values = offdiag.tocsr()
+        values.eliminate_zeros()
+        if values.nnz:
+            assert values.data.min() >= 0.1 / 10.0
 
 
 @pytest.mark.slow
 class TestEngineStress:
-    """Large-graph worker equivalence; excluded from the fast default."""
+    """Large-graph runs; excluded from the fast default selection."""
 
-    def test_large_graph_worker_counts_bit_identical(self):
-        graph = _sbm(2000, seed=20)
-        serial = localpush_engine(graph, epsilon=0.1, prune=False)
-        pooled = localpush_engine(graph, epsilon=0.1, prune=False,
-                                  num_workers=4)
-        _assert_identical(serial.matrix, pooled.matrix)
-        assert serial.num_shards >= 2  # the frontier actually sharded
+    def test_large_graph_operator_topk_bounds_memory(self):
+        graph = _sbm(2000, seed=21)
+        k = 8
+        matrix = _operator(graph, k).matrix
+        assert matrix.nnz <= k * graph.num_nodes
+        assert (matrix.diagonal() > 0).all()

@@ -4,9 +4,7 @@ The contract under test (``repro/simrank/kernels.py``): for a fixed
 dtype, the engine's fused round arithmetic returns matrices
 *bit-identical* to the historical CSR-object arithmetic
 (``_simrank_oracles.ScipyRoundState``, swapped into the engine by
-``scipy_rounds()``) for every worker count — the same guarantee the
-worker count itself carries.  Plus the float32 mode's adjusted
-error bound (:func:`repro.simrank.kernels.float32_error_bound`), checked
+``scipy_rounds()``).  Plus the float32 mode's adjusted error bound (:func:`repro.simrank.kernels.float32_error_bound`), checked
 against the dense ``linearized_simrank`` oracle under hypothesis-driven
 graphs.
 """
@@ -15,21 +13,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _simrank_fixtures import disconnected, erdos_renyi, sbm, star, weighted
 from _simrank_oracles import scipy_rounds
 from repro.errors import SimRankError
-from repro.simrank.engine import localpush_engine, multi_source_localpush
+from repro.graphs.normalize import column_normalize
+from repro.simrank.engine import (
+    localpush_engine,
+    multi_source_localpush,
+    resume_localpush,
+)
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.kernels import (
     DTYPES,
     F32_UNIT_ROUNDOFF,
     PHASES,
+    FusedRoundState,
     float32_error_bound,
     localpush_max_rounds,
-    shard_bounds,
     working_dtype,
 )
 from repro.telemetry import SpanRecorder, Tracer, phase_seconds
@@ -48,8 +52,15 @@ def graphs():
             weighted(40, 9), disconnected()]
 
 
-# The worker counts the bit-identity contract covers: inline and pooled.
-WORKERS = pytest.mark.parametrize("workers", [1, 2, 3])
+def signed_residual(graph, seed: int) -> sp.csr_matrix:
+    """A repair-style residual: the identity plus symmetric mass of both
+    signs (the shape a deleted edge leaves behind)."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    noise = sp.random(n, n, density=0.05, random_state=rng, format="csr")
+    noise.data = noise.data - 0.5
+    return (sp.identity(n, format="csr") + 0.3 * (noise + noise.T)).tocsr()
+
 
 
 class TestWorkingDtype:
@@ -84,73 +95,53 @@ class TestFloat32Bound:
         assert F32_UNIT_ROUNDOFF == 2.0 ** -24
 
 
-class TestShardBounds:
-    def test_matches_array_split(self):
-        for count, shards in [(10, 3), (8192, 1), (8193, 2), (7, 7), (9, 4)]:
-            expected = [(int(part[0]), int(part[-1]) + 1)
-                        for part in np.array_split(np.arange(count), shards)]
-            assert shard_bounds(count, shards) == expected
-
-
 class TestKernelBitIdentity:
-    """fused == the scipy oracle, bitwise, per worker count."""
+    """fused == the scipy oracle, bitwise."""
 
-    @WORKERS
-    def test_full_matrix_bitwise(self, workers):
+    @pytest.mark.parametrize("epsilon,absorb_residual",
+                             [(0.01, False), (1e-3, True)])
+    def test_full_matrix_bitwise(self, epsilon, absorb_residual):
         for graph in graphs():
             with scipy_rounds():
-                base = localpush_engine(graph, decay=0.6, epsilon=0.01)
-            other = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     num_workers=workers)
+                base = localpush_engine(graph, decay=0.6, epsilon=epsilon,
+                                        absorb_residual=absorb_residual)
+            other = localpush_engine(graph, decay=0.6, epsilon=epsilon,
+                                     absorb_residual=absorb_residual)
             assert_bitwise(base.matrix, other.matrix)
             assert other.num_pushes == base.num_pushes
             assert other.num_rounds == base.num_rounds
 
-    @WORKERS
-    def test_multi_shard_rounds_bitwise(self, workers):
-        graph = sbm(90, 5)
-        with scipy_rounds():
-            base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                    num_shards=3)
-        fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                 num_shards=3, num_workers=workers)
-        assert_bitwise(base.matrix, fused.matrix)
-
-    @WORKERS
-    @pytest.mark.parametrize("coalesce_every", [1, 3])
-    def test_coalesce_cadence_bitwise(self, coalesce_every, workers):
-        """The residual coalescing cadence only changes storage."""
-        for graph in graphs():
-            with scipy_rounds():
-                base = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                        absorb_residual=True)
-            fused = localpush_engine(graph, decay=0.6, epsilon=1e-3,
-                                     absorb_residual=True,
-                                     coalesce_every=coalesce_every,
-                                     num_workers=workers)
-            assert_bitwise(base.matrix, fused.matrix)
-
-    @WORKERS
-    def test_single_source_rows_bitwise(self, workers):
+    def test_single_source_rows_bitwise(self):
         graph = sbm(90, 5)
         sources = [0, 17, 55]
         with scipy_rounds():
             base = multi_source_localpush(graph, sources, decay=0.6,
                                           epsilon=1e-3)
         fused = multi_source_localpush(graph, sources, decay=0.6,
-                                       epsilon=1e-3, num_workers=workers)
+                                       epsilon=1e-3)
         for b, f in zip(base, fused):
             assert b.source == f.source
             assert_bitwise(b.row, f.row)
 
-    @WORKERS
-    def test_float32_kernels_bitwise(self, workers):
+    def test_signed_repair_rounds_bitwise(self):
+        """The magnitude-threshold rounds of a repair match the oracle."""
+        for seed, graph in enumerate(graphs()):
+            residual = signed_residual(graph, seed)
+            with scipy_rounds():
+                base = resume_localpush(graph, residual.copy(), epsilon=0.01)
+            fused = resume_localpush(graph, residual.copy(), epsilon=0.01)
+            assert_bitwise(base.estimate_delta, fused.estimate_delta)
+            assert_bitwise(base.residual, fused.residual)
+            assert fused.num_pushes == base.num_pushes
+            assert fused.num_rounds == base.num_rounds
+
+    def test_float32_kernels_bitwise(self):
         for graph in graphs():
             with scipy_rounds():
                 base = localpush_engine(graph, decay=0.6, epsilon=0.01,
                                         dtype="float32")
             fused = localpush_engine(graph, decay=0.6, epsilon=0.01,
-                                     dtype="float32", num_workers=workers)
+                                     dtype="float32")
             assert base.matrix.dtype == np.float32
             assert_bitwise(base.matrix, fused.matrix)
 
@@ -166,7 +157,36 @@ class TestKernelBitIdentity:
                 localpush_engine(star(6), epsilon=0.01, max_pushes=1)
         assert engine_module.FusedRoundState is FusedRoundState
 
-    def test_phase_spans_cover_the_four_phases(self):
+    def test_one_push_per_round(self):
+        """Each round opens one frontier, one push and one merge span; the
+        last frontier extraction finds nothing and pushes nothing."""
+        recorder = SpanRecorder(max_spans=100_000)
+        result = localpush_engine(sbm(90, 5), decay=0.6, epsilon=1e-3,
+                                  tracer=Tracer([recorder]))
+        names = [span["name"] for span in recorder.spans()]
+        assert result.num_rounds > 4
+        assert names.count("localpush.push") == result.num_rounds
+        assert names.count("localpush.merge") == result.num_rounds
+        assert names.count("localpush.frontier") == result.num_rounds + 1
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_the_residual_add_stores_no_zero(self, signed):
+        """A round clears its frontier to explicit zeros and the residual
+        add drops every zero it would store, so after each round the
+        residual holds none: no separate coalescing pass is needed."""
+        graph = sbm(90, 5)
+        residual = (signed_residual(graph, 1) if signed
+                    else sp.identity(graph.num_nodes, format="csr"))
+        state = FusedRoundState(residual, column_normalize(graph.adjacency),
+                                decay=0.6, signed=signed)
+        rounds = 0
+        while (frontier := state.extract_frontier(0.4 * 1e-3)) is not None:
+            state.push_round(frontier)
+            rounds += 1
+            assert np.count_nonzero(state.finish().data == 0.0) == 0
+        assert rounds > 4
+
+    def test_phase_spans_cover_the_three_phases(self):
         recorder = SpanRecorder(max_spans=100_000)
         localpush_engine(sbm(90, 5), decay=0.6, epsilon=0.01,
                          tracer=Tracer([recorder]))

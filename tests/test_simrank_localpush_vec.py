@@ -1,8 +1,8 @@
-"""Equivalence suite for the serial engine core + bugfix regressions.
+"""Equivalence suite for the engine core + bugfix regressions.
 
 The per-pair dict loop of ``_simrank_oracles`` is the correctness oracle
 (a direct transcription of Algorithm 1); the frontier-batched engine
-core on one worker (every shard inline) must agree with it within the
+core must agree with it within the
 configured ``ε`` on every graph family, and both must satisfy the
 ``‖Ŝ − S‖_max < ε`` bound against the dense linearized series.
 
@@ -13,8 +13,6 @@ the engine:
 * ``localpush_simrank`` returning an empty diagonal when ``ε ≥ 1/(1−c)``,
 * ``SIGMA._sigmoid`` overflowing ``np.exp`` for large-magnitude logits.
 """
-
-import functools
 
 import numpy as np
 import pytest
@@ -36,14 +34,8 @@ from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
 
 
-def _serial_core(graph, **kwargs):
-    """The engine core on one worker (every shard pushed inline)."""
-    return localpush_engine(graph, num_workers=1, **kwargs)
-
-
-# The oracle, the default entry point and the core on a 2-thread pool.
-DIAGONAL_ENGINES = [dict_localpush, localpush_simrank,
-                    functools.partial(localpush_simrank, num_workers=2)]
+# The oracle and the default entry point.
+DIAGONAL_ENGINES = [dict_localpush, localpush_simrank]
 
 
 EQUIVALENCE_GRAPHS = [
@@ -62,7 +54,7 @@ class TestOracleEquivalence:
     def test_matches_dict_oracle_within_epsilon(self, make_graph, epsilon):
         graph = make_graph()
         oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
-        core = _serial_core(graph, epsilon=epsilon, prune=False)
+        core = localpush_engine(graph, epsilon=epsilon, prune=False)
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
@@ -71,7 +63,7 @@ class TestOracleEquivalence:
         graph = make_graph()
         epsilon = 0.1
         reference = linearized_simrank(graph, num_iterations=60)
-        result = _serial_core(graph, epsilon=epsilon, prune=False)
+        result = localpush_engine(graph, epsilon=epsilon, prune=False)
         assert np.abs(result.matrix.toarray() - reference).max() < epsilon
 
     @pytest.mark.parametrize("make_graph", EQUIVALENCE_GRAPHS)
@@ -80,8 +72,8 @@ class TestOracleEquivalence:
         epsilon = 0.1
         oracle = dict_localpush(graph, epsilon=epsilon, prune=False,
                                 absorb_residual=True)
-        core = _serial_core(graph, epsilon=epsilon, prune=False,
-                            absorb_residual=True)
+        core = localpush_engine(graph, epsilon=epsilon, prune=False,
+                                absorb_residual=True)
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
@@ -94,21 +86,17 @@ class TestOracleEquivalence:
         graph = Graph(sp.csr_matrix(upper + upper.T), name="weighted")
         reference = linearized_simrank(graph, num_iterations=60)
         oracle = dict_localpush(graph, epsilon=epsilon, prune=False)
-        core = _serial_core(graph, epsilon=epsilon, prune=False)
+        core = localpush_engine(graph, epsilon=epsilon, prune=False)
         assert np.abs(oracle.matrix.toarray() - reference).max() < epsilon
         assert np.abs(core.matrix.toarray() - reference).max() < epsilon
         diff = np.abs((oracle.matrix - core.matrix).toarray()).max()
         assert diff < epsilon
 
-    def test_invalid_worker_count_rejected(self, tiny_graph):
-        with pytest.raises(SimRankError):
-            localpush_simrank(tiny_graph, epsilon=0.1, num_workers=0)
-
 
 class TestSerialCoreOutput:
     def test_pruning_keeps_offdiagonal_above_floor(self):
         graph = _sbm(150, seed=6)
-        result = _serial_core(graph, epsilon=0.1, prune=True)
+        result = localpush_engine(graph, epsilon=0.1, prune=True)
         offdiag = result.matrix.copy().tolil()
         offdiag.setdiag(0)
         values = offdiag.tocsr()
@@ -118,24 +106,23 @@ class TestSerialCoreOutput:
 
     def test_diagonal_always_positive(self):
         for make_graph in (_with_isolated, lambda: _star(8)):
-            result = _serial_core(make_graph(), epsilon=0.1)
+            result = localpush_engine(make_graph(), epsilon=0.1)
             assert (result.matrix.diagonal() > 0).all()
 
     def test_max_pushes_cap(self):
         graph = _sbm(150, seed=8)
         with pytest.raises(SimRankError):
-            _serial_core(graph, epsilon=0.01, max_pushes=5)
+            localpush_engine(graph, epsilon=0.01, max_pushes=5)
 
     def test_invalid_parameters(self, tiny_graph):
         with pytest.raises(SimRankError):
-            _serial_core(tiny_graph, epsilon=0.0)
+            localpush_engine(tiny_graph, epsilon=0.0)
         with pytest.raises(SimRankError):
-            _serial_core(tiny_graph, decay=1.0)
+            localpush_engine(tiny_graph, decay=1.0)
 
     def test_metadata(self):
         graph = _sbm(150, seed=9)
-        result = _serial_core(graph, epsilon=0.1)
-        assert result.num_workers == 1
+        result = localpush_engine(graph, epsilon=0.1)
         assert result.num_rounds is not None and result.num_rounds > 0
         assert result.num_pushes > 0
         assert result.elapsed_seconds >= 0.0
@@ -145,7 +132,7 @@ class TestLargeEpsilonDiagonal:
     """Regression: ε ≥ 1/(1−c) used to return a matrix with no entries."""
 
     @pytest.mark.parametrize("engine", DIAGONAL_ENGINES,
-                             ids=["dict", "core", "thread"])
+                             ids=["dict", "core"])
     def test_diagonal_survives_suppressed_pushes(self, engine):
         graph = _erdos_renyi(30, 0.15, seed=10)
         # decay 0.6 → threshold = 0.4·ε ≥ 1 once ε ≥ 2.5.
@@ -154,7 +141,7 @@ class TestLargeEpsilonDiagonal:
         assert (diagonal > 0).all()
 
     @pytest.mark.parametrize("engine", DIAGONAL_ENGINES,
-                             ids=["dict", "core", "thread"])
+                             ids=["dict", "core"])
     def test_diagonal_survives_without_prune(self, engine):
         graph = _star(5)
         result = engine(graph, epsilon=10.0, prune=False)
@@ -196,7 +183,7 @@ class TestTopKDiagonalRegression:
         from repro.simrank.topk import simrank_operator
 
         operator = simrank_operator(graph, config=SimRankConfig(
-            method="localpush", epsilon=0.1, top_k=4, workers=1))
+            method="localpush", epsilon=0.1, top_k=4))
         per_row = np.diff(operator.matrix.indptr)
         assert per_row.max() <= 4
         assert (operator.matrix.diagonal() > 0).all()

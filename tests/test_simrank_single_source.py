@@ -2,19 +2,13 @@
 
 Pins the tentpole guarantee of ``multi_source_localpush``: the returned
 row is **bit-identical** to the same row of the all-pairs
-``localpush_engine`` matrix under the same parameters — for every
-worker count, and after the shared top-k row helper — while touching
-only the sources' connected components; ``repro.api.score`` reads its
-single pair from such a row.  Also pins the Lemma III.5
-``(1-c)·ε`` error bound on the query rows against the linearized-SimRank
-series reference, on weighted and disconnected graphs.
-
-Sharding note: on *disconnected* graphs a forced multi-shard geometry
-can split the all-pairs frontier differently from the component-restricted
-one, leaving only float-round-off agreement; the equivalence suite
-therefore forces ``num_shards`` only on connected fixtures and uses the
-default geometry (single-shard at these sizes) on the disconnected ones,
-exactly as the engine docstring guarantees.
+``localpush_engine`` matrix under the same parameters — on connected
+and disconnected graphs alike, and after the shared top-k row helper —
+while touching only the sources' connected components;
+``repro.api.score`` reads its single pair from such a row.  Also pins
+the Lemma III.5 ``(1-c)·ε`` error bound on the query rows against the
+linearized-SimRank series reference, on weighted and disconnected
+graphs.
 """
 
 import numpy as np
@@ -32,6 +26,7 @@ from _simrank_fixtures import (
 from repro import api
 from repro.config import SimRankConfig
 from repro.errors import SimRankError
+from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_per_row, top_k_row
 from repro.simrank.engine import (
     SingleSourceResult,
@@ -51,47 +46,47 @@ def _assert_row_identical(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
     assert np.array_equal(a.data, b.data)  # bitwise, no tolerance
 
 
-#: (fixture, sources, forced num_shards or None).  Forced shard counts
-#: only on connected graphs — see the module docstring.
+def _two_sbm_components() -> Graph:
+    """Two 300- and 200-node SBM components plus three isolated nodes:
+    large enough that a round's frontier holds tens of thousands of
+    entries at ε = 0.01."""
+    blocks = [_sbm(300, seed=1).adjacency, _sbm(200, seed=2).adjacency,
+              sp.csr_matrix((3, 3))]
+    return Graph(sp.block_diag(blocks, format="csr"))
+
+
+#: (fixture, sources).  The disconnected fixtures seed only the sources'
+#: components, so their frontiers are a strict subset of the all-pairs
+#: run's.
 ROW_EQUIVALENCE_CASES = [
-    pytest.param(lambda: _erdos_renyi(60, 0.08, seed=0), (0, 17, 59), 4,
-                 id="erdos-renyi-60-sharded"),
-    pytest.param(lambda: _sbm(150, seed=2), (3, 75, 149), 3,
-                 id="sbm-150-sharded"),
-    pytest.param(lambda: _weighted(40, seed=12), (1, 20, 39), None,
+    pytest.param(lambda: _erdos_renyi(60, 0.08, seed=0), (0, 17, 59),
+                 id="erdos-renyi-60"),
+    pytest.param(lambda: _sbm(150, seed=2), (3, 75, 149), id="sbm-150"),
+    pytest.param(lambda: _weighted(40, seed=12), (1, 20, 39),
                  id="weighted-40"),
-    pytest.param(lambda: _star(12), (0, 5, 12), None, id="star-12"),
-    pytest.param(_disconnected, (0, 35, 52), None, id="disconnected"),
-    pytest.param(_with_isolated, (2, 41, 44), None, id="er+isolated"),
+    pytest.param(lambda: _star(12), (0, 5, 12), id="star-12"),
+    pytest.param(_disconnected, (0, 35, 52), id="disconnected"),
+    pytest.param(_disconnected, (35,), id="disconnected-one-component"),
+    pytest.param(_with_isolated, (2, 41, 44), id="er+isolated"),
+    pytest.param(_two_sbm_components, (300, 450, 499),
+                 id="two-sbm-components"),
 ]
 
 
 class TestRowEquivalence:
-    """Single-source rows == all-pairs rows, bitwise, per worker count."""
+    """Single-source rows == all-pairs rows, bitwise."""
 
-    @pytest.mark.parametrize("make_graph,sources,num_shards",
-                             ROW_EQUIVALENCE_CASES)
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("make_graph,sources", ROW_EQUIVALENCE_CASES)
+    @pytest.mark.parametrize("epsilon", [0.1, 0.01])
     def test_rows_bit_identical_to_all_pairs(self, make_graph, sources,
-                                             num_shards, workers):
+                                             epsilon):
         graph = make_graph()
-        kwargs = dict(epsilon=0.1, prune=False, absorb_residual=True,
-                      num_workers=workers, num_shards=num_shards)
+        kwargs = dict(epsilon=epsilon, prune=False, absorb_residual=True)
         full = localpush_engine(graph, **kwargs)
         results = multi_source_localpush(graph, sources, **kwargs)
         for source, result in zip(sources, results):
             assert result.source == source
             _assert_row_identical(result.row, full.matrix.getrow(source))
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_does_not_change_the_row(self, workers):
-        graph = _sbm(150, seed=6)
-        reference = single_source_localpush(graph, 42, epsilon=0.1,
-                                            prune=False, num_workers=2,
-                                            num_shards=4)
-        other = single_source_localpush(graph, 42, epsilon=0.1, prune=False,
-                                        num_workers=workers, num_shards=4)
-        _assert_row_identical(reference.row, other.row)
 
     def test_pruned_row_matches_all_pairs_pruned(self):
         graph = _erdos_renyi(60, 0.08, seed=0)
@@ -166,13 +161,13 @@ class TestRowEquivalence:
     @pytest.mark.parametrize("n,stride", [
         pytest.param(255, 17, id="below-the-old-256-rung"),
         pytest.param(256, 17, id="at-the-old-256-rung"),
-        pytest.param(4096, 1024, id="at-the-thread-rung"),
+        pytest.param(4096, 1024, id="at-the-old-4096-rung"),
     ])
     def test_public_api_rows_equal_all_pairs_rows_across_the_ladder(
             self, n, stride):
         """The same identity on both sides of every node-count threshold
-        the auto-resolution has ever had, sampling every ``stride``-th
-        row; at 4096 nodes both entry points resolve to ``"thread"``."""
+        at which the engine's execution once changed, sampling every
+        ``stride``-th row."""
         graph = _sbm(n, seed=n)
         config = SimRankConfig(method="localpush", epsilon=0.05)
         operator = api.precompute(graph, config).matrix
@@ -309,11 +304,10 @@ class TestValidation:
 
     def test_result_metadata(self):
         graph = _sbm(150, seed=2)
-        result = single_source_localpush(graph, 10, epsilon=0.1,
-                                         num_workers=2)
+        result = single_source_localpush(graph, 10, epsilon=0.1)
         assert isinstance(result, SingleSourceResult)
-        assert not hasattr(result, "executor")
-        assert result.num_workers == 2
+        for gone in ("executor", "num_workers", "num_shards"):
+            assert not hasattr(result, gone)
         assert result.decay == 0.6
         assert result.num_rounds > 0
         assert result.nnz == result.row.nnz

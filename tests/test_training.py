@@ -86,6 +86,20 @@ class TestTrainConfig:
          "learning_rate must be a number, got 'fast'"),
         ({"weight_decay": None}, "weight_decay must be a number, got None"),
         ({"momentum": "high"}, "momentum must be a number, got 'high'"),
+        ({"learning_rate": float("nan")},
+         "learning_rate must be a finite number, got nan"),
+        ({"learning_rate": float("inf")},
+         "learning_rate must be a finite number, got inf"),
+        ({"weight_decay": float("nan")},
+         "weight_decay must be a finite number, got nan"),
+        ({"weight_decay": float("inf")},
+         "weight_decay must be a finite number, got inf"),
+        ({"momentum": float("nan")},
+         "momentum must be a finite number, got nan"),
+        ({"momentum": float("-inf")},
+         "momentum must be a finite number, got -inf"),
+        ({"momentum": float("inf")},
+         "momentum must be a finite number, got inf"),
     ])
     def test_invalid_types_raise_training_error(self, bad, message):
         """A count that is not integral or a rate that is not a number
