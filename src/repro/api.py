@@ -253,6 +253,7 @@ def apply_updates(graph: Graph, updates: "Updates", *,
     cfg = config if config is not None else SimRankConfig()
     batch = UpdateBatch.coerce(updates)
     cache_store = _resolve_cache(cache, cfg)
+    updated: Optional[Graph] = None
     if cache_store is not None:
         updated = graph.apply_delta(batch)
         fingerprint = graph_fingerprint(updated)
@@ -264,7 +265,7 @@ def apply_updates(graph: Graph, updates: "Updates", *,
                                    cache=cache_store)
     operator = DynamicOperator(graph, simrank=cfg, dynamic=dynamic,
                                cache=cache_store)
-    operator.apply(batch)
+    operator.apply(batch, updated)
     operator.flush()
     return operator
 

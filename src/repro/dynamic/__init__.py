@@ -44,6 +44,24 @@ since deleted mass makes ``R₀`` carry negative entries — converges to
 same ``< ε`` bound as a fresh recompute.  Component merges and splits
 need no special casing: the algebra is exact for any structural change.
 
+Where a repair's frontiers lie
+------------------------------
+After a converged build or repair every entry satisfies
+``|R| ≤ (1−c)·ε``: the round loop only stops once no entry exceeds it.
+So in ``R₀ = R + C`` (``C`` the correction above) only an entry ``C``
+changed can exceed the threshold, and the first frontier lies in
+``C``'s support.  A round clears its frontier and adds its push ``P``;
+every other entry keeps a value that was not above the threshold, so the
+next frontier lies in ``P``'s support, and so on.  The engine's
+increment loop (:class:`repro.simrank.kernels.IncrementRoundState`)
+therefore never scans the residual: it looks ``R`` up at the pending
+increment's entries (``C``, then each ``P``), takes the frontier among
+them, and merges once per round.  It only reads the maintained
+residual, so the snapshot writer can keep projecting it, and a failed
+repair leaves it as it was.  Its frontiers, pushes and final residual
+are bitwise those of scanning ``R + C``.  The reconstruction below
+holds no such bound, so a warm-started operator's first repair scans.
+
 A maintained residual is not even required: for *any* estimate ``Ŝ``
 (e.g. one loaded from the operator cache) the reconstruction
 
@@ -57,9 +75,12 @@ without a full recompute.
 Entry points
 ------------
 :class:`~repro.dynamic.operator.DynamicOperator` owns the maintained
-state and the repair loop; :func:`repro.api.apply_updates` is the
-one-call facade; the serving layer applies updates through
+state — with ``W`` and ``Wᵀ`` of its graph, so an update builds only
+``W′`` and ``W′ᵀ`` — and the repair loop; :func:`repro.api.apply_updates`
+is the one-call facade; the serving layer applies updates through
 ``SimRankService.apply_update`` and the daemon's ``/update`` endpoint.
+Both hand the repair the updated graph they already built to validate
+or key the batch, so an update applies its batch once.
 
 Each repaired snapshot is cached under the ordinary key of the graph it
 describes (``key_for_fields(updated graph, maintained fields)``), so any

@@ -3,8 +3,9 @@
 See the :mod:`repro.dynamic` package docstring for the invariant and the
 repair algebra this module implements.  The class here owns three
 things: the maintained raw ``(estimate, residual)`` pair (full fidelity
-— never top-k pruned, never floor-pruned, float64), the repair loop
-built on :func:`repro.simrank.engine.resume_localpush`, and the cache
+— never top-k pruned, never floor-pruned, float64) with the walk
+matrices ``W`` and ``Wᵀ`` of its graph, the repair loop built on
+:func:`repro.simrank.engine.resume_localpush`, and the cache
 integration: a build warm-starts from its graph's cached entry, and
 every repaired snapshot is stored under the key of the graph it
 describes, off the repair path, by a short-lived writer thread that
@@ -28,9 +29,9 @@ from repro.errors import SimRankError
 from repro.graphs.delta import UpdateBatch, Updates
 from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
-from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
+from repro.graphs.sparse import sparse_row_normalize
 from repro.simrank.cache import OperatorCache, get_operator_cache
-from repro.simrank.engine import resume_localpush
+from repro.simrank.engine import Walk, positive_residual, resume_localpush
 from repro.simrank.localpush import finalize_estimate
 from repro.simrank.topk import SimRankOperator, topk_simrank
 from repro.utils.timer import Timer
@@ -66,8 +67,8 @@ class _Committed(NamedTuple):
     """One committed repair, as handed to the snapshot writer.
 
     No later repair mutates these objects: every :meth:`DynamicOperator.apply`
-    builds a new estimate, residual and graph, so the writer reads them
-    without a lock.
+    builds a new estimate, residual and graph, and only reads the
+    committed ones, so the writer reads them without a lock.
     """
 
     estimate: sp.csr_matrix
@@ -87,6 +88,17 @@ def maintained_fields(simrank: SimRankConfig,
     maintenance = simrank.with_overrides(
         method="localpush", top_k=None, row_normalize=False, dtype="float64")
     return maintenance.cache_key_fields(num_nodes)
+
+
+def _walk_of(graph: Graph) -> Walk:
+    """``(W, Wᵀ)`` of ``graph`` in the storage order the engine builds.
+
+    ``column_normalize`` leaves each row in ``csr_matmat`` order, not
+    sorted; the repair arithmetic, and with it every bit of the
+    maintained state, depends on that order, so neither is re-sorted.
+    """
+    walk = column_normalize(graph.adjacency)
+    return walk, walk.T.tocsr()
 
 
 def _resolve_cache(cache: CacheLike,
@@ -183,6 +195,7 @@ class DynamicOperator:
 
         timer = Timer()
         timer.start()
+        self._walk = _walk_of(graph)
         warm: Optional[SimRankOperator] = None
         if self._cache is not None:
             warm = self._cache.lookup(graph, **self._maintenance_fields)
@@ -198,7 +211,8 @@ class DynamicOperator:
             run = resume_localpush(
                 graph,
                 sp.identity(graph.num_nodes, dtype=np.float64, format="csr"),
-                decay=self.simrank.decay, epsilon=self.simrank.epsilon)
+                decay=self.simrank.decay, epsilon=self.simrank.epsilon,
+                walk=self._walk)
             self._estimate = run.estimate_delta
             self._residual = run.residual
             self.build_pushes = run.num_pushes
@@ -208,20 +222,24 @@ class DynamicOperator:
     # ------------------------------------------------------------------ #
     # The repair loop
     # ------------------------------------------------------------------ #
-    def apply(self, updates: Updates) -> RepairResult:
+    def apply(self, updates: Updates,
+              updated: Optional[Graph] = None) -> RepairResult:
         """Apply an update batch and repair the operator to convergence.
 
-        Computes the updated graph, seeds the repair residual (the
-        delta-sized correction when a residual is maintained, the
-        estimate-only reconstruction after a cache warm start), and
-        re-runs the engine's frontier rounds in signed mode until every
-        residual entry has magnitude at most ``(1−c)·ε`` — the repaired
-        operator then satisfies the same ``< ε`` bound as a fresh
-        recompute.  State commits only on success: a failed repair
-        (e.g. ``repair_max_pushes`` exceeded) leaves the operator on the
-        pre-update graph, still serving.  A committed repair is handed
-        to the background snapshot writer (see the class docstring) and
-        this returns without waiting for the write; :meth:`flush` waits.
+        Computes the updated graph, seeds the repair (the delta-sized
+        correction when a residual is maintained, the estimate-only
+        reconstruction after a cache warm start), and re-runs the
+        engine's frontier rounds in signed mode until every residual
+        entry has magnitude at most ``(1−c)·ε`` — the repaired operator
+        then satisfies the same ``< ε`` bound as a fresh recompute.
+        ``updated`` is ``self.graph.apply_delta(updates)`` when the
+        caller has already built it from this operator's graph (it is
+        trusted, not rebuilt).  State commits only on success: a failed
+        repair (e.g. ``repair_max_pushes`` exceeded) leaves the operator
+        on the pre-update graph, still serving, its arrays untouched.  A
+        committed repair is handed to the background snapshot writer
+        (see the class docstring) and this returns without waiting for
+        the write; :meth:`flush` waits.
         """
         batch = UpdateBatch.coerce(updates)
         if len(batch) > self.dynamic.max_batch_edges:
@@ -236,21 +254,25 @@ class DynamicOperator:
         timer.start()
         with self._tracer.span("dynamic.repair",
                                batch_size=len(batch)) as span:
-            new_graph = self.graph.apply_delta(batch)
-            decay = self.simrank.decay
-            residual0, warm_start = self._seed_repair(new_graph, decay)
+            new_graph = (self.graph.apply_delta(batch) if updated is None
+                         else updated)
+            walk_new = _walk_of(new_graph)
+            residual0, increment, warm_start = self._seed_repair(walk_new)
             run = resume_localpush(
-                new_graph, residual0, decay=decay,
+                new_graph, residual0, decay=self.simrank.decay,
                 epsilon=self.simrank.epsilon,
-                max_pushes=self.dynamic.repair_max_pushes)
+                max_pushes=self.dynamic.repair_max_pushes,
+                increment=increment, walk=walk_new)
             span.set("num_pushes", run.num_pushes)
             span.set("num_rounds", run.num_rounds)
             span.set("warm_start", warm_start)
-        estimate = (self._estimate + run.estimate_delta).tocsr()
-        estimate.eliminate_zeros()
+        # csr_plus_csr stores no zero; the sort only checks the order
+        # unless a cached estimate came in unsorted.
+        estimate = self._estimate + run.estimate_delta
         estimate.sort_indices()
 
         self.graph = new_graph
+        self._walk = walk_new
         self._estimate = estimate
         self._residual = run.residual
         elapsed = timer.stop()
@@ -269,32 +291,40 @@ class DynamicOperator:
             warm_start=warm_start,
         )
 
-    def _seed_repair(self, new_graph: Graph,
-                     decay: float) -> Tuple[sp.csr_matrix, str]:
-        """The repair residual ``R₀`` restoring the invariant on ``W′``."""
-        walk_new = column_normalize(new_graph.adjacency)
+    def _seed_repair(self, walk_new: Walk) -> Tuple[
+            sp.csr_matrix, Optional[sp.csr_matrix], str]:
+        """The repair's start on ``W′``: ``(residual, increment, warm_start)``.
+
+        With a maintained residual ``R`` the start is ``R`` plus the
+        correction as a separate increment, which the engine's increment
+        loop merges as it goes (``R`` is only read).  After a cache warm
+        start it is the reconstructed ``R₀`` alone, which the engine
+        scans.
+        """
+        decay = self.simrank.decay
         estimate = self._estimate
+        walk_old, _ = self._walk
+        walk_new_matrix, _ = walk_new
         if self._residual is not None:
             # R₀ = R + c·(Δᵀ Ŝ W′ + Wᵀ Ŝ Δ): delta-sized — Δ is nonzero
             # only in the perturbed nodes' columns (identical quotients
             # elsewhere cancel exactly in floating point).
-            walk_old = column_normalize(self.graph.adjacency)
-            delta_w = (walk_new - walk_old).tocsr()
+            delta_w = (walk_new_matrix - walk_old).tocsr()
             delta_w.eliminate_zeros()
             # Association order matters: Δᵀ has few nonzero *rows* and Δ
             # few nonzero *columns*, so both products below stay
             # delta-sized — never form WᵀŜ or ŜW (full n×n work).
-            correction = ((delta_w.T @ estimate) @ walk_new
+            correction = ((delta_w.T @ estimate) @ walk_new_matrix
                           + walk_old.T @ (estimate @ delta_w)).tocsr()
             correction.data *= decay
-            return (self._residual + correction).tocsr(), "maintained"
+            return self._residual, correction, "maintained"
         # Estimate-only state (cache warm start):
         # R₀ = I − Ŝ + c·W′ᵀ Ŝ W′ restores the invariant for any Ŝ.
-        pushed = ((walk_new.T @ estimate) @ walk_new).tocsr()
+        pushed = ((walk_new_matrix.T @ estimate) @ walk_new_matrix).tocsr()
         pushed.data *= decay
-        identity = sp.identity(new_graph.num_nodes, dtype=np.float64,
+        identity = sp.identity(estimate.shape[0], dtype=np.float64,
                                format="csr")
-        return (identity - estimate + pushed).tocsr(), "reconstructed"
+        return (identity - estimate + pushed).tocsr(), None, "reconstructed"
 
     # ------------------------------------------------------------------ #
     # The snapshot writer
@@ -414,17 +444,10 @@ class DynamicOperator:
         row_normalize = bool(fields["row_normalize"])
         if residual is None:
             residual = sp.csr_matrix((n, n), dtype=np.float64)
-        estimate = estimate.copy()
-        if residual.nnz:
-            rows = csr_row_indices(residual)
-            positive = residual.data > 0.0
-            if positive.any():
-                estimate = estimate + sp.csr_matrix(
-                    (residual.data[positive].copy(),
-                     (rows[positive],
-                      residual.indices[positive].astype(np.int64,
-                                                        copy=False))),
-                    shape=(n, n))
+        # finalize_estimate prunes in place: hand it a new matrix.
+        leftover = positive_residual(residual)
+        estimate = (estimate.copy() if leftover is None
+                    else estimate + leftover)
         epsilon = float(self.simrank.epsilon)
         estimate = finalize_estimate(estimate, residual, epsilon=epsilon,
                                      prune=top_k is None)

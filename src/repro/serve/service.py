@@ -659,30 +659,34 @@ class SimRankService:
         the repair telemetry (``num_pushes``, ``repair_seconds``,
         ``warm_start``) and the landed ``version``, and mean the repair
         landed and the version swapped — not that the snapshot entry is
-        on disk (:meth:`close` waits for that).  Concurrent updates
+        on disk (:meth:`close` waits for that).  An empty batch repairs
+        nothing and reports the version served now.  Concurrent updates
         serialise on an update lock in submission order.
         """
         from repro.graphs.delta import UpdateBatch
 
         batch = UpdateBatch.coerce(updates)
         if len(batch) == 0:
-            return {"accepted": True, "num_deltas": 0, "background": False}
+            return {"accepted": True, "num_deltas": 0, "background": False,
+                    "version": self.version}
         if len(batch) > self.dynamic.max_batch_edges:
             raise SimRankError(
                 f"update batch has {len(batch)} deltas, exceeding "
                 f"max_batch_edges={self.dynamic.max_batch_edges}")
         # Eager validation against the graph being served right now —
         # the daemon maps the GraphError to a 400 before any repair work.
-        self.graph.apply_delta(batch)
+        # The repair reuses the updated graph if nothing lands first.
+        base = self.graph
+        updated = base.apply_delta(batch)
         background = (self.dynamic.background_repair if wait is None
                       else not wait)
         self._track_pending(None, +1)
         if background:
-            Thread(target=self._repair, args=(batch, False),
+            Thread(target=self._repair, args=(batch, base, updated, False),
                    daemon=True).start()
             return {"accepted": True, "num_deltas": len(batch),
                     "background": True}
-        landed = self._repair(batch, True)
+        landed = self._repair(batch, base, updated, True)
         assert landed is not None
         result, version = landed
         return {"accepted": True, "num_deltas": len(batch),
@@ -692,12 +696,16 @@ class SimRankService:
                 "warm_start": result.warm_start,
                 "version": version.fingerprint}
 
-    def _repair(self, batch: "Updates", reraise: bool
+    def _repair(self, batch: "Updates", base: Graph, updated: Graph,
+                reraise: bool
                 ) -> Optional[Tuple["RepairResult", GraphVersion]]:
         """Run one repair to convergence and land its version.
 
         Serialised on ``self._update_lock`` so concurrent submissions
-        repair one at a time against a consistent operator.  A failed
+        repair one at a time against a consistent operator.  ``updated``
+        is ``base.apply_delta(batch)``, built by the validation; the
+        operator reuses it when its graph is still ``base``, and applies
+        the batch to its own graph otherwise.  A failed
         repair (e.g. the batch conflicts with an earlier update that
         landed after its validation) leaves the service on the previous
         version, still answering; background failures are recorded in
@@ -710,7 +718,8 @@ class SimRankService:
             landed: Optional[GraphVersion] = None
             try:
                 operator = self._ensure_operator()
-                result = operator.apply(batch)
+                result = operator.apply(
+                    batch, updated if operator.graph is base else None)
                 landed = GraphVersion(operator.graph)
             except (GraphError, SimRankError) as error:
                 self.last_update_error = str(error)

@@ -9,6 +9,15 @@ works on the same plan, in the calling thread:
 3. push it whole, ``R ← R + c·Wᵀ F W``, as one sparse product
    (:class:`repro.simrank.kernels.FusedRoundState`).
 
+Step 1 has two forms (see *Two frontier loops* in
+:mod:`repro.simrank.kernels`).  :func:`localpush_engine`, the
+single-source runs and :func:`resume_localpush` from an arbitrary
+residual scan the whole residual for each frontier.  A maintained
+repair — :func:`resume_localpush` handed a converged residual and an
+``increment`` — looks for each frontier only among the entries the last
+increment changed, and returns bitwise what the scanning loop returns
+from their sum.
+
 The loop has no execution setting: a run's result is a function of the
 graph and the mathematical contract (decay, ε, dtype) alone, which the
 operator cache relies on.  The residual invariant and the shared
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,13 +42,17 @@ from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import DTYPES, FusedRoundState, working_dtype
+from repro.simrank.kernels import (DTYPES, FusedRoundState,
+                                   IncrementRoundState, working_dtype)
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
 from repro.utils.validation import is_integral
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.simrank.localpush import LocalPushResult
+
+#: ``(W, Wᵀ)``: the column-normalised walk matrix and its transpose.
+Walk = Tuple[sp.csr_matrix, sp.csr_matrix]
 
 
 # --------------------------------------------------------------------- #
@@ -123,6 +136,33 @@ def _fold_absorbed(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray],
     return estimate
 
 
+def positive_residual(residual: sp.csr_matrix,
+                      absorb_mask: Optional[np.ndarray] = None
+                      ) -> Optional[sp.csr_matrix]:
+    """The positive entries of ``residual``, or ``None`` if it has none.
+
+    The leftover mass an ``absorb_residual`` run adds to its estimate,
+    and a :mod:`repro.dynamic` snapshot to the maintained one: each
+    positive residual entry is a lower bound on the remaining
+    contribution to its own estimate entry.  ``absorb_mask`` (a boolean
+    mask over rows) keeps only the absorbed rows of a single-source run.
+    The result keeps the residual's own CSR layout — no COO sort — and
+    never shares its buffers, so ``residual`` is only read.
+    """
+    if not residual.nnz:
+        return None
+    positive = residual.data > 0.0
+    if absorb_mask is not None:
+        positive &= absorb_mask[_csr_rows(residual)]
+    if not positive.any():
+        return None
+    leftover = sp.csr_matrix(
+        (residual.data * positive, residual.indices.copy(),
+         residual.indptr.copy()), shape=residual.shape)
+    leftover.eliminate_zeros()
+    return leftover
+
+
 def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 absorb_residual: bool, max_pushes: Optional[int],
                 seed_nodes: Optional[np.ndarray] = None,
@@ -130,6 +170,8 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
                 dtype: str = "float64",
                 tracer: Tracer = NULL_TRACER,
                 initial_residual: Optional[sp.csr_matrix] = None,
+                increment: Optional[sp.csr_matrix] = None,
+                walk: Optional[Walk] = None,
                 signed: bool = False, finalize: bool = True,
                 keep_residual: bool = False) -> _EngineRun:
     """The shared frontier-batched round loop.
@@ -155,6 +197,17 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
         Warm-start residual replacing the identity seeding — the repair
         residual of :mod:`repro.dynamic`.  The loop takes it over: its
         buffers are updated in place (see :func:`resume_localpush`).
+    ``increment``
+        With ``initial_residual`` converged, the pending change to it:
+        the run takes the increment loop
+        (:class:`repro.simrank.kernels.IncrementRoundState`), which only
+        reads ``initial_residual`` and returns what the scanning loop
+        returns from ``initial_residual + increment``.
+    ``walk``
+        ``(W, Wᵀ)`` of ``graph`` when the caller already holds them,
+        exactly as :func:`~repro.graphs.normalize.column_normalize` and
+        ``W.T.tocsr()`` return them (their storage order is part of the
+        bitwise contract); ``None`` builds them.
     ``signed``
         Magnitude-threshold frontier extraction (``|R| > threshold``)
         for residuals that carry negative mass.
@@ -171,22 +224,38 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
     n = graph.num_nodes
     threshold = (1.0 - decay) * epsilon
     np_dtype = working_dtype(dtype)
-    walk = column_normalize(graph.adjacency)     # W = A D⁻¹
-    if walk.dtype != np_dtype:
-        walk = walk.astype(np_dtype)
+    if walk is None:
+        walk_matrix = column_normalize(graph.adjacency)     # W = A D⁻¹
+        walk_t = None
+    else:
+        walk_matrix, walk_t = walk
+    if walk_matrix.dtype != np_dtype:
+        walk_matrix = walk_matrix.astype(np_dtype)
+        walk_t = None if walk_t is None else walk_t.astype(np_dtype)
 
+    state: FusedRoundState
     if initial_residual is not None:
         residual = sp.csr_matrix(initial_residual, dtype=np_dtype)
         if residual.shape != (n, n):
             raise SimRankError(
                 f"initial residual must have shape {(n, n)}, "
                 f"got {residual.shape}")
-        residual.sort_indices()
-        residual.eliminate_zeros()
     else:
         residual = _seed_residual(n, seed_nodes, np_dtype)
-    state = FusedRoundState(residual, walk, decay=decay, tracer=tracer,
-                            signed=signed)
+    if increment is not None:
+        state = IncrementRoundState(
+            residual, sp.csr_matrix(increment, dtype=np_dtype), walk_matrix,
+            decay=decay, tracer=tracer, walk_t=walk_t)
+    else:
+        if initial_residual is not None:
+            residual.sort_indices()
+            residual.eliminate_zeros()
+        # walk_t goes in only when the caller gave it, so the reference
+        # kernel the tests swap in for FusedRoundState keeps its
+        # constructor (tests/_simrank_oracles.py).
+        extra = {} if walk_t is None else {"walk_t": walk_t}
+        state = FusedRoundState(residual, walk_matrix, decay=decay,
+                                tracer=tracer, signed=signed, **extra)
     absorb_mask: Optional[np.ndarray] = None
     if absorb_rows is not None:
         absorb_mask = np.zeros(n, dtype=bool)
@@ -227,25 +296,18 @@ def _run_rounds(graph: Graph, *, decay: float, epsilon: float, prune: bool,
 
         state.push_round(frontier)
         num_rounds += 1
-    # No stored zeros: the warm-start residual was cleaned above, and each
-    # round's residual add drops every zero it would store.
+    # No stored zeros: the warm-start residual was cleaned above, the
+    # increment loop drops them from each increment, and each round's
+    # residual add drops every zero it would store.
     residual = state.finish()
     elapsed = timer.stop()
 
     estimate = (_fold_absorbed(est_rows, est_cols, est_data, n) if est_data
                 else sp.csr_matrix((n, n), dtype=np_dtype))
 
-    if absorb_residual and residual.nnz:
-        positive = residual.data > 0.0
-        if absorb_mask is not None:
-            positive &= absorb_mask[_csr_rows(residual)]
-        if positive.any():
-            # The kept entries in the residual's own CSR layout: no COO
-            # sort, which dominated when every row is absorbed.
-            leftover_mass = sp.csr_matrix(
-                (residual.data * positive, residual.indices.copy(),
-                 residual.indptr.copy()), shape=(n, n))
-            leftover_mass.eliminate_zeros()
+    if absorb_residual:
+        leftover_mass = positive_residual(residual, absorb_mask)
+        if leftover_mass is not None:
             estimate = estimate + leftover_mass
 
     if finalize:
@@ -356,7 +418,9 @@ class ResumeRun:
 def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
                      decay: float = DEFAULT_DECAY, epsilon: float = 0.1,
                      max_pushes: Optional[int] = None,
-                     dtype: str = "float64") -> ResumeRun:
+                     dtype: str = "float64",
+                     increment: Optional[sp.csr_matrix] = None,
+                     walk: Optional[Walk] = None) -> ResumeRun:
     """Resume the round loop from an explicit (possibly signed) residual.
 
     This is the engine entry point of the dynamic subsystem
@@ -370,15 +434,27 @@ def resume_localpush(graph: Graph, initial_residual: sp.csr_matrix, *,
     package docstring for the algebra).
 
     The round loop takes ``initial_residual`` over and updates its
-    buffers in place, so pass a matrix the caller no longer needs (the
-    dynamic operator passes a residual it just built; a defensive copy
-    is measurable at repair latencies).  The single-source restrictions
-    do not apply to repair runs.
+    buffers in place, so pass a matrix the caller no longer needs (a
+    defensive copy is measurable at repair latencies).  The
+    single-source restrictions do not apply to repair runs.
+
+    ``increment`` selects the repair of a *maintained* residual: the
+    run resumes from ``initial_residual + increment``, where
+    ``initial_residual`` is converged — a residual this function
+    returned at the same ``decay`` and ``epsilon``, every entry at most
+    ``(1−c)·ε`` in magnitude — and is only read, never written, so
+    another thread may keep reading it.  The loop then finds each
+    frontier among the entries the last increment changed
+    (:class:`repro.simrank.kernels.IncrementRoundState`) and returns
+    bitwise what the scanning loop returns from the sum; it takes the
+    increment over.  ``walk`` is ``(W, Wᵀ)`` of ``graph`` when the
+    caller already holds them (see ``_run_rounds``).
     """
     _validate_engine_args(decay, epsilon, dtype)
     run = _run_rounds(graph, decay=decay, epsilon=epsilon, prune=False,
                       absorb_residual=False, max_pushes=max_pushes,
                       dtype=dtype, initial_residual=initial_residual,
+                      increment=increment, walk=walk,
                       signed=True, finalize=False, keep_residual=True)
     assert run.residual is not None
     return ResumeRun(
@@ -535,6 +611,7 @@ def single_source_localpush(graph: Graph, source: int, *,
         dtype=dtype)[0]
 
 
-__all__ = ["localpush_engine", "resume_localpush", "ResumeRun",
+__all__ = ["localpush_engine", "resume_localpush", "ResumeRun", "Walk",
+           "positive_residual",
            "single_source_localpush", "multi_source_localpush",
            "SingleSourceResult"]

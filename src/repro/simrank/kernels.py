@@ -14,6 +14,31 @@ module owns *how* that CSR arithmetic is carried out, in
 * the raw CSR arrays are worked on with preallocated, round-reused
   workspaces.
 
+Two frontier loops
+------------------
+:class:`FusedRoundState` is the *scanning* loop: each round's frontier
+is every above-threshold entry of the whole residual.  A fresh run
+(the identity seed), a single-source run and a repair seeded from an
+arbitrary residual (the reconstructed cache warm start of
+:mod:`repro.dynamic`) take it.
+
+:class:`IncrementRoundState` is the *increment* loop of a maintained
+repair.  It starts from a converged residual ``R`` (every
+``|R| ≤ (1−c)·ε``) plus a pending increment ``D`` (the repair
+correction), so the first frontier lies in ``D``'s support, and every
+later one in the support of the last round's push.  Each round looks up
+``R`` at ``D``'s entries, takes the frontier where ``|R + D|`` exceeds
+the threshold, and merges ``R + D′`` once, where ``D′`` carries
+``−R`` at the frontier entries: they cancel to an exact ``+0.0``, which
+the add does not store.  No round scans the whole residual, and the
+loop never writes into ``R`` (a snapshot writer may be reading it).
+:func:`repro.simrank.engine.resume_localpush` takes this loop exactly
+when its caller hands over an ``increment``.  Its frontiers, pushes and
+final residual are bitwise those of the scanning loop on ``R + D``:
+``old + d`` is the value ``csr_plus_csr`` stores (``0 + d`` where ``R``
+holds nothing), and ``D``'s canonical order is the residual's order
+restricted to the frontier.
+
 The residual update stays scipy's canonical ``csr_plus_csr`` (a single C
 merge): a prototype that held the residual as flat ``row·n + col``
 key/value arrays and merged in numpy was measured 1.5–2× *slower* than
@@ -46,9 +71,10 @@ The round state times itself on the tracer it is handed
 ``frontier`` is the above-threshold extraction and residual clearing,
 ``push`` the ``(Wᵀ·F)·W`` product and ``merge`` the residual update.
 Every round opens with one frontier extraction, which advances the
-state's own round count.  The default :data:`NULL_TRACER` records
-nothing, and spans never touch the arithmetic, so traced and untraced
-runs are bit-identical.
+state's own round count.  The increment loop opens one more ``merge``
+span than it runs rounds: its ``finish`` merges the last increment.
+The default :data:`NULL_TRACER` records nothing, and spans never touch
+the arithmetic, so traced and untraced runs are bit-identical.
 
 float32 mode and its adjusted bound
 -----------------------------------
@@ -83,6 +109,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import SimRankError
+from repro.graphs.sparse import csr_row_indices
 from repro.telemetry.summary import PHASE_PREFIX
 from repro.telemetry.tracing import NULL_TRACER, Span, Tracer
 
@@ -205,9 +232,10 @@ class _Workspace:
 class FusedRoundState:
     """Raw-CSR round arithmetic with reused workspaces.
 
-    Owns the run's residual and the walk matrices ``W`` and ``Wᵀ``.
-    Each round extracts the frontier with a repeat-free compression and
-    pushes it whole, ``c·(Wᵀ·F)·W``, in the calling thread.
+    Owns the run's residual and the walk matrices ``W`` and ``Wᵀ``
+    (``walk_t``, built from ``walk`` when not given).  Each round
+    extracts the frontier with a repeat-free compression and pushes it
+    whole, ``c·(Wᵀ·F)·W``, in the calling thread.
     Bit-identical to the reference COO arithmetic per dtype — see the
     module docstring for the argument and
     ``tests/test_simrank_kernels.py`` for the pins.
@@ -224,10 +252,11 @@ class FusedRoundState:
 
     def __init__(self, residual: sp.csr_matrix, walk: sp.csr_matrix, *,
                  decay: float, tracer: Tracer = NULL_TRACER,
-                 signed: bool = False) -> None:
+                 signed: bool = False,
+                 walk_t: Optional[sp.csr_matrix] = None) -> None:
         self._residual = residual
         self._walk = walk
-        self._walk_t = walk.T.tocsr()
+        self._walk_t = walk.T.tocsr() if walk_t is None else walk_t
         self._decay = decay
         self._n = walk.shape[0]
         self._tracer = tracer
@@ -238,6 +267,26 @@ class FusedRoundState:
     def _span(self, phase: str) -> Span:
         return self._tracer.span(_PHASE_SPANS[phase], phase=phase,
                                  round=self._round)
+
+    def _frontier(self, positions: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray, values: np.ndarray) -> Frontier:
+        """The entries at ``positions`` of a canonical CSR layout.
+
+        ``indptr``/``indices`` are the layout's, ``values`` the entry
+        values to take.  The row pointer of the compressed selection is
+        the number of selected entries before each row boundary — a
+        binary search of the (sorted) selected positions, with the
+        gathers indexed instead of boolean-masked (measured ~10× cheaper
+        per pass).  No per-entry row-index expansion.
+        """
+        frontier_indptr = np.searchsorted(positions, indptr)
+        cols = indices[positions]
+        data = values[positions]
+        matrix = sp.csr_matrix(
+            (data, cols,
+             frontier_indptr.astype(self._walk.indices.dtype, copy=False)),
+            shape=(self._n, self._n), copy=False)
+        return Frontier(cols, data, indptr=frontier_indptr, matrix=matrix)
 
     def extract_frontier(self, threshold: float) -> Optional[Frontier]:
         self._round += 1
@@ -254,29 +303,23 @@ class FusedRoundState:
             else:
                 np.greater(data, threshold, out=above)
             positions = np.flatnonzero(above)
-            count = int(positions.size)
-            if count == 0:
+            if positions.size == 0:
                 return None
-            # Row pointer of the compressed selection: the number of
-            # selected entries before each residual row boundary — a
-            # binary search of the (sorted) selected positions, with the
-            # gathers indexed instead of boolean-masked (measured ~10×
-            # cheaper per pass).  No per-entry row-index expansion.
-            indptr = np.searchsorted(positions, residual.indptr)
-            cols = residual.indices[positions]
-            frontier_data = data[positions]
+            frontier = self._frontier(positions, residual.indptr,
+                                      residual.indices, data)
             data[positions] = 0.0
-            matrix = sp.csr_matrix(
-                (frontier_data, cols,
-                 indptr.astype(self._walk.indices.dtype, copy=False)),
-                shape=(self._n, self._n), copy=False)
-        return Frontier(cols, frontier_data, indptr=indptr, matrix=matrix)
+        return frontier
 
-    def push_round(self, frontier: Frontier) -> None:
-        """Push the whole frontier and merge the update into the residual."""
+    def _push(self, frontier: Frontier) -> sp.csr_matrix:
+        """The round update ``c·(Wᵀ·F)·W``, rows in product order."""
         with self._span("push"):
             pushed = ((self._walk_t @ frontier.matrix) @ self._walk).tocsr()
             pushed.data *= self._decay
+        return pushed
+
+    def push_round(self, frontier: Frontier) -> None:
+        """Push the whole frontier and merge the update into the residual."""
+        pushed = self._push(frontier)
         with self._span("merge"):
             # Canonicalise the round update (a storage reorder; no value
             # changes).  With both operands canonical the addition takes
@@ -291,6 +334,68 @@ class FusedRoundState:
         return self._residual
 
 
+class IncrementRoundState(FusedRoundState):
+    """The increment loop of a maintained repair (module docstring).
+
+    ``residual`` is a converged residual (every entry at most the
+    run's threshold in magnitude), which this state only reads;
+    ``increment`` is the pending change to it, which the state takes
+    over and canonicalises in place.  The frontier threshold is always
+    signed.  :meth:`finish` merges the last increment, the one that
+    held no frontier.
+    """
+
+    def __init__(self, residual: sp.csr_matrix, increment: sp.csr_matrix,
+                 walk: sp.csr_matrix, *, decay: float,
+                 tracer: Tracer = NULL_TRACER,
+                 walk_t: Optional[sp.csr_matrix] = None) -> None:
+        super().__init__(residual, walk, decay=decay, tracer=tracer,
+                         signed=True, walk_t=walk_t)
+        # D, not yet merged; D′ (D with −R at the frontier) once a round
+        # has found one.
+        self._pending: Optional[sp.csr_matrix] = increment
+        self._cleared: Optional[sp.csr_matrix] = None
+
+    def extract_frontier(self, threshold: float) -> Optional[Frontier]:
+        self._round += 1
+        with self._span("frontier"):
+            pending = self._pending
+            assert pending is not None  # set by __init__ and push_round
+            pending.sum_duplicates()
+            if not pending.data.all():
+                pending.eliminate_zeros()
+            rows = csr_row_indices(pending)
+            old = np.asarray(self._residual[rows, pending.indices]).ravel()
+            new = old + pending.data
+            positions = np.flatnonzero(np.abs(new) > threshold)
+            if positions.size == 0:
+                return None
+            frontier = self._frontier(positions, pending.indptr,
+                                      pending.indices, new)
+            cleared = pending.data.copy()
+            cleared[positions] = -old[positions]
+            self._cleared = sp.csr_matrix(
+                (cleared, pending.indices, pending.indptr),
+                shape=pending.shape, copy=False)
+        return frontier
+
+    def push_round(self, frontier: Frontier) -> None:
+        """Push the frontier, merge ``R + D′`` and keep the push as ``D``."""
+        pushed = self._push(frontier)
+        with self._span("merge"):
+            pushed.sort_indices()
+            self._residual = self._residual + self._cleared
+        self._pending, self._cleared = pushed, None
+
+    def finish(self) -> sp.csr_matrix:
+        """Merge the last increment and return the final residual."""
+        if self._pending is not None:
+            with self._span("merge"):
+                self._residual = self._residual + self._pending
+            self._pending = None
+        return self._residual
+
+
 __all__ = ["DTYPES", "PHASES", "F32_UNIT_ROUNDOFF", "F32_BOUND_SAFETY",
            "working_dtype", "localpush_max_rounds", "float32_error_bound",
-           "Frontier", "FusedRoundState"]
+           "Frontier", "FusedRoundState", "IncrementRoundState"]

@@ -22,12 +22,13 @@ from _simrank_fixtures import disconnected, erdos_renyi, weighted
 from repro.api import apply_updates
 from repro.config import DynamicConfig, SimRankConfig
 from repro.dynamic import DynamicOperator, RepairResult
-from repro.dynamic.operator import maintained_fields
+from repro.dynamic.operator import _walk_of, maintained_fields
 from repro.errors import ConfigError, GraphError, SimRankError
 from repro.graphs.delta import DELTA_KINDS, GraphDelta, UpdateBatch
 from repro.graphs.fingerprint import graph_fingerprint, payload_digest
 from repro.graphs.graph import Graph
 from repro.simrank.cache import CACHE_FORMAT_VERSION, get_operator_cache
+from repro.simrank.engine import resume_localpush
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.topk import simrank_operator
 from repro.telemetry import SpanRecorder, Telemetry
@@ -306,6 +307,175 @@ class TestRepairDeterminism:
 
 
 # --------------------------------------------------------------------- #
+# The increment loop of a maintained repair
+# --------------------------------------------------------------------- #
+def mixed_stream(graph, seed, num_batches, edits=4):
+    """``num_batches`` batches of ``edits`` inserts, deletes and reweights.
+
+    Each batch is drawn against the graph the earlier ones reach (the
+    shape of the served benchmark's update stream), touches each pair at
+    most once, and is valid in order.
+    """
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    batches = []
+    for _ in range(num_batches):
+        edges = present_pairs(graph)
+        deltas, touched = [], set()
+        while len(deltas) < edits:
+            kind = DELTA_KINDS[int(rng.choice(3, p=(0.4, 0.3, 0.3)))]
+            if kind == "insert":
+                pair = tuple(sorted(int(x) for x in
+                                    rng.choice(n, 2, replace=False)))
+                if pair in touched or graph.adjacency[pair] != 0.0:
+                    continue
+            else:
+                pair = edges[int(rng.integers(len(edges)))]
+                if pair in touched:
+                    continue
+            weight = (round(float(rng.uniform(0.5, 2.0)), 3)
+                      if kind == "reweight" else None)
+            deltas.append(GraphDelta(kind, *pair, weight=weight))
+            touched.add(pair)
+        batch = UpdateBatch(tuple(deltas))
+        graph = graph.apply_delta(batch)
+        batches.append(batch)
+    return batches
+
+
+def merge_split_stream(graph, seed):
+    """A component merge, the split that undoes it, mixed batches and a
+    nudge (a reweight too small to push anything).
+
+    ``graph`` is :func:`disconnected`: two components (nodes 0–29 and
+    30–49) and five isolated nodes.
+    """
+    edges = present_pairs(graph)
+    in_a = [pair for pair in edges if pair[1] < 30]
+    in_b = [pair for pair in edges if pair[0] >= 30]
+    merge = UpdateBatch((
+        GraphDelta("insert", 5, 35),
+        GraphDelta("insert", 10, graph.num_nodes - 1),
+        GraphDelta("reweight", *in_a[0], weight=2.5),
+        GraphDelta("delete", *in_b[0]),
+    ))
+    split = UpdateBatch((GraphDelta("delete", 5, 35),
+                         GraphDelta("reweight", *in_b[1], weight=0.5)))
+    stream = [merge, split]
+    stream += mixed_stream(graph.apply_delta(merge).apply_delta(split),
+                           seed, 6)
+    for batch in stream:
+        graph = graph.apply_delta(batch)
+    pair = present_pairs(graph)[0]
+    weight = float(graph.adjacency[pair]) * 1.001
+    return stream + [UpdateBatch((GraphDelta("reweight", *pair,
+                                             weight=weight),))]
+
+
+def pinned_repair(operator, batch):
+    """Repair ``operator`` by ``batch``, pinning the increment loop.
+
+    The reference is the scanning loop resumed from the seeded sum
+    ``R + correction``, the repair's arithmetic before the increment
+    loop: the estimate delta, the residual and the counts must match
+    bit for bit, the maintained residual must be left unwritten, and the
+    operator must commit the pinned residual.
+    """
+    new_graph = operator.graph.apply_delta(batch)
+    walk_new = _walk_of(new_graph)
+    residual, correction, warm_start = operator._seed_repair(walk_new)
+    run = None
+    if correction is not None:
+        kept = [array.copy() for array in
+                (residual.data, residual.indices, residual.indptr)]
+        reference = resume_localpush(new_graph, (residual + correction).tocsr(),
+                                     decay=DECAY, epsilon=EPSILON)
+        run = resume_localpush(new_graph, residual, decay=DECAY,
+                               epsilon=EPSILON, increment=correction,
+                               walk=walk_new)
+        assert_bitwise_equal(reference.estimate_delta, run.estimate_delta)
+        assert_bitwise_equal(reference.residual, run.residual)
+        assert run.residual.dtype == reference.residual.dtype
+        assert ((run.num_pushes, run.num_rounds, run.num_residual_entries)
+                == (reference.num_pushes, reference.num_rounds,
+                    reference.num_residual_entries))
+        for before, after in zip(kept, (residual.data, residual.indices,
+                                        residual.indptr)):
+            assert np.array_equal(before, after)
+    result = operator.apply(batch)
+    assert result.warm_start == warm_start
+    if run is not None:
+        assert_bitwise_equal(run.residual, operator._residual)
+        assert result.num_pushes == run.num_pushes
+        assert result.num_rounds == run.num_rounds
+    assert operator.residual_max <= operator.push_threshold
+    return result
+
+
+def warm_started(graph, tmp_path):
+    """An estimate-only operator, warm-started from a cached entry."""
+    maintenance = CONFIG.with_overrides(top_k=None, row_normalize=False,
+                                        dtype="float64",
+                                        cache_dir=str(tmp_path))
+    simrank_operator(graph, config=maintenance)
+    operator = DynamicOperator(
+        graph, simrank=CONFIG, cache=get_operator_cache(tmp_path),
+        dynamic=DynamicConfig(store_repaired=False))
+    assert operator.build_cache_hit
+    return operator
+
+
+class TestIncrementLoop:
+    """A maintained repair returns bitwise what the scanning loop did."""
+
+    @pytest.mark.parametrize("start", ["maintained", "reconstructed"])
+    def test_bitwise_against_the_scanning_loop(self, start, tmp_path):
+        graph = disconnected()
+        operator = (DynamicOperator(graph, simrank=CONFIG)
+                    if start == "maintained" else
+                    warm_started(graph, tmp_path))
+        results = [pinned_repair(operator, batch)
+                   for batch in merge_split_stream(graph, seed=3)]
+        assert [result.warm_start for result in results] == (
+            [start] + ["maintained"] * (len(results) - 1))
+        # The pin covered repairs of no round and of several rounds.
+        maintained = [result.num_rounds for result in results
+                      if result.warm_start == "maintained"]
+        assert min(maintained) == 0 and max(maintained) >= 2
+        assert oracle_error(operator) < EPSILON
+
+    def test_a_failed_repair_leaves_the_residual_arrays_unchanged(self):
+        graph = erdos_renyi(40, 0.1, seed=6)
+        operator = DynamicOperator(
+            graph, simrank=CONFIG,
+            dynamic=DynamicConfig(repair_max_pushes=1))
+        residual = operator._residual
+        kept = [array.copy() for array in
+                (residual.data, residual.indices, residual.indptr)]
+        batch = [GraphDelta("insert", *pair)
+                 for pair in absent_pairs(graph)[:3]]
+        with pytest.raises(SimRankError, match="max_pushes"):
+            operator.apply(batch)
+        assert operator._residual is residual and operator.graph is graph
+        for before, after in zip(kept, (residual.data, residual.indices,
+                                        residual.indptr)):
+            assert np.array_equal(before, after)
+
+    @pytest.mark.slow
+    def test_bitwise_over_a_long_stream(self):
+        """2000 benchmark-shaped batches of four edits each."""
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset("pokec", seed=0, scale_factor=0.05,
+                             cache=False).graph
+        operator = DynamicOperator(graph, simrank=CONFIG)
+        rounds = [pinned_repair(operator, batch).num_rounds
+                  for batch in mixed_stream(graph, seed=11,
+                                            num_batches=2000)]
+        assert max(rounds) >= 2
+
+
+# --------------------------------------------------------------------- #
 # Cache integration: warm start + graph-keyed repaired snapshots
 # --------------------------------------------------------------------- #
 def snapshot_path(cache, graph):
@@ -567,6 +737,28 @@ class TestApplyUpdatesFacade:
         assert second.updates_applied == 0
         assert_bitwise_equal(first.operator().matrix,
                              second.operator().matrix)
+
+    def test_a_cached_call_applies_the_batch_once(self, tmp_path,
+                                                  monkeypatch):
+        """The repair reuses the updated graph of the replay check."""
+        graph = erdos_renyi(40, 0.1, seed=16)
+        delta = GraphDelta("insert", *absent_pairs(graph)[0])
+        calls = []
+        apply_delta = Graph.apply_delta
+
+        def counting(self, updates):
+            calls.append(updates)
+            return apply_delta(self, updates)
+
+        monkeypatch.setattr(Graph, "apply_delta", counting)
+        operator = apply_updates(
+            graph, delta, config=CONFIG.with_overrides(cache_dir=str(tmp_path)))
+        assert not operator.build_cache_hit and operator.updates_applied == 1
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert_bitwise_equal(
+            operator.operator().matrix,
+            apply_updates(graph, delta, config=CONFIG).operator().matrix)
 
     @pytest.mark.parametrize("cached", [False, True],
                              ids=["no-cache", "cache"])

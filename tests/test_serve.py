@@ -448,10 +448,10 @@ class TestGraphVersions:
         read_entered, read_release = threading.Event(), threading.Event()
         apply = DynamicOperator.apply
 
-        def blocking_apply(operator, batch):
+        def blocking_apply(operator, batch, *args):
             repair_entered.set()
             assert repair_release.wait(timeout=60)
-            return apply(operator, batch)
+            return apply(operator, batch, *args)
 
         monkeypatch.setattr(DynamicOperator, "apply", blocking_apply)
         inner = {}
@@ -491,6 +491,52 @@ class TestGraphVersions:
         assert service.topk(3, k=5).version == service.version
         counters = service.counters.to_dict()
         assert (counters["queries"], counters["stale_served"]) == (2, 1)
+
+    def test_an_empty_synchronous_update_reports_its_version(self, graph):
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
+        assert service.apply_update([], wait=True) == {
+            "accepted": True, "num_deltas": 0, "background": False,
+            "version": graph_fingerprint(graph)}
+        ack = service.apply_update(
+            [GraphDelta("insert", *_absent_pair(graph))], wait=True)
+        empty = service.apply_update([], wait=True)
+        assert empty["version"] == ack["version"] == service.version
+        _counters(service, updates_applied=1,
+                  repair_seconds=service.counters.value("repair_seconds"))
+
+    def test_a_synchronous_update_applies_and_normalises_once(
+            self, graph, monkeypatch):
+        """The repair reuses the graph the validation built and the walk
+        matrices the operator keeps: one ``Graph.apply_delta`` and one
+        ``column_normalize`` per update once the operator is built."""
+        import repro.dynamic.operator as operator_module
+        import repro.simrank.engine as engine_module
+        from repro.graphs.graph import Graph
+
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
+        first, second = _absent_pairs(graph)[:2]
+        service.apply_update([GraphDelta("insert", *first)], wait=True)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Graph, "apply_delta",
+                            counted("apply_delta", Graph.apply_delta))
+        for module in (operator_module, engine_module):
+            monkeypatch.setattr(
+                module, "column_normalize",
+                counted("column_normalize", module.column_normalize))
+        ack = service.apply_update([GraphDelta("insert", *second)],
+                                   wait=True)
+        assert ack["warm_start"] == "maintained"
+        assert sorted(calls) == ["apply_delta", "column_normalize"]
+        updated = graph.apply_delta([GraphDelta("insert", *first),
+                                     GraphDelta("insert", *second)])
+        assert ack["version"] == graph_fingerprint(updated)
 
     def test_a_failure_that_is_not_a_simrank_error_reaches_every_reader(
             self, graph):
@@ -785,6 +831,15 @@ class TestDaemon:
         assert status == 400
         assert "Content-Length" in payload["error"]
         assert self._get(daemon, "/healthz")[0] == 200
+
+    def test_an_empty_waited_update_reports_its_version(self, daemon,
+                                                         graph):
+        status, payload = _post(daemon, "/update",
+                                {"deltas": [], "wait": True})
+        assert status == 200
+        assert payload["num_deltas"] == 0 and not payload["background"]
+        assert payload["version"] == graph_fingerprint(graph)
+        assert payload["counters"]["updates_applied"] == 0
 
     def test_non_integral_update_endpoint_is_400(self, daemon, graph):
         # A truncating int() would read 0.5 above an edge's endpoint as

@@ -254,6 +254,49 @@ class TestRoundTrip:
         assert len(cache) == 0
 
 
+class TestEntryCompression:
+    """An entry holds ``np.savez_compressed``'s members at zlib level 1."""
+
+    KWARGS = dict(method="localpush", epsilon=0.05)
+
+    @staticmethod
+    def _entry(cache):
+        (path,) = cache.directory.glob("simrank-*.npz")
+        return path
+
+    def test_a_stored_entry_loads_back_bitwise(self, graph, cache):
+        cold = _operator(graph, cache=cache, **self.KWARGS)
+        with zipfile.ZipFile(self._entry(cache)) as archive:
+            members = archive.infolist()
+        assert sorted(member.filename for member in members) == [
+            "data.npy", "indices.npy", "indptr.npy", "meta.npy", "shape.npy"]
+        assert {member.compress_type for member in members} == {
+            zipfile.ZIP_DEFLATED}
+        warm = _operator(graph, cache=cache, **self.KWARGS)
+        assert warm.cache_hit and cache.stats()["exact_hits"] == 1
+        for name in ("indptr", "indices", "data"):
+            stored, loaded = (getattr(cold.matrix, name),
+                              getattr(warm.matrix, name))
+            assert loaded.dtype == stored.dtype
+            assert np.array_equal(loaded, stored)
+
+    def test_an_entry_at_the_default_level_still_serves_a_hit(self, graph,
+                                                              cache):
+        """Entries written by ``np.savez_compressed`` (zlib level 6) load."""
+        cold = _operator(graph, cache=cache, **self.KWARGS)
+        path = self._entry(cache)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        np.savez_compressed(path, **arrays)
+        warm = _operator(graph, cache=cache, **self.KWARGS)
+        assert warm.cache_hit
+        stats = cache.stats()
+        assert (stats["exact_hits"], stats["evictions"]) == (1, 0)
+        assert np.array_equal(warm.matrix.indptr, cold.matrix.indptr)
+        assert np.array_equal(warm.matrix.indices, cold.matrix.indices)
+        assert np.array_equal(warm.matrix.data, cold.matrix.data)
+
+
 class TestRowLookup:
     """``lookup_row``: cached all-pairs entries answer single-source
     queries (the ``cached`` rung of ``repro.serve``), counted in the
