@@ -27,9 +27,10 @@ from :class:`FrozenConfig`, which writes the shared methods once from
 ``to_dict``/``from_dict`` (the JSON form benchmark records and
 experiment manifests embed; ``RunSpec`` and ``ExperimentSpec`` nest
 theirs) and ``from_cli_args`` (the CLI bridge, driven by each class's
-``CLI_FLAG_FIELDS`` and ``CLI_SWITCHES`` tables).  An unknown field
-name or a non-mapping payload raises the class's ``ERROR``:
-:class:`repro.errors.ConfigError`, or
+``CLI_FLAG_FIELDS`` table of valued flags; the one on/off flag,
+``--telemetry``, is :meth:`TelemetryConfig.from_cli_args`'s own rule).
+An unknown field name or a non-mapping payload raises the class's
+``ERROR``: :class:`repro.errors.ConfigError`, or
 :class:`repro.errors.TrainingError` for ``TrainConfig``.
 """
 
@@ -120,14 +121,11 @@ class FrozenConfig:
     ``__post_init__``; this base derives the rest from
     ``dataclasses.fields``.  ``ERROR`` is the exception an unknown field
     name or a non-mapping payload raises.  ``CLI_FLAG_FIELDS`` maps an
-    ``argparse`` attribute to the field it sets, and ``CLI_SWITCHES``
-    maps a ``store_true`` attribute to the ``(field, value)`` it sets
-    when given — a switch has no "unset" value to inherit from.
+    ``argparse`` attribute to the field it sets.
     """
 
     ERROR: ClassVar[Type[ReproError]] = ConfigError
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {}
-    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {}
 
     @classmethod
     def _check_names(cls, names: Iterable[str]) -> None:
@@ -165,8 +163,8 @@ class FrozenConfig:
         """Build a config from parsed CLI flags.
 
         A flag left at its ``None`` default inherits from ``base`` (the
-        defaults when omitted), and a switch overrides only when set, so
-        an empty command line returns ``base`` itself.
+        defaults when omitted), so an empty command line returns ``base``
+        itself.
         """
         base = base if base is not None else cls()
         overrides = {
@@ -174,9 +172,6 @@ class FrozenConfig:
             for attr, field_name in cls.CLI_FLAG_FIELDS.items()
             if getattr(args, attr, None) is not None
         }
-        for attr, (field_name, value) in cls.CLI_SWITCHES.items():
-            if getattr(args, attr, False):
-                overrides[field_name] = value
         return base.with_overrides(**overrides) if overrides else base
 
 
@@ -310,32 +305,30 @@ class ServeConfig(FrozenConfig):
         Where the daemon listens.
     ``default_top_k``
         ``k`` used by ``/topk`` requests that do not pass their own.
-    ``exact_enabled, time_budget_seconds, max_pushes_per_query``
+    ``time_budget_seconds, max_pushes_per_query``
         Admission control for the exact rung of the degradation ladder,
         which slices the rows of the served graph version, computed at
-        most once per connected component.  The rung runs only when
-        enabled.  ``max_pushes_per_query`` caps the frontier absorptions
-        of each row computation: past it the computation fails the rung
-        for every read waiting on it, and nothing is kept.  On a
-        connected graph that is the push count one single-source query
-        costs, because the seeds are the same.  ``time_budget_seconds``
-        bounds each read's wait for its rows: a read whose rows are not
-        ready in time falls through (``None`` = no wall-clock budget),
-        and rows that complete later stay on the version.
-    ``degraded_epsilon_factor, serve_cached_rows``
-        The fallback rungs: cached rows (any dominating all-pairs cache
-        entry, when ``serve_cached_rows``) and the looser-ε recompute at
-        ``epsilon × degraded_epsilon_factor``.
+        most once per connected component.  ``max_pushes_per_query``
+        caps the frontier absorptions of each row computation: past it
+        the computation fails the rung for every read waiting on it, and
+        nothing is kept.  On a connected graph that is the push count one
+        single-source query costs, because the seeds are the same.
+        ``time_budget_seconds`` bounds each read's wait for its rows: a
+        read whose rows are not ready in time falls through (``None`` =
+        no wall-clock budget), and rows that complete later stay on the
+        version.
+    ``degraded_epsilon_factor``
+        The last rung's looser ε, ``epsilon × degraded_epsilon_factor``.
+        The cached rung before it has no knob: any dominating all-pairs
+        entry of the service's operator cache serves the row.
     """
 
     host: str = "127.0.0.1"
     port: int = 8571
     default_top_k: int = 10
-    exact_enabled: bool = True
     time_budget_seconds: Optional[float] = None
     max_pushes_per_query: Optional[int] = None
     degraded_epsilon_factor: float = 10.0
-    serve_cached_rows: bool = True
 
     #: ``repro.cli serve`` flags consumed by :meth:`from_cli_args`.
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {
@@ -345,10 +338,6 @@ class ServeConfig(FrozenConfig):
         "time_budget": "time_budget_seconds",
         "max_pushes_per_query": "max_pushes_per_query",
         "degraded_epsilon_factor": "degraded_epsilon_factor",
-    }
-    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
-        "no_exact": ("exact_enabled", False),
-        "no_cached_rows": ("serve_cached_rows", False),
     }
 
     def __post_init__(self) -> None:
@@ -363,7 +352,6 @@ class ServeConfig(FrozenConfig):
         _require(self.default_top_k >= 1,
                  f"default_top_k must be a positive integer, "
                  f"got {self.default_top_k!r}")
-        coerce(self, "exact_enabled", bool(self.exact_enabled))
         if self.time_budget_seconds is not None:
             coerce(self, "time_budget_seconds",
                    _as_float("time_budget_seconds", self.time_budget_seconds))
@@ -382,7 +370,6 @@ class ServeConfig(FrozenConfig):
         _require(self.degraded_epsilon_factor > 1.0,
                  f"degraded_epsilon_factor must exceed 1.0 (the fallback "
                  f"must loosen ε), got {self.degraded_epsilon_factor!r}")
-        coerce(self, "serve_cached_rows", bool(self.serve_cached_rows))
 
 
 @dataclass(frozen=True)
@@ -397,36 +384,19 @@ class DynamicConfig(FrozenConfig):
         Safety cap on frontier absorptions per repair run (``None`` =
         uncapped) — the repair analogue of the engine's ``max_pushes``;
         exceeding it raises instead of spinning on a pathological delta.
-    ``store_repaired``
-        Store each repaired snapshot in the operator cache (when the
-        operator has a cache) under the ordinary key of the graph it
-        describes, so a later build on that graph — a new process, or
-        :func:`repro.api.apply_updates` replaying a stream — warm-starts
-        from it instead of recomputing.  The write runs on a background
-        writer after the repair commits; latest wins, so a state
-        superseded while it waits is never written
-        (:meth:`repro.dynamic.operator.DynamicOperator.flush` drains
-        it).  ``False`` writes nothing.
-    ``background_repair``
-        Serving only: apply repairs on a background thread and keep
-        answering from the pre-update operator until the repair lands.
-        ``False`` makes ``/update`` synchronous (the request returns
-        after the swap — what the smoke tests use for determinism).
+
+    An operator with a cache stores each repaired snapshot in it, under
+    the ordinary key of the graph it describes (see
+    :class:`repro.dynamic.operator.DynamicOperator`).
     """
 
     max_batch_edges: int = 4096
     repair_max_pushes: Optional[int] = None
-    store_repaired: bool = True
-    background_repair: bool = True
 
     #: ``repro.cli serve`` flags consumed by :meth:`from_cli_args`.
     CLI_FLAG_FIELDS: ClassVar[Mapping[str, str]] = {
         "max_batch_edges": "max_batch_edges",
         "repair_max_pushes": "repair_max_pushes",
-    }
-    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
-        "synchronous_repair": ("background_repair", False),
-        "no_store_repaired": ("store_repaired", False),
     }
 
     def __post_init__(self) -> None:
@@ -442,8 +412,6 @@ class DynamicConfig(FrozenConfig):
             _require(self.repair_max_pushes >= 1,
                      f"repair_max_pushes must be a positive integer or "
                      f"None, got {self.repair_max_pushes!r}")
-        coerce(self, "store_repaired", bool(self.store_repaired))
-        coerce(self, "background_repair", bool(self.background_repair))
 
 
 @dataclass(frozen=True)
@@ -474,9 +442,6 @@ class TelemetryConfig(FrozenConfig):
         "trace_path": "trace_path",
         "max_recorded_spans": "max_recorded_spans",
     }
-    CLI_SWITCHES: ClassVar[Mapping[str, Tuple[str, object]]] = {
-        "telemetry": ("enabled", True),
-    }
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
@@ -496,10 +461,12 @@ class TelemetryConfig(FrozenConfig):
     def from_cli_args(cls, args: Any,
                       base: Optional["TelemetryConfig"] = None
                       ) -> "TelemetryConfig":
-        """The base bridge, plus: a ``--trace-path`` implies ``enabled``
-        (a requested sink with a disabled tracer would record nothing)."""
+        """The base bridge, plus ``enabled`` when ``--telemetry`` or a
+        ``--trace-path`` is given (a requested sink with a disabled
+        tracer would record nothing)."""
         config = super().from_cli_args(args, base)
-        if getattr(args, "trace_path", None) is not None \
+        if (getattr(args, "telemetry", False)
+                or getattr(args, "trace_path", None) is not None) \
                 and not config.enabled:
             return config.with_overrides(enabled=True)
         return config

@@ -82,17 +82,19 @@ is the one-call facade; the serving layer applies updates through
 Both hand the repair the updated graph they already built to validate
 or key the batch, so an update applies its batch once.
 
-Each repaired snapshot is cached under the ordinary key of the graph it
-describes (``key_for_fields(updated graph, maintained fields)``), so any
-update stream that reaches a cached graph replays it through
-``apply_updates`` with zero push work, and a stream that revisits a
-graph rewrites that graph's entry instead of adding one.  The
-entry is written off the repair path: ``apply`` returns once the repair
-commits, and a short-lived writer thread stores the newest committed
-state.  Latest wins — a state superseded while it waits is never
-written, the write in flight always completes — and
-``DynamicOperator.flush()`` blocks until the writer is idle, returning
-the last write error.  ``apply_updates`` flushes before it returns.
+An operator with a cache always stores each repaired snapshot in it,
+under the ordinary key of the graph it describes
+(``key_for_fields(updated graph, maintained fields)``), so any update
+stream that reaches a cached graph replays it through ``apply_updates``
+with zero push work, and a stream that revisits a graph rewrites that
+graph's entry instead of adding one.  The entry is written off the
+repair path: ``apply`` returns once the repair commits, and a
+short-lived writer thread stores the newest committed state.  Latest
+wins — a state superseded while it waits is never written, the write in
+flight always completes — and ``DynamicOperator.flush()`` blocks until
+the writer is idle, returning the last write error
+(``DynamicOperator.write_error``).  ``apply_updates`` flushes before it
+returns.
 """
 
 from repro.dynamic.operator import DynamicOperator, RepairResult

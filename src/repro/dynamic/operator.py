@@ -18,8 +18,7 @@ import os
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,28 +145,25 @@ class DynamicOperator:
 
     The snapshot write
     ------------------
-    With a cache and ``store_repaired``, :meth:`apply` hands the
-    committed state to a one-slot mailbox and returns; it neither
-    projects nor writes the snapshot.  A writer thread, started when
-    none is running, projects the newest waiting state and stores it
-    under the key of the graph it describes, then exits once the slot is
-    empty.  Latest wins: a state still waiting when a newer repair
-    commits is superseded and never written, while the write in flight
-    always completes, so entries land in commit order (a graph the
-    stream revisits ends up holding its newest state) and at most one
-    state is in flight and one waiting however fast updates arrive.
-    :meth:`flush` blocks until the writer is idle.  A failed write never
-    undoes its repair: the error text is kept for :meth:`flush` and
-    passed to ``on_write_error`` (called on the writer thread), if given.
+    With a cache, :meth:`apply` hands the committed state to a one-slot
+    mailbox and returns; it neither projects nor writes the snapshot.  A
+    writer thread, started when none is running, projects the newest
+    waiting state and stores it under the key of the graph it describes,
+    then exits once the slot is empty.  Latest wins: a state still
+    waiting when a newer repair commits is superseded and never written,
+    while the write in flight always completes, so entries land in
+    commit order (a graph the stream revisits ends up holding its newest
+    state) and at most one state is in flight and one waiting however
+    fast updates arrive.  :meth:`flush` blocks until the writer is idle.
+    A failed write never undoes its repair: the error text is kept in
+    :attr:`write_error`, which :meth:`flush` returns.
     """
 
     def __init__(self, graph: Graph, *,
                  simrank: Optional[SimRankConfig] = None,
                  dynamic: Optional[DynamicConfig] = None,
                  cache: CacheLike = None,
-                 telemetry: Optional["Telemetry"] = None,
-                 on_write_error: Optional[Callable[[str], None]] = None
-                 ) -> None:
+                 telemetry: Optional["Telemetry"] = None) -> None:
         from repro.telemetry.runtime import resolve_telemetry
 
         self.simrank = simrank if simrank is not None else SimRankConfig()
@@ -185,13 +181,14 @@ class DynamicOperator:
         # _waiting is the one slot, _writing says a writer thread will
         # still read it, and _writer is the last thread started (kept
         # after it exits so flush() can join it).
-        self._on_write_error = on_write_error
         self._write_lock = threading.Lock()
         self._waiting: Optional[_Committed] = None
         self._superseded = 0
         self._writing = False
         self._writer: Optional[threading.Thread] = None
-        self._write_error: Optional[str] = None
+        #: The text of the last failed snapshot write, ``None`` if none
+        #: has failed; set on the writer thread.
+        self.write_error: Optional[str] = None
 
         timer = Timer()
         timer.start()
@@ -279,7 +276,7 @@ class DynamicOperator:
         self.updates_applied += 1
         self.repair_pushes += run.num_pushes
         self.repair_seconds += elapsed
-        if self._cache is not None and self.dynamic.store_repaired:
+        if self._cache is not None:
             self._publish(_Committed(estimate, run.residual, new_graph))
         return RepairResult(
             batch=batch,
@@ -364,8 +361,9 @@ class DynamicOperator:
                         return
                 self._write_entry(state, superseded)
         finally:
-            # _writing is still set here only if _write_entry raised (the
-            # callback, say): clear it so a later publish starts a writer.
+            # _writing is still set here only if _write_entry raised (a
+            # span sink's write, say): clear it so a later publish starts
+            # a writer.
             # After a normal exit a newer thread may own the flag.
             with self._write_lock:
                 if self._writer is threading.current_thread():
@@ -389,9 +387,7 @@ class DynamicOperator:
                 message = ("repaired-snapshot cache write failed:\n"
                            + traceback.format_exc())
             span.set("error", message)
-        self._write_error = message
-        if self._on_write_error is not None:
-            self._on_write_error(message)
+        self.write_error = message
 
     def flush(self) -> Optional[str]:
         """Block until no snapshot write is waiting or in flight.
@@ -410,7 +406,7 @@ class DynamicOperator:
             with self._write_lock:
                 if self._writer is writer:
                     break
-        return self._write_error
+        return self.write_error
 
     # ------------------------------------------------------------------ #
     # Snapshots

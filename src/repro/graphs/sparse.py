@@ -134,6 +134,19 @@ def sparse_row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     return sp.diags(scale).dot(csr).tocsr()
 
 
+def floor_prune(matrix: sp.csr_matrix, floor: float) -> sp.csr_matrix:
+    """Drop the entries below ``floor`` in place, never the diagonal.
+
+    The paper's ``ε / 10`` prune of a SimRank estimate; returns
+    ``matrix``.
+    """
+    rows = csr_row_indices(matrix)
+    keep = (matrix.data >= floor) | (rows == matrix.indices)
+    matrix.data[~keep] = 0.0
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def dense_to_sparse_threshold(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
     """Convert a dense matrix to CSR, dropping entries below ``threshold``."""
     dense = np.asarray(matrix, dtype=np.float64).copy()
@@ -142,4 +155,4 @@ def dense_to_sparse_threshold(matrix: np.ndarray, threshold: float) -> sp.csr_ma
 
 
 __all__ = ["csr_row_indices", "top_k_row_mask", "top_k_row", "top_k_per_row",
-           "sparse_row_normalize", "dense_to_sparse_threshold"]
+           "sparse_row_normalize", "floor_prune", "dense_to_sparse_threshold"]

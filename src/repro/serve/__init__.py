@@ -26,7 +26,9 @@ no read holds it.  Every answer reports its ``version``.
 The degradation ladder
 ----------------------
 Every query walks the same three rungs, falling through on failure and
-reporting the rung that answered in its response ``path`` field:
+reporting the rung that answered in its response ``path`` field.  No
+rung can be switched off; the cached rung is skipped only when the
+service has no operator cache:
 
 1. ``exact`` — row ``u`` sliced from the version's rows at the
    configured ε, pruned to the top ``k`` and optionally normalised.  The
@@ -70,9 +72,10 @@ Counter semantics
   component, so ``exact_served / batches`` is how many exact answers
   each computation served.
 - ``stale_served`` — queries whose version had an update repair in
-  flight when the query took it.  The version and the count of pending
-  repairs are published as one pair, so a read decides once, at its
-  start, and a landing moves both together.
+  flight when the query took it (a read never waits for an update).
+  The version and the count of pending repairs are published as one
+  pair, so a read decides once, at its start, and a landing moves both
+  together.
 - The ``cache`` section of ``/metrics`` (``hits``, ``exact_hits``,
   ``reuse_hits``, ``misses``, ``row_hits``, ``row_misses``, ``stores``)
   is :meth:`repro.simrank.cache.OperatorCache.stats`, read from the
@@ -103,25 +106,30 @@ write.
 
 Updates and the snapshot write
 ------------------------------
-``POST /update`` (``SimRankService.apply_update``) repairs the served
-operator; with ``"wait": true`` the response means the repair landed and
-the new graph version is served, and it carries that ``version``.  It
-does not mean the repaired snapshot is in the cache: the operator's
-background writer stores the newest repaired state after the swap, under
-the key of the graph it describes, superseding any older state still
-waiting (see :class:`repro.dynamic.operator.DynamicOperator`).  Until
-that entry lands, a post-update query that falls past the exact rung
-answers ``degraded``, unless the cache already holds an entry for the
-updated graph: the cached rung matches the served graph's fingerprint,
-so it never serves a pre-update entry.  ``SimRankService.close()``
-waits for the repair in progress and drains the write;
-``ServeDaemon.server_close()`` calls it, so a daemon stopped by Ctrl-C
-or SIGTERM exits 0 with the newest entry on disk.
+``POST /update`` (``SimRankService.apply_update``) validates the batch,
+repairs the maintained operator and lands the updated graph's version,
+all under one update lock, and only then answers, with the repair
+telemetry and the new ``version``.  Updates run one at a time; reads
+never take that lock.  A ``"wait"`` key in the body is accepted (a
+boolean) and changes nothing.  A failed update (a bad delta, the repair
+cap) is a 400 and leaves the served version as it was.
+
+The answer does not mean the repaired snapshot is in the cache: the
+operator's background writer stores the newest repaired state after the
+swap, under the key of the graph it describes, superseding any older
+state still waiting (see :class:`repro.dynamic.operator.DynamicOperator`).
+Until that entry lands, a post-update query that falls past the exact
+rung answers ``degraded``, unless the cache already holds an entry for
+the updated graph: the cached rung matches the served graph's
+fingerprint, so it never serves a pre-update entry.
+``SimRankService.close()`` waits for the update in progress and drains
+the write; ``ServeDaemon.server_close()`` calls it, so a daemon stopped
+by Ctrl-C or SIGTERM exits 0 with the newest entry on disk.
 
 A repair lands even if its snapshot cache write fails (a full disk,
 say): the graph swaps, ``updates_applied`` and ``repair_seconds`` count
-it, and the writer hands the error to
-``SimRankService.last_update_error``.
+it, and ``SimRankService.last_update_error`` reads the writer's error
+text (``DynamicOperator.write_error``).
 """
 
 from repro.serve.batching import QueryBatcher

@@ -25,16 +25,15 @@ Endpoints (all ``GET``, all JSON):
 ``/update`` (``POST``)
     Apply an edge-update batch to the served graph.  The JSON body is
     the :meth:`repro.graphs.delta.UpdateBatch.to_dict` shape —
-    ``{"deltas": [{"kind": "insert", "u": 0, "v": 1}, ...]}`` — plus an
-    optional ``"wait": true`` to block until the repair lands and the
-    graph version swaps (and get its telemetry and the new ``version``
-    back).  ``wait`` does not cover the repaired snapshot's cache
-    entry: a background writer stores it after the response (see
-    :class:`repro.dynamic.operator.DynamicOperator`).
-    By default the repair runs in the background and queries keep
-    answering from the pre-update version (``stale_served`` counts them)
-    until the repaired graph's version swaps in.  An update never waits
-    for a read.
+    ``{"deltas": [{"kind": "insert", "u": 0, "v": 1}, ...]}``.  The
+    response comes once the repair has landed and the graph version has
+    swapped, and carries the repair telemetry and the new ``version``.
+    An optional boolean ``"wait"`` is accepted and changes nothing (any
+    other value is a 400).  The response does not cover the repaired
+    snapshot's cache entry: a background writer stores it afterwards
+    (see :class:`repro.dynamic.operator.DynamicOperator`).  Queries
+    answer from the pre-update version meanwhile (``stale_served``
+    counts them); an update never waits for a read.
 
 Bad parameters (and invalid deltas) are a 400, an exhausted degradation
 ladder a 503 — the daemon never dies on a query.  ``main`` is the
@@ -44,7 +43,7 @@ loads), loads a registry dataset, builds the service stack and blocks
 in ``serve_forever`` until Ctrl-C or SIGTERM.
 Either way :meth:`ServeDaemon.server_close` then runs, which calls
 :meth:`repro.serve.service.SimRankService.close`: it waits for the
-repair in progress and drains its snapshot write, so the newest entry is
+update in progress and drains its snapshot write, so the newest entry is
 on disk (and no temporary file is left) before the process exits 0.
 """
 
@@ -84,7 +83,7 @@ class ServeDaemon(ThreadingHTTPServer):
         """Close the socket, then drain the service's snapshot write.
 
         :meth:`repro.serve.service.SimRankService.close` waits for the
-        repair in progress and its repaired snapshot's cache entry.
+        update in progress and its repaired snapshot's cache entry.
         """
         super().server_close()
         self.service.close()
@@ -218,13 +217,15 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(payload, dict):
                 raise ConfigError("/update body must be a JSON object with "
                                   "a 'deltas' list")
+            # Every update answers once it has landed; a boolean "wait"
+            # from older clients is accepted and changes nothing.
             wait = payload.pop("wait", None)
             if wait is not None and not isinstance(wait, bool):
                 raise ConfigError(f"'wait' must be a boolean, got {wait!r}")
             from repro.graphs.delta import UpdateBatch
 
             batch = UpdateBatch.from_dict(payload)
-            result = service.apply_update(batch, wait=wait)
+            result = service.apply_update(batch)
             self._send_json(200, {
                 **result,
                 "counters": service.counters.to_dict(),
@@ -278,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "of one row computation")
     parser.add_argument("--degraded-epsilon-factor", type=float, default=None,
                         help="looser-ε fallback multiplier")
-    parser.add_argument("--no-exact", action="store_true",
-                        help="disable the exact rung of the ladder")
-    parser.add_argument("--no-cached-rows", action="store_true",
-                        help="disable the cached rung of the ladder")
     parser.add_argument("--epsilon", type=float, default=None,
                         help="operator error bound ε")
     parser.add_argument("--decay", type=float, default=None,
@@ -293,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest /update batch accepted")
     parser.add_argument("--repair-max-pushes", type=int, default=None,
                         help="admission cap on repair frontier absorptions")
-    parser.add_argument("--synchronous-repair", action="store_true",
-                        help="block /update until the repair lands "
-                             "(default: repair in the background)")
-    parser.add_argument("--no-store-repaired", action="store_true",
-                        help="do not write repaired snapshots to the "
-                             "operator cache")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the telemetry subsystem: spans are "
                              "recorded in memory and every instrumented "

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from threading import TIMEOUT_MAX, Event, Lock, Thread
+from threading import TIMEOUT_MAX, Event, Lock
 from time import monotonic
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -48,13 +48,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import DynamicConfig, ServeConfig, SimRankConfig
-from repro.errors import GraphError, ServeError, SimRankError
+from repro.errors import ServeError, SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_row
 from repro.simrank.engine import _validate_sources
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.dynamic.operator import DynamicOperator, RepairResult
+    from repro.dynamic.operator import DynamicOperator
     from repro.graphs.delta import Updates
     from repro.simrank.cache import OperatorCache
     from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
@@ -151,8 +151,8 @@ class ServiceCounters:
     batches whose repair landed), ``repair_seconds`` (cumulative wall
     time those repairs took — the only non-integer counter) and
     ``stale_served`` (queries answered from a graph version that had a
-    repair in flight when the query took it — the documented freshness
-    trade of background repair, see :meth:`SimRankService.apply_update`).
+    repair in flight when the query took it: a read never waits for an
+    update, see :meth:`SimRankService.apply_update`).
 
     Latency
     -------
@@ -398,9 +398,10 @@ class SimRankService:
                  compute_exact: Optional[RowCompute] = None,
                  compute_degraded: Optional[RowCompute] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
-        # The served version and the repairs submitted against it but not
-        # yet landed, published together: a read unpacks both at once, so
-        # it counts as stale exactly when its version had a repair pending.
+        # The served version and the count of repairs in flight against it
+        # (0 or 1: updates run one at a time), published together: a read
+        # unpacks both at once, so it counts as stale exactly when its
+        # version had a repair pending.
         self._served: Tuple[GraphVersion, int] = (GraphVersion(graph), 0)
         self._served_lock = Lock()
         self.simrank = simrank if simrank is not None else SimRankConfig()
@@ -427,10 +428,9 @@ class SimRankService:
         # DISABLED's module-global registry, which is shared.
         self.counters = ServiceCounters(
             self.telemetry.registry if self.telemetry.enabled else None)
-        # Repairs run one at a time, on their own lock; reads never take it.
+        # Updates run one at a time, on their own lock; reads never take it.
         self._update_lock = Lock()
         self._dynamic_op: Optional["DynamicOperator"] = None
-        self.last_update_error: Optional[str] = None
 
     @property
     def graph(self) -> Graph:
@@ -501,35 +501,34 @@ class SimRankService:
         count = len(sources)
 
         # Rung 1: exact, a slice of each source component's shared rows.
-        if self.serve.exact_enabled:
-            budget = self.serve.time_budget_seconds
-            deadline = None if budget is None else monotonic() + budget
-            labels = version.labels
-            compute = partial(self._version_rows, version)
-            try:
-                with self._tracer.span("serve.exact_batch",
-                                       batch_size=len(unique)):
-                    rows = {int(label): version.rows(int(label), compute,
-                                                     deadline)
-                            for label in np.unique(labels[unique])}
-            except SimRankError:
-                counters.inc("exact_failures", count)
+        budget = self.serve.time_budget_seconds
+        deadline = None if budget is None else monotonic() + budget
+        labels = version.labels
+        compute = partial(self._version_rows, version)
+        try:
+            with self._tracer.span("serve.exact_batch",
+                                   batch_size=len(unique)):
+                rows = {int(label): version.rows(int(label), compute,
+                                                 deadline)
+                        for label in np.unique(labels[unique])}
+        except SimRankError:
+            counters.inc("exact_failures", count)
+        else:
+            if any(component is None for component in rows.values()):
+                counters.inc("budget_overruns", count)
             else:
-                if any(component is None for component in rows.values()):
-                    counters.inc("budget_overruns", count)
-                else:
-                    counters.inc("exact_served", count)
-                    return {source: (top_k_row(
-                                rows[int(labels[source])], source, top_k,
-                                normalize=cfg.row_normalize),
-                                "exact", cfg.epsilon)
-                            for source in unique}
+                counters.inc("exact_served", count)
+                return {source: (top_k_row(
+                            rows[int(labels[source])], source, top_k,
+                            normalize=cfg.row_normalize),
+                            "exact", cfg.epsilon)
+                        for source in unique}
 
         # Rungs 2 and 3, per source.
         served: Dict[int, Tuple[sp.csr_matrix, str, float]] = {}
         degraded_epsilon = cfg.epsilon * self.serve.degraded_epsilon_factor
         for source in unique:
-            if self.serve.serve_cached_rows and self.cache is not None:
+            if self.cache is not None:
                 hit = self.cache.lookup_row(
                     version.graph, source, decay=cfg.decay,
                     epsilon=cfg.epsilon, top_k=top_k,
@@ -547,8 +546,8 @@ class SimRankService:
                 counters.inc("failed", repeats[source])
                 raise ServeError(
                     f"every serving rung failed for source {source} "
-                    f"(exact {'disabled' if not self.serve.exact_enabled else 'failed'}, "
-                    f"no cached row, degraded ε={degraded_epsilon} failed): "
+                    f"(exact failed, no cached row, "
+                    f"degraded ε={degraded_epsilon} failed): "
                     f"{error}") from error
             counters.inc("degraded_served", repeats[source])
             served[source] = (top_k_row(rows_of_source, source, top_k,
@@ -632,119 +631,88 @@ class SimRankService:
     # ------------------------------------------------------------------ #
     # Dynamic updates
     # ------------------------------------------------------------------ #
-    def apply_update(self, updates: "Updates",
-                     wait: Optional[bool] = None) -> Dict[str, object]:
-        """Apply an edge-update batch to the served graph.
+    def apply_update(self, updates: "Updates") -> Dict[str, object]:
+        """Apply an edge-update batch to the served graph; answer once landed.
 
-        The batch is validated against the currently served graph (a bad
-        delta raises :class:`repro.errors.GraphError` immediately), then
-        the maintained :class:`repro.dynamic.operator.DynamicOperator`
-        repairs incrementally — in a background thread by default
-        (``DynamicConfig.background_repair``), synchronously when
-        ``wait=True``.  Until the repair lands, queries keep answering
-        from the pre-update version and count ``stale_served``; the
-        landing assigns the updated graph's version, whose rows are
+        Everything happens under the update lock, so concurrent updates
+        run one at a time.  The batch is validated by one
+        ``Graph.apply_delta`` on the served graph (a bad delta raises
+        :class:`repro.errors.GraphError` before any repair work), the
+        repair is marked pending, and the maintained
+        :class:`repro.dynamic.operator.DynamicOperator` repairs from that
+        updated graph — only this lock advances the served graph and the
+        operator's graph, so the two are always the same — before the
+        landing assigns the updated graph's version.  Its rows are
         computed by its first exact read.  Nothing here waits for a read:
-        a read in flight finishes on the version it started on.  With
-        ``store_repaired`` the operator's background writer then stores
-        the repaired full-fidelity snapshot in the operator cache, under
-        the key of the updated graph, after which the *cached* rung
-        serves post-update rows without push work.  Before it lands, a
-        query that falls past the exact rung answers ``degraded`` unless
-        the cache already holds an entry for the updated graph (the
-        cached rung matches the served graph's fingerprint, so it never
-        serves a pre-update entry).
+        a read in flight finishes on the version it started on, and one
+        that takes the pre-update version while the repair runs counts
+        ``stale_served``.  A failed repair (``repair_max_pushes``
+        exceeded, say) raises to the caller and leaves the service on
+        the previous version, still answering.
 
-        Returns an acknowledgement payload; synchronous repairs include
-        the repair telemetry (``num_pushes``, ``repair_seconds``,
-        ``warm_start``) and the landed ``version``, and mean the repair
-        landed and the version swapped — not that the snapshot entry is
-        on disk (:meth:`close` waits for that).  An empty batch repairs
-        nothing and reports the version served now.  Concurrent updates
-        serialise on an update lock in submission order.
+        With a cache, the operator's background writer then stores the
+        repaired full-fidelity snapshot under the key of the updated
+        graph, after which the *cached* rung serves post-update rows
+        without push work.  Before it lands, a query that falls past the
+        exact rung answers ``degraded`` unless the cache already holds an
+        entry for the updated graph (the cached rung matches the served
+        graph's fingerprint, so it never serves a pre-update entry).
+
+        Returns an acknowledgement payload with the repair telemetry
+        (``num_pushes``, ``num_rounds``, ``repair_seconds``,
+        ``warm_start``) and the landed ``version``: the repair landed and
+        the version swapped, not that the snapshot entry is on disk
+        (:meth:`close` waits for that).  An empty batch repairs nothing
+        and reports the version served now.
         """
         from repro.graphs.delta import UpdateBatch
 
         batch = UpdateBatch.coerce(updates)
         if len(batch) == 0:
-            return {"accepted": True, "num_deltas": 0, "background": False,
+            return {"accepted": True, "num_deltas": 0,
                     "version": self.version}
         if len(batch) > self.dynamic.max_batch_edges:
             raise SimRankError(
                 f"update batch has {len(batch)} deltas, exceeding "
                 f"max_batch_edges={self.dynamic.max_batch_edges}")
-        # Eager validation against the graph being served right now —
-        # the daemon maps the GraphError to a 400 before any repair work.
-        # The repair reuses the updated graph if nothing lands first.
-        base = self.graph
-        updated = base.apply_delta(batch)
-        background = (self.dynamic.background_repair if wait is None
-                      else not wait)
-        self._track_pending(None, +1)
-        if background:
-            Thread(target=self._repair, args=(batch, base, updated, False),
-                   daemon=True).start()
-            return {"accepted": True, "num_deltas": len(batch),
-                    "background": True}
-        landed = self._repair(batch, base, updated, True)
-        assert landed is not None
-        result, version = landed
+        with self._update_lock:
+            updated = self.graph.apply_delta(batch)
+            self._track_pending(None, +1)
+            try:
+                result = self._ensure_operator().apply(batch, updated)
+                landed = GraphVersion(updated)
+            except BaseException:
+                # No failure leaves later reads counted stale.
+                self._track_pending(None, -1)
+                raise
+            # Released in the step that lands the version, so no read
+            # sees the new version still counted pending.
+            self._track_pending(landed, -1)
+            self.counters.inc("updates_applied")
+            self.counters.inc("repair_seconds", result.repair_seconds)
         return {"accepted": True, "num_deltas": len(batch),
-                "background": False, "num_pushes": result.num_pushes,
+                "num_pushes": result.num_pushes,
                 "num_rounds": result.num_rounds,
                 "repair_seconds": result.repair_seconds,
                 "warm_start": result.warm_start,
-                "version": version.fingerprint}
+                "version": landed.fingerprint}
 
-    def _repair(self, batch: "Updates", base: Graph, updated: Graph,
-                reraise: bool
-                ) -> Optional[Tuple["RepairResult", GraphVersion]]:
-        """Run one repair to convergence and land its version.
+    @property
+    def last_update_error(self) -> Optional[str]:
+        """The text of the last failed snapshot write, ``None`` if none.
 
-        Serialised on ``self._update_lock`` so concurrent submissions
-        repair one at a time against a consistent operator.  ``updated``
-        is ``base.apply_delta(batch)``, built by the validation; the
-        operator reuses it when its graph is still ``base``, and applies
-        the batch to its own graph otherwise.  A failed
-        repair (e.g. the batch conflicts with an earlier update that
-        landed after its validation) leaves the service on the previous
-        version, still answering; background failures are recorded in
-        ``last_update_error`` instead of raised.  The pending count is
-        released whatever happens, in the same step that lands the
-        version, so no failure leaves every later query counted as stale
-        and no read sees the new version still counted pending.
+        The repair behind it had landed; only the cache entry is missing
+        (:attr:`repro.dynamic.operator.DynamicOperator.write_error`).
         """
-        with self._update_lock:
-            landed: Optional[GraphVersion] = None
-            try:
-                operator = self._ensure_operator()
-                result = operator.apply(
-                    batch, updated if operator.graph is base else None)
-                landed = GraphVersion(operator.graph)
-            except (GraphError, SimRankError) as error:
-                self.last_update_error = str(error)
-                if reraise:
-                    raise
-                return None
-            finally:
-                self._track_pending(landed, -1)
-            self.counters.inc("updates_applied")
-            self.counters.inc("repair_seconds", result.repair_seconds)
-            return result, landed
-
-    def _record_write_error(self, error: str) -> None:
-        """The operator's snapshot-write error callback (on its writer thread).
-
-        The repair had already landed; only the cache entry is missing.
-        """
-        self.last_update_error = error
+        operator = self._dynamic_op
+        return None if operator is None else operator.write_error
 
     def close(self) -> None:
-        """Wait for the repair in progress, then drain its snapshot write.
+        """Wait for the update in progress, then drain its snapshot write.
 
         Afterwards the newest landed repair's snapshot is on disk, under
         the key of the served graph, or its failure is in
-        ``last_update_error``.  The service stays usable;
+        :attr:`last_update_error`.  The service stays usable;
         :meth:`repro.serve.daemon.ServeDaemon.server_close` calls this so
         a stopping daemon drops no entry.
         """
@@ -755,19 +723,17 @@ class SimRankService:
     def _ensure_operator(self) -> "DynamicOperator":
         """The maintained operator, built lazily on the first update.
 
-        The build happens inside the repair (so a background update's
-        initial full-fidelity precompute never blocks queries) and warm
-        starts from any cached base-graph entry.  Once built, only
-        :meth:`_repair` advances it, under the update lock, so its graph
-        tracks the served version's graph exactly.
+        The build happens under the update lock, on the served graph, and
+        warm starts from any cached entry of it; reads go on answering
+        meanwhile.  Once built, only :meth:`apply_update` advances it,
+        under the same lock, so its graph is the served version's graph.
         """
         if self._dynamic_op is None:
             from repro.dynamic.operator import DynamicOperator
 
             self._dynamic_op = DynamicOperator(
                 self.graph, simrank=self.simrank, dynamic=self.dynamic,
-                cache=self.cache, telemetry=self.telemetry,
-                on_write_error=self._record_write_error)
+                cache=self.cache, telemetry=self.telemetry)
         return self._dynamic_op
 
     # ------------------------------------------------------------------ #
@@ -793,11 +759,9 @@ class SimRankService:
                 "decay": self.simrank.decay,
                 "dtype": self.simrank.dtype,
                 "default_top_k": self.serve.default_top_k,
-                "exact_enabled": self.serve.exact_enabled,
                 "time_budget_seconds": self.serve.time_budget_seconds,
                 "max_pushes_per_query": self.serve.max_pushes_per_query,
                 "degraded_epsilon_factor": self.serve.degraded_epsilon_factor,
-                "serve_cached_rows": self.serve.serve_cached_rows,
             },
         }
 

@@ -91,11 +91,6 @@ from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import exact_simrank, linearized_simrank
 from repro.simrank.localpush import LocalPushResult, localpush_simrank
 from repro.simrank.topk import simrank_operator, topk_simrank
-from repro.simrank.pairwise_walk import (
-    homophily_probability,
-    pairwise_meeting_probability,
-    pairwise_walk_series,
-)
 from repro.simrank.analysis import SimRankClassStats, simrank_class_statistics
 
 __all__ = [
@@ -110,9 +105,6 @@ __all__ = [
     "get_operator_cache",
     "graph_fingerprint",
     "CACHE_FORMAT_VERSION",
-    "pairwise_meeting_probability",
-    "pairwise_walk_series",
-    "homophily_probability",
     "SimRankClassStats",
     "simrank_class_statistics",
 ]

@@ -91,10 +91,10 @@ Writes are atomic (a per-write unique temp file + ``os.replace``,
 :func:`repro.utils.atomic.atomic_write`) so a crashed run never leaves a
 half-written entry behind and concurrent writers never collide.  One
 lock per cache instance serialises the capped store's directory walk
-and :meth:`OperatorCache.clear`, so threads sharing a cache (a threaded
-experiment sweep, the daemon's background repair beside its queries)
-never evict, or count, the same victim twice; the event counter is
-atomic under its registry's own lock, so they lose no counts either.
+and :meth:`OperatorCache.clear`, so threads sharing a cache (the
+daemon's snapshot writer beside its queries, say) never evict, or
+count, the same victim twice; the event counter is atomic under its
+registry's own lock, so they lose no counts either.
 
 Counters
 --------
@@ -189,17 +189,6 @@ def get_operator_cache(directory: str | os.PathLike,
         elif max_bytes is not None:
             cache.max_bytes = max_bytes
     return cache
-
-
-def _floor_prune(matrix: sp.csr_matrix, floor: float) -> sp.csr_matrix:
-    """Drop entries below ``floor``, never the diagonal (paper's prune)."""
-    from repro.graphs.sparse import csr_row_indices
-
-    rows = csr_row_indices(matrix)
-    keep = (matrix.data >= floor) | (rows == matrix.indices)
-    matrix.data[~keep] = 0.0
-    matrix.eliminate_zeros()
-    return matrix
 
 
 def _stamp(path: Path) -> None:
@@ -459,7 +448,8 @@ class OperatorCache:
     def _reprune(self, candidate: "SimRankOperator", *, epsilon: float,
                  top_k: Optional[int], row_normalize: bool) -> sp.csr_matrix:
         """Re-prune a dominating entry down to the requested contract."""
-        from repro.graphs.sparse import sparse_row_normalize, top_k_per_row
+        from repro.graphs.sparse import (floor_prune, sparse_row_normalize,
+                                         top_k_per_row)
 
         matrix = candidate.matrix
         if top_k is not None:
@@ -472,7 +462,7 @@ class OperatorCache:
                     matrix = sparse_row_normalize(matrix)
         elif (not row_normalize and candidate.epsilon is not None
               and candidate.epsilon < epsilon):
-            matrix = _floor_prune(matrix, epsilon / 10.0)
+            matrix = floor_prune(matrix, epsilon / 10.0)
         matrix.sort_indices()
         return matrix
 

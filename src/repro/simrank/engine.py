@@ -42,8 +42,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
 from repro.simrank.exact import DEFAULT_DECAY
-from repro.simrank.kernels import (DTYPES, FusedRoundState,
-                                   IncrementRoundState, working_dtype)
+from repro.simrank.kernels import (FusedRoundState, IncrementRoundState,
+                                   working_dtype)
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 from repro.utils.timer import Timer
 from repro.utils.validation import is_integral
@@ -83,9 +83,7 @@ def _validate_engine_args(decay: float, epsilon: float,
         raise SimRankError(f"epsilon must be a finite number, got {epsilon}")
     if epsilon <= 0.0:
         raise SimRankError(f"epsilon must be positive, got {epsilon}")
-    if dtype not in DTYPES:
-        raise SimRankError(f"unknown LocalPush dtype {dtype!r}; "
-                           f"expected one of {DTYPES}")
+    working_dtype(dtype)  # raises on an unknown dtype name
 
 
 def _seed_residual(n: int, seed_nodes: Optional[np.ndarray],

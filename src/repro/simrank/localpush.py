@@ -88,7 +88,7 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
     snapshots of :mod:`repro.dynamic`, so the two cannot drift apart in
     these semantics.
     """
-    from repro.graphs.sparse import csr_row_indices
+    from repro.graphs.sparse import floor_prune
 
     diagonal = estimate.diagonal()
     missing = diagonal <= 0.0
@@ -101,11 +101,7 @@ def finalize_estimate(estimate: sp.csr_matrix, residual: sp.csr_matrix, *,
                         residual_diagonal.dtype.type(0.0))
         estimate = (estimate + sp.diags(fill, format="csr")).tocsr()
     if prune:
-        floor = epsilon / 10.0
-        rows = csr_row_indices(estimate)
-        keep = (estimate.data >= floor) | (rows == estimate.indices)
-        estimate.data[~keep] = 0.0
-        estimate.eliminate_zeros()
+        estimate = floor_prune(estimate, epsilon / 10.0)
     estimate.sort_indices()
     return estimate
 

@@ -1,7 +1,8 @@
 """Pairwise random-walk quantities used in the paper's theory section.
 
-These utilities exist to *verify* the paper's claims rather than to run the
-model:
+Not part of the package: these exist only to *verify* the paper's claims
+(``test_simrank_theory.py``, ``test_property_based.py``), never to run
+the model:
 
 * :func:`pairwise_meeting_probability` computes
   ``↔P(u, v | t^{2ℓ}) = Σ_w p(w | u, ℓ) · p(w | v, ℓ)`` (Definition III.1).

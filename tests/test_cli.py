@@ -223,6 +223,29 @@ class TestMain:
         assert "Traceback" not in err
         assert f"error: {message}" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("flag", [
+        "--no-exact", "--no-cached-rows", "--synchronous-repair",
+        "--no-store-repaired"])
+    def test_a_deleted_serve_switch_is_an_argparse_error(
+            self, capsys, monkeypatch, flag):
+        """Every rung runs, every update lands before it answers and a
+        cache always gets the repaired snapshot: the switches are gone."""
+        import repro.datasets.registry
+        import repro.serve.daemon
+
+        def never(*args, **kwargs):
+            pytest.fail("a deleted flag got past the parser")
+
+        monkeypatch.setattr(repro.datasets.registry, "load_dataset", never)
+        monkeypatch.setattr(repro.serve.daemon, "make_daemon", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "texas", flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"unrecognized arguments: {flag}" \
+            in err.strip().splitlines()[-1]
+
     @pytest.mark.parametrize("argv,message", [
         (["nope"], "unknown dataset 'nope'"),
         (["texas", "--scale-factor", "0"], "scale factor must be positive"),

@@ -15,6 +15,7 @@ Covers the acceptance criteria of the config-object API redesign:
 """
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.config import (
     SIGMA_DEFAULT_SIMRANK,
     DynamicConfig,
     ExperimentSpec,
+    FrozenConfig,
     RunSpec,
     ServeConfig,
     SimRankConfig,
@@ -214,7 +216,7 @@ class TestFromCliArgs:
 
         args = build_parser().parse_args(["texas"])
         for cls in (ServeConfig, DynamicConfig, TelemetryConfig):
-            for attr in (*cls.CLI_FLAG_FIELDS, *cls.CLI_SWITCHES):
+            for attr in cls.CLI_FLAG_FIELDS:
                 assert hasattr(args, attr), \
                     f"serve parser is missing {cls.__name__}'s --{attr}"
 
@@ -227,22 +229,21 @@ class TestFromCliArgs:
             "texas", "--host", "0.0.0.0", "--port", "0",
             "--serve-top-k", "7", "--time-budget", "0.5",
             "--max-pushes-per-query", "100",
-            "--degraded-epsilon-factor", "4", "--no-exact",
-            "--no-cached-rows", "--epsilon", "0.2", "--decay", "0.7",
+            "--degraded-epsilon-factor", "4",
+            "--epsilon", "0.2", "--decay", "0.7",
             "--cache-dir", str(tmp_path),
             "--max-batch-edges", "16", "--repair-max-pushes", "1000",
-            "--synchronous-repair", "--no-store-repaired", "--telemetry",
+            "--telemetry",
             "--trace-path", trace, "--max-recorded-spans", "64",
         ])
         assert SimRankConfig.from_cli_args(args) == SimRankConfig(
             epsilon=0.2, decay=0.7, cache_dir=str(tmp_path))
         assert ServeConfig.from_cli_args(args) == ServeConfig(
-            host="0.0.0.0", port=0, default_top_k=7, exact_enabled=False,
+            host="0.0.0.0", port=0, default_top_k=7,
             time_budget_seconds=0.5, max_pushes_per_query=100,
-            degraded_epsilon_factor=4.0, serve_cached_rows=False)
+            degraded_epsilon_factor=4.0)
         assert DynamicConfig.from_cli_args(args) == DynamicConfig(
-            max_batch_edges=16, repair_max_pushes=1000,
-            store_repaired=False, background_repair=False)
+            max_batch_edges=16, repair_max_pushes=1000)
         assert TelemetryConfig.from_cli_args(args) == TelemetryConfig(
             enabled=True, trace_path=trace, max_recorded_spans=64)
 
@@ -270,6 +271,31 @@ class TestServeConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             ServeConfig(**bad)
         assert str(excinfo.value) == message
+
+
+class TestNoServeSwitches:
+    """The serve stack runs one way: no rung, repair mode or snapshot
+    store can be switched off, so the configs hold only valued fields."""
+
+    def test_field_counts(self):
+        assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+            "host", "port", "default_top_k", "time_budget_seconds",
+            "max_pushes_per_query", "degraded_epsilon_factor"]
+        assert [f.name for f in dataclasses.fields(DynamicConfig)] == [
+            "max_batch_edges", "repair_max_pushes"]
+        assert not hasattr(FrozenConfig, "CLI_SWITCHES")
+
+    @pytest.mark.parametrize("cls,name", [
+        (ServeConfig, "exact_enabled"),
+        (ServeConfig, "serve_cached_rows"),
+        (DynamicConfig, "store_repaired"),
+        (DynamicConfig, "background_repair"),
+    ])
+    def test_a_deleted_switch_is_an_unknown_field(self, cls, name):
+        with pytest.raises(ConfigError) as excinfo:
+            cls.from_dict({name: False})
+        assert str(excinfo.value) == \
+            f"unknown {cls.__name__} field(s): {name}"
 
 
 class TestTrainConfigSerialisation:
@@ -375,11 +401,9 @@ def _contract_instances():
                        cache_dir="operator-cache", cache_max_bytes=1 << 20,
                        dtype="float32"), ConfigError),
         (ServeConfig(host="0.0.0.0", port=0, default_top_k=7,
-                     exact_enabled=False, time_budget_seconds=0.5,
-                     max_pushes_per_query=100, degraded_epsilon_factor=4.0,
-                     serve_cached_rows=False), ConfigError),
-        (DynamicConfig(max_batch_edges=16, repair_max_pushes=1000,
-                       store_repaired=False, background_repair=False),
+                     time_budget_seconds=0.5, max_pushes_per_query=100,
+                     degraded_epsilon_factor=4.0), ConfigError),
+        (DynamicConfig(max_batch_edges=16, repair_max_pushes=1000),
          ConfigError),
         (TelemetryConfig(enabled=True, trace_path="trace.jsonl",
                          max_recorded_spans=64), ConfigError),

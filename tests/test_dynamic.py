@@ -419,8 +419,7 @@ def warm_started(graph, tmp_path):
                                         cache_dir=str(tmp_path))
     simrank_operator(graph, config=maintenance)
     operator = DynamicOperator(
-        graph, simrank=CONFIG, cache=get_operator_cache(tmp_path),
-        dynamic=DynamicConfig(store_repaired=False))
+        graph, simrank=CONFIG, cache=get_operator_cache(tmp_path))
     assert operator.build_cache_hit
     return operator
 
@@ -539,19 +538,6 @@ class TestRepairedSnapshotCache:
         assert not uncached.build_cache_hit
         assert uncached.updates_applied == 1
 
-    def test_store_repaired_false_writes_nothing(self, tmp_path):
-        graph = erdos_renyi(30, 0.12, seed=12)
-        cache = get_operator_cache(tmp_path / "off")
-        operator = DynamicOperator(
-            graph, simrank=CONFIG, cache=cache,
-            dynamic=DynamicConfig(store_repaired=False))
-        batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[0]),))
-        operator.apply(batch)
-        assert operator.flush() is None
-        assert cache.stats()["stores"] == 0
-        assert len(cache) == 0
-        assert not snapshot_path(cache, operator.graph).exists()
-
     def test_latest_state_wins_and_the_write_in_flight_completes(
             self, tmp_path, monkeypatch):
         graph = erdos_renyi(40, 0.1, seed=16)
@@ -659,16 +645,14 @@ class TestRepairedSnapshotCache:
         graph = erdos_renyi(30, 0.12, seed=18)
         cache = get_operator_cache(tmp_path)
         monkeypatch.setattr(cache, "store", _broken_store)
-        reported = []
-        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache,
-                                   on_write_error=reported.append)
+        operator = DynamicOperator(graph, simrank=CONFIG, cache=cache)
         operator.apply(GraphDelta("insert", *absent_pairs(graph)[0]))
         error = operator.flush()
         # Not an OSError: recorded with its traceback, the thread survives
         # to the end of its loop and the repair stands.
         assert error is not None and "Traceback" in error
         assert "RuntimeError: injected" in error
-        assert reported == [error]
+        assert operator.write_error == error
         assert operator.updates_applied == 1
         assert oracle_error(operator) < EPSILON
 
@@ -777,7 +761,6 @@ class TestDynamicConfig:
     def test_defaults_and_round_trip(self):
         config = DynamicConfig()
         assert config.max_batch_edges == 4096
-        assert config.background_repair and config.store_repaired
         assert DynamicConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize("kwargs", [

@@ -7,7 +7,7 @@ regressions the rules were written against, and assert the rule fires.
 A refactor that accidentally lobotomises R1 or R3 fails here even though
 the clean tree still passes.  Last, the ``src`` tree must not regain any
 name of the deleted compatibility layer, execution axes, second
-counting mechanism or second top-k path.
+counting mechanism, second top-k path or serve-stack switches.
 """
 
 from __future__ import annotations
@@ -159,6 +159,16 @@ REMOVED_NAMES = {
     "AUTO_SHARDED_MIN_NODES": r"\bAUTO_SHARDED_MIN_NODES\b",
     "shard_bounds": r"\bshard_bounds\b",
     "RoundRunner": r"\bRoundRunner\b",
+    # The serve stack runs one way: every update lands before it answers,
+    # every ladder rung runs, an operator with a cache always stores its
+    # snapshot, and a failed write has one channel (write_error).
+    "background_repair": r"\bbackground_repair\b",
+    "store_repaired": r"\bstore_repaired\b",
+    "exact_enabled": r"\bexact_enabled\b",
+    "serve_cached_rows": r"\bserve_cached_rows\b",
+    "CLI_SWITCHES": r"\bCLI_SWITCHES\b",
+    "on_write_error": r"\bon_write_error\b",
+    "_record_write_error": r"\b_record_write_error\b",
 }
 
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _pairwise_walk import homophily_probability
 from repro.config import SimRankConfig
 from repro.datasets.splits import stratified_splits
 from repro.graphs.graph import Graph
@@ -15,7 +16,6 @@ from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.simrank.engine import localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.localpush import localpush_simrank
-from repro.simrank.pairwise_walk import homophily_probability
 from repro.simrank.topk import simrank_operator
 
 

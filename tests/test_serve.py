@@ -234,14 +234,6 @@ class TestDegradationLadder:
         _counters(service, queries=3, batches=1, budget_overruns=3,
                   degraded_served=3)
 
-    def test_exact_disabled_skips_straight_past_the_rung(self, graph):
-        service = SimRankService(
-            graph, simrank=SimRankConfig(epsilon=0.1),
-            serve=ServeConfig(exact_enabled=False))
-        answer = service.topk(3, k=5)
-        assert answer.path == "degraded"
-        _counters(service, queries=1, degraded_served=1)  # no exact_failures
-
     def test_every_rung_failing_raises_serve_error(self, graph):
         service = SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1),
@@ -421,7 +413,7 @@ class TestGraphVersions:
             u, v = _absent_pair(graph)
             batch = [GraphDelta("insert", u, v)]
             updater = threading.Thread(target=lambda: acks.append(
-                service.apply_update(batch, wait=True)))
+                service.apply_update(batch)))
             updater.start()
             updater.join(timeout=60)
             assert not updater.is_alive()
@@ -466,7 +458,9 @@ class TestGraphVersions:
         inner["service"] = service
         before = service.version
         u, v = _absent_pair(graph)
-        service.apply_update([GraphDelta("insert", u, v)], wait=False)
+        updater = threading.Thread(target=service.apply_update,
+                                   args=([GraphDelta("insert", u, v)],))
+        updater.start()
         assert repair_entered.wait(timeout=60)
         reads = []
         reader = threading.Thread(
@@ -481,6 +475,7 @@ class TestGraphVersions:
             repair_release.set()
             read_release.set()
             reader.join(timeout=60)
+            updater.join(timeout=60)
         assert not reader.is_alive()
         # It took the pre-update version with the repair pending: stale.
         assert reads[0].version == before == graph_fingerprint(graph)
@@ -494,12 +489,12 @@ class TestGraphVersions:
 
     def test_an_empty_synchronous_update_reports_its_version(self, graph):
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
-        assert service.apply_update([], wait=True) == {
-            "accepted": True, "num_deltas": 0, "background": False,
+        assert service.apply_update([]) == {
+            "accepted": True, "num_deltas": 0,
             "version": graph_fingerprint(graph)}
         ack = service.apply_update(
-            [GraphDelta("insert", *_absent_pair(graph))], wait=True)
-        empty = service.apply_update([], wait=True)
+            [GraphDelta("insert", *_absent_pair(graph))])
+        empty = service.apply_update([])
         assert empty["version"] == ack["version"] == service.version
         _counters(service, updates_applied=1,
                   repair_seconds=service.counters.value("repair_seconds"))
@@ -515,7 +510,7 @@ class TestGraphVersions:
 
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
         first, second = _absent_pairs(graph)[:2]
-        service.apply_update([GraphDelta("insert", *first)], wait=True)
+        service.apply_update([GraphDelta("insert", *first)])
         calls = []
 
         def counted(name, function):
@@ -530,8 +525,7 @@ class TestGraphVersions:
             monkeypatch.setattr(
                 module, "column_normalize",
                 counted("column_normalize", module.column_normalize))
-        ack = service.apply_update([GraphDelta("insert", *second)],
-                                   wait=True)
+        ack = service.apply_update([GraphDelta("insert", *second)])
         assert ack["warm_start"] == "maintained"
         assert sorted(calls) == ["apply_delta", "column_normalize"]
         updated = graph.apply_delta([GraphDelta("insert", *first),
@@ -837,9 +831,31 @@ class TestDaemon:
         status, payload = _post(daemon, "/update",
                                 {"deltas": [], "wait": True})
         assert status == 200
-        assert payload["num_deltas"] == 0 and not payload["background"]
+        assert payload["num_deltas"] == 0 and "background" not in payload
         assert payload["version"] == graph_fingerprint(graph)
         assert payload["counters"]["updates_applied"] == 0
+
+    @pytest.mark.parametrize("body", [{}, {"wait": False}],
+                             ids=["no-wait", "wait-false"])
+    def test_an_update_answers_once_it_has_landed(self, daemon, graph,
+                                                  body):
+        """``"wait"`` changes nothing: every ack reports the landed
+        repair, and the next ``/healthz`` serves its version."""
+        batch = [GraphDelta("insert", *_absent_pair(graph))]
+        status, ack = _post(daemon, "/update", {
+            "deltas": [delta.to_dict() for delta in batch], **body})
+        assert status == 200
+        assert ack["version"] == graph_fingerprint(graph.apply_delta(batch))
+        assert ack["num_pushes"] >= 0 and "background" not in ack
+        assert ack["counters"]["updates_applied"] == 1
+        assert self._get(daemon, "/healthz")[1]["version"] == ack["version"]
+
+    def test_a_non_boolean_wait_is_400(self, daemon, graph):
+        status, payload = _post(daemon, "/update", {
+            "deltas": [{"kind": "insert", "u": 0, "v": 1}], "wait": "yes"})
+        assert status == 400
+        assert "'wait' must be a boolean" in payload["error"]
+        assert daemon.service.counters.to_dict()["updates_applied"] == 0
 
     def test_non_integral_update_endpoint_is_400(self, daemon, graph):
         # A truncating int() would read 0.5 above an edge's endpoint as
@@ -916,15 +932,13 @@ def _waiting_in(thread, caller):
 class TestChainStoreFailure:
     """A failed snapshot cache write must not wedge the service."""
 
-    @pytest.mark.parametrize("wait", [False, True],
-                             ids=["background", "wait"])
     def test_repair_lands_and_the_error_is_recorded(
-            self, graph, tmp_path, monkeypatch, wait):
+            self, graph, tmp_path, monkeypatch):
         service = SimRankService(graph, simrank=SimRankConfig(
             epsilon=0.1, cache_dir=str(tmp_path / "operators")))
         monkeypatch.setattr(service.cache, "store", _full_disk)
         u, v = _absent_pair(graph)
-        ack = service.apply_update([GraphDelta("insert", u, v)], wait=wait)
+        ack = service.apply_update([GraphDelta("insert", u, v)])
         assert ack["accepted"] is True
         _wait_until(lambda: service.last_update_error is not None)
         assert "No space left on device" in service.last_update_error
@@ -953,9 +967,9 @@ class TestChainStoreFailure:
                 "deltas": [{"kind": "insert", "u": u, "v": v}],
                 "wait": True})
             assert status == 200
-            assert payload["background"] is False
+            assert "background" not in payload
             assert payload["counters"]["updates_applied"] == 1
-            daemon.service.close()  # "wait" covers the repair, not the write
+            daemon.service.close()  # the ack covers the repair, not the write
             assert "No space left" in daemon.service.last_update_error
         finally:
             daemon.shutdown()
@@ -985,7 +999,7 @@ class TestChainWriteWindow:
             return store(*args, **kwargs)
 
         monkeypatch.setattr(service.cache, "store", blocking_store)
-        service.apply_update([GraphDelta("insert", u, v)], wait=True)
+        service.apply_update([GraphDelta("insert", u, v)])
         assert entered.wait(timeout=30)
         assert service.graph.num_edges == graph.num_edges + 1
         # Never the pre-update entry: the served graph's fingerprint moved.
@@ -1013,7 +1027,7 @@ class TestConcurrentUpdatesAndQueries:
         def send(chunk):
             try:
                 for batch in chunk:
-                    service.apply_update(batch, wait=False)
+                    service.apply_update(batch)
             except Exception as error:  # surfaced by the assertion below
                 errors.append(error)
 

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimRankError
-from repro.simrank.exact import linearized_simrank
-from repro.simrank.pairwise_walk import (
+from _pairwise_walk import (
     homophily_probability,
     pairwise_meeting_probability,
     pairwise_walk_series,
     simulate_tour_homophily,
     walk_distribution,
 )
+from repro.errors import SimRankError
+from repro.simrank.exact import linearized_simrank
 
 
 class TestWalkDistribution:
