@@ -18,8 +18,9 @@ free to be refactored between releases.
   :class:`repro.experiments.store.ArtifactStore`.
 * :func:`topk` / :func:`score` — single-source / single-pair SimRank
   queries (row ``u`` of the operator, O(query) LocalPush work instead of
-  the all-pairs precompute).  The long-lived serving layer on top lives
-  in :mod:`repro.serve` and is configured by
+  the all-pairs precompute).  They always compute the row; for a row of
+  a cached operator, slice :func:`precompute`'s answer.  The long-lived
+  serving layer on top lives in :mod:`repro.serve` and is configured by
   :class:`repro.config.ServeConfig`.
 * :func:`apply_updates` — apply an edge-update stream to a graph and
   return a live :class:`repro.dynamic.operator.DynamicOperator`, repaired
@@ -148,11 +149,9 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     prune, then :func:`repro.graphs.sparse.top_k_row` — the same
     pipeline as the all-pairs operator, so the row is bit-identical to
     the corresponding all-pairs row under the guarantee documented on
-    :func:`repro.simrank.engine.multi_source_localpush`.  A ``cache_dir``
-    in the config lets a dominating cached all-pairs entry answer the
-    query without any push work (``OperatorCache.lookup_row``), after
-    the engine's node-id check, so it never answers an id the engine
-    rejects.
+    :func:`repro.simrank.engine.multi_source_localpush`.  The config's
+    ``cache_dir`` plays no part: the row is computed on ``graph`` at the
+    config's ε every time.
     """
     from repro.graphs.sparse import top_k_row
     from repro.simrank.engine import _validate_sources, single_source_localpush
@@ -163,17 +162,6 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
         raise ConfigError(
             "single-source queries always run LocalPush; "
             "method='exact' has no row variant")
-    if cfg.cache_dir is not None:
-        from repro.simrank.cache import get_operator_cache
-
-        cache = get_operator_cache(cfg.cache_dir,
-                                   max_bytes=cfg.cache_max_bytes)
-        served = cache.lookup_row(
-            graph, source, decay=cfg.decay, epsilon=cfg.epsilon, top_k=k,
-            row_normalize=cfg.row_normalize,
-            dtype=None if cfg.dtype == "float64" else cfg.dtype)
-        if served is not None:
-            return served[0]
     result = single_source_localpush(
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
         absorb_residual=True, dtype=cfg.dtype)
@@ -188,14 +176,15 @@ def topk(graph: Graph, source: int, k: int,
     broken toward the smaller node id — the order induced by
     :func:`repro.graphs.sparse.top_k_per_row`.  ``S(u, u) = 1`` so
     ``source`` itself leads the list.  With ``config=None`` the library
-    defaults apply (``ε = 0.1``); a ``cache_dir`` in the config serves
-    the row from any dominating cached all-pairs operator.
+    defaults apply (``ε = 0.1``).  ``k`` must be a positive integer
+    (:func:`repro.simrank.engine._validate_k`: ``np.int64(5)`` and
+    ``5.0`` are 5), else :class:`repro.errors.ConfigError`.
     """
     import numpy as np
 
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
-    row = _query_row(graph, source, config, k)
+    from repro.simrank.engine import _validate_k
+
+    row = _query_row(graph, source, config, _validate_k(k))
     order = np.lexsort((row.indices, -row.data))
     return [(int(row.indices[i]), float(row.data[i])) for i in order]
 

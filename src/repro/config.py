@@ -318,9 +318,8 @@ class ServeConfig(FrozenConfig):
         no wall-clock budget), and rows that complete later stay on the
         version.
     ``degraded_epsilon_factor``
-        The last rung's looser ε, ``epsilon × degraded_epsilon_factor``.
-        The cached rung before it has no knob: any dominating all-pairs
-        entry of the service's operator cache serves the row.
+        The degraded rung's looser ε, ``epsilon × degraded_epsilon_factor``:
+        the one rung after exact, and the last.
     """
 
     host: str = "127.0.0.1"

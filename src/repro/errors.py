@@ -38,9 +38,9 @@ class ConfigError(SimRankError, ValueError):
 class ServeError(ReproError):
     """Raised when the serving layer cannot answer a query.
 
-    The :mod:`repro.serve` degradation ladder (exact → cached → looser-ε)
-    raises this only when its *last* rung fails — any earlier failure
-    falls through to the next rung and is recorded in the service
+    The :mod:`repro.serve` degradation ladder (exact → looser-ε) raises
+    this only when its *last* rung fails — an exact failure or overrun
+    falls through to the degraded rung and is recorded in the service
     counters instead.
     """
 

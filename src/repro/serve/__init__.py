@@ -1,12 +1,14 @@
 """Online serving layer: SimRank-as-a-service on the LocalPush engine.
 
 The package turns the batch reproduction into a query system: a
-long-lived daemon holds one graph plus a warm operator cache and answers
-``topk(u, k)`` / ``score(u, v)`` over HTTP, with admission-controlled
-graceful degradation.  Configure it with
-:class:`repro.config.ServeConfig` (plus the usual
-:class:`repro.config.SimRankConfig` operator contract) and start it with
-``python -m repro.cli serve <dataset>``.
+long-lived daemon holds one graph and answers ``topk(u, k)`` /
+``score(u, v)`` over HTTP, with admission-controlled graceful
+degradation.  Every answer is computed on the graph it reports; an
+operator cache, when given, only feeds the maintained operator that
+repairs updates (its warm start and its snapshot writes).  Configure it
+with :class:`repro.config.ServeConfig` (plus the usual
+:class:`repro.config.SimRankConfig` operator contract) and start it
+with ``python -m repro.cli serve <dataset>``.
 
 Graph versions
 --------------
@@ -25,10 +27,9 @@ no read holds it.  Every answer reports its ``version``.
 
 The degradation ladder
 ----------------------
-Every query walks the same three rungs, falling through on failure and
-reporting the rung that answered in its response ``path`` field.  No
-rung can be switched off; the cached rung is skipped only when the
-service has no operator cache:
+Every query walks the same two rungs, falling through on failure and
+reporting the rung that answered in its response ``path`` field.
+Neither rung can be switched off:
 
 1. ``exact`` — row ``u`` sliced from the version's rows at the
    configured ε, pruned to the top ``k`` and optionally normalised.  The
@@ -39,20 +40,17 @@ service has no operator cache:
    the computation fails the rung for every read waiting on it and is
    not kept.  A failed computation raises the same error in each of
    those reads: a :class:`repro.errors.SimRankError` (the cap, an
-   injected fault) falls through to the next rung, any other error
+   injected fault) falls through to the degraded rung, any other error
    propagates.  ``time_budget_seconds`` bounds each read's wait for its
    rows; a read over budget falls through, and rows that complete stay
    on the version for the next read.
-2. ``cached`` — any dominating all-pairs operator-cache entry
-   (tighter ε′ ≤ ε, larger k′ ≥ k, same graph/decay/normalisation)
-   serves the row with zero push work via
-   :meth:`repro.simrank.cache.OperatorCache.lookup_row`.
-3. ``degraded`` — a looser-ε recompute of the one row at
+2. ``degraded`` — a looser-ε recompute of the one row at
    ``ε × degraded_epsilon_factor``; the answer still satisfies the
    Lemma III.5 bound at that loosened ε, which the response reports.
 
-Only when the last rung fails does the query raise
-:class:`repro.errors.ServeError` (HTTP 503); the daemon itself never
+Only when the degraded rung fails does the query raise
+:class:`repro.errors.ServeError` (HTTP 503), whose message says whether
+the exact rung failed or ran over its budget; the daemon itself never
 dies on a query.
 
 Counter semantics
@@ -61,8 +59,7 @@ Counter semantics
 ``batches``, exposed in every response and at ``/metrics``:
 
 - ``queries`` — total answered; each is also counted in exactly one of
-  ``exact_served`` / ``cached_served`` / ``degraded_served`` /
-  ``failed``.
+  ``exact_served`` / ``degraded_served`` / ``failed``.
 - ``exact_failures`` — queries whose exact rung raised a
   :class:`repro.errors.SimRankError` (admission cap or compute error)
   before falling through; ``budget_overruns`` —
@@ -71,17 +68,15 @@ Counter semantics
 - ``batches`` — row computations run, one per graph version and
   component, so ``exact_served / batches`` is how many exact answers
   each computation served.
-- ``stale_served`` — queries whose version had an update repair in
-  flight when the query took it (a read never waits for an update).
-  The version and the count of pending repairs are published as one
-  pair, so a read decides once, at its start, and a landing moves both
-  together.
+- ``updates_applied`` / ``repair_seconds`` — update batches whose
+  repair landed, and the wall seconds those repairs took.
 - The ``cache`` section of ``/metrics`` (``hits``, ``exact_hits``,
-  ``reuse_hits``, ``misses``, ``row_hits``, ``row_misses``, ``stores``)
-  is :meth:`repro.simrank.cache.OperatorCache.stats`, read from the
-  cache's own ``repro_cache_events_total{event}`` counter.  The cache
-  counts whether telemetry is on or off, and every service sharing a
-  cache directory shares its one counter.
+  ``reuse_hits``, ``misses``, ``stores``) is
+  :meth:`repro.simrank.cache.OperatorCache.stats`, read from the
+  cache's own ``repro_cache_events_total{event}`` counter: the
+  maintained operator's warm-start lookup and its snapshot stores.  The
+  cache counts whether telemetry is on or off, and every service sharing
+  a cache directory shares its one counter.
 
 Where each number lives
 -----------------------
@@ -110,18 +105,18 @@ Updates and the snapshot write
 repairs the maintained operator and lands the updated graph's version,
 all under one update lock, and only then answers, with the repair
 telemetry and the new ``version``.  Updates run one at a time; reads
-never take that lock.  A ``"wait"`` key in the body is accepted (a
-boolean) and changes nothing.  A failed update (a bad delta, the repair
-cap) is a 400 and leaves the served version as it was.
+never take that lock, and a read that takes the pre-update version while
+the repair runs is ordered before an update that has not answered.  A
+``"wait"`` key in the body is accepted (a boolean) and changes nothing.
+A failed update (a bad delta, the repair cap) is a 400 and leaves the
+served version as it was.
 
 The answer does not mean the repaired snapshot is in the cache: the
 operator's background writer stores the newest repaired state after the
 swap, under the key of the graph it describes, superseding any older
 state still waiting (see :class:`repro.dynamic.operator.DynamicOperator`).
-Until that entry lands, a post-update query that falls past the exact
-rung answers ``degraded``, unless the cache already holds an entry for
-the updated graph: the cached rung matches the served graph's
-fingerprint, so it never serves a pre-update entry.
+No query reads that entry; a later build on the updated graph, or
+:func:`repro.api.apply_updates` reaching it, starts from it.
 ``SimRankService.close()`` waits for the update in progress and drains
 the write; ``ServeDaemon.server_close()`` calls it, so a daemon stopped
 by Ctrl-C or SIGTERM exits 0 with the newest entry on disk.

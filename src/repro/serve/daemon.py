@@ -6,14 +6,14 @@ Endpoints (all ``GET``, all JSON):
     Top-k most similar nodes to ``u``, answered at once through the
     :class:`repro.serve.batching.QueryBatcher` (no coalescing window: a
     read slices the served graph version's shared rows).  The response
-    carries the serving ``path`` (exact/cached/degraded), the
+    carries the serving ``path`` (exact/degraded), the
     ``epsilon`` the answer satisfies, the ``version`` (fingerprint of
     the graph that answered) and the live counters.
 ``/score?u=<node>&v=<node>``
     The single-pair score, same provenance fields.
 ``/metrics``
     :meth:`repro.serve.service.SimRankService.metrics` — per-path
-    counters, operator/row cache statistics, graph and config echo.
+    counters, operator cache statistics, graph and config echo.
 ``/metrics/prometheus``
     The same numbers in the Prometheus text exposition format — the
     service registry, then the operator cache's
@@ -32,8 +32,8 @@ Endpoints (all ``GET``, all JSON):
     other value is a 400).  The response does not cover the repaired
     snapshot's cache entry: a background writer stores it afterwards
     (see :class:`repro.dynamic.operator.DynamicOperator`).  Queries
-    answer from the pre-update version meanwhile (``stale_served``
-    counts them); an update never waits for a read.
+    answer from the pre-update version until the update answers; an
+    update never waits for a read.
 
 Bad parameters (and invalid deltas) are a 400, an exhausted degradation
 ladder a 503 — the daemon never dies on a query.  ``main`` is the
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SimRank decay factor c")
     parser.add_argument("--cache-dir", default=None,
                         dest="simrank_cache_dir", metavar="CACHE_DIR",
-                        help="operator cache directory (the cached rung)")
+                        help="operator cache directory (the update "
+                             "repair's warm start and snapshots)")
     parser.add_argument("--max-batch-edges", type=int, default=None,
                         help="largest /update batch accepted")
     parser.add_argument("--repair-max-pushes", type=int, default=None,

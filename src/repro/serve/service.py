@@ -4,7 +4,7 @@
 long-lived graph.  It serves from an immutable :class:`GraphVersion`:
 the graph, its fingerprint and, computed at most once per connected
 component, that graph's exact rows.  Every query walks the same
-three-rung ladder on the version it started on:
+two-rung ladder on the version it started on:
 
 1. **exact** — a slice of the version's rows at the configured ε.  The
    first read of a component runs one row computation for the whole
@@ -13,18 +13,17 @@ three-rung ladder on the version it started on:
    computation (the engine raises past the cap, failing the rung for
    every read waiting on it) and ``ServeConfig.time_budget_seconds``
    bounds each read's wait for its rows.
-2. **cached** — any dominating all-pairs operator-cache entry serves the
-   row via :meth:`repro.simrank.cache.OperatorCache.lookup_row`, with no
-   push work at all.
-3. **degraded** — a looser-ε recompute of the one source row at
+2. **degraded** — a looser-ε recompute of the one source row at
    ``ε × ServeConfig.degraded_epsilon_factor``; cheap because the push
    threshold ``(1−c)·ε`` grows with ε.
 
-Only when the last rung fails does the query raise
-:class:`repro.errors.ServeError`; every earlier failure falls through
-and is recorded in the per-path counters (see :class:`ServiceCounters`).
-The ``compute_exact``/``compute_degraded`` callables are injectable so
-the fault-injection suite can force any rung to fail.
+Both rungs compute on the graph the answer reports; no answer is read
+from the operator cache.  Only when the degraded rung fails does the
+query raise :class:`repro.errors.ServeError`, naming what the exact rung
+did; an exact failure or overrun falls through and is recorded in the
+per-path counters (see :class:`ServiceCounters`).  The
+``compute_exact``/``compute_degraded`` callables are injectable so the
+fault-injection suite can force either rung to fail.
 
 This module is in the R3 determinism lint scope: given one graph
 version, equal queries return bit-identical answers regardless of which
@@ -51,7 +50,7 @@ from repro.config import DynamicConfig, ServeConfig, SimRankConfig
 from repro.errors import ServeError, SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_row
-from repro.simrank.engine import _validate_sources
+from repro.simrank.engine import _validate_k, _validate_sources
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.dynamic.operator import DynamicOperator
@@ -61,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.telemetry.runtime import Telemetry
 
 #: The ladder rungs, in fall-through order; every answer names its rung.
-SERVE_PATHS = ("exact", "cached", "degraded")
+SERVE_PATHS = ("exact", "degraded")
 
 #: Injectable row computation: ``(graph, nodes, epsilon) -> rows``, an
 #: ``n×n`` CSR matrix whose rows ``nodes`` hold the un-truncated,
@@ -70,27 +69,24 @@ SERVE_PATHS = ("exact", "cached", "degraded")
 #: any other exception propagates to every read waiting on it.
 RowCompute = Callable[[Graph, np.ndarray, float], sp.csr_matrix]
 
-#: Registry help strings for the eleven service counters, in the
+#: Registry help strings for the nine service counters, in the
 #: ``ServiceCounters.to_dict`` key order.
 _COUNTER_HELP = {
     "queries": "Total queries answered.",
     "batches": "Row computations run, one per graph version and component.",
     "exact_served": "Queries answered by the exact rung.",
-    "cached_served": "Queries answered from a cached operator row.",
     "degraded_served": "Queries answered at the degraded epsilon.",
     "failed": "Queries for which every serving rung failed.",
     "exact_failures": "Queries whose exact rung faulted.",
     "budget_overruns": "Queries whose exact rows were not ready in budget.",
     "updates_applied": "Update batches whose incremental repair landed.",
     "repair_seconds": "Cumulative wall seconds of landed repairs.",
-    "stale_served": "Queries answered while a repair was in flight.",
 }
 
 
 #: The :meth:`repro.simrank.cache.OperatorCache.stats` names in the
 #: ``/metrics`` ``cache`` section.
-_CACHE_SECTION = ("hits", "exact_hits", "reuse_hits", "misses", "row_hits",
-                  "row_misses", "stores")
+_CACHE_SECTION = ("hits", "exact_hits", "reuse_hits", "misses", "stores")
 
 
 def _serve_metric_name(name: str) -> str:
@@ -135,24 +131,21 @@ class ServiceCounters:
     """Per-path query accounting (all counts are *queries*, but one).
 
     ``queries`` is the total answered; each one is also counted in
-    exactly one of ``exact_served``/``cached_served``/``degraded_served``
-    or ``failed`` — a source repeated within one ``topk_batch`` call
-    shares its row but is counted once per query, so ``queries ==
-    exact_served + cached_served + degraded_served`` holds for every
-    batch composition.  ``exact_failures`` counts queries whose exact rung
-    faulted (admission cap or injected error) and ``budget_overruns``
-    those whose rows were not ready within the time budget — both then
-    fell through the ladder.  ``batches`` is the one count that is not
+    exactly one of ``exact_served``/``degraded_served`` or ``failed`` —
+    a source repeated within one ``topk_batch`` call shares its row but
+    is counted once per query, so ``queries == exact_served +
+    degraded_served`` holds for every batch composition.
+    ``exact_failures`` counts queries whose exact rung faulted
+    (admission cap or injected error) and ``budget_overruns`` those
+    whose rows were not ready within the time budget — both then fell
+    through to the degraded rung.  ``batches`` is the one count that is not
     of queries: the row computations run, at most one per graph version
     and connected component, so ``exact_served / batches`` is how many
     exact answers each computation served.
 
     The dynamic-update integration adds ``updates_applied`` (update
-    batches whose repair landed), ``repair_seconds`` (cumulative wall
-    time those repairs took — the only non-integer counter) and
-    ``stale_served`` (queries answered from a graph version that had a
-    repair in flight when the query took it: a read never waits for an
-    update, see :meth:`SimRankService.apply_update`).
+    batches whose repair landed) and ``repair_seconds`` (cumulative wall
+    time those repairs took — the only non-integer counter).
 
     Latency
     -------
@@ -182,7 +175,7 @@ class ServiceCounters:
     because ``+=`` on them was a read-modify-write race.
     """
 
-    #: The eleven counter names, in ``to_dict`` key order.
+    #: The nine counter names, in ``to_dict`` key order.
     NAMES = tuple(_COUNTER_HELP)
 
     def __init__(self, registry: Optional["MetricsRegistry"] = None) -> None:
@@ -355,13 +348,15 @@ class SimRankService:
         The graph every query runs against until an update lands.
     simrank:
         The operator contract (ε, decay, top-k semantics, normalisation,
-        dtype).  Its ``cache_dir`` provides the cached rung.
+        dtype).  Its ``cache_dir`` names the operator cache.
     serve:
         The :class:`repro.config.ServeConfig` ladder knobs.
     cache:
-        Explicit :class:`repro.simrank.cache.OperatorCache` for the
-        cached rung; defaults to ``simrank.cache_dir``'s shared instance
-        (no cached rung when both are absent).
+        Explicit :class:`repro.simrank.cache.OperatorCache`; defaults to
+        ``simrank.cache_dir``'s shared instance.  Only the maintained
+        :class:`repro.dynamic.operator.DynamicOperator` uses it: its
+        build warm-starts from the served graph's entry and each repair
+        stores its snapshot there.  No query reads it.
     compute_exact / compute_degraded:
         Injectable :data:`RowCompute` hooks (fault injection).  Both
         default to :func:`repro.simrank.engine.multi_source_localpush`
@@ -385,9 +380,8 @@ class SimRankService:
     Concurrency
     -----------
     Reads take no service-wide lock: each reads the current
-    :class:`GraphVersion`, with the count of repairs pending against
-    it, once and finishes on it.  An update lands by assigning a new
-    version, so neither side waits for the other.
+    :class:`GraphVersion` once and finishes on it.  An update lands by
+    assigning a new version, so neither side waits for the other.
     """
 
     def __init__(self, graph: Graph, *,
@@ -398,12 +392,7 @@ class SimRankService:
                  compute_exact: Optional[RowCompute] = None,
                  compute_degraded: Optional[RowCompute] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
-        # The served version and the count of repairs in flight against it
-        # (0 or 1: updates run one at a time), published together: a read
-        # unpacks both at once, so it counts as stale exactly when its
-        # version had a repair pending.
-        self._served: Tuple[GraphVersion, int] = (GraphVersion(graph), 0)
-        self._served_lock = Lock()
+        self._served = GraphVersion(graph)
         self.simrank = simrank if simrank is not None else SimRankConfig()
         self.serve = serve if serve is not None else ServeConfig()
         self.dynamic = dynamic if dynamic is not None else DynamicConfig()
@@ -435,12 +424,12 @@ class SimRankService:
     @property
     def graph(self) -> Graph:
         """The graph of the version served now."""
-        return self._served[0].graph
+        return self._served.graph
 
     @property
     def version(self) -> str:
         """The fingerprint of the graph served now."""
-        return self._served[0].fingerprint
+        return self._served.fingerprint
 
     # ------------------------------------------------------------------ #
     # Default (real) row computation
@@ -484,13 +473,14 @@ class SimRankService:
 
     def _serve_rows(self, version: GraphVersion, sources: Sequence[int],
                     top_k: Optional[int]
-                    ) -> Dict[int, Tuple[sp.csr_matrix, str, float]]:
+                    ) -> Tuple[Dict[int, sp.csr_matrix], str, float]:
         """Walk the ladder on ``version`` for the deduplicated ``sources``.
 
-        Returns ``{source: (row, path, epsilon)}`` where ``epsilon`` is
-        the error bound the served row actually satisfies.  Each row is
-        served once per distinct source, but the path counters count
-        every query in ``sources``, repeats included.
+        Returns ``({source: row}, path, epsilon)``: every source of one
+        walk answers from the same rung, and ``epsilon`` is the error
+        bound its rows satisfy.  Each row is served once per distinct
+        source, but the path counters count every query in ``sources``,
+        repeats included.
         """
         counters = self.counters
         cfg = self.simrank
@@ -511,34 +501,24 @@ class SimRankService:
                 rows = {int(label): version.rows(int(label), compute,
                                                  deadline)
                         for label in np.unique(labels[unique])}
-        except SimRankError:
+        except SimRankError as error:
             counters.inc("exact_failures", count)
+            exact = f"exact failed: {error}"
         else:
             if any(component is None for component in rows.values()):
                 counters.inc("budget_overruns", count)
+                exact = f"exact over its {budget} s budget"
             else:
                 counters.inc("exact_served", count)
-                return {source: (top_k_row(
+                return ({source: top_k_row(
                             rows[int(labels[source])], source, top_k,
-                            normalize=cfg.row_normalize),
-                            "exact", cfg.epsilon)
-                        for source in unique}
+                            normalize=cfg.row_normalize)
+                         for source in unique}, "exact", cfg.epsilon)
 
-        # Rungs 2 and 3, per source.
-        served: Dict[int, Tuple[sp.csr_matrix, str, float]] = {}
+        # Rung 2: degraded, one looser-ε row per source.
+        served: Dict[int, sp.csr_matrix] = {}
         degraded_epsilon = cfg.epsilon * self.serve.degraded_epsilon_factor
         for source in unique:
-            if self.cache is not None:
-                hit = self.cache.lookup_row(
-                    version.graph, source, decay=cfg.decay,
-                    epsilon=cfg.epsilon, top_k=top_k,
-                    row_normalize=cfg.row_normalize,
-                    dtype=None if cfg.dtype == "float64" else cfg.dtype)
-                if hit is not None:
-                    row, entry_epsilon = hit
-                    counters.inc("cached_served", repeats[source])
-                    served[source] = (row, "cached", entry_epsilon)
-                    continue
             try:
                 rows_of_source = self._compute_degraded(
                     version.graph, np.array([source]), degraded_epsilon)
@@ -546,27 +526,12 @@ class SimRankService:
                 counters.inc("failed", repeats[source])
                 raise ServeError(
                     f"every serving rung failed for source {source} "
-                    f"(exact failed, no cached row, "
-                    f"degraded ε={degraded_epsilon} failed): "
-                    f"{error}") from error
+                    f"({exact}; degraded ε={degraded_epsilon} failed: "
+                    f"{error})") from error
             counters.inc("degraded_served", repeats[source])
-            served[source] = (top_k_row(rows_of_source, source, top_k,
-                                        normalize=cfg.row_normalize),
-                              "degraded", degraded_epsilon)
-        return served
-
-    def _count_answered(self, count: int, pending: int) -> None:
-        self.counters.inc("queries", count)
-        if pending:
-            self.counters.inc("stale_served", count)
-
-    def _track_pending(self, landed: Optional[GraphVersion],
-                       change: int) -> None:
-        """Move the pending count by ``change``; land ``landed`` with it."""
-        with self._served_lock:
-            version, pending = self._served
-            self._served = (landed if landed is not None else version,
-                            pending + change)
+            served[source] = top_k_row(rows_of_source, source, top_k,
+                                       normalize=cfg.row_normalize)
+        return served, "degraded", degraded_epsilon
 
     # ------------------------------------------------------------------ #
     # Public queries
@@ -578,29 +543,29 @@ class SimRankService:
         Results align with ``sources`` (duplicates share the served row)
         and are identical to issuing each query alone.  Every answer
         comes from the graph version current when the call started, and
-        reports it.  A ``k`` below 1 is a :class:`SimRankError` raised
-        before the ladder runs, so it touches no counter.
+        reports it.  A ``k`` that is not a positive integer is a
+        :class:`repro.errors.ConfigError` raised before the ladder runs
+        (:func:`~repro.simrank.engine._validate_k`), so it touches no
+        counter.
         """
         from repro.utils.timer import Timer
 
-        version, pending = self._served
+        version = self._served
         cleaned = self._validate(version.graph, sources)
-        k = k if k is not None else self.serve.default_top_k
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise SimRankError(f"k must be a positive integer, got {k!r}")
+        k = _validate_k(k if k is not None else self.serve.default_top_k)
         timer = Timer()
         timer.start()
-        served = self._serve_rows(version, cleaned, k)
-        self._count_answered(len(cleaned), pending)
+        rows, path, epsilon = self._serve_rows(version, cleaned, k)
+        self.counters.inc("queries", len(cleaned))
         elapsed = timer.stop()
-        for source in cleaned:
-            self.counters.record_latency(served[source][1], elapsed)
+        for _ in cleaned:
+            self.counters.record_latency(path, elapsed)
         return [QueryAnswer(
             source=source,
             k=k,
-            entries=_row_entries(served[source][0]),
-            path=served[source][1],
-            epsilon=served[source][2],
+            entries=_row_entries(rows[source]),
+            path=path,
+            epsilon=epsilon,
             elapsed_seconds=elapsed,
             version=version.fingerprint,
             batch_size=len(cleaned),
@@ -614,17 +579,15 @@ class SimRankService:
         """Answer a single-pair query from the full (un-truncated) row."""
         from repro.utils.timer import Timer
 
-        version, pending = self._served
-        cleaned = self._validate(version.graph, [u, v])
+        version = self._served
+        u, v = self._validate(version.graph, [u, v])
         timer = Timer()
         timer.start()
-        served = self._serve_rows(version, [cleaned[0]], None)
-        self._count_answered(1, pending)
+        rows, path, epsilon = self._serve_rows(version, [u], None)
+        self.counters.inc("queries")
         elapsed = timer.stop()
-        row, path, epsilon = served[cleaned[0]]
         self.counters.record_latency(path, elapsed)
-        return ScoreAnswer(u=cleaned[0], v=cleaned[1],
-                           value=float(row[0, cleaned[1]]), path=path,
+        return ScoreAnswer(u=u, v=v, value=float(rows[u][0, v]), path=path,
                            epsilon=epsilon, elapsed_seconds=elapsed,
                            version=version.fingerprint)
 
@@ -637,26 +600,22 @@ class SimRankService:
         Everything happens under the update lock, so concurrent updates
         run one at a time.  The batch is validated by one
         ``Graph.apply_delta`` on the served graph (a bad delta raises
-        :class:`repro.errors.GraphError` before any repair work), the
-        repair is marked pending, and the maintained
-        :class:`repro.dynamic.operator.DynamicOperator` repairs from that
-        updated graph — only this lock advances the served graph and the
-        operator's graph, so the two are always the same — before the
-        landing assigns the updated graph's version.  Its rows are
-        computed by its first exact read.  Nothing here waits for a read:
-        a read in flight finishes on the version it started on, and one
-        that takes the pre-update version while the repair runs counts
-        ``stale_served``.  A failed repair (``repair_max_pushes``
-        exceeded, say) raises to the caller and leaves the service on
-        the previous version, still answering.
+        :class:`repro.errors.GraphError` before any repair work), and the
+        maintained :class:`repro.dynamic.operator.DynamicOperator` repairs
+        from that updated graph — only this lock advances the served
+        graph and the operator's graph, so the two are always the same —
+        before the landing assigns the updated graph's version.  Its rows
+        are computed by its first exact read.  Nothing here waits for a
+        read: a read in flight finishes on the version it started on, and
+        one that takes the pre-update version while the repair runs is
+        ordered before this update, which has not answered yet.  A failed
+        repair (``repair_max_pushes`` exceeded, say) raises to the caller
+        and leaves the service on the previous version, still answering.
 
         With a cache, the operator's background writer then stores the
         repaired full-fidelity snapshot under the key of the updated
-        graph, after which the *cached* rung serves post-update rows
-        without push work.  Before it lands, a query that falls past the
-        exact rung answers ``degraded`` unless the cache already holds an
-        entry for the updated graph (the cached rung matches the served
-        graph's fingerprint, so it never serves a pre-update entry).
+        graph, where a later build on that graph warm-starts from it and
+        :func:`repro.api.apply_updates` replays it.
 
         Returns an acknowledgement payload with the repair telemetry
         (``num_pushes``, ``num_rounds``, ``repair_seconds``,
@@ -677,17 +636,8 @@ class SimRankService:
                 f"max_batch_edges={self.dynamic.max_batch_edges}")
         with self._update_lock:
             updated = self.graph.apply_delta(batch)
-            self._track_pending(None, +1)
-            try:
-                result = self._ensure_operator().apply(batch, updated)
-                landed = GraphVersion(updated)
-            except BaseException:
-                # No failure leaves later reads counted stale.
-                self._track_pending(None, -1)
-                raise
-            # Released in the step that lands the version, so no read
-            # sees the new version still counted pending.
-            self._track_pending(landed, -1)
+            result = self._ensure_operator().apply(batch, updated)
+            self._served = landed = GraphVersion(updated)
             self.counters.inc("updates_applied")
             self.counters.inc("repair_seconds", result.repair_seconds)
         return {"accepted": True, "num_deltas": len(batch),

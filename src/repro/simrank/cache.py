@@ -69,9 +69,11 @@ Repaired snapshots
 ------------------
 Dynamic repairs (:mod:`repro.dynamic`) store each repaired snapshot
 through :meth:`OperatorCache.store_delta` under the ordinary key of the
-graph it describes, so exact lookups, the reuse scan and row serving
-find it like a fresh entry, and a graph an update stream revisits keeps
-one entry.
+graph it describes, so exact lookups and the reuse scan find it like a
+fresh entry (a :class:`repro.dynamic.operator.DynamicOperator` build on
+that graph warm-starts from it), and a graph an update stream revisits
+keeps one entry.  No single-source query reads the cache: a served or
+:func:`repro.api.topk` row is always computed.
 
 Invalidation and corruption
 ---------------------------
@@ -104,14 +106,12 @@ Every cache event is counted once, on the
 itself (:attr:`OperatorCache.registry`), so the count exists whether
 telemetry is on or off.  The events are ``exact_hit``, ``reuse_hit``,
 ``miss``, ``store``, ``eviction`` (a corrupt, stale or mismatched file
-deleted on load), ``lru_eviction`` (the byte-cap policy), ``row_hit``
-and ``row_miss`` (single-source row serving by
-:meth:`OperatorCache.lookup_row`, kept apart from the operator-level
-events).  :meth:`OperatorCache.stats` is the one read: it returns the
-nine counts by name, with ``hits`` computed as
-``exact_hits + reuse_hits``.  The serving layer's ``/metrics`` ``cache``
-section reads :meth:`~OperatorCache.stats` and its Prometheus scrape
-renders :attr:`~OperatorCache.registry`, so the two always agree.
+deleted on load) and ``lru_eviction`` (the byte-cap policy).
+:meth:`OperatorCache.stats` is the one read: it returns the seven
+counts by name, with ``hits`` computed as ``exact_hits + reuse_hits``.
+The serving layer's ``/metrics`` ``cache`` section reads
+:meth:`~OperatorCache.stats` and its Prometheus scrape renders
+:attr:`~OperatorCache.registry`, so the two always agree.
 Consumers of one directory share one instance
 (:func:`get_operator_cache`) and therefore one counter.
 """
@@ -162,8 +162,6 @@ CACHE_EVENTS = {
     "stores": "store",
     "evictions": "eviction",
     "lru_evictions": "lru_eviction",
-    "row_hits": "row_hit",
-    "row_misses": "row_miss",
 }
 
 #: Per-directory singleton registry so every consumer of the same cache
@@ -233,11 +231,11 @@ class OperatorCache:
         self._event_counter.inc(1.0, event=event)
 
     def stats(self) -> Dict[str, int]:
-        """The nine event counts, read from one snapshot of the counter.
+        """The seven event counts, read from one snapshot of the counter.
 
         ``hits`` (= ``exact_hits + reuse_hits``), ``exact_hits``,
         ``reuse_hits``, ``misses``, ``stores``, ``evictions``,
-        ``lru_evictions``, ``row_hits``, ``row_misses``.
+        ``lru_evictions``.
         """
         by_event = {dict(key)["event"]: value
                     for key, value in self._event_counter.series().items()}
@@ -300,9 +298,9 @@ class OperatorCache:
         ``graph`` is the updated graph the repaired ``operator``
         describes, and ``fields`` its cache-key fields.  The graph is
         fingerprinted once, for the key and the entry metadata alike, so
-        the entry serves exact lookups, the reuse scan and row serving
-        on that graph: a repaired operator satisfies the same
-        ``(1−c)·ε`` contract as a fresh one.
+        the entry serves exact lookups and the reuse scan on that graph:
+        a repaired operator satisfies the same ``(1−c)·ε`` contract as a
+        fresh one.
         """
         fingerprint = graph_fingerprint(graph)
         key = self.key_for_fields(graph, fields, fingerprint=fingerprint)
@@ -470,7 +468,7 @@ class OperatorCache:
                             decay: float, epsilon: float,
                             top_k: Optional[int], row_normalize: bool,
                             dtype: Optional[str]
-                            ) -> Optional[Tuple["SimRankOperator", float]]:
+                            ) -> Optional["SimRankOperator"]:
         """Load the closest stored entry that dominates the request.
 
         Reads the embedded metadata of the graph's entries
@@ -479,8 +477,8 @@ class OperatorCache:
         ``ε′`` (least over-computation), then smallest sufficient ``k′``
         (least to load and re-prune), then most recently used.  An
         unreadable file is skipped (the exact-load path evicts it), as is
-        an entry :meth:`_load` evicts.  Returns the loaded entry and its
-        ``ε′``, or ``None``; counting the hit or miss is the caller's.
+        an entry :meth:`_load` evicts.  Returns the loaded entry or
+        ``None``; counting the hit or miss is the caller's.
         """
         candidates: List[Tuple[Path, dict, int]] = []
         for path in self.directory.glob(f"{_FILE_PREFIX}{fingerprint}-*.npz"):
@@ -502,11 +500,11 @@ class OperatorCache:
             -float(item[1]["epsilon"]),
             float("inf") if item[1]["top_k"] is None else item[1]["top_k"],
             -item[2], item[0].name))
-        for path, entry, _ in candidates:
+        for path, _, _ in candidates:
             candidate = self._load(path)
             if candidate is not None:
                 _stamp(path)
-                return candidate, float(entry["epsilon"])
+                return candidate
         return None
 
     def lookup(self, graph: Graph, *, method: str, decay: float,
@@ -542,11 +540,10 @@ class OperatorCache:
             return exact
 
         if method == "localpush" and epsilon is not None:
-            served = self._closest_dominating(
+            candidate = self._closest_dominating(
                 fingerprint, method=method, decay=decay, epsilon=epsilon,
                 top_k=top_k, row_normalize=row_normalize, dtype=dtype)
-            if served is not None:
-                candidate = served[0]
+            if candidate is not None:
                 matrix = self._reprune(candidate, epsilon=epsilon,
                                        top_k=top_k,
                                        row_normalize=row_normalize)
@@ -566,58 +563,6 @@ class OperatorCache:
 
         self._count("miss")
         return None
-
-    def lookup_row(self, graph: Graph, source: int, *, decay: float,
-                   epsilon: float, top_k: Optional[int],
-                   row_normalize: bool, dtype: Optional[str] = None,
-                   fingerprint: Optional[str] = None
-                   ) -> Optional[Tuple[sp.csr_matrix, float]]:
-        """Serve one row of a LocalPush operator from any dominating entry.
-
-        A cached all-pairs entry answers any single-source request
-        without recompute: the closest entry that dominates the request
-        (:meth:`_closest_dominating`, the relation :meth:`lookup` uses)
-        is loaded, and its row ``source`` is sliced out and re-pruned to
-        the requested contract with the exact :meth:`_reprune` semantics
-        (``top_k_per_row(..., keep_diagonal=True)`` / ``ε/10`` floor /
-        re-normalisation), applied to the single row.  ``source`` is
-        checked like every single-source query's node id
-        (:func:`repro.simrank.engine._validate_sources`).
-
-        Returns ``(row, entry_epsilon)`` — the ``1×n`` CSR row and the
-        ``ε′`` the stored entry was computed at (the error bound the
-        answer actually satisfies) — or ``None`` on a miss.  Counted as a
-        ``row_hit``/``row_miss``, never as an operator-level event.
-        """
-        import dataclasses
-
-        from repro.simrank.engine import _validate_sources
-
-        row = int(_validate_sources(graph, [source])[0])
-        n = graph.num_nodes
-        served = self._closest_dominating(
-            fingerprint or graph_fingerprint(graph), method="localpush",
-            decay=decay, epsilon=epsilon, top_k=top_k,
-            row_normalize=row_normalize, dtype=dtype)
-        if served is None:
-            self._count("row_miss")
-            return None
-        candidate, entry_epsilon = served
-        # Embed the sliced row back at its original index so the shared
-        # re-prune semantics (keep_diagonal targets column ``row``) apply
-        # unchanged; every re-prune step is row-independent, so this
-        # equals slicing a fully re-pruned operator at O(row) cost
-        # instead of O(nnz).
-        sliced = sp.csr_matrix(candidate.matrix).getrow(row)
-        indptr = np.zeros(n + 1, dtype=sliced.indptr.dtype)
-        indptr[row + 1:] = sliced.nnz
-        embedded = sp.csr_matrix(
-            (sliced.data, sliced.indices, indptr), shape=(n, n))
-        matrix = self._reprune(
-            dataclasses.replace(candidate, matrix=embedded),
-            epsilon=epsilon, top_k=top_k, row_normalize=row_normalize)
-        self._count("row_hit")
-        return matrix.getrow(row), entry_epsilon
 
     # ------------------------------------------------------------------ #
     def store(self, key: str, operator: "SimRankOperator", *,

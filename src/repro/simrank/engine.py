@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import SimRankError
+from repro.errors import ConfigError, SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices as _csr_rows
@@ -506,7 +506,7 @@ def _validate_sources(graph: Graph, sources: Sequence[int]) -> np.ndarray:
     """The node ids ``sources`` as an int64 array, each checked first.
 
     The one node-id check of every single-source query (the engine,
-    ``repro.api``, the cached-row lookup and the serving ladder).  Each
+    ``repro.api`` and the serving ladder).  Each
     id must be integral (:func:`repro.utils.validation.is_integral`:
     ``3.7``, ``True`` and ``"3"`` are rejected, never truncated or
     parsed) and in ``[0, n)``; anything else, or no id at all, raises
@@ -526,6 +526,20 @@ def _validate_sources(graph: Graph, sources: Sequence[int]) -> np.ndarray:
             f"source node(s) {sorted(int(s) for s in source_array[bad])} "
             f"out of range for a graph with {n} nodes")
     return source_array
+
+
+def _validate_k(k: object) -> int:
+    """The ``k`` of a top-k query as an int, checked first.
+
+    The one ``k`` check of :func:`repro.api.topk` and the serving layer:
+    ``k`` must be integral (:func:`repro.utils.validation.is_integral`,
+    so ``np.int64(5)`` and ``5.0`` pass as 5) and at least 1; anything
+    else raises :class:`repro.errors.ConfigError`, a
+    :class:`SimRankError`.
+    """
+    if not is_integral(k) or k < 1:  # type: ignore[operator]
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    return int(k)  # type: ignore[call-overload]
 
 
 def multi_source_localpush(graph: Graph, sources: Sequence[int], *,

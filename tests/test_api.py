@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from _simrank_fixtures import erdos_renyi as _erdos_renyi
 from repro import api
 from repro.config import RunSpec, SimRankConfig
 from repro.errors import ConfigError
+from repro.graphs.delta import GraphDelta
 from repro.models.sigma import SIGMA
 from repro.simrank.topk import simrank_operator
 from repro.training.config import TrainConfig
@@ -84,3 +86,47 @@ class TestRun:
         assert payload["spec"]["model"] == "mlp"
         assert payload["spec"]["train"]["max_epochs"] == 12
         assert "accuracy_mean" in payload
+
+
+def _tighter_entry(graph, cache_dir):
+    api.precompute(graph, SimRankConfig(method="localpush", epsilon=0.05,
+                                        cache_dir=cache_dir))
+    return graph
+
+
+def _same_epsilon_entry(graph, cache_dir):
+    api.precompute(graph, SimRankConfig(method="localpush", epsilon=0.1,
+                                        cache_dir=cache_dir))
+    return graph
+
+
+def _repaired_snapshot(graph, cache_dir):
+    """The entry ``apply_updates`` stores for the updated graph."""
+    v = next(v for v in range(1, graph.num_nodes)
+             if graph.adjacency[0, v] == 0.0)
+    batch = [GraphDelta("insert", 0, v)]
+    api.apply_updates(graph, batch, config=SimRankConfig(
+        epsilon=0.1, cache_dir=cache_dir))
+    return graph.apply_delta(batch)
+
+
+class TestQueriesAlwaysCompute:
+    """``topk``/``score`` compute their row whatever ``cache_dir`` holds:
+    a cached entry never changes the answer."""
+
+    @pytest.mark.parametrize("warm", [
+        _tighter_entry, _same_epsilon_entry, _repaired_snapshot],
+        ids=["tighter-entry", "same-epsilon-entry", "repaired-snapshot"])
+    def test_a_cache_dir_never_changes_the_answer(self, tmp_path, warm):
+        cache_dir = str(tmp_path / "operators")
+        graph = warm(_erdos_renyi(60, 0.08, seed=0), cache_dir)
+        assert any((tmp_path / "operators").iterdir())
+        plain = SimRankConfig(method="localpush", epsilon=0.1)
+        cached = plain.with_overrides(cache_dir=cache_dir)
+        n = graph.num_nodes
+        for u in range(n):
+            row = api.topk(graph, u, n, plain)
+            assert api.topk(graph, u, n, cached) == row, u  # bitwise
+            v = row[1][0] if len(row) > 1 else (u + 1) % n
+            assert api.score(graph, u, v, cached) \
+                == api.score(graph, u, v, plain), (u, v)

@@ -169,6 +169,16 @@ REMOVED_NAMES = {
     "CLI_SWITCHES": r"\bCLI_SWITCHES\b",
     "on_write_error": r"\bon_write_error\b",
     "_record_write_error": r"\b_record_write_error\b",
+    # Every single-source answer is computed on the graph it reports: no
+    # row is read from the operator cache, and no read is counted stale
+    # (an update answers only once its version has landed).
+    "lookup_row": r"\blookup_row\b",
+    "row_hit": r"\brow_hits?\b",
+    "row_miss": r"\brow_miss(es)?\b",
+    "cached_served": r"\bcached_served\b",
+    "stale_served": r"\bstale_served\b",
+    "_track_pending": r"\b_track_pending\b",
+    "_count_answered": r"\b_count_answered\b",
 }
 
 

@@ -6,19 +6,19 @@ stall on demand) and asserting both the serving path of every answer and
 the per-path counters:
 
 * exact rung healthy → ``exact`` answers, ``exact_served``/``batches``;
-* exact rung raising + warm operator cache → ``cached`` answers at the
-  stored entry's tighter ε′, ``exact_failures``/``cached_served``;
-* exact rung raising + no cache → ``degraded`` answers at the loosened
-  ε, ``degraded_served``;
+* exact rung raising → ``degraded`` answers at the loosened ε,
+  ``exact_failures``/``degraded_served`` — also with a dominating
+  operator-cache entry on disk, which no query reads;
 * exact rung *slow* + a tiny time budget → the read falls through
   (``budget_overruns``) and the rows stay for the next read;
-* every rung failing → :class:`repro.errors.ServeError` + ``failed``.
+* both rungs failing → :class:`repro.errors.ServeError`, naming what
+  the exact rung did, + ``failed``.
 
 Plus the graph-version contract: each version's rows are computed at
 most once per connected component and shared by every read, every
 answer is bit-identical to :func:`repro.api.topk` on the graph whose
-fingerprint it reports, an update never waits for a read, and a read is
-stale exactly when the version it took had a repair in flight.
+fingerprint it reports, an update never waits for a read, and a read
+answers from the version it took.
 """
 
 import json
@@ -44,7 +44,7 @@ from repro.api import score as api_score
 from repro.api import topk as api_topk
 from repro.config import ServeConfig, SimRankConfig
 from repro.dynamic import DynamicOperator
-from repro.errors import ServeError, SimRankError
+from repro.errors import ConfigError, ServeError, SimRankError
 from repro.graphs.delta import GraphDelta
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.serve import QueryBatcher, SimRankService, make_daemon
@@ -144,39 +144,27 @@ class TestDegradationLadder:
         assert answer.epsilon == pytest.approx(0.5)
         _counters(service, queries=1, exact_failures=1, degraded_served=1)
 
-    def test_exact_failure_with_warm_cache_serves_cached(self, graph,
-                                                         tmp_path):
+    def test_exact_failure_with_a_dominating_entry_on_disk_answers_degraded(
+            self, graph, tmp_path):
         # Warm the operator cache with a *tighter* all-pairs entry …
         cache_dir = str(tmp_path / "operators")
         simrank_operator(graph, SimRankConfig(
             method="localpush", epsilon=0.05, top_k=None,
             cache_dir=cache_dir))
         cache = get_operator_cache(cache_dir)
-        # … then fail the exact rung: the entry dominates ε=0.1 requests.
+        before = cache.stats()
+        # … then fail the exact rung: the entry dominates ε=0.1, yet the
+        # answer is the degraded rung's computed row.
         service = SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
             compute_exact=_failing_compute)
         answer = service.topk(3, k=5)
-        assert answer.path == "cached"
-        assert answer.epsilon == 0.05  # the bound the row actually satisfies
-        _counters(service, queries=1, exact_failures=1, cached_served=1)
-        assert cache.stats()["row_hits"] == 1
-
-    def test_repeated_sources_count_per_query_on_the_cached_rung(
-            self, graph, tmp_path):
-        cache_dir = str(tmp_path / "operators")
-        simrank_operator(graph, SimRankConfig(
-            method="localpush", epsilon=0.05, top_k=None,
-            cache_dir=cache_dir))
-        service = SimRankService(
-            graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
-            compute_exact=_failing_compute)
-        answers = service.topk_batch([3, 3, 7], k=5)
-        assert [answer.path for answer in answers] == ["cached"] * 3
-        assert answers[0].entries == answers[1].entries
-        _counters(service, queries=3, exact_failures=3, cached_served=3)
-        # One row lookup per distinct source; the counters count queries.
-        assert get_operator_cache(cache_dir).stats()["row_hits"] == 2
+        assert answer.path == "degraded"
+        assert answer.epsilon == pytest.approx(1.0)  # 0.1 × the default 10
+        assert answer.entries == api_topk(graph, 3, 5,
+                                          SimRankConfig(epsilon=1.0))
+        _counters(service, queries=1, exact_failures=1, degraded_served=1)
+        assert cache.stats() == before  # no query reads the cache
 
     def test_repeated_sources_count_per_query_on_the_degraded_rung(
             self, graph):
@@ -246,8 +234,35 @@ class TestDegradationLadder:
         assert counters["exact_failures"] == 1
         # Served-path partition: only *answered* queries count.
         assert counters["queries"] == (counters["exact_served"]
-                                       + counters["cached_served"]
                                        + counters["degraded_served"]) == 0
+
+    def test_the_serve_error_names_a_late_exact_rung(self):
+        from repro.datasets.registry import load_dataset
+
+        texas = load_dataset("texas", seed=0).graph
+        inner = {}
+
+        def slow_exact(graph, nodes, epsilon):
+            rows = inner["service"]._engine_rows(graph, nodes, epsilon)
+            time.sleep(0.05)
+            return rows
+
+        service = SimRankService(
+            texas, serve=ServeConfig(time_budget_seconds=0.001),
+            compute_exact=slow_exact, compute_degraded=_failing_compute)
+        inner["service"] = service
+        with pytest.raises(ServeError, match="exact over its 0.001 s budget"):
+            service.topk(3, k=5)
+        counters = service.counters.to_dict()
+        assert (counters["budget_overruns"], counters["exact_failures"],
+                counters["failed"]) == (1, 0, 1)
+
+    def test_the_serve_error_names_a_failed_exact_rung(self, graph):
+        service = SimRankService(
+            graph, compute_exact=_failing_compute,
+            compute_degraded=_failing_compute)
+        with pytest.raises(ServeError, match="exact failed: injected"):
+            service.topk(3, k=5)
 
     def test_repeated_source_counts_every_failed_query(self, graph):
         service = SimRankService(
@@ -290,6 +305,23 @@ class TestDegradationLadder:
         answer = service.score(np.int64(3), np.int64(7))
         assert (answer.u, answer.v) == (3, 7)
         assert answer.value == service.score(3, 7).value
+
+    @pytest.mark.parametrize("k", [np.int64(5), 5.0],
+                             ids=["numpy-int", "float"])
+    def test_an_integral_k_is_that_k(self, graph, k):
+        service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
+        answer = service.topk(3, k=k)
+        assert answer.k == 5 and type(answer.k) is int
+        assert answer.entries == service.topk(3, k=5).entries
+
+    @pytest.mark.parametrize("k", [5.5, True, np.True_, "5", 0],
+                             ids=["fraction", "bool", "numpy-bool", "str",
+                                  "zero"])
+    def test_a_bad_k_raises_before_the_ladder(self, graph, k):
+        service = SimRankService(graph)
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            service.topk(3, k=k)
+        _counters(service)  # nothing counted
 
 
 class TestQueryBatcher:
@@ -433,8 +465,8 @@ class TestGraphVersions:
         assert after.version == acks[0]["version"]
         assert after.entries == api_topk(updated, u, 5, config)
 
-    def test_stale_is_decided_by_the_version_a_read_took(self, graph,
-                                                          monkeypatch):
+    def test_a_read_during_a_repair_answers_from_the_version_it_took(
+            self, graph, monkeypatch):
         config = SimRankConfig(epsilon=0.1)
         repair_entered, repair_release = threading.Event(), threading.Event()
         read_entered, read_release = threading.Event(), threading.Event()
@@ -477,15 +509,14 @@ class TestGraphVersions:
             reader.join(timeout=60)
             updater.join(timeout=60)
         assert not reader.is_alive()
-        # It took the pre-update version with the repair pending: stale.
+        # It took the pre-update version while the repair ran: it is
+        # ordered before the update, which had not answered yet.
         assert reads[0].version == before == graph_fingerprint(graph)
         counters = service.counters.to_dict()
-        assert (counters["queries"], counters["stale_served"],
-                counters["updates_applied"]) == (1, 1, 1)
-        # A read of the landed version is not, with nothing pending.
+        assert (counters["queries"], counters["updates_applied"]) == (1, 1)
+        # A later read takes the landed version.
         assert service.topk(3, k=5).version == service.version
-        counters = service.counters.to_dict()
-        assert (counters["queries"], counters["stale_served"]) == (2, 1)
+        assert service.counters.to_dict()["queries"] == 2
 
     def test_an_empty_synchronous_update_reports_its_version(self, graph):
         service = SimRankService(graph, simrank=SimRankConfig(epsilon=0.1))
@@ -779,7 +810,7 @@ class TestDaemon:
         assert exact["count"] == 1
         assert 0.0 <= exact["p50_seconds"] <= exact["p95_seconds"] \
             <= exact["p99_seconds"]
-        assert latency["paths"]["cached"] is None
+        assert SERVE_PATHS == ("exact", "degraded")
         assert latency["paths"]["degraded"] is None
 
     def test_bad_requests_are_400(self, daemon, graph):
@@ -947,9 +978,7 @@ class TestChainStoreFailure:
         counters = service.counters.to_dict()
         assert counters["updates_applied"] == 1
         assert counters["repair_seconds"] > 0.0
-        # Nothing is left pending, so later queries are not stale.
         assert service.topk(u, k=5).path == "exact"
-        assert service.counters.to_dict()["stale_served"] == 0
         assert service.cache.stats()["stores"] == 0
 
     def test_synchronous_http_update_answers_200(self, graph, tmp_path,
@@ -978,18 +1007,19 @@ class TestChainStoreFailure:
 
 
 class TestChainWriteWindow:
-    """Between the swap and the snapshot write, the cached rung has no row."""
+    """No cache entry answers a query: not before the snapshot write, nor
+    after it lands."""
 
-    def test_query_answers_degraded_until_the_write_lands(
+    def test_query_answers_degraded_before_and_after_the_write(
             self, graph, tmp_path, monkeypatch):
         config = SimRankConfig(epsilon=0.1,
                                cache_dir=str(tmp_path / "operators"))
-        # A pre-update entry the cached rung can serve.
+        # A pre-update entry that dominates the service's contract.
         simrank_operator(graph, config.with_overrides(method="localpush"))
         service = SimRankService(graph, simrank=config,
                                  compute_exact=_failing_compute)
         u, v = _absent_pair(graph)
-        assert service.topk(u, k=5).path == "cached"
+        assert service.topk(u, k=5).path == "degraded"
         entered, release = threading.Event(), threading.Event()
         store = service.cache.store
 
@@ -1002,12 +1032,11 @@ class TestChainWriteWindow:
         service.apply_update([GraphDelta("insert", u, v)])
         assert entered.wait(timeout=30)
         assert service.graph.num_edges == graph.num_edges + 1
-        # Never the pre-update entry: the served graph's fingerprint moved.
         assert service.topk(u, k=5).path == "degraded"
         release.set()
         service.close()
         answer = service.topk(u, k=5)
-        assert (answer.path, answer.epsilon) == ("cached", 0.1)
+        assert (answer.path, answer.epsilon) == ("degraded", 1.0)
         assert service.last_update_error is None
 
 
@@ -1137,7 +1166,7 @@ class TestLatencyWindow:
         assert exact["p50_seconds"] == pytest.approx(0.175)
         assert exact["p99_seconds"] == pytest.approx(0.2485)
         # The other paths stay untouched.
-        assert counters.latency_summary()["paths"]["cached"] is None
+        assert counters.latency_summary()["paths"]["degraded"] is None
 
     def test_quantiles_cover_every_query_since_start(self):
         counters = ServiceCounters()
@@ -1151,12 +1180,13 @@ class TestLatencyWindow:
 
     def test_summary_reads_the_registry_histogram(self):
         counters = ServiceCounters()
-        counters.record_latency("cached", 0.02)
-        counters.record_latency("cached", 0.06)
+        counters.record_latency("degraded", 0.02)
+        counters.record_latency("degraded", 0.06)
         histogram = counters.registry.histogram("repro_serve_latency_seconds")
-        assert histogram.series()[(("path", "cached"),)].count == 2
-        cached = counters.latency_summary()["paths"]["cached"]
-        assert cached["p50_seconds"] == histogram.quantile(0.5, path="cached")
+        assert histogram.series()[(("path", "degraded"),)].count == 2
+        degraded = counters.latency_summary()["paths"]["degraded"]
+        assert degraded["p50_seconds"] == histogram.quantile(0.5,
+                                                             path="degraded")
 
     def test_qps_needs_two_distinct_instants(self):
         counters = ServiceCounters()

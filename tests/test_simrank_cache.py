@@ -116,21 +116,18 @@ class TestCounters:
     """Every cache event is counted once, on the cache's own registry."""
 
     NAMES = ("hits", "exact_hits", "reuse_hits", "misses", "stores",
-             "evictions", "lru_evictions", "row_hits", "row_misses")
+             "evictions", "lru_evictions")
 
     def test_stats_read_the_registry_counter(self, graph, cache):
         _operator(graph, method="localpush", epsilon=0.05, top_k=None,
                   cache=cache)
         _operator(graph, method="localpush", epsilon=0.05, top_k=None,
                   cache=cache)
-        cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1, top_k=5,
-                         row_normalize=False)
         stats = cache.stats()
         assert tuple(stats) == self.NAMES
         events = cache.registry.counter("repro_cache_events_total")
         for name, event in (("exact_hits", "exact_hit"),
-                            ("misses", "miss"), ("stores", "store"),
-                            ("row_hits", "row_hit")):
+                            ("misses", "miss"), ("stores", "store")):
             assert stats[name] == events.value(event=event) == 1
         assert stats["hits"] == stats["exact_hits"] + stats["reuse_hits"]
 
@@ -297,65 +294,6 @@ class TestEntryCompression:
         assert np.array_equal(warm.matrix.data, cold.matrix.data)
 
 
-class TestRowLookup:
-    """``lookup_row``: cached all-pairs entries answer single-source
-    queries (the ``cached`` rung of ``repro.serve``), counted in the
-    separate ``row_hits``/``row_misses`` pair so the operator-level
-    ``hits == exact_hits + reuse_hits`` invariant is untouched."""
-
-    def test_row_hit_from_dominating_entry(self, graph, cache):
-        # Prime with a tighter, un-truncated all-pairs entry …
-        _operator(graph, method="localpush", epsilon=0.05, top_k=None,
-                  cache=cache)
-        stats = cache.stats()
-        assert (stats["misses"], stats["stores"]) == (1, 1)
-        served = cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1,
-                                  top_k=5, row_normalize=False)
-        assert served is not None
-        row, entry_epsilon = served
-        assert entry_epsilon == 0.05  # the bound the row actually satisfies
-        assert row.shape == (1, graph.num_nodes)
-        # Counted only in the row pair; the operator counters (and their
-        # hits == exact + reuse invariant) are untouched.
-        stats = cache.stats()
-        assert (stats["row_hits"], stats["row_misses"]) == (1, 0)
-        assert stats["hits"] == stats["exact_hits"] + stats["reuse_hits"] == 0
-        assert stats["misses"] == 1
-
-        # The row equals slicing a full operator-level reuse of the same
-        # contract — lookup_row is that reuse at O(row) cost.
-        reused = _operator(graph, method="localpush", epsilon=0.1, top_k=5,
-                           cache=cache)
-        assert reused.cache_hit
-        reference = reused.matrix.getrow(3)
-        assert np.array_equal(row.indptr, reference.indptr)
-        assert np.array_equal(row.indices, reference.indices)
-        assert np.array_equal(row.data, reference.data)  # bitwise
-
-    def test_row_miss_when_no_entry_dominates(self, graph, cache):
-        _operator(graph, method="localpush", epsilon=0.1, top_k=4,
-                  cache=cache)
-        # Different decay, tighter ε and smaller stored k all miss.
-        assert cache.lookup_row(graph, 3, decay=0.8, epsilon=0.1,
-                                top_k=4, row_normalize=False) is None
-        assert cache.lookup_row(graph, 3, decay=0.6, epsilon=0.05,
-                                top_k=4, row_normalize=False) is None
-        assert cache.lookup_row(graph, 3, decay=0.6, epsilon=0.1,
-                                top_k=8, row_normalize=False) is None
-        stats = cache.stats()
-        assert (stats["row_hits"], stats["row_misses"]) == (0, 3)
-
-    def test_row_lookup_validates_the_source(self, graph, cache):
-        from repro.errors import SimRankError
-
-        with pytest.raises(SimRankError):
-            cache.lookup_row(graph, graph.num_nodes, decay=0.6, epsilon=0.1,
-                             top_k=4, row_normalize=False)
-        with pytest.raises(SimRankError):
-            cache.lookup_row(graph, -1, decay=0.6, epsilon=0.1,
-                             top_k=4, row_normalize=False)
-
-
 class TestInvalidationAndCorruption:
     KWARGS = dict(method="localpush", epsilon=0.1, top_k=8)
 
@@ -426,9 +364,11 @@ class TestInvalidationAndCorruption:
         path.write_bytes(path.read_bytes()[:20])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            # The row lookup's reuse scan reads the file's metadata.
-            assert cache.lookup_row(graph, 0, decay=0.6, epsilon=0.1,
-                                    top_k=8, row_normalize=False) is None
+            # A looser request misses its own key, so the reuse scan
+            # reads the truncated file's metadata.
+            assert cache.lookup(graph, method="localpush", decay=0.6,
+                                epsilon=0.2, top_k=8,
+                                row_normalize=False) is None
             assert not _operator(graph, cache=cache, **self.KWARGS).cache_hit
             gc.collect()
         assert cache.stats()["evictions"] == 1

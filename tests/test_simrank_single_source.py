@@ -25,7 +25,7 @@ from _simrank_fixtures import (
 )
 from repro import api
 from repro.config import SimRankConfig
-from repro.errors import SimRankError
+from repro.errors import ConfigError, SimRankError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import top_k_per_row, top_k_row
 from repro.simrank.engine import (
@@ -292,6 +292,21 @@ class TestValidation:
             == api.topk(tiny_graph, 3, n, config)
         assert api.score(tiny_graph, np.int64(3), np.int64(4), config) \
             == api.score(tiny_graph, 3, 4, config)
+
+    @pytest.mark.parametrize("k", [np.int64(5), 5.0],
+                             ids=["numpy-int", "float"])
+    def test_an_integral_k_is_that_k(self, k):
+        graph = _erdos_renyi(60, 0.08, seed=0)
+        answer = api.topk(graph, 3, k, QUERY_CONFIG)
+        assert len(answer) == 5
+        assert answer == api.topk(graph, 3, 5, QUERY_CONFIG)
+
+    @pytest.mark.parametrize("k", [5.5, True, np.True_, "5", 0],
+                             ids=["fraction", "bool", "numpy-bool", "str",
+                                  "zero"])
+    def test_a_bad_k_raises(self, tiny_graph, k):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            api.topk(tiny_graph, 3, k, QUERY_CONFIG)
 
     def test_empty_sources_rejected(self, tiny_graph):
         with pytest.raises(SimRankError):

@@ -104,17 +104,19 @@ class TestEnginePhaseSpans:
 # --------------------------------------------------------------------- #
 # Serving layer
 # --------------------------------------------------------------------- #
-def _failing_exact(sources, top_k, epsilon):
-    from repro.errors import SimRankError
-    raise SimRankError("injected")
-
-
 def _warm_cache(graph, tmp_path):
-    """A cache dir holding a tighter all-pairs entry (the cached rung)."""
+    """A cache dir holding a tighter all-pairs entry (one miss, one store)."""
     cache_dir = str(tmp_path / "operators")
     simrank_operator(graph, SimRankConfig(
         method="localpush", epsilon=0.05, top_k=None, cache_dir=cache_dir))
     return cache_dir
+
+
+def _non_edge(graph):
+    for v in range(1, graph.num_nodes):
+        if graph.adjacency[0, v] == 0.0:
+            return 0, v
+    raise AssertionError("graph is complete")  # pragma: no cover
 
 
 def _cache_events(text):
@@ -186,37 +188,36 @@ class TestServeTelemetry:
         cache_dir = _warm_cache(graph, tmp_path)
         service = SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
-            compute_exact=_failing_exact,
             telemetry=_enabled(tmp_path) if enabled else None)
-        assert service.topk(3, k=5).path == "cached"
+        service.apply_update([GraphDelta("insert", *_non_edge(graph))])
+        service.close()  # the repaired snapshot is stored
         text = service.prometheus_metrics()
-        assert 'repro_cache_events_total{event="row_hit"} 1\n' in text
+        assert 'repro_cache_events_total{event="store"} 2\n' in text
         section = service.metrics()["cache"]
-        assert section["row_hits"] == 1
+        assert section["stores"] == 2
         scraped = _cache_events(text)
         assert section == {
             "hits": scraped["exact_hit"] + scraped["reuse_hit"],
             "exact_hits": scraped["exact_hit"],
             "reuse_hits": scraped["reuse_hit"],
             "misses": scraped["miss"],
-            "row_hits": scraped["row_hit"],
-            "row_misses": scraped["row_miss"],
             "stores": scraped["store"]}
 
-    def test_services_sharing_a_cache_scrape_every_row_hit(self, graph,
-                                                           tmp_path):
+    def test_services_sharing_a_cache_scrape_every_store(self, graph,
+                                                         tmp_path):
         cache_dir = _warm_cache(graph, tmp_path)
         services = [SimRankService(
             graph, simrank=SimRankConfig(epsilon=0.1, cache_dir=cache_dir),
-            compute_exact=_failing_exact, telemetry=_enabled(tmp_path))
-            for _ in range(2)]
+            telemetry=_enabled(tmp_path)) for _ in range(2)]
         assert services[0].telemetry is not services[1].telemetry
+        batch = [GraphDelta("insert", *_non_edge(graph))]
         for service in services:
-            assert service.topk(3, k=5).path == "cached"
+            service.apply_update(batch)
+            service.close()
         for service in services:
-            assert _cache_events(service.prometheus_metrics())["row_hit"] \
-                == service.metrics()["cache"]["row_hits"] == 2
-        assert get_operator_cache(cache_dir).stats()["row_hits"] == 2
+            assert _cache_events(service.prometheus_metrics())["store"] \
+                == service.metrics()["cache"]["stores"] == 3
+        assert get_operator_cache(cache_dir).stats()["stores"] == 3
 
     def test_prometheus_scrape_includes_gauges(self, graph, tmp_path):
         handle = _enabled(tmp_path)
@@ -236,17 +237,11 @@ class TestServeTelemetry:
 # Dynamic repair spans
 # --------------------------------------------------------------------- #
 class TestDynamicTelemetry:
-    def _non_edge(self, graph):
-        for v in range(1, graph.num_nodes):
-            if graph.adjacency[0, v] == 0.0:
-                return 0, v
-        raise AssertionError("graph is complete")  # pragma: no cover
-
     def test_repair_span_carries_provenance(self, graph, tmp_path):
         handle = _enabled(tmp_path)
         operator = DynamicOperator(graph, simrank=SimRankConfig(epsilon=0.1),
                                    telemetry=handle)
-        u, v = self._non_edge(graph)
+        u, v = _non_edge(graph)
         result = operator.apply([GraphDelta("insert", u, v)])
         spans = [span for span in handle.recorder.spans()
                  if span["name"] == "dynamic.repair"]
@@ -263,7 +258,7 @@ class TestDynamicTelemetry:
         cache = get_operator_cache(tmp_path / "operators")
         operator = DynamicOperator(graph, simrank=SimRankConfig(epsilon=0.1),
                                    cache=cache, telemetry=handle)
-        u, v = self._non_edge(graph)
+        u, v = _non_edge(graph)
         operator.apply([GraphDelta("insert", u, v)])
         assert operator.flush() is None
 
@@ -281,7 +276,7 @@ class TestDynamicTelemetry:
         assert "No space left on device" in error
 
     def test_traced_repair_is_bit_identical(self, graph):
-        u, v = self._non_edge(graph)
+        u, v = _non_edge(graph)
         batch = [GraphDelta("insert", u, v)]
         plain = DynamicOperator(graph, simrank=SimRankConfig(epsilon=0.1))
         plain.apply(batch)
